@@ -40,7 +40,7 @@ from .sampling import integer_point, rng_stream
 from .skewpencil import (SkewPencil, char_poly, check_image_equality,
                          compute_L, compute_Ltilde, verify_com1)
 
-SCHEMA = 1
+SCHEMA = 2
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -120,12 +120,6 @@ def _var_names(L: LieAlgebraData) -> list[str]:
     return [f"x_{nm}" for nm in L.basis_names]
 
 
-def _report(args: argparse.Namespace, inputs: dict) -> dict:
-    return {"schema": SCHEMA, "command": args.command_name, "inputs": inputs,
-            "seed": getattr(args, "seed", 0),
-            "verdicts": {}, "witnesses": {}, "timings": {}}
-
-
 def _write_out(report: dict, out: Optional[str]) -> None:
     text = jsonio.dumps(report)
     if out:
@@ -135,20 +129,34 @@ def _write_out(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _finish(args: argparse.Namespace, report: dict, ok: bool,
-            started: float) -> int:
-    report["timings"]["total"] = round(time.perf_counter() - started, 6)
-    report["status"] = "pass" if ok else "fail"
-    _write_out(report, args.out)
-    return EXIT_PASS if ok else EXIT_FAIL
+def _reported(handler: Callable[[argparse.Namespace, dict, dict], bool]
+              ) -> Callable[[argparse.Namespace], int]:
+    """Wrap a command that fills a report.
+
+    The handler records its inputs and verdicts and returns whether
+    every check passed; the wrapper adds the total time and the status,
+    writes the report and maps the outcome to the exit code.
+    """
+    def run(args: argparse.Namespace) -> int:
+        started = time.perf_counter()
+        inputs: dict = {}
+        report = {"schema": SCHEMA, "command": args.command_name,
+                  "inputs": inputs, "seed": getattr(args, "seed", 0),
+                  "verdicts": {}, "witnesses": {}, "timings": {}}
+        ok = handler(args, report, inputs)
+        report["timings"]["total"] = round(time.perf_counter() - started, 6)
+        report["status"] = "pass" if ok else "fail"
+        _write_out(report, args.out)
+        return EXIT_PASS if ok else EXIT_FAIL
+    return run
 
 
 # --- algebra ----------------------------------------------------------------
 
-def cmd_algebra_validate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+@_reported
+def cmd_algebra_validate(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     raw, entry = _read_input(args.algebra)
-    report = _report(args, {"algebra": entry})
+    inputs["algebra"] = entry
     try:
         dim = int(raw["dim"])
         basis = [str(b) for b in raw.get("basis", [f"e{i + 1}" for i in range(dim)])]
@@ -165,7 +173,7 @@ def cmd_algebra_validate(args: argparse.Namespace) -> int:
         verdict = {"ok": False, "kind": "table", "where": None, "detail": str(exc)}
         report["witnesses"]["validate"] = str(exc)
     report["verdicts"]["validate"] = verdict
-    return _finish(args, report, ok, t0)
+    return ok
 
 
 def cmd_algebra_build(args: argparse.Namespace) -> int:
@@ -193,9 +201,8 @@ def cmd_algebra_build(args: argparse.Namespace) -> int:
 
 # --- poisson ----------------------------------------------------------------
 
-def cmd_poisson_bracket(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_poisson_bracket(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     fraw, fentry = _read_input(args.f)
     graw, gentry = _read_input(args.g)
@@ -204,16 +211,14 @@ def cmd_poisson_bracket(args: argparse.Namespace) -> int:
     if f.nvars != L.dim or g.nvars != L.dim:
         raise UsageError("polynomial variable count does not match the algebra")
     h = bracket(L, f, g)
-    report = _report(args, inputs)
     report["verdicts"]["bracket"] = {"zero": h.is_zero(),
                                      "pretty": h.pretty(_var_names(L))}
     report["result"] = jsonio.poly_to_json(h)
-    return _finish(args, report, True, t0)
+    return True
 
 
-def cmd_poisson_casimir_check(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_poisson_casimir_check(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     praw, pentry = _read_input(args.poly)
     inputs["poly"] = pentry
@@ -221,7 +226,6 @@ def cmd_poisson_casimir_check(args: argparse.Namespace) -> int:
     if p.nvars != L.dim:
         raise UsageError("polynomial variable count does not match the algebra")
     chk = is_casimir(L, p)
-    report = _report(args, inputs)
     report["verdicts"]["casimir"] = {"ok": chk.ok}
     if not chk.ok:
         report["witnesses"]["casimir"] = {
@@ -229,18 +233,16 @@ def cmd_poisson_casimir_check(args: argparse.Namespace) -> int:
             "name": L.basis_names[chk.witness_index],
             "bracket": jsonio.poly_to_json(chk.witness),
             "pretty": chk.witness.pretty(_var_names(L))}
-    return _finish(args, report, chk.ok, t0)
+    return chk.ok
 
 
-def cmd_poisson_index(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_poisson_index(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     prof = estimate_index(L, trials=args.trials, seed=args.seed,
                           bound=args.bound)
-    report = _report(args, inputs)
     report["verdicts"]["index"] = prof.as_dict()
-    return _finish(args, report, True, t0)
+    return True
 
 
 # --- shift ------------------------------------------------------------------
@@ -279,33 +281,29 @@ def cmd_shift_build(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_shift_certify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_shift_certify(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L, _, xi, fam = _build_family_from_args(args, inputs)
     cert = certify_commutative(fam)
-    report = _report(args, inputs)
     report["verdicts"]["commutative"] = {"ok": cert.ok,
                                          "pairs_checked": cert.pairs_checked,
                                          "members": len(fam)}
     if not cert.ok:
         report["witnesses"]["commutative"] = [
             {"i": i, "j": j, "route": route} for i, j, route in cert.failures]
-    return _finish(args, report, cert.ok, t0)
+    return cert.ok
 
 
 # --- reg --------------------------------------------------------------------
 
-def cmd_reg_point(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_reg_point(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     prof = _profile(L, args)
     xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
     m = L.dim - prof.ind
     krank = kirillov(L, xi).rank
     regular = krank == m
-    report = _report(args, inputs)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["point"] = {"regular": regular, "kirillov_rank": krank,
                                    "generic_rank": m,
@@ -317,18 +315,16 @@ def cmd_reg_point(args: argparse.Namespace) -> int:
     if not regular:
         report["witnesses"]["point"] = {"point": jsonio.vector_to_json(xi),
                                         "rank_drop": m - krank}
-    return _finish(args, report, regular, t0)
+    return regular
 
 
-def cmd_reg_plane(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_reg_plane(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     prof = _profile(L, args)
     xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
     eta = _expect_dim(_parse_ratlist(args.eta, "--eta"), L.dim, "--eta")
-    cert = certify_regular_plane(L, prof, xi, eta, seed=args.seed)
-    report = _report(args, inputs)
+    cert = certify_regular_plane(L, prof, xi, eta)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["plane"] = cert.as_dict()
     if not cert.ok:
@@ -336,68 +332,62 @@ def cmd_reg_plane(args: argparse.Namespace) -> int:
             "gcd": cert.witness_pretty,
             "singular_directions": [[rat_str(a), rat_str(b)]
                                     for a, b in cert.singular_directions]}
-    return _finish(args, report, cert.ok, t0)
+    return cert.ok
 
 
-def cmd_reg_codim2(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_reg_codim2(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     prof = _profile(L, args)
     cert = certify_codim2(L, prof, seed=args.seed, planes=args.planes,
                           bound=args.bound)
-    report = _report(args, inputs)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["codim2"] = cert.as_dict()
     if not cert.ok:
         report["witnesses"]["codim2"] = {
             "divisor": cert.witness_pretty,
             "poly": jsonio.poly_to_json(cert.witness) if cert.witness else None}
-    return _finish(args, report, cert.ok, t0)
+    return cert.ok
 
 
-def cmd_reg_compl(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_reg_compl(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     cs = _load_casimirs(args, args.casimirs, inputs, L)
     prof = _profile(L, args)
     xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
     eta = _expect_dim(_parse_ratlist(args.eta, "--eta"), L.dim, "--eta")
-    cert = certify_regular_plane(L, prof, xi, eta, seed=args.seed)
-    report = _report(args, inputs)
+    cert = certify_regular_plane(L, prof, xi, eta)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["plane"] = cert.as_dict()
     if not cert.ok:
         report["witnesses"]["plane"] = cert.witness_pretty
-        return _finish(args, report, False, t0)
+        return False
     verdict = verify_compl(L, cs, prof, PlaneSpec(xi, eta), certificate=cert,
-                           nsamples=args.nsamples, seed=args.seed)
+                           nsamples=args.nsamples, seed=args.seed,
+                           bound=args.bound)
     report["verdicts"]["compl"] = verdict.as_dict()
-    return _finish(args, report, verdict.ok, t0)
+    return verdict.ok
 
 
-def cmd_reg_bols(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_reg_bols(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     cs = _load_casimirs(args, args.casimirs, inputs, L)
     prof = _profile(L, args)
     xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
     verdict = verify_bols(L, cs, prof, xi, seed=args.seed)
-    report = _report(args, inputs)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["bols"] = verdict.as_dict()
     if not verdict.ok:
         report["witnesses"]["bols"] = verdict.note
-    return _finish(args, report, verdict.ok, t0)
+    return verdict.ok
 
 
 # --- pencil -----------------------------------------------------------------
 
-def cmd_pencil_analyze(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     if args.matrices:
         raw, entry = _read_input(args.matrices)
         inputs["matrices"] = entry
@@ -419,7 +409,6 @@ def cmd_pencil_analyze(args: argparse.Namespace) -> int:
     W = check_image_equality(pencil, Lsub)
     Lt = compute_Ltilde(pencil, Lsub, W)
     analysis = verify_com1(pencil)
-    report = _report(args, inputs)
     verdict = analysis.as_dict()
     verdict["char_poly"] = ([rat_str(c) for c in char_poly(analysis.phi.matrix)]
                             if analysis.phi is not None else None)
@@ -427,14 +416,13 @@ def cmd_pencil_analyze(args: argparse.Namespace) -> int:
     report["subspaces"] = {"L": jsonio.subspace_to_json(Lsub),
                            "image": jsonio.subspace_to_json(W),
                            "Ltilde": jsonio.subspace_to_json(Lt)}
-    return _finish(args, report, True, t0)
+    return True
 
 
 # --- pipeline ---------------------------------------------------------------
 
-def cmd_pipeline_run(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs: dict = {}
+@_reported
+def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     raw_alg, alg_entry = _read_input(args.algebra)
     inputs["algebra"] = alg_entry
     raw_cas = None
@@ -449,7 +437,6 @@ def cmd_pipeline_run(args: argparse.Namespace) -> int:
         inputs["casimirs"] = {"empty": True}
     xi_arg = _parse_ratlist(args.xi, "--xi") if args.xi else None
 
-    report = _report(args, inputs)
     verdicts, witnesses, timings = (report["verdicts"], report["witnesses"],
                                     report["timings"])
     seed, bound = args.seed, args.bound
@@ -572,7 +559,7 @@ def cmd_pipeline_run(args: argparse.Namespace) -> int:
         res = ctx["plane"]
         verdict = verify_compl(ctx["L"], ctx["casimirs"], ctx["profile"],
                                res.spec, certificate=res.certificate,
-                               nsamples=args.nsamples, seed=seed)
+                               nsamples=args.nsamples, seed=seed, bound=bound)
         return verdict.ok, verdict.as_dict(), None
 
     def s_bols() -> tuple[bool, dict, Any]:
@@ -593,9 +580,7 @@ def cmd_pipeline_run(args: argparse.Namespace) -> int:
                                     "codimension-3 singular set, which this "
                                     "tool does not certify)",
             "codim3": {"certified": False,
-                       "plane_attempts": ctx["plane"].attempts_used,
-                       "plane_minors_checked":
-                           ctx["plane"].certificate.minors_checked},
+                       "plane_attempts": ctx["plane"].attempts_used},
         }
         witness = None
         w = find_nonmaximality_witness(fam)
@@ -622,7 +607,7 @@ def cmd_pipeline_run(args: argparse.Namespace) -> int:
     report["stage_order"] = order
     if failed:
         report["failed_stage"] = failed[0]
-    return _finish(args, report, not failed, t0)
+    return not failed
 
 
 # --- parser -----------------------------------------------------------------

@@ -593,6 +593,29 @@ def determinant(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
 
+def stream_minor_gcd(entries: Sequence[Sequence[MPoly]],
+                     order: Iterable[tuple[Sequence[int], Sequence[int]]]
+                     ) -> tuple[Optional[MPoly], int]:
+    """Running monic gcd of the square minors named by order.
+
+    Each item of order is (row indices, column indices).  The stream
+    stops as soon as the gcd is constant, which certifies the gcd of
+    every minor.  Returns (gcd, minors_examined); gcd is None when
+    every examined minor vanished.
+    """
+    g: Optional[MPoly] = None
+    checked = 0
+    for rows_idx, cols_idx in order:
+        checked += 1
+        minor = determinant([[entries[i][j] for j in cols_idx] for i in rows_idx])
+        if minor.is_zero():
+            continue
+        g = minor if g is None else poly_gcd([g, minor])
+        if g.is_constant():
+            break
+    return (None if g is None else g.monic()), checked
+
+
 def extract_var_coeffs(p: MPoly, v: int) -> dict[int, MPoly]:
     """Coefficients of powers of variable v (exponent at v zeroed)."""
     return _var_coeffs(p, v)

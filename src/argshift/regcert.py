@@ -2,32 +2,36 @@
 
 A point is regular when the skew form there reaches the generic rank
 m = dim - ind.  The certificates below are exact: a plane is certified
-by the gcd of the pencil's m x m minors (bivariate homogeneous, so the
-singular directions are its projective roots), and the dual space is
-certified singular-in-codimension-two when the gcd of all symbolic
-minors is constant.
+by the structure of its Kirillov pencil (generic rank m and Kronecker
+blocks only; a Jordan part carries the singular directions as the
+roots of det(mu I + nu Phi), Phi the recursion operator), and the dual
+space is certified singular-in-codimension-two when the gcd of all
+symbolic m x m minors is constant.
 
 The expensive symbolic gcd is usually avoided: restricting the matrix
 to a plane maps every minor to its restriction, and a nonconstant
 homogeneous divisor stays nonconstant on any plane where it does not
-vanish outright.  A plane whose restricted minors are coprime therefore
-certifies the full-space verdict; only failures fall back to the
-symbolic computation, and those carry the offending divisor as witness.
+vanish outright.  A regular plane therefore certifies the full-space
+verdict; only failures fall back to the symbolic computation, streamed
+with early exit, and those carry the offending divisor as witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactlin import MatQ, Scalar, rank_kernel, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
-from .mpoly import MPoly, determinant, poly_gcd, rational_roots
+from .mpoly import MPoly, determinant, stream_minor_gcd
 from .poisson import CasimirSet, kirillov
 from .sampling import integer_point, rng_stream
+
+if TYPE_CHECKING:
+    from .skewpencil import PhiOperator
 
 
 class FalsificationError(Exception):
@@ -144,21 +148,16 @@ class PlaneSpec:
 class PlaneCertificate:
     ok: bool
     m: int
-    minors_checked: int
-    total_minors: int
     gcd_degree: int
     singular_directions: tuple[tuple[Fraction, Fraction], ...] = ()
     residual_degree: int = 0
     all_zero: bool = False
     witness_pretty: Optional[str] = None
     gcd: Optional[MPoly] = field(default=None, repr=False)
-    minor_indices: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
     def as_dict(self) -> dict:
         return {
             "ok": self.ok, "m": self.m,
-            "minors_checked": self.minors_checked,
-            "total_minors": self.total_minors,
             "gcd_degree": self.gcd_degree,
             "singular_directions": [[rat_str(a), rat_str(b)]
                                     for a, b in self.singular_directions],
@@ -166,105 +165,86 @@ class PlaneCertificate:
             "all_zero": self.all_zero,
             "witness": self.witness_pretty,
             "gcd": self.gcd.pretty(["a", "b"]) if self.gcd is not None else None,
-            "minor_indices": [[list(r), list(c)] for r, c in self.minor_indices],
         }
 
 
-def _minor_combos(n: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [(r, c) for r in combinations(range(n), m)
-            for c in combinations(range(n), m)]
+def _wrong_index(claim: str, bundle: dict, profile: AlgebraProfile) -> Exception:
+    """The error for a generic rank that contradicts the profile's index."""
+    if profile.status == "estimated":
+        return FalsificationError(claim, bundle)
+    return ValueError(f"{claim}; the declared index looks wrong")
 
 
-def _pencil_matrix(K1: MatQ, K2: MatQ) -> list[list[MPoly]]:
-    n = K1.rows
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if K1[i, j] != 0:
-                terms[(1, 0)] = K1[i, j]
-            if K2[i, j] != 0:
-                terms[(0, 1)] = K2[i, j]
-            row.append(MPoly(2, terms))
-        out.append(row)
-    return out
+def _recursion_gcd(phi: PhiOperator) -> MPoly:
+    """Monic det(mu I + nu Phi) as a form in (a, b).
 
-
-def _stream_minor_gcd(entries: Sequence[Sequence[MPoly]], m: int,
-                      order: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-                      stop_when_constant: bool
-                      ) -> tuple[Optional[MPoly], int,
-                                 tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
-    """Running gcd of the m x m minors taken in the given order.
-
-    Returns (gcd, minors_examined, indices_consumed); gcd is None when
-    every examined minor vanished.  With stop_when_constant the stream
-    aborts as soon as the gcd is provably trivial, which certifies the
-    full gcd.
+    (a, b) = mu A_ratio + nu B_ratio; Cramer's rule gives mu and nu as
+    linear forms in (a, b) up to the common factor 1 / det, which the
+    monic normalization drops.
     """
-    g: Optional[MPoly] = None
-    consumed: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for rows_idx, cols_idx in order:
-        consumed.append((rows_idx, cols_idx))
-        sub = [[entries[i][j] for j in cols_idx] for i in rows_idx]
-        minor = determinant(sub)
-        if minor.is_zero():
-            continue
-        g = minor if g is None else poly_gcd([g, minor])
-        if stop_when_constant and g.is_constant():
-            break
-    return (None if g is None else g.monic()), len(consumed), tuple(consumed)
+    (a1, a2), (b1, b2) = phi.A_ratio, phi.B_ratio
+    a, b = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    mu = b2 * a - b1 * b
+    nu = a1 * b - a2 * a
+    q = phi.dim
+    rows = [[nu * phi.matrix[i, j] + (mu if i == j else MPoly.zero(2))
+             for j in range(q)] for i in range(q)]
+    return determinant(rows).monic()
 
 
 def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
-                          xi: Sequence[Scalar], eta: Sequence[Scalar],
-                          seed: int = 0) -> PlaneCertificate:
+                          xi: Sequence[Scalar], eta: Sequence[Scalar]
+                          ) -> PlaneCertificate:
     """Certify that every nonzero point of span(xi, eta) is regular.
 
-    The pencil matrix has bivariate homogeneous minors; their gcd is
-    constant exactly when no direction (a : b) drops below the generic
-    rank.  A nonconstant gcd is reported with its rational projective
-    roots; the residual degree counts directions outside Q.
+    The plane is regular exactly when its Kirillov pencil reaches the
+    generic rank m and has only Kronecker blocks (Thompson, LAA 1991),
+    both decided by verify_com1.  A pencil with a Jordan part drops
+    rank where det(mu I + nu Phi) vanishes, Phi its recursion
+    operator; as a form in (a, b) this is the gcd of the pencil's
+    m x m minors, reported with its rational projective roots, read
+    off the rational eigenvalues of Phi.  The residual degree counts
+    directions outside Q.
     """
+    from .skewpencil import SkewPencil, verify_com1
     m = _check_profile(L, profile)
     pxi, peta = vec(xi), vec(eta)
     if rank_kernel(MatQ([list(pxi), list(peta)]))[0] != 2:
         raise ValueError("plane spanning points are linearly dependent")
-    n = L.dim
     if m == 0:
-        return PlaneCertificate(True, 0, 0, 0, 0)
-    entries = _pencil_matrix(kirillov(L, pxi).matrix, kirillov(L, peta).matrix)
-    combos = _minor_combos(n, m)
-    rng_stream(seed, "plane-minor-order").shuffle(combos)
-    g, checked, consumed = _stream_minor_gcd(entries, m, combos,
-                                             stop_when_constant=True)
-    total = comb(n, m) ** 2
-    if g is None:
-        return PlaneCertificate(False, m, checked, total, 0, all_zero=True,
-                                witness_pretty="all pencil minors vanish",
-                                minor_indices=consumed)
-    if g.is_constant():
-        return PlaneCertificate(True, m, checked, total, 0, gcd=g,
-                                minor_indices=consumed)
-    # homogeneous bivariate gcd: read directions off g(1, t) plus the
-    # coefficient deficiency at (0 : 1)
-    deg = g.degree()
-    by_t = {e[1]: c for e, c in g.terms.items()}
-    coeffs = [by_t.get(k, Fraction(0)) for k in range(deg + 1)]
-    t_deg = max(k for k, c in enumerate(coeffs) if c != 0)
-    roots = rational_roots(coeffs[:t_deg + 1])
-    directions = [(Fraction(1), r) for r in sorted(roots)]
-    rational_mult = sum(roots.values())
-    if t_deg < deg:
-        directions.append((Fraction(0), Fraction(1)))
-        rational_mult += deg - t_deg
+        return PlaneCertificate(True, 0, 0)
+    analysis = verify_com1(SkewPencil.from_kirillov(L, pxi, peta))
+    if analysis.m < m:
+        return PlaneCertificate(False, m, 0, all_zero=True,
+                                witness_pretty="all pencil minors vanish")
+    if analysis.m > m:
+        raise _wrong_index(
+            "a plane pencil exceeds the generic rank",
+            {"dim": L.dim, "ind": profile.ind, "m": m,
+             "pencil_rank": analysis.m, "profile_status": profile.status,
+             "xi": [rat_str(x) for x in pxi],
+             "eta": [rat_str(x) for x in peta]}, profile)
+    if analysis.kind == "kronecker":
+        return PlaneCertificate(True, m, 0, gcd=MPoly.one(2))
+    g = _recursion_gcd(analysis.phi)
+    # eigenvalue lam of Phi is the direction B_ratio - lam A_ratio, with
+    # the same multiplicity as a root of g
+    (a1, a2), (b1, b2) = analysis.A_ratio, analysis.B_ratio
+    finite: list[tuple[Fraction, Fraction]] = []
+    infinite: list[tuple[Fraction, Fraction]] = []
+    for lam, _ in analysis.eigenvalues:
+        a, b = b1 - lam * a1, b2 - lam * a2
+        if a == 0:
+            infinite = [(Fraction(0), Fraction(1))]
+        else:
+            finite.append((Fraction(1), b / a))
+    directions = sorted(finite) + infinite
+    rational_mult = sum(mult for _, mult in analysis.eigenvalues)
     return PlaneCertificate(
-        False, m, checked, total, deg,
+        False, m, g.degree(),
         singular_directions=tuple(directions),
-        residual_degree=deg - rational_mult,
-        witness_pretty=g.pretty(["a", "b"]),
-        gcd=g, minor_indices=consumed)
+        residual_degree=g.degree() - rational_mult,
+        witness_pretty=g.pretty(["a", "b"]), gcd=g)
 
 
 @dataclass
@@ -291,7 +271,7 @@ def find_regular_plane(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0
         eta = integer_point(rng, L.dim, bound)
         if rank_kernel(MatQ([list(xi), list(eta)]))[0] != 2:
             continue
-        cert = certify_regular_plane(L, profile, xi, eta, seed=seed)
+        cert = certify_regular_plane(L, profile, xi, eta)
         last = cert
         if cert.ok:
             return FindPlaneResult(True, t + 1, PlaneSpec(xi, eta), cert)
@@ -344,26 +324,22 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
             if rank_kernel(MatQ([list(xi), list(eta)]))[0] != 2:
                 continue
             planes_tried += 1
-            entries = _pencil_matrix(kirillov(L, xi).matrix,
-                                     kirillov(L, eta).matrix)
-            combos = _minor_combos(n, m)
-            rng_stream(seed, "codim2-minor-order", t).shuffle(combos)
-            g, checked, _ = _stream_minor_gcd(entries, m, combos,
-                                              stop_when_constant=True)
-            if g is not None and g.is_constant():
-                return Codim2Certificate(True, m, "plane", planes_tried,
-                                         checked, total, seed)
-    sym = generic_kirillov(L)
-    combos = _minor_combos(n, m)
-    rng_stream(seed, "codim2-minor-order", "symbolic").shuffle(combos)
-    g, checked, _ = _stream_minor_gcd(sym, m, combos, stop_when_constant=True)
+            if certify_regular_plane(L, profile, xi, eta).ok:
+                return Codim2Certificate(True, m, "plane", planes_tried, 0,
+                                         total, seed)
+    # rows and columns are shuffled apart so that no list of all
+    # C(n, m)^2 index pairs is ever built
+    rng = rng_stream(seed, "codim2-minor-order", "symbolic")
+    row_sets = list(combinations(range(n), m))
+    col_sets = list(combinations(range(n), m))
+    rng.shuffle(row_sets)
+    rng.shuffle(col_sets)
+    g, checked = stream_minor_gcd(generic_kirillov(L),
+                                  product(row_sets, col_sets))
     if g is None:
-        claim = "no nonzero minor at the declared generic rank"
-        bundle = {"dim": n, "ind": profile.ind, "m": m,
-                  "profile_status": profile.status}
-        if profile.status == "estimated":
-            raise FalsificationError(claim, bundle)
-        raise ValueError(f"{claim}; the declared index looks wrong")
+        raise _wrong_index("no nonzero minor at the declared generic rank",
+                           {"dim": n, "ind": profile.ind, "m": m,
+                            "profile_status": profile.status}, profile)
     if g.is_constant():
         return Codim2Certificate(True, m, "symbolic", planes_tried, checked,
                                  total, seed)
@@ -397,7 +373,7 @@ class ComplVerdict:
 
 def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile,
                  spec: PlaneSpec, certificate: Optional[PlaneCertificate] = None,
-                 nsamples: int = 8, seed: int = 0) -> ComplVerdict:
+                 nsamples: int = 8, seed: int = 0, bound: int = 9) -> ComplVerdict:
     """Shift families built along a certified plane reach the maximal rank.
 
     Premises: generator degrees sum to the bound and the plane is
@@ -407,7 +383,8 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
     point must have differentials of rank (dim + ind) / 2 at the
     second; each pair and its rank are recorded.  Any rank drop
     contradicts certified facts and raises FalsificationError;
-    proportional draws are skipped and counted.
+    proportional draws are skipped and counted.  Pair ratios are
+    integers in [-bound, bound].
     """
     from .mfshift import build_family
     if len(casimirs) != profile.ind:
@@ -416,11 +393,13 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
     if casimirs.sum_degrees != profile.b_q:
         raise ValueError("degree sum does not meet the bound; check inapplicable")
     if certificate is None:
-        certificate = certify_regular_plane(L, profile, spec.xi, spec.eta, seed=seed)
+        certificate = certify_regular_plane(L, profile, spec.xi, spec.eta)
     if not certificate.ok:
         raise ValueError("plane is not certified regular")
     if nsamples < 1:
         raise ValueError("need at least one sample pair")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     b = profile.b_q
     m = L.dim - profile.ind
     xi0 = spec.point(1, 0)
@@ -432,11 +411,15 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
              "point": [rat_str(x) for x in xi0], "gradient_rank": star,
              "spec": spec.as_dict()})
     rng = rng_stream(seed, "compl-pairs")
+
+    def draw() -> Fraction:
+        return Fraction(rng.randint(-bound, bound))
+
     rows: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], int]] = []
     skipped = 0
     while len(rows) < nsamples:
-        r1 = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-        r2 = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+        r1 = (draw(), draw())
+        r2 = (draw(), draw())
         if r1 == (Fraction(0), Fraction(0)) or r2 == (Fraction(0), Fraction(0)):
             continue
         if r1[0] * r2[1] - r1[1] * r2[0] == 0:

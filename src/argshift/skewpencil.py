@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, image,
-                       rank_kernel, rat_str, solve, vec)
+from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, rank_kernel, rat,
+                       rat_str, solve)
 from .liealg import LieAlgebraData
-from .mpoly import MPoly, determinant, extract_var_coeffs, poly_gcd, rational_roots
+from .mpoly import (MPoly, determinant, extract_var_coeffs, rational_roots,
+                    stream_minor_gcd)
 from .poisson import kirillov
 from .regcert import FalsificationError
 
@@ -56,7 +58,10 @@ class SkewPencil:
         return self.A.rows
 
     def member(self, a: Scalar, b: Scalar) -> MatQ:
-        return self.A.scale(a) + self.B.scale(b)
+        a, b = rat(a), rat(b)
+        # one pass; entries zero in both forms stay zero without arithmetic
+        return MatQ([[a * x + b * y if x or y else x for x, y in zip(ra, rb)]
+                     for ra, rb in zip(self.A.to_lists(), self.B.to_lists())])
 
 
 def base_ratios(dim: int) -> list[Ratio]:
@@ -75,6 +80,7 @@ def base_ratios(dim: int) -> list[Ratio]:
 class PencilRankProfile:
     m: int
     ranks: tuple[tuple[Ratio, int], ...]
+    kernels: tuple[SubspaceQ, ...] = field(repr=False)
 
     def regular_ratios(self) -> list[Ratio]:
         return [r for r, rank in self.ranks if rank == self.m]
@@ -86,38 +92,47 @@ class PencilRankProfile:
 
 
 def rank_profile(pencil: SkewPencil) -> PencilRankProfile:
-    """Generic rank and the per-direction ranks over the base ratios."""
-    ranks = []
+    """Generic rank and the per-direction ranks over the base ratios.
+
+    The members' kernels are kept for compute_L.
+    """
+    ranks, kernels = [], []
     for a, b in base_ratios(pencil.dim):
-        r, _ = rank_kernel(pencil.member(a, b))
+        r, ker = rank_kernel(pencil.member(a, b))
         ranks.append(((a, b), r))
+        kernels.append(ker)
     m = max(r for _, r in ranks)
-    return PencilRankProfile(m, tuple(ranks))
+    return PencilRankProfile(m, tuple(ranks), tuple(kernels))
 
 
-def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
+def compute_L(pencil: SkewPencil, m: Optional[int] = None,
+              profile: Optional[PencilRankProfile] = None) -> SubspaceQ:
     """Sum of the kernels of regular members.
 
     Directions are walked in a fixed order; the sum is declared stable
     after dim V consecutive regular members bring no growth.  The walk
     extends past the base ratios up to a hard cap, at which point a
-    non-stabilized sum is an error rather than a silent answer.
+    non-stabilized sum is an error rather than a silent answer.  The
+    base-ratio kernels come from the rank profile, reused when given.
     """
     n = pencil.dim
+    if profile is None:
+        profile = rank_profile(pencil)
     if m is None:
-        m = rank_profile(pencil).m
+        m = profile.m
     cap = 4 * n + 10
-    ratios = base_ratios(n)
-    ratios += [(Fraction(1), Fraction(k)) for k in range(n + 1, cap)]
+    extra = (rank_kernel(pencil.member(Fraction(1), Fraction(k)))
+             for k in range(n + 1, cap))
+    base = zip((r for _, r in profile.ranks), profile.kernels)
     L = SubspaceQ.zero(n)
     consecutive = 0
-    for a, b in ratios:
-        r, ker = rank_kernel(pencil.member(a, b))
+    for r, ker in chain(base, extra):
         if r != m:
             continue
-        grown = (L + ker)
-        consecutive = consecutive + 1 if grown.dim == L.dim else 0
-        L = grown
+        if ker.is_subspace_of(L):
+            consecutive += 1
+        else:
+            L, consecutive = L + ker, 0
         if consecutive >= n:
             return L
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
@@ -134,8 +149,10 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     they raise FalsificationError.
     """
     n = pencil.dim
-    WA = image(pencil.A, L)
-    WB = image(pencil.B, L)
+    avs = [pencil.A.matvec(v) for v in L.basis]
+    bvs = [pencil.B.matvec(v) for v in L.basis]
+    WA = SubspaceQ.span(avs, n)
+    WB = SubspaceQ.span(bvs, n)
     if WA != WB:
         raise FalsificationError(
             "kernel-sum images under the two pencil generators differ",
@@ -145,26 +162,11 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     w = W.dim
     if w == 0 or L.dim == 0:
         return W
-    cols = []
-    for v in L.basis:
-        av = pencil.A.matvec(v)
-        bv = pencil.B.matvec(v)
-        cols.append([MPoly(2, {k: c for k, c in
-                               (((1, 0), av[i]), ((0, 1), bv[i])) if c != 0})
-                     for i in range(n)])
     # entries[i][j] = i-th coordinate of (aA + bB) applied to j-th basis vector
-    entries = [[cols[j][i] for j in range(L.dim)] for i in range(n)]
-    from itertools import combinations
-    minors = []
-    for rows_idx in combinations(range(n), w):
-        for cols_idx in combinations(range(L.dim), w):
-            sub = [[entries[i][j] for j in cols_idx] for i in rows_idx]
-            d = determinant(sub)
-            if not d.is_zero():
-                minors.append(d)
-                if len(minors) > 1 and poly_gcd(minors).is_constant():
-                    return W
-    g = poly_gcd(minors) if minors else None
+    entries = [[MPoly(2, {k: c for k, c in (((1, 0), av[i]), ((0, 1), bv[i])) if c != 0})
+                for av, bv in zip(avs, bvs)] for i in range(n)]
+    g, _ = stream_minor_gcd(entries, product(combinations(range(n), w),
+                                             combinations(range(L.dim), w)))
     if g is None or not g.is_constant():
         raise FalsificationError(
             "some pencil member maps the kernel sum onto a smaller image",
@@ -323,12 +325,9 @@ class PencilAnalysis:
 
 def _is_isotropic(M: MatQ, L: SubspaceQ) -> bool:
     basis = L.basis
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            mv = M.matvec(v)
-            if sum(a * b for a, b in zip(u, mv)) != 0:
-                return False
-    return True
+    images = [M.matvec(v) for v in basis]
+    return all(sum(a * b for a, b in zip(u, mv)) == 0
+               for i, u in enumerate(basis) for mv in images[i:])
 
 
 def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
@@ -344,7 +343,7 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
     n = pencil.dim
     prof = rank_profile(pencil)
     m = prof.m
-    L = compute_L(pencil, m)
+    L = compute_L(pencil, m, prof)
     W = check_image_equality(pencil, L)
     Ltilde = compute_Ltilde(pencil, L, W)
     iso = _is_isotropic(pencil.A, L) and _is_isotropic(pencil.B, L)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, report shape, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -57,7 +58,7 @@ def test_algebra_build_emits_parseable_algebra(sl2_file):
 def test_algebra_validate_pass(capsys, sl2_file):
     code, report = run(capsys, "algebra", "validate", sl2_file)
     assert code == 0
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["status"] == "pass"
     assert report["verdicts"]["validate"]["ok"]
     assert "sha256" in report["inputs"]["algebra"]
@@ -150,7 +151,6 @@ def test_reg_plane_certificate_embeds_gcd(capsys, sl2_file):
     assert code == 0
     plane = report["verdicts"]["plane"]
     assert plane["ok"] and plane["gcd"] == "1"
-    assert plane["minors_checked"] == len(plane["minor_indices"])
 
 
 def test_reg_plane_singular_directions(capsys, tmp_path):
@@ -184,6 +184,22 @@ def test_reg_compl_and_bols(capsys, sl2_file, sl2_casimirs):
     code, report = run(capsys, "reg", "bols", sl2_file, sl2_casimirs,
                        "--xi", "1,0,0")
     assert code == 0 and report["verdicts"]["bols"]["ok"]
+
+
+def test_compl_ratios_respect_bound(capsys, sl2_file, sl2_casimirs):
+    def ratio_heights(report):
+        return {abs(Fraction(x)) for r1, r2, _ in report["verdicts"]["compl"]["pairs"]
+                for x in r1 + r2}
+
+    plane = ["--xi", "1,0,0", "--eta", "0,0,1"]
+    code, wide = run(capsys, "reg", "compl", sl2_file, sl2_casimirs, *plane)
+    assert code == 0 and max(ratio_heights(wide)) > 2
+    code, narrow = run(capsys, "reg", "compl", sl2_file, sl2_casimirs, *plane,
+                       "--bound", "2")
+    assert code == 0 and max(ratio_heights(narrow)) <= 2
+    code, piped = run(capsys, "pipeline", "run", sl2_file, "--classical",
+                      "--bound", "2")
+    assert code == 0 and max(ratio_heights(piped)) <= 2
 
 
 def test_reg_point_falsification_exit(capsys, tmp_path, sl2_file):

@@ -130,7 +130,6 @@ def test_certify_regular_plane_sl2():
     assert cert.ok
     assert cert.m == 2
     assert cert.singular_directions == ()
-    assert cert.total_minors == 9
 
 
 def test_certify_regular_plane_rejects_dependent():

@@ -37,8 +37,7 @@ from .regcert import (FalsificationError, PlaneSpec, certify_codim2,
                       certify_regular_plane, find_regular_plane, is_regular,
                       kostant_criterion, verify_bols, verify_compl)
 from .sampling import integer_point, rng_stream
-from .skewpencil import (SkewPencil, char_poly, check_image_equality,
-                         compute_L, compute_Ltilde, verify_com1)
+from .skewpencil import SkewPencil, char_poly, verify_com1
 
 SCHEMA = 2
 EXIT_PASS = 0
@@ -405,17 +404,14 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
         xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
         eta = _expect_dim(_parse_ratlist(args.eta, "--eta"), L.dim, "--eta")
         pencil = SkewPencil.from_kirillov(L, xi, eta)
-    Lsub = compute_L(pencil)
-    W = check_image_equality(pencil, Lsub)
-    Lt = compute_Ltilde(pencil, Lsub, W)
     analysis = verify_com1(pencil)
     verdict = analysis.as_dict()
     verdict["char_poly"] = ([rat_str(c) for c in char_poly(analysis.phi.matrix)]
                             if analysis.phi is not None else None)
     report["verdicts"]["pencil"] = verdict
-    report["subspaces"] = {"L": jsonio.subspace_to_json(Lsub),
-                           "image": jsonio.subspace_to_json(W),
-                           "Ltilde": jsonio.subspace_to_json(Lt)}
+    report["subspaces"] = {"L": jsonio.subspace_to_json(analysis.L),
+                           "image": jsonio.subspace_to_json(analysis.image),
+                           "Ltilde": jsonio.subspace_to_json(analysis.Ltilde)}
     return True
 
 

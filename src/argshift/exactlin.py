@@ -175,9 +175,11 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[VecQ], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = _int_rows(rows)
+def _echelon(work: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of integer rows in place.
+
+    Returns the pivot columns; row r of work holds pivot r afterwards.
+    """
     m = len(work)
     pivots: list[int] = []
     piv_row = 0
@@ -201,6 +203,13 @@ def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[VecQ], l
         prev = p
         if piv_row == m:
             break
+    return pivots
+
+
+def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[VecQ], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    work = _int_rows(rows)
+    pivots = _echelon(work, ncols)
     # back-normalize to Fractions with leading 1 and zeros above pivots
     rank = len(pivots)
     frows: list[list[Fraction]] = []
@@ -304,7 +313,14 @@ def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
 
 
 def rank(M: MatQ) -> int:
-    return rank_kernel(M)[0]
+    """Exact rank of M: fraction-free elimination, no kernel.
+
+    Skew input asserts the even-rank invariant, as in rank_kernel.
+    """
+    r = len(_echelon(_int_rows(M._a), M.cols))
+    if r % 2 != 0 and M.is_skew():
+        raise ArithmeticError("skew matrix produced odd rank")
+    return r
 
 
 def det(M: MatQ) -> Fraction:

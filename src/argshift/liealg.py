@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank_kernel, rat, rat_str, solve_many, vec
+from .exactlin import MatQ, Scalar, rank, rank_kernel, rat, rat_str, solve_many, vec
 from .sampling import integer_point, rng_stream
 
 BracketEntry = tuple[int, int, dict[int, Scalar]]
@@ -198,7 +198,7 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
     if any(M.rows != size or M.cols != size for M in mats):
         raise ValueError("matrix sizes disagree")
     span = MatQ([_flatten(M) for M in mats]).transpose()
-    r, _ = rank_kernel(span)
+    r = rank(span)
     if r != d:
         raise ValueError("matrix basis is linearly dependent")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -473,7 +473,7 @@ def semidirect_index_report(g: LieAlgebraData, rho: Sequence[MatQ],
         zeta = integer_point(rng, dim_v, bound)
         rows = [[sum(zeta[b] * rho[i][b, a] for b in range(dim_v)) for a in range(dim_v)]
                 for i in range(dim_g)]
-        r, _ = rank_kernel(MatQ(rows))
+        r = rank(MatQ(rows))
         if r > max_orbit:
             max_orbit, witness = r, zeta
         if max_orbit == dim_g:

@@ -40,6 +40,15 @@ class MPoly:
 
     # --- constructors -------------------------------------------------
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
+        # terms must already be clean: Fraction coefficients, none zero,
+        # exponent tuples of length nvars with no negative entry
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "MPoly":
         return cls(nvars)
 
@@ -115,10 +124,10 @@ class MPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return MPoly(self.nvars, terms)
+        return MPoly._trusted(self.nvars, terms)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -135,11 +144,11 @@ class MPoly:
                         out.pop(e, None)
                     else:
                         out[e] = s
-            return MPoly(self.nvars, out)
+            return MPoly._trusted(self.nvars, out)
         c = rat(other)  # type: ignore[arg-type]
         if c == 0:
             return MPoly.zero(self.nvars)
-        return MPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return MPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __rmul__(self, other: object) -> "MPoly":
         return self.__mul__(other)
@@ -173,7 +182,7 @@ class MPoly:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
-        return MPoly(self.nvars, out)
+        return MPoly._trusted(self.nvars, out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         pt = vec(point)
@@ -253,7 +262,7 @@ class MPoly:
                     bucket.pop(es, None)
                 else:
                     bucket[es] = s
-        return [MPoly(self.nvars, a) for a in acc]
+        return [MPoly._trusted(self.nvars, a) for a in acc]
 
     # --- display ---------------------------------------------------------
     def pretty(self, names: Optional[Sequence[str]] = None) -> str:
@@ -302,8 +311,8 @@ def try_divide(f: MPoly, g: MPoly) -> Optional[MPoly]:
             return None
         c = rc / gc
         quotient[diff] = quotient.get(diff, Fraction(0)) + c
-        r = r - MPoly(f.nvars, {diff: c}) * g
-    return MPoly(f.nvars, quotient)
+        r = r - MPoly._trusted(f.nvars, {diff: c}) * g
+    return MPoly._trusted(f.nvars, quotient)
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
@@ -327,7 +336,7 @@ def _var_coeffs(p: MPoly, v: int) -> dict[int, MPoly]:
         k = e2[v]
         e2[v] = 0
         buckets.setdefault(k, {})[tuple(e2)] = c
-    return {k: MPoly(p.nvars, t) for k, t in buckets.items()}
+    return {k: MPoly._trusted(p.nvars, t) for k, t in buckets.items()}
 
 
 def _shift_var(p: MPoly, v: int, k: int) -> MPoly:
@@ -336,7 +345,7 @@ def _shift_var(p: MPoly, v: int, k: int) -> MPoly:
         e2 = list(e)
         e2[v] += k
         out[tuple(e2)] = c
-    return MPoly(p.nvars, out)
+    return MPoly._trusted(p.nvars, out)
 
 
 def _prem(a: MPoly, b: MPoly, v: int) -> MPoly:
@@ -566,6 +575,7 @@ def determinant(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     a = [list(r) for r in rows]
     sign = 1
     prev = MPoly.one(nvars)
+    zero = MPoly._trusted(nvars, {})
     for k in range(n - 1):
         pivot = None
         for i in range(k, n):
@@ -588,7 +598,7 @@ def determinant(rows: Sequence[Sequence[MPoly]]) -> MPoly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = exact_divide(p * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = MPoly.zero(nvars)
+            a[i][k] = zero
         prev = p
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 

@@ -10,65 +10,116 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank_kernel, rat_str, invert, vec
+from .exactlin import MatQ, Scalar, rank, rat_str, invert, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
 from .mpoly import MPoly, determinant, drop_last_var, extract_var_coeffs
 from .sampling import integer_point, rng_stream
 
 
-def _linear_form_from(L: LieAlgebraData, coeffs: dict[int, Fraction]) -> MPoly:
-    terms = {tuple(1 if m == k else 0 for m in range(L.dim)): c for k, c in coeffs.items()}
-    return MPoly(L.dim, terms)
+# C(i, j) for one pair i < j, as (k, c) items: c times x_k, or the
+# constant c when k is None
+PairForm = tuple[int, int, Iterable[tuple[Optional[int], Fraction]]]
+
+
+def _packed_terms(p: MPoly, weights: Sequence[int]
+                  ) -> tuple[list[tuple[int, int, list[tuple[int, int]]]], int]:
+    """Terms of p as (packed monomial, integer coefficient, support), and
+    the common denominator of the coefficients."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    out = []
+    for e, c in p.terms.items():
+        supp = [(v, k) for v, k in enumerate(e) if k]
+        packed = sum(k * weights[v] for v, k in supp)
+        out.append((packed, c.numerator * (den // c.denominator), supp))
+    return out, den
+
+
+def _bracket_kernel(n: int, f: MPoly, g: MPoly, pairs: Iterable[PairForm]) -> MPoly:
+    """sum over i < j of C(i, j) (d_i f d_j g - d_j f d_i g), in one pass.
+
+    A monomial is packed into one int with a field of `width` bits per
+    variable, so multiplying monomials and dividing out x_i x_j is one
+    integer add.  Every field of a result monomial lies in
+    [0, deg f + deg g - 1], because d_i and d_j each remove a unit before
+    x_k adds one, so no field carries into the next.  Coefficients stay
+    integers over one common denominator until the final Fraction.
+    """
+    if f.is_zero() or g.is_zero():
+        return MPoly.zero(n)
+    width = (f.degree() + g.degree()).bit_length() + 1
+    weights = [1 << (v * width) for v in range(n)]
+    forms = [(i, j, [(0 if k is None else weights[k], c) for k, c in form])
+             for i, j, form in pairs]
+    tden = lcm(*(c.denominator for _, _, form in forms for _, c in form))
+    # table[i][j]: (packed offset, integer coefficient) of C(i, j) / (x_i x_j)
+    table: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, form in forms:
+        drop = weights[i] + weights[j]
+        for w, c in form:
+            cn = c.numerator * (tden // c.denominator)
+            table[i][j].append((w - drop, cn))
+            table[j][i].append((w - drop, -cn))
+    fterms, fden = _packed_terms(f, weights)
+    gterms, gden = _packed_terms(g, weights)
+    gparts = [(mg, [(j, cg * ej) for j, ej in sg]) for mg, cg, sg in gterms]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for mf, cf, sf in fterms:
+        fparts = [(table[i], cf * ei) for i, ei in sf]
+        for mg, gpart in gparts:
+            base = mf + mg
+            for row, a in fparts:
+                for j, b in gpart:
+                    entries = row[j]
+                    if entries:
+                        ab = a * b
+                        for off, c in entries:
+                            key = base + off
+                            acc[key] = get(key, 0) + ab * c
+    den = fden * gden * tden
+    mask = (1 << width) - 1
+    shifts = [v * width for v in range(n)]
+    return MPoly._trusted(n, {tuple((key >> s) & mask for s in shifts): Fraction(c, den)
+                              for key, c in acc.items() if c})
+
+
+def _linear_pairs(L: LieAlgebraData) -> Iterable[PairForm]:
+    return ((i, j, coeffs.items()) for i, j, coeffs in L.pairs())
+
+
+def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
+    if f.nvars != L.dim or g.nvars != L.dim:
+        raise ValueError("polynomials must live on the dual of the algebra")
 
 
 def bracket(L: LieAlgebraData, f: MPoly, g: MPoly) -> MPoly:
     """Poisson bracket {f, g} on polynomials in the dual coordinates."""
-    if f.nvars != L.dim or g.nvars != L.dim:
-        raise ValueError("polynomials must live on the dual of the algebra")
-    pf = [f.partial(i) for i in range(L.dim)]
-    pg = [g.partial(i) for i in range(L.dim)]
-    acc = MPoly.zero(L.dim)
-    for i, j, coeffs in L.pairs():
-        term = pf[i] * pg[j] - pf[j] * pg[i]
-        if term.is_zero():
-            continue
-        acc = acc + _linear_form_from(L, coeffs) * term
-    return acc
+    _check_dual(L, f, g)
+    return _bracket_kernel(L.dim, f, g, _linear_pairs(L))
 
 
 def frozen_bracket(L: LieAlgebraData, xi: Sequence[Scalar], f: MPoly, g: MPoly) -> MPoly:
     """Bracket with the linear coefficients frozen at the point xi."""
-    if f.nvars != L.dim or g.nvars != L.dim:
-        raise ValueError("polynomials must live on the dual of the algebra")
+    _check_dual(L, f, g)
     pt = vec(xi)
     if len(pt) != L.dim:
         raise ValueError("point length mismatch")
-    pf = [f.partial(i) for i in range(L.dim)]
-    pg = [g.partial(i) for i in range(L.dim)]
-    acc = MPoly.zero(L.dim)
+    frozen: list[PairForm] = []
     for i, j, coeffs in L.pairs():
         s = sum((c * pt[k] for k, c in coeffs.items()), Fraction(0))
-        if s == 0:
-            continue
-        term = pf[i] * pg[j] - pf[j] * pg[i]
-        if not term.is_zero():
-            acc = acc + s * term
-    return acc
+        if s != 0:
+            frozen.append((i, j, [(None, s)]))
+    return _bracket_kernel(L.dim, f, g, frozen)
 
 
 def coordinate_bracket(L: LieAlgebraData, i: int, f: MPoly) -> MPoly:
     """{x_i, f}, the coadjoint action of basis vector i on f."""
-    pf = [f.partial(j) for j in range(L.dim)]
-    acc = MPoly.zero(L.dim)
-    for j in range(L.dim):
-        if j == i or pf[j].is_zero():
-            continue
-        coeffs = L.bracket_coeffs(i, j)
-        if coeffs:
-            acc = acc + _linear_form_from(L, coeffs) * pf[j]
-    return acc
+    x_i = MPoly.variable(L.dim, i)
+    _check_dual(L, x_i, f)
+    return _bracket_kernel(L.dim, x_i, f, _linear_pairs(L))
 
 
 @dataclass
@@ -78,7 +129,7 @@ class KirillovForm:
 
     @property
     def rank(self) -> int:
-        return rank_kernel(self.matrix)[0]
+        return rank(self.matrix)
 
 
 def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
@@ -113,7 +164,7 @@ def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
     for t in range(trials):
         rng = rng_stream(seed, "index-sample", t)
         pt = integer_point(rng, L.dim, bound)
-        r, _ = rank_kernel(kirillov(L, pt).matrix)
+        r = rank(kirillov(L, pt).matrix)
         if r > max_rank:
             max_rank, witness = r, pt
     return AlgebraProfile(
@@ -178,7 +229,7 @@ class CasimirSet:
             rng = rng_stream(seed, "casimir-independence", t)
             pt = integer_point(rng, L.dim, bound)
             jac = MatQ([list(p.grad_at(pt)) for p in gens])
-            if rank_kernel(jac)[0] == l:
+            if rank(jac) == l:
                 return cls(L.dim, gens, tuple(p.degree() for p in gens), pt)
         raise ValueError("could not witness algebraic independence of the generators")
 

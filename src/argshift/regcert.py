@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import comb
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank_kernel, rat_str, vec
+from .exactlin import MatQ, Scalar, rank, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly, determinant, stream_minor_gcd
 from .poisson import CasimirSet, kirillov
@@ -78,7 +78,7 @@ def jacobian_rank(polys: Sequence[MPoly], pt: Sequence[Scalar]) -> int:
     """Rank of the gradient matrix of the polynomials at the point."""
     if not polys:
         return 0
-    return rank_kernel(MatQ([list(p.grad_at(vec(pt))) for p in polys]))[0]
+    return rank(MatQ([list(p.grad_at(vec(pt))) for p in polys]))
 
 
 @dataclass
@@ -209,7 +209,7 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
     from .skewpencil import SkewPencil, verify_com1
     m = _check_profile(L, profile)
     pxi, peta = vec(xi), vec(eta)
-    if rank_kernel(MatQ([list(pxi), list(peta)]))[0] != 2:
+    if rank(MatQ([list(pxi), list(peta)])) != 2:
         raise ValueError("plane spanning points are linearly dependent")
     if m == 0:
         return PlaneCertificate(True, 0, 0)
@@ -269,7 +269,7 @@ def find_regular_plane(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0
         rng = rng_stream(seed, "plane-search", t)
         xi = integer_point(rng, L.dim, bound)
         eta = integer_point(rng, L.dim, bound)
-        if rank_kernel(MatQ([list(xi), list(eta)]))[0] != 2:
+        if rank(MatQ([list(xi), list(eta)])) != 2:
             continue
         cert = certify_regular_plane(L, profile, xi, eta)
         last = cert
@@ -321,7 +321,7 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
             rng = rng_stream(seed, "codim2-plane", t)
             xi = integer_point(rng, n, bound)
             eta = integer_point(rng, n, bound)
-            if rank_kernel(MatQ([list(xi), list(eta)]))[0] != 2:
+            if rank(MatQ([list(xi), list(eta)])) != 2:
                 continue
             planes_tried += 1
             if certify_regular_plane(L, profile, xi, eta).ok:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, rank_kernel, rat,
+from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, rank, rank_kernel, rat,
                        rat_str, solve)
 from .liealg import LieAlgebraData
 from .mpoly import (MPoly, determinant, extract_var_coeffs, rational_roots,
@@ -300,15 +300,27 @@ class PencilAnalysis:
     dim: int
     m: int
     kind: str                    # "kronecker" | "jordan-mixed"
-    L_dim: int
-    Ltilde_dim: int
-    image_dim: int
+    L: SubspaceQ = field(repr=False)
+    Ltilde: SubspaceQ = field(repr=False)
+    image: SubspaceQ = field(repr=False)
     isotropic: bool
     ranks: tuple[tuple[Ratio, int], ...]
     A_ratio: Optional[Ratio] = None
     B_ratio: Optional[Ratio] = None
     eigenvalues: tuple[tuple[Fraction, int], ...] = ()
     phi: Optional[PhiOperator] = field(default=None, repr=False)
+
+    @property
+    def L_dim(self) -> int:
+        return self.L.dim
+
+    @property
+    def Ltilde_dim(self) -> int:
+        return self.Ltilde.dim
+
+    @property
+    def image_dim(self) -> int:
+        return self.image.dim
 
     def as_dict(self) -> dict:
         return {
@@ -356,7 +368,7 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
             raise FalsificationError(
                 "Kronecker-type kernel sum has the wrong dimension",
                 {"dim": n, "m": m, "L_dim": L.dim, "expected": n - m // 2})
-        return PencilAnalysis(n, m, "kronecker", L.dim, Ltilde.dim, W.dim,
+        return PencilAnalysis(n, m, "kronecker", L, Ltilde, W,
                               iso, prof.ranks)
     if A_ratio is None:
         A_ratio = next(r for r, rank in prof.ranks if rank == m)
@@ -370,7 +382,7 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
     Bm = pencil.member(*B_ratio)
     for lam in eigs:
         drop = Bm + Am.scale(-lam)
-        r, _ = rank_kernel(drop)
+        r = rank(drop)
         if r >= m:
             raise FalsificationError(
                 "recursion eigenvalue does not match a singular direction",
@@ -379,5 +391,5 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
                  "A_ratio": [rat_str(x) for x in A_ratio],
                  "B_ratio": [rat_str(x) for x in B_ratio]})
     eig_items = tuple(sorted(eigs.items()))
-    return PencilAnalysis(n, m, "jordan-mixed", L.dim, Ltilde.dim, W.dim,
+    return PencilAnalysis(n, m, "jordan-mixed", L, Ltilde, W,
                           iso, prof.ranks, A_ratio, B_ratio, eig_items, phi)

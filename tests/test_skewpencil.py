@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from argshift.exactlin import MatQ, SubspaceQ
-from argshift.liealg import make_classical
+from argshift.liealg import make_classical, make_takiff
 from argshift.regcert import FalsificationError
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
@@ -94,6 +94,22 @@ def test_block_pencil_analysis():
     assert analysis.A_ratio == (1, 1)
     assert analysis.B_ratio == (0, 1)
     assert analysis.eigenvalues == ((Fraction(0), 2), (Fraction(1), 2))
+
+
+def test_analysis_carries_the_subspaces():
+    # the subspaces verify_com1 returns are the ones the three steps give
+    # when called directly
+    pencils = [sl2_pencil(), SkewPencil.from_matrices(BLOCK_A, BLOCK_B),
+               SkewPencil.from_kirillov(make_takiff(SL2, 1), (1, 2, -1, 3, 0, 1),
+                                        (2, -1, 1, 0, 1, 4))]
+    for pencil in pencils:
+        analysis = verify_com1(pencil)
+        L = compute_L(pencil)
+        W = check_image_equality(pencil, L)
+        assert analysis.L == L
+        assert analysis.image == W
+        assert analysis.Ltilde == compute_Ltilde(pencil, L, W)
+        assert (analysis.L_dim, analysis.image_dim) == (L.dim, W.dim)
 
 
 def test_block_pencil_phi_matrix():

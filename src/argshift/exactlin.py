@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense and immutable; all elimination is fraction-free
-(Bareiss) on denominator-cleared integer rows, with a final
-normalization back to Fraction entries.  Subspaces are kept in reduced
-row echelon form, so equality of subspaces is equality of bases.
+Matrices are dense and immutable.  Every rank, kernel, solve and span
+is one integer Gauss-Jordan elimination: fraction-free (Bareiss)
+forward elimination on denominator-cleared rows, then back-elimination
+on rows kept primitive, with each entry turned into a Fraction once at
+the end.  Subspaces are kept in reduced row echelon form, so equality
+of subspaces is equality of bases.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ def vec(values: Iterable[Scalar]) -> VecQ:
     return tuple(rat(v) for v in values)
 
 
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
-
-
 class MatQ:
     """Immutable dense matrix with Fraction entries."""
 
@@ -69,10 +67,6 @@ class MatQ:
     @classmethod
     def identity(cls, n: int) -> "MatQ":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "MatQ":
-        return cls(rows, cols=cols)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -125,10 +119,6 @@ class MatQ:
         w = vec(v)
         return tuple(sum(a * b for a, b in zip(row, w)) for row in self._a)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatQ":
-        return MatQ([[self._a[i][j] for j in col_idx] for i in row_idx],
-                    cols=len(col_idx))
-
     def is_skew(self) -> bool:
         """True iff M^T = -M with zero diagonal (entrywise check)."""
         if self.rows != self.cols:
@@ -152,19 +142,22 @@ class MatQ:
         return f"MatQ[{self.rows}x{self.cols}]({body})"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     # clear denominators per row and strip the integer content;
     # row scaling preserves row space, rank, and kernel
     out: list[list[int]] = []
     for row in rows:
         mult = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * mult) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
+        out.append(_primitive([x.numerator * (mult // x.denominator) for x in row]))
     return out
 
 
@@ -207,21 +200,30 @@ def _echelon(work: list[list[int]], ncols: int) -> list[int]:
 
 
 def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[VecQ], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The back-elimination clears each pivot column above its pivot on
+    integer rows, dividing every combined row by its content; only the
+    final division by the row's pivot makes Fractions.
+    """
     work = _int_rows(rows)
     pivots = _echelon(work, ncols)
-    # back-normalize to Fractions with leading 1 and zeros above pivots
     rank = len(pivots)
-    frows: list[list[Fraction]] = []
-    for r in range(rank):
-        p = work[r][pivots[r]]
-        frows.append([Fraction(x, p) for x in work[r]])
-    for r in range(rank - 1, -1, -1):
+    work = [_primitive(row) for row in work[:rank]]
+    for r in range(rank - 1, 0, -1):
+        pc = pivots[r]
+        low = work[r]
+        p = low[pc]
         for above in range(r):
-            factor = frows[above][pivots[r]]
-            if factor != 0:
-                frows[above] = [a - factor * b for a, b in zip(frows[above], frows[r])]
-    return [tuple(row) for row in frows], pivots
+            row = work[above]
+            q = row[pc]
+            if q:
+                work[above] = _primitive([p * a - q * b for a, b in zip(row, low)])
+    out: list[VecQ] = []
+    for row, pc in zip(work, pivots):
+        p = row[pc]
+        out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
+    return out, pivots
 
 
 class SubspaceQ:
@@ -294,22 +296,31 @@ def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
 
     The kernel lives in Q^cols.  Skew input additionally asserts the
     even-rank invariant.  An empty matrix has rank 0 and full kernel.
+    Eliminating with the columns reversed writes each pivot variable in
+    terms of the free variables before it, so the kernel vector of free
+    column f starts with 1 at f and is zero at the other free columns:
+    the canonical basis, read off without a second reduction.
     """
-    rref_rows, pivots = _rref(M._a, M.cols)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    kernel_vectors: list[list[Fraction]] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * M.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref_rows[r][fc]
-        kernel_vectors.append(v)
-    kernel = SubspaceQ.span(kernel_vectors, M.cols)
-    if M.is_skew() and rank % 2 != 0:
+    n = M.cols
+    rows, pivots = _rref([row[::-1] for row in M._a], n)
+    r = len(pivots)
+    if r % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
-    return rank, kernel
+    # reversed column c is column n - 1 - c of M
+    solved = [(n - 1 - c, row) for c, row in zip(pivots, rows)]
+    pivot_set = {pc for pc, _ in solved}
+    basis: list[VecQ] = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * n
+        v[f] = _ONE
+        for pc, row in solved:
+            x = row[n - 1 - f]
+            if x:
+                v[pc] = -x
+        basis.append(tuple(v))
+    return r, SubspaceQ(n, basis)
 
 
 def rank(M: MatQ) -> int:
@@ -323,101 +334,41 @@ def rank(M: MatQ) -> int:
     return r
 
 
-def det(M: MatQ) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return Fraction(1)
-    work = [list(row) for row in M._a]
-    sign = 1
-    denom = Fraction(1)
-    # clear denominators per row, tracking the scaling
-    iwork: list[list[int]] = []
-    for row in work:
-        mult = lcm(*(x.denominator for x in row))
-        denom *= mult
-        iwork.append([int(x * mult) for x in row])
-    prev = 1
-    for k in range(n - 1):
-        sel = next((r for r in range(k, n) if iwork[r][k] != 0), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != k:
-            iwork[k], iwork[sel] = iwork[sel], iwork[k]
-            sign = -sign
-        p = iwork[k][k]
-        for i in range(k + 1, n):
-            q = iwork[i][k]
-            for j in range(k + 1, n):
-                iwork[i][j] = _exact_div(p * iwork[i][j] - q * iwork[k][j], prev)
-            iwork[i][k] = 0
-        prev = p
-    return Fraction(sign * iwork[n - 1][n - 1], 1) / denom
-
-
-def solve(M: MatQ, b: Sequence[Scalar]) -> Optional[VecQ]:
-    """One exact solution of M x = b, or None if inconsistent."""
-    rhs = vec(b)
-    if len(rhs) != M.rows:
-        raise ValueError("shape mismatch")
-    aug_rows = [tuple(row) + (rhs[i],) for i, row in enumerate(M._a)]
-    rref_rows, pivots = _rref(aug_rows, M.cols + 1)
-    if M.cols in pivots:
-        return None
-    x = [Fraction(0)] * M.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref_rows[r][M.cols]
-    return tuple(x)
-
-
 def solve_many(M: MatQ, rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:
     """Solutions of M x = b for several right-hand sides in one elimination."""
-    k = len(rhs_list)
     cols = M.cols
     vs = [vec(b) for b in rhs_list]
     for v in vs:
         if len(v) != M.rows:
             raise ValueError("shape mismatch")
     aug_rows = [tuple(row) + tuple(v[i] for v in vs) for i, row in enumerate(M._a)]
-    rref_rows, pivots = _rref(aug_rows, cols + k)
-    base_pivots = [p for p in pivots if p < cols]
+    rref_rows, pivots = _rref(aug_rows, cols + len(vs))
+    solved = [(pc, row) for pc, row in zip(pivots, rref_rows) if pc < cols]
+    # rows past the coefficient pivots are zero on the coefficient block;
+    # a right-hand side is inconsistent iff one of them is nonzero in it
+    rest = rref_rows[len(solved):]
     out: list[Optional[VecQ]] = []
-    for t in range(k):
-        col = cols + t
-        # inconsistent iff some rref row is zero on the coefficient block
-        # but nonzero in this rhs column
-        bad = any(all(row[j] == 0 for j in range(cols)) and row[col] != 0
-                  for row in rref_rows)
-        if bad:
+    for col in range(cols, cols + len(vs)):
+        if any(row[col] != 0 for row in rest):
             out.append(None)
             continue
-        x = [Fraction(0)] * cols
-        for r, pc in enumerate(base_pivots):
-            x[pc] = rref_rows[r][col]
+        x = [_ZERO] * cols
+        for pc, row in solved:
+            x[pc] = row[col]
         out.append(tuple(x))
     return out
 
 
 def invert(M: MatQ) -> MatQ:
+    """Inverse of a square matrix; singular exactly when a unit vector
+    is outside the column space."""
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
     n = M.rows
-    aug_rows = [tuple(row) + tuple(Fraction(int(i == j)) for j in range(n))
-                for i, row in enumerate(M._a)]
-    rref_rows, pivots = _rref(aug_rows, 2 * n)
-    if pivots != list(range(n)):
+    cols = solve_many(M, [[int(i == j) for i in range(n)] for j in range(n)])
+    if any(x is None for x in cols):
         raise ArithmeticError("matrix is singular")
-    return MatQ([row[n:] for row in rref_rows], cols=n)
-
-
-def subspace_sum(U: SubspaceQ, W: SubspaceQ) -> SubspaceQ:
-    return U + W
-
-
-def subspace_intersection(U: SubspaceQ, W: SubspaceQ) -> SubspaceQ:
-    return annihilator(annihilator(U) + annihilator(W))
+    return MatQ([[x[i] for x in cols] for i in range(n)], cols=n)
 
 
 def annihilator(U: SubspaceQ) -> SubspaceQ:

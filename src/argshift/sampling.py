@@ -22,6 +22,8 @@ def integer_point(rng: random.Random, dim: int, bound: int,
     """Point with integer coordinates in [-bound, bound]."""
     if bound < 1:
         raise ValueError("bound must be positive")
+    if nonzero and dim < 1:
+        raise ValueError("no nonzero point in dimension 0")
     while True:
         pt = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
         if not nonzero or any(x != 0 for x in pt):

@@ -20,7 +20,7 @@ from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, rank, rank_kernel, rat,
-                       rat_str, solve)
+                       rat_str, solve_many)
 from .liealg import LieAlgebraData
 from .mpoly import (MPoly, determinant, extract_var_coeffs, rational_roots,
                     stream_minor_gcd)
@@ -175,14 +175,6 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     return W
 
 
-def compute_Ltilde(pencil: SkewPencil, L: SubspaceQ,
-                   W: Optional[SubspaceQ] = None) -> SubspaceQ:
-    """Annihilator of the common image: the member-orthogonal of L."""
-    if W is None:
-        W = check_image_equality(pencil, L)
-    return annihilator(W)
-
-
 @dataclass
 class PhiOperator:
     matrix: MatQ
@@ -193,18 +185,6 @@ class PhiOperator:
     @property
     def dim(self) -> int:
         return self.matrix.rows
-
-
-def _coords_mod(v: Sequence[Fraction], comp: Sequence[tuple[Fraction, ...]],
-                L: SubspaceQ, n: int) -> Optional[list[Fraction]]:
-    cols = [list(c) for c in comp] + [list(b) for b in L.basis]
-    if not cols:
-        return [] if all(x == 0 for x in v) else None
-    M = MatQ([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-    sol = solve(M, v)
-    if sol is None:
-        return None
-    return list(sol[:len(comp)])
 
 
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
@@ -234,10 +214,8 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
         if not cur.contains(v):
             comp.append(v)
             cur = cur + SubspaceQ.span([v], n)
-    columns: list[list[Fraction]] = []
-    for v in comp:
-        rhs = Bm.matvec(v)
-        w = solve(Am, rhs)
+    ws = solve_many(Am, [Bm.matvec(v) for v in comp])
+    for v, w in zip(comp, ws):
         if w is None:
             raise FalsificationError(
                 "A w = B v has no solution for v in the annihilator space",
@@ -247,22 +225,27 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
                 "recursion image escapes the annihilator space",
                 {"dim": n, "v": [rat_str(x) for x in v],
                  "w": [rat_str(x) for x in w]})
-        coords = _coords_mod(w, comp, L, n)
-        if coords is None:
+    # coordinates in the basis comp + L.basis; independence from the
+    # particular solution is checked rather than assumed, by expanding
+    # every image shifted by a kernel vector as well
+    shifts = [tuple(x + k for x, k in zip(w, kerA.basis[0])) for w in ws] \
+        if kerA.dim > 0 else []
+    frame = list(comp) + list(L.basis)
+    coords = solve_many(MatQ([[u[i] for u in frame] for i in range(n)], cols=len(frame)),
+                        ws + shifts)
+    q = len(comp)
+    columns: list[tuple[Fraction, ...]] = []
+    for j, w in enumerate(ws):
+        if coords[j] is None:
             raise FalsificationError(
                 "recursion image not expressible in the quotient basis",
                 {"dim": n, "w": [rat_str(x) for x in w]})
-        if kerA.dim > 0:
-            # independence from the particular solution, checked rather
-            # than assumed: shift by a kernel vector and re-expand
-            shifted = tuple(x + k for x, k in zip(w, kerA.basis[0]))
-            again = _coords_mod(shifted, comp, L, n)
-            if again != coords:
-                raise FalsificationError(
-                    "recursion operator depends on the particular solution",
-                    {"dim": n, "kernel_shift": [rat_str(x) for x in kerA.basis[0]]})
-        columns.append(coords)
-    q = len(comp)
+        col = coords[j][:q]
+        if shifts and (coords[q + j] is None or coords[q + j][:q] != col):
+            raise FalsificationError(
+                "recursion operator depends on the particular solution",
+                {"dim": n, "kernel_shift": [rat_str(x) for x in kerA.basis[0]]})
+        columns.append(col)
     mat = MatQ([[columns[j][i] for j in range(q)] for i in range(q)]) \
         if q else MatQ.zeros(0, 0)
     return PhiOperator(mat, tuple(comp), A_ratio, B_ratio)
@@ -335,13 +318,6 @@ class PencilAnalysis:
         }
 
 
-def _is_isotropic(M: MatQ, L: SubspaceQ) -> bool:
-    basis = L.basis
-    images = [M.matvec(v) for v in basis]
-    return all(sum(a * b for a, b in zip(u, mv)) == 0
-               for i, u in enumerate(basis) for mv in images[i:])
-
-
 def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
                 B_ratio: Optional[Ratio] = None) -> PencilAnalysis:
     """Full exact analysis of a skew pencil.
@@ -357,9 +333,10 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
     m = prof.m
     L = compute_L(pencil, m, prof)
     W = check_image_equality(pencil, L)
-    Ltilde = compute_Ltilde(pencil, L, W)
-    iso = _is_isotropic(pencil.A, L) and _is_isotropic(pencil.B, L)
-    if not iso or not L.is_subspace_of(Ltilde):
+    Ltilde = annihilator(W)
+    # W = A(L) = B(L), so L inside the annihilator of W is exactly
+    # isotropy of L for A and B
+    if not L.is_subspace_of(Ltilde):
         raise FalsificationError(
             "kernel sum is not isotropic for the pencil",
             {"dim": n, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
@@ -369,7 +346,7 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
                 "Kronecker-type kernel sum has the wrong dimension",
                 {"dim": n, "m": m, "L_dim": L.dim, "expected": n - m // 2})
         return PencilAnalysis(n, m, "kronecker", L, Ltilde, W,
-                              iso, prof.ranks)
+                              True, prof.ranks)
     if A_ratio is None:
         A_ratio = next(r for r, rank in prof.ranks if rank == m)
     if B_ratio is None:
@@ -392,4 +369,4 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
                  "B_ratio": [rat_str(x) for x in B_ratio]})
     eig_items = tuple(sorted(eigs.items()))
     return PencilAnalysis(n, m, "jordan-mixed", L, Ltilde, W,
-                          iso, prof.ranks, A_ratio, B_ratio, eig_items, phi)
+                          True, prof.ranks, A_ratio, B_ratio, eig_items, phi)

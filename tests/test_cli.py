@@ -1,10 +1,14 @@
 """End-to-end CLI tests: exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import argshift
 from argshift import jsonio
 from argshift.cli import main
 from argshift.liealg import make_classical
@@ -328,3 +332,25 @@ def test_pipeline_singular_xi_fails_cleanly(capsys, sl2_file, sl2_casimirs):
     assert code == 1
     assert report["failed_stage"] == "build-family"
     assert "singular" in report["verdicts"]["build-family"]["error"]
+
+
+def test_dim_zero_algebra_exits_instead_of_hanging(tmp_path):
+    # a point of Q^0 is never nonzero: sampling one used to loop forever
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps({"dim": 0, "basis": [], "brackets": []}))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(argshift.__file__)))
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "argshift.cli", *argv, str(path)],
+                              capture_output=True, text=True, env=env, timeout=20)
+
+    index = cli_run("poisson", "index")
+    assert index.returncode == 2
+    assert "no nonzero point in dimension 0" in index.stderr
+    pipeline = cli_run("pipeline", "run")
+    assert pipeline.returncode == 1
+    report = json.loads(pipeline.stdout)
+    assert report["failed_stage"] == "estimate-index"
+    assert "dimension 0" in report["verdicts"]["estimate-index"]["error"]
+

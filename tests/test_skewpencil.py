@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from argshift.exactlin import MatQ, SubspaceQ
+from argshift.exactlin import MatQ, SubspaceQ, annihilator
 from argshift.liealg import make_classical, make_takiff
 from argshift.regcert import FalsificationError
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
                                  char_poly, check_image_equality, compute_L,
-                                 compute_Ltilde, phi_operator, rank_profile,
+                                 phi_operator, rank_profile,
                                  rational_eigenvalues, verify_com1)
 
 SL2 = make_classical("sl", 2)
@@ -63,7 +63,7 @@ def test_image_and_annihilator_sl2():
     L = compute_L(pencil)
     W = check_image_equality(pencil, L)
     assert W == SubspaceQ.span([(0, 1, 0)], 3)
-    Lt = compute_Ltilde(pencil, L, W)
+    Lt = annihilator(W)
     assert Lt == L
 
 
@@ -87,7 +87,7 @@ def test_block_pencil_analysis():
     assert dict(((tuple(r), k) for r, k in prof.ranks))[(1, 0)] == 2
     L = compute_L(pencil, prof.m)
     assert L.dim == 0
-    Lt = compute_Ltilde(pencil, L)
+    Lt = annihilator(check_image_equality(pencil, L))
     assert Lt.dim == 4
     analysis = verify_com1(pencil)
     assert analysis.kind == "jordan-mixed"
@@ -108,14 +108,14 @@ def test_analysis_carries_the_subspaces():
         W = check_image_equality(pencil, L)
         assert analysis.L == L
         assert analysis.image == W
-        assert analysis.Ltilde == compute_Ltilde(pencil, L, W)
+        assert analysis.Ltilde == annihilator(W)
         assert (analysis.L_dim, analysis.image_dim) == (L.dim, W.dim)
 
 
 def test_block_pencil_phi_matrix():
     pencil = SkewPencil.from_matrices(BLOCK_A, BLOCK_B)
     L = compute_L(pencil)
-    Lt = compute_Ltilde(pencil, L)
+    Lt = annihilator(check_image_equality(pencil, L))
     phi = phi_operator(pencil, L, Lt, (Fraction(1), Fraction(1)),
                        (Fraction(0), Fraction(1)))
     assert phi.matrix == MatQ([[0, 0, 0, 0], [0, 0, 0, 0],
@@ -125,7 +125,7 @@ def test_block_pencil_phi_matrix():
 def test_phi_requires_regular_a_direction():
     pencil = SkewPencil.from_matrices(BLOCK_A, BLOCK_B)
     L = compute_L(pencil)
-    Lt = compute_Ltilde(pencil, L)
+    Lt = annihilator(check_image_equality(pencil, L))
     with pytest.raises(ValueError, match="regular"):
         phi_operator(pencil, L, Lt, (Fraction(1), Fraction(0)),
                      (Fraction(0), Fraction(1)))

@@ -19,8 +19,7 @@ from .regcert import (Codim2Certificate, FalsificationError, PlaneCertificate,
                       PlaneSpec, certify_codim2, certify_regular_plane,
                       find_regular_plane, is_regular, kostant_criterion,
                       verify_bols, verify_compl)
-from .skewpencil import (PencilAnalysis, SkewPencil, char_poly,
-                         rational_eigenvalues, verify_com1)
+from .skewpencil import PencilAnalysis, SkewPencil, char_poly, verify_com1
 
 __version__ = "0.1.0"
 
@@ -36,6 +35,6 @@ __all__ = [
     "linear_commutant", "make_classical", "make_semidirect",
     "make_sl2_so2_contraction", "make_takiff", "make_vinberg",
     "make_z2_contraction", "nonmembership_linear", "poly_gcd", "rat",
-    "rat_str", "rational_eigenvalues", "takiff_lift", "validate",
+    "rat_str", "takiff_lift", "validate",
     "verify_bols", "verify_com1", "verify_compl",
 ]

@@ -37,7 +37,7 @@ from .regcert import (FalsificationError, PlaneSpec, certify_codim2,
                       certify_regular_plane, find_regular_plane, is_regular,
                       kostant_criterion, verify_bols, verify_compl)
 from .sampling import integer_point, rng_stream
-from .skewpencil import SkewPencil, char_poly, verify_com1
+from .skewpencil import SkewPencil, verify_com1
 
 SCHEMA = 2
 EXIT_PASS = 0
@@ -157,11 +157,7 @@ def cmd_algebra_validate(args: argparse.Namespace, report: dict, inputs: dict) -
     raw, entry = _read_input(args.algebra)
     inputs["algebra"] = entry
     try:
-        dim = int(raw["dim"])
-        basis = [str(b) for b in raw.get("basis", [f"e{i + 1}" for i in range(dim)])]
-        entries = [(int(b["i"]), int(b["j"]),
-                    {int(k): rat(v) for k, v in b["coeffs"].items()})
-                   for b in raw.get("brackets", [])]
+        dim, basis, entries = jsonio.algebra_table_from_json(raw)
         result = validate_table(dim, entries, basis)
         verdict = result.as_dict()
         ok = result.ok
@@ -406,8 +402,8 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
         pencil = SkewPencil.from_kirillov(L, xi, eta)
     analysis = verify_com1(pencil)
     verdict = analysis.as_dict()
-    verdict["char_poly"] = ([rat_str(c) for c in char_poly(analysis.phi.matrix)]
-                            if analysis.phi is not None else None)
+    verdict["char_poly"] = ([rat_str(c) for c in analysis.char_poly]
+                            if analysis.char_poly is not None else None)
     report["verdicts"]["pencil"] = verdict
     report["subspaces"] = {"L": jsonio.subspace_to_json(analysis.L),
                            "image": jsonio.subspace_to_json(analysis.image),

@@ -75,9 +75,6 @@ class MatQ:
     def row(self, i: int) -> VecQ:
         return self._a[i]
 
-    def col(self, j: int) -> VecQ:
-        return tuple(row[j] for row in self._a)
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self._a]
 

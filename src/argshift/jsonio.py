@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .exactlin import MatQ, SubspaceQ, rat, rat_str, vec
-from .liealg import LieAlgebraData
+from .liealg import BracketEntry, LieAlgebraData
 from .mfshift import ShiftFamily, ShiftMember
 from .mpoly import MPoly, grlex_key
 from .poisson import CasimirSet
@@ -72,15 +72,23 @@ def algebra_to_json(L: LieAlgebraData) -> dict:
     return out
 
 
-def algebra_from_json(data: dict) -> LieAlgebraData:
+def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry]]:
+    """Dimension, basis names and raw bracket entries, not yet validated."""
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("algebra must be an object with dim, basis, brackets")
     dim = int(data["dim"])
     basis = [str(b) for b in data.get("basis", [f"e{i + 1}" for i in range(dim)])]
     entries = []
     for item in data.get("brackets", []):
+        if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
+            raise ValueError("bracket must be an object with i, j and a coeffs object")
         coeffs = {int(k): rat(v) for k, v in item["coeffs"].items()}
         entries.append((int(item["i"]), int(item["j"]), coeffs))
+    return dim, basis, entries
+
+
+def algebra_from_json(data: Any) -> LieAlgebraData:
+    dim, basis, entries = algebra_table_from_json(data)
     return LieAlgebraData.from_table(dim, basis, entries, meta=data.get("meta"))
 
 
@@ -93,8 +101,10 @@ def casimirs_to_json(cs: CasimirSet) -> dict:
     return out
 
 
-def casimirs_from_json(data: dict) -> CasimirSet:
+def casimirs_from_json(data: Any) -> CasimirSet:
     """Parse without re-verifying; CasimirSet.verified re-checks on demand."""
+    if not isinstance(data, dict):
+        raise ValueError("Casimir file must be an object with nvars and generators")
     gens = tuple(poly_from_json(d) for d in data.get("generators", []))
     degrees = tuple(int(d) for d in data["degrees"]) if "degrees" in data \
         else tuple(p.degree() for p in gens)

@@ -222,27 +222,18 @@ def make_classical(family: str, n: int) -> LieAlgebraData:
     """
     sep = "" if n < 10 else "_"
     meta = {"constructor": "classical", "family": family, "n": n}
-    if family == "gl":
+    if family in ("gl", "sl"):
         if n < 2:
-            raise ValueError("gl(n) requires n >= 2")
-        mats = [_unit_matrix(n, i, j) for i in range(n) for j in range(n)]
-        names = [f"e{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
-        return algebra_from_matrices(names, mats, meta)
-    if family == "sl":
-        if n < 2:
-            raise ValueError("sl(n) requires n >= 2")
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        lower = [(i, j) for i in range(n) for j in range(i)]
-        mats = [_unit_matrix(n, i, j) for i, j in upper]
-        mats += [_unit_matrix(n, k, k) - _unit_matrix(n, k + 1, k + 1) for k in range(n - 1)]
-        mats += [_unit_matrix(n, i, j) for i, j in lower]
-        if n == 2:
+            raise ValueError(f"{family}(n) requires n >= 2")
+        if family == "gl":
+            names = [f"e{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
+        elif n == 2:
             names = ["e", "h", "f"]
         else:
-            names = [f"e{i + 1}{sep}{j + 1}" for i, j in upper]
+            names = [f"e{i + 1}{sep}{j + 1}" for i in range(n) for j in range(i + 1, n)]
             names += [f"h{k + 1}" for k in range(n - 1)]
-            names += [f"f{i + 1}{sep}{j + 1}" for i, j in lower]
-        return algebra_from_matrices(names, mats, meta)
+            names += [f"f{i + 1}{sep}{j + 1}" for i in range(n) for j in range(i)]
+        return algebra_from_matrices(names, classical_matrix_basis(family, n), meta)
     if family == "so":
         if n < 3:
             raise ValueError("so(n) requires n >= 3")

@@ -22,16 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactlin import MatQ, Scalar, rank, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
-from .mpoly import MPoly, determinant, stream_minor_gcd
+from .mpoly import MPoly, stream_minor_gcd
 from .poisson import CasimirSet, kirillov
 from .sampling import integer_point, rng_stream
-
-if TYPE_CHECKING:
-    from .skewpencil import PhiOperator
 
 
 class FalsificationError(Exception):
@@ -175,21 +172,22 @@ def _wrong_index(claim: str, bundle: dict, profile: AlgebraProfile) -> Exception
     return ValueError(f"{claim}; the declared index looks wrong")
 
 
-def _recursion_gcd(phi: PhiOperator) -> MPoly:
-    """Monic det(mu I + nu Phi) as a form in (a, b).
+def _recursion_gcd(cp: Sequence[Fraction], A_ratio: tuple[Fraction, Fraction],
+                   B_ratio: tuple[Fraction, Fraction]) -> MPoly:
+    """Monic det(mu I + nu Phi) as a form in (a, b), from the ascending
+    coefficients c_k of det(tI - Phi): it is sum c_k mu^k (-nu)^(q-k).
 
     (a, b) = mu A_ratio + nu B_ratio; Cramer's rule gives mu and nu as
     linear forms in (a, b) up to the common factor 1 / det, which the
     monic normalization drops.
     """
-    (a1, a2), (b1, b2) = phi.A_ratio, phi.B_ratio
+    (a1, a2), (b1, b2) = A_ratio, B_ratio
     a, b = MPoly.variable(2, 0), MPoly.variable(2, 1)
     mu = b2 * a - b1 * b
-    nu = a1 * b - a2 * a
-    q = phi.dim
-    rows = [[nu * phi.matrix[i, j] + (mu if i == j else MPoly.zero(2))
-             for j in range(q)] for i in range(q)]
-    return determinant(rows).monic()
+    neg_nu = a2 * a - a1 * b
+    q = len(cp) - 1
+    return sum((c * mu ** k * neg_nu ** (q - k) for k, c in enumerate(cp) if c),
+               MPoly.zero(2)).monic()
 
 
 def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
@@ -226,7 +224,7 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
              "eta": [rat_str(x) for x in peta]}, profile)
     if analysis.kind == "kronecker":
         return PlaneCertificate(True, m, 0, gcd=MPoly.one(2))
-    g = _recursion_gcd(analysis.phi)
+    g = _recursion_gcd(analysis.char_poly, analysis.A_ratio, analysis.B_ratio)
     # eigenvalue lam of Phi is the direction B_ratio - lam A_ratio, with
     # the same multiplicity as a root of g
     (a1, a2), (b1, b2) = analysis.A_ratio, analysis.B_ratio

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, rank, rank_kernel, rat,
                        rat_str, solve_many)
 from .liealg import LieAlgebraData
-from .mpoly import (MPoly, determinant, extract_var_coeffs, rational_roots,
-                    stream_minor_gcd)
+from .mpoly import rational_roots
 from .poisson import kirillov
 from .regcert import FalsificationError
 
@@ -142,11 +141,16 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     """The common image of L under every nonzero member, certified.
 
     A(L) = B(L) pins the candidate W and already forces every member
-    to map L into W.  No member may map L onto less: the minors of
-    order dim W of the bivariate matrix [aA + bB] restricted to L are
-    homogeneous, and a constant gcd certifies full rank in every
-    direction.  Violations contradict the pencil structure theory, so
-    they raise FalsificationError.
+    to map L into W.  No member may map L onto less, which a Wong
+    sequence decides: from K = 0, repeat K <- A(L & B^-1 K) until dim K
+    stops growing.  With N = A(L & ker B) and M = A B^-1 on W (defined
+    modulo N), each step is K <- N + M K, so the limit is the smallest
+    M-invariant subspace containing N.  It stops below W exactly when
+    some y != 0 on W is a left eigenvector of M orthogonal to N, that
+    is, when y (A - lam B) vanishes on L for some lam, possibly
+    irrational (Popov-Belevitch-Hautus): the member A - lam B then maps
+    L into the hyperplane ker y.  Violations contradict the pencil
+    structure theory, so they raise FalsificationError.
     """
     n = pencil.dim
     avs = [pencil.A.matvec(v) for v in L.basis]
@@ -159,19 +163,22 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
             {"dim": n, "L_dim": L.dim, "A_image_dim": WA.dim,
              "B_image_dim": WB.dim})
     W = WA
-    w = W.dim
-    if w == 0 or L.dim == 0:
-        return W
-    # entries[i][j] = i-th coordinate of (aA + bB) applied to j-th basis vector
-    entries = [[MPoly(2, {k: c for k, c in (((1, 0), av[i]), ((0, 1), bv[i])) if c != 0})
-                for av, bv in zip(avs, bvs)] for i in range(n)]
-    g, _ = stream_minor_gcd(entries, product(combinations(range(n), w),
-                                             combinations(range(L.dim), w)))
-    if g is None or not g.is_constant():
+    AL = MatQ([[av[i] for av in avs] for i in range(n)], cols=L.dim)
+    K = SubspaceQ.zero(n)
+    while K.dim < W.dim:
+        # kernel vectors (c, d) of [B v_1 .. B v_l | -k_1 .. -k_k] are the
+        # x = sum c_j v_j in L with B x in K
+        cols = bvs + [tuple(-x for x in k) for k in K.basis]
+        _, ker = rank_kernel(MatQ([[c[i] for c in cols] for i in range(n)],
+                                  cols=len(cols)))
+        grown = SubspaceQ.span([AL.matvec(u[:L.dim]) for u in ker.basis], n)
+        if grown.dim == K.dim:
+            break
+        K = grown
+    if K != W:
         raise FalsificationError(
             "some pencil member maps the kernel sum onto a smaller image",
-            {"dim": n, "L_dim": L.dim, "W_dim": w,
-             "minor_gcd": g.pretty(["a", "b"]) if g is not None else None})
+            {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": K.dim})
     return W
 
 
@@ -181,10 +188,6 @@ class PhiOperator:
     quotient_basis: tuple[tuple[Fraction, ...], ...]
     A_ratio: Ratio
     B_ratio: Ratio
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
 
 
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
@@ -252,30 +255,18 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
 
 
 def char_poly(M: MatQ) -> list[Fraction]:
-    """Coefficients of det(tI - M), ascending in t."""
+    """Coefficients of det(tI - M), ascending in t.
+
+    Faddeev-LeVerrier: N_k = M N_(k-1) + c_(q-k+1) I from N_0 = 0, and
+    c_(q-k) = -tr(M N_k) / k; exact over Q, dividing only by k.
+    """
     q = M.rows
-    if q == 0:
-        return [Fraction(1)]
-    entries = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            terms = {}
-            if i == j:
-                terms[(1,)] = Fraction(1)
-            if M[i, j] != 0:
-                terms[(0,)] = terms.get((0,), Fraction(0)) - M[i, j]
-            row.append(MPoly(1, {e: c for e, c in terms.items() if c != 0}))
-        entries.append(row)
-    p = determinant(entries)
-    by_power = extract_var_coeffs(p, 0)
-    return [by_power[k].constant_value() if k in by_power else Fraction(0)
-            for k in range(q + 1)]
-
-
-def rational_eigenvalues(M: MatQ) -> dict[Fraction, int]:
-    """Rational eigenvalues with algebraic multiplicities, exact."""
-    return rational_roots(char_poly(M))
+    coeffs = [Fraction(1)]
+    MN = MatQ.zeros(q, q)
+    for k in range(1, q + 1):
+        MN = M * (MN + MatQ.identity(q).scale(coeffs[-1]))
+        coeffs.append(-sum(MN[i, i] for i in range(q)) / k)
+    return coeffs[::-1]
 
 
 @dataclass
@@ -291,7 +282,7 @@ class PencilAnalysis:
     A_ratio: Optional[Ratio] = None
     B_ratio: Optional[Ratio] = None
     eigenvalues: tuple[tuple[Fraction, int], ...] = ()
-    phi: Optional[PhiOperator] = field(default=None, repr=False)
+    char_poly: Optional[list[Fraction]] = field(default=None, repr=False)
 
     @property
     def L_dim(self) -> int:
@@ -354,7 +345,8 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
         if A_ratio[0] == 0:
             B_ratio = (Fraction(1), Fraction(0))
     phi = phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m)
-    eigs = rational_eigenvalues(phi.matrix)
+    cp = char_poly(phi.matrix)
+    eigs = rational_roots(cp)
     Am = pencil.member(*A_ratio)
     Bm = pencil.member(*B_ratio)
     for lam in eigs:
@@ -369,4 +361,4 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
                  "B_ratio": [rat_str(x) for x in B_ratio]})
     eig_items = tuple(sorted(eigs.items()))
     return PencilAnalysis(n, m, "jordan-mixed", L, Ltilde, W,
-                          True, prof.ranks, A_ratio, B_ratio, eig_items, phi)
+                          True, prof.ranks, A_ratio, B_ratio, eig_items, cp)

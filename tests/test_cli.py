@@ -334,6 +334,27 @@ def test_pipeline_singular_xi_fails_cleanly(capsys, sl2_file, sl2_casimirs):
     assert "singular" in report["verdicts"]["build-family"]["error"]
 
 
+def test_malformed_containers_are_reported_not_raised(capsys, tmp_path, sl2_file):
+    # a list where an object belongs: exit 2 with an error line where the
+    # input is a precondition, a failed verdict where checking it is the job
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1]}]}))
+    cas = tmp_path / "cas.json"
+    cas.write_text("[]")
+    for argv in (["poisson", "index", str(alg)],
+                 ["reg", "compl", sl2_file, str(cas), "--xi=1,0,0", "--eta=0,0,1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    code, report = run(capsys, "algebra", "validate", str(alg))
+    assert code == 1
+    assert report["verdicts"]["validate"]["kind"] == "table"
+    for argv, stage in ((["pipeline", "run", str(alg)], "validate"),
+                        (["pipeline", "run", sl2_file, "--casimirs", str(cas)], "casimirs")):
+        code, report = run(capsys, *argv)
+        assert code == 1
+        assert report["failed_stage"] == stage
+
+
 def test_dim_zero_algebra_exits_instead_of_hanging(tmp_path):
     # a point of Q^0 is never nonzero: sampling one used to loop forever
     path = tmp_path / "dim0.json"

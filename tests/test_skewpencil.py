@@ -9,17 +9,21 @@ A-plane, giving eigenvalues {0, 0, 1, 1}.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from argshift.exactlin import MatQ, SubspaceQ, annihilator
+from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank
 from argshift.liealg import make_classical, make_takiff
+from argshift.mpoly import MPoly, rational_roots, stream_minor_gcd
 from argshift.regcert import FalsificationError
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
                                  char_poly, check_image_equality, compute_L,
-                                 phi_operator, rank_profile,
-                                 rational_eigenvalues, verify_com1)
+                                 phi_operator, rank_profile, verify_com1)
 
 SL2 = make_classical("sl", 2)
 
@@ -153,9 +157,9 @@ def test_zero_pencil():
 
 def test_char_poly_oracles():
     assert char_poly(MatQ([[2, 1], [0, 3]])) == [6, -5, 1]
-    assert rational_eigenvalues(MatQ([[2, 1], [0, 3]])) == {2: 1, 3: 1}
-    assert rational_eigenvalues(MatQ([[0, 2], [1, 0]])) == {}
-    assert rational_eigenvalues(MatQ([[0, 1], [0, 0]])) == {Fraction(0): 2}
+    assert rational_roots(char_poly(MatQ([[2, 1], [0, 3]]))) == {2: 1, 3: 1}
+    assert rational_roots(char_poly(MatQ([[0, 2], [1, 0]]))) == {}
+    assert rational_roots(char_poly(MatQ([[0, 1], [0, 0]]))) == {Fraction(0): 2}
     assert char_poly(MatQ.zeros(0, 0)) == [1]
 
 
@@ -188,3 +192,134 @@ def test_sl2_pencil_from_eta_on_other_axis():
     analysis = verify_com1(pencil)
     assert analysis.m == 2
     assert analysis.L_dim == 2
+
+
+# --- the image check against the minor-gcd oracle ---------------------------
+
+def minor_image_oracle(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
+    """The common image W of L, certified by the older route: A(L) = B(L),
+    then a constant gcd of the order-dim W minors of (aA + bB) on L."""
+    n = pencil.dim
+    avs = [pencil.A.matvec(v) for v in L.basis]
+    bvs = [pencil.B.matvec(v) for v in L.basis]
+    W = SubspaceQ.span(avs, n)
+    if W != SubspaceQ.span(bvs, n):
+        raise FalsificationError("images differ", {})
+    w = W.dim
+    if w == 0:
+        return W
+    entries = [[MPoly(2, {k: c for k, c in (((1, 0), av[i]), ((0, 1), bv[i])) if c != 0})
+                for av, bv in zip(avs, bvs)] for i in range(n)]
+    g, _ = stream_minor_gcd(entries, product(combinations(range(n), w),
+                                             combinations(range(L.dim), w)))
+    if g is None or not g.is_constant():
+        raise FalsificationError("rank drop", {"minor_gcd": g})
+    return W
+
+
+def image_routes(pencil: SkewPencil, L: SubspaceQ):
+    """Both routes' results, None where a route raised; they must agree."""
+    out = []
+    for route in (check_image_equality, minor_image_oracle):
+        try:
+            out.append(route(pencil, L))
+        except FalsificationError:
+            out.append(None)
+    assert out[0] == out[1]
+    return out[0]
+
+
+def test_image_routes_agree_on_analysed_pencils():
+    pencils = [sl2_pencil(), SkewPencil.from_kirillov(SL2, (0, 1, 0), (1, 0, 0)),
+               SkewPencil.from_matrices(BLOCK_A, BLOCK_B),
+               SkewPencil(MatQ(BLOCK_A), MatQ(BLOCK_A)),
+               SkewPencil(MatQ.zeros(3, 3), MatQ.zeros(3, 3)),
+               SkewPencil.from_kirillov(make_takiff(SL2, 1), (1, 2, -1, 3, 0, 1),
+                                        (2, -1, 1, 0, 1, 4))]
+    for n in (5, 7):
+        for trial in range(3):
+            rng = rng_stream(17, "pencil-random", n, trial)
+            pencils.append(SkewPencil(random_skew(rng, n), random_skew(rng, n)))
+    for pencil in pencils:
+        assert image_routes(pencil, compute_L(pencil)) is not None
+
+
+def off_diagonal_pencil(P, Q) -> SkewPencil:
+    """Skew A, B on Q^(l + w) whose columns on the first l coordinates
+    are the w x l matrices P and Q placed below them."""
+    w, l = len(P), len(P[0])
+    n = l + w
+
+    def skew(M):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(w):
+            for j in range(l):
+                rows[l + i][j], rows[j][l + i] = M[i][j], -M[i][j]
+        return MatQ(rows)
+    return SkewPencil(skew(P), skew(Q))
+
+
+def test_image_routes_raise_on_jordan_block():
+    # A = [[0, I], [-I, 0]], B = [[0, J], [-J^T, 0]], J the Jordan block at 3:
+    # A - B / 3 maps span(e1, e2) onto a line; no analysed pencil gets here
+    pencil = SkewPencil.from_matrices(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 3, 1], [0, 0, 0, 3], [-3, 0, 0, 0], [-1, -3, 0, 0]])
+    L = SubspaceQ.span([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
+    assert image_routes(pencil, L) is None
+    with pytest.raises(FalsificationError) as exc:
+        check_image_equality(pencil, L)
+    assert exc.value.bundle["W_dim"] == 2
+    assert exc.value.bundle["reached_dim"] == 0
+
+
+@pytest.mark.parametrize("w, l", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2), (3, 3), (3, 5)])
+def test_image_routes_agree_on_seeded_pencils(w, l):
+    # P = W0 P', Q = W0 Q' with P', Q' of r rows share their image col(W0);
+    # forcing the first rows of P' and lam Q' equal makes e_1 a common left
+    # eigenvector, so the member A - lam B drops rank on L; with r = l
+    # the pencil P', Q' is square and drops rank at a root of its determinant
+    seen = set()
+    for forced in (False, True):
+        for trial in range(8):
+            rng = rng_stream(23, "image-routes", w, l, forced, trial)
+
+            def rand(rows, cols):
+                return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            r = rng.randint(1, min(w, l))
+            W0, P1, Q1 = rand(w, r), rand(r, l), rand(r, l)
+            if rank(MatQ(W0)) < r or rank(MatQ(Q1)) < r:
+                continue
+            if forced:
+                lam = rng.randint(-3, 3)
+                P1[0] = [lam * x for x in Q1[0]]
+            P, Q = (MatQ(W0) * MatQ(M) for M in (P1, Q1))
+            pencil = off_diagonal_pencil(P.to_lists(), Q.to_lists())
+            L = SubspaceQ.span([tuple(int(i == j) for j in range(l + w)) for i in range(l)],
+                               l + w)
+            W = image_routes(pencil, L)
+            seen.add(W is None)
+            if forced:
+                assert W is None
+    assert seen == ({False, True} if l > 1 else {True})
+
+
+# --- char_poly against sympy ------------------------------------------------
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def square_matrices(draw, entries):
+    q = draw(st.integers(0, 5))
+    return [[draw(entries) for _ in range(q)] for _ in range(q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(square_matrices(st.integers(-30, 30)), square_matrices(fractions)))
+def test_char_poly_matches_sympy(rows):
+    q = len(rows)
+    S = sympy.Matrix(q, q, [sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                            for row in rows for x in row])
+    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(S.charpoly().all_coeffs())]
+    assert char_poly(MatQ(rows, cols=q)) == expected

@@ -102,7 +102,7 @@ def _load_algebra(args: argparse.Namespace, path: str,
     inputs["algebra"] = entry
     try:
         L = jsonio.algebra_from_json(raw)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     args._algebra_json = jsonio.algebra_to_json(L)
     return L
@@ -248,7 +248,7 @@ def _load_casimirs(args: argparse.Namespace, path: str, inputs: dict,
     inputs["casimirs"] = entry
     try:
         cs = jsonio.casimirs_from_json(raw)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     if cs.nvars != L.dim:
         raise UsageError("Casimir variable count does not match the algebra")

@@ -13,11 +13,37 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .exactlin import MatQ, SubspaceQ, rat, rat_str, vec
+from .exactlin import MatQ, SubspaceQ, rat, rat_str
 from .liealg import BracketEntry, LieAlgebraData
 from .mfshift import ShiftFamily, ShiftMember
 from .mpoly import MPoly, grlex_key
 from .poisson import CasimirSet
+
+
+def _field(data: Any, key: str, what: str) -> Any:
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{what} must be an object with {key!r}")
+    return data[key]
+
+
+def _array(data: Any, what: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be an array")
+    return data
+
+
+def _int(value: Any, what: str) -> int:
+    # int() would truncate 2.5 to 2 and read true as 1
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
+def _rat(value: Any) -> Fraction:
+    try:
+        return rat(value)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
@@ -27,7 +53,7 @@ def vector_to_json(v: Sequence[Fraction]) -> list[str]:
 def vector_from_json(data: Sequence[Any]) -> tuple[Fraction, ...]:
     if not isinstance(data, (list, tuple)):
         raise ValueError("vector must be an array of rational strings")
-    return vec(data)
+    return tuple(_rat(x) for x in data)
 
 
 def matrix_to_json(M: MatQ) -> list[list[str]]:
@@ -47,15 +73,14 @@ def poly_to_json(p: MPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> MPoly:
-    if not isinstance(data, dict) or "nvars" not in data or "terms" not in data:
-        raise ValueError("polynomial must be an object with nvars and terms")
-    nvars = int(data["nvars"])
+    nvars = _int(_field(data, "nvars", "polynomial"), "nvars")
     terms: dict[tuple[int, ...], Fraction] = {}
-    for item in data["terms"]:
-        exps = tuple(int(e) for e in item["exps"])
+    for item in _array(_field(data, "terms", "polynomial"), "polynomial terms"):
+        exps = tuple(_int(e, "exponent")
+                     for e in _array(_field(item, "exps", "term"), "exponents"))
         if len(exps) != nvars or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-        terms[exps] = terms.get(exps, Fraction(0)) + rat(item["coeff"])
+        terms[exps] = terms.get(exps, Fraction(0)) + _rat(_field(item, "coeff", "term"))
     return MPoly(nvars, terms)
 
 
@@ -74,22 +99,26 @@ def algebra_to_json(L: LieAlgebraData) -> dict:
 
 def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry]]:
     """Dimension, basis names and raw bracket entries, not yet validated."""
-    if not isinstance(data, dict) or "dim" not in data:
-        raise ValueError("algebra must be an object with dim, basis, brackets")
-    dim = int(data["dim"])
-    basis = [str(b) for b in data.get("basis", [f"e{i + 1}" for i in range(dim)])]
+    dim = _int(_field(data, "dim", "algebra"), "dim")
+    basis = [str(b) for b in _array(data.get("basis", [f"e{i + 1}" for i in range(dim)]),
+                                    "basis")]
     entries = []
-    for item in data.get("brackets", []):
+    for item in _array(data.get("brackets", []), "brackets"):
         if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
             raise ValueError("bracket must be an object with i, j and a coeffs object")
-        coeffs = {int(k): rat(v) for k, v in item["coeffs"].items()}
-        entries.append((int(item["i"]), int(item["j"]), coeffs))
+        coeffs = {_int(k, "bracket coefficient index"): _rat(v)
+                  for k, v in item["coeffs"].items()}
+        entries.append((_int(_field(item, "i", "bracket"), "i"),
+                        _int(_field(item, "j", "bracket"), "j"), coeffs))
     return dim, basis, entries
 
 
 def algebra_from_json(data: Any) -> LieAlgebraData:
     dim, basis, entries = algebra_table_from_json(data)
-    return LieAlgebraData.from_table(dim, basis, entries, meta=data.get("meta"))
+    meta = data.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError("algebra meta must be an object")
+    return LieAlgebraData.from_table(dim, basis, entries, meta=meta)
 
 
 def casimirs_to_json(cs: CasimirSet) -> dict:
@@ -103,15 +132,15 @@ def casimirs_to_json(cs: CasimirSet) -> dict:
 
 def casimirs_from_json(data: Any) -> CasimirSet:
     """Parse without re-verifying; CasimirSet.verified re-checks on demand."""
-    if not isinstance(data, dict):
-        raise ValueError("Casimir file must be an object with nvars and generators")
-    gens = tuple(poly_from_json(d) for d in data.get("generators", []))
-    degrees = tuple(int(d) for d in data["degrees"]) if "degrees" in data \
-        else tuple(p.degree() for p in gens)
+    nvars = _int(_field(data, "nvars", "Casimir file"), "nvars")
+    gens = tuple(poly_from_json(d)
+                 for d in _array(data.get("generators", []), "Casimir generators"))
+    degrees = tuple(_int(d, "degree") for d in _array(data["degrees"], "degrees")) \
+        if "degrees" in data else tuple(p.degree() for p in gens)
     witness = None
     if data.get("independence_witness") is not None:
         witness = vector_from_json(data["independence_witness"])
-    return CasimirSet(int(data["nvars"]), gens, degrees, witness)
+    return CasimirSet(nvars, gens, degrees, witness)
 
 
 def subspace_to_json(S: SubspaceQ) -> dict:
@@ -120,8 +149,10 @@ def subspace_to_json(S: SubspaceQ) -> dict:
 
 
 def subspace_from_json(data: dict) -> SubspaceQ:
-    return SubspaceQ.span([vector_from_json(row) for row in data.get("basis", [])],
-                          int(data["ambient"]))
+    ambient = _int(_field(data, "ambient", "subspace"), "ambient")
+    return SubspaceQ.span([vector_from_json(row)
+                           for row in _array(data.get("basis", []), "subspace basis")],
+                          ambient)
 
 
 def family_to_json(fam: ShiftFamily) -> dict:
@@ -133,11 +164,12 @@ def family_to_json(fam: ShiftFamily) -> dict:
 
 
 def family_from_json(data: dict, algebra: LieAlgebraData) -> ShiftFamily:
-    xi = vector_from_json(data["xi"])
-    gens = tuple(poly_from_json(d) for d in data.get("generators", []))
-    members = tuple(ShiftMember(int(m["generator"]), int(m["power"]),
-                                poly_from_json(m["poly"]))
-                    for m in data.get("members", []))
+    xi = vector_from_json(_field(data, "xi", "family"))
+    gens = tuple(poly_from_json(d) for d in _array(data.get("generators", []), "generators"))
+    members = tuple(ShiftMember(_int(_field(m, "generator", "member"), "generator"),
+                                _int(_field(m, "power", "member"), "power"),
+                                poly_from_json(_field(m, "poly", "member")))
+                    for m in _array(data.get("members", []), "members"))
     return ShiftFamily(algebra, xi, gens, members)
 
 

@@ -10,7 +10,7 @@ in the workbench reduces to them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as int_gcd
+from math import ceil, comb, gcd as int_gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import Scalar, rat, rat_str, vec
@@ -359,36 +359,41 @@ def _monomial_content(p: MPoly) -> tuple[int, ...]:
     return tuple(mins)
 
 
-def _univariate_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
-    # monic Euclid over Q on dense coefficient dicts
-    def to_dict(p: MPoly) -> dict[int, Fraction]:
-        return {e[v]: c for e, c in p.terms.items()}
+def _dense_divmod(num: dict[int, Fraction], den: dict[int, Fraction]
+                  ) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Quotient and remainder of univariate polynomials held as dense
+    {exponent: coefficient} dicts over Q; den must be nonzero."""
+    quo: dict[int, Fraction] = {}
+    rem = dict(num)
+    dd = max(den)
+    lc = den[dd]
+    while rem and max(rem) >= dd:
+        dn = max(rem)
+        c = rem[dn] / lc
+        quo[dn - dd] = c
+        for k, cv in den.items():
+            key = k + dn - dd
+            s = rem.get(key, Fraction(0)) - c * cv
+            if s == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = s
+    return quo, rem
 
-    def degree(d: dict[int, Fraction]) -> int:
-        return max(d, default=-1)
 
-    def divmod_step(num: dict[int, Fraction], den: dict[int, Fraction]) -> dict[int, Fraction]:
-        num = dict(num)
-        dd = degree(den)
-        lc = den[dd]
-        while num and degree(num) >= dd:
-            dn = degree(num)
-            c = num[dn] / lc
-            for k, cv in den.items():
-                key = k + dn - dd
-                s = num.get(key, Fraction(0)) - c * cv
-                if s == 0:
-                    num.pop(key, None)
-                else:
-                    num[key] = s
-        return num
-
-    a, b = to_dict(f), to_dict(g)
+def _dense_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Monic gcd by Euclid over Q on dense coefficient dicts; a nonzero."""
     while b:
-        a, b = b, divmod_step(a, b)
-    lc = a[degree(a)]
-    terms = {tuple(k if i == v else 0 for i in range(f.nvars)): c / lc for k, c in a.items()}
-    return MPoly(f.nvars, terms)
+        a, b = b, _dense_divmod(a, b)[1]
+    lc = a[max(a)]
+    return {k: c / lc for k, c in a.items()}
+
+
+def _univariate_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
+    a = _dense_gcd({e[v]: c for e, c in f.terms.items()},
+                   {e[v]: c for e, c in g.terms.items()})
+    return MPoly(f.nvars, {tuple(k if i == v else 0 for i in range(f.nvars)): c
+                           for k, c in a.items()})
 
 
 def _dehomogenize(p: MPoly) -> MPoly:
@@ -495,25 +500,88 @@ def poly_gcd(polys: Sequence[MPoly]) -> MPoly:
     return MPoly.one(n) if g.is_constant() else g
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _root_cells(h: dict[int, Fraction], lc: int) -> list[int]:
+    """Ascending s such that the cell ((s - 1)/lc, s/lc] holds a real
+    root of h, a squarefree polynomial of degree >= 1; lc > 0.
+
+    Sturm (1829): with p_0 = h, p_1 = h' and p_(i+1) = -rem(p_(i-1), p_i)
+    down to a nonzero constant (h is squarefree), and V(x) the sign
+    changes of p_0(x), p_1(x), ... with zeros dropped, V(x) - V(y) is
+    the number of distinct real roots in (x, y] for x < y.  Every root
+    lies inside the Cauchy bound |t| < 1 + max_k |h_k / h_e|, so
+    bisecting on the grid s/lc from -B to B, B = lc times that bound
+    rounded up, and dropping cells that hold no root reaches every
+    occupied cell after about log2(2B) rounds, with at most deg h cells
+    alive per round.
+    """
+    seq = [h, {k - 1: k * c for k, c in h.items() if k}]
+    while max(seq[-1]) > 0:
+        seq.append({k: -c for k, c in _dense_divmod(seq[-2], seq[-1])[1].items()})
+    # scale each member by a positive integer: signs, hence V, are kept
+    dense: list[list[int]] = []
+    for p in seq:
+        den = lcm(*(c.denominator for c in p.values()))
+        dense.append([int(p.get(k, 0) * den) for k in range(max(p) + 1)])
+
+    def variations(s: int) -> int:
+        # sign of p(s/lc) is that of lc^deg(p) p(s/lc), an integer
+        # evaluated by homogeneous Horner
+        count, last = 0, 0
+        for coeffs in dense:
+            value, scale = 0, 1
+            for c in reversed(coeffs):
+                value = value * s + c * scale
+                scale *= lc
+            if value:
+                if last and (value > 0) != (last > 0):
+                    count += 1
+                last = value
+        return count
+
+    e = max(h)
+    cauchy = 1 + max((abs(c) for k, c in h.items() if k < e), default=0) / abs(h[e])
+    bound = ceil(lc * cauchy)
+    cells: list[int] = []
+    stack = [(-bound, variations(-bound), bound, variations(bound))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            cells.append(b)
+            continue
+        mid = (a + b) // 2
+        vm = variations(mid)
+        stack.append((mid, vm, b, vb))
+        stack.append((a, va, mid, vm))
+    return cells
 
 
 def rational_roots(coeffs: Sequence[Scalar]) -> dict[Fraction, int]:
-    """Rational roots with multiplicity of sum coeffs[k] t^k.
+    """Rational roots with multiplicity of f = sum coeffs[k] t^k.
 
-    Exact: candidates come from the rational root theorem after
-    clearing denominators, multiplicities from repeated synthetic
-    division.  Roots outside Q are simply not reported.
+    Roots outside Q are simply not reported; a root at 0 comes first,
+    the others ascend.  Exact, with no divisor enumeration:
+
+    - Clear denominators and content to a primitive integer f of degree
+      d with leading coefficient lc > 0.  g(s) = lc^(d-1) f(s / lc) is
+      monic with integer coefficients, and a rational root of a monic
+      integer polynomial is an integer (rational root theorem).  So
+      every rational root of f is s / lc for an integer s: it lies on
+      the grid (1/lc) Z.
+    - h = f / gcd(f, f') (Euclid over Q) has the roots of f, each simple.
+    - Every real root of h lies in one cell ((s - 1)/lc, s/lc], found by
+      exact Sturm isolation (``_root_cells``).  The only grid point in
+      that cell is s / lc, so the candidates include every rational
+      root of f, which gives completeness.  Working on f at the grid
+      points, not on the coefficients of g, keeps the bisection depth
+      at log2 of lc + max |f_k| rather than of lc^(d-1).
+    - Each candidate is kept only when exact division of f by
+      (t - s / lc) leaves remainder 0, repeated for the multiplicity, so
+      every reported root is a verified one.
+
+    The cost is O(d log B) Sturm sign evaluations, B the root bound,
+    instead of a search over the divisors of the coefficients.
     """
     cs = [rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -529,31 +597,21 @@ def rational_roots(coeffs: Sequence[Scalar]) -> dict[Fraction, int]:
         roots[Fraction(0)] = shift
     if len(cs) == 1:
         return roots
-    den = 1
-    for c in cs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in cs))
     ints = [int(c * den) for c in cs]
-    for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                mult = 0
-                cur: list[Fraction] = [Fraction(x) for x in ints]
-                while len(cur) > 1:
-                    # synthetic division by (t - cand); quo holds the
-                    # Horner values [b_d, ..., b_1, remainder]
-                    rem = Fraction(0)
-                    quo: list[Fraction] = []
-                    for c in reversed(cur):
-                        rem = rem * cand + c
-                        quo.append(rem)
-                    if rem != 0:
-                        break
-                    mult += 1
-                    cur = list(reversed(quo[:-1]))
-                if mult:
-                    roots[cand] = mult
+    content = int_gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    f = {k: Fraction(a // content) for k, a in enumerate(ints) if a}
+    lc = ints[-1] // content
+    h = _dense_divmod(f, _dense_gcd(f, {k - 1: k * c for k, c in f.items() if k}))[0]
+    for s in _root_cells(h, lc):
+        linear = {0: Fraction(-s, lc), 1: Fraction(1)}
+        mult = 0
+        quo, rem = _dense_divmod(f, linear)
+        while not rem:
+            mult += 1
+            quo, rem = _dense_divmod(quo, linear)
+        if mult:
+            roots[Fraction(s, lc)] = mult
     return roots
 
 

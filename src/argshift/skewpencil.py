@@ -182,17 +182,9 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     return W
 
 
-@dataclass
-class PhiOperator:
-    matrix: MatQ
-    quotient_basis: tuple[tuple[Fraction, ...], ...]
-    A_ratio: Ratio
-    B_ratio: Ratio
-
-
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
-                 A_ratio: Ratio, B_ratio: Ratio, m: Optional[int] = None) -> PhiOperator:
-    """Recursion operator on Ltilde / L solving A w = B v.
+                 A_ratio: Ratio, B_ratio: Ratio, m: Optional[int] = None) -> MatQ:
+    """Matrix of the recursion operator on Ltilde / L solving A w = B v.
 
     Requires the A-direction to be regular, so its kernel sits inside
     L and the class of w does not depend on the particular solution;
@@ -249,9 +241,8 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
                 "recursion operator depends on the particular solution",
                 {"dim": n, "kernel_shift": [rat_str(x) for x in kerA.basis[0]]})
         columns.append(col)
-    mat = MatQ([[columns[j][i] for j in range(q)] for i in range(q)]) \
+    return MatQ([[columns[j][i] for j in range(q)] for i in range(q)]) \
         if q else MatQ.zeros(0, 0)
-    return PhiOperator(mat, tuple(comp), A_ratio, B_ratio)
 
 
 def char_poly(M: MatQ) -> list[Fraction]:
@@ -344,8 +335,7 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
         B_ratio = (Fraction(0), Fraction(1))
         if A_ratio[0] == 0:
             B_ratio = (Fraction(1), Fraction(0))
-    phi = phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m)
-    cp = char_poly(phi.matrix)
+    cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m))
     eigs = rational_roots(cp)
     Am = pencil.member(*A_ratio)
     Bm = pencil.member(*B_ratio)

@@ -337,19 +337,39 @@ def test_pipeline_singular_xi_fails_cleanly(capsys, sl2_file, sl2_casimirs):
 def test_malformed_containers_are_reported_not_raised(capsys, tmp_path, sl2_file):
     # a list where an object belongs: exit 2 with an error line where the
     # input is a precondition, a failed verdict where checking it is the job
-    alg = tmp_path / "alg.json"
-    alg.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1]}]}))
-    cas = tmp_path / "cas.json"
-    cas.write_text("[]")
-    for argv in (["poisson", "index", str(alg)],
-                 ["reg", "compl", sl2_file, str(cas), "--xi=1,0,0", "--eta=0,0,1"]):
+    # a missing key or a wrong inner type is reported the same way
+    bad_algebras = ({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1]}]},
+                    {"dim": 2, "brackets": [{"j": 1, "coeffs": {}}]},
+                    {"dim": 2, "brackets": [{"i": [0], "j": 1, "coeffs": {}}]},
+                    {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": [1]}}]},
+                    {"dim": 2, "brackets": {"i": 0}},
+                    {"dim": [2]},
+                    {"dim": 3.9, "brackets": [{"i": 0, "j": 1.5, "coeffs": {"2": "1"}}]})
+    bad_casimirs = ([],
+                    {"nvars": 3, "generators": [{"nvars": 3, "terms": [[1]]}]},
+                    {"generators": []},
+                    {"nvars": 3, "generators": [{"nvars": 3, "terms": [{"exps": [2, 0, 0]}]}]},
+                    {"nvars": 3, "generators": [{"nvars": 3, "terms": {"exps": [1]}}]},
+                    {"nvars": 3, "generators": [], "degrees": 2},
+                    {"nvars": 3, "generators": [{"nvars": 3, "terms": [
+                        {"exps": [True, 0, 1], "coeff": "1"}]}]})
+    for k, data in enumerate(bad_algebras + bad_casimirs):
+        (tmp_path / f"bad{k}.json").write_text(json.dumps(data))
+    algs = [str(tmp_path / f"bad{k}.json") for k in range(len(bad_algebras))]
+    cass = [str(tmp_path / f"bad{k}.json")
+            for k in range(len(bad_algebras), len(bad_algebras) + len(bad_casimirs))]
+    for argv in ([["poisson", "index", alg] for alg in algs]
+                 + [["reg", "compl", sl2_file, cas, "--xi=1,0,0", "--eta=0,0,1"]
+                    for cas in cass]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
-    code, report = run(capsys, "algebra", "validate", str(alg))
-    assert code == 1
-    assert report["verdicts"]["validate"]["kind"] == "table"
-    for argv, stage in ((["pipeline", "run", str(alg)], "validate"),
-                        (["pipeline", "run", sl2_file, "--casimirs", str(cas)], "casimirs")):
+    for alg in algs:
+        code, report = run(capsys, "algebra", "validate", alg)
+        assert code == 1
+        assert report["verdicts"]["validate"]["kind"] == "table"
+    for argv, stage in ([(["pipeline", "run", alg], "validate") for alg in algs]
+                        + [(["pipeline", "run", sl2_file, "--casimirs", cas], "casimirs")
+                           for cas in cass]):
         code, report = run(capsys, *argv)
         assert code == 1
         assert report["failed_stage"] == stage
@@ -375,3 +395,22 @@ def test_dim_zero_algebra_exits_instead_of_hanging(tmp_path):
     assert report["failed_stage"] == "estimate-index"
     assert "dimension 0" in report["verdicts"]["estimate-index"]["error"]
 
+
+
+def test_plane_with_a_large_constant_term_does_not_hang(tmp_path):
+    # the singular direction's polynomial has constant term about 10^18:
+    # a rational root search by trial division never finished here
+    path = tmp_path / "v12.json"
+    assert main(["algebra", "build", "vinberg", "1", "2", "--out", str(path)]) == 0
+    q = 1000000007
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(argshift.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "argshift.cli", "reg", "plane", str(path),
+                           "--xi=1,3,5", f"--eta=0,{3 * q},{5 * q}"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["verdicts"]["plane"]["ok"] is False
+    assert report["witnesses"]["plane"]["singular_directions"] == [["1", f"-1/{q}"]]
+    assert report["verdicts"]["plane"]["gcd"] == \
+        "a^2 + 2000000014*a*b + 1000000014000000049*b^2"

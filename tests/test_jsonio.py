@@ -108,6 +108,27 @@ def test_family_round_trip():
     assert [m.power for m in back.members] == [m.power for m in fam.members]
 
 
+@pytest.mark.parametrize("parse, data", [
+    (poly_from_json, {"nvars": 1, "terms": [[1]]}),
+    (poly_from_json, {"nvars": 1, "terms": [{"exps": [1]}]}),
+    (poly_from_json, {"nvars": 1, "terms": [{"exps": [1.5], "coeff": "1"}]}),
+    (poly_from_json, {"nvars": 1, "terms": [{"exps": [1], "coeff": 0.5}]}),
+    (vector_from_json, [[1]]),
+    (matrix_from_json, [["1", None]]),
+    (algebra_from_json, {"dim": 2, "brackets": [{"j": 1, "coeffs": {}}]}),
+    (algebra_from_json, {"dim": 2, "meta": [1]}),
+    (casimirs_from_json, {"generators": []}),
+    (casimirs_from_json, {"nvars": 3, "generators": [], "degrees": [True]}),
+    (subspace_from_json, {"basis": []}),
+    (subspace_from_json, {"ambient": 2, "basis": "12"}),
+    (lambda d: family_from_json(d, SL2), {}),
+    (lambda d: family_from_json(d, SL2), {"xi": ["1", "0", "0"], "members": [{"power": 1}]}),
+])
+def test_malformed_input_raises_value_error(parse, data):
+    with pytest.raises(ValueError):
+        parse(data)
+
+
 def test_dumps_canonical():
     a = dumps({"b": 1, "a": [Fraction is None]})
     assert a.endswith("\n")

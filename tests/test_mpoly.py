@@ -9,8 +9,10 @@ ordered (x_e, x_h, x_f).  Hand expansions used as frozen oracles:
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from argshift.mpoly import (
     exact_divide,
     extract_var_coeffs,
     poly_gcd,
+    rational_roots,
     try_divide,
 )
 
@@ -239,3 +242,188 @@ def test_evaluate_is_a_ring_homomorphism(f, g):
     pt = [Fraction(1, 2), Fraction(-3), Fraction(2, 5)]
     assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
     assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+
+
+# --- sympy differential tests for gcd and determinant ------------------------
+
+def to_sympy(p, syms):
+    return sympy.expand(sum((sympy.Rational(c.numerator, c.denominator)
+                             * sympy.Mul(*[x ** k for x, k in zip(syms, e)])
+                             for e, c in p.terms.items()), sympy.Integer(0)))
+
+
+def bivariate_polys(max_terms):
+    return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                           min_size=1, max_size=max_terms).map(lambda t: MPoly(2, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivariate_polys(3), bivariate_polys(3), bivariate_polys(2), small_polys, small_polys)
+def test_poly_gcd_matches_sympy(a, b, common, f3, g3):
+    for f, g in ((common * a, common * b), (f3, g3)):
+        if f.is_zero() or g.is_zero():
+            continue
+        syms = sympy.symbols(f"x0:{f.nvars}")
+        ratio = sympy.cancel(sympy.gcd(to_sympy(f, syms), to_sympy(g, syms))
+                             / to_sympy(poly_gcd([f, g]), syms))
+        assert ratio.is_number and ratio != 0
+
+
+@st.composite
+def poly_matrices(draw):
+    q = draw(st.integers(1, 4))
+    return [[draw(bivariate_polys(2) | st.just(MPoly.zero(2))) for _ in range(q)]
+            for _ in range(q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices())
+def test_determinant_matches_sympy(rows):
+    syms = sympy.symbols("x0:2")
+    S = sympy.Matrix([[to_sympy(p, syms) for p in row] for row in rows])
+    assert sympy.expand(to_sympy(determinant(rows), syms) - S.det(method="berkowitz")) == 0
+
+
+# --- rational roots ---------------------------------------------------------
+
+def int_divisors(n):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def trial_division_roots(coeffs):
+    """Rational roots with multiplicity by the rational root theorem:
+    every p/q with p dividing the constant and q the leading coefficient
+    is tried by synthetic division.  The divisors come from trial
+    division up to a square root, so this serves as the oracle for
+    small constants only."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        raise ValueError("zero polynomial has no root set")
+    roots = {}
+    shift = 0
+    while cs[0] == 0:
+        cs.pop(0)
+        shift += 1
+    if shift:
+        roots[Fraction(0)] = shift
+    if len(cs) == 1:
+        return roots
+    den = 1
+    for c in cs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in cs]
+    for p in int_divisors(ints[0]):
+        for q in int_divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                mult = 0
+                cur = [Fraction(x) for x in ints]
+                while len(cur) > 1:
+                    # synthetic division by (t - cand); quo holds the
+                    # Horner values [b_d, ..., b_1, remainder]
+                    rem = Fraction(0)
+                    quo = []
+                    for c in reversed(cur):
+                        rem = rem * cand + c
+                        quo.append(rem)
+                    if rem != 0:
+                        break
+                    mult += 1
+                    cur = list(reversed(quo[:-1]))
+                if mult:
+                    roots[cand] = mult
+    return roots
+
+
+def sympy_roots(coeffs):
+    """Rational roots with multiplicity, read off the linear factors of
+    sympy's factorization over Q."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                       for c in reversed(coeffs)], t, domain=sympy.QQ)
+    roots = {}
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            r = -b / a
+            roots[Fraction(int(r.p), int(r.q))] = mult
+    return roots
+
+
+def times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+LARGE_PRIMES = (10000019, 998244353, 1000000007, 999999999989, 1000000000039)
+roots_num = st.integers(-10 ** 12, 10 ** 12) | st.sampled_from(LARGE_PRIMES) \
+    | st.sampled_from(LARGE_PRIMES).map(lambda p: -p)
+roots_den = st.integers(1, 10 ** 12) | st.sampled_from(LARGE_PRIMES)
+small_fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def test_rational_roots_fixed_cases():
+    assert rational_roots([6, -5, 1]) == {2: 1, 3: 1}
+    assert rational_roots([0, 0, 2, -3]) == {0: 2, Fraction(2, 3): 1}
+    assert rational_roots([1, -2, 1]) == {1: 2}
+    assert rational_roots([5]) == {} and rational_roots([0, 0, 7]) == {0: 2}
+    assert rational_roots(["1/3", "-1/2"]) == {Fraction(2, 3): 1}
+    # irreducible quadratics, real roots or none
+    assert rational_roots([-2, 0, 1]) == {} and rational_roots([1, 0, 1]) == {}
+    # (t^2 + 1)^2 (t^2 - 3) (7t + 5)^3: only -5/7 is rational
+    cs = times(times(times([1, 0, 1], [1, 0, 1]), [-3, 0, 1]),
+               times(times([5, 7], [5, 7]), [5, 7]))
+    assert rational_roots(cs) == {Fraction(-5, 7): 3}
+    # the vinberg(1, 2) direction at Q = 1000000007: a double root with a
+    # constant term near 10^18 that trial division cannot reach
+    q = 1000000007
+    assert rational_roots([q * q, 2 * q, 1]) == {Fraction(-q): 2}
+    for zero in ([], [0], [0, 0, 0], [Fraction(0)]):
+        with pytest.raises(ValueError):
+            rational_roots(zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(roots_num, roots_den, st.integers(1, 3)), max_size=3),
+       st.lists(small_fracs, max_size=4),
+       st.integers(0, 2),
+       small_fracs.filter(lambda c: c != 0))
+def test_rational_roots_match_sympy(linear, cofactor, zero_mult, lead):
+    # prod (q t - p)^mult times a rational cofactor, a non-monic lead
+    # and a power of t
+    cs = [lead]
+    for p, q, mult in linear:
+        for _ in range(mult):
+            cs = times(cs, [-p, q])
+    if cofactor and cofactor[-1] != 0:
+        cs = times(cs, cofactor)
+    cs = [Fraction(0)] * zero_mult + cs
+    roots = rational_roots(cs)
+    assert roots == sympy_roots(cs)
+    for p, q, _ in linear:
+        assert Fraction(p, q) in roots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-40, 40) | small_fracs, min_size=1, max_size=7)
+       .filter(lambda cs: any(cs)))
+def test_rational_roots_match_trial_division(cs):
+    roots = rational_roots(cs)
+    assert roots == trial_division_roots(cs)
+    assert list(roots) == sorted(roots, key=lambda r: (r != 0, r))

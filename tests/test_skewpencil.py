@@ -122,8 +122,8 @@ def test_block_pencil_phi_matrix():
     Lt = annihilator(check_image_equality(pencil, L))
     phi = phi_operator(pencil, L, Lt, (Fraction(1), Fraction(1)),
                        (Fraction(0), Fraction(1)))
-    assert phi.matrix == MatQ([[0, 0, 0, 0], [0, 0, 0, 0],
-                               [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert phi == MatQ([[0, 0, 0, 0], [0, 0, 0, 0],
+                        [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def test_phi_requires_regular_a_direction():

@@ -5,7 +5,10 @@ is one integer Gauss-Jordan elimination: fraction-free (Bareiss)
 forward elimination on denominator-cleared rows, then back-elimination
 on rows kept primitive, with each entry turned into a Fraction once at
 the end.  Subspaces are kept in reduced row echelon form, so equality
-of subspaces is equality of bases.
+of subspaces is equality of bases.  Callers that already hold integer
+rows enter at the private integer-row functions (_rank_int, _skew_rank,
+_span_int, _rank_kernel_int, _solve), which skip the Fraction round
+trip.
 """
 
 from __future__ import annotations
@@ -140,7 +143,6 @@ class MatQ:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -148,9 +150,10 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    # clear denominators per row and strip the integer content;
-    # row scaling preserves row space, rank, and kernel
+def _int_rows(rows: Sequence[Sequence[Union[int, Fraction]]]) -> list[list[int]]:
+    # clear denominators per row and strip the integer content: each
+    # row becomes a positive multiple of itself, which preserves row
+    # space, rank and kernel; int entries need no clearing
     out: list[list[int]] = []
     for row in rows:
         mult = lcm(*(x.denominator for x in row)) if row else 1
@@ -158,17 +161,11 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r != 0:
-        raise ArithmeticError("fraction-free elimination lost exact divisibility")
-    return q
-
-
 def _echelon(work: list[list[int]], ncols: int) -> list[int]:
     """Fraction-free (Bareiss) forward elimination of integer rows in place.
 
     Returns the pivot columns; row r of work holds pivot r afterwards.
+    Rows are replaced, never written to, so work may share its rows.
     """
     m = len(work)
     pivots: list[int] = []
@@ -179,14 +176,17 @@ def _echelon(work: list[list[int]], ncols: int) -> list[int]:
         if sel is None:
             continue
         work[piv_row], work[sel] = work[sel], work[piv_row]
-        p = work[piv_row][c]
+        top = work[piv_row]
+        p = top[c]
         for i in range(piv_row + 1, m):
-            q = work[i][c]
-            new_row = [0] * ncols
-            top = work[piv_row]
             cur = work[i]
+            q = cur[c]
+            new_row = [0] * ncols
             for j in range(c + 1, ncols):
-                new_row[j] = _exact_div(p * cur[j] - q * top[j], prev)
+                x, rem = divmod(p * cur[j] - q * top[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exact divisibility")
+                new_row[j] = x
             work[i] = new_row
         pivots.append(c)
         piv_row += 1
@@ -196,14 +196,14 @@ def _echelon(work: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[VecQ], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _rref(work: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of integer rows, consumed in place.
 
-    The back-elimination clears each pivot column above its pivot on
-    integer rows, dividing every combined row by its content; only the
-    final division by the row's pivot makes Fractions.
+    Returns the nonzero rows, each primitive and zero in every pivot
+    column but its own, and the pivot columns.  The back-elimination
+    clears each pivot column above its pivot, dividing every combined
+    row by its content.
     """
-    work = _int_rows(rows)
     pivots = _echelon(work, ncols)
     rank = len(pivots)
     work = [_primitive(row) for row in work[:rank]]
@@ -216,11 +216,63 @@ def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[VecQ], l
             q = row[pc]
             if q:
                 work[above] = _primitive([p * a - q * b for a, b in zip(row, low)])
-    out: list[VecQ] = []
-    for row, pc in zip(work, pivots):
-        p = row[pc]
-        out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
-    return out, pivots
+    return work, pivots
+
+
+def _unit_lead(row: Sequence[int]) -> VecQ:
+    """The rational vector on the line of a nonzero integer row whose
+    leading entry is 1."""
+    p = next(x for x in row if x)
+    return tuple(Fraction(x, p) if x else _ZERO for x in row)
+
+
+def _rank_int(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of integer rows, which are left unchanged."""
+    return len(_echelon(list(rows), ncols))
+
+
+def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of the integer rows of a skew matrix, checked to be even."""
+    r = _rank_int(rows, ncols)
+    if r % 2 != 0:
+        raise ArithmeticError("skew matrix produced odd rank")
+    return r
+
+
+def _span_int(rows: Sequence[Sequence[int]], ncols: int) -> "SubspaceQ":
+    """Canonical subspace spanned by integer rows."""
+    work, _ = _rref(list(rows), ncols)
+    return SubspaceQ(ncols, [_unit_lead(row) for row in work])
+
+
+def _rank_kernel_int(rows: Sequence[Sequence[int]], ncols: int
+                     ) -> tuple[int, list[list[int]]]:
+    """Rank and kernel of integer rows, the kernel as primitive integer
+    vectors: each is the canonical kernel vector of rank_kernel times
+    a positive integer.
+
+    Eliminating with the columns reversed writes each pivot variable in
+    terms of the free variables before it, so the kernel vector of free
+    column f is nonzero at f and zero at the other free columns: the
+    canonical basis up to scale, read off without a second reduction.
+    """
+    n = ncols
+    work, pivots = _rref([row[::-1] for row in rows], n)
+    # reversed column c is column n - 1 - c of the input
+    solved = [(n - 1 - c, row, row[c]) for c, row in zip(pivots, work)]
+    pivot_set = {pc for pc, _, _ in solved}
+    basis: list[list[int]] = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        hits = [(pc, row[n - 1 - f], p) for pc, row, p in solved if row[n - 1 - f]]
+        den = lcm(*(p for _, _, p in hits))
+        v = [0] * n
+        v[f] = den
+        for pc, x, p in hits:
+            v[pc] = -x * (den // p)
+        basis.append(_primitive(v))
+    return len(pivots), basis
 
 
 class SubspaceQ:
@@ -238,8 +290,7 @@ class SubspaceQ:
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        basis, _ = _rref(rows, ambient_dim)
-        return cls(ambient_dim, basis)
+        return _span_int(_int_rows(rows), ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceQ":
@@ -289,35 +340,15 @@ class SubspaceQ:
 
 
 def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
-    """Exact rank and kernel basis of M.
+    """Exact rank and canonical kernel basis of M.
 
     The kernel lives in Q^cols.  Skew input additionally asserts the
     even-rank invariant.  An empty matrix has rank 0 and full kernel.
-    Eliminating with the columns reversed writes each pivot variable in
-    terms of the free variables before it, so the kernel vector of free
-    column f starts with 1 at f and is zero at the other free columns:
-    the canonical basis, read off without a second reduction.
     """
-    n = M.cols
-    rows, pivots = _rref([row[::-1] for row in M._a], n)
-    r = len(pivots)
+    r, ker = _rank_kernel_int(_int_rows(M._a), M.cols)
     if r % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
-    # reversed column c is column n - 1 - c of M
-    solved = [(n - 1 - c, row) for c, row in zip(pivots, rows)]
-    pivot_set = {pc for pc, _ in solved}
-    basis: list[VecQ] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for pc, row in solved:
-            x = row[n - 1 - f]
-            if x:
-                v[pc] = -x
-        basis.append(tuple(v))
-    return r, SubspaceQ(n, basis)
+    return r, SubspaceQ(M.cols, [_unit_lead(v) for v in ker])
 
 
 def rank(M: MatQ) -> int:
@@ -333,17 +364,22 @@ def rank(M: MatQ) -> int:
 
 def solve_many(M: MatQ, rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:
     """Solutions of M x = b for several right-hand sides in one elimination."""
-    cols = M.cols
+    return _solve(M._a, M.cols, rhs_list)
+
+
+def _solve(rows: Sequence[Sequence[Union[int, Fraction]]], cols: int,
+           rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:
+    """solve_many on the rows of a matrix with int or Fraction entries."""
     vs = [vec(b) for b in rhs_list]
     for v in vs:
-        if len(v) != M.rows:
+        if len(v) != len(rows):
             raise ValueError("shape mismatch")
-    aug_rows = [tuple(row) + tuple(v[i] for v in vs) for i, row in enumerate(M._a)]
-    rref_rows, pivots = _rref(aug_rows, cols + len(vs))
-    solved = [(pc, row) for pc, row in zip(pivots, rref_rows) if pc < cols]
+    aug_rows = [tuple(row) + tuple(v[i] for v in vs) for i, row in enumerate(rows)]
+    work, pivots = _rref(_int_rows(aug_rows), cols + len(vs))
+    solved = [(pc, row) for pc, row in zip(pivots, work) if pc < cols]
     # rows past the coefficient pivots are zero on the coefficient block;
     # a right-hand side is inconsistent iff one of them is nonzero in it
-    rest = rref_rows[len(solved):]
+    rest = work[len(solved):]
     out: list[Optional[VecQ]] = []
     for col in range(cols, cols + len(vs)):
         if any(row[col] != 0 for row in rest):
@@ -351,7 +387,8 @@ def solve_many(M: MatQ, rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[V
             continue
         x = [_ZERO] * cols
         for pc, row in solved:
-            x[pc] = row[col]
+            if row[col]:
+                x[pc] = Fraction(row[col], row[pc])
         out.append(tuple(x))
     return out
 
@@ -370,8 +407,8 @@ def invert(M: MatQ) -> MatQ:
 
 def annihilator(U: SubspaceQ) -> SubspaceQ:
     """Vectors pairing to zero with U under the standard bilinear form."""
-    M = MatQ(U.basis, cols=U.ambient_dim)
-    return rank_kernel(M)[1]
+    _, ker = _rank_kernel_int(_int_rows(U.basis), U.ambient_dim)
+    return SubspaceQ(U.ambient_dim, [_unit_lead(v) for v in ker])
 
 
 def image(M: MatQ, U: SubspaceQ) -> SubspaceQ:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 from .exactlin import MatQ, SubspaceQ, Scalar, rank_kernel, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
-from .poisson import CasimirSet, bracket, coordinate_bracket, frozen_bracket
+from .poisson import CasimirSet, bracket, coordinate_brackets, frozen_bracket
 
 DEFICIT = "DEFICIT"
 EXACT = "EXACT"
@@ -190,7 +190,7 @@ def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly]) -> SubspaceQ:
     """
     rows: list[list[Fraction]] = []
     for p in polys:
-        per_var = [coordinate_bracket(L, i, p) for i in range(L.dim)]
+        per_var = coordinate_brackets(L, p)
         monomials = set()
         for q in per_var:
             monomials.update(q.terms)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank, rat_str, invert, vec
+from .exactlin import MatQ, Scalar, _skew_rank, invert, rank, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
 from .mpoly import MPoly, determinant, drop_last_var, extract_var_coeffs
 from .sampling import integer_point, rng_stream
@@ -122,14 +122,61 @@ def coordinate_bracket(L: LieAlgebraData, i: int, f: MPoly) -> MPoly:
     return _bracket_kernel(L.dim, x_i, f, _linear_pairs(L))
 
 
+def coordinate_brackets(L: LieAlgebraData, f: MPoly) -> list[MPoly]:
+    """{x_i, f} for every coordinate i, from one structure table.
+
+    {x_i, f} = sum over j of C(i, j) d_j f, so each term of f, packed
+    once as in _bracket_kernel, feeds every i through the table entries
+    of its variables; one accumulator per i collects the terms.
+    """
+    n = L.dim
+    if f.nvars != n:
+        raise ValueError("polynomial must live on the dual of the algebra")
+    # the field width _bracket_kernel takes for x_i and f
+    width = (f.degree() + 1).bit_length() + 1
+    weights = [1 << (v * width) for v in range(n)]
+    pairs = list(L.pairs())
+    tden = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))
+    # by_var[j]: (i, packed offset, integer coefficient) of C(i, j) / x_j
+    by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, j, coeffs in pairs:
+        for k, c in coeffs.items():
+            cn = c.numerator * (tden // c.denominator)
+            by_var[j].append((i, weights[k] - weights[j], cn))
+            by_var[i].append((j, weights[k] - weights[i], -cn))
+    fterms, fden = _packed_terms(f, weights)
+    accs: list[dict[int, int]] = [{} for _ in range(n)]
+    for mf, cf, sf in fterms:
+        for j, ej in sf:
+            a = cf * ej
+            for i, off, c in by_var[j]:
+                acc = accs[i]
+                key = mf + off
+                acc[key] = acc.get(key, 0) + a * c
+    den = fden * tden
+    mask = (1 << width) - 1
+    shifts = [v * width for v in range(n)]
+    return [MPoly._trusted(n, {tuple((key >> s) & mask for s in shifts): Fraction(c, den)
+                               for key, c in acc.items() if c})
+            for acc in accs]
+
+
 @dataclass
 class KirillovForm:
+    """The skew form at a point: integer rows over one positive
+    denominator, which is 1 at integer points of an algebra with
+    integer structure constants."""
     at: tuple[Fraction, ...]
-    matrix: MatQ
+    rows: list[list[int]]
+    den: int
+
+    @property
+    def matrix(self) -> MatQ:
+        return MatQ([[Fraction(x, self.den) for x in row] for row in self.rows])
 
     @property
     def rank(self) -> int:
-        return rank(self.matrix)
+        return _skew_rank(self.rows, len(self.rows))
 
 
 def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
@@ -138,15 +185,16 @@ def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
     if len(pt) != L.dim:
         raise ValueError("point length mismatch")
     n = L.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, coeffs in L.pairs():
-        v = sum((c * pt[k] for k, c in coeffs.items()), Fraction(0))
-        if v != 0:
-            rows[i][j] = v
-            rows[j][i] = -v
-    M = MatQ(rows)
-    assert M.is_skew()
-    return KirillovForm(pt, M)
+    pden = lcm(*(x.denominator for x in pt))
+    ipt = [x.numerator * (pden // x.denominator) for x in pt]
+    pairs = list(L.pairs())
+    cden = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))
+    rows = [[0] * n for _ in range(n)]
+    for i, j, coeffs in pairs:
+        v = sum(c.numerator * (cden // c.denominator) * ipt[k] for k, c in coeffs.items())
+        rows[i][j] = v
+        rows[j][i] = -v
+    return KirillovForm(pt, rows, pden * cden)
 
 
 def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
@@ -164,7 +212,7 @@ def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
     for t in range(trials):
         rng = rng_stream(seed, "index-sample", t)
         pt = integer_point(rng, L.dim, bound)
-        r = rank(kirillov(L, pt).matrix)
+        r = kirillov(L, pt).rank
         if r > max_rank:
             max_rank, witness = r, pt
     return AlgebraProfile(
@@ -182,10 +230,7 @@ class CasimirCheck:
 
 def is_casimir(L: LieAlgebraData, f: MPoly) -> CasimirCheck:
     """Exact test that {x_i, f} vanishes for every coordinate."""
-    if f.nvars != L.dim:
-        raise ValueError("polynomial must live on the dual of the algebra")
-    for i in range(L.dim):
-        defect = coordinate_bracket(L, i, f)
+    for i, defect in enumerate(coordinate_brackets(L, f)):
         if not defect.is_zero():
             return CasimirCheck(False, i, defect)
     return CasimirCheck(True)

@@ -17,30 +17,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence, Union
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, annihilator, rank, rank_kernel, rat,
-                       rat_str, solve_many)
+from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int,
+                       _rref, _skew_rank, _solve, _span_int, _unit_lead, annihilator, rat,
+                       rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import kirillov
 from .regcert import FalsificationError
 
 Ratio = tuple[Fraction, Fraction]
+IntRows = list[list[int]]
 
 
 class SkewPencil:
-    """A pair of skew forms on the same space, spanning the pencil."""
+    """A pair of skew forms on the same space, spanning the pencil.
 
-    __slots__ = ("A", "B")
+    A and B are kept as integer rows A' = d A and B' = d B over one
+    positive denominator d.  Every question asked below (ranks, kernels,
+    images, spans) has the same answer for c A and c B, c > 0, so the
+    analysis runs on A' and B' alone.
+    """
+
+    __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, A: MatQ, B: MatQ):
         if A.rows != A.cols or B.rows != B.cols or A.rows != B.rows:
             raise ValueError("pencil needs two square matrices of equal size")
         if not (A.is_skew() and B.is_skew()):
             raise ValueError("pencil matrices must be skew-symmetric")
-        self.A = A
-        self.B = B
+        a, b = A.to_lists(), B.to_lists()
+        den = lcm(*(x.denominator for rows in (a, b) for row in rows for x in row))
+        self._a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+        self._b = [[x.numerator * (den // x.denominator) for x in row] for row in b]
+        self._den = den
 
     @classmethod
     def from_matrices(cls, a_rows: Sequence[Sequence[Scalar]],
@@ -50,17 +62,49 @@ class SkewPencil:
     @classmethod
     def from_kirillov(cls, L: LieAlgebraData, xi: Sequence[Scalar],
                       eta: Sequence[Scalar]) -> "SkewPencil":
-        return cls(kirillov(L, xi).matrix, kirillov(L, eta).matrix)
+        ka, kb = kirillov(L, xi), kirillov(L, eta)
+        den = lcm(ka.den, kb.den)
+        pencil = object.__new__(cls)
+        pencil._a = [[x * (den // ka.den) for x in row] for row in ka.rows]
+        pencil._b = [[x * (den // kb.den) for x in row] for row in kb.rows]
+        pencil._den = den
+        return pencil
+
+    @property
+    def A(self) -> MatQ:
+        return self.member(1, 0)
+
+    @property
+    def B(self) -> MatQ:
+        return self.member(0, 1)
 
     @property
     def dim(self) -> int:
-        return self.A.rows
+        return len(self._a)
 
     def member(self, a: Scalar, b: Scalar) -> MatQ:
-        a, b = rat(a), rat(b)
-        # one pass; entries zero in both forms stay zero without arithmetic
-        return MatQ([[a * x + b * y if x or y else x for x, y in zip(ra, rb)]
-                     for ra, rb in zip(self.A.to_lists(), self.B.to_lists())])
+        """The exact member a A + b B."""
+        a, b = rat(a) / self._den, rat(b) / self._den
+        return MatQ([[a * x + b * y for x, y in zip(ra, rb)]
+                     for ra, rb in zip(self._a, self._b)])
+
+    def _member(self, a: int, b: int) -> IntRows:
+        """Integer rows of a A' + b B' = d (a A + b B).  A rational ratio
+        enters as _int_rows([ratio])[0], proportional to it by a positive
+        factor."""
+        return [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self._a, self._b)]
+
+
+def _matvec(rows: IntRows, v: Sequence[Union[int, Fraction]]) -> list:
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
+def _skew_kernel(rows: IntRows, n: int) -> tuple[int, IntRows]:
+    """Rank and integer kernel basis of a skew member, the rank checked even."""
+    r, ker = _rank_kernel_int(rows, n)
+    if r % 2 != 0:
+        raise ArithmeticError("skew matrix produced odd rank")
+    return r, ker
 
 
 def base_ratios(dim: int) -> list[Ratio]:
@@ -79,7 +123,7 @@ def base_ratios(dim: int) -> list[Ratio]:
 class PencilRankProfile:
     m: int
     ranks: tuple[tuple[Ratio, int], ...]
-    kernels: tuple[SubspaceQ, ...] = field(repr=False)
+    kernels: tuple[IntRows, ...] = field(repr=False)
 
     def regular_ratios(self) -> list[Ratio]:
         return [r for r, rank in self.ranks if rank == self.m]
@@ -93,11 +137,11 @@ class PencilRankProfile:
 def rank_profile(pencil: SkewPencil) -> PencilRankProfile:
     """Generic rank and the per-direction ranks over the base ratios.
 
-    The members' kernels are kept for compute_L.
+    The members' kernels are kept for compute_L, as integer vectors.
     """
     ranks, kernels = [], []
     for a, b in base_ratios(pencil.dim):
-        r, ker = rank_kernel(pencil.member(a, b))
+        r, ker = _skew_kernel(pencil._member(*_int_rows([(a, b)])[0]), pencil.dim)
         ranks.append(((a, b), r))
         kernels.append(ker)
     m = max(r for _, r in ranks)
@@ -113,6 +157,7 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None,
     extends past the base ratios up to a hard cap, at which point a
     non-stabilized sum is an error rather than a silent answer.  The
     base-ratio kernels come from the rank profile, reused when given.
+    A kernel adds nothing when it leaves the rank of the sum unchanged.
     """
     n = pencil.dim
     if profile is None:
@@ -120,20 +165,19 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None,
     if m is None:
         m = profile.m
     cap = 4 * n + 10
-    extra = (rank_kernel(pencil.member(Fraction(1), Fraction(k)))
-             for k in range(n + 1, cap))
+    extra = (_skew_kernel(pencil._member(1, k), n) for k in range(n + 1, cap))
     base = zip((r for _, r in profile.ranks), profile.kernels)
-    L = SubspaceQ.zero(n)
+    rows: IntRows = []    # a basis of the sum so far
     consecutive = 0
     for r, ker in chain(base, extra):
         if r != m:
             continue
-        if ker.is_subspace_of(L):
+        if _rank_int(rows + ker, n) == len(rows):
             consecutive += 1
         else:
-            L, consecutive = L + ker, 0
+            rows, consecutive = _rref(rows + ker, n)[0], 0
         if consecutive >= n:
-            return L
+            return _span_int(rows, n)
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
 
@@ -153,32 +197,33 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     structure theory, so they raise FalsificationError.
     """
     n = pencil.dim
-    avs = [pencil.A.matvec(v) for v in L.basis]
-    bvs = [pencil.B.matvec(v) for v in L.basis]
-    WA = SubspaceQ.span(avs, n)
-    WB = SubspaceQ.span(bvs, n)
-    if WA != WB:
+    lrows = _int_rows(L.basis)
+    avs = [_matvec(pencil._a, v) for v in lrows]
+    bvs = [_matvec(pencil._b, v) for v in lrows]
+    W = _span_int(avs, n)
+    # A(L) = B(L) exactly when both images and their sum have one dimension
+    b_dim = _rank_int(bvs, n)
+    if b_dim != W.dim or _rank_int(avs + bvs, n) != W.dim:
         raise FalsificationError(
             "kernel-sum images under the two pencil generators differ",
-            {"dim": n, "L_dim": L.dim, "A_image_dim": WA.dim,
-             "B_image_dim": WB.dim})
-    W = WA
-    AL = MatQ([[av[i] for av in avs] for i in range(n)], cols=L.dim)
-    K = SubspaceQ.zero(n)
-    while K.dim < W.dim:
-        # kernel vectors (c, d) of [B v_1 .. B v_l | -k_1 .. -k_k] are the
+            {"dim": n, "L_dim": L.dim, "A_image_dim": W.dim,
+             "B_image_dim": b_dim})
+    K: IntRows = []     # a basis of K, which stays inside W
+    while len(K) < W.dim:
+        # kernel vectors (c, e) of [B v_1 .. B v_l | -k_1 .. -k_k] are the
         # x = sum c_j v_j in L with B x in K
-        cols = bvs + [tuple(-x for x in k) for k in K.basis]
-        _, ker = rank_kernel(MatQ([[c[i] for c in cols] for i in range(n)],
-                                  cols=len(cols)))
-        grown = SubspaceQ.span([AL.matvec(u[:L.dim]) for u in ker.basis], n)
-        if grown.dim == K.dim:
+        cols = bvs + [[-x for x in k] for k in K]
+        _, ker = _rank_kernel_int([[c[i] for c in cols] for i in range(n)], len(cols))
+        # zip stops after the l coefficients c, so each row is A x
+        grown, _ = _rref([[sum(c * av[i] for c, av in zip(u, avs)) for i in range(n)]
+                          for u in ker], n)
+        if len(grown) == len(K):
             break
         K = grown
-    if K != W:
+    if len(K) != W.dim:
         raise FalsificationError(
             "some pencil member maps the kernel sum onto a smaller image",
-            {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": K.dim})
+            {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": len(K)})
     return W
 
 
@@ -194,22 +239,25 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     n = pencil.dim
     if m is None:
         m = rank_profile(pencil).m
-    Am = pencil.member(*A_ratio)
-    Bm = pencil.member(*B_ratio)
-    r, kerA = rank_kernel(Am)
+    # one factor clears both ratios, so A w = B v keeps its solutions
+    a1, a2, b1, b2 = _int_rows([tuple(A_ratio) + tuple(B_ratio)])[0]
+    Am = pencil._member(a1, a2)
+    Bm = pencil._member(b1, b2)
+    r, kerA = _skew_kernel(Am, n)
     if r != m:
         raise ValueError("the A-direction of the recursion operator must be regular")
-    if not kerA.is_subspace_of(L):
+    lrows = _int_rows(L.basis)
+    if _rank_int(lrows + kerA, n) != len(lrows):
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
-            {"dim": n, "member_rank": r, "kernel_dim": kerA.dim, "L_dim": L.dim})
+            {"dim": n, "member_rank": r, "kernel_dim": len(kerA), "L_dim": L.dim})
     comp: list[tuple[Fraction, ...]] = []
-    cur = L
-    for v in Ltilde.basis:
-        if not cur.contains(v):
+    cur = lrows
+    for v, iv in zip(Ltilde.basis, _int_rows(Ltilde.basis)):
+        if _rank_int(cur + [iv], n) > len(cur):
             comp.append(v)
-            cur = cur + SubspaceQ.span([v], n)
-    ws = solve_many(Am, [Bm.matvec(v) for v in comp])
+            cur = cur + [iv]
+    ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
     for v, w in zip(comp, ws):
         if w is None:
             raise FalsificationError(
@@ -223,11 +271,10 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     # coordinates in the basis comp + L.basis; independence from the
     # particular solution is checked rather than assumed, by expanding
     # every image shifted by a kernel vector as well
-    shifts = [tuple(x + k for x, k in zip(w, kerA.basis[0])) for w in ws] \
-        if kerA.dim > 0 else []
+    shift = _unit_lead(kerA[0]) if kerA else None
+    shifts = [tuple(x + k for x, k in zip(w, shift)) for w in ws] if shift else []
     frame = list(comp) + list(L.basis)
-    coords = solve_many(MatQ([[u[i] for u in frame] for i in range(n)], cols=len(frame)),
-                        ws + shifts)
+    coords = _solve([[u[i] for u in frame] for i in range(n)], len(frame), ws + shifts)
     q = len(comp)
     columns: list[tuple[Fraction, ...]] = []
     for j, w in enumerate(ws):
@@ -239,7 +286,7 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
         if shifts and (coords[q + j] is None or coords[q + j][:q] != col):
             raise FalsificationError(
                 "recursion operator depends on the particular solution",
-                {"dim": n, "kernel_shift": [rat_str(x) for x in kerA.basis[0]]})
+                {"dim": n, "kernel_shift": [rat_str(x) for x in shift]})
         columns.append(col)
     return MatQ([[columns[j][i] for j in range(q)] for i in range(q)]) \
         if q else MatQ.zeros(0, 0)
@@ -318,7 +365,8 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
     Ltilde = annihilator(W)
     # W = A(L) = B(L), so L inside the annihilator of W is exactly
     # isotropy of L for A and B
-    if not L.is_subspace_of(Ltilde):
+    wrows = _int_rows(W.basis)
+    if any(sum(x * y for x, y in zip(v, w)) for v in _int_rows(L.basis) for w in wrows):
         raise FalsificationError(
             "kernel sum is not isotropic for the pencil",
             {"dim": n, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
@@ -337,11 +385,9 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
             B_ratio = (Fraction(1), Fraction(0))
     cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m))
     eigs = rational_roots(cp)
-    Am = pencil.member(*A_ratio)
-    Bm = pencil.member(*B_ratio)
     for lam in eigs:
-        drop = Bm + Am.scale(-lam)
-        r = rank(drop)
+        drop = (B_ratio[0] - lam * A_ratio[0], B_ratio[1] - lam * A_ratio[1])
+        r = _skew_rank(pencil._member(*_int_rows([drop])[0]), n)
         if r >= m:
             raise FalsificationError(
                 "recursion eigenvalue does not match a singular direction",

@@ -3,7 +3,8 @@
 Two oracles that share no code with the kernel check bracket,
 frozen_bracket and coordinate_bracket: the partial-derivative formula
 sum_{i<j} C(i,j) (d_i f d_j g - d_j f d_i g) written with MPoly
-arithmetic, and the same formula evaluated by sympy's diff.  The
+arithmetic, and the same formula evaluated by sympy's diff.  The batched
+coordinate_brackets must agree with coordinate_bracket.  The
 field-width cases put deg f + deg g at 2^k - 1, 2^k and 2^k + 1 with
 one exponent field at its largest possible value.
 """
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from argshift.liealg import (LieAlgebraData, make_classical, make_sl2_so2_contraction,
                              make_takiff, make_vinberg)
 from argshift.mpoly import MPoly
-from argshift.poisson import bracket, coordinate_bracket, frozen_bracket
+from argshift.poisson import bracket, coordinate_bracket, coordinate_brackets, frozen_bracket
 from argshift.sampling import rng_stream
 
 ALGEBRAS = {
@@ -114,8 +115,10 @@ CASES = list(seeded_cases(6))
 def test_matches_partial_derivative_formula(name, L, f, g, xi):
     assert bracket(L, f, g) == formula_bracket(L, f, g)
     assert frozen_bracket(L, xi, f, g) == formula_frozen(L, xi, f, g)
+    batched = coordinate_brackets(L, f)
     for i in range(L.dim):
         assert coordinate_bracket(L, i, f) == formula_bracket(L, MPoly.variable(L.dim, i), f)
+        assert batched[i] == coordinate_bracket(L, i, f)
 
 
 def test_seeded_cases_include_nonzero_results():
@@ -190,6 +193,8 @@ def test_wrong_variable_count_raises():
         frozen_bracket(SL2, (1, 2, 3), g, f)
     with pytest.raises(ValueError):
         coordinate_bracket(SL2, 0, g)
+    with pytest.raises(ValueError, match="dual of the algebra"):
+        coordinate_brackets(SL2, g)
 
 
 def test_point_length_mismatch_raises():

@@ -244,6 +244,32 @@ def test_pencil_analyze_matrices_mode(capsys, tmp_path):
     assert v["char_poly"] == ["0", "0", "1", "-2", "1"]
 
 
+@pytest.mark.parametrize("A, B, kind", [
+    # a generic 5 x 5 pencil: Kronecker, L of dimension 3
+    ([[0, 1, -2, 3, 1], [-1, 0, 4, -1, 2], [2, -4, 0, 5, -3], [-3, 1, -5, 0, 1],
+      [-1, -2, 3, -1, 0]],
+     [[0, 2, 1, -1, 3], [-2, 0, -3, 2, 1], [-1, 3, 0, 1, -2], [1, -2, -1, 0, 4],
+      [-3, -1, 2, -4, 0]], "kronecker"),
+    # a Jordan block at 3 with A halved: B - 6 A is the singular member
+    ([[0, 0, Fraction(1, 2), 0], [0, 0, 0, Fraction(1, 2)], [Fraction(-1, 2), 0, 0, 0],
+      [0, Fraction(-1, 2), 0, 0]],
+     [[0, 0, 3, 1], [0, 0, 0, 3], [-3, 0, 0, 0], [-1, -3, 0, 0]], "jordan-mixed"),
+])
+def test_pencil_analyze_ignores_a_common_factor(capsys, tmp_path, A, B, kind):
+    seen = []
+    for c in (Fraction(1), Fraction(1, 7)):
+        path = tmp_path / f"pencil_{c.denominator}.json"
+        jsonio.write_json(str(path), {"A": [[str(c * x) for x in r] for r in A],
+                                      "B": [[str(c * x) for x in r] for r in B]})
+        code, report = run(capsys, "pencil", "analyze", "--matrices", str(path))
+        assert code == 0
+        assert report["verdicts"]["pencil"]["kind"] == kind
+        seen.append((report["verdicts"], report["subspaces"]))
+    assert seen[0] == seen[1]
+    if kind == "jordan-mixed":
+        assert seen[0][0]["pencil"]["eigenvalues"] == [["6", 4]]
+
+
 def test_pencil_analyze_requires_input(capsys):
     code, _ = run(capsys, "pencil", "analyze")
     assert code == 2

@@ -6,6 +6,7 @@ kernel vectors are checked by direct substitution.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 from argshift.exactlin import (
     MatQ,
     SubspaceQ,
+    _rank_int,
+    _rank_kernel_int,
+    _span_int,
     annihilator,
     image,
     invert,
@@ -279,6 +283,27 @@ def test_kernel_of_skew_matrices_is_sympy_nullspace_in_rref(S):
 def test_kernel_of_degenerate_shapes(M):
     check_kernel(M)
     assert rank_kernel(M)[1] == SubspaceQ.full(M.cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-12, 12), min_size=cols, max_size=cols), max_size=6)
+    .map(lambda rows: (rows, cols))))
+def test_integer_entry_matches_rank_kernel(rows_cols):
+    # the integer-row entry gives rank_kernel's rank and, line for line,
+    # its canonical kernel, each vector primitive with a positive lead
+    rows, cols = rows_cols
+    M = MatQ(rows, cols=cols)
+    r, ker = _rank_kernel_int(rows, cols)
+    R, K = rank_kernel(M)
+    assert r == R == _rank_int(rows, cols)
+    assert len(ker) == K.dim
+    for v, canonical in zip(ker, K.basis):
+        lead = next(x for x in v if x)
+        assert lead > 0 and gcd(*v) == 1
+        assert tuple(Fraction(x, lead) for x in v) == canonical
+    assert K.basis == sympy_kernel_rref(M)
+    assert _span_int(rows, cols) == SubspaceQ.span(rows, cols)
 
 
 def check_solve_many(M, rhs):

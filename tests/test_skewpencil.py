@@ -16,9 +16,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank
+from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
 from argshift.liealg import make_classical, make_takiff
 from argshift.mpoly import MPoly, rational_roots, stream_minor_gcd
+from argshift.poisson import kirillov
 from argshift.regcert import FalsificationError
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
@@ -124,6 +125,10 @@ def test_block_pencil_phi_matrix():
                        (Fraction(0), Fraction(1)))
     assert phi == MatQ([[0, 0, 0, 0], [0, 0, 0, 0],
                         [0, 0, 1, 0], [0, 0, 0, 1]])
+    # halving the A-direction doubles the solutions of A w = B v
+    half = phi_operator(pencil, L, Lt, (Fraction(1, 2), Fraction(1, 2)),
+                        (Fraction(0), Fraction(1)))
+    assert half == phi.scale(2)
 
 
 def test_phi_requires_regular_a_direction():
@@ -302,6 +307,149 @@ def test_image_routes_agree_on_seeded_pencils(w, l):
             if forced:
                 assert W is None
     assert seen == ({False, True} if l > 1 else {True})
+
+
+# --- the integer pencil layer against the Fraction route -----------------------
+
+def fraction_analysis(A: MatQ, B: MatQ) -> dict:
+    """The analysis verify_com1 reports, by the Fraction route: exact
+    members, the is_subspace_of walk for the kernel sum, MatQ.matvec
+    images with the Wong sequence on SubspaceQ, and the recursion
+    operator through solve_many."""
+    n = A.rows
+
+    def member(a, b):
+        return A.scale(a) + B.scale(b)
+    ranks = [((a, b), rank_kernel(member(a, b))) for a, b in base_ratios(n)]
+    m = max(r for _, (r, _) in ranks)
+    extra = [(Fraction(1), Fraction(k)) for k in range(n + 1, 4 * n + 10)]
+    L, consecutive = SubspaceQ.zero(n), 0
+    for a, b in [r for r, _ in ranks] + extra:
+        r, ker = rank_kernel(member(a, b))
+        if r != m:
+            continue
+        if ker.is_subspace_of(L):
+            consecutive += 1
+        else:
+            L, consecutive = L + ker, 0
+        if consecutive >= n:
+            break
+    avs = [A.matvec(v) for v in L.basis]
+    W = SubspaceQ.span(avs, n)
+    assert W == SubspaceQ.span([B.matvec(v) for v in L.basis], n)
+    AL = MatQ([[av[i] for av in avs] for i in range(n)], cols=L.dim)
+    K = SubspaceQ.zero(n)
+    while K.dim < W.dim:
+        cols = [B.matvec(v) for v in L.basis] + [tuple(-x for x in k) for k in K.basis]
+        _, ker = rank_kernel(MatQ([[c[i] for c in cols] for i in range(n)], cols=len(cols)))
+        grown = SubspaceQ.span([AL.matvec(u[:L.dim]) for u in ker.basis], n)
+        if grown.dim == K.dim:
+            break
+        K = grown
+    assert K == W
+    Lt = annihilator(W)
+    assert L.is_subspace_of(Lt)
+    out = {"m": m, "L": L, "image": W, "Ltilde": Lt, "kind": "kronecker",
+           "ranks": tuple((ratio, r) for ratio, (r, _) in ranks),
+           "eigenvalues": (), "char_poly": None}
+    if L == Lt:
+        return out
+    A_ratio = next(ratio for ratio, (r, _) in ranks if r == m)
+    B_ratio = (Fraction(1), Fraction(0)) if A_ratio[0] == 0 else (Fraction(0), Fraction(1))
+    Am, Bm = member(*A_ratio), member(*B_ratio)
+    comp, cur = [], L
+    for v in Lt.basis:
+        if not cur.contains(v):
+            comp.append(v)
+            cur = cur + SubspaceQ.span([v], n)
+    ws = solve_many(Am, [Bm.matvec(v) for v in comp])
+    frame = comp + list(L.basis)
+    coords = solve_many(MatQ([[u[i] for u in frame] for i in range(n)], cols=len(frame)), ws)
+    q = len(comp)
+    cp = char_poly(MatQ([[coords[j][i] for j in range(q)] for i in range(q)], cols=q))
+    out.update(kind="jordan-mixed", char_poly=cp,
+               eigenvalues=tuple(sorted(rational_roots(cp).items())))
+    return out
+
+
+def analysis_fields(analysis: PencilAnalysis) -> dict:
+    return {"m": analysis.m, "L": analysis.L, "image": analysis.image,
+            "Ltilde": analysis.Ltilde, "kind": analysis.kind, "ranks": analysis.ranks,
+            "eigenvalues": analysis.eigenvalues, "char_poly": analysis.char_poly}
+
+
+def congruent(M, P):
+    return (MatQ(P).transpose() * MatQ(M) * MatQ(P)).to_lists()
+
+
+SL3 = make_classical("sl", 3)
+SUBREGULAR = (0, 0, 0, 0, 3, 0, 0, 0)
+E = (1, 0, 0, 0, 0, 0, 0, 1)
+
+
+def halved(v):
+    return tuple(Fraction(x, 2) for x in v)
+
+
+# Kirillov pencils.  On span(S + E, E), S subregular, the singular
+# directions are (0 : 1) and (1 : -1), so scaling one form alone moves
+# the second; halving one point gives its form denominator 2.
+S_E = tuple(x + y for x, y in zip(SUBREGULAR, E))
+PLANES = [(SL2, (1, 0, 0), (0, 0, 1)), (SL3, SUBREGULAR, E), (SL3, S_E, E),
+          (SL3, halved(S_E), E), (SL3, S_E, halved(E)),
+          (SL3, (1, Fraction(-1, 3), 2, 0, 1, 5, 0, -1), (2, 1, 0, -1, 3, 0, 1, 1))]
+
+
+def oracle_pencils():
+    """(A, B) pairs: seeded integer pencils, Jordan-type congruences, Kirillov
+    forms, and pencils whose two forms have different denominators."""
+    pairs = [(MatQ(BLOCK_A), MatQ(BLOCK_B)), (MatQ(BLOCK_A), MatQ(BLOCK_A))]
+    pairs += [(kirillov(L, xi).matrix, kirillov(L, eta).matrix) for L, xi, eta in PLANES]
+    for trial in range(6):
+        rng = rng_stream(31, "pencil-oracle", trial)
+        n = rng.randint(4, 7)
+        pairs.append((random_skew(rng, n), random_skew(rng, n)))
+        # a Jordan block at lam under a random congruence, one form scaled
+        # by 1/2 so that the two forms have different denominators
+        lam = rng.randint(-3, 3)
+        P = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        if rank(MatQ(P)) == 4:
+            J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+            K = [[0, 0, lam, 1], [0, 0, 0, lam], [-lam, 0, 0, 0], [-1, -lam, 0, 0]]
+            pairs.append((MatQ(congruent(J, P)).scale(Fraction(1, 2)), MatQ(congruent(K, P))))
+        # fractional entries with unrelated denominators in A and B
+        A, B = random_skew(rng, n), random_skew(rng, n)
+        pairs.append((A.scale(Fraction(1, rng.choice((2, 3, 6)))), B.scale(Fraction(2, 5))))
+    return pairs
+
+
+@pytest.mark.parametrize("k", range(len(oracle_pencils())))
+def test_integer_layer_matches_fraction_route(k):
+    A, B = oracle_pencils()[k]
+    want = fraction_analysis(A, B)
+    for c in (1, 7, Fraction(1, 7)):
+        pencil = SkewPencil(A.scale(c), B.scale(c))
+        assert rank_profile(pencil).m == want["m"]
+        assert compute_L(pencil) == want["L"]
+        assert check_image_equality(pencil, want["L"]) == want["image"]
+        assert analysis_fields(verify_com1(pencil)) == want
+
+
+@pytest.mark.parametrize("L, xi, eta", PLANES)
+def test_kirillov_pencils_match_fraction_route(L, xi, eta):
+    want = fraction_analysis(kirillov(L, xi).matrix, kirillov(L, eta).matrix)
+    assert analysis_fields(verify_com1(SkewPencil.from_kirillov(L, xi, eta))) == want
+
+
+def test_oracle_pencils_cover_both_kinds_and_denominators():
+    pairs = oracle_pencils()
+    kinds = {fraction_analysis(A, B)["kind"] for A, B in pairs}
+    assert kinds == {"kronecker", "jordan-mixed"}
+    # pencils whose forms differ in denominator, where scaling one form
+    # alone changes the answer
+    assert any(SkewPencil(A, B)._den > 1 and
+               fraction_analysis(A, B) != fraction_analysis(A, B.scale(2))
+               for A, B in pairs)
 
 
 # --- char_poly against sympy ------------------------------------------------

@@ -31,7 +31,7 @@ from .liealg import (AlgebraProfile, LieAlgebraData, make_classical,
 from .mfshift import (EXACT, build_family, certify_commutative,
                       degree_profile, find_nonmaximality_witness)
 from .mpoly import MPoly
-from .poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
+from .poisson import (CasimirSet, bracket, classical_casimir_polys, estimate_index,
                       is_casimir, kirillov)
 from .regcert import (FalsificationError, PlaneSpec, certify_codim2,
                       certify_regular_plane, find_regular_plane, is_regular,
@@ -483,7 +483,8 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
             if family not in ("gl", "sl"):
                 raise ValueError(
                     "--classical needs a gl or sl algebra built by this tool")
-            cs = classical_casimirs(family, int(n), seed=seed)
+            # verified on the loaded table, at the default sample bound
+            cs = CasimirSet.verified(L, classical_casimir_polys(family, int(n)), seed=seed)
             inputs["casimirs"] = {"derived": f"classical {family}({n})"}
         elif raw_cas is not None:
             parsed = jsonio.casimirs_from_json(raw_cas)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 VecQ = tuple[Fraction, ...]
@@ -67,16 +67,9 @@ class MatQ:
     def zeros(cls, rows: int, cols: int) -> "MatQ":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "MatQ":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self._a[i][j]
-
-    def row(self, i: int) -> VecQ:
-        return self._a[i]
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self._a]
@@ -393,16 +386,29 @@ def _solve(rows: Sequence[Sequence[Union[int, Fraction]]], cols: int,
     return out
 
 
-def invert(M: MatQ) -> MatQ:
-    """Inverse of a square matrix; singular exactly when a unit vector
-    is outside the column space."""
-    if M.rows != M.cols:
-        raise ValueError("inverse of non-square matrix")
-    n = M.rows
-    cols = solve_many(M, [[int(i == j) for i in range(n)] for j in range(n)])
-    if any(x is None for x in cols):
-        raise ArithmeticError("matrix is singular")
-    return MatQ([[x[i] for x in cols] for i in range(n)], cols=n)
+def faddeev_leverrier(rows: Sequence[Sequence[Any]], one: Any) -> list:
+    """Coefficients of det(tI - M), ascending in t, for a square M over
+    any commutative ring that contains Q.
+
+    Faddeev-LeVerrier: N_k = M (N_(k-1) + c_(q-k+1) I) from N_0 = 0, and
+    c_(q-k) = -tr(N_k) / k.  The ring needs +, - and *, and a product
+    with a Fraction for the division by k; `one` is its unit.  Zero
+    entries of M are skipped, so a sparse M costs its nonzero entries.
+    """
+    q = len(rows)
+    zero = one - one
+    nonzero = [[(l, x) for l, x in enumerate(row) if x != zero] for row in rows]
+    coeffs = [one]
+    prod = [[zero] * q for _ in range(q)]
+    for k in range(1, q + 1):
+        c = coeffs[-1]
+        shifted = [[x + c if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(prod)]
+        # the last step needs only the trace
+        prod = [[sum((x * shifted[l][j] for l, x in nz), zero) if k < q or i == j else zero
+                 for j in range(q)] for i, nz in enumerate(nonzero)]
+        coeffs.append(sum((prod[i][i] for i in range(q)), zero) * Fraction(-1, k))
+    return coeffs[::-1]
 
 
 def annihilator(U: SubspaceQ) -> SubspaceQ:

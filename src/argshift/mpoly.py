@@ -3,8 +3,8 @@
 A polynomial is a map from exponent vectors to nonzero Fraction
 coefficients.  The monomial order used everywhere (leading terms,
 normalization, display) is graded lexicographic.  The shift expansion
-``param_expand`` and the exact gcd live here because every certificate
-in the workbench reduces to them.
+``param_expand``, the exact gcd and the integer gradient ranks live here
+because every certificate in the workbench reduces to them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, comb, gcd as int_gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import Scalar, rat, rat_str, vec
+from .exactlin import Scalar, _rank_int, rat, rat_str, vec
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -191,9 +191,6 @@ class MPoly:
                     v *= x ** k
             total += v
         return total
-
-    def grad_at(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        return tuple(self.partial(i).evaluate(point) for i in range(self.nvars))
 
     def compose(self, subs: Sequence["MPoly"]) -> "MPoly":
         """Substitute subs[i] for variable i; subs share one target ring."""
@@ -613,6 +610,73 @@ def rational_roots(coeffs: Sequence[Scalar]) -> dict[Fraction, int]:
         if mult:
             roots[Fraction(s, lc)] = mult
     return roots
+
+
+# --- gradients on integer rows ---------------------------------------------
+
+# per polynomial (nvars, degree, terms); a term is (integer coefficient over
+# the polynomial's common denominator, [(variable, exponent)], degree)
+GradTable = list[tuple[int, int, list[tuple[int, list[tuple[int, int]], int]]]]
+
+
+def gradient_table(polys: Sequence[MPoly]) -> GradTable:
+    """The terms of each polynomial on integer coefficients, for gradient_rank."""
+    table: GradTable = []
+    for p in polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        terms = [(c.numerator * (den // c.denominator),
+                  [(v, k) for v, k in enumerate(e) if k], sum(e))
+                 for e, c in p.terms.items()]
+        table.append((p.nvars, p.degree(), terms))
+    return table
+
+
+def gradient_rank(table: GradTable, point: Sequence[Scalar],
+                  direction: Optional[Sequence[Scalar]] = None) -> int:
+    """Rank of the gradients grad f(point) of the table's polynomials f;
+    given a direction xi, of grad f(point + a*xi) for a = 0, ..., deg f - 1.
+
+    The shifted rows span what the gradients at the point of the shift
+    members f_j span, f(x + a*xi) = sum_j a^j f_j(x).  The gradient in x
+    of f(x + a*xi) is sum_j a^j grad f_j(x), a polynomial in a of degree
+    at most deg f - 1, as f_(deg f) = f(xi) is constant.  Its values at
+    deg f distinct a are the coefficients times an invertible Vandermonde
+    matrix, so both sets of vectors span one space, and members that
+    vanish identically add the zero gradient.  So the rank of a shift
+    family's differentials needs no expansion and no solve.
+
+    Rows are integer.  Write point = P / D and xi = X / D with P and X
+    integer and D > 0, and f = g / q with g integer and q > 0.  A term
+    c x^e of g contributes c D^(deg f - deg e) grad x^e at P + a X, so the
+    row is q D^(deg f - 1) grad f(point + a*xi): a positive multiple of
+    the gradient, even when f is not homogeneous.
+    """
+    pt = vec(point)
+    xi = vec(direction) if direction is not None else ()
+    D = lcm(*(x.denominator for x in pt + xi))
+    P = [x.numerator * (D // x.denominator) for x in pt]
+    X = [x.numerator * (D // x.denominator) for x in xi]
+    n = len(P)
+    if direction is not None and len(X) != n:
+        raise ValueError("shift direction length mismatch")
+    rows: list[list[int]] = []
+    for nvars, deg, terms in table:
+        if nvars != n:
+            raise ValueError("point length mismatch")
+        for a in range(deg if direction is not None else 1):
+            at = [p + a * x for p, x in zip(P, X)] if a else P
+            row = [0] * n
+            for c, supp, tdeg in terms:
+                scale = c * D ** (deg - tdeg)
+                for i, ei in supp:
+                    v = scale * ei
+                    for u, eu in supp:
+                        k = eu - 1 if u == i else eu
+                        if k:
+                            v *= at[u] ** k
+                    row[i] += v
+            rows.append(row)
+    return _rank_int(rows, n)
 
 
 # --- determinants over the polynomial ring --------------------------------

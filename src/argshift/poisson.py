@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, _skew_rank, invert, rank, rat_str, vec
+from .exactlin import MatQ, Scalar, _skew_rank, _solve, faddeev_leverrier, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
-from .mpoly import MPoly, determinant, drop_last_var, extract_var_coeffs
+from .mpoly import MPoly, drop_last_var, extract_var_coeffs, gradient_rank, gradient_table
 from .sampling import integer_point, rng_stream
 
 
@@ -270,11 +270,11 @@ class CasimirSet:
         if not gens:
             return cls(L.dim, (), (), None)
         l = len(gens)
+        table = gradient_table(gens)
         for t in range(attempts):
             rng = rng_stream(seed, "casimir-independence", t)
             pt = integer_point(rng, L.dim, bound)
-            jac = MatQ([list(p.grad_at(pt)) for p in gens])
-            if rank(jac) == l:
+            if gradient_rank(table, pt) == l:
                 return cls(L.dim, gens, tuple(p.degree() for p in gens), pt)
         raise ValueError("could not witness algebraic independence of the generators")
 
@@ -295,56 +295,49 @@ class CasimirSet:
         }
 
 
-def classical_casimirs(family: str, n: int, seed: int = 0) -> CasimirSet:
+def classical_casimir_polys(family: str, n: int) -> list[MPoly]:
     """Characteristic polynomial invariants of gl(n) or sl(n).
 
-    The dual pairing is the trace form, so the coefficient of t^(n-k)
-    in det(t*I - X) is a degree-k central generator; degree 1 exists
-    only for gl.  Generators are normalized monic in graded lex order.
+    The dual pairing is the trace form, so the generic element of the
+    dual is the matrix X in the span of the basis with tr(X b) = x_b for
+    every basis matrix b: X = sum_a x_a sum_b G^-1[a, b] b, G the Gram
+    matrix of the trace form.  The coefficient of t^(n-k) in det(tI - X)
+    is a degree-k central generator; degree 1 exists only for gl.  The
+    coefficients come from the Faddeev-LeVerrier recurrence over MPoly,
+    run on den X, whose entries are sparse integer linear forms (den
+    clears the denominators of G^-1).  That scales the coefficient of
+    t^(n-k) by den^k, which the normalization to monic in graded lex
+    order drops.
     """
     if family not in ("gl", "sl"):
         raise ValueError("classical Casimirs implemented for gl and sl")
-    L = make_classical(family, n)
-    mats = classical_matrix_basis(family, n)
-    d = L.dim
-    gram = MatQ([[sum(a[i, j] * b[j, i] for i in range(n) for j in range(n))
-                  for b in mats] for a in mats])
-    ginv = invert(gram)
-    dual = []
-    for a in range(d):
-        rows = [[sum(ginv[a, b] * mats[b][i, j] for b in range(d)) for j in range(n)]
-                for i in range(n)]
-        dual.append(MatQ(rows))
-    # generic matrix with entries linear in x_0..x_(d-1); variable d is t
-    nv = d + 1
-    entries: list[list[MPoly]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for a in range(d):
-                c = dual[a][i, j]
-                if c != 0:
-                    terms[tuple(1 if m == a else 0 for m in range(nv))] = c
-            p = MPoly(nv, terms)
-            if i == j:
-                p = MPoly(nv, {tuple(0 if m < d else 1 for m in range(nv)): 1}) - p
-            else:
-                p = -p
-            row.append(p)
-        entries.append(row)
-    charpoly = determinant(entries)
-    coeffs = extract_var_coeffs(charpoly, d)
-    gens = []
-    for k in range(1, n + 1):
-        c = coeffs.get(n - k)
-        if c is None:
-            continue
-        p = drop_last_var(c)
-        if p.is_zero() or p.is_constant():
-            continue
-        gens.append(p.monic())
-    return CasimirSet.verified(L, gens, seed=seed)
+    if n < 2:
+        raise ValueError(f"{family}(n) requires n >= 2")
+    basis = classical_matrix_basis(family, n)
+    # each basis matrix as its nonzero entries (i, j, value)
+    mats = [[(i, j, m[i, j]) for i in range(n) for j in range(n) if m[i, j]] for m in basis]
+    d = len(mats)
+    gram = [[sum(x * b[j, i] for i, j, x in a) for b in basis] for a in mats]
+    # column b of G^-1 is row b, as G is symmetric
+    ginv = _solve(gram, d, [[int(a == b) for a in range(d)] for b in range(d)])
+    den = lcm(*(y.denominator for row in ginv for y in row))
+    # entry (i, j) of den X as the integer coefficients of x_0 .. x_(d-1)
+    forms = [[[0] * d for _ in range(n)] for _ in range(n)]
+    for row, mat in zip(ginv, mats):
+        for i, j, x in mat:
+            for a, y in enumerate(row):
+                if y:
+                    forms[i][j][a] += int(y * den * x)
+    X = [[MPoly.linear_form(form) for form in row] for row in forms]
+    coeffs = faddeev_leverrier(X, MPoly.one(d))
+    return [coeffs[n - k].monic() for k in range(1, n + 1)
+            if not coeffs[n - k].is_constant()]
+
+
+def classical_casimirs(family: str, n: int, seed: int = 0) -> CasimirSet:
+    """classical_casimir_polys verified on make_classical(family, n)."""
+    gens = classical_casimir_polys(family, n)
+    return CasimirSet.verified(make_classical(family, n), gens, seed=seed)
 
 
 def takiff_lift(base: LieAlgebraData, f: MPoly, n: int) -> list[MPoly]:

@@ -21,8 +21,8 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int,
-                       _rref, _skew_rank, _solve, _span_int, _unit_lead, annihilator, rat,
-                       rat_str)
+                       _rref, _skew_rank, _solve, _span_int, _unit_lead, annihilator,
+                       faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import kirillov
@@ -150,14 +150,17 @@ def rank_profile(pencil: SkewPencil) -> PencilRankProfile:
 
 def compute_L(pencil: SkewPencil, m: Optional[int] = None,
               profile: Optional[PencilRankProfile] = None) -> SubspaceQ:
-    """Sum of the kernels of regular members.
+    """Sum of the kernels of regular members, m the generic rank.
 
-    Directions are walked in a fixed order; the sum is declared stable
-    after dim V consecutive regular members bring no growth.  The walk
-    extends past the base ratios up to a hard cap, at which point a
-    non-stabilized sum is an error rather than a silent answer.  The
-    base-ratio kernels come from the rank profile, reused when given.
-    A kernel adds nothing when it leaves the rank of the sum unchanged.
+    The sum is isotropic for a regular member, a form of rank m, so its
+    dimension is at most dim V - m/2; it is final as soon as it gets
+    there.  A sum that stays smaller (a pencil with a Jordan part) is
+    declared stable after dim V consecutive regular members bring no
+    growth.  Directions are walked in a fixed order, past the base
+    ratios up to a hard cap, at which point a non-stabilized sum is an
+    error rather than a silent answer.  The base-ratio kernels come from
+    the rank profile, reused when given.  A kernel adds nothing when it
+    leaves the rank of the sum unchanged.
     """
     n = pencil.dim
     if profile is None:
@@ -176,7 +179,7 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None,
             consecutive += 1
         else:
             rows, consecutive = _rref(rows + ker, n)[0], 0
-        if consecutive >= n:
+        if consecutive >= n or len(rows) == n - m // 2:
             return _span_int(rows, n)
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
@@ -293,18 +296,8 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
 
 
 def char_poly(M: MatQ) -> list[Fraction]:
-    """Coefficients of det(tI - M), ascending in t.
-
-    Faddeev-LeVerrier: N_k = M N_(k-1) + c_(q-k+1) I from N_0 = 0, and
-    c_(q-k) = -tr(M N_k) / k; exact over Q, dividing only by k.
-    """
-    q = M.rows
-    coeffs = [Fraction(1)]
-    MN = MatQ.zeros(q, q)
-    for k in range(1, q + 1):
-        MN = M * (MN + MatQ.identity(q).scale(coeffs[-1]))
-        coeffs.append(-sum(MN[i, i] for i in range(q)) / k)
-    return coeffs[::-1]
+    """Coefficients of det(tI - M), ascending in t (Faddeev-LeVerrier)."""
+    return faddeev_leverrier(M.to_lists(), Fraction(1))
 
 
 @dataclass

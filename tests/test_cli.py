@@ -296,6 +296,28 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     assert len(fam.members) == 5
 
 
+def test_classical_pipeline_verifies_on_the_loaded_table(capsys, tmp_path):
+    # sl3 with basis vectors 0 and 3 swapped consistently and meta still
+    # sl3: the generators built for sl3's own basis order are not
+    # Casimirs of this table, so the casimirs stage must refuse them
+    L = make_classical("sl", 3)
+    swap = {0: 3, 3: 0}
+    perm = [swap.get(i, i) for i in range(L.dim)]
+    brackets = []
+    for i, j, coeffs in L.pairs():
+        sign = 1 if perm[i] < perm[j] else -1
+        brackets.append({"i": min(perm[i], perm[j]), "j": max(perm[i], perm[j]),
+                         "coeffs": {str(perm[k]): str(sign * c) for k, c in coeffs.items()}})
+    alg = tmp_path / "sl3_swapped.json"
+    alg.write_text(json.dumps({"dim": L.dim, "basis": [L.basis_names[p] for p in perm],
+                               "brackets": brackets, "meta": dict(L.meta)}))
+    code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
+    assert code == 1
+    assert report["verdicts"]["validate"]["ok"]
+    assert report["failed_stage"] == "casimirs"
+    assert report["verdicts"]["casimirs"]["error"].startswith("not a Casimir")
+
+
 def test_pipeline_vinberg_fails_at_codim2(capsys, tmp_path):
     alg = tmp_path / "vin.json"
     assert main(["algebra", "build", "vinberg", "1", "--out", str(alg)]) == 0

@@ -8,22 +8,31 @@ C = x_h^2 + 4 x_e x_f:
 and symmetrically for the other coordinates.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift.exactlin import MatQ
-from argshift.liealg import make_classical, make_takiff, make_vinberg
-from argshift.mpoly import MPoly
-from argshift.poisson import (CasimirSet, bracket, classical_casimirs,
+import argshift
+from argshift.exactlin import MatQ, faddeev_leverrier, solve_many
+from argshift.liealg import classical_matrix_basis, make_classical, make_takiff, make_vinberg
+from argshift.mpoly import MPoly, determinant, drop_last_var, extract_var_coeffs
+from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, classical_casimirs,
                               coordinate_bracket, estimate_index,
                               frozen_bracket, is_casimir, kirillov,
                               takiff_lift)
 from argshift.sampling import integer_point, rng_stream
 
 SL2 = make_classical("sl", 2)
+
+
+def grad_at(p, pt):
+    """The gradient of p at pt, partial by partial, in Fractions."""
+    return tuple(p.partial(i).evaluate(pt) for i in range(p.nvars))
 X_E = MPoly.variable(3, 0)
 X_H = MPoly.variable(3, 1)
 X_F = MPoly.variable(3, 2)
@@ -98,8 +107,8 @@ def test_bracket_evaluation_matches_kirillov():
         g = random_poly(rng, 3)
         pt = integer_point(rng, 3, 5)
         K = kirillov(SL2, pt).matrix
-        gf = f.grad_at(pt)
-        gg = g.grad_at(pt)
+        gf = grad_at(f, pt)
+        gg = grad_at(g, pt)
         expect = sum(gf[i] * K[i, j] * gg[j] for i in range(3) for j in range(3))
         assert bracket(SL2, f, g).evaluate(pt) == expect
 
@@ -130,8 +139,8 @@ def test_frozen_bracket_is_bracket_at_frozen_point():
         xi = integer_point(rng, 3, 5)
         pt = integer_point(rng, 3, 5)
         K = kirillov(SL2, xi).matrix
-        gf = f.grad_at(pt)
-        gg = g.grad_at(pt)
+        gf = grad_at(f, pt)
+        gg = grad_at(g, pt)
         expect = sum(gf[i] * K[i, j] * gg[j] for i in range(3) for j in range(3))
         assert frozen_bracket(SL2, xi, f, g).evaluate(pt) == expect
 
@@ -188,6 +197,74 @@ def test_classical_casimirs_sl3():
 def test_classical_casimirs_unsupported():
     with pytest.raises(ValueError):
         classical_casimirs("so", 3)
+
+
+def determinant_casimirs(family, n):
+    """The generators as coefficients of det(tI - X) by the polynomial
+    determinant over Q[x, t], X the generic matrix of the trace-form
+    dual basis: the route classical_casimir_polys replaced."""
+    mats = classical_matrix_basis(family, n)
+    d = len(mats)
+    gram = MatQ([[sum(a[i, j] * b[j, i] for i in range(n) for j in range(n))
+                  for b in mats] for a in mats])
+    cols = solve_many(gram, [[int(i == j) for i in range(d)] for j in range(d)])
+    nv = d + 1
+    t = MPoly.variable(nv, d)
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            p = MPoly.linear_form([sum(cols[a][b] * mats[b][i, j] for b in range(d))
+                                   for a in range(d)] + [0])
+            row.append(t - p if i == j else -p)
+        entries.append(row)
+    coeffs = extract_var_coeffs(determinant(entries), d)
+    gens = []
+    for k in range(1, n + 1):
+        c = coeffs.get(n - k)
+        if c is not None and not drop_last_var(c).is_constant():
+            gens.append(drop_last_var(c).monic())
+    return gens
+
+
+@pytest.mark.parametrize("family,n", [("sl", 2), ("sl", 3), ("sl", 4),
+                                      ("gl", 2), ("gl", 3), ("gl", 4)])
+def test_casimir_polys_match_the_determinant_route(family, n):
+    assert classical_casimir_polys(family, n) == determinant_casimirs(family, n)
+
+
+def test_faddeev_leverrier_over_polynomials_matches_determinant():
+    # a 3x3 matrix of mixed-degree entries with rational coefficients
+    x, y = MPoly.variable(3, 0), MPoly.variable(3, 1)
+    t = MPoly.variable(3, 2)
+    M = [[x, y * Fraction(1, 2), MPoly.one(3)],
+         [x * y, MPoly.zero(3), 3 * y + x],
+         [MPoly.const(3, -2), x * x, y]]
+    got = faddeev_leverrier(M, MPoly.one(3))
+    tI_M = [[(t if i == j else MPoly.zero(3)) - M[i][j] for j in range(3)] for i in range(3)]
+    want = extract_var_coeffs(determinant(tI_M), 2)
+    assert got == [want.get(k, MPoly.zero(3)) for k in range(4)]
+
+
+def test_casimir_polys_reject_small_n():
+    for family in ("sl", "gl"):
+        with pytest.raises(ValueError, match="n >= 2"):
+            classical_casimir_polys(family, 1)
+
+
+def test_sl5_casimirs_are_quick():
+    # the determinant route took about 4 s here, the recurrence about 0.4 s
+    code = ("from argshift.poisson import classical_casimirs, is_casimir\n"
+            "from argshift.liealg import make_classical\n"
+            "cs = classical_casimirs('sl', 5)\n"
+            "L = make_classical('sl', 5)\n"
+            "assert cs.degrees == (2, 3, 4, 5), cs.degrees\n"
+            "assert all(is_casimir(L, p).ok for p in cs.generators)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(argshift.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_takiff_lift_sl2_level1():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from argshift.liealg import AlgebraProfile, LieAlgebraData, make_classical, \
     make_sl2_so2_contraction, make_vinberg
+from argshift.mfshift import build_family
 from argshift.mpoly import MPoly
 from argshift.poisson import CasimirSet, classical_casimirs, estimate_index
 from argshift.regcert import (Codim2Certificate, FalsificationError, PlaneSpec,
@@ -262,6 +263,9 @@ def test_verify_compl_falsifies_bogus_generators():
         verify_compl(SL2, bogus, SL2_PROFILE, spec)
     assert exc.value.bundle["required_rank"] == 2
     assert exc.value.bundle["jacobian_rank"] < 2
+    # the failure path still reports the size of the family at the pair
+    xi = tuple(Fraction(x) for x in exc.value.bundle["xi"])
+    assert exc.value.bundle["members"] == len(build_family(SL2, bogus, xi))
 
 
 def test_verify_bols_pass():

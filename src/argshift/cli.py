@@ -33,7 +33,7 @@ from .mfshift import (EXACT, build_family, certify_commutative,
 from .mpoly import MPoly
 from .poisson import (CasimirSet, bracket, classical_casimir_polys, estimate_index,
                       is_casimir, kirillov)
-from .regcert import (FalsificationError, PlaneSpec, certify_codim2,
+from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim2,
                       certify_regular_plane, find_regular_plane, is_regular,
                       kostant_criterion, verify_bols, verify_compl)
 from .sampling import integer_point, rng_stream
@@ -90,7 +90,10 @@ def _parse_ratlist(text: str, what: str) -> tuple[Fraction, ...]:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
-def _expect_dim(v: tuple[Fraction, ...], dim: int, what: str) -> tuple[Fraction, ...]:
+def _vector(args: argparse.Namespace, name: str, dim: int) -> tuple[Fraction, ...]:
+    """The option --<name> as a point of Q^dim."""
+    what = f"--{name}"
+    v = _parse_ratlist(getattr(args, name), what)
     if len(v) != dim:
         raise UsageError(f"{what} has {len(v)} entries, expected {dim}")
     return v
@@ -109,8 +112,11 @@ def _load_algebra(args: argparse.Namespace, path: str,
 
 
 def _profile(L: LieAlgebraData, args: argparse.Namespace) -> AlgebraProfile:
-    ind = getattr(args, "ind", None)
+    ind = args.ind
     if ind is not None:
+        if not 0 <= ind <= L.dim or (L.dim - ind) % 2:
+            raise UsageError(f"--ind {ind} does not fit dim {L.dim}: the generic "
+                             "rank dim - ind must be even and in [0, dim]")
         return AlgebraProfile.declared(L.dim, ind)
     return estimate_index(L, trials=args.trials, seed=args.seed, bound=args.bound)
 
@@ -140,7 +146,7 @@ def _reported(handler: Callable[[argparse.Namespace, dict, dict], bool]
         started = time.perf_counter()
         inputs: dict = {}
         report = {"schema": SCHEMA, "command": args.command_name,
-                  "inputs": inputs, "seed": getattr(args, "seed", 0),
+                  "inputs": inputs, "seed": args.seed,
                   "verdicts": {}, "witnesses": {}, "timings": {}}
         ok = handler(args, report, inputs)
         report["timings"]["total"] = round(time.perf_counter() - started, 6)
@@ -258,7 +264,7 @@ def _load_casimirs(args: argparse.Namespace, path: str, inputs: dict,
 def _build_family_from_args(args: argparse.Namespace, inputs: dict):
     L = _load_algebra(args, args.algebra, inputs)
     cs = _load_casimirs(args, args.casimirs, inputs, L)
-    xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
+    xi = _vector(args, "xi", L.dim)
     fam = build_family(L, cs, xi)
     return L, cs, xi, fam
 
@@ -295,9 +301,14 @@ def cmd_shift_certify(args: argparse.Namespace, report: dict, inputs: dict) -> b
 def cmd_reg_point(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     prof = _profile(L, args)
-    xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
+    xi = _vector(args, "xi", L.dim)
     m = L.dim - prof.ind
     krank = kirillov(L, xi).rank
+    if krank > m:
+        raise _wrong_index("a Kirillov rank exceeds the generic rank",
+                           {"dim": L.dim, "ind": prof.ind, "m": m,
+                            "kirillov_rank": krank, "profile_status": prof.status,
+                            "xi": [rat_str(x) for x in xi]}, prof)
     regular = krank == m
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["point"] = {"regular": regular, "kirillov_rank": krank,
@@ -317,8 +328,8 @@ def cmd_reg_point(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
 def cmd_reg_plane(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     prof = _profile(L, args)
-    xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
-    eta = _expect_dim(_parse_ratlist(args.eta, "--eta"), L.dim, "--eta")
+    xi = _vector(args, "xi", L.dim)
+    eta = _vector(args, "eta", L.dim)
     cert = certify_regular_plane(L, prof, xi, eta)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["plane"] = cert.as_dict()
@@ -350,8 +361,8 @@ def cmd_reg_compl(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     cs = _load_casimirs(args, args.casimirs, inputs, L)
     prof = _profile(L, args)
-    xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
-    eta = _expect_dim(_parse_ratlist(args.eta, "--eta"), L.dim, "--eta")
+    xi = _vector(args, "xi", L.dim)
+    eta = _vector(args, "eta", L.dim)
     cert = certify_regular_plane(L, prof, xi, eta)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["plane"] = cert.as_dict()
@@ -370,7 +381,7 @@ def cmd_reg_bols(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
     cs = _load_casimirs(args, args.casimirs, inputs, L)
     prof = _profile(L, args)
-    xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
+    xi = _vector(args, "xi", L.dim)
     verdict = verify_bols(L, cs, prof, xi, seed=args.seed)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["bols"] = verdict.as_dict()
@@ -397,8 +408,8 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
             raise UsageError("pencil analyze needs --matrices FILE or an "
                              "algebra file with --xi and --eta")
         L = _load_algebra(args, args.algebra, inputs)
-        xi = _expect_dim(_parse_ratlist(args.xi, "--xi"), L.dim, "--xi")
-        eta = _expect_dim(_parse_ratlist(args.eta, "--eta"), L.dim, "--eta")
+        xi = _vector(args, "xi", L.dim)
+        eta = _vector(args, "eta", L.dim)
         pencil = SkewPencil.from_kirillov(L, xi, eta)
     analysis = verify_com1(pencil)
     verdict = analysis.as_dict()
@@ -603,152 +614,96 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
     return not failed
 
 
-# --- parser -----------------------------------------------------------------
+# --- command table ----------------------------------------------------------
 
-def _common() -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--seed", type=int, default=0, help="sampling seed")
-    c.add_argument("--trials", type=int, default=24,
-                   help="index estimation samples")
-    c.add_argument("--bound", type=int, default=9, help="sample height")
-    c.add_argument("--out", default=None, help="write the report to a file")
-    return c
+Arg = tuple[tuple[str, ...], dict]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="argshift",
-        description="Exact certificates for argument-shift families in "
-                    "Poisson algebras of Lie algebras.")
-    common = _common()
-    groups = p.add_subparsers(dest="group")
+def _arg(*flags: str, **kwargs: Any) -> Arg:
+    return flags, kwargs
 
-    ga = groups.add_parser("algebra", help="validate or build algebras")
-    gsub = ga.add_subparsers(dest="cmd")
-    s = gsub.add_parser("validate", parents=[common])
-    s.add_argument("algebra")
-    s.set_defaults(handler=cmd_algebra_validate, command_name="algebra validate")
-    s = gsub.add_parser("build", parents=[common])
-    s.add_argument("kind", help="sl | gl | so | abelian | vinberg | takiff | "
-                                "contraction-sl2-so2")
-    s.add_argument("params", nargs="*")
-    s.set_defaults(handler=cmd_algebra_build, command_name="algebra build")
 
-    gp = groups.add_parser("poisson", help="brackets, Casimirs, index")
-    gsub = gp.add_subparsers(dest="cmd")
-    s = gsub.add_parser("bracket", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("f")
-    s.add_argument("g")
-    s.set_defaults(handler=cmd_poisson_bracket, command_name="poisson bracket")
-    s = gsub.add_parser("casimir-check", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("poly")
-    s.set_defaults(handler=cmd_poisson_casimir_check,
-                   command_name="poisson casimir-check")
-    s = gsub.add_parser("index", parents=[common])
-    s.add_argument("algebra")
-    s.set_defaults(handler=cmd_poisson_index, command_name="poisson index")
+COMMON = (_arg("--seed", type=int, default=0, help="sampling seed"),
+          _arg("--trials", type=int, default=24, help="index estimation samples"),
+          _arg("--bound", type=int, default=9, help="sample height"),
+          _arg("--out", help="write the report to a file"))
+ALGEBRA, CASIMIRS = _arg("algebra"), _arg("casimirs")
+XI, ETA = _arg("--xi", required=True), _arg("--eta", required=True)
+IND = _arg("--ind", type=int)
+NSAMPLES = _arg("--nsamples", type=int, default=8)
+PLANES = _arg("--planes", type=int, default=4)
+# --xi and --ind carry help text only where that command's -h has it
+SHIFT = (ALGEBRA, CASIMIRS,
+         _arg("--xi", required=True, help="shift direction, comma-separated rationals"))
 
-    gs = groups.add_parser("shift", help="build and certify shift families")
-    gsub = gs.add_subparsers(dest="cmd")
-    for name, handler in (("build", cmd_shift_build),
-                          ("certify", cmd_shift_certify)):
-        s = gsub.add_parser(name, parents=[common])
-        s.add_argument("algebra")
-        s.add_argument("casimirs")
-        s.add_argument("--xi", required=True,
-                       help="shift direction, comma-separated rationals")
-        s.set_defaults(handler=handler, command_name=f"shift {name}")
+# (group, command) -> (handler, its arguments after COMMON), in usage order
+COMMANDS: dict[tuple[str, str], tuple[Callable[[argparse.Namespace], int],
+                                      tuple[Arg, ...]]] = {
+    ("algebra", "validate"): (cmd_algebra_validate, (ALGEBRA,)),
+    ("algebra", "build"): (cmd_algebra_build, (
+        _arg("kind", help="sl | gl | so | abelian | vinberg | takiff | "
+                          "contraction-sl2-so2"),
+        _arg("params", nargs="*"))),
+    ("poisson", "bracket"): (cmd_poisson_bracket, (ALGEBRA, _arg("f"), _arg("g"))),
+    ("poisson", "casimir-check"): (cmd_poisson_casimir_check, (ALGEBRA, _arg("poly"))),
+    ("poisson", "index"): (cmd_poisson_index, (ALGEBRA,)),
+    ("shift", "build"): (cmd_shift_build, SHIFT),
+    ("shift", "certify"): (cmd_shift_certify, SHIFT),
+    ("reg", "point"): (cmd_reg_point, (
+        ALGEBRA, XI, _arg("--ind", type=int, help="declared index (default: estimate)"),
+        _arg("--casimirs", help="also run the differential criterion"))),
+    ("reg", "plane"): (cmd_reg_plane, (ALGEBRA, XI, ETA, IND)),
+    ("reg", "codim2"): (cmd_reg_codim2, (ALGEBRA, IND, PLANES)),
+    ("reg", "compl"): (cmd_reg_compl, (ALGEBRA, CASIMIRS, XI, ETA, IND, NSAMPLES)),
+    ("reg", "bols"): (cmd_reg_bols, (ALGEBRA, CASIMIRS, XI, IND)),
+    ("pencil", "analyze"): (cmd_pencil_analyze, (
+        _arg("algebra", nargs="?"), _arg("--xi"), _arg("--eta"),
+        _arg("--matrices", help='JSON file {"A": [[...]], "B": [[...]]}'))),
+    ("pipeline", "run"): (cmd_pipeline_run, (
+        ALGEBRA, _arg("--casimirs"),
+        _arg("--classical", action="store_true",
+             help="derive central generators for gl/sl algebras"),
+        _arg("--xi"), _arg("--attempts", type=int, default=20), NSAMPLES, PLANES)),
+}
 
-    gr = groups.add_parser("reg", help="regularity and codimension certificates")
-    gsub = gr.add_subparsers(dest="cmd")
-    s = gsub.add_parser("point", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("--xi", required=True)
-    s.add_argument("--ind", type=int, default=None,
-                   help="declared index (default: estimate)")
-    s.add_argument("--casimirs", default=None,
-                   help="also run the differential criterion")
-    s.set_defaults(handler=cmd_reg_point, command_name="reg point")
-    s = gsub.add_parser("plane", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("--xi", required=True)
-    s.add_argument("--eta", required=True)
-    s.add_argument("--ind", type=int, default=None)
-    s.set_defaults(handler=cmd_reg_plane, command_name="reg plane")
-    s = gsub.add_parser("codim2", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("--ind", type=int, default=None)
-    s.add_argument("--planes", type=int, default=4)
-    s.set_defaults(handler=cmd_reg_codim2, command_name="reg codim2")
-    s = gsub.add_parser("compl", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("casimirs")
-    s.add_argument("--xi", required=True)
-    s.add_argument("--eta", required=True)
-    s.add_argument("--ind", type=int, default=None)
-    s.add_argument("--nsamples", type=int, default=8)
-    s.set_defaults(handler=cmd_reg_compl, command_name="reg compl")
-    s = gsub.add_parser("bols", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("casimirs")
-    s.add_argument("--xi", required=True)
-    s.add_argument("--ind", type=int, default=None)
-    s.set_defaults(handler=cmd_reg_bols, command_name="reg bols")
 
-    gn = groups.add_parser("pencil", help="skew pencil analysis")
-    gsub = gn.add_subparsers(dest="cmd")
-    s = gsub.add_parser("analyze", parents=[common])
-    s.add_argument("algebra", nargs="?", default=None)
-    s.add_argument("--xi", default=None)
-    s.add_argument("--eta", default=None)
-    s.add_argument("--matrices", default=None,
-                   help='JSON file {"A": [[...]], "B": [[...]]}')
-    s.set_defaults(handler=cmd_pencil_analyze, command_name="pencil analyze")
-
-    gl = groups.add_parser("pipeline", help="full verification pipeline")
-    gsub = gl.add_subparsers(dest="cmd")
-    s = gsub.add_parser("run", parents=[common])
-    s.add_argument("algebra")
-    s.add_argument("--casimirs", default=None)
-    s.add_argument("--classical", action="store_true",
-                   help="derive central generators for gl/sl algebras")
-    s.add_argument("--xi", default=None)
-    s.add_argument("--attempts", type=int, default=20)
-    s.add_argument("--nsamples", type=int, default=8)
-    s.add_argument("--planes", type=int, default=4)
-    s.set_defaults(handler=cmd_pipeline_run, command_name="pipeline run")
-
-    return p
+def _usage() -> str:
+    groups: dict[str, list[str]] = {}
+    for group, command in COMMANDS:
+        groups.setdefault(group, []).append(command)
+    width = max(map(len, groups))
+    return "usage: argshift GROUP COMMAND [-h] [options]\n\n" + "".join(
+        f"argshift {group:<{width}} {'|'.join(commands)}\n"
+        for group, commands in groups.items())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    entry = COMMANDS.get(tuple(argv[:2]))
+    if entry is None:
+        asked = any(a in ("-h", "--help") for a in argv[:2])
+        (sys.stdout if asked else sys.stderr).write(_usage())
+        return EXIT_PASS if asked else EXIT_USAGE
+    handler, specs = entry
+    name = " ".join(argv[:2])
+    parser = argparse.ArgumentParser(prog=f"argshift {name}")
+    for flags, kwargs in COMMON + specs:
+        parser.add_argument(*flags, **kwargs)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[2:])
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
-    if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    args.command_name = name
     try:
-        return args.handler(args)
+        return handler(args)
     except FalsificationError as exc:
-        report = {"schema": SCHEMA,
-                  "command": getattr(args, "command_name", "unknown"),
-                  "status": "falsified",
-                  "claim": exc.claim,
-                  "bundle": _jsonable(exc.bundle),
-                  "seed": getattr(args, "seed", 0),
-                  "stage": getattr(args, "_stage", None),
+        report = {"schema": SCHEMA, "command": name, "status": "falsified",
+                  "claim": exc.claim, "bundle": _jsonable(exc.bundle),
+                  "seed": args.seed, "stage": getattr(args, "_stage", None),
                   "algebra": getattr(args, "_algebra_json", None)}
-        _write_out(report, getattr(args, "out", None))
+        _write_out(report, args.out)
         return EXIT_FALSIFIED
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (UsageError, OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

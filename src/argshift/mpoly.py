@@ -393,15 +393,6 @@ def _univariate_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
                            for k, c in a.items()})
 
 
-def _dehomogenize(p: MPoly) -> MPoly:
-    # bivariate homogeneous with trivial monomial content: set second var to 1
-    return MPoly(p.nvars, {(e[0], 0): c for e, c in p.terms.items()})
-
-
-def _homogenize(u: MPoly, degree: int) -> MPoly:
-    return MPoly(u.nvars, {(e[0], degree - e[0]): c for e, c in u.terms.items()})
-
-
 def _int_primitive(p: MPoly) -> MPoly:
     # rescale so the coefficients are coprime integers; keeps the
     # pseudo-remainder sequence from blowing up rational bit sizes
@@ -447,9 +438,6 @@ def _gcd2(f: MPoly, g: MPoly) -> MPoly:
     support = vars_f | vars_g
     if len(support) == 1:
         return (mono * _univariate_gcd(f1, g1, next(iter(support)))).monic()
-    if n == 2 and f1.is_homogeneous() and g1.is_homogeneous():
-        u = _univariate_gcd(_dehomogenize(f1), _dehomogenize(g1), 0)
-        return (mono * _homogenize(u, u.degree())).monic()
     v = max(support)
     df, dg = _deg_in(f1, v), _deg_in(g1, v)
     if df == 0:

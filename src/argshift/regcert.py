@@ -60,8 +60,8 @@ def _check_profile(L: LieAlgebraData, profile: AlgebraProfile) -> int:
     if profile.dim != L.dim:
         raise ValueError("profile dimension does not match the algebra")
     m = L.dim - profile.ind
-    if m < 0 or m % 2 != 0:
-        raise ValueError("dim - ind must be an even nonnegative rank")
+    if not 0 <= m <= L.dim or m % 2 != 0:
+        raise ValueError("dim - ind must be an even rank in [0, dim]")
     return m
 
 

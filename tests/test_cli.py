@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, report shape, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -88,6 +89,98 @@ def test_usage_error_on_missing_subcommand(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code, stream", [
+    ([], 2, "err"), (["reg"], 2, "err"), (["reg", "nope"], 2, "err"),
+    (["nope", "x"], 2, "err"), (["-h"], 0, "out"), (["reg", "--help"], 0, "out")])
+def test_incomplete_command_prints_the_table(capsys, argv, code, stream):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    printed, other = ((captured.out, captured.err) if stream == "out"
+                      else (captured.err, captured.out))
+    assert printed.startswith("usage: argshift GROUP COMMAND")
+    assert "argshift reg      point|plane|codim2|compl|bols\n" in printed
+    assert other == ""
+
+
+def test_command_help_and_argparse_errors_name_the_command(capsys):
+    assert main(["reg", "plane", "-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: argshift reg plane [-h]") and not captured.err
+    assert main(["reg", "plane"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "argshift reg plane: error: the following arguments are required: "
+        "algebra, --xi, --eta\n")
+    assert main(["poisson", "index", "a.json", "--nope"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "argshift poisson index: error: unrecognized arguments: --nope\n")
+
+
+def test_one_parser_per_call(monkeypatch, capsys, sl2_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert main(["poisson", "index", sl2_file]) == 0
+    assert built == ["argshift poisson index"] * 2
+    capsys.readouterr()
+
+
+COMMON = {"seed": 0, "trials": 24, "bound": 9, "out": None}
+PARSED = {
+    ("algebra", "validate", "A"): {"algebra": "A"},
+    ("algebra", "build", "sl", "2"): {"kind": "sl", "params": ["2"]},
+    ("poisson", "bracket", "A", "F", "G"): {"algebra": "A", "f": "F", "g": "G"},
+    ("poisson", "casimir-check", "A", "P"): {"algebra": "A", "poly": "P"},
+    ("poisson", "index", "A"): {"algebra": "A"},
+    ("shift", "build", "A", "C", "--xi", "1"): {"algebra": "A", "casimirs": "C", "xi": "1"},
+    ("shift", "certify", "A", "C", "--xi", "1"): {"algebra": "A", "casimirs": "C",
+                                                  "xi": "1"},
+    ("reg", "point", "A", "--xi", "1"): {"algebra": "A", "xi": "1", "ind": None,
+                                         "casimirs": None},
+    ("reg", "plane", "A", "--xi", "1", "--eta", "2"): {"algebra": "A", "xi": "1",
+                                                       "eta": "2", "ind": None},
+    ("reg", "codim2", "A"): {"algebra": "A", "ind": None, "planes": 4},
+    ("reg", "compl", "A", "C", "--xi", "1", "--eta", "2"): {
+        "algebra": "A", "casimirs": "C", "xi": "1", "eta": "2", "ind": None,
+        "nsamples": 8},
+    ("reg", "bols", "A", "C", "--xi", "1"): {"algebra": "A", "casimirs": "C", "xi": "1",
+                                             "ind": None},
+    ("pencil", "analyze"): {"algebra": None, "xi": None, "eta": None, "matrices": None},
+    ("pipeline", "run", "A"): {"algebra": "A", "casimirs": None, "classical": False,
+                               "xi": None, "attempts": 20, "nsamples": 8, "planes": 4},
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSED))
+def test_parsed_destinations_and_defaults(monkeypatch, argv):
+    # stop after parsing; routing keys an implementation may add are not options
+    seen = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        seen.append(vars(parse(self, *args, **kwargs)))
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(list(argv)) == 0
+    routing = ("group", "cmd", "handler", "command_name")
+    assert {k: v for k, v in seen[0].items() if k not in routing} == {**COMMON,
+                                                                      **PARSED[argv]}
+
+
+def test_readme_command_block_is_the_usage(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out == block
+
+
 def test_poisson_bracket_sl2(capsys, tmp_path, sl2_file):
     f = poly_file(tmp_path, "xe.json", MPoly.variable(3, 0))
     g = poly_file(tmp_path, "xf.json", MPoly.variable(3, 2))
@@ -147,6 +240,37 @@ def test_reg_point_bad_vector_is_usage_error(capsys, sl2_file):
     code, _ = run(capsys, "reg", "point", sl2_file, "--xi", "1,0")
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("ind", ["5", "2", "0", "-1"])
+@pytest.mark.parametrize("command", [["point"], ["plane", "--eta", "0,0,1"], ["codim2"],
+                                     ["compl", "CAS", "--eta", "0,0,1"], ["bols", "CAS"]])
+def test_reg_rejects_an_index_that_does_not_fit(capsys, sl2_file, sl2_casimirs,
+                                                command, ind):
+    # sl2 has dim 3: a declared index must lie in [0, 3] with 3 - ind even
+    argv = ["reg", command[0], sl2_file,
+            *[sl2_casimirs if a == "CAS" else a for a in command[1:]], f"--ind={ind}"]
+    if command[0] != "codim2":
+        argv += ["--xi", "1,0,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --ind {ind} does not fit dim 3")
+
+
+def test_reg_point_rank_above_the_index(capsys, sl2_file, tmp_path):
+    # a declared index too high is a usage error, as in reg plane
+    assert main(["reg", "point", sl2_file, "--xi", "1,0,0", "--ind", "3"]) == 2
+    assert "the declared index looks wrong" in capsys.readouterr().err
+    # one sample at height 1 misses the Heisenberg regular set z != 0, so
+    # the estimated index is 3 and a regular point contradicts it
+    heis = tmp_path / "heis.json"
+    jsonio.write_json(str(heis), HEISENBERG)
+    code, report = run(capsys, "reg", "point", str(heis), "--xi", "0,0,1",
+                       "--trials", "1", "--bound", "1")
+    assert code == 3
+    assert report["status"] == "falsified"
+    assert report["bundle"]["kirillov_rank"] == 2 and report["bundle"]["m"] == 0
 
 
 def test_reg_plane_certificate_embeds_gcd(capsys, sl2_file):

@@ -265,10 +265,24 @@ def bivariate_polys(max_terms):
                            min_size=1, max_size=max_terms).map(lambda t: MPoly(2, t))
 
 
+@st.composite
+def homogeneous_pairs(draw):
+    # binary forms with a common factor
+    def form(max_degree):
+        d = draw(st.integers(0, max_degree))
+        return MPoly(2, draw(st.dictionaries(
+            st.integers(0, d).map(lambda i: (i, d - i)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=4),
+            min_size=1, max_size=3)))
+    common = form(2)
+    return common * form(3), common * form(3)
+
+
 @settings(max_examples=60, deadline=None)
-@given(bivariate_polys(3), bivariate_polys(3), bivariate_polys(2), small_polys, small_polys)
-def test_poly_gcd_matches_sympy(a, b, common, f3, g3):
-    for f, g in ((common * a, common * b), (f3, g3)):
+@given(bivariate_polys(3), bivariate_polys(3), bivariate_polys(2), small_polys, small_polys,
+       homogeneous_pairs())
+def test_poly_gcd_matches_sympy(a, b, common, f3, g3, forms):
+    for f, g in ((common * a, common * b), (f3, g3), forms):
         if f.is_zero() or g.is_zero():
             continue
         syms = sympy.symbols(f"x0:{f.nvars}")

@@ -39,7 +39,7 @@ from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim
 from .sampling import integer_point, rng_stream
 from .skewpencil import SkewPencil, verify_com1
 
-SCHEMA = 2
+SCHEMA = 3
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -288,7 +288,7 @@ def cmd_shift_certify(args: argparse.Namespace, report: dict, inputs: dict) -> b
     cert = certify_commutative(fam)
     report["verdicts"]["commutative"] = {"ok": cert.ok,
                                          "pairs_checked": cert.pairs_checked,
-                                         "members": len(fam)}
+                                         "members": len(fam), "method": cert.method}
     if not cert.ok:
         report["witnesses"]["commutative"] = [
             {"i": i, "j": j, "route": route} for i, j, route in cert.failures]
@@ -546,12 +546,13 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
 
     def s_commutative() -> tuple[bool, dict, Any]:
         cert = certify_commutative(ctx["family"])
+        ctx["actions"] = cert.actions
         witness = None
         if not cert.ok:
             witness = [{"i": i, "j": j, "route": route}
                        for i, j, route in cert.failures]
-        return cert.ok, {"ok": cert.ok,
-                         "pairs_checked": cert.pairs_checked}, witness
+        return cert.ok, {"ok": cert.ok, "pairs_checked": cert.pairs_checked,
+                         "method": cert.method}, witness
 
     def s_plane() -> tuple[bool, dict, Any]:
         res = find_regular_plane(ctx["L"], ctx["profile"], seed=seed,
@@ -587,7 +588,7 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
                        "plane_attempts": ctx["plane"].attempts_used},
         }
         witness = None
-        w = find_nonmaximality_witness(fam)
+        w = find_nonmaximality_witness(fam, ctx["actions"])
         if w is not None:
             concl["inclusion-maximality"] = (
                 "refuted: a linear form outside the family commutes with "

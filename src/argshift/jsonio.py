@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .exactlin import MatQ, SubspaceQ, rat, rat_str
 from .liealg import BracketEntry, LieAlgebraData
@@ -81,7 +81,8 @@ def poly_from_json(data: dict) -> MPoly:
         if len(exps) != nvars or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
         terms[exps] = terms.get(exps, Fraction(0)) + _rat(_field(item, "coeff", "term"))
-    return MPoly(nvars, terms)
+    # every exponent tuple was checked above; duplicate rows may sum to 0
+    return MPoly._trusted(nvars, {e: c for e, c in terms.items() if c})
 
 
 def algebra_to_json(L: LieAlgebraData) -> dict:

@@ -188,6 +188,20 @@ def _flatten(M: MatQ) -> tuple[Fraction, ...]:
     return tuple(M[i, j] for i in range(M.rows) for j in range(M.cols))
 
 
+def _commutator(A: Sequence[tuple[int, int, Fraction]], B: Sequence[tuple[int, int, Fraction]],
+                size: int) -> list[Fraction]:
+    """AB - BA, flattened row by row, from the nonzero entries
+    (row, column, value) of A and B."""
+    out = [Fraction(0)] * (size * size)
+    for a, b, x in A:
+        for c, e, y in B:
+            if b == c:
+                out[a * size + e] += x * y
+            if e == a:
+                out[c * size + b] -= x * y
+    return out
+
+
 def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
                           meta: Optional[dict] = None) -> LieAlgebraData:
     """Structure constants of a commutator-closed independent matrix family."""
@@ -201,8 +215,10 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
     r = rank(span)
     if r != d:
         raise ValueError("matrix basis is linearly dependent")
+    entries = [[(a, b, M[a, b]) for a in range(size) for b in range(size) if M[a, b]]
+               for M in mats]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rhs = [_flatten(mats[i] * mats[j] - mats[j] * mats[i]) for i, j in pairs]
+    rhs = [_commutator(entries[i], entries[j], size) for i, j in pairs]
     sols = solve_many(span, rhs)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), x in zip(pairs, sols):

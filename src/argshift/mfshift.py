@@ -3,22 +3,24 @@
 Shifting a central generator f along a direction xi produces the
 coefficient polynomials of f(x + a*xi); collecting these over a set of
 generators gives the shift family at xi.  This module builds families,
-certifies pairwise commutativity under both the Lie-Poisson bracket and
-the bracket frozen at xi, compares degree data against the maximal
+certifies their commutativity under both the Lie-Poisson bracket and
+the bracket frozen at xi (by the argument-shift chain, or pair by pair
+when the chain fails), compares degree data against the maximal
 possible transcendence degree, and hunts for linear forms that commute
 with the family without belonging to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlin import MatQ, SubspaceQ, Scalar, rank_kernel, vec
+from .exactlin import SubspaceQ, Scalar, _primitive, _rank_kernel_int, _unit_lead, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
-from .poisson import CasimirSet, bracket, coordinate_brackets, frozen_bracket
+from .poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
+                      _linear_pairs, bracket, frozen_bracket)
 
 DEFICIT = "DEFICIT"
 EXACT = "EXACT"
@@ -91,31 +93,85 @@ class CommutativityCertificate:
     ok: bool
     pairs_checked: int
     failures: tuple[tuple[int, int, str], ...]
+    method: str = "pairwise"            # "shift-chain" | "pairwise"
+    # the packed {x_i, p} of every member, held by the shift chain
+    actions: Optional[tuple[Action, ...]] = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "pairs_checked": self.pairs_checked,
-                "failures": [list(f) for f in self.failures]}
+                "failures": [list(f) for f in self.failures], "method": self.method}
+
+
+def _shift_chain(family: ShiftFamily) -> Optional[tuple[Action, ...]]:
+    """The Lie-Poisson actions of the members when the chain holds, else None.
+
+    With f_k the member (generator, k), 0 when dropped, the chain is
+    {x_i, f_0} = 0 and {x_i, f_(k+1)} + {x_i, f_k}_xi = 0 for every i
+    and every k up to the last member, past which f_k counts as 0: the
+    top coefficient f_d = f(xi) is a constant, and brackets kill it.
+    """
+    L, n = family.algebra, family.algebra.dim
+    polys = family.polys
+    chains: dict[int, dict[int, int]] = {}
+    for pos, m in enumerate(family.members):
+        chain = chains.setdefault(m.generator_index, {})
+        if m.power < 0 or m.power in chain:
+            return None
+        chain[m.power] = pos
+    width = _action_width(polys)
+    lie = _coadjoint(n, polys, _linear_pairs(L), width)
+    frozen = _coadjoint(n, polys, _frozen_pairs(L, family.xi), width)
+    zero: Action = ([{}] * n, 1)
+    for chain in chains.values():
+        if 0 in chain and any(lie[chain[0]][0]):
+            return None
+        for k in range(max(chain) + 1):
+            upper = lie[chain[k + 1]] if k + 1 in chain else zero
+            lower = frozen[chain[k]] if k in chain else zero
+            if not _cancels(upper, lower):
+                return None
+    return tuple(lie)
+
+
+def _cancels(a: Action, b: Action) -> bool:
+    """Do two packed actions sum to zero?"""
+    (pa, da), (pb, db) = a, b
+    return all(ai.keys() == bi.keys() and all(c * db == -bi[key] * da for key, c in ai.items())
+               for ai, bi in zip(pa, pb))
 
 
 def certify_commutative(family: ShiftFamily) -> CommutativityCertificate:
-    """Exact pairwise commutativity under both pencil endpoints.
+    """Exact commutativity under both pencil endpoints.
 
-    Every unordered pair of members is checked against the Lie-Poisson
-    bracket and against the bracket frozen at the shift direction; a
-    failure records the pair and which bracket detected it.
+    The argument-shift chain certifies the whole family at once
+    (Mishchenko-Fomenko).  {f, g} = sum over i of d_i f {x_i, g}, and
+    {x_i, g} is the coadjoint action, so the chain of _shift_chain,
+    {x_i, g_(l+1)} = -{x_i, g_l}_xi, moves one power across a bracket:
+    {f_k, g_l} = -{f_k, g_(l-1)}_xi = {g_(l-1), f_k}_xi
+    = -{g_(l-1), f_(k+1)} = {f_(k+1), g_(l-1)}.  Repeating gives
+    {f_k, g_l} = {f_(k+l), g_0} = 0, as g_0 is a Casimir, and then
+    {f_k, g_l}_xi = -{f_k, g_(l+1)} = 0.  This covers every pair of
+    members, so pairs_checked counts them all.
+
+    A failed chain proves nothing.  Every unordered pair of members is
+    then checked against the Lie-Poisson bracket and against the
+    bracket frozen at the shift direction; a failure records the pair
+    and which bracket detected it.
     """
     L = family.algebra
     polys = family.polys
+    total = len(polys) * (len(polys) - 1) // 2
+    actions = _shift_chain(family)
+    if actions is not None:
+        return CommutativityCertificate(True, total, (), "shift-chain", actions)
     failures: list[tuple[int, int, str]] = []
-    pairs = 0
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            pairs += 1
             if not bracket(L, polys[i], polys[j]).is_zero():
                 failures.append((i, j, "lie-poisson"))
             if not frozen_bracket(L, family.xi, polys[i], polys[j]).is_zero():
                 failures.append((i, j, "frozen"))
-    return CommutativityCertificate(not failures, pairs, tuple(failures))
+    return CommutativityCertificate(not failures, total, tuple(failures))
 
 
 @dataclass
@@ -182,27 +238,29 @@ def nonmembership_linear(family: ShiftFamily, g: MPoly) -> bool:
     return not linear_member_span(family).contains(coeffs)
 
 
-def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly]) -> SubspaceQ:
+def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly],
+                     actions: Optional[Sequence[Action]] = None) -> SubspaceQ:
     """All linear forms whose bracket with every given polynomial vanishes.
 
-    Writing y = sum c_i x_i, each monomial of each {x_i, p} contributes
-    one linear condition on c; the commutant is the common kernel.
+    Writing y = sum c_i x_i, {y, p} = sum c_i {x_i, p}, so each monomial
+    of the {x_i, p} contributes one linear condition on c, an integer
+    row over the denominator of p's action; the commutant is the common
+    kernel.  Rows are kept once each, made primitive: on the sl5 shift
+    family 4656 rows shrink to under 1000.  actions, when given, are the
+    packed Lie-Poisson actions of polys as certify_commutative holds them.
     """
-    rows: list[list[Fraction]] = []
-    for p in polys:
-        per_var = coordinate_brackets(L, p)
-        monomials = set()
-        for q in per_var:
-            monomials.update(q.terms)
-        for mono in sorted(monomials):
-            rows.append([per_var[i].terms.get(mono, Fraction(0))
-                         for i in range(L.dim)])
-    if not rows:
-        return SubspaceQ.full(L.dim)
-    return rank_kernel(MatQ(rows))[1]
+    n = L.dim
+    if actions is None:
+        actions = _coadjoint(n, polys, _linear_pairs(L), _action_width(polys))
+    rows = {tuple(_primitive([acc.get(mono, 0) for acc in accs]))
+            for accs, _ in actions for mono in set().union(*accs)}
+    _, kernel = _rank_kernel_int(sorted(rows), n)
+    return SubspaceQ(n, [_unit_lead(v) for v in kernel])
 
 
-def find_nonmaximality_witness(family: ShiftFamily) -> Optional[MPoly]:
+def find_nonmaximality_witness(family: ShiftFamily,
+                               actions: Optional[Sequence[Action]] = None
+                               ) -> Optional[MPoly]:
     """A linear form commuting with the family but provably outside it.
 
     Returns None when every commuting linear form already lies in the
@@ -212,7 +270,7 @@ def find_nonmaximality_witness(family: ShiftFamily) -> Optional[MPoly]:
     """
     if not family.all_homogeneous():
         raise ValueError("nonmaximality search requires homogeneous members")
-    commutant = linear_commutant(family.algebra, family.polys)
+    commutant = linear_commutant(family.algebra, family.polys, actions)
     span = linear_member_span(family)
     for v in commutant.basis:
         if not span.contains(v):

@@ -23,6 +23,10 @@ from .sampling import integer_point, rng_stream
 # constant c when k is None
 PairForm = tuple[int, int, Iterable[tuple[Optional[int], Fraction]]]
 
+# {x_i, p} for every coordinate i, each as packed monomial -> integer
+# numerator, over one positive common denominator
+Action = tuple[list[dict[int, int]], int]
+
 
 def _packed_terms(p: MPoly, weights: Sequence[int]
                   ) -> tuple[list[tuple[int, int, list[tuple[int, int]]]], int]:
@@ -37,57 +41,115 @@ def _packed_terms(p: MPoly, weights: Sequence[int]
     return out, den
 
 
-def _bracket_kernel(n: int, f: MPoly, g: MPoly, pairs: Iterable[PairForm]) -> MPoly:
-    """sum over i < j of C(i, j) (d_i f d_j g - d_j f d_i g), in one pass.
+def _coadjoint(n: int, polys: Sequence[MPoly], pairs: Iterable[PairForm],
+               width: int) -> list[Action]:
+    """The coadjoint action {x_i, p} = sum over j of C(i, j) d_j p, for
+    every coordinate i and every p in polys: the one bracket kernel.
 
     A monomial is packed into one int with a field of `width` bits per
-    variable, so multiplying monomials and dividing out x_i x_j is one
-    integer add.  Every field of a result monomial lies in
-    [0, deg f + deg g - 1], because d_i and d_j each remove a unit before
-    x_k adds one, so no field carries into the next.  Coefficients stay
-    integers over one common denominator until the final Fraction.
+    variable, so multiplying monomials and dividing out x_j is one
+    integer add; the caller picks a width no field of a monomial it
+    forms can overflow.  The structure table is built once per call:
+    by_var[j] lists (i, packed offset, integer coefficient) of
+    C(i, j) / x_j, so each term of p feeds every i through the entries
+    of its variables, and like terms of each {x_i, p} merge in one
+    accumulator.  Coefficients stay integers over one denominator.
     """
-    if f.is_zero() or g.is_zero():
-        return MPoly.zero(n)
-    width = (f.degree() + g.degree()).bit_length() + 1
     weights = [1 << (v * width) for v in range(n)]
     forms = [(i, j, [(0 if k is None else weights[k], c) for k, c in form])
              for i, j, form in pairs]
     tden = lcm(*(c.denominator for _, _, form in forms for _, c in form))
-    # table[i][j]: (packed offset, integer coefficient) of C(i, j) / (x_i x_j)
-    table: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, j, form in forms:
-        drop = weights[i] + weights[j]
         for w, c in form:
             cn = c.numerator * (tden // c.denominator)
-            table[i][j].append((w - drop, cn))
-            table[j][i].append((w - drop, -cn))
-    fterms, fden = _packed_terms(f, weights)
-    gterms, gden = _packed_terms(g, weights)
-    gparts = [(mg, [(j, cg * ej) for j, ej in sg]) for mg, cg, sg in gterms]
-    acc: dict[int, int] = {}
-    get = acc.get
-    for mf, cf, sf in fterms:
-        fparts = [(table[i], cf * ei) for i, ei in sf]
-        for mg, gpart in gparts:
-            base = mf + mg
-            for row, a in fparts:
-                for j, b in gpart:
-                    entries = row[j]
-                    if entries:
-                        ab = a * b
-                        for off, c in entries:
-                            key = base + off
-                            acc[key] = get(key, 0) + ab * c
-    den = fden * gden * tden
+            by_var[j].append((i, w - weights[j], cn))
+            by_var[i].append((j, w - weights[i], -cn))
+    out: list[Action] = []
+    for p in polys:
+        if p.nvars != n:
+            raise ValueError("polynomial must live on the dual of the algebra")
+        terms, pden = _packed_terms(p, weights)
+        accs: list[dict[int, int]] = [{} for _ in range(n)]
+        for mp, cp, supp in terms:
+            for j, ej in supp:
+                a = cp * ej
+                for i, off, c in by_var[j]:
+                    acc = accs[i]
+                    key = mp + off
+                    acc[key] = acc.get(key, 0) + a * c
+        out.append(([{key: c for key, c in acc.items() if c} for acc in accs], pden * tden))
+    return out
+
+
+def _action_width(polys: Iterable[MPoly]) -> int:
+    """A field width for the actions of polys: every field of a monomial
+    of {x_i, p} lies in [0, deg p]."""
+    return (max((p.degree() for p in polys), default=0) + 1).bit_length() + 1
+
+
+def _unpack(n: int, acc: dict[int, int], den: int, width: int) -> MPoly:
     mask = (1 << width) - 1
     shifts = [v * width for v in range(n)]
     return MPoly._trusted(n, {tuple((key >> s) & mask for s in shifts): Fraction(c, den)
-                              for key, c in acc.items() if c})
+                              for key, c in acc.items()})
+
+
+def _bracket(n: int, f: MPoly, g: MPoly, pairs: Iterable[PairForm]) -> MPoly:
+    """{f, g} = sum over i of d_i f {x_i, g} = -sum over i of d_i g {x_i, f}.
+
+    This is sum over i < j of C(i, j) (d_i f d_j g - d_j f d_i g),
+    re-associated: like terms of {x_i, g} merge before the product, so
+    it never takes more multiply-adds than the pairs of terms of f and
+    g.  Both actions cost time linear in the number of terms; the side
+    whose product count is smaller is differentiated, and an argument
+    whose action vanishes is a Casimir, so the bracket is 0.  Every
+    field of a monomial formed here lies in [0, deg f + deg g - 1].
+    """
+    if f.is_zero() or g.is_zero():
+        return MPoly.zero(n)
+    width = (f.degree() + g.degree()).bit_length() + 1
+    (F, fden), (G, gden) = _coadjoint(n, (f, g), pairs, width)
+    if not any(F) or not any(G):
+        return MPoly.zero(n)
+    weights = [1 << (v * width) for v in range(n)]
+    fterms, f_cden = _packed_terms(f, weights)
+    gterms, g_cden = _packed_terms(g, weights)
+    cost_f = sum(len(G[i]) for _, _, supp in fterms for i, _ in supp)
+    cost_g = sum(len(F[i]) for _, _, supp in gterms for i, _ in supp)
+    # d_i of the differentiated side times the action of the other
+    dterms, dden, act, aden, sign = fterms, f_cden, G, gden, 1
+    if cost_g < cost_f:
+        dterms, dden, act, aden, sign = gterms, g_cden, F, fden, -1
+    acc: dict[int, int] = {}
+    get = acc.get
+    for md, cd, sd in dterms:
+        for i, ei in sd:
+            row = act[i]
+            if row:
+                a = sign * cd * ei
+                base = md - weights[i]
+                for m, b in row.items():
+                    key = base + m
+                    acc[key] = get(key, 0) + a * b
+    return _unpack(n, {key: c for key, c in acc.items() if c}, dden * aden, width)
 
 
 def _linear_pairs(L: LieAlgebraData) -> Iterable[PairForm]:
     return ((i, j, coeffs.items()) for i, j, coeffs in L.pairs())
+
+
+def _frozen_pairs(L: LieAlgebraData, xi: Sequence[Scalar]) -> list[PairForm]:
+    """The constants <xi, [b_i, b_j]> that are nonzero, as pair forms."""
+    pt = vec(xi)
+    if len(pt) != L.dim:
+        raise ValueError("point length mismatch")
+    frozen: list[PairForm] = []
+    for i, j, coeffs in L.pairs():
+        s = sum((c * pt[k] for k, c in coeffs.items()), Fraction(0))
+        if s != 0:
+            frozen.append((i, j, [(None, s)]))
+    return frozen
 
 
 def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
@@ -98,67 +160,27 @@ def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
 def bracket(L: LieAlgebraData, f: MPoly, g: MPoly) -> MPoly:
     """Poisson bracket {f, g} on polynomials in the dual coordinates."""
     _check_dual(L, f, g)
-    return _bracket_kernel(L.dim, f, g, _linear_pairs(L))
+    return _bracket(L.dim, f, g, _linear_pairs(L))
 
 
 def frozen_bracket(L: LieAlgebraData, xi: Sequence[Scalar], f: MPoly, g: MPoly) -> MPoly:
     """Bracket with the linear coefficients frozen at the point xi."""
     _check_dual(L, f, g)
-    pt = vec(xi)
-    if len(pt) != L.dim:
-        raise ValueError("point length mismatch")
-    frozen: list[PairForm] = []
-    for i, j, coeffs in L.pairs():
-        s = sum((c * pt[k] for k, c in coeffs.items()), Fraction(0))
-        if s != 0:
-            frozen.append((i, j, [(None, s)]))
-    return _bracket_kernel(L.dim, f, g, frozen)
+    return _bracket(L.dim, f, g, _frozen_pairs(L, xi))
 
 
 def coordinate_bracket(L: LieAlgebraData, i: int, f: MPoly) -> MPoly:
     """{x_i, f}, the coadjoint action of basis vector i on f."""
-    x_i = MPoly.variable(L.dim, i)
-    _check_dual(L, x_i, f)
-    return _bracket_kernel(L.dim, x_i, f, _linear_pairs(L))
+    if not 0 <= i < L.dim:
+        raise ValueError("variable index out of range")
+    return coordinate_brackets(L, f)[i]
 
 
 def coordinate_brackets(L: LieAlgebraData, f: MPoly) -> list[MPoly]:
-    """{x_i, f} for every coordinate i, from one structure table.
-
-    {x_i, f} = sum over j of C(i, j) d_j f, so each term of f, packed
-    once as in _bracket_kernel, feeds every i through the table entries
-    of its variables; one accumulator per i collects the terms.
-    """
-    n = L.dim
-    if f.nvars != n:
-        raise ValueError("polynomial must live on the dual of the algebra")
-    # the field width _bracket_kernel takes for x_i and f
-    width = (f.degree() + 1).bit_length() + 1
-    weights = [1 << (v * width) for v in range(n)]
-    pairs = list(L.pairs())
-    tden = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))
-    # by_var[j]: (i, packed offset, integer coefficient) of C(i, j) / x_j
-    by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, j, coeffs in pairs:
-        for k, c in coeffs.items():
-            cn = c.numerator * (tden // c.denominator)
-            by_var[j].append((i, weights[k] - weights[j], cn))
-            by_var[i].append((j, weights[k] - weights[i], -cn))
-    fterms, fden = _packed_terms(f, weights)
-    accs: list[dict[int, int]] = [{} for _ in range(n)]
-    for mf, cf, sf in fterms:
-        for j, ej in sf:
-            a = cf * ej
-            for i, off, c in by_var[j]:
-                acc = accs[i]
-                key = mf + off
-                acc[key] = acc.get(key, 0) + a * c
-    den = fden * tden
-    mask = (1 << width) - 1
-    shifts = [v * width for v in range(n)]
-    return [MPoly._trusted(n, {tuple((key >> s) & mask for s in shifts): Fraction(c, den)
-                               for key, c in acc.items() if c})
-            for acc in accs]
+    """{x_i, f} for every coordinate i, read off the coadjoint kernel."""
+    width = _action_width((f,))
+    [(accs, den)] = _coadjoint(L.dim, (f,), _linear_pairs(L), width)
+    return [_unpack(L.dim, acc, den, width) for acc in accs]
 
 
 @dataclass

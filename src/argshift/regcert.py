@@ -208,6 +208,15 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
     if rank(MatQ([list(pxi), list(peta)])) != 2:
         raise ValueError("plane spanning points are linearly dependent")
     if m == 0:
+        # the form is linear in the point: it vanishes on the plane
+        # exactly when it vanishes at xi and at eta
+        krank = max(kirillov(L, pt).rank for pt in (pxi, peta))
+        if krank:
+            raise _wrong_index(
+                "a Kirillov rank on the plane exceeds the generic rank",
+                {"dim": L.dim, "ind": profile.ind, "m": 0, "kirillov_rank": krank,
+                 "profile_status": profile.status, "xi": [rat_str(x) for x in pxi],
+                 "eta": [rat_str(x) for x in peta]}, profile)
         return PlaneCertificate(True, 0, 0)
     analysis = verify_com1(SkewPencil.from_kirillov(L, pxi, peta))
     if analysis.m < m:
@@ -310,6 +319,11 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
     n = L.dim
     total = comb(n, m) ** 2 if m else 0
     if m == 0:
+        # generic rank 0 holds only when every structure constant is 0
+        if any(coeffs for _, _, coeffs in L.pairs()):
+            raise _wrong_index("a nonzero structure constant exceeds the generic rank",
+                               {"dim": n, "ind": profile.ind, "m": 0,
+                                "profile_status": profile.status}, profile)
         return Codim2Certificate(True, 0, "trivial", 0, 0, total, seed)
     planes_tried = 0
     if n >= 3:

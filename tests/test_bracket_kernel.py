@@ -1,7 +1,7 @@
-"""Differential and property tests for the packed bracket kernel.
+"""Differential and property tests for the coadjoint bracket kernel.
 
 Two oracles that share no code with the kernel check bracket,
-frozen_bracket and coordinate_bracket: the partial-derivative formula
+frozen_bracket and coordinate_bracket(s): the partial-derivative formula
 sum_{i<j} C(i,j) (d_i f d_j g - d_j f d_i g) written with MPoly
 arithmetic, and the same formula evaluated by sympy's diff.  The batched
 coordinate_brackets must agree with coordinate_bracket.  The
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from argshift.liealg import (LieAlgebraData, make_classical, make_sl2_so2_contraction,
                              make_takiff, make_vinberg)
 from argshift.mpoly import MPoly
-from argshift.poisson import bracket, coordinate_bracket, coordinate_brackets, frozen_bracket
+from argshift.poisson import (bracket, classical_casimir_polys, coordinate_bracket,
+                              coordinate_brackets, frozen_bracket)
 from argshift.sampling import rng_stream
 
 ALGEBRAS = {
@@ -166,6 +167,30 @@ coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 monomial = st.lists(st.integers(0, 2), min_size=SL3.dim, max_size=SL3.dim).map(tuple)
 poly = st.dictionaries(monomial, coeff, max_size=3).map(lambda t: MPoly(SL3.dim, t))
 point = st.lists(coeff, min_size=SL3.dim, max_size=SL3.dim)
+
+
+C2, C3 = classical_casimir_polys("sl", 3)
+# Casimirs, whose coadjoint action vanishes, among the arguments
+poly_or_casimir = st.one_of(poly, st.sampled_from([C2, C3, C2 * C3, C2 + MPoly.one(SL3.dim)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_or_casimir, poly_or_casimir, point)
+def test_kernel_matches_formula_both_orders(f, g, xi):
+    for a, b in ((f, g), (g, f)):
+        assert bracket(SL3, a, b) == formula_bracket(SL3, a, b)
+        assert frozen_bracket(SL3, xi, a, b) == formula_frozen(SL3, xi, a, b)
+    batched = coordinate_brackets(SL3, f)
+    for i in range(SL3.dim):
+        assert batched[i] == formula_bracket(SL3, MPoly.variable(SL3.dim, i), f)
+
+
+def test_casimir_argument_brackets_to_zero():
+    f = MPoly.variable(SL3.dim, 0) * MPoly.variable(SL3.dim, 4) + MPoly.variable(SL3.dim, 7)
+    for c in (C2, C3):
+        assert all(q.is_zero() for q in coordinate_brackets(SL3, c))
+        assert bracket(SL3, f, c).is_zero() and bracket(SL3, c, f).is_zero()
+        assert formula_bracket(SL3, f, c).is_zero()
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 import argshift
 from argshift import jsonio
 from argshift.cli import main
-from argshift.liealg import make_classical
+from argshift.liealg import LieAlgebraData, make_classical
 from argshift.mpoly import MPoly
 
 SL2 = make_classical("sl", 2)
@@ -63,7 +63,7 @@ def test_algebra_build_emits_parseable_algebra(sl2_file):
 def test_algebra_validate_pass(capsys, sl2_file):
     code, report = run(capsys, "algebra", "validate", sl2_file)
     assert code == 0
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["status"] == "pass"
     assert report["verdicts"]["validate"]["ok"]
     assert "sha256" in report["inputs"]["algebra"]
@@ -225,7 +225,7 @@ def test_shift_certify(capsys, sl2_file, sl2_casimirs):
                        "--xi", "1,0,0")
     assert code == 0
     assert report["verdicts"]["commutative"] == {
-        "ok": True, "pairs_checked": 1, "members": 2}
+        "ok": True, "pairs_checked": 1, "members": 2, "method": "shift-chain"}
 
 
 def test_reg_point(capsys, sl2_file):
@@ -256,6 +256,22 @@ def test_reg_rejects_an_index_that_does_not_fit(capsys, sl2_file, sl2_casimirs,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: --ind {ind} does not fit dim 3")
+
+
+@pytest.mark.parametrize("command", [["point", "--xi", "1,0,0"],
+                                     ["plane", "--xi", "1,0,0", "--eta", "0,0,1"],
+                                     ["codim2"]])
+def test_reg_rejects_an_index_equal_to_dim(capsys, sl2_file, tmp_path, command):
+    # --ind 3 on sl2 leaves generic rank 0, which a nonzero form refutes
+    assert main(["reg", command[0], sl2_file, *command[1:], "--ind", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the declared index looks wrong" in captured.err
+    # on an abelian algebra generic rank 0 is right, and every check passes
+    ab = tmp_path / "ab.json"
+    jsonio.write_json(str(ab), jsonio.algebra_to_json(LieAlgebraData.abelian(3)))
+    code, report = run(capsys, "reg", command[0], str(ab), *command[1:], "--ind", "3")
+    assert code == 0 and report["status"] == "pass"
 
 
 def test_reg_point_rank_above_the_index(capsys, sl2_file, tmp_path):
@@ -418,6 +434,18 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     fam = jsonio.family_from_json(report["family"],
                                   jsonio.algebra_from_json(jsonio.read_json(str(alg))))
     assert len(fam.members) == 5
+
+
+def test_pipeline_sl4_commutes_by_the_shift_chain(capsys, tmp_path):
+    alg = tmp_path / "sl4.json"
+    assert main(["algebra", "build", "sl", "4", "--out", str(alg)]) == 0
+    capsys.readouterr()
+    code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
+    assert code == 0
+    assert report["verdicts"]["build-family"]["members"] == 9
+    assert report["verdicts"]["commutative"] == {"ok": True, "pairs_checked": 36,
+                                                 "method": "shift-chain"}
+    assert "conclusions" not in report["witnesses"]
 
 
 def test_classical_pipeline_verifies_on_the_loaded_table(capsys, tmp_path):

@@ -129,6 +129,37 @@ def test_malformed_input_raises_value_error(parse, data):
         parse(data)
 
 
+def _poly(nvars, coeff="1", exps=(1,)):
+    return {"nvars": nvars, "terms": [{"coeff": coeff, "exps": list(exps)}]}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"nvars": 2.5, "terms": []}, "nvars must be an integer, not 2.5"),
+    ({"nvars": True, "terms": []}, "nvars must be an integer, not True"),
+    (_poly(1, exps=[-1]), "bad exponent tuple (-1,) for nvars=1"),
+    (_poly(2, exps=[1]), "bad exponent tuple (1,) for nvars=2"),
+    (_poly(1, exps=[1.5]), "exponent must be an integer, not 1.5"),
+    (_poly(1, coeff="1/0"), "cannot interpret '1/0' as a rational"),
+    (_poly(1, coeff=None), "cannot interpret None as a rational"),
+    (_poly(1, coeff=1.5), "cannot interpret 1.5 as a rational"),
+])
+def test_poly_from_json_error_messages(data, message):
+    with pytest.raises(ValueError) as err:
+        poly_from_json(data)
+    assert str(err.value) == message
+
+
+def test_poly_from_json_drops_zero_sums():
+    data = {"nvars": 2, "terms": [{"coeff": "1/2", "exps": [1, 0]},
+                                  {"coeff": "-1/2", "exps": [1, 0]},
+                                  {"coeff": "0", "exps": [0, 1]},
+                                  {"coeff": "3", "exps": ["2", 0]}]}
+    p = poly_from_json(data)
+    assert p.terms == {(2, 0): Fraction(3)}
+    assert all(isinstance(c, Fraction) for c in p.terms.values())
+    assert p == MPoly(2, {(2, 0): 3})
+
+
 def test_dumps_canonical():
     a = dumps({"b": 1, "a": [Fraction is None]})
     assert a.endswith("\n")

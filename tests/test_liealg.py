@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from argshift.exactlin import MatQ
+from argshift import liealg
+from argshift.exactlin import MatQ, rank, solve_many
 from argshift.liealg import (
     AlgebraProfile,
     LieAlgebraData,
@@ -202,3 +203,48 @@ def test_semidirect_index_report_refuses_small_module():
     assert not report["formula_applies"]
     assert report["predicted_ind"] is None
     assert "not established" in report["note"]
+
+
+# --- sparse commutators against the dense route ----------------------------
+
+def dense_algebra_from_matrices(names, mats, meta=None):
+    """Every commutator by full MatQ products, one solve on the span."""
+    d = len(mats)
+    flat = [tuple(M[i, j] for i in range(M.rows) for j in range(M.cols)) for M in mats]
+    span = MatQ(flat).transpose()
+    assert rank(span) == d
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    comm = [mats[i] * mats[j] - mats[j] * mats[i] for i, j in pairs]
+    sols = solve_many(span, [[C[a, b] for a in range(C.rows) for b in range(C.cols)]
+                             for C in comm])
+    table = {}
+    for (i, j), x in zip(pairs, sols):
+        assert x is not None
+        coeffs = {k: c for k, c in enumerate(x) if c != 0}
+        if coeffs:
+            table[(i, j)] = coeffs
+    return LieAlgebraData(d, names, table, meta)
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda n=n: make_classical("sl", n) for n in (2, 3, 4, 5)],
+    *[lambda n=n: make_classical("gl", n) for n in (2, 3, 4)],
+    *[lambda n=n: make_classical("so", n) for n in (3, 4, 5)],
+    *[lambda n=n, p=p: make_centralizer_sl(n, p)
+      for n, p in ((3, [3]), (4, [2, 2]), (4, [2, 1, 1]), (5, [3, 2]), (5, [2, 2, 1]),
+                   (5, [3, 1, 1]))],
+], ids=["sl2", "sl3", "sl4", "sl5", "gl2", "gl3", "gl4", "so3", "so4", "so5",
+        "z_sl3_3", "z_sl4_22", "z_sl4_211", "z_sl5_32", "z_sl5_221", "z_sl5_311"])
+def test_sparse_commutators_match_dense_route(monkeypatch, build):
+    real = liealg.algebra_from_matrices
+    built = []
+
+    def both(names, mats, meta=None):
+        got = real(names, mats, meta)
+        assert got == dense_algebra_from_matrices(names, mats, meta)
+        built.append(got)
+        return got
+
+    monkeypatch.setattr(liealg, "algebra_from_matrices", both)
+    L = build()
+    assert built == [L]

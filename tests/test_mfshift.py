@@ -11,14 +11,17 @@ from fractions import Fraction
 
 import pytest
 
+from argshift.exactlin import MatQ, SubspaceQ, rank_kernel
 from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_classical,
-                             make_sl2_so2_contraction)
-from argshift.mfshift import (DEFICIT, EXACT, EXCESS, build_family,
-                              certify_commutative, degree_profile,
+                             make_sl2_so2_contraction, make_takiff)
+from argshift.mfshift import (DEFICIT, EXACT, EXCESS, ShiftFamily, ShiftMember,
+                              build_family, certify_commutative, degree_profile,
                               find_nonmaximality_witness, linear_commutant,
                               linear_member_span, nonmembership_linear)
 from argshift.mpoly import MPoly
-from argshift.poisson import CasimirSet, bracket, classical_casimirs, estimate_index
+from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
+                              frozen_bracket, takiff_lift)
+from argshift.sampling import integer_point, rng_stream
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -83,6 +86,8 @@ def test_certify_commutative_detects_failure():
     fam = build_family(SL2, [X_E, X_H], (1, 0, 0))
     cert = certify_commutative(fam)
     assert not cert.ok
+    assert cert.method == "pairwise"
+    assert cert.failures == pairwise_oracle(fam)
     # {x_e, x_h} = -2 x_e fails the lie-poisson route; frozen at
     # (1, 0, 0) gives <xi, [e, h]> = -2 as well
     assert (0, 1, "lie-poisson") in cert.failures
@@ -182,3 +187,135 @@ def test_linear_commutant_abelian_is_everything():
     ab = LieAlgebraData(2, ["a", "b"], {})
     com = linear_commutant(ab, [MPoly.variable(2, 0)])
     assert com.dim == 2
+
+
+# --- the shift chain against the pairwise route -------------------------------
+
+def pairwise_oracle(family):
+    """Failures of the pair-by-pair check, in the order the pairwise
+    route reports them."""
+    L, polys = family.algebra, family.polys
+    failures = []
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not bracket(L, polys[i], polys[j]).is_zero():
+                failures.append((i, j, "lie-poisson"))
+            if not frozen_bracket(L, family.xi, polys[i], polys[j]).is_zero():
+                failures.append((i, j, "frozen"))
+    return tuple(failures)
+
+
+def fraction_linear_commutant(L, polys):
+    """The linear commutant from {x_i, p} = sum_j C(i, j) d_j p written
+    with MPoly arithmetic, and rank_kernel on Fraction rows."""
+    rows = []
+    for p in polys:
+        per_var = []
+        for i in range(L.dim):
+            acc = MPoly.zero(L.dim)
+            for j in range(L.dim):
+                form = MPoly.linear_form([L.bracket_coeffs(i, j).get(k, 0)
+                                          for k in range(L.dim)])
+                acc = acc + form * p.partial(j)
+            per_var.append(acc)
+        for mono in sorted(set().union(*(q.terms for q in per_var))):
+            rows.append([q.terms.get(mono, Fraction(0)) for q in per_var])
+    if not rows:
+        return SubspaceQ.full(L.dim)
+    return rank_kernel(MatQ(rows))[1]
+
+
+def _contraction():
+    q = make_sl2_so2_contraction()
+    x = [MPoly.variable(3, i) for i in range(3)]
+    return q, [x[1] * x[1] + x[2] * x[2]]
+
+
+def _takiff(level):
+    base = make_classical("sl", 2)
+    T = make_takiff(base, level)
+    return T, takiff_lift(base, classical_casimirs("sl", 2).generators[0], level)
+
+
+FAMILIES = {
+    "sl2": lambda: (SL2, [CAS]),
+    "sl3": lambda: (make_classical("sl", 3), classical_casimirs("sl", 3).generators),
+    "sl4": lambda: (make_classical("sl", 4), classical_casimirs("sl", 4).generators),
+    "gl3": lambda: (make_classical("gl", 3), classical_casimirs("gl", 3).generators),
+    "takiff_sl2_1": lambda: _takiff(1),
+    "takiff_sl2_2": lambda: _takiff(2),
+    "contraction": _contraction,
+}
+
+
+def seeded_family(name, t):
+    L, gens = FAMILIES[name]()
+    xi = integer_point(rng_stream(0, "shift-chain", name, t), L.dim, 5)
+    return build_family(L, gens, xi)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_chain_verdict_equals_pairwise(name):
+    for t in range(2 if name == "sl4" else 3):
+        fam = seeded_family(name, t)
+        cert = certify_commutative(fam)
+        assert cert.ok and cert.method == "shift-chain"
+        assert cert.pairs_checked == len(fam) * (len(fam) - 1) // 2
+        assert pairwise_oracle(fam) == ()
+        assert len(cert.actions) == len(fam)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "gl3", "takiff_sl2_1", "contraction"])
+def test_perturbed_generator_fails_the_chain(name):
+    # a Casimir plus x_0 is no Casimir: the chain fails at {x_i, f_0},
+    # and the pairwise route decides the verdict
+    L, gens = FAMILIES[name]()
+    gens = list(gens)
+    gens[0] = gens[0] + MPoly.variable(L.dim, 0)
+    xi = integer_point(rng_stream(0, "perturbed", name), L.dim, 5)
+    fam = build_family(L, gens, xi)
+    cert = certify_commutative(fam)
+    assert cert.method == "pairwise" and cert.actions is None
+    assert not cert.ok and cert.failures == pairwise_oracle(fam)
+    assert cert.pairs_checked == len(fam) * (len(fam) - 1) // 2
+
+
+def test_chain_needs_one_member_per_power():
+    # a family read from a file may repeat a (generator, power) key; the
+    # chain then cannot look its members up, and the pairwise route runs
+    members = (ShiftMember(0, 0, CAS), ShiftMember(0, 0, 2 * CAS), ShiftMember(0, 1, 4 * X_F))
+    fam = ShiftFamily(SL2, (Fraction(1), Fraction(0), Fraction(0)), (CAS,), members)
+    cert = certify_commutative(fam)
+    assert cert.ok and cert.method == "pairwise" and cert.pairs_checked == 3
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_linear_commutant_matches_fraction_route(name):
+    fam = seeded_family(name, 0)
+    L = fam.algebra
+    want = fraction_linear_commutant(L, fam.polys)
+    assert linear_commutant(L, fam.polys) == want
+    assert linear_commutant(L, fam.polys, certify_commutative(fam).actions) == want
+
+
+def test_linear_commutant_matches_fraction_route_on_random_polys():
+    sl3 = make_classical("sl", 3)
+    for t in range(6):
+        rng = rng_stream(0, "commutant", t)
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * sl3.dim
+                for _ in range(rng.randint(1, 3)):
+                    e[rng.randrange(sl3.dim)] += 1
+                terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            polys.append(MPoly(sl3.dim, terms))
+        assert linear_commutant(sl3, polys) == fraction_linear_commutant(sl3, polys)
+
+
+def test_contraction_witness_from_the_chain_actions():
+    q, fam, x_p, x_r = contraction_family()
+    cert = certify_commutative(fam)
+    assert cert.method == "shift-chain"
+    assert find_nonmaximality_witness(fam, cert.actions) == x_r

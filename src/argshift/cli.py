@@ -39,7 +39,7 @@ from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim
 from .sampling import integer_point, rng_stream
 from .skewpencil import SkewPencil, verify_com1
 
-SCHEMA = 3
+SCHEMA = 4
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -249,15 +249,18 @@ def cmd_poisson_index(args: argparse.Namespace, report: dict, inputs: dict) -> b
 # --- shift ------------------------------------------------------------------
 
 def _load_casimirs(args: argparse.Namespace, path: str, inputs: dict,
-                   L: LieAlgebraData) -> CasimirSet:
+                   L: LieAlgebraData, verify: bool = False) -> CasimirSet:
+    """The Casimir file, re-verified on L when the verdict rests on it."""
     raw, entry = _read_input(path)
     inputs["casimirs"] = entry
     try:
         cs = jsonio.casimirs_from_json(raw)
+        if cs.nvars != L.dim:
+            raise UsageError("Casimir variable count does not match the algebra")
+        if verify:
+            cs = CasimirSet.verified(L, cs.generators, seed=args.seed, bound=args.bound)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    if cs.nvars != L.dim:
-        raise UsageError("Casimir variable count does not match the algebra")
     return cs
 
 
@@ -359,7 +362,7 @@ def cmd_reg_codim2(args: argparse.Namespace, report: dict, inputs: dict) -> bool
 @_reported
 def cmd_reg_compl(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    cs = _load_casimirs(args, args.casimirs, inputs, L)
+    cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True)
     prof = _profile(L, args)
     xi = _vector(args, "xi", L.dim)
     eta = _vector(args, "eta", L.dim)
@@ -379,7 +382,7 @@ def cmd_reg_compl(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
 @_reported
 def cmd_reg_bols(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    cs = _load_casimirs(args, args.casimirs, inputs, L)
+    cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True)
     prof = _profile(L, args)
     xi = _vector(args, "xi", L.dim)
     verdict = verify_bols(L, cs, prof, xi, seed=args.seed)

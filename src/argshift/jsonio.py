@@ -136,8 +136,12 @@ def casimirs_from_json(data: Any) -> CasimirSet:
     nvars = _int(_field(data, "nvars", "Casimir file"), "nvars")
     gens = tuple(poly_from_json(d)
                  for d in _array(data.get("generators", []), "Casimir generators"))
-    degrees = tuple(_int(d, "degree") for d in _array(data["degrees"], "degrees")) \
-        if "degrees" in data else tuple(p.degree() for p in gens)
+    degrees = tuple(p.degree() for p in gens)
+    if "degrees" in data:
+        given = [_int(d, "degree") for d in _array(data["degrees"], "degrees")]
+        if given != list(degrees):
+            raise ValueError(f"degrees {given} do not match the generators' "
+                             f"degrees {list(degrees)}")
     witness = None
     if data.get("independence_witness") is not None:
         witness = vector_from_json(data["independence_witness"])

@@ -166,32 +166,7 @@ class MPoly:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # --- calculus and evaluation ----------------------------------------
-    def partial(self, i: int) -> "MPoly":
-        if not 0 <= i < self.nvars:
-            raise ValueError("variable index out of range")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        return MPoly._trusted(self.nvars, out)
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        pt = vec(point)
-        if len(pt) != self.nvars:
-            raise ValueError("point length mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
-
+    # --- substitution and shift expansion --------------------------------
     def compose(self, subs: Sequence["MPoly"]) -> "MPoly":
         """Substitute subs[i] for variable i; subs share one target ring."""
         if len(subs) != self.nvars:
@@ -706,29 +681,6 @@ def determinant(rows: Sequence[Sequence[MPoly]]) -> MPoly:
             a[i][k] = zero
         prev = p
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
-
-
-def stream_minor_gcd(entries: Sequence[Sequence[MPoly]],
-                     order: Iterable[tuple[Sequence[int], Sequence[int]]]
-                     ) -> tuple[Optional[MPoly], int]:
-    """Running monic gcd of the square minors named by order.
-
-    Each item of order is (row indices, column indices).  The stream
-    stops as soon as the gcd is constant, which certifies the gcd of
-    every minor.  Returns (gcd, minors_examined); gcd is None when
-    every examined minor vanished.
-    """
-    g: Optional[MPoly] = None
-    checked = 0
-    for rows_idx, cols_idx in order:
-        checked += 1
-        minor = determinant([[entries[i][j] for j in cols_idx] for i in rows_idx])
-        if minor.is_zero():
-            continue
-        g = minor if g is None else poly_gcd([g, minor])
-        if g.is_constant():
-            break
-    return (None if g is None else g.monic()), checked
 
 
 def extract_var_coeffs(p: MPoly, v: int) -> dict[int, MPoly]:

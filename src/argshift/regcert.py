@@ -6,27 +6,29 @@ by the structure of its Kirillov pencil (generic rank m and Kronecker
 blocks only; a Jordan part carries the singular directions as the
 roots of det(mu I + nu Phi), Phi the recursion operator), and the dual
 space is certified singular-in-codimension-two when the gcd of all
-symbolic m x m minors is constant.
+symbolic m x m minors is constant.  That gcd is g^2, g the gcd of the
+principal m x m Pfaffians: the generic Kirillov matrix K has rank m
+over k(x), so each minor is +-Pf(K_I) Pf(K_J).  g is the fundamental
+semi-invariant of Ooms-Van den Bergh and Joseph-Shafrir.
 
-The expensive symbolic gcd is usually avoided: restricting the matrix
-to a plane maps every minor to its restriction, and a nonconstant
-homogeneous divisor stays nonconstant on any plane where it does not
-vanish outright.  A regular plane therefore certifies the full-space
-verdict; only failures fall back to the symbolic computation, streamed
-with early exit, and those carry the offending divisor as witness.
+The symbolic gcd is usually avoided: restricting the matrix to a plane
+maps every minor to its restriction, and a nonconstant homogeneous
+divisor stays nonconstant on any plane where it does not vanish
+outright.  A regular plane therefore certifies the full-space verdict;
+only failures fall back to one running gcd over the Pfaffians, with
+early exit, and those carry g^2 as the witness divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .exactlin import MatQ, Scalar, rank, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
-from .mpoly import MPoly, gradient_rank, gradient_table, stream_minor_gcd
+from .mpoly import MPoly, gradient_rank, gradient_table, poly_gcd
 from .poisson import CasimirSet, kirillov
 from .sampling import integer_point, rng_stream
 
@@ -291,8 +293,7 @@ class Codim2Certificate:
     m: int
     method: str                 # "trivial" | "plane" | "symbolic"
     planes_tried: int
-    minors_checked: int
-    total_minors: int
+    pfaffians_checked: int
     seed: int
     witness: Optional[MPoly] = field(default=None, repr=False)
     witness_pretty: Optional[str] = None
@@ -300,9 +301,48 @@ class Codim2Certificate:
     def as_dict(self) -> dict:
         return {"ok": self.ok, "m": self.m, "method": self.method,
                 "planes_tried": self.planes_tried,
-                "minors_checked": self.minors_checked,
-                "total_minors": self.total_minors, "seed": self.seed,
+                "pfaffians_checked": self.pfaffians_checked, "seed": self.seed,
                 "witness": self.witness_pretty}
+
+
+def _pfaffian(K: Sequence[Sequence[MPoly]], idx: tuple[int, ...],
+              memo: dict[tuple[int, ...], MPoly]) -> MPoly:
+    """Pfaffian of the principal submatrix of the skew K on idx, a sorted
+    tuple of even length >= 2.
+
+    Expansion along the first row: Pf(K_I) = sum_p (-1)^p K[i, j_p]
+    Pf(K_{I - i - j_p}) over the other indices j_p of I = (i, j_0, ...).
+    The smaller Pfaffians are memoized on their index tuples in memo.
+    """
+    if len(idx) == 2:
+        return K[idx[0]][idx[1]]
+    got = memo.get(idx)
+    if got is None:
+        i, rest = idx[0], idx[1:]
+        got = K[i][i]               # zero: a skew matrix has a zero diagonal
+        for p, j in enumerate(rest):
+            if not K[i][j].is_zero():
+                t = K[i][j] * _pfaffian(K, rest[:p] + rest[p + 1:], memo)
+                got = got - t if p % 2 else got + t
+        memo[idx] = got
+    return got
+
+
+def _pfaffian_gcd(K: Sequence[Sequence[MPoly]], m: int
+                  ) -> tuple[Optional[MPoly], int]:
+    """Running monic gcd of the principal m x m Pfaffians of the skew K,
+    over index sets in lexicographic order, stopped once it is constant.
+    Returns (gcd, Pfaffians examined); gcd is None when all vanished."""
+    memo: dict[tuple[int, ...], MPoly] = {}
+    g: Optional[MPoly] = None
+    for checked, idx in enumerate(combinations(range(len(K)), m), 1):
+        p = _pfaffian(K, idx, memo)
+        if p.is_zero():
+            continue
+        g = p.monic() if g is None else poly_gcd([g, p])
+        if g.is_constant():
+            break
+    return g, checked
 
 
 def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
@@ -310,21 +350,21 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
     """Certify that the singular set of the dual has codimension >= 2.
 
     Equivalent statement: the gcd of all m x m minors of the symbolic
-    skew matrix is constant.  Sample planes give a sound shortcut (see
-    module docstring); when every plane fails, the gcd is computed over
-    the symbolic minors themselves, streamed in seeded order with early
-    exit, and a nonconstant result is returned as the witness divisor.
+    skew matrix is constant, that is, the gcd g of its principal m x m
+    Pfaffians is (see module docstring).  Sample planes give a sound
+    shortcut, and the seed picks only them; when every plane fails, g
+    is computed over the Pfaffians themselves, and a nonconstant g^2,
+    the gcd of the minors, is returned as the witness divisor.
     """
     m = _check_profile(L, profile)
     n = L.dim
-    total = comb(n, m) ** 2 if m else 0
     if m == 0:
         # generic rank 0 holds only when every structure constant is 0
         if any(coeffs for _, _, coeffs in L.pairs()):
             raise _wrong_index("a nonzero structure constant exceeds the generic rank",
                                {"dim": n, "ind": profile.ind, "m": 0,
                                 "profile_status": profile.status}, profile)
-        return Codim2Certificate(True, 0, "trivial", 0, 0, total, seed)
+        return Codim2Certificate(True, 0, "trivial", 0, 0, seed)
     planes_tried = 0
     if n >= 3:
         for t in range(planes):
@@ -335,28 +375,18 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
                 continue
             planes_tried += 1
             if certify_regular_plane(L, profile, xi, eta).ok:
-                return Codim2Certificate(True, m, "plane", planes_tried, 0,
-                                         total, seed)
-    # rows and columns are shuffled apart so that no list of all
-    # C(n, m)^2 index pairs is ever built
-    rng = rng_stream(seed, "codim2-minor-order", "symbolic")
-    row_sets = list(combinations(range(n), m))
-    col_sets = list(combinations(range(n), m))
-    rng.shuffle(row_sets)
-    rng.shuffle(col_sets)
-    g, checked = stream_minor_gcd(generic_kirillov(L),
-                                  product(row_sets, col_sets))
+                return Codim2Certificate(True, m, "plane", planes_tried, 0, seed)
+    g, checked = _pfaffian_gcd(generic_kirillov(L), m)
     if g is None:
         raise _wrong_index("no nonzero minor at the declared generic rank",
                            {"dim": n, "ind": profile.ind, "m": m,
                             "profile_status": profile.status}, profile)
     if g.is_constant():
-        return Codim2Certificate(True, m, "symbolic", planes_tried, checked,
-                                 total, seed)
+        return Codim2Certificate(True, m, "symbolic", planes_tried, checked, seed)
     names = [f"x_{nm}" for nm in L.basis_names]
-    return Codim2Certificate(False, m, "symbolic", planes_tried, checked,
-                             total, seed, witness=g,
-                             witness_pretty=g.pretty(names))
+    witness = g * g
+    return Codim2Certificate(False, m, "symbolic", planes_tried, checked, seed,
+                             witness=witness, witness_pretty=witness.pretty(names))
 
 
 # --- completeness checks ----------------------------------------------------

@@ -1,0 +1,81 @@
+"""Test oracles: older or more direct routes the package no longer runs.
+
+Each function here computes a fact the package decides another way, so
+tests can hold the package's route against it.
+
+- ``partial`` and ``evaluate``: calculus on one MPoly, term by term.
+- ``stream_minor_gcd``: the running gcd of square minors, each taken
+  as a symbolic determinant.  ``regcert.certify_codim2`` replaced it
+  with a gcd over principal Pfaffians.
+- ``to_sympy``: an MPoly as a sympy expression, for differential tests.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+import sympy
+
+from argshift.exactlin import Scalar, vec
+from argshift.mpoly import MPoly, determinant, poly_gcd
+
+
+def partial(p: MPoly, i: int) -> MPoly:
+    """The derivative of p in variable i."""
+    if not 0 <= i < p.nvars:
+        raise ValueError("variable index out of range")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return MPoly(p.nvars, out)
+
+
+def evaluate(p: MPoly, point: Sequence[Scalar]) -> Fraction:
+    """The value of p at a rational point."""
+    pt = vec(point)
+    if len(pt) != p.nvars:
+        raise ValueError("point length mismatch")
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for x, k in zip(pt, e):
+            if k:
+                c *= x ** k
+        total += c
+    return total
+
+
+def grad_at(p: MPoly, pt: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """The gradient of p at a rational point."""
+    return tuple(evaluate(partial(p, i), pt) for i in range(p.nvars))
+
+
+def stream_minor_gcd(entries: Sequence[Sequence[MPoly]],
+                     order: Iterable[tuple[Sequence[int], Sequence[int]]]
+                     ) -> tuple[Optional[MPoly], int]:
+    """Running monic gcd of the square minors named by order.
+
+    Each item of order is (row indices, column indices).  The stream
+    stops as soon as the gcd is constant, which certifies the gcd of
+    every minor.  Returns (gcd, minors_examined); gcd is None when
+    every examined minor vanished.
+    """
+    g: Optional[MPoly] = None
+    checked = 0
+    for rows_idx, cols_idx in order:
+        checked += 1
+        minor = determinant([[entries[i][j] for j in cols_idx] for i in rows_idx])
+        if minor.is_zero():
+            continue
+        g = minor if g is None else poly_gcd([g, minor])
+        if g.is_constant():
+            break
+    return (None if g is None else g.monic()), checked
+
+
+def to_sympy(p: MPoly, syms: Sequence[sympy.Symbol]) -> sympy.Expr:
+    """p as an expanded sympy expression in syms."""
+    return sympy.expand(sum((sympy.Rational(c.numerator, c.denominator)
+                             * sympy.Mul(*[x ** k for x, k in zip(syms, e)])
+                             for e, c in p.terms.items()), sympy.Integer(0)))

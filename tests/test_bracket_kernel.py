@@ -22,6 +22,7 @@ from argshift.mpoly import MPoly
 from argshift.poisson import (bracket, classical_casimir_polys, coordinate_bracket,
                               coordinate_brackets, frozen_bracket)
 from argshift.sampling import rng_stream
+from oracles import partial, to_sympy
 
 ALGEBRAS = {
     "sl3": make_classical("sl", 3),
@@ -38,8 +39,8 @@ SL2 = make_classical("sl", 2)   # basis (e, h, f), [e, f] = h
 # --- oracles -----------------------------------------------------------------
 
 def formula_bracket(L, f, g):
-    pf = [f.partial(i) for i in range(L.dim)]
-    pg = [g.partial(i) for i in range(L.dim)]
+    pf = [partial(f, i) for i in range(L.dim)]
+    pg = [partial(g, i) for i in range(L.dim)]
     acc = MPoly.zero(L.dim)
     for i, j, coeffs in L.pairs():
         form = MPoly.linear_form([coeffs.get(k, 0) for k in range(L.dim)])
@@ -48,23 +49,13 @@ def formula_bracket(L, f, g):
 
 
 def formula_frozen(L, xi, f, g):
-    pf = [f.partial(i) for i in range(L.dim)]
-    pg = [g.partial(i) for i in range(L.dim)]
+    pf = [partial(f, i) for i in range(L.dim)]
+    pg = [partial(g, i) for i in range(L.dim)]
     acc = MPoly.zero(L.dim)
     for i, j, coeffs in L.pairs():
         s = sum((c * Fraction(xi[k]) for k, c in coeffs.items()), Fraction(0))
         acc = acc + s * (pf[i] * pg[j] - pf[j] * pg[i])
     return acc
-
-
-def to_sympy(p, syms):
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for x, k in zip(syms, e):
-            term *= x ** k
-        expr += term
-    return sympy.expand(expr)
 
 
 def sympy_bracket(L, f, g, xi=None):

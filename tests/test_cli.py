@@ -63,7 +63,7 @@ def test_algebra_build_emits_parseable_algebra(sl2_file):
 def test_algebra_validate_pass(capsys, sl2_file):
     code, report = run(capsys, "algebra", "validate", sl2_file)
     assert code == 0
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["status"] == "pass"
     assert report["verdicts"]["validate"]["ok"]
     assert "sha256" in report["inputs"]["algebra"]
@@ -344,6 +344,31 @@ def test_compl_ratios_respect_bound(capsys, sl2_file, sl2_casimirs):
     code, piped = run(capsys, "pipeline", "run", sl2_file, "--classical",
                       "--bound", "2")
     assert code == 0 and max(ratio_heights(piped)) <= 2
+
+
+@pytest.mark.parametrize("poly, degrees, message", [
+    # C^2 is central but its degree list claims 2, which would make the
+    # degree sum meet the bound
+    ("square", [2], "do not match"),
+    # x_e is not central; with a matching degree list the generator
+    # check rejects it, with a wrong one the parser does
+    ("x_e", [2], "do not match"),
+    ("x_e", [1], "not a Casimir"),
+])
+@pytest.mark.parametrize("command", [["bols", "--xi", "1,2,3"],
+                                     ["compl", "--xi", "1,0,0", "--eta", "0,0,1"]])
+def test_reg_bols_and_compl_reject_unverified_casimirs(capsys, tmp_path, sl2_file,
+                                                       poly, degrees, message, command):
+    x = [MPoly.variable(3, i) for i in range(3)]
+    cas = x[1] * x[1] + 4 * x[0] * x[2]
+    gen = cas * cas if poly == "square" else x[0]
+    path = tmp_path / "claimed.json"
+    jsonio.write_json(str(path), {"nvars": 3, "generators": [jsonio.poly_to_json(gen)],
+                                  "degrees": degrees})
+    code = main(["reg", command[0], sl2_file, str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_reg_point_falsification_exit(capsys, tmp_path, sl2_file):

@@ -22,11 +22,7 @@ from argshift.mpoly import MPoly, gradient_rank, gradient_table
 from argshift.poisson import CasimirSet, classical_casimirs, takiff_lift
 from argshift.regcert import jacobian_rank
 from argshift.sampling import integer_point, rng_stream
-
-
-def grad_at(p, pt):
-    """The gradient of p at pt, partial by partial, in Fractions."""
-    return [p.partial(i).evaluate(pt) for i in range(p.nvars)]
+from oracles import grad_at
 
 
 def fraction_jacobian_rank(polys, pt):

@@ -123,6 +123,9 @@ def test_family_round_trip():
     (subspace_from_json, {"ambient": 2, "basis": "12"}),
     (lambda d: family_from_json(d, SL2), {}),
     (lambda d: family_from_json(d, SL2), {"xi": ["1", "0", "0"], "members": [{"power": 1}]}),
+    (casimirs_from_json, {"nvars": 1, "generators": [
+        {"nvars": 1, "terms": [{"exps": [2], "coeff": "1"}]}], "degrees": [1]}),
+    (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": [2]}),
 ])
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):

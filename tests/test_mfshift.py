@@ -22,6 +22,7 @@ from argshift.mpoly import MPoly
 from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
                               frozen_bracket, takiff_lift)
 from argshift.sampling import integer_point, rng_stream
+from oracles import partial
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -216,7 +217,7 @@ def fraction_linear_commutant(L, polys):
             for j in range(L.dim):
                 form = MPoly.linear_form([L.bracket_coeffs(i, j).get(k, 0)
                                           for k in range(L.dim)])
-                acc = acc + form * p.partial(j)
+                acc = acc + form * partial(p, j)
             per_var.append(acc)
         for mono in sorted(set().union(*(q.terms for q in per_var))):
             rows.append([q.terms.get(mono, Fraction(0)) for q in per_var])

@@ -16,10 +16,11 @@ import pytest
 from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_centralizer_sl,
                              make_classical, make_sl2_so2_contraction,
                              make_takiff, make_vinberg)
-from argshift.mpoly import MPoly, rational_roots, stream_minor_gcd
+from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import estimate_index, kirillov
 from argshift.regcert import FalsificationError, certify_regular_plane
 from argshift.sampling import integer_point, rng_stream
+from oracles import stream_minor_gcd
 
 HEISENBERG = LieAlgebraData(3, ["e", "f", "z"], {(0, 1): {2: Fraction(1)}})
 

@@ -26,13 +26,9 @@ from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, clas
                               frozen_bracket, is_casimir, kirillov,
                               takiff_lift)
 from argshift.sampling import integer_point, rng_stream
+from oracles import evaluate, grad_at
 
 SL2 = make_classical("sl", 2)
-
-
-def grad_at(p, pt):
-    """The gradient of p at pt, partial by partial, in Fractions."""
-    return tuple(p.partial(i).evaluate(pt) for i in range(p.nvars))
 X_E = MPoly.variable(3, 0)
 X_H = MPoly.variable(3, 1)
 X_F = MPoly.variable(3, 2)
@@ -110,7 +106,7 @@ def test_bracket_evaluation_matches_kirillov():
         gf = grad_at(f, pt)
         gg = grad_at(g, pt)
         expect = sum(gf[i] * K[i, j] * gg[j] for i in range(3) for j in range(3))
-        assert bracket(SL2, f, g).evaluate(pt) == expect
+        assert evaluate(bracket(SL2, f, g), pt) == expect
 
 
 def test_jacobi_and_leibniz_properties():
@@ -142,7 +138,7 @@ def test_frozen_bracket_is_bracket_at_frozen_point():
         gf = grad_at(f, pt)
         gg = grad_at(g, pt)
         expect = sum(gf[i] * K[i, j] * gg[j] for i in range(3) for j in range(3))
-        assert frozen_bracket(SL2, xi, f, g).evaluate(pt) == expect
+        assert evaluate(frozen_bracket(SL2, xi, f, g), pt) == expect
 
 
 def test_estimate_index_oracles():

@@ -6,12 +6,17 @@ second diagonal coweight and 0 elsewhere.  Only [e13, f31] and
 symmetric pairs of nonzero entries and rank 4 < 6.
 """
 
-import pytest
-
+import time
 from fractions import Fraction
+from itertools import combinations
 
-from argshift.liealg import AlgebraProfile, LieAlgebraData, make_classical, \
-    make_sl2_so2_contraction, make_vinberg
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from argshift.liealg import AlgebraProfile, LieAlgebraData, make_centralizer_sl, \
+    make_classical, make_sl2_so2_contraction, make_takiff, make_vinberg
 from argshift.mfshift import build_family
 from argshift.mpoly import MPoly
 from argshift.poisson import CasimirSet, classical_casimirs, estimate_index
@@ -19,8 +24,9 @@ from argshift.regcert import (Codim2Certificate, FalsificationError, PlaneSpec,
                               certify_codim2, certify_regular_plane,
                               find_regular_plane, generic_kirillov, is_regular,
                               jacobian_rank, kostant_criterion, verify_bols,
-                              verify_compl)
+                              verify_compl, _pfaffian, _pfaffian_gcd)
 from argshift.sampling import integer_point, rng_stream
+from oracles import stream_minor_gcd, to_sympy
 
 SL2 = make_classical("sl", 2)
 SL2_PROFILE = estimate_index(SL2)
@@ -180,7 +186,7 @@ def test_certify_codim2_pass_cases():
     sl3 = make_classical("sl", 3)
     cert = certify_codim2(sl3, estimate_index(sl3))
     assert cert.ok
-    assert cert.total_minors == 784
+    assert cert.method == "plane" and cert.pfaffians_checked == 0
 
 
 def test_certify_codim2_vinberg_witness():
@@ -206,6 +212,93 @@ def test_certify_codim2_deterministic():
     assert a.as_dict() == b.as_dict()
     c = certify_codim2(sl3, prof, seed=4)
     assert c.ok == a.ok
+
+
+# --- the Pfaffian gcd against the minor-gcd oracle ----------------------------
+
+def direct_sum(A: LieAlgebraData, B: LieAlgebraData) -> LieAlgebraData:
+    """A + B: B's basis follows A's, with primed names."""
+    n = A.dim
+    table = {(i, j): dict(c) for i, j, c in A.pairs()}
+    for i, j, c in B.pairs():
+        table[(i + n, j + n)] = {k + n: x for k, x in c.items()}
+    return LieAlgebraData(n + B.dim, list(A.basis_names)
+                          + [f"{nm}'" for nm in B.basis_names], table)
+
+
+V1 = make_vinberg([1])
+PFAFFIAN_ALGEBRAS = {
+    "sl2": make_classical("sl", 2),
+    "sl3": make_classical("sl", 3),
+    "gl2": make_classical("gl", 2),
+    "so3": make_classical("so", 3),
+    "takiff_sl2_1": make_takiff(make_classical("sl", 2), 1),
+    "z_sl5_32": make_centralizer_sl(5, [3, 2]),
+    "z_sl4_211": make_centralizer_sl(4, [2, 1, 1]),
+    "vinberg_1": V1,
+    "vinberg_1_2": make_vinberg([1, 2]),
+    "contraction": make_sl2_so2_contraction(),
+    "heisenberg": heisenberg(),
+    "v1+v1": direct_sum(V1, V1),
+    "v1+sl2": direct_sum(V1, make_classical("sl", 2)),
+    "vinberg_1_2+v1": direct_sum(make_vinberg([1, 2]), V1),
+    "v1+sl3": direct_sum(V1, make_classical("sl", 3)),
+}
+
+
+def shell_order(sets):
+    """Pairs of index sets; the first k^2 pairs are those among the first
+    k sets, so a constant gcd there ends the stream early."""
+    for k, I in enumerate(sets):
+        yield I, I
+        for J in sets[:k]:
+            yield I, J
+            yield J, I
+
+
+@pytest.mark.parametrize("name", PFAFFIAN_ALGEBRAS)
+def test_pfaffian_gcd_squared_is_the_minor_gcd(name):
+    L = PFAFFIAN_ALGEBRAS[name]
+    m = L.dim - estimate_index(L).ind
+    K = generic_kirillov(L)
+    g, _ = _pfaffian_gcd(K, m)
+    minors, _ = stream_minor_gcd(K, shell_order(list(combinations(range(L.dim), m))))
+    assert g * g == minors
+
+
+@st.composite
+def skew_matrices(draw):
+    n = draw(st.sampled_from([2, 4, 6]))
+    entry = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                            st.integers(-3, 3), max_size=2).map(lambda t: MPoly(2, t))
+    K = [[MPoly.zero(2) for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        K[i][j] = draw(entry)
+        K[j][i] = -K[i][j]
+    return K
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew_matrices())
+def test_pfaffian_squared_is_the_determinant(K):
+    syms = sympy.symbols("x0:2")
+    S = sympy.Matrix([[to_sympy(p, syms) for p in row] for row in K])
+    pf = to_sympy(_pfaffian(K, tuple(range(len(K))), {}), syms)
+    assert sympy.expand(pf ** 2 - S.det(method="berkowitz")) == 0
+
+
+@pytest.mark.parametrize("family", ["sl", "gl"])
+def test_codim2_symbolic_route_on_a_direct_sum(family):
+    # every sample plane meets the divisor x_v1 = 0, so the Pfaffians
+    # decide; the minor stream took about 20 s here
+    L = direct_sum(V1, make_classical(family, 3))
+    profile = estimate_index(L)
+    started = time.perf_counter()
+    cert = certify_codim2(L, profile)
+    assert time.perf_counter() - started < 1.0
+    assert not cert.ok and cert.method == "symbolic"
+    assert cert.witness_pretty == "x_v1^2"
+    assert cert.witness == MPoly.variable(L.dim, 1) ** 2
 
 
 def test_find_regular_plane():

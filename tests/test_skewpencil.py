@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
 from argshift.liealg import make_classical, make_takiff
-from argshift.mpoly import MPoly, rational_roots, stream_minor_gcd
+from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import kirillov
 from argshift.regcert import FalsificationError
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
                                  char_poly, check_image_equality, compute_L,
                                  phi_operator, rank_profile, verify_com1)
+from oracles import stream_minor_gcd
 
 SL2 = make_classical("sl", 2)
 

@@ -24,13 +24,12 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from . import jsonio
-from .exactlin import MatQ, SubspaceQ, rat, rat_str
+from .exactlin import rat, rat_str
 from .liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                      make_sl2_so2_contraction, make_takiff, make_vinberg,
                      validate, validate_table)
 from .mfshift import (EXACT, build_family, certify_commutative,
                       degree_profile, find_nonmaximality_witness)
-from .mpoly import MPoly
 from .poisson import (CasimirSet, bracket, classical_casimir_polys, estimate_index,
                       is_casimir, kirillov)
 from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim2,
@@ -51,22 +50,6 @@ class UsageError(Exception):
 
 
 # --- small helpers ----------------------------------------------------------
-
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return rat_str(x)
-    if isinstance(x, MPoly):
-        return jsonio.poly_to_json(x)
-    if isinstance(x, MatQ):
-        return jsonio.matrix_to_json(x)
-    if isinstance(x, SubspaceQ):
-        return jsonio.subspace_to_json(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
 
 def _read_input(path: str) -> tuple[Any, dict]:
     try:
@@ -702,7 +685,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handler(args)
     except FalsificationError as exc:
         report = {"schema": SCHEMA, "command": name, "status": "falsified",
-                  "claim": exc.claim, "bundle": _jsonable(exc.bundle),
+                  "claim": exc.claim, "bundle": exc.bundle,
                   "seed": args.seed, "stage": getattr(args, "_stage", None),
                   "algebra": getattr(args, "_algebra_json", None)}
         _write_out(report, args.out)

@@ -166,33 +166,7 @@ class MPoly:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # --- substitution and shift expansion --------------------------------
-    def compose(self, subs: Sequence["MPoly"]) -> "MPoly":
-        """Substitute subs[i] for variable i; subs share one target ring."""
-        if len(subs) != self.nvars:
-            raise ValueError("substitution length mismatch")
-        if not subs:
-            return MPoly(0, dict(self.terms))
-        target = subs[0].nvars
-        if any(s.nvars != target for s in subs):
-            raise ValueError("substitution ring mismatch")
-        pow_cache: dict[tuple[int, int], MPoly] = {}
-
-        def power(i: int, k: int) -> MPoly:
-            key = (i, k)
-            if key not in pow_cache:
-                pow_cache[key] = subs[i] ** k
-            return pow_cache[key]
-
-        acc = MPoly.zero(target)
-        for e, c in self.terms.items():
-            term = MPoly.const(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
-
+    # --- shift expansion ------------------------------------------------
     def param_expand(self, xi: Sequence[Scalar]) -> list["MPoly"]:
         """Coefficients of f(x + a*xi) as polynomials in x, by powers of a.
 
@@ -682,14 +656,3 @@ def determinant(rows: Sequence[Sequence[MPoly]]) -> MPoly:
         prev = p
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
-
-def extract_var_coeffs(p: MPoly, v: int) -> dict[int, MPoly]:
-    """Coefficients of powers of variable v (exponent at v zeroed)."""
-    return _var_coeffs(p, v)
-
-
-def drop_last_var(p: MPoly) -> MPoly:
-    """Forget the last variable slot; it must not occur in p."""
-    if _deg_in(p, p.nvars - 1) > 0:
-        raise ValueError("last variable still occurs")
-    return MPoly(p.nvars - 1, {e[:-1]: c for e, c in p.terms.items()})

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import MatQ, Scalar, _skew_rank, _solve, faddeev_leverrier, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
-from .mpoly import MPoly, drop_last_var, extract_var_coeffs, gradient_rank, gradient_table
+from .mpoly import MPoly, gradient_rank, gradient_table
 from .sampling import integer_point, rng_stream
 
 
@@ -140,16 +140,11 @@ def _linear_pairs(L: LieAlgebraData) -> Iterable[PairForm]:
 
 
 def _frozen_pairs(L: LieAlgebraData, xi: Sequence[Scalar]) -> list[PairForm]:
-    """The constants <xi, [b_i, b_j]> that are nonzero, as pair forms."""
-    pt = vec(xi)
-    if len(pt) != L.dim:
-        raise ValueError("point length mismatch")
-    frozen: list[PairForm] = []
-    for i, j, coeffs in L.pairs():
-        s = sum((c * pt[k] for k, c in coeffs.items()), Fraction(0))
-        if s != 0:
-            frozen.append((i, j, [(None, s)]))
-    return frozen
+    """The constants <xi, [b_i, b_j]> that are nonzero, as pair forms,
+    read off the Kirillov form at xi."""
+    K = kirillov(L, xi)
+    return [(i, j, [(None, Fraction(K.rows[i][j], K.den))])
+            for i, j, _ in L.pairs() if K.rows[i][j]]
 
 
 def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
@@ -276,7 +271,7 @@ class CasimirSet:
 
     @classmethod
     def verified(cls, L: LieAlgebraData, polys: Sequence[MPoly], seed: int = 0,
-                 bound: int = 9, attempts: int = 60) -> "CasimirSet":
+                 bound: int = 9) -> "CasimirSet":
         gens = tuple(polys)
         for p in gens:
             if p.is_zero():
@@ -293,7 +288,7 @@ class CasimirSet:
             return cls(L.dim, (), (), None)
         l = len(gens)
         table = gradient_table(gens)
-        for t in range(attempts):
+        for t in range(60):
             rng = rng_stream(seed, "casimir-independence", t)
             pt = integer_point(rng, L.dim, bound)
             if gradient_rank(table, pt) == l:
@@ -365,8 +360,9 @@ def classical_casimirs(family: str, n: int, seed: int = 0) -> CasimirSet:
 def takiff_lift(base: LieAlgebraData, f: MPoly, n: int) -> list[MPoly]:
     """Lift a Casimir of q to n+1 Casimirs of the truncated current algebra.
 
-    Substitutes the generating series (top level first) for the
-    coordinates and truncates at parameter degree n.  Every returned
+    Substitutes for x_i the generating series sum over l of t^l times
+    x_i at level n - l (top level first) and returns the coefficients of
+    t^0 .. t^n, multiplying series cut at t^n.  Every returned
     polynomial is re-verified as a Casimir of make_takiff(base, n);
     verification failure raises instead of returning unchecked output.
     """
@@ -378,22 +374,20 @@ def takiff_lift(base: LieAlgebraData, f: MPoly, n: int) -> list[MPoly]:
     if not chk.ok:
         raise ValueError("input polynomial is not a Casimir of the base algebra")
     d = base.dim
-    nv = (n + 1) * d + 1   # last slot is the formal parameter
-    subs = []
-    for i in range(d):
-        terms = {}
-        for l in range(n + 1):
-            e = [0] * nv
-            e[(n - l) * d + i] = 1
-            e[nv - 1] = l
-            terms[tuple(e)] = Fraction(1)
-        subs.append(MPoly(nv, terms))
-    big = f.compose(subs)
-    by_power = extract_var_coeffs(big, nv - 1)
-    lifts = []
-    for j in range(n + 1):
-        p = by_power.get(j, MPoly.zero(nv))
-        lifts.append(drop_last_var(p))
+    nv = (n + 1) * d
+    zero = MPoly.zero(nv)
+
+    def times(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
+        return [sum((a[l] * b[j - l] for l in range(j + 1)), zero) for j in range(n + 1)]
+
+    series = [[MPoly.variable(nv, (n - l) * d + i) for l in range(n + 1)] for i in range(d)]
+    lifts = [zero] * (n + 1)
+    for e, c in f.terms.items():
+        term = [MPoly.const(nv, c)] + [zero] * n
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = times(term, series[i])
+        lifts = [a + b for a, b in zip(lifts, term)]
     takiff = make_takiff(base, n)
     for p in lifts:
         if not is_casimir(takiff, p).ok:

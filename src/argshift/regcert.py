@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from .exactlin import MatQ, Scalar, rank, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
+from .mfshift import EXACT, build_family, degree_profile
 from .mpoly import MPoly, gradient_rank, gradient_table, poly_gcd
 from .poisson import CasimirSet, kirillov
 from .sampling import integer_point, rng_stream
@@ -432,7 +433,6 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
     so one integer rank per pair decides it.  Only a failure builds the
     family, to report its size.
     """
-    from .mfshift import build_family
     if len(casimirs) != profile.ind:
         raise ValueError(
             f"need ind = {profile.ind} generators, got {len(casimirs)}")
@@ -529,7 +529,6 @@ def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile
     computed codimension certificate can be passed in to avoid
     recomputation.
     """
-    from .mfshift import EXACT, degree_profile
     dp = degree_profile(casimirs, profile)
     if dp.classification != EXACT:
         return BolsVerdict(False, dp.classification, False, False,

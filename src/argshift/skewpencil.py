@@ -123,7 +123,6 @@ def base_ratios(dim: int) -> list[Ratio]:
 class PencilRankProfile:
     m: int
     ranks: tuple[tuple[Ratio, int], ...]
-    kernels: tuple[IntRows, ...] = field(repr=False)
 
     def regular_ratios(self) -> list[Ratio]:
         return [r for r, rank in self.ranks if rank == self.m]
@@ -135,44 +134,34 @@ class PencilRankProfile:
 
 
 def rank_profile(pencil: SkewPencil) -> PencilRankProfile:
-    """Generic rank and the per-direction ranks over the base ratios.
-
-    The members' kernels are kept for compute_L, as integer vectors.
-    """
-    ranks, kernels = [], []
-    for a, b in base_ratios(pencil.dim):
-        r, ker = _skew_kernel(pencil._member(*_int_rows([(a, b)])[0]), pencil.dim)
-        ranks.append(((a, b), r))
-        kernels.append(ker)
-    m = max(r for _, r in ranks)
-    return PencilRankProfile(m, tuple(ranks), tuple(kernels))
+    """Generic rank and the per-direction ranks over the base ratios."""
+    ranks = tuple(((a, b), _skew_rank(pencil._member(*_int_rows([(a, b)])[0]), pencil.dim))
+                  for a, b in base_ratios(pencil.dim))
+    return PencilRankProfile(max(r for _, r in ranks), ranks)
 
 
-def compute_L(pencil: SkewPencil, m: Optional[int] = None,
-              profile: Optional[PencilRankProfile] = None) -> SubspaceQ:
+def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
     """Sum of the kernels of regular members, m the generic rank.
 
     The sum is isotropic for a regular member, a form of rank m, so its
     dimension is at most dim V - m/2; it is final as soon as it gets
     there.  A sum that stays smaller (a pencil with a Jordan part) is
     declared stable after dim V consecutive regular members bring no
-    growth.  Directions are walked in a fixed order, past the base
-    ratios up to a hard cap, at which point a non-stabilized sum is an
-    error rather than a silent answer.  The base-ratio kernels come from
-    the rank profile, reused when given.  A kernel adds nothing when it
+    growth.  Directions are walked in a fixed order, the base ratios
+    and then past them up to a hard cap, at which point a
+    non-stabilized sum is an error rather than a silent answer; only
+    the members walked are eliminated.  A kernel adds nothing when it
     leaves the rank of the sum unchanged.
     """
     n = pencil.dim
-    if profile is None:
-        profile = rank_profile(pencil)
     if m is None:
-        m = profile.m
+        m = rank_profile(pencil).m
     cap = 4 * n + 10
-    extra = (_skew_kernel(pencil._member(1, k), n) for k in range(n + 1, cap))
-    base = zip((r for _, r in profile.ranks), profile.kernels)
+    ratios = chain(_int_rows(base_ratios(n)), ((1, k) for k in range(n + 1, cap)))
     rows: IntRows = []    # a basis of the sum so far
     consecutive = 0
-    for r, ker in chain(base, extra):
+    for a, b in ratios:
+        r, ker = _skew_kernel(pencil._member(a, b), n)
         if r != m:
             continue
         if _rank_int(rows + ker, n) == len(rows):
@@ -340,20 +329,20 @@ class PencilAnalysis:
         }
 
 
-def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
-                B_ratio: Optional[Ratio] = None) -> PencilAnalysis:
+def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     """Full exact analysis of a skew pencil.
 
     Kronecker type (L equals its member-orthogonal): verifies that L
     is maximal isotropic of dimension dim V - m/2.  Mixed type: builds
-    the recursion operator and cross-checks each rational eigenvalue
-    against the rank drop of the corresponding member.  Violated
-    theory-implied invariants raise FalsificationError.
+    the recursion operator, A the first regular base ratio and B the
+    direction (0, 1), or (1, 0) when A starts with 0, and cross-checks
+    each rational eigenvalue against the rank drop of the corresponding
+    member.  Violated theory-implied invariants raise FalsificationError.
     """
     n = pencil.dim
     prof = rank_profile(pencil)
     m = prof.m
-    L = compute_L(pencil, m, prof)
+    L = compute_L(pencil, m)
     W = check_image_equality(pencil, L)
     Ltilde = annihilator(W)
     # W = A(L) = B(L), so L inside the annihilator of W is exactly
@@ -370,12 +359,8 @@ def verify_com1(pencil: SkewPencil, A_ratio: Optional[Ratio] = None,
                 {"dim": n, "m": m, "L_dim": L.dim, "expected": n - m // 2})
         return PencilAnalysis(n, m, "kronecker", L, Ltilde, W,
                               True, prof.ranks)
-    if A_ratio is None:
-        A_ratio = next(r for r, rank in prof.ranks if rank == m)
-    if B_ratio is None:
-        B_ratio = (Fraction(0), Fraction(1))
-        if A_ratio[0] == 0:
-            B_ratio = (Fraction(1), Fraction(0))
+    A_ratio = prof.regular_ratios()[0]
+    B_ratio = (Fraction(1), Fraction(0)) if A_ratio[0] == 0 else (Fraction(0), Fraction(1))
     cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m))
     eigs = rational_roots(cp)
     for lam in eigs:

@@ -7,6 +7,11 @@ tests can hold the package's route against it.
 - ``stream_minor_gcd``: the running gcd of square minors, each taken
   as a symbolic determinant.  ``regcert.certify_codim2`` replaced it
   with a gcd over principal Pfaffians.
+- ``var_coeffs``: the coefficients of an MPoly in one variable.
+- ``takiff_lift_by_substitution``: Takiff lifts by substituting the
+  generating series in a ring with the formal parameter as one more
+  variable.  ``poisson.takiff_lift`` multiplies series cut at the top
+  level instead.
 - ``to_sympy``: an MPoly as a sympy expression, for differential tests.
 """
 
@@ -49,6 +54,40 @@ def evaluate(p: MPoly, point: Sequence[Scalar]) -> Fraction:
 def grad_at(p: MPoly, pt: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """The gradient of p at a rational point."""
     return tuple(evaluate(partial(p, i), pt) for i in range(p.nvars))
+
+
+def var_coeffs(p: MPoly, v: int) -> dict[int, MPoly]:
+    """The coefficient of each power of variable v that occurs in p, as
+    a polynomial in the other variables (slot v dropped)."""
+    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for e, c in p.terms.items():
+        out.setdefault(e[v], {})[e[:v] + e[v + 1:]] = c
+    return {k: MPoly(p.nvars - 1, terms) for k, terms in out.items()}
+
+
+def takiff_lift_by_substitution(f: MPoly, n: int) -> list[MPoly]:
+    """The coefficients of t^0 .. t^n in f(x(t)), x_i(t) the sum over l
+    of t^l x_i at level n - l, with t the last of (n+1) dim + 1
+    variables.  No Casimir check."""
+    d = f.nvars
+    nv = (n + 1) * d + 1
+    subs = []
+    for i in range(d):
+        terms = {}
+        for l in range(n + 1):
+            e = [0] * nv
+            e[(n - l) * d + i] = 1
+            e[nv - 1] = l
+            terms[tuple(e)] = 1
+        subs.append(MPoly(nv, terms))
+    big = MPoly.zero(nv)
+    for e, c in f.terms.items():
+        term = MPoly.const(nv, c)
+        for s, k in zip(subs, e):
+            term = term * s ** k
+        big = big + term
+    by_power = var_coeffs(big, nv - 1)
+    return [by_power.get(j, MPoly.zero(nv - 1)) for j in range(n + 1)]
 
 
 def stream_minor_gcd(entries: Sequence[Sequence[MPoly]],

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from argshift.mpoly import (
     MPoly,
     determinant,
-    drop_last_var,
     exact_divide,
-    extract_var_coeffs,
     poly_gcd,
     rational_roots,
     try_divide,
@@ -125,13 +123,6 @@ def test_param_expand_top_coefficient_is_differential():
     assert parts[1] == MPoly.linear_form(grad)
 
 
-def test_compose():
-    f = MPoly(2, {(2, 0): 1})
-    x = MPoly.variable(2, 0)
-    y = MPoly.variable(2, 1)
-    assert f.compose([x + y, y]) == x * x + 2 * x * y + y * y
-
-
 def test_exact_division():
     x = MPoly.variable(2, 0)
     y = MPoly.variable(2, 1)
@@ -217,18 +208,6 @@ def test_determinant_matches_cofactor_on_random_matrices():
         rows = [[rand_poly(rng, nvars=2, max_terms=2, max_exp=1) for _ in range(3)]
                 for _ in range(3)]
         assert determinant(rows) == cofactor(rows)
-
-
-def test_var_coefficient_extraction():
-    s = MPoly.variable(3, 2)
-    x = MPoly.variable(3, 0)
-    f = x * x + 2 * x * s + s * s
-    coeffs = extract_var_coeffs(f, 2)
-    assert coeffs[0] == x * x
-    assert coeffs[1] == 2 * x
-    assert drop_last_var(coeffs[2]) == MPoly.one(2)
-    with pytest.raises(ValueError):
-        drop_last_var(f)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,11 +8,13 @@ its rational projective roots.  Both must give the same verdict, the
 same gcd, the same rational directions and the same residual degree.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from argshift import jsonio
 from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_centralizer_sl,
                              make_classical, make_sl2_so2_contraction,
                              make_takiff, make_vinberg)
@@ -135,5 +137,6 @@ def test_pencil_rank_above_m_raises():
     estimated = AlgebraProfile(dim=8, ind=4, status="estimated")
     with pytest.raises(FalsificationError) as exc:
         certify_regular_plane(sl3, estimated, xi, eta)
+    assert json.loads(jsonio.dumps(exc.value.bundle)) == exc.value.bundle
     assert exc.value.bundle["pencil_rank"] == 6
     assert exc.value.bundle["m"] == 4

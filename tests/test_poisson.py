@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 import argshift
 from argshift.exactlin import MatQ, faddeev_leverrier, solve_many
 from argshift.liealg import classical_matrix_basis, make_classical, make_takiff, make_vinberg
-from argshift.mpoly import MPoly, determinant, drop_last_var, extract_var_coeffs
+from argshift.jsonio import poly_to_json
+from argshift.mpoly import MPoly, determinant
 from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, classical_casimirs,
                               coordinate_bracket, estimate_index,
                               frozen_bracket, is_casimir, kirillov,
                               takiff_lift)
 from argshift.sampling import integer_point, rng_stream
-from oracles import evaluate, grad_at
+from oracles import evaluate, grad_at, takiff_lift_by_substitution, var_coeffs
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -214,12 +215,12 @@ def determinant_casimirs(family, n):
                                    for a in range(d)] + [0])
             row.append(t - p if i == j else -p)
         entries.append(row)
-    coeffs = extract_var_coeffs(determinant(entries), d)
+    coeffs = var_coeffs(determinant(entries), d)
     gens = []
     for k in range(1, n + 1):
         c = coeffs.get(n - k)
-        if c is not None and not drop_last_var(c).is_constant():
-            gens.append(drop_last_var(c).monic())
+        if c is not None and not c.is_constant():
+            gens.append(c.monic())
     return gens
 
 
@@ -238,8 +239,10 @@ def test_faddeev_leverrier_over_polynomials_matches_determinant():
          [MPoly.const(3, -2), x * x, y]]
     got = faddeev_leverrier(M, MPoly.one(3))
     tI_M = [[(t if i == j else MPoly.zero(3)) - M[i][j] for j in range(3)] for i in range(3)]
-    want = extract_var_coeffs(determinant(tI_M), 2)
-    assert got == [want.get(k, MPoly.zero(3)) for k in range(4)]
+    want = var_coeffs(determinant(tI_M), 2)
+    # got is free of t: its coefficient of t^0 is got without the t slot
+    assert [var_coeffs(c, 2).get(0, MPoly.zero(2)) for c in got] == \
+        [want.get(k, MPoly.zero(2)) for k in range(4)]
 
 
 def test_casimir_polys_reject_small_n():
@@ -273,6 +276,18 @@ def test_takiff_lift_sl2_level1():
     assert lifts[1] == 2 * z_h * y_h + 4 * z_e * y_f + 4 * z_f * y_e
     cs = CasimirSet.verified(make_takiff(SL2, 1), lifts)
     assert cs.degrees == (2, 2)
+
+
+@pytest.mark.parametrize("family,n,level", [
+    *((family, n, level) for family, n in (("sl", 2), ("sl", 3), ("gl", 2))
+      for level in range(4)),
+    ("sl", 4, 1)])
+def test_takiff_lift_matches_substitution(family, n, level):
+    for f in classical_casimirs(family, n).generators:
+        lifts = takiff_lift(make_classical(family, n), f, level)
+        want = takiff_lift_by_substitution(f, level)
+        assert lifts == want
+        assert [poly_to_json(p) for p in lifts] == [poly_to_json(p) for p in want]
 
 
 def test_takiff_lift_rejects_non_casimir():

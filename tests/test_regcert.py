@@ -6,6 +6,7 @@ second diagonal coweight and 0 elsewhere.  Only [e13, f31] and
 symmetric pairs of nonzero entries and rank 4 < 6.
 """
 
+import json
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argshift import jsonio
 from argshift.liealg import AlgebraProfile, LieAlgebraData, make_centralizer_sl, \
     make_classical, make_sl2_so2_contraction, make_takiff, make_vinberg
 from argshift.mfshift import build_family
@@ -93,6 +95,7 @@ def test_kostant_falsification_on_bogus_generators():
     with pytest.raises(FalsificationError) as exc:
         kostant_criterion(SL2, bogus, SL2_PROFILE, (0, 1, 0))
     bundle = exc.value.bundle
+    assert json.loads(jsonio.dumps(bundle)) == bundle
     assert bundle["kirillov_rank"] == 2
     assert bundle["jacobian_rank"] == 0
 
@@ -354,6 +357,7 @@ def test_verify_compl_falsifies_bogus_generators():
     bogus = CasimirSet(3, (X_E * X_E,), (2,), None)
     with pytest.raises(FalsificationError) as exc:
         verify_compl(SL2, bogus, SL2_PROFILE, spec)
+    assert json.loads(jsonio.dumps(exc.value.bundle)) == exc.value.bundle
     assert exc.value.bundle["required_rank"] == 2
     assert exc.value.bundle["jacobian_rank"] < 2
     # the failure path still reports the size of the family at the pair

@@ -8,6 +8,7 @@ recursion operator for A + B against B fixes the B-plane and kills the
 A-plane, giving eigenvalues {0, 0, 1, 1}.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -16,6 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from argshift import jsonio
 from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
 from argshift.liealg import make_classical, make_takiff
 from argshift.mpoly import MPoly, rational_roots
@@ -275,6 +277,7 @@ def test_image_routes_raise_on_jordan_block():
     assert image_routes(pencil, L) is None
     with pytest.raises(FalsificationError) as exc:
         check_image_equality(pencil, L)
+    assert json.loads(jsonio.dumps(exc.value.bundle)) == exc.value.bundle
     assert exc.value.bundle["W_dim"] == 2
     assert exc.value.bundle["reached_dim"] == 0
 

@@ -610,15 +610,28 @@ def _arg(*flags: str, **kwargs: Any) -> Arg:
     return flags, kwargs
 
 
+def _count(least: int) -> Callable[[str], int]:
+    """An argparse type for an integer count of at least `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
 COMMON = (_arg("--seed", type=int, default=0, help="sampling seed"),
-          _arg("--trials", type=int, default=24, help="index estimation samples"),
-          _arg("--bound", type=int, default=9, help="sample height"),
+          _arg("--trials", type=_count(1), default=24, help="index estimation samples"),
+          _arg("--bound", type=_count(1), default=9, help="sample height"),
           _arg("--out", help="write the report to a file"))
 ALGEBRA, CASIMIRS = _arg("algebra"), _arg("casimirs")
 XI, ETA = _arg("--xi", required=True), _arg("--eta", required=True)
 IND = _arg("--ind", type=int)
-NSAMPLES = _arg("--nsamples", type=int, default=8)
-PLANES = _arg("--planes", type=int, default=4)
+NSAMPLES = _arg("--nsamples", type=_count(1), default=8)
+PLANES = _arg("--planes", type=_count(0), default=4)
 # --xi and --ind carry help text only where that command's -h has it
 SHIFT = (ALGEBRA, CASIMIRS,
          _arg("--xi", required=True, help="shift direction, comma-separated rationals"))
@@ -650,7 +663,7 @@ COMMANDS: dict[tuple[str, str], tuple[Callable[[argparse.Namespace], int],
         ALGEBRA, _arg("--casimirs"),
         _arg("--classical", action="store_true",
              help="derive central generators for gl/sl algebras"),
-        _arg("--xi"), _arg("--attempts", type=int, default=20), NSAMPLES, PLANES)),
+        _arg("--xi"), _arg("--attempts", type=_count(1), default=20), NSAMPLES, PLANES)),
 }
 
 

@@ -4,17 +4,24 @@ Matrices are dense and immutable.  Every rank, kernel, solve and span
 is one integer Gauss-Jordan elimination: fraction-free (Bareiss)
 forward elimination on denominator-cleared rows, then back-elimination
 on rows kept primitive, with each entry turned into a Fraction once at
-the end.  Subspaces are kept in reduced row echelon form, so equality
-of subspaces is equality of bases.  Callers that already hold integer
-rows enter at the private integer-row functions (_rank_int, _skew_rank,
-_span_int, _rank_kernel_int, _solve), which skip the Fraction round
-trip.
+the end.  The rank of integer rows of a skew matrix (_skew_rank) is
+the one exception: fraction-free Pfaffian elimination by 2 x 2 skew
+pivots on the strict upper triangle, which does about a quarter of
+Bareiss's entry updates.  Subspaces are kept in reduced row echelon
+form, so equality of subspaces is equality of bases.  Callers that
+already hold integer rows enter at the private integer-row functions
+(_rank_int, _skew_rank, _span_int, _rank_kernel_int, _solve), which
+skip the Fraction round trip.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, count, repeat
 from math import gcd, lcm
+from operator import add
 from typing import Any, Iterable, Optional, Sequence, Union
 
 Rat = Fraction
@@ -224,12 +231,73 @@ def _rank_int(rows: Sequence[Sequence[int]], ncols: int) -> int:
     return len(_echelon(list(rows), ncols))
 
 
+@lru_cache(maxsize=None)
+def _triangle(m: int) -> tuple[list[int], list[int], list[int]]:
+    """The strict upper triangle of an m x m matrix as a flat list in
+    row-major order: where each row starts (and, last, the length), and
+    the row and the column of every entry."""
+    return ([k * m - k * (k + 1) // 2 for k in range(m + 1)],
+            [k for k in range(m) for _ in range(k + 1, m)],
+            [l for k in range(m) for l in range(k + 1, m)])
+
+
 def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of the integer rows of a skew matrix, checked to be even."""
-    r = _rank_int(rows, ncols)
-    if r % 2 != 0:
-        raise ArithmeticError("skew matrix produced odd rank")
-    return r
+    """Rank of the integer rows of a skew matrix by fraction-free
+    Pfaffian elimination; rows that are not skew raise ArithmeticError.
+
+    A nonzero entry p = a_ij, i < j, of the active block is a 2 x 2
+    skew pivot: every remaining pair (k, l) becomes
+
+        (p a_kl - a_ik a_jl + a_jk a_il) / prev,
+
+    and rows and columns i and j leave the block.  Each entry is then
+    the Pfaffian of the principal block on the pivots so far and
+    {k, l}, so it divides exactly by prev, the previous pivot, by the
+    Pfaffian form of Sylvester's identity (Knuth, "Overlapping
+    Pfaffians", 1996).  The rank is twice the number of pivots.
+
+    The block is skew, so only its strict upper triangle is kept, as
+    one flat list in row-major order, and every step is one pass over
+    it.  Rows above the pivot row are zero and leave with the pivot.
+    """
+    n = len(rows)
+    if ncols != n or any(len(row) != n for row in rows) or any(
+            any(map(add, row, col)) for row, col in zip(rows, zip(*rows))):
+        raise ArithmeticError("rows of a skew rank are not skew")
+    a = [x for k, row in enumerate(rows) for x in row[k + 1:]]
+    m = n
+    rank = 0
+    prev = 1
+    while True:
+        t = next(compress(count(), a), None)
+        if t is None:
+            return rank
+        # row k of the block is a[off[k]:off[k + 1]], columns k + 1 .. m - 1
+        off = _triangle(m)[0]
+        i = bisect_right(off, t) - 1
+        c = t - off[i]
+        j = i + 1 + c
+        p = a[t]
+        # a_ik and a_jk for the rows k that stay, i < k != j
+        top = a[off[i]:off[i + 1]]
+        ai = top[:c] + top[c + 1:]
+        aj = [-a[off[k] + j - k - 1] for k in range(i + 1, j)]
+        aj += a[off[j]:off[j + 1]]
+        # a_kl of the pairs that stay, with column j cut out of rows k < j
+        akl = []
+        for k in range(i + 1, j):
+            akl += a[off[k]:off[k] + j - k - 1]
+            akl += a[off[k] + j - k:off[k + 1]]
+        akl += a[off[j + 1]:]
+        _, us, vs = _triangle(len(ai))
+        a = [p * x - ai[u] * aj[v] + aj[u] * ai[v] for x, u, v in zip(akl, us, vs)]
+        if prev != 1 and a:
+            a, rems = zip(*map(divmod, a, repeat(prev)))
+            if any(rems):
+                raise ArithmeticError("fraction-free elimination lost exact divisibility")
+        m = len(ai)
+        rank += 2
+        prev = p
 
 
 def _span_int(rows: Sequence[Sequence[int]], ncols: int) -> "SubspaceQ":

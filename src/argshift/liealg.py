@@ -33,9 +33,13 @@ class ValidationReport:
 
 
 class LieAlgebraData:
-    """Finite-dimensional Lie algebra given by exact structure constants."""
+    """Finite-dimensional Lie algebra given by exact structure constants.
 
-    __slots__ = ("dim", "basis_names", "_table", "meta")
+    The table is never mutated after construction; _int_table holds its
+    integer form once poisson has built it.
+    """
+
+    __slots__ = ("dim", "basis_names", "_table", "meta", "_int_table")
 
     def __init__(self, dim: int, basis_names: Sequence[str],
                  table: dict[tuple[int, int], dict[int, Fraction]],
@@ -48,6 +52,7 @@ class LieAlgebraData:
         self.basis_names = tuple(basis_names)
         self._table = table
         self.meta = dict(meta or {})
+        self._int_table = None
 
     @classmethod
     def from_table(cls, dim: int, basis_names: Sequence[str],

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .exactlin import MatQ, Scalar, _skew_rank, _solve, faddeev_leverrier, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
 from .mpoly import MPoly, gradient_rank, gradient_table
-from .sampling import integer_point, rng_stream
+from .sampling import integer_coords, integer_point, rng_stream
 
 
 # C(i, j) for one pair i < j, as (k, c) items: c times x_k, or the
@@ -182,7 +182,8 @@ def coordinate_brackets(L: LieAlgebraData, f: MPoly) -> list[MPoly]:
 class KirillovForm:
     """The skew form at a point: integer rows over one positive
     denominator, which is 1 at integer points of an algebra with
-    integer structure constants."""
+    integer structure constants.  The rank is a fraction-free Pfaffian
+    elimination of the rows (exactlin._skew_rank)."""
     at: tuple[Fraction, ...]
     rows: list[list[int]]
     den: int
@@ -196,22 +197,50 @@ class KirillovForm:
         return _skew_rank(self.rows, len(self.rows))
 
 
+# the stored bracket entries (i, j, [(k, c)]) with integer c, over one
+# positive denominator
+IntTable = tuple[list[tuple[int, int, list[tuple[int, int]]]], int]
+
+
+def _int_table(L: LieAlgebraData) -> IntTable:
+    """The integer structure table of L, built on first use and kept in
+    L._int_table: the table of an algebra never changes."""
+    if L._int_table is None:
+        pairs = list(L.pairs())
+        den = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))
+        L._int_table = ([(i, j, [(k, c.numerator * (den // c.denominator))
+                                 for k, c in coeffs.items()])
+                         for i, j, coeffs in pairs], den)
+    return L._int_table
+
+
+def _kirillov_rows(L: LieAlgebraData, ipt: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Integer rows of den K at an integer point, and den, the
+    denominator of the integer structure table."""
+    pairs, den = _int_table(L)
+    n = L.dim
+    rows = [[0] * n for _ in range(n)]
+    for i, j, form in pairs:
+        if len(form) == 1:
+            [(k, c)] = form
+            v = c * ipt[k]
+        else:
+            v = sum(c * ipt[k] for k, c in form)
+        rows[i][j] = v
+        rows[j][i] = -v
+    return rows, den
+
+
 def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
-    """The skew form K[i][j] = <xi, [b_i, b_j]> at a point of the dual."""
+    """The skew form K[i][j] = <xi, [b_i, b_j]> at a point of the dual,
+    formed on the cached integer structure table of L with the
+    denominators of xi cleared."""
     pt = vec(xi)
     if len(pt) != L.dim:
         raise ValueError("point length mismatch")
-    n = L.dim
     pden = lcm(*(x.denominator for x in pt))
-    ipt = [x.numerator * (pden // x.denominator) for x in pt]
-    pairs = list(L.pairs())
-    cden = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))
-    rows = [[0] * n for _ in range(n)]
-    for i, j, coeffs in pairs:
-        v = sum(c.numerator * (cden // c.denominator) * ipt[k] for k, c in coeffs.items())
-        rows[i][j] = v
-        rows[j][i] = -v
-    return KirillovForm(pt, rows, pden * cden)
+    rows, den = _kirillov_rows(L, [x.numerator * (pden // x.denominator) for x in pt])
+    return KirillovForm(pt, rows, pden * den)
 
 
 def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
@@ -220,21 +249,22 @@ def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
 
     Sampling can only overestimate the index (never reach too high a
     rank), so the estimate is an upper bound that is exact once any
-    regular point is hit.
+    regular point is hit.  Points stay integer coordinates and forms
+    stay integer rows; only the witness becomes Fractions.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    n = L.dim
     max_rank = 0
-    witness: Optional[tuple[Fraction, ...]] = None
+    witness: Optional[tuple[int, ...]] = None
     for t in range(trials):
-        rng = rng_stream(seed, "index-sample", t)
-        pt = integer_point(rng, L.dim, bound)
-        r = kirillov(L, pt).rank
+        pt = integer_coords(rng_stream(seed, "index-sample", t), n, bound)
+        r = _skew_rank(_kirillov_rows(L, pt)[0], n)
         if r > max_rank:
             max_rank, witness = r, pt
     return AlgebraProfile(
-        dim=L.dim, ind=L.dim - max_rank, status="estimated",
-        max_rank_seen=max_rank, witness=witness,
+        dim=n, ind=n - max_rank, status="estimated", max_rank_seen=max_rank,
+        witness=None if witness is None else tuple(map(Fraction, witness)),
         seed=seed, trials=trials, bound=bound)
 
 

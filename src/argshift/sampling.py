@@ -17,14 +17,21 @@ def rng_stream(seed: int, *labels: object) -> random.Random:
     return random.Random(key)
 
 
-def integer_point(rng: random.Random, dim: int, bound: int,
-                  nonzero: bool = True) -> tuple[Fraction, ...]:
-    """Point with integer coordinates in [-bound, bound]."""
+def integer_coords(rng: random.Random, dim: int, bound: int,
+                   nonzero: bool = True) -> tuple[int, ...]:
+    """Integer coordinates in [-bound, bound], redrawn until some
+    coordinate is nonzero unless nonzero is False."""
     if bound < 1:
         raise ValueError("bound must be positive")
     if nonzero and dim < 1:
         raise ValueError("no nonzero point in dimension 0")
     while True:
-        pt = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
-        if not nonzero or any(x != 0 for x in pt):
+        pt = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if not nonzero or any(pt):
             return pt
+
+
+def integer_point(rng: random.Random, dim: int, bound: int,
+                  nonzero: bool = True) -> tuple[Fraction, ...]:
+    """integer_coords as Fractions: the same point from the same stream."""
+    return tuple(map(Fraction, integer_coords(rng, dim, bound, nonzero)))

@@ -12,6 +12,13 @@ tests can hold the package's route against it.
   generating series in a ring with the formal parameter as one more
   variable.  ``poisson.takiff_lift`` multiplies series cut at the top
   level instead.
+- ``bareiss_skew_rank``: the rank of a skew matrix by general
+  fraction-free (Bareiss) elimination, checked even.
+  ``exactlin._skew_rank`` eliminates by 2 x 2 Pfaffian pivots instead.
+- ``fraction_kirillov`` and ``estimate_index_by_bareiss``: Kirillov
+  forms built from the Fraction bracket table at Fraction points and
+  ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
+  integer forms from a cached integer table.
 - ``to_sympy``: an MPoly as a sympy expression, for differential tests.
 """
 
@@ -22,8 +29,10 @@ from typing import Iterable, Optional, Sequence
 
 import sympy
 
-from argshift.exactlin import Scalar, vec
+from argshift.exactlin import Scalar, _int_rows, _rank_int, vec
+from argshift.liealg import AlgebraProfile, LieAlgebraData
 from argshift.mpoly import MPoly, determinant, poly_gcd
+from argshift.sampling import integer_point, rng_stream
 
 
 def partial(p: MPoly, i: int) -> MPoly:
@@ -111,6 +120,38 @@ def stream_minor_gcd(entries: Sequence[Sequence[MPoly]],
         if g.is_constant():
             break
     return (None if g is None else g.monic()), checked
+
+
+def bareiss_skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of the integer rows of a skew matrix by Bareiss elimination;
+    an odd rank raises ArithmeticError."""
+    r = _rank_int(rows, ncols)
+    if r % 2 != 0:
+        raise ArithmeticError("skew matrix produced odd rank")
+    return r
+
+
+def fraction_kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> list[list[Fraction]]:
+    """K[i][j] = <xi, [b_i, b_j]> in Fractions, from the bracket table."""
+    pt = vec(xi)
+    return [[sum((c * pt[k] for k, c in L.bracket_coeffs(i, j).items()), Fraction(0))
+             for j in range(L.dim)] for i in range(L.dim)]
+
+
+def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,
+                              bound: int) -> AlgebraProfile:
+    """The sampled index estimate over every trial, each point a Fraction
+    point and each form ranked by bareiss_skew_rank."""
+    max_rank = 0
+    witness = None
+    for t in range(trials):
+        pt = integer_point(rng_stream(seed, "index-sample", t), L.dim, bound)
+        r = bareiss_skew_rank(_int_rows(fraction_kirillov(L, pt)), L.dim)
+        if r > max_rank:
+            max_rank, witness = r, pt
+    return AlgebraProfile(dim=L.dim, ind=L.dim - max_rank, status="estimated",
+                          max_rank_seen=max_rank, witness=witness,
+                          seed=seed, trials=trials, bound=bound)
 
 
 def to_sympy(p: MPoly, syms: Sequence[sympy.Symbol]) -> sympy.Expr:

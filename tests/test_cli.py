@@ -11,7 +11,7 @@ import pytest
 
 import argshift
 from argshift import jsonio
-from argshift.cli import main
+from argshift.cli import COMMANDS, main
 from argshift.liealg import LieAlgebraData, make_classical
 from argshift.mpoly import MPoly
 
@@ -272,6 +272,45 @@ def test_reg_rejects_an_index_equal_to_dim(capsys, sl2_file, tmp_path, command):
     jsonio.write_json(str(ab), jsonio.algebra_to_json(LieAlgebraData.abelian(3)))
     code, report = run(capsys, "reg", command[0], str(ab), *command[1:], "--ind", "3")
     assert code == 0 and report["status"] == "pass"
+
+
+@pytest.mark.parametrize("command", [" ".join(key) for key in COMMANDS])
+@pytest.mark.parametrize("option", ["--trials", "--bound"])
+def test_every_command_rejects_a_zero_sample_count(capsys, command, option):
+    # the counts are checked at parse time, before any input is read
+    assert main([*command.split(), option, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be at least 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize("argv, option, value, least", [
+    (["pipeline", "run", "SL2", "--classical"], "--trials", "0", 1),
+    (["pipeline", "run", "SL2", "--classical"], "--bound", "0", 1),
+    (["pipeline", "run", "SL2", "--classical"], "--nsamples", "-3", 1),
+    (["pipeline", "run", "SL2", "--classical"], "--attempts", "0", 1),
+    (["pipeline", "run", "SL2", "--classical"], "--planes", "-1", 0),
+    (["reg", "codim2", "SL2"], "--planes", "-1", 0),
+    (["reg", "compl", "SL2", "CAS", "--xi", "1,0,0", "--eta", "0,0,1"],
+     "--nsamples", "0", 1),
+    (["poisson", "index", "SL2"], "--trials", "-2", 1),
+])
+def test_count_options_below_their_least_value_are_usage_errors(
+        capsys, sl2_file, sl2_casimirs, argv, option, value, least):
+    # a count below its least value is a usage error, not a stage failure
+    argv = [{"SL2": sl2_file, "CAS": sl2_casimirs}.get(a, a) for a in argv]
+    assert main([*argv, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be at least {least}, got {value}" in captured.err
+
+
+def test_count_options_reject_non_integers_and_accept_their_least_value(capsys, sl2_file):
+    assert main(["reg", "codim2", sl2_file, "--planes", "two"]) == 2
+    assert "argument --planes: invalid int value: 'two'" in capsys.readouterr().err
+    code, report = run(capsys, "reg", "codim2", sl2_file, "--planes", "0",
+                       "--trials", "1", "--bound", "1")
+    assert code == 0 and report["verdicts"]["codim2"]["ok"]
 
 
 def test_reg_point_rank_above_the_index(capsys, sl2_file, tmp_path):

@@ -17,6 +17,7 @@ from argshift.exactlin import (
     SubspaceQ,
     _rank_int,
     _rank_kernel_int,
+    _skew_rank,
     _span_int,
     annihilator,
     image,
@@ -27,6 +28,7 @@ from argshift.exactlin import (
     solve_many,
     vec,
 )
+from oracles import bareiss_skew_rank
 
 # hand derivation: K = [[0,-2,0],[2,0,0],[0,0,0]]; rows 1,2 are
 # independent (pivot cols 0,1), row 3 zero; rank 2.  K v = 0 forces
@@ -245,6 +247,85 @@ def test_rank_odd_skew_rank_still_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="odd rank"):
         rank(SKEW_3)
     assert rank(MatQ([[1, 2], [3, 4]])) == 1
+
+
+# --- skew rank by Pfaffian elimination ------------------------------------------
+
+BIG = 2 ** 64
+
+
+def wedge_sum(n, pairs):
+    """The skew matrix sum over (u, v) of u v^T - v u^T."""
+    rows = [[0] * n for _ in range(n)]
+    for u, v in pairs:
+        for a in range(n):
+            for b in range(n):
+                rows[a][b] += u[a] * v[b] - u[b] * v[a]
+    return rows
+
+
+@st.composite
+def low_rank_skew(draw):
+    # rank at most 2 * terms; small coordinates make zero rows and
+    # dependent terms, large ones make entries of about 2^64
+    n = draw(st.integers(0, 12))
+    coord = st.one_of(st.integers(-2, 2), st.integers(-2 ** 32, 2 ** 32))
+    vector = st.lists(coord, min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(vector, vector), max_size=n // 2 + 1))
+    return n, wedge_sum(n, pairs)
+
+
+@st.composite
+def dense_skew(draw):
+    n = draw(st.integers(0, 12))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    upper = iter(draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            rows[a][b] = next(upper)
+            rows[b][a] = -rows[a][b]
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(low_rank_skew(), dense_skew()))
+def test_skew_rank_matches_bareiss_and_sympy(case):
+    import sympy
+    n, rows = case
+    r = _skew_rank(rows, n)
+    assert r == bareiss_skew_rank(rows, n)
+    assert r == sympy.Matrix(n, n, [x for row in rows for x in row]).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_skew().filter(lambda case: case[0] > 0), st.data())
+def test_skew_rank_rejects_rows_that_are_not_skew(case, data):
+    n, rows = case
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[i][j] += data.draw(st.one_of(st.integers(1, BIG), st.integers(-BIG, -1)))
+    with pytest.raises(ArithmeticError, match="not skew"):
+        _skew_rank(rows, n)
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([[0, 1], [-1, 0]], 3),
+    ([[0, 1, 0], [-1, 0, 0]], 3),
+    ([[0, 1], [-1, 0, 0]], 2),
+    ([[0, 1, 2], [-1, 0, 3]], 2),
+])
+def test_skew_rank_rejects_rows_that_are_not_square(rows, ncols):
+    with pytest.raises(ArithmeticError, match="not skew"):
+        _skew_rank(rows, ncols)
+
+
+def test_skew_rank_of_empty_and_zero_matrices():
+    assert _skew_rank([], 0) == 0
+    assert _skew_rank([[0] * 5 for _ in range(5)], 5) == 0
+    # the pivot sits in the last two rows, below four zero rows
+    rows = [[0] * 6 for _ in range(6)]
+    rows[4][5], rows[5][4] = 7, -7
+    assert _skew_rank(rows, 6) == 2
 
 
 # --- one elimination against sympy ----------------------------------------------

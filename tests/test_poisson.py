@@ -19,15 +19,17 @@ from hypothesis import strategies as st
 
 import argshift
 from argshift.exactlin import MatQ, faddeev_leverrier, solve_many
-from argshift.liealg import classical_matrix_basis, make_classical, make_takiff, make_vinberg
+from argshift.liealg import (classical_matrix_basis, make_centralizer_sl, make_classical,
+                             make_sl2_so2_contraction, make_takiff, make_vinberg)
 from argshift.jsonio import poly_to_json
 from argshift.mpoly import MPoly, determinant
 from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, classical_casimirs,
                               coordinate_bracket, estimate_index,
                               frozen_bracket, is_casimir, kirillov,
                               takiff_lift)
-from argshift.sampling import integer_point, rng_stream
-from oracles import evaluate, grad_at, takiff_lift_by_substitution, var_coeffs
+from argshift.sampling import integer_coords, integer_point, rng_stream
+from oracles import (bareiss_skew_rank, estimate_index_by_bareiss, evaluate, fraction_kirillov,
+                     grad_at, takiff_lift_by_substitution, var_coeffs)
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -154,6 +156,69 @@ def test_estimate_index_oracles():
     assert prof.b_q == 2
     with pytest.raises(ValueError):
         estimate_index(SL2, trials=0)
+
+
+ORACLE_ALGEBRAS = {
+    "sl2": lambda: make_classical("sl", 2),
+    "sl3": lambda: make_classical("sl", 3),
+    "gl3": lambda: make_classical("gl", 3),
+    "sl4": lambda: make_classical("sl", 4),
+    "takiff(sl2,1)": lambda: make_takiff(SL2, 1),
+    "takiff(sl2,2)": lambda: make_takiff(SL2, 2),
+    "z_sl4[2,1,1]": lambda: make_centralizer_sl(4, [2, 1, 1]),
+    "z_sl5[2,2,1]": lambda: make_centralizer_sl(5, [2, 2, 1]),
+    "vinberg(1)": lambda: make_vinberg((1,)),
+    "vinberg(1,2)": lambda: make_vinberg((1, 2)),
+    "sl2/so2": make_sl2_so2_contraction,
+    "abelian(3)": lambda: abelian(3),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_estimate_index_matches_the_fraction_bareiss_route(name):
+    # integer points, the cached integer table and Pfaffian ranks give
+    # the profile of Fraction forms ranked by Bareiss elimination
+    L = ORACLE_ALGEBRAS[name]()
+    for seed in range(4):
+        for bound in (9, 99):
+            got = estimate_index(L, seed=seed, bound=bound)
+            want = estimate_index_by_bareiss(L, trials=24, seed=seed, bound=bound)
+            assert (got.ind, got.max_rank_seen, got.witness, got.seed, got.trials,
+                    got.bound) == (want.ind, want.max_rank_seen, want.witness,
+                                   want.seed, want.trials, want.bound)
+            assert got.as_dict() == want.as_dict()
+
+
+@pytest.mark.parametrize("name", ["sl3", "takiff(sl2,1)", "vinberg(1,2)"])
+def test_kirillov_matches_the_fraction_form_at_rational_points(name):
+    L = ORACLE_ALGEBRAS[name]()
+    rng = rng_stream(5, "kirillov-rational")
+    for _ in range(10):
+        xi = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(L.dim)]
+        K = kirillov(L, xi)
+        assert K.matrix.to_lists() == fraction_kirillov(L, xi)
+        assert K.rank == bareiss_skew_rank(K.rows, L.dim)
+
+
+@pytest.mark.parametrize("dim, bound, nonzero", [(1, 1, True), (3, 5, True),
+                                                 (8, 9, False), (15, 99, True)])
+def test_integer_point_is_integer_coords_as_fractions(dim, bound, nonzero):
+    for t in range(20):
+        coords = integer_coords(rng_stream(7, "index-sample", t), dim, bound, nonzero)
+        point = integer_point(rng_stream(7, "index-sample", t), dim, bound, nonzero)
+        assert all(type(x) is int for x in coords)
+        assert point == tuple(Fraction(x) for x in coords)
+        assert all(abs(x) <= bound for x in coords)
+        assert not nonzero or any(coords)
+
+
+def test_integer_coords_checks_its_arguments():
+    rng = rng_stream(0, "args")
+    with pytest.raises(ValueError, match="bound"):
+        integer_coords(rng, 3, 0)
+    with pytest.raises(ValueError, match="dimension 0"):
+        integer_coords(rng, 0, 5)
+    assert integer_coords(rng, 0, 5, nonzero=False) == ()
 
 
 def test_casimir_set_verified():

@@ -384,10 +384,10 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
         raw, entry = _read_input(args.matrices)
         inputs["matrices"] = entry
         try:
-            A = jsonio.matrix_from_json(raw["A"])
-            B = jsonio.matrix_from_json(raw["B"])
+            A, B = (jsonio.matrix_from_json(jsonio._field(raw, key, "pencil file"))
+                    for key in ("A", "B"))
             pencil = SkewPencil(A, B)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise UsageError(f"{args.matrices}: {exc}") from exc
     else:
         if not args.algebra or not args.xi or not args.eta:

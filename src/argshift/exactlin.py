@@ -7,11 +7,13 @@ on rows kept primitive, with each entry turned into a Fraction once at
 the end.  The rank of integer rows of a skew matrix (_skew_rank) is
 the one exception: fraction-free Pfaffian elimination by 2 x 2 skew
 pivots on the strict upper triangle, which does about a quarter of
-Bareiss's entry updates.  Subspaces are kept in reduced row echelon
-form, so equality of subspaces is equality of bases.  Callers that
-already hold integer rows enter at the private integer-row functions
-(_rank_int, _skew_rank, _span_int, _rank_kernel_int, _solve), which
-skip the Fraction round trip.
+Bareiss's entry updates; on request the same loop also gives a kernel
+basis (_skew_kernel).  Subspaces are kept in reduced row echelon
+form, so equality of subspaces is equality of bases; _Basis grows such
+a basis one integer vector at a time.  Callers that already hold
+integer rows enter at the private integer-row functions (_rank_int,
+_skew_rank, _skew_kernel, _span_int, _rank_kernel_int, _solve, _Basis),
+which skip the Fraction round trip.
 """
 
 from __future__ import annotations
@@ -241,9 +243,33 @@ def _triangle(m: int) -> tuple[list[int], list[int], list[int]]:
             [l for k in range(m) for l in range(k + 1, m)])
 
 
+def _divide_exactly(values: Sequence[int], d: int) -> Sequence[int]:
+    """values divided by d, each division checked exact."""
+    if not values:
+        return values
+    quotients, rems = zip(*map(divmod, values, repeat(d)))
+    if any(rems):
+        raise ArithmeticError("fraction-free elimination lost exact divisibility")
+    return quotients
+
+
 def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of the integer rows of a skew matrix by fraction-free
-    Pfaffian elimination; rows that are not skew raise ArithmeticError.
+    """Rank of the integer rows of a skew matrix; rows that are not skew
+    raise ArithmeticError.  See _skew_eliminate."""
+    return _skew_eliminate(rows, ncols, False)[0]
+
+
+def _skew_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, list[list[int]]]:
+    """Rank and a kernel basis, as primitive integer vectors, of the
+    integer rows of a skew matrix.  See _skew_eliminate."""
+    return _skew_eliminate(rows, ncols, True)
+
+
+def _skew_eliminate(rows: Sequence[Sequence[int]], ncols: int, track: bool
+                    ) -> tuple[int, list[list[int]]]:
+    """Fraction-free Pfaffian elimination of the integer rows of a skew
+    matrix: the rank and, when track is set, a kernel basis.  Rows that
+    are not skew raise ArithmeticError.
 
     A nonzero entry p = a_ij, i < j, of the active block is a 2 x 2
     skew pivot: every remaining pair (k, l) becomes
@@ -259,6 +285,15 @@ def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
     The block is skew, so only its strict upper triangle is kept, as
     one flat list in row-major order, and every step is one pass over
     it.  Rows above the pivot row are zero and leave with the pivot.
+
+    Row k of the block is the combination T_k of the input rows, with
+    T_k <- (p T_k - a_ik T_j + a_jk T_i) / prev at each step, exact by
+    the same identity.  T_k is prev at input row k itself and zero off
+    k and the pivots so far, so only its entries at the pivots are
+    kept; a pivot step appends a_jk and -a_ik for the new pivots i, j.
+    A row that leaves the block as zero has T_k M = 0 for the input
+    matrix M, which is skew, so T_k is a kernel vector, independent of
+    the others by its entry at k.
     """
     n = len(rows)
     if ncols != n or any(len(row) != n for row in rows) or any(
@@ -268,10 +303,27 @@ def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
     m = n
     rank = 0
     prev = 1
+    # with track: the input row of each block row, the input rows of the
+    # pivots so far, T_k at those pivots, and the kernel found so far
+    idx = list(range(n))
+    piv: list[int] = []
+    tk: list[Sequence[int]] = [[] for _ in range(n)]
+    ker: list[list[int]] = []
+
+    def leave(k: int) -> None:
+        v = [0] * n
+        v[idx[k]] = prev
+        for q, x in zip(piv, tk[k]):
+            v[q] = x
+        ker.append(_primitive(v))
+
     while True:
         t = next(compress(count(), a), None)
         if t is None:
-            return rank
+            if track:
+                for k in range(m):
+                    leave(k)
+            return rank, ker
         # row k of the block is a[off[k]:off[k + 1]], columns k + 1 .. m - 1
         off = _triangle(m)[0]
         i = bisect_right(off, t) - 1
@@ -291,10 +343,22 @@ def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
         akl += a[off[j + 1]:]
         _, us, vs = _triangle(len(ai))
         a = [p * x - ai[u] * aj[v] + aj[u] * ai[v] for x, u, v in zip(akl, us, vs)]
-        if prev != 1 and a:
-            a, rems = zip(*map(divmod, a, repeat(prev)))
-            if any(rems):
-                raise ArithmeticError("fraction-free elimination lost exact divisibility")
+        if prev != 1:
+            a = _divide_exactly(a, prev)
+        if track:
+            for k in range(i):
+                leave(k)
+            # the rows that stay, one after the other, at the old pivots
+            ti, tj = tk[i], tk[j]
+            stay = [*range(i + 1, j), *range(j + 1, m)]
+            flat = [p * x - u * y + w * z for k, u, w in zip(stay, ai, aj)
+                    for x, y, z in zip(tk[k], tj, ti)]
+            if prev != 1:
+                flat = _divide_exactly(flat, prev)
+            s = len(piv)
+            tk = [[*flat[r * s:r * s + s], w, -u] for r, (u, w) in enumerate(zip(ai, aj))]
+            piv += [idx[i], idx[j]]
+            idx = [idx[k] for k in stay]
         m = len(ai)
         rank += 2
         prev = p
@@ -334,6 +398,56 @@ def _rank_kernel_int(rows: Sequence[Sequence[int]], ncols: int
             v[pc] = -x * (den // p)
         basis.append(_primitive(v))
     return len(pivots), basis
+
+
+class _Basis:
+    """An integer RREF basis grown one vector at a time.
+
+    Rows are primitive, keyed by pivot column, and zero in every pivot
+    column but their own; sorted by pivot and scaled to a leading 1
+    they are _span_int's canonical basis of the span.
+    """
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols: int, vectors: Iterable[Sequence[int]] = ()):
+        self.ncols = ncols
+        self.rows: dict[int, list[int]] = {}
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence[int]) -> list[int]:
+        """A nonzero multiple of v minus a vector of the span, zero in
+        every pivot column: zero exactly when v lies in the span."""
+        for pc, row in self.rows.items():
+            x = v[pc]
+            if x:
+                p = row[pc]
+                v = [p * a - x * b for a, b in zip(v, row)]
+        return list(v)
+
+    def add(self, v: Sequence[int]) -> Optional[list[int]]:
+        """Grow the span by v: the new primitive row when v was not in
+        the span, None when it was."""
+        v = self.reduce(v)
+        pc = next((c for c, x in enumerate(v) if x), None)
+        if pc is None:
+            return None
+        v = _primitive(v)
+        p = v[pc]
+        for c, row in self.rows.items():
+            x = row[pc]
+            if x:
+                self.rows[c] = _primitive([p * a - x * b for a, b in zip(row, v)])
+        self.rows[pc] = v
+        return v
+
+    def span(self) -> "SubspaceQ":
+        return SubspaceQ(self.ncols, [_unit_lead(self.rows[c]) for c in sorted(self.rows)])
 
 
 class SubspaceQ:

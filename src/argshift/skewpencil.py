@@ -10,6 +10,11 @@ maximal isotropic of dimension dim V - m/2; otherwise the recursion
 operator on the quotient carries the singular directions as its
 eigenvalues, which are cross-checked against the ranks of the
 corresponding members.
+
+Ranks and kernels of members come from fraction-free Pfaffian
+elimination of their integer rows.  The kernel sum, the complement of
+L in Ltilde and the Wong sequence each grow one echelon basis a vector
+at a time; the Wong sequence runs in the coordinates of W, not of V.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int,
-                       _rref, _skew_rank, _solve, _span_int, _unit_lead, annihilator,
+from .exactlin import (MatQ, Scalar, SubspaceQ, _Basis, _int_rows, _rank_int, _rref,
+                       _skew_kernel, _skew_rank, _solve, _unit_lead, annihilator,
                        faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
@@ -96,15 +102,7 @@ class SkewPencil:
 
 
 def _matvec(rows: IntRows, v: Sequence[Union[int, Fraction]]) -> list:
-    return [sum(a * x for a, x in zip(row, v)) for row in rows]
-
-
-def _skew_kernel(rows: IntRows, n: int) -> tuple[int, IntRows]:
-    """Rank and integer kernel basis of a skew member, the rank checked even."""
-    r, ker = _rank_kernel_int(rows, n)
-    if r % 2 != 0:
-        raise ArithmeticError("skew matrix produced odd rank")
-    return r, ker
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 def base_ratios(dim: int) -> list[Ratio]:
@@ -150,26 +148,27 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
     growth.  Directions are walked in a fixed order, the base ratios
     and then past them up to a hard cap, at which point a
     non-stabilized sum is an error rather than a silent answer; only
-    the members walked are eliminated.  A kernel adds nothing when it
-    leaves the rank of the sum unchanged.
+    the members walked are eliminated.  Each member's kernel comes out
+    of its Pfaffian elimination and its vectors are reduced into one
+    growing echelon basis of the sum.
     """
     n = pencil.dim
     if m is None:
         m = rank_profile(pencil).m
     cap = 4 * n + 10
     ratios = chain(_int_rows(base_ratios(n)), ((1, k) for k in range(n + 1, cap)))
-    rows: IntRows = []    # a basis of the sum so far
+    total = _Basis(n)
     consecutive = 0
     for a, b in ratios:
         r, ker = _skew_kernel(pencil._member(a, b), n)
         if r != m:
             continue
-        if _rank_int(rows + ker, n) == len(rows):
-            consecutive += 1
-        else:
-            rows, consecutive = _rref(rows + ker, n)[0], 0
-        if consecutive >= n or len(rows) == n - m // 2:
-            return _span_int(rows, n)
+        before = total.dim
+        for v in ker:
+            total.add(v)
+        consecutive = consecutive + 1 if total.dim == before else 0
+        if consecutive >= n or total.dim == n - m // 2:
+            return total.span()
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
 
@@ -187,36 +186,56 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     irrational (Popov-Belevitch-Hautus): the member A - lam B then maps
     L into the hyperplane ker y.  Violations contradict the pencil
     structure theory, so they raise FalsificationError.
+
+    Everything after W runs in W's coordinates, the entries at the
+    pivot columns of its echelon basis, on the l = dim L columns
+    A v_j and B v_j.  One elimination of [B_L | I] gives the rank of
+    B_L and an integer right inverse R, B_L R = D I; then N is spanned
+    by the columns of D A_L - M B_L with M = A_L R, and K is grown from
+    N one vector at a time, each new vector's image under M queued.
     """
     n = pencil.dim
     lrows = _int_rows(L.basis)
+    l = len(lrows)
     avs = [_matvec(pencil._a, v) for v in lrows]
     bvs = [_matvec(pencil._b, v) for v in lrows]
-    W = _span_int(avs, n)
-    # A(L) = B(L) exactly when both images and their sum have one dimension
-    b_dim = _rank_int(bvs, n)
-    if b_dim != W.dim or _rank_int(avs + bvs, n) != W.dim:
+    image = _Basis(n, avs)
+    pivots = sorted(image.rows)
+    w = len(pivots)
+    acols = [[av[c] for c in pivots] for av in avs]
+    bcols = [[bv[c] for c in pivots] for bv in bvs]
+    # A(L) = B(L) exactly when B(L) lies in W = A(L) with rank w there
+    inside = not any(any(image.reduce(bv)) for bv in bvs)
+    if inside:
+        work, bpivots = _rref([[bc[i] for bc in bcols] + [int(k == i) for k in range(w)]
+                               for i in range(w)], l + w)
+        b_dim = sum(pc < l for pc in bpivots)
+    if not inside or b_dim != w:
         raise FalsificationError(
             "kernel-sum images under the two pencil generators differ",
-            {"dim": n, "L_dim": L.dim, "A_image_dim": W.dim,
-             "B_image_dim": b_dim})
-    K: IntRows = []     # a basis of K, which stays inside W
-    while len(K) < W.dim:
-        # kernel vectors (c, e) of [B v_1 .. B v_l | -k_1 .. -k_k] are the
-        # x = sum c_j v_j in L with B x in K
-        cols = bvs + [[-x for x in k] for k in K]
-        _, ker = _rank_kernel_int([[c[i] for c in cols] for i in range(n)], len(cols))
-        # zip stops after the l coefficients c, so each row is A x
-        grown, _ = _rref([[sum(c * av[i] for c, av in zip(u, avs)) for i in range(n)]
-                          for u in ker], n)
-        if len(grown) == len(K):
-            break
-        K = grown
-    if len(K) != W.dim:
+            {"dim": n, "L_dim": L.dim, "A_image_dim": w,
+             "B_image_dim": b_dim if inside else _rank_int(bvs, n)})
+    # row r of work is T_r [B_L | I] with pivot p_r at column c_r < l, zero
+    # at the other pivots: x = sum_r e_(c_r) (D / p_r) T_r u solves B_L x = D u
+    D = lcm(*(row[pc] for row, pc in zip(work, bpivots)))
+    inverse = [(pc, D // row[pc], row[l:]) for row, pc in zip(work, bpivots)]
+
+    def apply_m(u: Sequence[int]) -> list[int]:
+        """M u = A_L R u."""
+        x = [(pc, f * sum(t * y for t, y in zip(tr, u))) for pc, f, tr in inverse]
+        return [sum(c * acols[pc][i] for pc, c in x) for i in range(w)]
+
+    queue = [[D * a - y for a, y in zip(ac, apply_m(bc))] for ac, bc in zip(acols, bcols)]
+    K = _Basis(w)
+    while queue and K.dim < w:
+        row = K.add(queue.pop())
+        if row is not None:
+            queue.append(apply_m(row))
+    if K.dim != w:
         raise FalsificationError(
             "some pencil member maps the kernel sum onto a smaller image",
-            {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": len(K)})
-    return W
+            {"dim": n, "L_dim": L.dim, "W_dim": w, "reached_dim": K.dim})
+    return image.span()
 
 
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
@@ -238,17 +257,14 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     r, kerA = _skew_kernel(Am, n)
     if r != m:
         raise ValueError("the A-direction of the recursion operator must be regular")
-    lrows = _int_rows(L.basis)
-    if _rank_int(lrows + kerA, n) != len(lrows):
+    # a basis of L, grown by the complement of L in Ltilde
+    grown = _Basis(n, _int_rows(L.basis))
+    if any(any(grown.reduce(v)) for v in kerA):
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
             {"dim": n, "member_rank": r, "kernel_dim": len(kerA), "L_dim": L.dim})
-    comp: list[tuple[Fraction, ...]] = []
-    cur = lrows
-    for v, iv in zip(Ltilde.basis, _int_rows(Ltilde.basis)):
-        if _rank_int(cur + [iv], n) > len(cur):
-            comp.append(v)
-            cur = cur + [iv]
+    comp = [v for v, iv in zip(Ltilde.basis, _int_rows(Ltilde.basis))
+            if grown.add(iv) is not None]
     ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
     for v, w in zip(comp, ws):
         if w is None:

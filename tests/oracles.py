@@ -19,6 +19,14 @@ tests can hold the package's route against it.
   forms built from the Fraction bracket table at Fraction points and
   ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
   integer forms from a cached integer table.
+- ``bareiss_skew_kernel``: the rank and kernel of a skew pencil member
+  by general Bareiss elimination, checked even.  ``exactlin._skew_kernel``
+  reads the kernel off the Pfaffian elimination instead.
+- ``ambient_image_equality``: the common image of a subspace L under
+  every member of a pencil, by the Wong sequence K <- A(L & B^-1 K)
+  run on whole vectors of the ambient space, each step one kernel and
+  one span.  ``skewpencil.check_image_equality`` runs it as a closure
+  in the coordinates of the image.
 - ``to_sympy``: an MPoly as a sympy expression, for differential tests.
 """
 
@@ -29,10 +37,13 @@ from typing import Iterable, Optional, Sequence
 
 import sympy
 
-from argshift.exactlin import Scalar, _int_rows, _rank_int, vec
+from argshift.exactlin import (Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int,
+                               _rref, _span_int, vec)
 from argshift.liealg import AlgebraProfile, LieAlgebraData
 from argshift.mpoly import MPoly, determinant, poly_gcd
+from argshift.regcert import FalsificationError
 from argshift.sampling import integer_point, rng_stream
+from argshift.skewpencil import SkewPencil, _matvec
 
 
 def partial(p: MPoly, i: int) -> MPoly:
@@ -152,6 +163,50 @@ def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,
     return AlgebraProfile(dim=L.dim, ind=L.dim - max_rank, status="estimated",
                           max_rank_seen=max_rank, witness=witness,
                           seed=seed, trials=trials, bound=bound)
+
+
+def bareiss_skew_kernel(rows: Sequence[Sequence[int]], ncols: int
+                        ) -> tuple[int, list[list[int]]]:
+    """Rank and canonical integer kernel basis of the integer rows of a
+    skew matrix by Bareiss elimination; an odd rank raises
+    ArithmeticError."""
+    r, ker = _rank_kernel_int(rows, ncols)
+    if r % 2 != 0:
+        raise ArithmeticError("skew matrix produced odd rank")
+    return r, ker
+
+
+def ambient_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
+    """The common image W of L under every nonzero member, with the same
+    checks, raises and bundles as skewpencil.check_image_equality:
+    A(L) = B(L) by ranks, then K <- A(L & B^-1 K) from K = 0 until dim K
+    stops growing, each step a kernel of [B v_1 .. B v_l | -K] and a
+    span of A x over its vectors."""
+    n = pencil.dim
+    lrows = _int_rows(L.basis)
+    avs = [_matvec(pencil._a, v) for v in lrows]
+    bvs = [_matvec(pencil._b, v) for v in lrows]
+    W = _span_int(avs, n)
+    b_dim = _rank_int(bvs, n)
+    if b_dim != W.dim or _rank_int(avs + bvs, n) != W.dim:
+        raise FalsificationError(
+            "kernel-sum images under the two pencil generators differ",
+            {"dim": n, "L_dim": L.dim, "A_image_dim": W.dim,
+             "B_image_dim": b_dim})
+    K: list[list[int]] = []
+    while len(K) < W.dim:
+        cols = bvs + [[-x for x in k] for k in K]
+        _, ker = _rank_kernel_int([[c[i] for c in cols] for i in range(n)], len(cols))
+        grown, _ = _rref([[sum(c * av[i] for c, av in zip(u, avs)) for i in range(n)]
+                          for u in ker], n)
+        if len(grown) == len(K):
+            break
+        K = grown
+    if len(K) != W.dim:
+        raise FalsificationError(
+            "some pencil member maps the kernel sum onto a smaller image",
+            {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": len(K)})
+    return W
 
 
 def to_sympy(p: MPoly, syms: Sequence[sympy.Symbol]) -> sympy.Expr:

@@ -474,6 +474,18 @@ def test_pencil_analyze_ignores_a_common_factor(capsys, tmp_path, A, B, kind):
         assert seen[0][0]["pencil"]["eigenvalues"] == [["6", 4]]
 
 
+@pytest.mark.parametrize("content, missing", [
+    ({"A": [["0", "1"], ["-1", "0"]]}, "B"),
+    ([[["0", "1"], ["-1", "0"]], [["0", "2"], ["-2", "0"]]], "A"),
+])
+def test_pencil_analyze_names_the_missing_matrix(capsys, tmp_path, content, missing):
+    path = tmp_path / "m.json"
+    jsonio.write_json(str(path), content)
+    assert main(["pencil", "analyze", "--matrices", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: pencil file must be an object with {missing!r}\n")
+
+
 def test_pencil_analyze_requires_input(capsys):
     code, _ = run(capsys, "pencil", "analyze")
     assert code == 2

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from argshift.exactlin import (
     MatQ,
     SubspaceQ,
+    _Basis,
     _rank_int,
     _rank_kernel_int,
+    _skew_kernel,
     _skew_rank,
     _span_int,
     annihilator,
@@ -28,7 +30,7 @@ from argshift.exactlin import (
     solve_many,
     vec,
 )
-from oracles import bareiss_skew_rank
+from oracles import bareiss_skew_kernel, bareiss_skew_rank
 
 # hand derivation: K = [[0,-2,0],[2,0,0],[0,0,0]]; rows 1,2 are
 # independent (pivot cols 0,1), row 3 zero; rank 2.  K v = 0 forces
@@ -298,14 +300,32 @@ def test_skew_rank_matches_bareiss_and_sympy(case):
     assert r == sympy.Matrix(n, n, [x for row in rows for x in row]).rank()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(low_rank_skew(), dense_skew()))
+def test_skew_kernel_matches_bareiss_and_sympy(case):
+    import sympy
+    n, rows = case
+    r, ker = _skew_kernel(rows, n)
+    want_r, want_ker = bareiss_skew_kernel(rows, n)
+    assert r == want_r == _skew_rank(rows, n)
+    assert len(ker) == n - r
+    for v in ker:
+        assert gcd(*v) == 1
+        assert not any(sum(x * y for x, y in zip(row, v)) for row in rows)
+    null = sympy.Matrix(n, n, [x for row in rows for x in row]).nullspace()
+    assert _span_int(ker, n) == _span_int(want_ker, n) == SubspaceQ.span(
+        [[Fraction(int(x.p), int(x.q)) for x in v] for v in null], n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(low_rank_skew().filter(lambda case: case[0] > 0), st.data())
 def test_skew_rank_rejects_rows_that_are_not_skew(case, data):
     n, rows = case
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     rows[i][j] += data.draw(st.one_of(st.integers(1, BIG), st.integers(-BIG, -1)))
-    with pytest.raises(ArithmeticError, match="not skew"):
-        _skew_rank(rows, n)
+    for route in (_skew_rank, _skew_kernel):
+        with pytest.raises(ArithmeticError, match="not skew"):
+            route(rows, n)
 
 
 @pytest.mark.parametrize("rows, ncols", [
@@ -315,17 +335,58 @@ def test_skew_rank_rejects_rows_that_are_not_skew(case, data):
     ([[0, 1, 2], [-1, 0, 3]], 2),
 ])
 def test_skew_rank_rejects_rows_that_are_not_square(rows, ncols):
-    with pytest.raises(ArithmeticError, match="not skew"):
-        _skew_rank(rows, ncols)
+    for route in (_skew_rank, _skew_kernel):
+        with pytest.raises(ArithmeticError, match="not skew"):
+            route(rows, ncols)
 
 
 def test_skew_rank_of_empty_and_zero_matrices():
     assert _skew_rank([], 0) == 0
+    assert _skew_kernel([], 0) == (0, [])
     assert _skew_rank([[0] * 5 for _ in range(5)], 5) == 0
+    assert _skew_kernel([[0] * 3 for _ in range(3)], 3) == (
+        0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     # the pivot sits in the last two rows, below four zero rows
     rows = [[0] * 6 for _ in range(6)]
     rows[4][5], rows[5][4] = 7, -7
     assert _skew_rank(rows, 6) == 2
+    assert _skew_kernel(rows, 6) == (2, [[int(i == k) for i in range(6)] for k in range(4)])
+
+
+# --- the echelon basis grown one vector at a time -------------------------------
+
+@st.composite
+def dependent_vectors(draw):
+    # integer combinations of a few generators, so that many vectors
+    # depend on the ones before them
+    n = draw(st.integers(0, 8))
+    coord = st.one_of(st.integers(-2, 2), st.integers(-BIG, BIG))
+    gens = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=4))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                    max_size=len(gens)), max_size=8))
+    vectors = gens + [[sum(c * g[i] for c, g in zip(cs, gens)) for i in range(n)]
+                      for cs in combos]
+    return n, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(dependent_vectors(), st.data())
+def test_basis_grown_in_any_order_is_the_canonical_span(case, data):
+    n, vectors = case
+    want = _span_int(vectors, n)
+    for order in (vectors, vectors[::-1], data.draw(st.permutations(vectors))):
+        basis = _Basis(n)
+        for k, v in enumerate(order):
+            assert (not any(basis.reduce(v))) == _span_int(order[:k], n).contains(v)
+            before = basis.dim
+            row = basis.add(v)
+            assert (row is None) == (_rank_int(order[:k + 1], n) == before)
+            if row is not None:
+                assert gcd(*row) == 1 and row in basis.rows.values()
+        assert basis.dim == want.dim
+        assert basis.span() == want
+        for pc, row in basis.rows.items():
+            assert [c for c in basis.rows if row[c]] == [pc]
 
 
 # --- one elimination against sympy ----------------------------------------------

@@ -27,7 +27,7 @@ from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
                                  char_poly, check_image_equality, compute_L,
                                  phi_operator, rank_profile, verify_com1)
-from oracles import stream_minor_gcd
+from oracles import ambient_image_equality, stream_minor_gcd
 
 SL2 = make_classical("sl", 2)
 
@@ -225,16 +225,24 @@ def minor_image_oracle(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     return W
 
 
+def raised(route, pencil: SkewPencil, L: SubspaceQ):
+    """The route's W, or the claim and bundle it raised."""
+    try:
+        return route(pencil, L)
+    except FalsificationError as exc:
+        return exc.claim, exc.bundle
+
+
 def image_routes(pencil: SkewPencil, L: SubspaceQ):
-    """Both routes' results, None where a route raised; they must agree."""
-    out = []
-    for route in (check_image_equality, minor_image_oracle):
-        try:
-            out.append(route(pencil, L))
-        except FalsificationError:
-            out.append(None)
-    assert out[0] == out[1]
-    return out[0]
+    """The route's W, None where it raised.  The ambient-space Wong
+    sequence must give the same W or raise the same claim and bundle;
+    the minor route must agree on W."""
+    got = raised(check_image_equality, pencil, L)
+    assert got == raised(ambient_image_equality, pencil, L)
+    W = got if isinstance(got, SubspaceQ) else None
+    minor = raised(minor_image_oracle, pencil, L)
+    assert W == (minor if isinstance(minor, SubspaceQ) else None)
+    return W
 
 
 def test_image_routes_agree_on_analysed_pencils():
@@ -311,6 +319,39 @@ def test_image_routes_agree_on_seeded_pencils(w, l):
             if forced:
                 assert W is None
     assert seen == ({False, True} if l > 1 else {True})
+
+
+def test_image_route_raises_the_oracle_bundle_when_images_differ():
+    pencil = SkewPencil.from_matrices(BLOCK_A, BLOCK_B)
+    # B(L) = 0 inside A(L), and B(L) outside A(L) with the same dimension
+    for basis, b_dim in (([(1, 0, 0, 0)], 0), ([(1, 0, 1, 0)], 1)):
+        L = SubspaceQ.span(basis, 4)
+        got = raised(check_image_equality, pencil, L)
+        assert got == raised(ambient_image_equality, pencil, L)
+        assert got == ("kernel-sum images under the two pencil generators differ",
+                       {"dim": 4, "L_dim": 1, "A_image_dim": 1, "B_image_dim": b_dim})
+
+
+def test_image_route_matches_the_ambient_oracle_on_every_pencil():
+    # the kernel sum of every pencil above, and random subspaces in its
+    # place, which mostly raise
+    pairs = oracle_pencils() + [(MatQ(BLOCK_A), MatQ(BLOCK_A)),
+                                (MatQ.zeros(3, 3), MatQ.zeros(3, 3))]
+    claims = set()
+    for k, (A, B) in enumerate(pairs):
+        pencil = SkewPencil(A, B)
+        n = pencil.dim
+        rng = rng_stream(41, "image-ambient", k)
+        subspaces = [compute_L(pencil)] + [
+            SubspaceQ.span([[rng.randint(-2, 2) for _ in range(n)]
+                            for _ in range(rng.randint(1, n))], n) for _ in range(4)]
+        for L in subspaces:
+            got = raised(check_image_equality, pencil, L)
+            assert got == raised(ambient_image_equality, pencil, L)
+            if not isinstance(got, SubspaceQ):
+                claims.add(got[0])
+    assert claims == {"kernel-sum images under the two pencil generators differ",
+                      "some pencil member maps the kernel sum onto a smaller image"}
 
 
 # --- the integer pencil layer against the Fraction route -----------------------

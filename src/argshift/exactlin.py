@@ -8,12 +8,13 @@ the end.  The rank of integer rows of a skew matrix (_skew_rank) is
 the one exception: fraction-free Pfaffian elimination by 2 x 2 skew
 pivots on the strict upper triangle, which does about a quarter of
 Bareiss's entry updates; on request the same loop also gives a kernel
-basis (_skew_kernel).  Subspaces are kept in reduced row echelon
-form, so equality of subspaces is equality of bases; _Basis grows such
-a basis one integer vector at a time.  Callers that already hold
-integer rows enter at the private integer-row functions (_rank_int,
-_skew_rank, _skew_kernel, _span_int, _rank_kernel_int, _solve, _Basis),
-which skip the Fraction round trip.
+basis (_skew_kernel).  A SubspaceQ keeps its canonical echelon basis
+as primitive integer rows, grown one integer vector at a time, so
+equality of subspaces is equality of rows; its reduced row echelon
+basis over Q is a view for output.  Callers that already hold integer
+rows hand them to SubspaceQ or enter at the private integer-row
+functions (_rank_int, _skew_rank, _skew_kernel, _rank_kernel_int,
+_solve), which skip the Fraction round trip.
 """
 
 from __future__ import annotations
@@ -364,12 +365,6 @@ def _skew_eliminate(rows: Sequence[Sequence[int]], ncols: int, track: bool
         prev = p
 
 
-def _span_int(rows: Sequence[Sequence[int]], ncols: int) -> "SubspaceQ":
-    """Canonical subspace spanned by integer rows."""
-    work, _ = _rref(list(rows), ncols)
-    return SubspaceQ(ncols, [_unit_lead(row) for row in work])
-
-
 def _rank_kernel_int(rows: Sequence[Sequence[int]], ncols: int
                      ) -> tuple[int, list[list[int]]]:
     """Rank and kernel of integer rows, the kernel as primitive integer
@@ -400,29 +395,55 @@ def _rank_kernel_int(rows: Sequence[Sequence[int]], ncols: int
     return len(pivots), basis
 
 
-class _Basis:
-    """An integer RREF basis grown one vector at a time.
+class SubspaceQ:
+    """Linear subspace of Q^n, kept as its canonical integer echelon basis.
 
-    Rows are primitive, keyed by pivot column, and zero in every pivot
-    column but their own; sorted by pivot and scaled to a leading 1
-    they are _span_int's canonical basis of the span.
+    rows maps each pivot column to a primitive integer row with a
+    positive entry there and zero in every other pivot column.  That
+    basis is canonical, so equal subspaces have equal rows.  The dict is
+    in insertion order; basis is the read-only rational view in pivot
+    order, each row scaled to a leading 1 (reduced row echelon form).
+    add grows the subspace one integer vector at a time.
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ncols: int, vectors: Iterable[Sequence[int]] = ()):
-        self.ncols = ncols
+    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[int]] = ()):
+        """The span of integer vectors of length ambient_dim."""
+        self.ambient_dim = ambient_dim
         self.rows: dict[int, list[int]] = {}
         for v in vectors:
             self.add(v)
+
+    @classmethod
+    def span(cls, vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> "SubspaceQ":
+        rows = [vec(v) for v in vectors]
+        for row in rows:
+            if len(row) != ambient_dim:
+                raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient_dim, _int_rows(rows))
+
+    @classmethod
+    def zero(cls, ambient_dim: int) -> "SubspaceQ":
+        return cls(ambient_dim)
+
+    @classmethod
+    def full(cls, ambient_dim: int) -> "SubspaceQ":
+        return cls(ambient_dim, [[int(i == j) for j in range(ambient_dim)]
+                                 for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def basis(self) -> tuple[VecQ, ...]:
+        return tuple(_unit_lead(self.rows[c]) for c in sorted(self.rows))
+
     def reduce(self, v: Sequence[int]) -> list[int]:
-        """A nonzero multiple of v minus a vector of the span, zero in
-        every pivot column: zero exactly when v lies in the span."""
+        """A positive multiple of the integer vector v minus a vector of
+        the subspace, zero in every pivot column: zero exactly when v
+        lies in the subspace."""
         for pc, row in self.rows.items():
             x = v[pc]
             if x:
@@ -431,13 +452,15 @@ class _Basis:
         return list(v)
 
     def add(self, v: Sequence[int]) -> Optional[list[int]]:
-        """Grow the span by v: the new primitive row when v was not in
-        the span, None when it was."""
+        """Grow the subspace by the integer vector v: the new row when v
+        was not in the subspace, None when it was."""
         v = self.reduce(v)
         pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return None
         v = _primitive(v)
+        if v[pc] < 0:
+            v = [-x for x in v]
         p = v[pc]
         for c, row in self.rows.items():
             x = row[pc]
@@ -446,68 +469,23 @@ class _Basis:
         self.rows[pc] = v
         return v
 
-    def span(self) -> "SubspaceQ":
-        return SubspaceQ(self.ncols, [_unit_lead(self.rows[c]) for c in sorted(self.rows)])
-
-
-class SubspaceQ:
-    """Linear subspace of Q^n with a canonical RREF basis."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, canonical_basis: Sequence[VecQ]):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(canonical_basis)
-
-    @classmethod
-    def span(cls, vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> "SubspaceQ":
-        rows = [vec(v) for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return _span_int(_int_rows(rows), ambient_dim)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, [])
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, [tuple(Fraction(int(i == j)) for j in range(ambient_dim))
-                                 for i in range(ambient_dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def _pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
-
     def contains(self, v: Sequence[Scalar]) -> bool:
-        w = list(vec(v))
-        if len(w) != self.ambient_dim:
+        if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis, self._pivots()):
-            c = w[p]
-            if c != 0:
-                w = [a - c * b for a, b in zip(w, row)]
-        return all(x == 0 for x in w)
+        return not any(self.reduce(_int_rows([vec(v)])[0]))
 
     def is_subspace_of(self, other: "SubspaceQ") -> bool:
-        return all(other.contains(v) for v in self.basis)
+        return not any(any(other.reduce(v)) for v in self.rows.values())
 
     def __add__(self, other: "SubspaceQ") -> "SubspaceQ":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return SubspaceQ.span(list(self.basis) + list(other.basis), self.ambient_dim)
+        return SubspaceQ(self.ambient_dim, [*self.rows.values(), *other.rows.values()])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SubspaceQ)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+                and self.rows == other.rows)
 
     def __repr__(self) -> str:
         rows = "; ".join("(" + ", ".join(rat_str(x) for x in v) + ")" for v in self.basis)
@@ -523,7 +501,7 @@ def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
     r, ker = _rank_kernel_int(_int_rows(M._a), M.cols)
     if r % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
-    return r, SubspaceQ(M.cols, [_unit_lead(v) for v in ker])
+    return r, SubspaceQ(M.cols, ker)
 
 
 def rank(M: MatQ) -> int:
@@ -595,12 +573,12 @@ def faddeev_leverrier(rows: Sequence[Sequence[Any]], one: Any) -> list:
 
 def annihilator(U: SubspaceQ) -> SubspaceQ:
     """Vectors pairing to zero with U under the standard bilinear form."""
-    _, ker = _rank_kernel_int(_int_rows(U.basis), U.ambient_dim)
-    return SubspaceQ(U.ambient_dim, [_unit_lead(v) for v in ker])
+    _, ker = _rank_kernel_int(list(U.rows.values()), U.ambient_dim)
+    return SubspaceQ(U.ambient_dim, ker)
 
 
 def image(M: MatQ, U: SubspaceQ) -> SubspaceQ:
     """Span of M applied to a subspace of Q^cols, inside Q^rows."""
     if U.ambient_dim != M.cols:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceQ.span([M.matvec(v) for v in U.basis], M.rows)
+    return SubspaceQ.span([M.matvec(v) for v in U.rows.values()], M.rows)

@@ -155,6 +155,8 @@ def subspace_to_json(S: SubspaceQ) -> dict:
 
 def subspace_from_json(data: dict) -> SubspaceQ:
     ambient = _int(_field(data, "ambient", "subspace"), "ambient")
+    if ambient < 0:
+        raise ValueError(f"ambient must be a nonnegative integer, not {ambient}")
     return SubspaceQ.span([vector_from_json(row)
                            for row in _array(data.get("basis", []), "subspace basis")],
                           ambient)

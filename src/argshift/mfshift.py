@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlin import SubspaceQ, Scalar, _primitive, _rank_kernel_int, _unit_lead, vec
+from .exactlin import SubspaceQ, Scalar, _primitive, _rank_kernel_int, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
 from .poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
@@ -255,7 +255,7 @@ def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly],
     rows = {tuple(_primitive([acc.get(mono, 0) for acc in accs]))
             for accs, _ in actions for mono in set().union(*accs)}
     _, kernel = _rank_kernel_int(sorted(rows), n)
-    return SubspaceQ(n, [_unit_lead(v) for v in kernel])
+    return SubspaceQ(n, kernel)
 
 
 def find_nonmaximality_witness(family: ShiftFamily,
@@ -272,7 +272,7 @@ def find_nonmaximality_witness(family: ShiftFamily,
         raise ValueError("nonmaximality search requires homogeneous members")
     commutant = linear_commutant(family.algebra, family.polys, actions)
     span = linear_member_span(family)
-    for v in commutant.basis:
-        if not span.contains(v):
+    for v, c in zip(commutant.basis, sorted(commutant.rows)):
+        if any(span.reduce(commutant.rows[c])):
             return MPoly.linear_form(v)
     return None

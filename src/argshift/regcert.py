@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank, rat_str, vec
+from .exactlin import Scalar, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mfshift import EXACT, build_family, degree_profile
 from .mpoly import MPoly, gradient_rank, gradient_table, poly_gcd
@@ -191,6 +191,14 @@ def _recursion_gcd(cp: Sequence[Fraction], A_ratio: tuple[Fraction, Fraction],
                MPoly.zero(2)).monic()
 
 
+def _spans_plane(xi: Sequence[Scalar], eta: Sequence[Scalar]) -> bool:
+    """Are xi and eta linearly independent, some 2 x 2 minor
+    xi_i eta_j - xi_j eta_i nonzero?  The minors through one nonzero
+    entry xi_i decide it: when they all vanish, eta = (eta_i / xi_i) xi."""
+    i = next((i for i, x in enumerate(xi) if x), None)
+    return i is not None and any(xi[i] * e != x * eta[i] for x, e in zip(xi, eta))
+
+
 def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
                           xi: Sequence[Scalar], eta: Sequence[Scalar]
                           ) -> PlaneCertificate:
@@ -208,7 +216,7 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
     from .skewpencil import SkewPencil, verify_com1
     m = _check_profile(L, profile)
     pxi, peta = vec(xi), vec(eta)
-    if rank(MatQ([list(pxi), list(peta)])) != 2:
+    if not _spans_plane(pxi, peta):
         raise ValueError("plane spanning points are linearly dependent")
     if m == 0:
         # the form is linear in the point: it vanishes on the plane
@@ -277,7 +285,7 @@ def find_regular_plane(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0
         rng = rng_stream(seed, "plane-search", t)
         xi = integer_point(rng, L.dim, bound)
         eta = integer_point(rng, L.dim, bound)
-        if rank(MatQ([list(xi), list(eta)])) != 2:
+        if not _spans_plane(xi, eta):
             continue
         cert = certify_regular_plane(L, profile, xi, eta)
         last = cert
@@ -372,7 +380,7 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
             rng = rng_stream(seed, "codim2-plane", t)
             xi = integer_point(rng, n, bound)
             eta = integer_point(rng, n, bound)
-            if rank(MatQ([list(xi), list(eta)])) != 2:
+            if not _spans_plane(xi, eta):
                 continue
             planes_tried += 1
             if certify_regular_plane(L, profile, xi, eta).ok:

@@ -26,9 +26,9 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, _Basis, _int_rows, _rank_int, _rref,
-                       _skew_kernel, _skew_rank, _solve, _unit_lead, annihilator,
-                       faddeev_leverrier, rat, rat_str)
+from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _rank_int, _rref, _skew_kernel,
+                       _skew_rank, _solve, _unit_lead, annihilator, faddeev_leverrier, rat,
+                       rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import kirillov
@@ -157,7 +157,7 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
         m = rank_profile(pencil).m
     cap = 4 * n + 10
     ratios = chain(_int_rows(base_ratios(n)), ((1, k) for k in range(n + 1, cap)))
-    total = _Basis(n)
+    total = SubspaceQ(n)
     consecutive = 0
     for a, b in ratios:
         r, ker = _skew_kernel(pencil._member(a, b), n)
@@ -168,7 +168,7 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
             total.add(v)
         consecutive = consecutive + 1 if total.dim == before else 0
         if consecutive >= n or total.dim == n - m // 2:
-            return total.span()
+            return total
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
 
@@ -195,11 +195,10 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     N one vector at a time, each new vector's image under M queued.
     """
     n = pencil.dim
-    lrows = _int_rows(L.basis)
-    l = len(lrows)
-    avs = [_matvec(pencil._a, v) for v in lrows]
-    bvs = [_matvec(pencil._b, v) for v in lrows]
-    image = _Basis(n, avs)
+    l = L.dim
+    avs = [_matvec(pencil._a, v) for v in L.rows.values()]
+    bvs = [_matvec(pencil._b, v) for v in L.rows.values()]
+    image = SubspaceQ(n, avs)
     pivots = sorted(image.rows)
     w = len(pivots)
     acols = [[av[c] for c in pivots] for av in avs]
@@ -226,7 +225,7 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
         return [sum(c * acols[pc][i] for pc, c in x) for i in range(w)]
 
     queue = [[D * a - y for a, y in zip(ac, apply_m(bc))] for ac, bc in zip(acols, bcols)]
-    K = _Basis(w)
+    K = SubspaceQ(w)
     while queue and K.dim < w:
         row = K.add(queue.pop())
         if row is not None:
@@ -235,7 +234,7 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
         raise FalsificationError(
             "some pencil member maps the kernel sum onto a smaller image",
             {"dim": n, "L_dim": L.dim, "W_dim": w, "reached_dim": K.dim})
-    return image.span()
+    return image
 
 
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
@@ -258,13 +257,13 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     if r != m:
         raise ValueError("the A-direction of the recursion operator must be regular")
     # a basis of L, grown by the complement of L in Ltilde
-    grown = _Basis(n, _int_rows(L.basis))
+    grown = SubspaceQ(n, L.rows.values())
     if any(any(grown.reduce(v)) for v in kerA):
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
             {"dim": n, "member_rank": r, "kernel_dim": len(kerA), "L_dim": L.dim})
-    comp = [v for v, iv in zip(Ltilde.basis, _int_rows(Ltilde.basis))
-            if grown.add(iv) is not None]
+    comp = [v for v, c in zip(Ltilde.basis, sorted(Ltilde.rows))
+            if grown.add(Ltilde.rows[c]) is not None]
     ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
     for v, w in zip(comp, ws):
         if w is None:
@@ -363,8 +362,7 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     Ltilde = annihilator(W)
     # W = A(L) = B(L), so L inside the annihilator of W is exactly
     # isotropy of L for A and B
-    wrows = _int_rows(W.basis)
-    if any(sum(x * y for x, y in zip(v, w)) for v in _int_rows(L.basis) for w in wrows):
+    if any(sum(map(mul, v, w)) for v in L.rows.values() for w in W.rows.values()):
         raise FalsificationError(
             "kernel sum is not isotropic for the pencil",
             {"dim": n, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})

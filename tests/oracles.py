@@ -22,6 +22,9 @@ tests can hold the package's route against it.
 - ``bareiss_skew_kernel``: the rank and kernel of a skew pencil member
   by general Bareiss elimination, checked even.  ``exactlin._skew_kernel``
   reads the kernel off the Pfaffian elimination instead.
+- ``rref_span``: the canonical subspace spanned by integer rows, read
+  off one batch elimination (``_rref``).  ``SubspaceQ`` grows its
+  canonical rows one vector at a time instead.
 - ``ambient_image_equality``: the common image of a subspace L under
   every member of a pencil, by the Wong sequence K <- A(L & B^-1 K)
   run on whole vectors of the ambient space, each step one kernel and
@@ -37,8 +40,8 @@ from typing import Iterable, Optional, Sequence
 
 import sympy
 
-from argshift.exactlin import (Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int,
-                               _rref, _span_int, vec)
+from argshift.exactlin import (Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int, _rref,
+                               vec)
 from argshift.liealg import AlgebraProfile, LieAlgebraData
 from argshift.mpoly import MPoly, determinant, poly_gcd
 from argshift.regcert import FalsificationError
@@ -176,6 +179,15 @@ def bareiss_skew_kernel(rows: Sequence[Sequence[int]], ncols: int
     return r, ker
 
 
+def rref_span(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceQ:
+    """The subspace spanned by integer rows, its canonical rows taken
+    from one _rref, each turned to a positive pivot."""
+    work, pivots = _rref(list(rows), ncols)
+    S = SubspaceQ(ncols)
+    S.rows = {pc: row if row[pc] > 0 else [-x for x in row] for row, pc in zip(work, pivots)}
+    return S
+
+
 def ambient_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     """The common image W of L under every nonzero member, with the same
     checks, raises and bundles as skewpencil.check_image_equality:
@@ -183,10 +195,9 @@ def ambient_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     stops growing, each step a kernel of [B v_1 .. B v_l | -K] and a
     span of A x over its vectors."""
     n = pencil.dim
-    lrows = _int_rows(L.basis)
-    avs = [_matvec(pencil._a, v) for v in lrows]
-    bvs = [_matvec(pencil._b, v) for v in lrows]
-    W = _span_int(avs, n)
+    avs = [_matvec(pencil._a, v) for v in L.rows.values()]
+    bvs = [_matvec(pencil._b, v) for v in L.rows.values()]
+    W = rref_span(avs, n)
     b_dim = _rank_int(bvs, n)
     if b_dim != W.dim or _rank_int(avs + bvs, n) != W.dim:
         raise FalsificationError(

@@ -336,6 +336,13 @@ def test_reg_plane_certificate_embeds_gcd(capsys, sl2_file):
     assert plane["ok"] and plane["gcd"] == "1"
 
 
+@pytest.mark.parametrize("eta", ["2,0,-4", "0,0,0", "-1/2,0,1"])
+def test_reg_plane_rejects_dependent_points(capsys, sl2_file, eta):
+    assert main(["reg", "plane", sl2_file, "--xi", "1,0,-2", f"--eta={eta}"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: plane spanning points are linearly dependent\n")
+
+
 def test_reg_plane_singular_directions(capsys, tmp_path):
     path = tmp_path / "con.json"
     assert main(["algebra", "build", "contraction-sl2-so2",

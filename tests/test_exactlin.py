@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from argshift.exactlin import (
     MatQ,
     SubspaceQ,
-    _Basis,
     _rank_int,
     _rank_kernel_int,
     _skew_kernel,
     _skew_rank,
-    _span_int,
     annihilator,
     image,
     rank,
@@ -30,7 +28,7 @@ from argshift.exactlin import (
     solve_many,
     vec,
 )
-from oracles import bareiss_skew_kernel, bareiss_skew_rank
+from oracles import bareiss_skew_kernel, bareiss_skew_rank, rref_span
 
 # hand derivation: K = [[0,-2,0],[2,0,0],[0,0,0]]; rows 1,2 are
 # independent (pivot cols 0,1), row 3 zero; rank 2.  K v = 0 forces
@@ -313,7 +311,7 @@ def test_skew_kernel_matches_bareiss_and_sympy(case):
         assert gcd(*v) == 1
         assert not any(sum(x * y for x, y in zip(row, v)) for row in rows)
     null = sympy.Matrix(n, n, [x for row in rows for x in row]).nullspace()
-    assert _span_int(ker, n) == _span_int(want_ker, n) == SubspaceQ.span(
+    assert SubspaceQ(n, ker) == rref_span(ker, n) == rref_span(want_ker, n) == SubspaceQ.span(
         [[Fraction(int(x.p), int(x.q)) for x in v] for v in null], n)
 
 
@@ -353,7 +351,7 @@ def test_skew_rank_of_empty_and_zero_matrices():
     assert _skew_kernel(rows, 6) == (2, [[int(i == k) for i in range(6)] for k in range(4)])
 
 
-# --- the echelon basis grown one vector at a time -------------------------------
+# --- the subspace grown one vector at a time ------------------------------------
 
 @st.composite
 def dependent_vectors(draw):
@@ -373,20 +371,78 @@ def dependent_vectors(draw):
 @given(dependent_vectors(), st.data())
 def test_basis_grown_in_any_order_is_the_canonical_span(case, data):
     n, vectors = case
-    want = _span_int(vectors, n)
+    want = rref_span(vectors, n)
     for order in (vectors, vectors[::-1], data.draw(st.permutations(vectors))):
-        basis = _Basis(n)
+        S = SubspaceQ(n)
         for k, v in enumerate(order):
-            assert (not any(basis.reduce(v))) == _span_int(order[:k], n).contains(v)
-            before = basis.dim
-            row = basis.add(v)
-            assert (row is None) == (_rank_int(order[:k + 1], n) == before)
+            inside = _rank_int(order[:k + 1], n) == S.dim
+            assert (not any(S.reduce(v))) == S.contains(v) == inside
+            row = S.add(v)
+            assert (row is None) == inside
             if row is not None:
-                assert gcd(*row) == 1 and row in basis.rows.values()
-        assert basis.dim == want.dim
-        assert basis.span() == want
-        for pc, row in basis.rows.items():
-            assert [c for c in basis.rows if row[c]] == [pc]
+                assert gcd(*row) == 1 and row in S.rows.values()
+        assert S == SubspaceQ(n, order) == want
+        assert S.rows == want.rows and S.basis == want.basis
+        for pc, row in S.rows.items():
+            assert row[pc] > 0 and [c for c in S.rows if row[c]] == [pc]
+
+
+# --- subspaces with large rational entries against sympy ----------------------
+
+def sympy_rref(rows, n):
+    """The nonzero rows of sympy's RREF of rational rows of length n."""
+    import sympy
+    if not rows:
+        return ()
+    S = sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                    for row in rows for x in vec(row)])
+    rref, pivots = S.rref()
+    return from_sympy_rows(rref[:len(pivots), :])
+
+
+def sympy_dim(rows, n):
+    return len(sympy_rref(rows, n))
+
+
+@st.composite
+def rational_vectors(draw):
+    # rational combinations of a few generators with denominators up to
+    # 2^32, so that many vectors depend on the others
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.builds(
+        Fraction, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 32)))
+    gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    combos = draw(st.lists(st.lists(entry, min_size=len(gens), max_size=len(gens)),
+                           max_size=4))
+    vectors = gens + [[sum((c * g[i] for c, g in zip(cs, gens)), Fraction(0))
+                       for i in range(n)] for cs in combos]
+    return n, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_vectors(), st.data())
+def test_subspace_operations_match_sympy_on_large_rationals(case, data):
+    n, vectors = case
+    S = SubspaceQ.span(vectors, n)
+    assert S.basis == sympy_rref(vectors, n)
+    assert SubspaceQ.span(data.draw(st.permutations(vectors)), n) == S
+    cut = data.draw(st.integers(0, len(vectors)))
+    U, W = SubspaceQ.span(vectors[:cut], n), SubspaceQ.span(vectors[cut:], n)
+    assert (U + W).basis == sympy_rref(U.basis + W.basis, n)
+    assert U + W == W + U == S
+    assert U.is_subspace_of(W) == (sympy_dim(U.basis + W.basis, n) == W.dim)
+    assert W.is_subspace_of(S) and U.is_subspace_of(S)
+    for u in vectors + [[x + 1 for x in v] for v in vectors]:
+        assert S.contains(u) == (sympy_dim(S.basis + (vec(u),), n) == S.dim)
+    dual = annihilator(S)
+    if S.dim:
+        import sympy
+        null = to_sympy(MatQ(S.basis)).nullspace()
+        assert dual.basis == sympy_rref([[Fraction(int(x.p), int(x.q)) for x in v]
+                                         for v in null], n)
+    else:
+        assert dual == SubspaceQ.full(n)
+    assert dual.dim + S.dim == n
 
 
 # --- one elimination against sympy ----------------------------------------------
@@ -460,7 +516,7 @@ def test_integer_entry_matches_rank_kernel(rows_cols):
         assert lead > 0 and gcd(*v) == 1
         assert tuple(Fraction(x, lead) for x in v) == canonical
     assert K.basis == sympy_kernel_rref(M)
-    assert _span_int(rows, cols) == SubspaceQ.span(rows, cols)
+    assert rref_span(rows, cols) == SubspaceQ.span(rows, cols) == SubspaceQ(cols, rows)
 
 
 def check_solve_many(M, rhs):

@@ -1,11 +1,15 @@
-"""Pinned `pencil analyze` and `reg plane` reports.
+"""Pinned `pencil analyze`, `reg plane` and `pipeline run` reports.
 
 The reports below, without their `timings`, were written by an earlier
-version of the program and are kept in `golden/pencil_reports.json`.
-Any change to the pencil analysis must leave them byte-identical:
-regular planes on sl4 and takiff(sl3, 1), the subregular plane of sl3
-(a pencil with Jordan blocks), a generic 9 x 9 pencil (Kronecker type)
-and a 4 x 4 Jordan block at 2 under an integer congruence.
+version of the program and are kept in `golden/pencil_reports.json` and
+`golden/pipeline_reports.json`.  Any change to the pencil analysis or
+to the subspaces behind it must leave them byte-identical: regular
+planes on sl4 and takiff(sl3, 1), the subregular plane of sl3 (a pencil
+with Jordan blocks), a generic 9 x 9 pencil (Kronecker type), a 4 x 4
+Jordan block at 2 under an integer congruence, and two pipelines: the
+sl2/so2 contraction with Casimir x_p^2 + x_r^2, whose `conclusions`
+witness x_r comes from the linear commutant and the member span, and
+gl3 with its classical Casimirs.
 """
 
 import io
@@ -17,8 +21,10 @@ import pytest
 
 from argshift import jsonio
 from argshift.cli import main
+from argshift.mpoly import MPoly
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pencil_reports.json")
+PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -83,9 +89,26 @@ def golden_reports(tmp_path) -> dict:
     return out
 
 
+def pipeline_reports(tmp_path) -> dict:
+    """Every pinned pipeline's exit code and report without timings."""
+    con, gl3, cas = (str(tmp_path / f) for f in ("contraction.json", "gl3.json", "cas.json"))
+    assert main(["algebra", "build", "contraction-sl2-so2", "--out", con]) == 0
+    assert main(["algebra", "build", "gl", "3", "--out", gl3]) == 0
+    x_p, x_r = MPoly.variable(3, 1), MPoly.variable(3, 2)
+    jsonio.write_json(cas, {"nvars": 3, "generators": [jsonio.poly_to_json(x_p * x_p + x_r * x_r)]})
+    return {"pipeline run contraction-sl2-so2":
+            _run(["pipeline", "run", con, "--casimirs", cas, "--xi", "0,1,0"]),
+            "pipeline run gl3": _run(["pipeline", "run", gl3, "--classical"])}
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     return golden_reports(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def pipelines(tmp_path_factory):
+    return pipeline_reports(tmp_path_factory.mktemp("pipelines"))
 
 
 def test_cases_cover_both_pencil_kinds_and_both_plane_verdicts(reports):
@@ -104,3 +127,10 @@ def test_report_matches_the_pinned_bytes(reports, case):
     with open(GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(reports[case]) == jsonio.dumps(want)
+
+
+@pytest.mark.parametrize("case", ["pipeline run contraction-sl2-so2", "pipeline run gl3"])
+def test_pipeline_report_matches_the_pinned_bytes(pipelines, case):
+    with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    assert jsonio.dumps(pipelines[case]) == jsonio.dumps(want)

@@ -126,6 +126,7 @@ def test_family_round_trip():
     (casimirs_from_json, {"nvars": 1, "generators": [
         {"nvars": 1, "terms": [{"exps": [2], "coeff": "1"}]}], "degrees": [1]}),
     (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": [2]}),
+    (subspace_from_json, {"ambient": -2, "basis": []}),
 ])
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):

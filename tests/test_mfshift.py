@@ -149,6 +149,18 @@ def test_sl2_family_has_no_witness():
     assert find_nonmaximality_witness(fam) is None
 
 
+@pytest.mark.parametrize("k, want", [(0, 1), (1, 0), (2, 0)])
+def test_witness_is_the_first_canonical_commutant_vector_outside_the_span(k, want):
+    # on an abelian algebra every linear form commutes; the members of
+    # x_k^2 shifted along e_k span x_k alone, so the witness is the first
+    # other coordinate in pivot order
+    ab = LieAlgebraData(3, ["a", "b", "c"], {})
+    x = [MPoly.variable(3, i) for i in range(3)]
+    fam = build_family(ab, [x[k] * x[k]], [int(i == k) for i in range(3)])
+    assert linear_commutant(ab, fam.polys).dim == 3
+    assert find_nonmaximality_witness(fam) == x[want]
+
+
 def test_nonmembership_linear():
     q, fam, x_p, x_r = contraction_family()
     assert nonmembership_linear(fam, x_r)

@@ -10,6 +10,12 @@ Jordan block at 2 under an integer congruence, and two pipelines: the
 sl2/so2 contraction with Casimir x_p^2 + x_r^2, whose `conclusions`
 witness x_r comes from the linear commutant and the member span, and
 gl3 with its classical Casimirs.
+
+`golden/poly_reports.json` pins the polynomial output the reports
+above leave out: the sl3 shift family at a direction with denominators,
+the bracket of two sl3 polynomials with fractional and negative
+coefficients, a failing Casimir check with its witness, and the
+codim-2 witness divisor of vinberg(1).
 """
 
 import io
@@ -22,9 +28,11 @@ import pytest
 from argshift import jsonio
 from argshift.cli import main
 from argshift.mpoly import MPoly
+from argshift.poisson import classical_casimirs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pencil_reports.json")
 PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_reports.json")
+POLY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "poly_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -101,6 +109,35 @@ def pipeline_reports(tmp_path) -> dict:
             "pipeline run gl3": _run(["pipeline", "run", gl3, "--classical"])}
 
 
+SL3_F = {(2, 0, 0, 1, 0, 0, 0, 0): "1/2", (0, 1, 0, 0, 0, 1, 0, 0): "-3/4",
+         (0, 0, 0, 0, 0, 0, 0, 1): "2/3"}
+SL3_G = {(0, 0, 1, 0, 1, 0, 0, 0): "-5/3", (0, 0, 0, 0, 0, 0, 2, 0): "7/2",
+         (1, 0, 0, 0, 0, 0, 0, 0): "-1"}
+SL3_NOT_CASIMIR = {(1, 1, 0, 0, 0, 0, 0, 0): "-2/3", (0, 0, 0, 0, 2, 0, 0, 0): "1/5"}
+
+
+def _poly_file(path, terms):
+    jsonio.write_json(path, {"nvars": 8, "terms": [{"coeff": c, "exps": list(e)}
+                                                   for e, c in terms.items()]})
+    return path
+
+
+def poly_reports(tmp_path) -> dict:
+    """Every pinned polynomial case's exit code and output without timings."""
+    sl3, vin, cas = (str(tmp_path / f) for f in ("sl3.json", "vinberg.json", "cas.json"))
+    f, g, bad = (_poly_file(str(tmp_path / f"{name}.json"), terms) for name, terms
+                 in (("f", SL3_F), ("g", SL3_G), ("bad", SL3_NOT_CASIMIR)))
+    assert main(["algebra", "build", "sl", "3", "--out", sl3]) == 0
+    assert main(["algebra", "build", "vinberg", "1", "--out", vin]) == 0
+    jsonio.write_json(cas, jsonio.casimirs_to_json(classical_casimirs("sl", 3)))
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["shift", "build", sl3, cas, "--xi", "1/2,-2/3,1,3/4,0,5,-1/5,2"])
+    return {"shift build sl3": {"exit": code, "report": json.loads(out.getvalue())},
+            "poisson bracket sl3": _run(["poisson", "bracket", sl3, f, g]),
+            "poisson casimir-check sl3": _run(["poisson", "casimir-check", sl3, bad]),
+            "reg codim2 vinberg-1": _run(["reg", "codim2", vin])}
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     return golden_reports(tmp_path_factory.mktemp("golden"))
@@ -134,3 +171,22 @@ def test_pipeline_report_matches_the_pinned_bytes(pipelines, case):
     with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(pipelines[case]) == jsonio.dumps(want)
+
+
+@pytest.fixture(scope="module")
+def polys(tmp_path_factory):
+    return poly_reports(tmp_path_factory.mktemp("polys"))
+
+
+def test_poly_cases_fail_where_they_should(polys):
+    assert {k: v["exit"] for k, v in polys.items()} == {
+        "shift build sl3": 0, "poisson bracket sl3": 0,
+        "poisson casimir-check sl3": 1, "reg codim2 vinberg-1": 1}
+
+
+@pytest.mark.parametrize("case", ["shift build sl3", "poisson bracket sl3",
+                                  "poisson casimir-check sl3", "reg codim2 vinberg-1"])
+def test_poly_report_matches_the_pinned_bytes(polys, case):
+    with open(POLY_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    assert jsonio.dumps(polys[case]) == jsonio.dumps(want)

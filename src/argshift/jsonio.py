@@ -39,6 +39,13 @@ def _int(value: Any, what: str) -> int:
     raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
+def _count(data: Any, key: str, what: str) -> int:
+    value = _int(_field(data, key, what), key)
+    if value < 0:
+        raise ValueError(f"{key} must be a nonnegative integer, not {value}")
+    return value
+
+
 def _rat(value: Any) -> Fraction:
     try:
         return rat(value)
@@ -73,7 +80,7 @@ def poly_to_json(p: MPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> MPoly:
-    nvars = _int(_field(data, "nvars", "polynomial"), "nvars")
+    nvars = _count(data, "nvars", "polynomial")
     terms: dict[tuple[int, ...], Fraction] = {}
     for item in _array(_field(data, "terms", "polynomial"), "polynomial terms"):
         exps = tuple(_int(e, "exponent")
@@ -81,8 +88,7 @@ def poly_from_json(data: dict) -> MPoly:
         if len(exps) != nvars or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
         terms[exps] = terms.get(exps, Fraction(0)) + _rat(_field(item, "coeff", "term"))
-    # every exponent tuple was checked above; duplicate rows may sum to 0
-    return MPoly._trusted(nvars, {e: c for e, c in terms.items() if c})
+    return MPoly(nvars, terms)
 
 
 def algebra_to_json(L: LieAlgebraData) -> dict:
@@ -133,9 +139,13 @@ def casimirs_to_json(cs: CasimirSet) -> dict:
 
 def casimirs_from_json(data: Any) -> CasimirSet:
     """Parse without re-verifying; CasimirSet.verified re-checks on demand."""
-    nvars = _int(_field(data, "nvars", "Casimir file"), "nvars")
+    nvars = _count(data, "nvars", "Casimir file")
     gens = tuple(poly_from_json(d)
                  for d in _array(data.get("generators", []), "Casimir generators"))
+    for k, p in enumerate(gens):
+        if p.nvars != nvars:
+            raise ValueError(f"generator {k} has nvars {p.nvars}, but the Casimir file "
+                             f"has nvars {nvars}")
     degrees = tuple(p.degree() for p in gens)
     if "degrees" in data:
         given = [_int(d, "degree") for d in _array(data["degrees"], "degrees")]
@@ -154,9 +164,7 @@ def subspace_to_json(S: SubspaceQ) -> dict:
 
 
 def subspace_from_json(data: dict) -> SubspaceQ:
-    ambient = _int(_field(data, "ambient", "subspace"), "ambient")
-    if ambient < 0:
-        raise ValueError(f"ambient must be a nonnegative integer, not {ambient}")
+    ambient = _count(data, "ambient", "subspace")
     return SubspaceQ.span([vector_from_json(row)
                            for row in _array(data.get("basis", []), "subspace basis")],
                           ambient)

@@ -20,7 +20,7 @@ from .exactlin import SubspaceQ, Scalar, _primitive, _rank_kernel_int, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
 from .poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
-                      _linear_pairs, bracket, frozen_bracket)
+                      _int_table, _pack, bracket, frozen_bracket)
 
 DEFICIT = "DEFICIT"
 EXACT = "EXACT"
@@ -119,8 +119,9 @@ def _shift_chain(family: ShiftFamily) -> Optional[tuple[Action, ...]]:
             return None
         chain[m.power] = pos
     width = _action_width(polys)
-    lie = _coadjoint(n, polys, _linear_pairs(L), width)
-    frozen = _coadjoint(n, polys, _frozen_pairs(L, family.xi), width)
+    packed = _pack(n, polys, width)
+    lie = _coadjoint(n, packed, _int_table(L), width)
+    frozen = _coadjoint(n, packed, _frozen_pairs(L, family.xi), width)
     zero: Action = ([{}] * n, 1)
     for chain in chains.values():
         if 0 in chain and any(lie[chain[0]][0]):
@@ -207,19 +208,20 @@ def degree_profile(casimirs: CasimirSet, profile: AlgebraProfile) -> DegreeProfi
     return DegreeProfile(target, total, cls)
 
 
-def _linear_coeffs(p: MPoly) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * p.nvars
-    for exps, c in p.terms.items():
+def _linear_row(p: MPoly) -> list[int]:
+    """The numerators of a linear form: a positive multiple of its coefficients."""
+    row = [0] * p.nvars
+    for exps, c in p.num.items():
         if sum(exps) != 1:
             raise ValueError("not a homogeneous linear form")
-        out[exps.index(1)] = c
-    return tuple(out)
+        row[exps.index(1)] = c
+    return row
 
 
 def linear_member_span(family: ShiftFamily) -> SubspaceQ:
     """Coefficient span of the degree-one members."""
-    vecs = [_linear_coeffs(m.poly) for m in family.linear_members()]
-    return SubspaceQ.span(vecs, family.algebra.dim)
+    return SubspaceQ(family.algebra.dim,
+                     [_linear_row(m.poly) for m in family.linear_members()])
 
 
 def nonmembership_linear(family: ShiftFamily, g: MPoly) -> bool:
@@ -234,8 +236,7 @@ def nonmembership_linear(family: ShiftFamily, g: MPoly) -> bool:
         raise ValueError("nonmembership certificate requires homogeneous members")
     if g.nvars != family.algebra.dim:
         raise ValueError("linear form lives on the wrong space")
-    coeffs = _linear_coeffs(g)
-    return not linear_member_span(family).contains(coeffs)
+    return any(linear_member_span(family).reduce(_linear_row(g)))
 
 
 def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly],
@@ -251,7 +252,8 @@ def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly],
     """
     n = L.dim
     if actions is None:
-        actions = _coadjoint(n, polys, _linear_pairs(L), _action_width(polys))
+        width = _action_width(polys)
+        actions = _coadjoint(n, _pack(n, polys, width), _int_table(L), width)
     rows = {tuple(_primitive([acc.get(mono, 0) for acc in accs]))
             for accs, _ in actions for mono in set().union(*accs)}
     _, kernel = _rank_kernel_int(sorted(rows), n)

@@ -1,16 +1,19 @@
 """Sparse multivariate polynomials over Q.
 
-A polynomial is a map from exponent vectors to nonzero Fraction
-coefficients.  The monomial order used everywhere (leading terms,
-normalization, display) is graded lexicographic.  The shift expansion
-``param_expand``, the exact gcd and the integer gradient ranks live here
-because every certificate in the workbench reduces to them.
+A polynomial is a map from exponent vectors to nonzero integer
+numerators over one positive denominator, in lowest terms, so equal
+polynomials have equal numerators and denominators.  The monomial order
+used everywhere (leading terms, normalization, display) is graded
+lexicographic.  The shift expansion ``param_expand``, the exact gcd and
+the integer gradient ranks live here because every certificate in the
+workbench reduces to them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, comb, gcd as int_gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactlin import Scalar, _rank_int, rat, rat_str, vec
@@ -21,36 +24,41 @@ def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class MPoly:
-    """Immutable sparse polynomial in ``nvars`` variables over Q."""
+    """Immutable sparse polynomial in ``nvars`` variables over Q: the
+    integer numerators ``num`` over the denominator ``den`` > 0, with
+    gcd(den, numerators) = 1."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple[int, ...], Scalar]] = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                cf = rat(c)
-                if cf == 0:
-                    continue
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
-                clean[tuple(exps)] = cf
+        clean = {tuple(e): cf for e, c in (terms or {}).items() if (cf := rat(c))}
+        for exps in clean:
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
+        # over the lcm of the denominators the numerators are in lowest terms
+        den = lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
-        self.terms = clean
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     # --- constructors -------------------------------------------------
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
-        # terms must already be clean: Fraction coefficients, none zero,
-        # exponent tuples of length nvars with no negative entry
+    def _make(cls, nvars: int, num: dict[tuple[int, ...], int], den: int) -> "MPoly":
+        # num must be clean: nonzero ints keyed by exponent tuples of
+        # length nvars with no negative entry; den > 0
+        g = int_gcd(den, *num.values()) if den > 1 else 1
+        if g > 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.num = num
+        p.den = den
         return p
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars)
+        return cls._make(nvars, {}, 1)
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "MPoly":
@@ -58,52 +66,55 @@ class MPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "MPoly":
-        return cls.const(nvars, 1)
+        return cls._make(nvars, {(0,) * nvars: 1}, 1)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MPoly":
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return cls._make(nvars, {exps: 1}, 1)
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MPoly":
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            cf = rat(c)
-            if cf != 0:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = cf
-        return cls(n, terms)
+        return cls(n, {tuple(1 if j == i else 0 for j in range(n)): c
+                       for i, c in enumerate(coeffs)})
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions: a fresh dict, for writing rationals."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     # --- predicates and basic data ------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.num), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self.num}
         return len(degrees) <= 1
 
     def variables(self) -> set[int]:
-        return {i for e in self.terms for i in range(self.nvars) if e[i]}
+        return {i for e in self.num for i in range(self.nvars) if e[i]}
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e = max(self.num, key=grlex_key)
+        return e, Fraction(self.num[e], self.den)
 
     def monic(self) -> "MPoly":
-        _, c = self.leading()
-        return self if c == 1 else self * (1 / c)
+        e, lead = self.leading()
+        c = self.num[e]
+        return self if lead == 1 else MPoly._make(
+            self.nvars, {m: v if c > 0 else -v for m, v in self.num.items()}, abs(c))
 
     # --- arithmetic ----------------------------------------------------
     def _check(self, other: "MPoly") -> None:
@@ -112,17 +123,20 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+        g = int_gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        out = {e: c * sa for e, c in self.num.items()} if sa != 1 else dict(self.num)
+        get = out.get
+        for e, c in other.num.items():
+            s = get(e, 0) + c * sb
+            if s:
+                out[e] = s
             else:
-                terms[e] = s
-        return MPoly._trusted(self.nvars, terms)
+                out.pop(e, None)
+        return MPoly._make(self.nvars, out, self.den * sa)
 
     def __neg__(self) -> "MPoly":
-        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -130,20 +144,20 @@ class MPoly:
     def __mul__(self, other: object) -> "MPoly":
         if isinstance(other, MPoly):
             self._check(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return MPoly._trusted(self.nvars, out)
+            out: dict[tuple[int, ...], int] = {}
+            get = out.get
+            for e1, c1 in self.num.items():
+                for e2, c2 in other.num.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+            return MPoly._make(self.nvars, {e: c for e, c in out.items() if c},
+                               self.den * other.den)
         c = rat(other)  # type: ignore[arg-type]
         if c == 0:
             return MPoly.zero(self.nvars)
-        return MPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
+        k = c.numerator
+        return MPoly._make(self.nvars, {e: k * v for e, v in self.num.items()},
+                           self.den * c.denominator)
 
     def __rmul__(self, other: object) -> "MPoly":
         return self.__mul__(other)
@@ -161,10 +175,11 @@ class MPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
+        return (isinstance(other, MPoly) and self.nvars == other.nvars
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
 
     # --- shift expansion ------------------------------------------------
     def param_expand(self, xi: Sequence[Scalar]) -> list["MPoly"]:
@@ -172,38 +187,31 @@ class MPoly:
 
         Returns [f_0, ..., f_d] with d the total degree, so that
         f(x + a*xi) = sum_j f_j(x) a^j identically.  f_0 = f and f_d is
-        the constant f(xi).  Errors on the zero polynomial.
+        the constant f(xi).  Errors on the zero polynomial.  With
+        xi = X / D, X integer and D > 0, every product that feeds f_j
+        carries X to total power j, so f_j is integer numerators over
+        den D^j.
         """
         if self.is_zero():
             raise ValueError("param_expand of the zero polynomial")
         pt = vec(xi)
         if len(pt) != self.nvars:
             raise ValueError("shift direction length mismatch")
+        D = lcm(*(x.denominator for x in pt))
+        X = [x.numerator * (D // x.denominator) for x in pt]
         d = self.degree()
-        acc: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(d + 1)]
-        for exps, c in self.terms.items():
-            expanded: list[tuple[tuple[int, ...], Fraction, int]] = [(exps, c, 0)]
-            for i, (e_i, x_i) in enumerate(zip(exps, pt)):
-                if e_i == 0 or x_i == 0:
-                    continue
-                nxt: list[tuple[tuple[int, ...], Fraction, int]] = []
-                for es, coeff, j in expanded:
-                    nxt.append((es, coeff, j))
-                    pw = Fraction(1)
-                    for k in range(1, e_i + 1):
-                        pw *= x_i
-                        es2 = list(es)
-                        es2[i] = e_i - k
-                        nxt.append((tuple(es2), coeff * comb(e_i, k) * pw, j + k))
-                expanded = nxt
+        acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(d + 1)]
+        for exps, c in self.num.items():
+            expanded: list[tuple[tuple[int, ...], int, int]] = [(exps, c, 0)]
+            for i, (e_i, X_i) in enumerate(zip(exps, X)):
+                if e_i and X_i:
+                    # (x_i + a X_i / D)^e_i: the k-th binomial term goes to a^k
+                    expanded = [(es[:i] + (e_i - k,) + es[i + 1:], coeff * comb(e_i, k) * X_i ** k,
+                                 j + k) for es, coeff, j in expanded for k in range(e_i + 1)]
             for es, coeff, j in expanded:
-                bucket = acc[j]
-                s = bucket.get(es, Fraction(0)) + coeff
-                if s == 0:
-                    bucket.pop(es, None)
-                else:
-                    bucket[es] = s
-        return [MPoly._trusted(self.nvars, a) for a in acc]
+                acc[j][es] = acc[j].get(es, 0) + coeff
+        return [MPoly._make(self.nvars, {e: c for e, c in a.items() if c}, self.den * D ** j)
+                for j, a in enumerate(acc)]
 
     # --- display ---------------------------------------------------------
     def pretty(self, names: Optional[Sequence[str]] = None) -> str:
@@ -213,9 +221,10 @@ class MPoly:
             names = [f"x{i}" for i in range(self.nvars)]
         if len(names) != self.nvars:
             raise ValueError("name list length mismatch")
+        terms = self.terms
         pieces = []
-        for e in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=grlex_key, reverse=True):
+            c = terms[e]
             factors = [names[i] if k == 1 else f"{names[i]}^{k}"
                        for i, k in enumerate(e) if k]
             if not factors:
@@ -242,18 +251,25 @@ def try_divide(f: MPoly, g: MPoly) -> Optional[MPoly]:
     if f.is_zero():
         return MPoly.zero(f.nvars)
     f._check(g)
-    ge, gc = g.leading()
-    quotient: dict[tuple[int, ...], Fraction] = {}
+    ge, _ = g.leading()
+    gc = g.num[ge]
+    # the quotient's terms t x^diff; the leading monomial of r falls at
+    # each step, so every diff is new
+    quotient: list[MPoly] = []
     r = f
     while not r.is_zero():
-        re, rc = r.leading()
+        re = max(r.num, key=grlex_key)
         diff = tuple(a - b for a, b in zip(re, ge))
         if any(d < 0 for d in diff):
             return None
-        c = rc / gc
-        quotient[diff] = quotient.get(diff, Fraction(0)) + c
-        r = r - MPoly._trusted(f.nvars, {diff: c}) * g
-    return MPoly._trusted(f.nvars, quotient)
+        # t = (r_re / r.den) / (gc / g.den)
+        t = MPoly._make(f.nvars, {diff: r.num[re] * g.den * (1 if gc > 0 else -1)},
+                        r.den * abs(gc))
+        quotient.append(t)
+        r = r - t * g
+    den = lcm(*(t.den for t in quotient))
+    return MPoly._make(f.nvars, {e: c * (den // t.den) for t in quotient
+                                 for e, c in t.num.items()}, den)
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
@@ -266,27 +282,21 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
 # --- gcd ------------------------------------------------------------------
 
 def _deg_in(p: MPoly, v: int) -> int:
-    return max((e[v] for e in p.terms), default=-1)
+    return max((e[v] for e in p.num), default=-1)
 
 
 def _var_coeffs(p: MPoly, v: int) -> dict[int, MPoly]:
     """View p as univariate in v; coefficients keep the same ring."""
-    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        k = e2[v]
-        e2[v] = 0
-        buckets.setdefault(k, {})[tuple(e2)] = c
-    return {k: MPoly._trusted(p.nvars, t) for k, t in buckets.items()}
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, c in p.num.items():
+        buckets.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return {k: MPoly._make(p.nvars, t, p.den) for k, t in buckets.items()}
 
 
-def _shift_var(p: MPoly, v: int, k: int) -> MPoly:
-    out = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        e2[v] += k
-        out[tuple(e2)] = c
-    return MPoly._trusted(p.nvars, out)
+def _times_monomial(p: MPoly, m: Sequence[int]) -> MPoly:
+    """p times x^m; an entry of m may be negative where every exponent
+    of p covers it."""
+    return MPoly._make(p.nvars, {tuple(map(add, e, m)): c for e, c in p.num.items()}, p.den)
 
 
 def _prem(a: MPoly, b: MPoly, v: int) -> MPoly:
@@ -296,13 +306,12 @@ def _prem(a: MPoly, b: MPoly, v: int) -> MPoly:
     while not r.is_zero() and _deg_in(r, v) >= db:
         dr = _deg_in(r, v)
         lr = _var_coeffs(r, v)[dr]
-        r = lb * r - _shift_var(lr * b, v, dr - db)
+        r = lb * r - _times_monomial(lr * b, [dr - db if i == v else 0 for i in range(a.nvars)])
     return r
 
 
 def _monomial_content(p: MPoly) -> tuple[int, ...]:
-    mins = [min(e[i] for e in p.terms) for i in range(p.nvars)]
-    return tuple(mins)
+    return tuple(min(e[i] for e in p.num) for i in range(p.nvars))
 
 
 def _dense_divmod(num: dict[int, Fraction], den: dict[int, Fraction]
@@ -343,19 +352,10 @@ def _univariate_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
 
 
 def _int_primitive(p: MPoly) -> MPoly:
-    # rescale so the coefficients are coprime integers; keeps the
-    # pseudo-remainder sequence from blowing up rational bit sizes
-    if p.is_zero():
-        return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    scale = Fraction(den, num)
-    if scale == 1:
-        return p
-    return MPoly(p.nvars, {e: c * scale for e, c in p.terms.items()})
+    # the numerators over their content: coprime integer coefficients,
+    # which keep the pseudo-remainder sequence from blowing up bit sizes
+    content = int_gcd(*p.num.values())
+    return MPoly._make(p.nvars, {e: c // content for e, c in p.num.items()}, 1)
 
 
 def _content_in(p: MPoly, v: int) -> MPoly:
@@ -373,10 +373,9 @@ def _gcd2(f: MPoly, g: MPoly) -> MPoly:
         return f.monic()
     n = f.nvars
     mf, mg = _monomial_content(f), _monomial_content(g)
-    common = tuple(min(a, b) for a, b in zip(mf, mg))
-    f1 = MPoly(n, {tuple(e - m for e, m in zip(ex, mf)): c for ex, c in f.terms.items()})
-    g1 = MPoly(n, {tuple(e - m for e, m in zip(ex, mg)): c for ex, c in g.terms.items()})
-    mono = MPoly(n, {common: 1})
+    f1 = _times_monomial(f, [-x for x in mf])
+    g1 = _times_monomial(g, [-x for x in mg])
+    mono = MPoly._make(n, {tuple(map(min, mf, mg)): 1}, 1)
     if f1.is_constant() or g1.is_constant():
         return mono
     if f1 == g1:
@@ -551,21 +550,16 @@ def rational_roots(coeffs: Sequence[Scalar]) -> dict[Fraction, int]:
 
 # --- gradients on integer rows ---------------------------------------------
 
-# per polynomial (nvars, degree, terms); a term is (integer coefficient over
-# the polynomial's common denominator, [(variable, exponent)], degree)
+# per polynomial (nvars, degree, terms); a term is (its numerator over the
+# polynomial's denominator, [(variable, exponent)], degree)
 GradTable = list[tuple[int, int, list[tuple[int, list[tuple[int, int]], int]]]]
 
 
 def gradient_table(polys: Sequence[MPoly]) -> GradTable:
-    """The terms of each polynomial on integer coefficients, for gradient_rank."""
-    table: GradTable = []
-    for p in polys:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        terms = [(c.numerator * (den // c.denominator),
-                  [(v, k) for v, k in enumerate(e) if k], sum(e))
-                 for e, c in p.terms.items()]
-        table.append((p.nvars, p.degree(), terms))
-    return table
+    """The terms of each polynomial on its integer numerators, for gradient_rank."""
+    return [(p.nvars, p.degree(), [(c, [(v, k) for v, k in enumerate(e) if k], sum(e))
+                                   for e, c in p.num.items()])
+            for p in polys]
 
 
 def gradient_rank(table: GradTable, point: Sequence[Scalar],
@@ -629,13 +623,13 @@ def determinant(rows: Sequence[Sequence[MPoly]]) -> MPoly:
     a = [list(r) for r in rows]
     sign = 1
     prev = MPoly.one(nvars)
-    zero = MPoly._trusted(nvars, {})
+    zero = MPoly.zero(nvars)
     for k in range(n - 1):
         pivot = None
         for i in range(k, n):
             for j in range(k, n):
                 if not a[i][j].is_zero():
-                    cand = (len(a[i][j].terms), i, j)
+                    cand = (len(a[i][j].num), i, j)
                     if pivot is None or cand < pivot:
                         pivot = cand
         if pivot is None:

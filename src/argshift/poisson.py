@@ -19,35 +19,43 @@ from .mpoly import MPoly, gradient_rank, gradient_table
 from .sampling import integer_coords, integer_point, rng_stream
 
 
-# C(i, j) for one pair i < j, as (k, c) items: c times x_k, or the
-# constant c when k is None
-PairForm = tuple[int, int, Iterable[tuple[Optional[int], Fraction]]]
+# C(i, j) for the pairs i < j, as (i, j, (k, c) items) with integer c:
+# c times x_k, or the constant c when k is None; over one positive
+# denominator
+Pairs = tuple[list[tuple[int, int, list[tuple[Optional[int], int]]]], int]
 
 # {x_i, p} for every coordinate i, each as packed monomial -> integer
-# numerator, over one positive common denominator
+# numerator, over one positive denominator: p's MPoly.den times that of
+# the structure table, not reduced until _unpack makes an MPoly
 Action = tuple[list[dict[int, int]], int]
 
+# the terms of a polynomial as (packed monomial, numerator, support),
+# over its denominator
+Packed = tuple[list[tuple[int, int, list[tuple[int, int]]]], int]
 
-def _packed_terms(p: MPoly, weights: Sequence[int]
-                  ) -> tuple[list[tuple[int, int, list[tuple[int, int]]]], int]:
-    """Terms of p as (packed monomial, integer coefficient, support), and
-    the common denominator of the coefficients."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
+
+def _pack(n: int, polys: Iterable[MPoly], width: int) -> list[Packed]:
+    """The terms of each of polys with a field of `width` bits per
+    variable: a monomial x^e packs into sum over v of e_v 2^(v width)."""
+    weights = [1 << (v * width) for v in range(n)]
     out = []
-    for e, c in p.terms.items():
-        supp = [(v, k) for v, k in enumerate(e) if k]
-        packed = sum(k * weights[v] for v, k in supp)
-        out.append((packed, c.numerator * (den // c.denominator), supp))
-    return out, den
+    for p in polys:
+        if p.nvars != n:
+            raise ValueError("polynomial must live on the dual of the algebra")
+        terms = []
+        for e, c in p.num.items():
+            supp = [(v, k) for v, k in enumerate(e) if k]
+            terms.append((sum(k * weights[v] for v, k in supp), c, supp))
+        out.append((terms, p.den))
+    return out
 
 
-def _coadjoint(n: int, polys: Sequence[MPoly], pairs: Iterable[PairForm],
-               width: int) -> list[Action]:
+def _coadjoint(n: int, packed: Sequence[Packed], pairs: Pairs, width: int) -> list[Action]:
     """The coadjoint action {x_i, p} = sum over j of C(i, j) d_j p, for
-    every coordinate i and every p in polys: the one bracket kernel.
+    every coordinate i and every p, packed by _pack at this width: the
+    one bracket kernel.
 
-    A monomial is packed into one int with a field of `width` bits per
-    variable, so multiplying monomials and dividing out x_j is one
+    Packing makes multiplying monomials and dividing out x_j one
     integer add; the caller picks a width no field of a monomial it
     forms can overflow.  The structure table is built once per call:
     by_var[j] lists (i, packed offset, integer coefficient) of
@@ -56,20 +64,15 @@ def _coadjoint(n: int, polys: Sequence[MPoly], pairs: Iterable[PairForm],
     accumulator.  Coefficients stay integers over one denominator.
     """
     weights = [1 << (v * width) for v in range(n)]
-    forms = [(i, j, [(0 if k is None else weights[k], c) for k, c in form])
-             for i, j, form in pairs]
-    tden = lcm(*(c.denominator for _, _, form in forms for _, c in form))
+    forms, tden = pairs
     by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, j, form in forms:
-        for w, c in form:
-            cn = c.numerator * (tden // c.denominator)
-            by_var[j].append((i, w - weights[j], cn))
-            by_var[i].append((j, w - weights[i], -cn))
+        for k, c in form:
+            w = 0 if k is None else weights[k]
+            by_var[j].append((i, w - weights[j], c))
+            by_var[i].append((j, w - weights[i], -c))
     out: list[Action] = []
-    for p in polys:
-        if p.nvars != n:
-            raise ValueError("polynomial must live on the dual of the algebra")
-        terms, pden = _packed_terms(p, weights)
+    for terms, pden in packed:
         accs: list[dict[int, int]] = [{} for _ in range(n)]
         for mp, cp, supp in terms:
             for j, ej in supp:
@@ -91,11 +94,11 @@ def _action_width(polys: Iterable[MPoly]) -> int:
 def _unpack(n: int, acc: dict[int, int], den: int, width: int) -> MPoly:
     mask = (1 << width) - 1
     shifts = [v * width for v in range(n)]
-    return MPoly._trusted(n, {tuple((key >> s) & mask for s in shifts): Fraction(c, den)
-                              for key, c in acc.items()})
+    return MPoly._make(n, {tuple((key >> s) & mask for s in shifts): c
+                           for key, c in acc.items()}, den)
 
 
-def _bracket(n: int, f: MPoly, g: MPoly, pairs: Iterable[PairForm]) -> MPoly:
+def _bracket(n: int, f: MPoly, g: MPoly, pairs: Pairs) -> MPoly:
     """{f, g} = sum over i of d_i f {x_i, g} = -sum over i of d_i g {x_i, f}.
 
     This is sum over i < j of C(i, j) (d_i f d_j g - d_j f d_i g),
@@ -109,12 +112,11 @@ def _bracket(n: int, f: MPoly, g: MPoly, pairs: Iterable[PairForm]) -> MPoly:
     if f.is_zero() or g.is_zero():
         return MPoly.zero(n)
     width = (f.degree() + g.degree()).bit_length() + 1
-    (F, fden), (G, gden) = _coadjoint(n, (f, g), pairs, width)
+    (fterms, f_cden), (gterms, g_cden) = packed = _pack(n, (f, g), width)
+    (F, fden), (G, gden) = _coadjoint(n, packed, pairs, width)
     if not any(F) or not any(G):
         return MPoly.zero(n)
     weights = [1 << (v * width) for v in range(n)]
-    fterms, f_cden = _packed_terms(f, weights)
-    gterms, g_cden = _packed_terms(g, weights)
     cost_f = sum(len(G[i]) for _, _, supp in fterms for i, _ in supp)
     cost_g = sum(len(F[i]) for _, _, supp in gterms for i, _ in supp)
     # d_i of the differentiated side times the action of the other
@@ -135,16 +137,11 @@ def _bracket(n: int, f: MPoly, g: MPoly, pairs: Iterable[PairForm]) -> MPoly:
     return _unpack(n, {key: c for key, c in acc.items() if c}, dden * aden, width)
 
 
-def _linear_pairs(L: LieAlgebraData) -> Iterable[PairForm]:
-    return ((i, j, coeffs.items()) for i, j, coeffs in L.pairs())
-
-
-def _frozen_pairs(L: LieAlgebraData, xi: Sequence[Scalar]) -> list[PairForm]:
+def _frozen_pairs(L: LieAlgebraData, xi: Sequence[Scalar]) -> Pairs:
     """The constants <xi, [b_i, b_j]> that are nonzero, as pair forms,
     read off the Kirillov form at xi."""
     K = kirillov(L, xi)
-    return [(i, j, [(None, Fraction(K.rows[i][j], K.den))])
-            for i, j, _ in L.pairs() if K.rows[i][j]]
+    return [(i, j, [(None, K.rows[i][j])]) for i, j, _ in L.pairs() if K.rows[i][j]], K.den
 
 
 def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
@@ -155,7 +152,7 @@ def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
 def bracket(L: LieAlgebraData, f: MPoly, g: MPoly) -> MPoly:
     """Poisson bracket {f, g} on polynomials in the dual coordinates."""
     _check_dual(L, f, g)
-    return _bracket(L.dim, f, g, _linear_pairs(L))
+    return _bracket(L.dim, f, g, _int_table(L))
 
 
 def frozen_bracket(L: LieAlgebraData, xi: Sequence[Scalar], f: MPoly, g: MPoly) -> MPoly:
@@ -174,7 +171,7 @@ def coordinate_bracket(L: LieAlgebraData, i: int, f: MPoly) -> MPoly:
 def coordinate_brackets(L: LieAlgebraData, f: MPoly) -> list[MPoly]:
     """{x_i, f} for every coordinate i, read off the coadjoint kernel."""
     width = _action_width((f,))
-    [(accs, den)] = _coadjoint(L.dim, (f,), _linear_pairs(L), width)
+    [(accs, den)] = _coadjoint(L.dim, _pack(L.dim, (f,), width), _int_table(L), width)
     return [_unpack(L.dim, acc, den, width) for acc in accs]
 
 
@@ -197,14 +194,10 @@ class KirillovForm:
         return _skew_rank(self.rows, len(self.rows))
 
 
-# the stored bracket entries (i, j, [(k, c)]) with integer c, over one
-# positive denominator
-IntTable = tuple[list[tuple[int, int, list[tuple[int, int]]]], int]
-
-
-def _int_table(L: LieAlgebraData) -> IntTable:
-    """The integer structure table of L, built on first use and kept in
-    L._int_table: the table of an algebra never changes."""
+def _int_table(L: LieAlgebraData) -> Pairs:
+    """The integer structure table of L, the pair forms of the
+    Lie-Poisson bracket, built on first use and kept in L._int_table:
+    the table of an algebra never changes."""
     if L._int_table is None:
         pairs = list(L.pairs())
         den = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))

@@ -30,12 +30,17 @@ tests can hold the package's route against it.
   run on whole vectors of the ambient space, each step one kernel and
   one span.  ``skewpencil.check_image_equality`` runs it as a closure
   in the coordinates of the image.
+- ``fraction_add``, ``fraction_mul`` and ``fraction_param_expand``:
+  sums, products and shift expansions on ``{exponents: Fraction}``
+  term dicts, one Fraction per term.  ``MPoly`` runs them on integer
+  numerators over one denominator instead.
 - ``to_sympy``: an MPoly as a sympy expression, for differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 import sympy
@@ -218,6 +223,65 @@ def ambient_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
             "some pencil member maps the kernel sum onto a smaller image",
             {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": len(K)})
     return W
+
+
+Terms = dict[tuple[int, ...], Fraction]
+
+
+def fraction_add(a: Terms, b: Terms) -> Terms:
+    """a + b on Fraction term dicts."""
+    terms = dict(a)
+    for e, c in b.items():
+        s = terms.get(e, Fraction(0)) + c
+        if s == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return terms
+
+
+def fraction_mul(a: Terms, b: Terms) -> Terms:
+    """a * b on Fraction term dicts, term by term."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def fraction_param_expand(terms: Terms, xi: Sequence[Scalar]) -> list[Terms]:
+    """The coefficients [f_0, ..., f_d] of f(x + a*xi) by powers of a,
+    f the nonzero polynomial with these terms and d its total degree,
+    each term expanded binomially in Fractions."""
+    pt = vec(xi)
+    d = max(sum(e) for e in terms)
+    acc: list[Terms] = [{} for _ in range(d + 1)]
+    for exps, c in terms.items():
+        expanded: list[tuple[tuple[int, ...], Fraction, int]] = [(exps, c, 0)]
+        for i, (e_i, x_i) in enumerate(zip(exps, pt)):
+            if e_i == 0 or x_i == 0:
+                continue
+            nxt = []
+            for es, coeff, j in expanded:
+                nxt.append((es, coeff, j))
+                pw = Fraction(1)
+                for k in range(1, e_i + 1):
+                    pw *= x_i
+                    nxt.append((es[:i] + (e_i - k,) + es[i + 1:], coeff * comb(e_i, k) * pw,
+                                j + k))
+            expanded = nxt
+        for es, coeff, j in expanded:
+            s = acc[j].get(es, Fraction(0)) + coeff
+            if s == 0:
+                acc[j].pop(es, None)
+            else:
+                acc[j][es] = s
+    return acc
 
 
 def to_sympy(p: MPoly, syms: Sequence[sympy.Symbol]) -> sympy.Expr:

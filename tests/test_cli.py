@@ -55,6 +55,19 @@ def poly_file(tmp_path, name, poly):
     return str(path)
 
 
+def test_casimir_file_with_a_generator_on_more_variables_is_a_usage_error(
+        capsys, tmp_path, sl2_file):
+    x = [MPoly.variable(4, i) for i in range(4)]
+    path = tmp_path / "cas4.json"
+    jsonio.write_json(str(path), {"nvars": 3, "generators": [
+        jsonio.poly_to_json(x[1] * x[1] + 4 * x[0] * x[2] + x[3])]})
+    code = main(["reg", "point", sl2_file, "--xi", "1,0,1", "--casimirs", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == (f"error: {path}: generator 0 has nvars 4, "
+                            "but the Casimir file has nvars 3\n")
+
+
 def test_algebra_build_emits_parseable_algebra(sl2_file):
     data = jsonio.read_json(sl2_file)
     assert jsonio.algebra_from_json(data) == SL2

@@ -140,6 +140,7 @@ def _poly(nvars, coeff="1", exps=(1,)):
 @pytest.mark.parametrize("data, message", [
     ({"nvars": 2.5, "terms": []}, "nvars must be an integer, not 2.5"),
     ({"nvars": True, "terms": []}, "nvars must be an integer, not True"),
+    ({"nvars": -1, "terms": []}, "nvars must be a nonnegative integer, not -1"),
     (_poly(1, exps=[-1]), "bad exponent tuple (-1,) for nvars=1"),
     (_poly(2, exps=[1]), "bad exponent tuple (1,) for nvars=2"),
     (_poly(1, exps=[1.5]), "exponent must be an integer, not 1.5"),
@@ -150,6 +151,19 @@ def _poly(nvars, coeff="1", exps=(1,)):
 def test_poly_from_json_error_messages(data, message):
     with pytest.raises(ValueError) as err:
         poly_from_json(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"nvars": -2}, "nvars must be a nonnegative integer, not -2"),
+    ({"nvars": 3, "generators": [_poly(4, exps=[1, 0, 0, 1])]},
+     "generator 0 has nvars 4, but the Casimir file has nvars 3"),
+    ({"nvars": 2, "generators": [_poly(2, exps=[2, 0]), _poly(1, exps=[2])]},
+     "generator 1 has nvars 1, but the Casimir file has nvars 2"),
+])
+def test_casimirs_from_json_checks_nvars(data, message):
+    with pytest.raises(ValueError) as err:
+        casimirs_from_json(data)
     assert str(err.value) == message
 
 

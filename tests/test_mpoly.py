@@ -24,7 +24,9 @@ from argshift.mpoly import (
     rational_roots,
     try_divide,
 )
-from oracles import evaluate, grad_at, partial, to_sympy
+from argshift.jsonio import poly_from_json, poly_to_json
+from oracles import (evaluate, fraction_add, fraction_mul, fraction_param_expand, grad_at,
+                     partial, to_sympy)
 
 C = MPoly(3, {(0, 2, 0): 1, (1, 0, 1): 4})
 
@@ -224,6 +226,96 @@ def test_evaluate_is_a_ring_homomorphism(f, g):
     pt = [Fraction(1, 2), Fraction(-3), Fraction(2, 5)]
     assert evaluate(f + g, pt) == evaluate(f, pt) + evaluate(g, pt)
     assert evaluate(f * g, pt) == evaluate(f, pt) * evaluate(g, pt)
+
+
+# --- the integer core against the Fraction route and sympy --------------------
+
+fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+rat_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    fracs, min_size=0, max_size=4,
+).map(lambda t: MPoly(3, t))
+wide_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=2 ** 32)
+SYMS = sympy.symbols("x0:3")
+
+
+def _canonical(p):
+    # lowest terms: a positive denominator sharing no factor with every numerator
+    assert p.den > 0 and gcd(p.den, *p.num.values()) == 1
+    assert all(isinstance(c, int) and c for c in p.num.values())
+    return p.num, p.den, hash(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rat_polys, rat_polys, wide_fracs, st.integers(0, 3))
+def test_ring_operations_match_the_fraction_route_and_sympy(f, g, c, k):
+    neg_g = {e: -v for e, v in g.terms.items()}
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        power = fraction_mul(power, f.terms)
+    cases = [(f + g, fraction_add(f.terms, g.terms), to_sympy(f, SYMS) + to_sympy(g, SYMS)),
+             (f - g, fraction_add(f.terms, neg_g), to_sympy(f, SYMS) - to_sympy(g, SYMS)),
+             (f * g, fraction_mul(f.terms, g.terms), to_sympy(f, SYMS) * to_sympy(g, SYMS)),
+             (f * c, fraction_mul(f.terms, {(0, 0, 0): c}),
+              to_sympy(f, SYMS) * sympy.Rational(c.numerator, c.denominator)),
+             (f ** k, power, to_sympy(f, SYMS) ** k)]
+    for got, want, expr in cases:
+        _canonical(got)
+        assert got.terms == want
+        assert sympy.expand(to_sympy(got, SYMS) - expr) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rat_polys, rat_polys)
+def test_monic_and_exact_division_match_sympy(f, g):
+    for p in (f, g):
+        if not p.is_zero():
+            lead = p.leading()[1]
+            assert p.monic().terms == {e: v / lead for e, v in p.terms.items()}
+            assert p.monic().leading()[1] == 1
+            _canonical(p.monic())
+    if g.is_zero():
+        return
+    q = try_divide(f * g, g)
+    assert q == f and _canonical(q) == _canonical(f)
+    F, G = to_sympy(f, SYMS), to_sympy(g, SYMS)
+    quo, rem = sympy.div(F, G, *SYMS)
+    got = try_divide(f, g)
+    # one divisor is a Groebner basis of the ideal it generates, so the
+    # remainder is zero exactly when g divides f
+    assert (got is None) == (rem != 0)
+    if got is not None:
+        _canonical(got)
+        assert sympy.expand(to_sympy(got, SYMS) - quo) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rat_polys.filter(lambda p: not p.is_zero()), st.lists(wide_fracs, min_size=3, max_size=3))
+def test_param_expand_matches_the_fraction_route_and_sympy(f, xi):
+    shifts = f.param_expand(xi)
+    assert [p.terms for p in shifts] == fraction_param_expand(f.terms, xi)
+    for p in shifts:
+        _canonical(p)
+    a = sympy.Symbol("a")
+    shifted = to_sympy(f, SYMS).subs(
+        {x: x + a * sympy.Rational(v.numerator, v.denominator) for x, v in zip(SYMS, xi)},
+        simultaneous=True)
+    assert sympy.expand(sum(to_sympy(p, SYMS) * a ** j for j, p in enumerate(shifts))
+                        - shifted) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rat_polys, rat_polys, wide_fracs.filter(lambda c: c != 0))
+def test_equal_polynomials_have_one_representation(f, g, c):
+    routes = [f, (f + g) - g, (f * c) * (1 / c), MPoly(3, f.terms), -(-f),
+              MPoly(3, {e: Fraction(v.numerator * 6, v.denominator * 6)
+                        for e, v in f.terms.items()}),
+              poly_from_json(poly_to_json(f))]
+    if not g.is_zero():
+        routes.append(try_divide(f * g, g))
+    want = _canonical(f)
+    for p in routes:
+        assert p == f and _canonical(p) == want
 
 
 # --- sympy differential tests for gcd and determinant ------------------------

@@ -140,13 +140,13 @@ def _poly(nvars, coeff="1", exps=(1,)):
 @pytest.mark.parametrize("data, message", [
     ({"nvars": 2.5, "terms": []}, "nvars must be an integer, not 2.5"),
     ({"nvars": True, "terms": []}, "nvars must be an integer, not True"),
-    ({"nvars": -1, "terms": []}, "nvars must be a nonnegative integer, not -1"),
     (_poly(1, exps=[-1]), "bad exponent tuple (-1,) for nvars=1"),
     (_poly(2, exps=[1]), "bad exponent tuple (1,) for nvars=2"),
     (_poly(1, exps=[1.5]), "exponent must be an integer, not 1.5"),
     (_poly(1, coeff="1/0"), "cannot interpret '1/0' as a rational"),
     (_poly(1, coeff=None), "cannot interpret None as a rational"),
     (_poly(1, coeff=1.5), "cannot interpret 1.5 as a rational"),
+    ({"nvars": -1, "terms": []}, "nvars must be a nonnegative integer, not -1"),
 ])
 def test_poly_from_json_error_messages(data, message):
     with pytest.raises(ValueError) as err:

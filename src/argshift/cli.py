@@ -398,10 +398,7 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
         eta = _vector(args, "eta", L.dim)
         pencil = SkewPencil.from_kirillov(L, xi, eta)
     analysis = verify_com1(pencil)
-    verdict = analysis.as_dict()
-    verdict["char_poly"] = ([rat_str(c) for c in analysis.char_poly]
-                            if analysis.char_poly is not None else None)
-    report["verdicts"]["pencil"] = verdict
+    report["verdicts"]["pencil"] = analysis.as_dict()
     report["subspaces"] = {"L": jsonio.subspace_to_json(analysis.L),
                            "image": jsonio.subspace_to_json(analysis.image),
                            "Ltilde": jsonio.subspace_to_json(analysis.Ltilde)}
@@ -496,8 +493,7 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
 
     def s_degrees() -> tuple[bool, dict, Any]:
         dp = degree_profile(ctx["casimirs"], ctx["profile"])
-        verdict = {"b_q": dp.b_q, "sum_degrees": dp.sum_degrees,
-                   "classification": dp.classification}
+        verdict = dp.as_dict()
         ok = dp.classification == EXACT
         return ok, verdict, (None if ok else verdict)
 

@@ -1,20 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense and immutable.  Every rank, kernel, solve and span
-is one integer Gauss-Jordan elimination: fraction-free (Bareiss)
-forward elimination on denominator-cleared rows, then back-elimination
-on rows kept primitive, with each entry turned into a Fraction once at
-the end.  The rank of integer rows of a skew matrix (_skew_rank) is
-the one exception: fraction-free Pfaffian elimination by 2 x 2 skew
-pivots on the strict upper triangle, which does about a quarter of
-Bareiss's entry updates; on request the same loop also gives a kernel
-basis (_skew_kernel).  A SubspaceQ keeps its canonical echelon basis
-as primitive integer rows, grown one integer vector at a time, so
-equality of subspaces is equality of rows; its reduced row echelon
-basis over Q is a view for output.  Callers that already hold integer
-rows hand them to SubspaceQ or enter at the private integer-row
-functions (_rank_int, _skew_rank, _skew_kernel, _rank_kernel_int,
-_solve), which skip the Fraction round trip.
+Matrices are dense and immutable integer rows over one denominator.
+Every rank, kernel, solve and span is one integer Gauss-Jordan
+elimination: fraction-free (Bareiss) forward elimination on integer
+rows, then back-elimination on rows kept primitive, with each entry
+turned into a Fraction once at the end.  The rank of integer rows of a
+skew matrix (_skew_rank) is the one exception: fraction-free Pfaffian
+elimination by 2 x 2 skew pivots on the strict upper triangle, which
+does about a quarter of Bareiss's entry updates; on request the same
+loop also gives a kernel basis (_skew_kernel).  A SubspaceQ keeps its
+canonical echelon basis as primitive integer rows, grown one integer
+vector at a time, so equality of subspaces is equality of rows; its
+reduced row echelon basis over Q is a view for output.  Callers that
+already hold integer rows hand them to SubspaceQ or enter at the
+private integer-row functions (_rank_int, _skew_rank, _skew_kernel,
+_rank_kernel_int, _solve), which skip the Fraction round trip.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Any, Iterable, Optional, Sequence, Union
 
-Rat = Fraction
 VecQ = tuple[Fraction, ...]
 
 Scalar = Union[int, str, Fraction]
@@ -57,60 +56,82 @@ def vec(values: Iterable[Scalar]) -> VecQ:
 
 
 class MatQ:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable dense rational matrix: the integer row tuples num over
+    one den > 0, in lowest terms, so equal matrices have equal (cols,
+    den, num).  The constructor validates entries and clears their
+    denominators; arithmetic results come from _make.  Entries, to_lists
+    and matvec are Fraction views for output."""
 
-    __slots__ = ("rows", "cols", "_a")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]], cols: Optional[int] = None):
-        a = tuple(tuple(rat(x) for x in row) for row in entries)
+        a = [[x if isinstance(x, int) else rat(x) for x in row] for row in entries]
         if a:
             ncols = len(a[0])
             if any(len(row) != ncols for row in a):
                 raise ValueError("ragged matrix")
         else:
             ncols = 0 if cols is None else cols
-        self._a = a
+        # the lcm of the entries' denominators leaves no common factor
+        den = lcm(*(x.denominator for row in a for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a)
+        self.den = den
         self.rows = len(a)
-        self.cols = ncols if a else ncols
+        self.cols = ncols
+
+    @classmethod
+    def _make(cls, num: tuple[tuple[int, ...], ...], cols: int, den: int = 1) -> "MatQ":
+        """The matrix num / den, den > 0, brought to lowest terms."""
+        if den != 1 and (g := gcd(den, *(x for row in num for x in row))) > 1:
+            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
+        M = object.__new__(cls)
+        M.num, M.den, M.rows, M.cols = num, den, len(num), cols
+        return M
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatQ":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._make(((0,) * cols,) * rows, cols)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self._a[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._a]
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
+
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        # zip(*num) of no rows would lose the column count
+        return tuple(zip(*self.num)) if self.rows else ((),) * self.cols
 
     def transpose(self) -> "MatQ":
-        return MatQ([[self._a[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                    cols=self.rows)
+        return MatQ._make(self._columns(), self.rows, self.den)
 
     def __add__(self, other: "MatQ") -> "MatQ":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return MatQ([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._a, other._a)],
-                    cols=self.cols)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return MatQ._make(tuple(tuple(s * a + t * b for a, b in zip(ra, rb))
+                                for ra, rb in zip(self.num, other.num)), self.cols, den)
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         return self + (-other)
 
     def __neg__(self) -> "MatQ":
-        return MatQ([[-x for x in row] for row in self._a], cols=self.cols)
+        return MatQ._make(tuple(tuple(-x for x in row) for row in self.num), self.cols, self.den)
 
     def scale(self, c: Scalar) -> "MatQ":
         c = rat(c)
-        return MatQ([[c * x for x in row] for row in self._a], cols=self.cols)
+        return MatQ._make(tuple(tuple(c.numerator * x for x in row) for row in self.num),
+                          self.cols, self.den * c.denominator)
 
     def __mul__(self, other: Union["MatQ", Scalar]) -> "MatQ":
         if isinstance(other, MatQ):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            bt = other.transpose()._a
-            return MatQ([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                         for row in self._a], cols=other.cols)
+            bt = other._columns()
+            return MatQ._make(tuple(tuple(sum(map(mul, row, col)) for col in bt)
+                                    for row in self.num), other.cols, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other: Scalar) -> "MatQ":
@@ -120,29 +141,30 @@ class MatQ:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         w = vec(v)
-        return tuple(sum(a * b for a, b in zip(row, w)) for row in self._a)
+        d = lcm(*(x.denominator for x in w))
+        w = [x.numerator * (d // x.denominator) for x in w]
+        return tuple(Fraction(x, self.den * d) for x in _matvec(self.num, w))
 
     def is_skew(self) -> bool:
-        """True iff M^T = -M with zero diagonal (entrywise check)."""
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            if self._a[i][i] != 0:
-                return False
-            for j in range(i + 1, self.cols):
-                if self._a[i][j] != -self._a[j][i]:
-                    return False
-        return True
+        """True iff M^T = -M, which makes the diagonal zero."""
+        return self.rows == self.cols and not any(
+            any(map(add, row, col)) for row, col in zip(self.num, self._columns()))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MatQ) and self.cols == other.cols and self._a == other._a
+        return (isinstance(other, MatQ) and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._a))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(rat_str(x) for x in row) for row in self._a)
+        body = "; ".join(" ".join(rat_str(x) for x in row) for row in self.to_lists())
         return f"MatQ[{self.rows}x{self.cols}]({body})"
+
+
+def _matvec(rows: Sequence[Sequence[int]], v: Sequence[Union[int, Fraction]]) -> list:
+    """rows times the vector v, for integer rows."""
+    return [sum(map(mul, row, v)) for row in rows]
 
 
 _ZERO = Fraction(0)
@@ -498,7 +520,7 @@ def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
     The kernel lives in Q^cols.  Skew input additionally asserts the
     even-rank invariant.  An empty matrix has rank 0 and full kernel.
     """
-    r, ker = _rank_kernel_int(_int_rows(M._a), M.cols)
+    r, ker = _rank_kernel_int(M.num, M.cols)
     if r % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
     return r, SubspaceQ(M.cols, ker)
@@ -509,7 +531,7 @@ def rank(M: MatQ) -> int:
 
     Skew input asserts the even-rank invariant, as in rank_kernel.
     """
-    r = len(_echelon(_int_rows(M._a), M.cols))
+    r = len(_echelon(list(M.num), M.cols))
     if r % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
     return r
@@ -517,24 +539,30 @@ def rank(M: MatQ) -> int:
 
 def solve_many(M: MatQ, rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:
     """Solutions of M x = b for several right-hand sides in one elimination."""
-    return _solve(M._a, M.cols, rhs_list)
+    # M x = b is num x = den b
+    return _solve(M.num, M.cols, [[M.den * x for x in vec(b)] for b in rhs_list])
 
 
-def _solve(rows: Sequence[Sequence[Union[int, Fraction]]], cols: int,
-           rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:
-    """solve_many on the rows of a matrix with int or Fraction entries."""
-    vs = [vec(b) for b in rhs_list]
-    for v in vs:
-        if len(v) != len(rows):
+def _solve(rows: Sequence[Sequence[int]], cols: int,
+           rhs_list: Sequence[Sequence[Union[int, Fraction]]]) -> list[Optional[VecQ]]:
+    """solve_many on integer rows, for int or Fraction right-hand sides."""
+    for b in rhs_list:
+        if len(b) != len(rows):
             raise ValueError("shape mismatch")
-    aug_rows = [tuple(row) + tuple(v[i] for v in vs) for i, row in enumerate(rows)]
-    work, pivots = _rref(_int_rows(aug_rows), cols + len(vs))
+    width = cols + len(rhs_list)
+    aug_rows = []
+    for i, row in enumerate(rows):
+        # clear the right-hand sides' denominators row by row
+        d = lcm(*(b[i].denominator for b in rhs_list))
+        aug_rows.append([d * x for x in row] + [b[i].numerator * (d // b[i].denominator)
+                                                for b in rhs_list])
+    work, pivots = _rref(aug_rows, width)
     solved = [(pc, row) for pc, row in zip(pivots, work) if pc < cols]
     # rows past the coefficient pivots are zero on the coefficient block;
     # a right-hand side is inconsistent iff one of them is nonzero in it
     rest = work[len(solved):]
     out: list[Optional[VecQ]] = []
-    for col in range(cols, cols + len(vs)):
+    for col in range(cols, width):
         if any(row[col] != 0 for row in rest):
             out.append(None)
             continue
@@ -581,4 +609,5 @@ def image(M: MatQ, U: SubspaceQ) -> SubspaceQ:
     """Span of M applied to a subspace of Q^cols, inside Q^rows."""
     if U.ambient_dim != M.cols:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceQ.span([M.matvec(v) for v in U.rows.values()], M.rows)
+    # num v = den M v spans the same subspace
+    return SubspaceQ(M.rows, [_matvec(M.num, v) for v in U.rows.values()])

@@ -106,7 +106,7 @@ def algebra_to_json(L: LieAlgebraData) -> dict:
 
 def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry]]:
     """Dimension, basis names and raw bracket entries, not yet validated."""
-    dim = _int(_field(data, "dim", "algebra"), "dim")
+    dim = _count(data, "dim", "algebra")
     basis = [str(b) for b in _array(data.get("basis", [f"e{i + 1}" for i in range(dim)]),
                                     "basis")]
     entries = []

@@ -189,10 +189,6 @@ def _unit_matrix(n: int, i: int, j: int) -> MatQ:
     return MatQ([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
 
 
-def _flatten(M: MatQ) -> tuple[Fraction, ...]:
-    return tuple(M[i, j] for i in range(M.rows) for j in range(M.cols))
-
-
 def _commutator(A: Sequence[tuple[int, int, Fraction]], B: Sequence[tuple[int, int, Fraction]],
                 size: int) -> list[Fraction]:
     """AB - BA, flattened row by row, from the nonzero entries
@@ -216,11 +212,11 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
     size = mats[0].rows
     if any(M.rows != size or M.cols != size for M in mats):
         raise ValueError("matrix sizes disagree")
-    span = MatQ([_flatten(M) for M in mats]).transpose()
+    span = MatQ([[x for row in M.to_lists() for x in row] for M in mats]).transpose()
     r = rank(span)
     if r != d:
         raise ValueError("matrix basis is linearly dependent")
-    entries = [[(a, b, M[a, b]) for a in range(size) for b in range(size) if M[a, b]]
+    entries = [[(a, b, x) for a, row in enumerate(M.to_lists()) for b, x in enumerate(row) if x]
                for M in mats]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     rhs = [_commutator(entries[i], entries[j], size) for i, j in pairs]

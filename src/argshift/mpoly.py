@@ -344,13 +344,6 @@ def _dense_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Frac
     return {k: c / lc for k, c in a.items()}
 
 
-def _univariate_gcd(f: MPoly, g: MPoly, v: int) -> MPoly:
-    a = _dense_gcd({e[v]: c for e, c in f.terms.items()},
-                   {e[v]: c for e, c in g.terms.items()})
-    return MPoly(f.nvars, {tuple(k if i == v else 0 for i in range(f.nvars)): c
-                           for k, c in a.items()})
-
-
 def _int_primitive(p: MPoly) -> MPoly:
     # the numerators over their content: coprime integer coefficients,
     # which keep the pseudo-remainder sequence from blowing up bit sizes
@@ -383,10 +376,7 @@ def _gcd2(f: MPoly, g: MPoly) -> MPoly:
     vars_f, vars_g = f1.variables(), g1.variables()
     if not (vars_f & vars_g):
         return mono
-    support = vars_f | vars_g
-    if len(support) == 1:
-        return (mono * _univariate_gcd(f1, g1, next(iter(support)))).monic()
-    v = max(support)
+    v = max(vars_f | vars_g)
     df, dg = _deg_in(f1, v), _deg_in(g1, v)
     if df == 0:
         return (mono * _gcd2(f1, _content_in(g1, v))).monic()

@@ -187,7 +187,7 @@ class KirillovForm:
 
     @property
     def matrix(self) -> MatQ:
-        return MatQ([[Fraction(x, self.den) for x in row] for row in self.rows])
+        return MatQ._make(tuple(map(tuple, self.rows)), len(self.rows), self.den)
 
     @property
     def rank(self) -> int:
@@ -354,10 +354,11 @@ def classical_casimir_polys(family: str, n: int) -> list[MPoly]:
     if n < 2:
         raise ValueError(f"{family}(n) requires n >= 2")
     basis = classical_matrix_basis(family, n)
-    # each basis matrix as its nonzero entries (i, j, value)
-    mats = [[(i, j, m[i, j]) for i in range(n) for j in range(n) if m[i, j]] for m in basis]
+    # each basis matrix, integer (den 1), as its nonzero entries (i, j, value)
+    mats = [[(i, j, x) for i, row in enumerate(m.num) for j, x in enumerate(row) if x]
+            for m in basis]
     d = len(mats)
-    gram = [[sum(x * b[j, i] for i, j, x in a) for b in basis] for a in mats]
+    gram = [[sum(x * b.num[j][i] for i, j, x in a) for b in basis] for a in mats]
     # column b of G^-1 is row b, as G is symmetric
     ginv = _solve(gram, d, [[int(a == b) for a in range(d)] for b in range(d)])
     den = lcm(*(y.denominator for row in ginv for y in row))

@@ -11,10 +11,12 @@ operator on the quotient carries the singular directions as its
 eigenvalues, which are cross-checked against the ranks of the
 corresponding members.
 
-Ranks and kernels of members come from fraction-free Pfaffian
-elimination of their integer rows.  The kernel sum, the complement of
-L in Ltilde and the Wong sequence each grow one echelon basis a vector
-at a time; the Wong sequence runs in the coordinates of W, not of V.
+A pencil is integer rows over one denominator, sampled at integer
+directions, so ranks and kernels of members come from fraction-free
+Pfaffian elimination of integer rows.  The kernel sum, the complement
+of L in Ltilde and the Wong sequence each grow one echelon basis a
+vector at a time; the Wong sequence runs in the coordinates of W, not
+of V.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _rank_int, _rref, _skew_kernel,
-                       _skew_rank, _solve, _unit_lead, annihilator, faddeev_leverrier, rat,
-                       rat_str)
+from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _matvec, _rank_int, _rref,
+                       _skew_kernel, _skew_rank, _solve, _unit_lead, annihilator,
+                       faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import kirillov
 from .regcert import FalsificationError
 
 Ratio = tuple[Fraction, Fraction]
+IntRatio = tuple[int, int]
 IntRows = list[list[int]]
 
 
@@ -42,9 +45,9 @@ class SkewPencil:
     """A pair of skew forms on the same space, spanning the pencil.
 
     A and B are kept as integer rows A' = d A and B' = d B over one
-    positive denominator d.  Every question asked below (ranks, kernels,
-    images, spans) has the same answer for c A and c B, c > 0, so the
-    analysis runs on A' and B' alone.
+    positive denominator d = lcm(A.den, B.den).  Every question asked
+    below (ranks, kernels, images, spans) has the same answer for c A
+    and c B, c > 0, so the analysis runs on A' and B' alone.
     """
 
     __slots__ = ("_a", "_b", "_den")
@@ -54,10 +57,8 @@ class SkewPencil:
             raise ValueError("pencil needs two square matrices of equal size")
         if not (A.is_skew() and B.is_skew()):
             raise ValueError("pencil matrices must be skew-symmetric")
-        a, b = A.to_lists(), B.to_lists()
-        den = lcm(*(x.denominator for rows in (a, b) for row in rows for x in row))
-        self._a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
-        self._b = [[x.numerator * (den // x.denominator) for x in row] for row in b]
+        den = lcm(A.den, B.den)
+        self._a, self._b = ([[x * (den // M.den) for x in row] for row in M.num] for M in (A, B))
         self._den = den
 
     @classmethod
@@ -68,21 +69,7 @@ class SkewPencil:
     @classmethod
     def from_kirillov(cls, L: LieAlgebraData, xi: Sequence[Scalar],
                       eta: Sequence[Scalar]) -> "SkewPencil":
-        ka, kb = kirillov(L, xi), kirillov(L, eta)
-        den = lcm(ka.den, kb.den)
-        pencil = object.__new__(cls)
-        pencil._a = [[x * (den // ka.den) for x in row] for row in ka.rows]
-        pencil._b = [[x * (den // kb.den) for x in row] for row in kb.rows]
-        pencil._den = den
-        return pencil
-
-    @property
-    def A(self) -> MatQ:
-        return self.member(1, 0)
-
-    @property
-    def B(self) -> MatQ:
-        return self.member(0, 1)
+        return cls(kirillov(L, xi).matrix, kirillov(L, eta).matrix)
 
     @property
     def dim(self) -> int:
@@ -90,50 +77,38 @@ class SkewPencil:
 
     def member(self, a: Scalar, b: Scalar) -> MatQ:
         """The exact member a A + b B."""
-        a, b = rat(a) / self._den, rat(b) / self._den
-        return MatQ([[a * x + b * y for x, y in zip(ra, rb)]
-                     for ra, rb in zip(self._a, self._b)])
+        a, b = rat(a), rat(b)
+        rows = self._member(a.numerator * b.denominator, b.numerator * a.denominator)
+        return MatQ._make(tuple(map(tuple, rows)), self.dim,
+                          self._den * a.denominator * b.denominator)
 
     def _member(self, a: int, b: int) -> IntRows:
-        """Integer rows of a A' + b B' = d (a A + b B).  A rational ratio
-        enters as _int_rows([ratio])[0], proportional to it by a positive
-        factor."""
+        """Integer rows of a A' + b B' = d (a A + b B)."""
         return [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self._a, self._b)]
 
 
-def _matvec(rows: IntRows, v: Sequence[Union[int, Fraction]]) -> list:
-    return [sum(map(mul, row, v)) for row in rows]
-
-
-def base_ratios(dim: int) -> list[Ratio]:
-    """dim + 2 pairwise distinct directions in the pencil plane.
+def base_ratios(dim: int) -> list[IntRatio]:
+    """dim + 2 pairwise distinct integer directions in the pencil plane.
 
     Every nonzero minor of the pencil is homogeneous of degree at most
     dim, so it cannot vanish at all of these; the maximum sampled rank
     is therefore the generic rank.
     """
-    out = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    out += [(Fraction(1), Fraction(k)) for k in range(1, dim + 1)]
-    return out
+    return [(1, 0), (0, 1)] + [(1, k) for k in range(1, dim + 1)]
 
 
 @dataclass
 class PencilRankProfile:
     m: int
-    ranks: tuple[tuple[Ratio, int], ...]
+    ranks: tuple[tuple[IntRatio, int], ...]
 
-    def regular_ratios(self) -> list[Ratio]:
+    def regular_ratios(self) -> list[IntRatio]:
         return [r for r, rank in self.ranks if rank == self.m]
-
-    def as_dict(self) -> dict:
-        return {"m": self.m,
-                "ranks": [[[rat_str(a), rat_str(b)], rank]
-                          for (a, b), rank in self.ranks]}
 
 
 def rank_profile(pencil: SkewPencil) -> PencilRankProfile:
     """Generic rank and the per-direction ranks over the base ratios."""
-    ranks = tuple(((a, b), _skew_rank(pencil._member(*_int_rows([(a, b)])[0]), pencil.dim))
+    ranks = tuple(((a, b), _skew_rank(pencil._member(a, b), pencil.dim))
                   for a, b in base_ratios(pencil.dim))
     return PencilRankProfile(max(r for _, r in ranks), ranks)
 
@@ -156,7 +131,7 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
     if m is None:
         m = rank_profile(pencil).m
     cap = 4 * n + 10
-    ratios = chain(_int_rows(base_ratios(n)), ((1, k) for k in range(n + 1, cap)))
+    ratios = chain(base_ratios(n), ((1, k) for k in range(n + 1, cap)))
     total = SubspaceQ(n)
     consecutive = 0
     for a, b in ratios:
@@ -243,16 +218,21 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
 
     Requires the A-direction to be regular, so its kernel sits inside
     L and the class of w does not depend on the particular solution;
-    that independence is still re-verified by solving with a shifted
-    particular solution.
+    that independence is still re-verified by solving with a solution
+    shifted by a kernel vector.
+
+    The quotient basis is the primitive integer rows of Ltilde outside
+    L, positive multiples of its unit-lead rows, so the matrix is a
+    positive diagonal similarity of the unit-lead one, with the same
+    characteristic polynomial and eigenvalues.  Error bundles show v and
+    the kernel shift with leading entry 1, and w solved for that v.
     """
     n = pencil.dim
     if m is None:
         m = rank_profile(pencil).m
     # one factor clears both ratios, so A w = B v keeps its solutions
     a1, a2, b1, b2 = _int_rows([tuple(A_ratio) + tuple(B_ratio)])[0]
-    Am = pencil._member(a1, a2)
-    Bm = pencil._member(b1, b2)
+    Am, Bm = pencil._member(a1, a2), pencil._member(b1, b2)
     r, kerA = _skew_kernel(Am, n)
     if r != m:
         raise ValueError("the A-direction of the recursion operator must be regular")
@@ -262,41 +242,42 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
             {"dim": n, "member_rank": r, "kernel_dim": len(kerA), "L_dim": L.dim})
-    comp = [v for v, c in zip(Ltilde.basis, sorted(Ltilde.rows))
-            if grown.add(Ltilde.rows[c]) is not None]
+    comp = [row for _, row in sorted(Ltilde.rows.items()) if grown.add(row) is not None]
     ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
+
+    def shown(v: Sequence[int], w: Sequence[Fraction]) -> list[str]:
+        # w over the lead of v: w solved for the unit-lead v
+        return [rat_str(x) for x in _unit_lead([*v, *w])[len(v):]]
+
     for v, w in zip(comp, ws):
         if w is None:
             raise FalsificationError(
                 "A w = B v has no solution for v in the annihilator space",
-                {"dim": n, "v": [rat_str(x) for x in v]})
+                {"dim": n, "v": shown(v, v)})
         if not Ltilde.contains(w):
             raise FalsificationError(
                 "recursion image escapes the annihilator space",
-                {"dim": n, "v": [rat_str(x) for x in v],
-                 "w": [rat_str(x) for x in w]})
-    # coordinates in the basis comp + L.basis; independence from the
+                {"dim": n, "v": shown(v, v), "w": shown(v, w)})
+    # coordinates in the basis comp + L.rows; independence from the
     # particular solution is checked rather than assumed, by expanding
     # every image shifted by a kernel vector as well
-    shift = _unit_lead(kerA[0]) if kerA else None
-    shifts = [tuple(x + k for x, k in zip(w, shift)) for w in ws] if shift else []
-    frame = list(comp) + list(L.basis)
+    shifts = [[x + k for x, k in zip(w, kerA[0])] for w in ws] if kerA else []
+    frame = comp + list(L.rows.values())
     coords = _solve([[u[i] for u in frame] for i in range(n)], len(frame), ws + shifts)
     q = len(comp)
     columns: list[tuple[Fraction, ...]] = []
-    for j, w in enumerate(ws):
+    for j, (v, w) in enumerate(zip(comp, ws)):
         if coords[j] is None:
             raise FalsificationError(
                 "recursion image not expressible in the quotient basis",
-                {"dim": n, "w": [rat_str(x) for x in w]})
+                {"dim": n, "w": shown(v, w)})
         col = coords[j][:q]
         if shifts and (coords[q + j] is None or coords[q + j][:q] != col):
             raise FalsificationError(
                 "recursion operator depends on the particular solution",
-                {"dim": n, "kernel_shift": [rat_str(x) for x in shift]})
+                {"dim": n, "kernel_shift": shown(kerA[0], kerA[0])})
         columns.append(col)
-    return MatQ([[columns[j][i] for j in range(q)] for i in range(q)]) \
-        if q else MatQ.zeros(0, 0)
+    return MatQ([[col[i] for col in columns] for i in range(q)], cols=q)
 
 
 def char_poly(M: MatQ) -> list[Fraction]:
@@ -313,9 +294,9 @@ class PencilAnalysis:
     Ltilde: SubspaceQ = field(repr=False)
     image: SubspaceQ = field(repr=False)
     isotropic: bool
-    ranks: tuple[tuple[Ratio, int], ...]
-    A_ratio: Optional[Ratio] = None
-    B_ratio: Optional[Ratio] = None
+    ranks: tuple[tuple[IntRatio, int], ...]
+    A_ratio: Optional[IntRatio] = None
+    B_ratio: Optional[IntRatio] = None
     eigenvalues: tuple[tuple[Fraction, int], ...] = ()
     char_poly: Optional[list[Fraction]] = field(default=None, repr=False)
 
@@ -341,6 +322,8 @@ class PencilAnalysis:
             "A_ratio": [rat_str(x) for x in self.A_ratio] if self.A_ratio else None,
             "B_ratio": [rat_str(x) for x in self.B_ratio] if self.B_ratio else None,
             "eigenvalues": [[rat_str(v), mult] for v, mult in self.eigenvalues],
+            "char_poly": ([rat_str(c) for c in self.char_poly]
+                          if self.char_poly is not None else None),
         }
 
 
@@ -374,12 +357,13 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
         return PencilAnalysis(n, m, "kronecker", L, Ltilde, W,
                               True, prof.ranks)
     A_ratio = prof.regular_ratios()[0]
-    B_ratio = (Fraction(1), Fraction(0)) if A_ratio[0] == 0 else (Fraction(0), Fraction(1))
+    B_ratio = (1, 0) if A_ratio[0] == 0 else (0, 1)
     cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m))
     eigs = rational_roots(cp)
+    (a1, a2), (b1, b2) = A_ratio, B_ratio
     for lam in eigs:
-        drop = (B_ratio[0] - lam * A_ratio[0], B_ratio[1] - lam * A_ratio[1])
-        r = _skew_rank(pencil._member(*_int_rows([drop])[0]), n)
+        p, q = lam.numerator, lam.denominator  # q (B_ratio - lam A_ratio) below
+        r = _skew_rank(pencil._member(q * b1 - p * a1, q * b2 - p * a2), n)
         if r >= m:
             raise FalsificationError(
                 "recursion eigenvalue does not match a singular direction",

@@ -35,6 +35,11 @@ tests can hold the package's route against it.
   term dicts, one Fraction per term.  ``MPoly`` runs them on integer
   numerators over one denominator instead.
 - ``to_sympy``: an MPoly as a sympy expression, for differential tests.
+- ``fraction_matrix_add``, ``fraction_matrix_scale``,
+  ``fraction_matrix_mul``, ``fraction_transpose`` and
+  ``fraction_matvec``: matrix arithmetic on lists of Fraction rows, one
+  Fraction per entry.  ``MatQ`` runs it on integer rows over one
+  denominator instead.
 """
 
 from __future__ import annotations
@@ -289,3 +294,31 @@ def to_sympy(p: MPoly, syms: Sequence[sympy.Symbol]) -> sympy.Expr:
     return sympy.expand(sum((sympy.Rational(c.numerator, c.denominator)
                              * sympy.Mul(*[x ** k for x, k in zip(syms, e)])
                              for e, c in p.terms.items()), sympy.Integer(0)))
+
+
+FractionRows = list[list[Fraction]]
+
+
+def fraction_matrix_add(a: FractionRows, b: FractionRows) -> FractionRows:
+    """a + b, entry by entry."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def fraction_matrix_scale(a: FractionRows, c: Fraction) -> FractionRows:
+    """c a, entry by entry."""
+    return [[c * x for x in row] for row in a]
+
+
+def fraction_transpose(a: FractionRows, cols: int) -> FractionRows:
+    """The transpose of the rows a of a matrix with cols columns."""
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def fraction_matvec(a: FractionRows, v: Sequence[Fraction]) -> list[Fraction]:
+    """a v, one dot product per row."""
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def fraction_matrix_mul(a: FractionRows, b: FractionRows, cols: int) -> FractionRows:
+    """a b, b with cols columns."""
+    return [fraction_matvec(fraction_transpose(b, cols), row) for row in a]

@@ -506,6 +506,22 @@ def test_pencil_analyze_names_the_missing_matrix(capsys, tmp_path, content, miss
         "", f"error: {path}: pencil file must be an object with {missing!r}\n")
 
 
+def test_negative_dim_is_named_on_every_route(capsys, tmp_path):
+    path = tmp_path / "neg.json"
+    jsonio.write_json(str(path), {"dim": -1})
+    message = "dim must be a nonnegative integer, not -1"
+    for command in (["poisson", "index"], ["reg", "codim2"]):
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    code, report = run(capsys, "algebra", "validate", str(path))
+    assert code == 1
+    assert report["verdicts"]["validate"]["detail"] == message
+    code, report = run(capsys, "pipeline", "run", str(path))
+    assert code == 1
+    assert report["failed_stage"] == "validate"
+    assert report["verdicts"]["validate"] == {"ok": False, "error": message}
+
+
 def test_pencil_analyze_requires_input(capsys):
     code, _ = run(capsys, "pencil", "analyze")
     assert code == 2

@@ -29,6 +29,8 @@ from argshift.exactlin import (
     vec,
 )
 from oracles import bareiss_skew_kernel, bareiss_skew_rank, rref_span
+from oracles import (fraction_matrix_add, fraction_matrix_mul, fraction_matrix_scale,
+                     fraction_matvec, fraction_transpose)
 
 # hand derivation: K = [[0,-2,0],[2,0,0],[0,0,0]]; rows 1,2 are
 # independent (pivot cols 0,1), row 3 zero; rank 2.  K v = 0 forces
@@ -591,3 +593,90 @@ def test_invert_degenerate_shapes():
             invert(MatQ.zeros(n, n))
     with pytest.raises(ValueError, match="non-square"):
         invert(MatQ.zeros(2, 3))
+
+
+# --- MatQ's integer rows against Fraction-list arithmetic ----------------------
+
+matq_entry = st.one_of(st.integers(-9, 9), fraction_entry)
+
+
+def entry_rows(rows, cols):
+    return st.lists(st.lists(matq_entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def fractions_of(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def canonical_key(M, rows, cols):
+    """M's (num, den, hash), after checking its shape and lowest terms."""
+    assert (M.rows, M.cols) == (rows, cols)
+    assert isinstance(M.num, tuple) and len(M.num) == rows
+    assert all(isinstance(row, tuple) and len(row) == cols for row in M.num)
+    assert all(type(x) is int for row in M.num for x in row)
+    assert M.den > 0 and gcd(M.den, *(x for row in M.num for x in row)) == 1
+    return M.num, M.den, hash(M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matq_arithmetic_matches_fraction_lists(r, c, k, data):
+    # shapes with a zero dimension included: zip(*num) of no rows, and a
+    # matvec over no columns
+    a, b, m = data.draw(entry_rows(r, c)), data.draw(entry_rows(r, c)), data.draw(entry_rows(c, k))
+    s = Fraction(data.draw(matq_entry))
+    v = [Fraction(x) for x in data.draw(st.lists(matq_entry, min_size=c, max_size=c))]
+    A, B, M = MatQ(a, cols=c), MatQ(b, cols=c), MatQ(m, cols=k)
+    fa, fb, fm = fractions_of(a), fractions_of(b), fractions_of(m)
+    minus_fb = fraction_matrix_scale(fb, Fraction(-1))
+    cases = [(A, fa, (r, c)),
+             (A + B, fraction_matrix_add(fa, fb), (r, c)),
+             (A - B, fraction_matrix_add(fa, minus_fb), (r, c)),
+             (-B, minus_fb, (r, c)),
+             (A.scale(s), fraction_matrix_scale(fa, s), (r, c)),
+             (A * M, fraction_matrix_mul(fa, fm, k), (r, k)),
+             (A.transpose(), fraction_transpose(fa, c), (c, r))]
+    for got, want, (rows, cols) in cases:
+        assert got.to_lists() == want
+        assert all(got[i, j] == x for i, row in enumerate(want) for j, x in enumerate(row))
+        built = MatQ(want, cols=cols)
+        assert got == built
+        assert canonical_key(got, rows, cols) == canonical_key(built, rows, cols)
+    out = A.matvec(v)
+    assert all(type(x) is Fraction for x in out)
+    assert list(out) == fraction_matvec(fa, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_equal_matrices_built_different_ways_share_one_representation(r, c, data):
+    A = MatQ(data.draw(entry_rows(r, c)), cols=c)
+    s = Fraction(data.draw(matq_entry.filter(lambda x: x != 0)))
+    key = canonical_key(A, r, c)
+    for M in (A.scale(s).scale(1 / s), A.transpose().transpose(), (A + A).scale(Fraction(1, 2)),
+              A - MatQ.zeros(r, c), -(-A), identity(r) * A, MatQ(A.to_lists(), cols=c)):
+        assert M == A
+        assert canonical_key(M, r, c) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 12), st.data())
+def test_solve_many_and_rank_kernel_with_a_denominator(r, c, d, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    rows[0][0] = 1
+    M = MatQ(rows).scale(Fraction(1, d))
+    assert M.den == d
+    # scaling by 1/d keeps the rank and the kernel
+    assert rank_kernel(M) == rank_kernel(MatQ(rows))
+    fm = fraction_matrix_scale(fractions_of(rows), Fraction(1, d))
+    entry = st.lists(matq_entry, min_size=c, max_size=c)
+    reached = [fraction_matvec(fm, [Fraction(x) for x in y])
+               for y in data.draw(st.lists(entry, min_size=1, max_size=2))]
+    free = data.draw(st.lists(st.lists(matq_entry, min_size=r, max_size=r), max_size=2))
+    # M x = b is num x = den b: a solution of num x = b would miss b by d
+    sols = solve_many(M, reached + free)
+    assert all(x is not None for x in sols[:len(reached)])
+    for b, x in zip(reached + free, sols):
+        assert x is None or fraction_matvec(fm, x) == [Fraction(y) for y in b]

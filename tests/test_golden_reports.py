@@ -6,7 +6,10 @@ version of the program and are kept in `golden/pencil_reports.json` and
 to the subspaces behind it must leave them byte-identical: regular
 planes on sl4 and takiff(sl3, 1), the subregular plane of sl3 (a pencil
 with Jordan blocks), a generic 9 x 9 pencil (Kronecker type), a 4 x 4
-Jordan block at 2 under an integer congruence, and two pipelines: the
+Jordan block at 2 under an integer congruence, a 3 x 3 Kronecker block
+beside a 4 x 4 Jordan block at -1/2 under a rational congruence (so the
+pencil has denominators and its Ltilde echelon rows are not unit
+vectors), and two pipelines: the
 sl2/so2 contraction with Casimir x_p^2 + x_r^2, whose `conclusions`
 witness x_r comes from the linear commutant and the member span, and
 gl3 with its classical Casimirs.
@@ -22,6 +25,7 @@ import io
 import json
 import os
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -60,7 +64,23 @@ def _congruent(M, P):
              for j in range(n)] for i in range(n)]
 
 
+def _block_diag(M, N):
+    m, n = len(M), len(N)
+    return ([list(row) + [0] * n for row in M]
+            + [[0] * m + list(row) for row in N])
+
+
 JORDAN_P = [[1, 2, 0, 1], [0, 1, -1, 0], [0, 0, 1, 3], [1, 2, 1, 2]]
+# a 3 x 3 Kronecker block (e1^e2, e2^e3) beside a 2 x 2 Jordan block at -1/2
+MIXED_A = _block_diag([[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+                      [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+MIXED_B = _block_diag([[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                      [[0, 0, Fraction(-1, 2), 1], [0, 0, 0, Fraction(-1, 2)],
+                       [Fraction(1, 2), 0, 0, 0], [-1, Fraction(1, 2), 0, 0]])
+MIXED_P = [[Fraction(x) for x in row.split()] for row in (
+    "1/2 0 2/3 2 0 2/3 3/4", "-1 0 -1 2/3 2/3 2 3/4", "-1 2 0 1/2 1/2 3/4 -5/2",
+    "2/3 2 -1/3 0 0 3/4 1/2", "3/4 -1/3 1 0 3/4 0 2", "-5/2 0 1/2 0 2 3/4 3/4",
+    "2/3 0 2 -5/2 3/4 1/2 1/2")]
 MATRICES = {
     "kronecker-9": (_skew(lambda i, j: (3 * i + 5 * j * j + 7) % 11 - 5, 9),
                     _skew(lambda i, j: (2 * i * i + 7 * j + 1) % 13 - 6, 9)),
@@ -68,6 +88,7 @@ MATRICES = {
                             JORDAN_P),
                  _congruent([[0, 0, 2, 1], [0, 0, 0, 2], [-2, 0, 0, 0], [-1, -2, 0, 0]],
                             JORDAN_P)),
+    "jordan-mixed-7-fractional": (_congruent(MIXED_A, MIXED_P), _congruent(MIXED_B, MIXED_P)),
 }
 
 

@@ -127,6 +127,7 @@ def test_family_round_trip():
         {"nvars": 1, "terms": [{"exps": [2], "coeff": "1"}]}], "degrees": [1]}),
     (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": [2]}),
     (subspace_from_json, {"ambient": -2, "basis": []}),
+    (algebra_from_json, {"dim": -1}),
 ])
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):
@@ -165,6 +166,12 @@ def test_casimirs_from_json_checks_nvars(data, message):
     with pytest.raises(ValueError) as err:
         casimirs_from_json(data)
     assert str(err.value) == message
+
+
+def test_algebra_from_json_names_a_negative_dim():
+    with pytest.raises(ValueError) as err:
+        algebra_from_json({"dim": -1})
+    assert str(err.value) == "dim must be a nonnegative integer, not -1"
 
 
 def test_poly_from_json_drops_zero_sums():

@@ -352,6 +352,33 @@ def test_poly_gcd_matches_sympy(a, b, common, f3, g3, forms):
         assert ratio.is_number and ratio != 0
 
 
+def univariate_coeffs(max_terms):
+    return st.dictionaries(st.integers(0, 3),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                           min_size=1, max_size=max_terms)
+
+
+def in_variable(coeffs, nvars, v):
+    """The univariate polynomial with these coefficients, in x_v of an
+    nvars-variable ring."""
+    return MPoly(nvars, {tuple(k if i == v else 0 for i in range(nvars)): c
+                         for k, c in coeffs.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(univariate_coeffs(3), univariate_coeffs(3), univariate_coeffs(2), st.integers(0, 2))
+def test_univariate_poly_gcd_is_the_monic_sympy_gcd(a, b, common, v):
+    # one variable of support, alone in its ring and among three
+    for nvars, var in ((1, 0), (3, v)):
+        c = in_variable(common, nvars, var)
+        f, g = c * in_variable(a, nvars, var), c * in_variable(b, nvars, var)
+        if f.is_zero() or g.is_zero():
+            continue
+        syms = sympy.symbols(f"x0:{nvars}")
+        want = sympy.Poly(sympy.gcd(to_sympy(f, syms), to_sympy(g, syms)), *syms).monic()
+        assert sympy.expand(to_sympy(poly_gcd([f, g]), syms) - want.as_expr()) == 0
+
+
 @st.composite
 def poly_matrices(draw):
     q = draw(st.integers(1, 4))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from argshift import jsonio
 from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
+from argshift.exactlin import rat_str
 from argshift.liealg import make_classical, make_takiff
 from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import kirillov
@@ -28,6 +29,7 @@ from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
                                  char_poly, check_image_equality, compute_L,
                                  phi_operator, rank_profile, verify_com1)
 from oracles import ambient_image_equality, stream_minor_gcd
+from test_golden_reports import MATRICES
 
 SL2 = make_classical("sl", 2)
 
@@ -208,8 +210,8 @@ def minor_image_oracle(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     """The common image W of L, certified by the older route: A(L) = B(L),
     then a constant gcd of the order-dim W minors of (aA + bB) on L."""
     n = pencil.dim
-    avs = [pencil.A.matvec(v) for v in L.basis]
-    bvs = [pencil.B.matvec(v) for v in L.basis]
+    avs = [pencil.member(1, 0).matvec(v) for v in L.basis]
+    bvs = [pencil.member(0, 1).matvec(v) for v in L.basis]
     W = SubspaceQ.span(avs, n)
     if W != SubspaceQ.span(bvs, n):
         raise FalsificationError("images differ", {})
@@ -495,6 +497,46 @@ def test_oracle_pencils_cover_both_kinds_and_denominators():
     assert any(SkewPencil(A, B)._den > 1 and
                fraction_analysis(A, B) != fraction_analysis(A, B.scale(2))
                for A, B in pairs)
+
+
+# --- a Kronecker block beside a Jordan block, under a rational congruence ------
+
+def mixed_pencil() -> tuple[MatQ, MatQ]:
+    """The pinned 7 x 7 report's pencil: e1^e2 and e2^e3 (one Kronecker
+    block) beside a 2 x 2 Jordan block at -1/2, under a rational
+    congruence."""
+    A, B = MATRICES["jordan-mixed-7-fractional"]
+    return MatQ(A), MatQ(B)
+
+
+def test_phi_on_primitive_rows_matches_the_unit_lead_fraction_route():
+    # Ltilde's echelon rows are not unit vectors here, so the quotient
+    # basis of primitive rows differs from the unit-lead one by a
+    # diagonal similarity, which keeps char_poly and the eigenvalues
+    A, B = mixed_pencil()
+    pencil = SkewPencil(A, B)
+    assert pencil._den > 1
+    analysis = verify_com1(pencil)
+    assert analysis.kind == "jordan-mixed"
+    assert any(row[pc] > 1 for pc, row in analysis.Ltilde.rows.items())
+    assert analysis.eigenvalues == ((Fraction(-1, 2), 4),)
+    assert analysis_fields(analysis) == fraction_analysis(A, B)
+
+
+def test_phi_bundle_shows_the_unit_lead_v(monkeypatch):
+    A, B = mixed_pencil()
+    pencil = SkewPencil(A, B)
+    n = pencil.dim
+    L = compute_L(pencil)
+    Lt = annihilator(check_image_equality(pencil, L))
+    # the first vector of Ltilde's reduced echelon basis outside L
+    v = next(u for u in Lt.basis if not SubspaceQ.span(L.basis, n).contains(u))
+    assert any(x.denominator > 1 for x in v)
+    monkeypatch.setattr("argshift.skewpencil._solve", lambda rows, cols, rhs: [None] * len(rhs))
+    with pytest.raises(FalsificationError) as err:
+        phi_operator(pencil, L, Lt, (1, 0), (0, 1))
+    assert err.value.claim == "A w = B v has no solution for v in the annihilator space"
+    assert err.value.bundle == {"dim": n, "v": [rat_str(x) for x in v]}
 
 
 # --- char_poly against sympy ------------------------------------------------

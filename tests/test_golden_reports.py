@@ -19,6 +19,11 @@ above leave out: the sl3 shift family at a direction with denominators,
 the bracket of two sl3 polynomials with fractional and negative
 coefficients, a failing Casimir check with its witness, and the
 codim-2 witness divisor of vinberg(1).
+
+`golden/fraction_reports.json` pins algebras whose structure constants
+have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
+analysis and the codim-2 witness on such tables, and a table with
+[a, c] = b/2 that fails Jacobi by a fractional coefficient.
 """
 
 import io
@@ -37,6 +42,7 @@ from argshift.poisson import classical_casimirs
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pencil_reports.json")
 PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_reports.json")
 POLY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "poly_reports.json")
+FRACTION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fraction_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -137,8 +143,8 @@ SL3_G = {(0, 0, 1, 0, 1, 0, 0, 0): "-5/3", (0, 0, 0, 0, 0, 0, 2, 0): "7/2",
 SL3_NOT_CASIMIR = {(1, 1, 0, 0, 0, 0, 0, 0): "-2/3", (0, 0, 0, 0, 2, 0, 0, 0): "1/5"}
 
 
-def _poly_file(path, terms):
-    jsonio.write_json(path, {"nvars": 8, "terms": [{"coeff": c, "exps": list(e)}
+def _poly_file(path, terms, nvars=8):
+    jsonio.write_json(path, {"nvars": nvars, "terms": [{"coeff": c, "exps": list(e)}
                                                    for e, c in terms.items()]})
     return path
 
@@ -211,3 +217,62 @@ def test_poly_report_matches_the_pinned_bytes(polys, case):
     with open(POLY_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(polys[case]) == jsonio.dumps(want)
+
+
+# on vinberg(1/2, 2/3), basis (s, v1, v2)
+VIN_F = {(1, 1, 0): "1", (0, 0, 2): "1/3"}
+VIN_G = {(0, 1, 1): "1", (1, 0, 0): "-2"}
+# [a, c] = b/2, [a, d] = b, [c, d] = c: Jacobi fails on (a, c, d) by b/2
+JACOBI_HALF = {"dim": 4, "basis": ["a", "b", "c", "d"],
+               "brackets": [{"i": 0, "j": 2, "coeffs": {"1": "1/2"}},
+                            {"i": 0, "j": 3, "coeffs": {"1": "1"}},
+                            {"i": 2, "j": 3, "coeffs": {"2": "1"}}]}
+
+
+def fraction_reports(tmp_path) -> dict:
+    """Every pinned fractional-table case's exit code and output without timings."""
+    vin, vin1, bad = (str(tmp_path / f) for f in ("vinberg.json", "vinberg1.json", "half.json"))
+    f, g = (_poly_file(str(tmp_path / f"{name}.json"), terms, nvars=3)
+            for name, terms in (("f", VIN_F), ("g", VIN_G)))
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["algebra", "build", "vinberg", "1/2", "2/3"])
+    with open(vin, "w", encoding="utf-8") as fh:
+        fh.write(out.getvalue())
+    assert main(["algebra", "build", "vinberg", "1/2", "--out", vin1]) == 0
+    jsonio.write_json(bad, JACOBI_HALF)
+    return {"algebra build vinberg-1/2-2/3": {"exit": code, "text": out.getvalue()},
+            "poisson bracket vinberg-1/2-2/3": _run(["poisson", "bracket", vin, f, g]),
+            "pencil analyze vinberg-1/2-2/3": _run(
+                ["pencil", "analyze", vin, "--xi", "1,1,1", "--eta", "2,-1,1"]),
+            "reg codim2 vinberg-1/2": _run(["reg", "codim2", vin1]),
+            "algebra validate jacobi-half": _run(["algebra", "validate", bad]),
+            "pipeline run jacobi-half": _run(["pipeline", "run", bad])}
+
+
+@pytest.fixture(scope="module")
+def fraction_cases(tmp_path_factory):
+    return fraction_reports(tmp_path_factory.mktemp("fractions"))
+
+
+def test_fraction_cases_fail_where_they_should(fraction_cases):
+    assert {k: v["exit"] for k, v in fraction_cases.items()} == {
+        "algebra build vinberg-1/2-2/3": 0, "poisson bracket vinberg-1/2-2/3": 0,
+        "pencil analyze vinberg-1/2-2/3": 0, "reg codim2 vinberg-1/2": 1,
+        "algebra validate jacobi-half": 1, "pipeline run jacobi-half": 1}
+    assert fraction_cases["reg codim2 vinberg-1/2"]["report"]["verdicts"]["codim2"][
+        "witness"] == "x_v1^2"
+    detail = "Jacobi fails on (a, c, d): coefficient of b is 1/2"
+    assert fraction_cases["algebra validate jacobi-half"]["report"]["witnesses"] == {
+        "validate": detail}
+    assert fraction_cases["pipeline run jacobi-half"]["report"]["witnesses"] == {
+        "validate": detail}
+
+
+@pytest.mark.parametrize("case", ["algebra build vinberg-1/2-2/3",
+                                  "poisson bracket vinberg-1/2-2/3",
+                                  "pencil analyze vinberg-1/2-2/3", "reg codim2 vinberg-1/2",
+                                  "algebra validate jacobi-half", "pipeline run jacobi-half"])
+def test_fractional_table_report_matches_the_pinned_bytes(fraction_cases, case):
+    with open(FRACTION_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    assert jsonio.dumps(fraction_cases[case]) == jsonio.dumps(want)

@@ -301,7 +301,7 @@ def cmd_reg_point(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
                                    "generic_rank": m,
                                    "point": jsonio.vector_to_json(xi)}
     if args.casimirs:
-        cs = _load_casimirs(args, args.casimirs, inputs, L)
+        cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True)
         kv = kostant_criterion(L, cs, prof, xi)
         report["verdicts"]["kostant"] = kv.as_dict()
     if not regular:
@@ -477,8 +477,13 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
             if family not in ("gl", "sl"):
                 raise ValueError(
                     "--classical needs a gl or sl algebra built by this tool")
+            n = int(n)
+            if L.dim != (dim := n * n - (family == "sl")):
+                # checked first: the generators of a large n cost seconds
+                raise ValueError(f"meta names {family}({n}) of dimension {dim}, "
+                                 f"but the table has dimension {L.dim}")
             # verified on the loaded table, at the default sample bound
-            cs = CasimirSet.verified(L, classical_casimir_polys(family, int(n)), seed=seed)
+            cs = CasimirSet.verified(L, classical_casimir_polys(family, n), seed=seed)
             inputs["casimirs"] = {"derived": f"classical {family}({n})"}
         elif raw_cas is not None:
             parsed = jsonio.casimirs_from_json(raw_cas)

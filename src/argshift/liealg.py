@@ -1,16 +1,18 @@
 """Lie algebra tables over Q and constructors for the worked families.
 
-Structure constants are stored sparsely, keyed by (i, j) with i < j;
-the other half is derived by antisymmetry, so antisymmetry holds by
-construction once a raw table has been normalized.  Validation checks
-raw tables (diagonal, antisymmetry consistency) and the Jacobi
-identity exactly.
+Structure constants are stored once, sparsely, as integer numerators
+over one denominator, keyed by (i, j) with i < j; the other half is
+derived by antisymmetry, so antisymmetry holds by construction once a
+raw table has been normalized.  Validation checks raw tables (diagonal,
+antisymmetry consistency) and the Jacobi identity exactly, on the
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import MatQ, Scalar, rank, rank_kernel, rat, rat_str, solve_many, vec
@@ -35,11 +37,14 @@ class ValidationReport:
 class LieAlgebraData:
     """Finite-dimensional Lie algebra given by exact structure constants.
 
-    The table is never mutated after construction; _int_table holds its
-    integer form once poisson has built it.
+    num maps each pair (i, j), i < j, with a nonzero bracket to the
+    integer numerators {k: c} of [b_i, b_j] over one positive den in
+    lowest terms; zero coefficients and empty pairs are dropped, so
+    equal tables have equal (num, den).  The constructor clears the
+    rational table once; the table is never mutated after that.
     """
 
-    __slots__ = ("dim", "basis_names", "_table", "meta", "_int_table")
+    __slots__ = ("dim", "basis_names", "num", "den", "meta")
 
     def __init__(self, dim: int, basis_names: Sequence[str],
                  table: dict[tuple[int, int], dict[int, Fraction]],
@@ -50,9 +55,12 @@ class LieAlgebraData:
             raise ValueError("basis names must be unique")
         self.dim = dim
         self.basis_names = tuple(basis_names)
-        self._table = table
+        den = lcm(*(c.denominator for coeffs in table.values() for c in coeffs.values()))
+        self.num = {key: form for key, coeffs in table.items()
+                    if (form := {k: c.numerator * (den // c.denominator)
+                                 for k, c in coeffs.items() if c})}
+        self.den = den
         self.meta = dict(meta or {})
-        self._int_table = None
 
     @classmethod
     def from_table(cls, dim: int, basis_names: Sequence[str],
@@ -73,17 +81,18 @@ class LieAlgebraData:
         return cls(dim, names, {}, {"constructor": "abelian"})
 
     def pairs(self) -> Iterable[tuple[int, int, dict[int, Fraction]]]:
-        """Stored bracket entries (i < j, nonzero coefficient maps)."""
-        for (i, j), coeffs in self._table.items():
-            yield i, j, coeffs
+        """Stored bracket entries (i < j, nonzero Fraction coefficient maps)."""
+        for (i, j), form in self.num.items():
+            yield i, j, {k: Fraction(c, self.den) for k, c in form.items()}
+
+    def _form(self, i: int, j: int) -> dict[int, int]:
+        """den [b_i, b_j] as integer coefficients, for any i and j."""
+        if i <= j:
+            return self.num.get((i, j), {})
+        return {k: -c for k, c in self.num.get((j, i), {}).items()}
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        flipped = self._table.get((j, i), {})
-        return {k: -c for k, c in flipped.items()}
+        return {k: Fraction(c, self.den) for k, c in self._form(i, j).items()}
 
     def bracket_vectors(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Fraction, ...]:
         """[x, y] for elements given in basis coordinates."""
@@ -97,13 +106,13 @@ class LieAlgebraData:
         return tuple(out)
 
     def table_entries(self) -> list[BracketEntry]:
-        return [(i, j, dict(coeffs)) for i, j, coeffs in sorted(self.pairs())]
+        return sorted(self.pairs())
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LieAlgebraData)
                 and self.dim == other.dim
                 and self.basis_names == other.basis_names
-                and self._table == other._table)
+                and self.den == other.den and self.num == other.num)
 
     def __repr__(self) -> str:
         return f"LieAlgebraData(dim={self.dim}, basis={list(self.basis_names)})"
@@ -111,7 +120,6 @@ class LieAlgebraData:
 
 def _normalize_table(dim: int, entries: list[BracketEntry]
                      ) -> tuple[dict[tuple[int, int], dict[int, Fraction]], ValidationReport]:
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, coeffs in entries:
         if not (0 <= i < dim and 0 <= j < dim):
@@ -134,25 +142,25 @@ def _normalize_table(dim: int, entries: list[BracketEntry]
             return {}, ValidationReport(False, "antisymmetry", key,
                                         f"entries for ({key[0]},{key[1]}) and its flip disagree")
         seen[key] = val
-    table = {k: v for k, v in seen.items() if v}
-    return table, ValidationReport(True)
+    return seen, ValidationReport(True)
 
 
-def _jacobi_defect(L: LieAlgebraData, i: int, j: int, k: int) -> dict[int, Fraction]:
-    acc: dict[int, Fraction] = {}
+def _jacobi_defect(L: LieAlgebraData, i: int, j: int, k: int) -> dict[int, int]:
+    """den^2 [b_i, [b_j, b_k]] + cyclic, nonzero coefficients only."""
+    acc: dict[int, int] = {}
 
-    def add_nested(a: int, inner: dict[int, Fraction]) -> None:
+    def add_nested(a: int, inner: dict[int, int]) -> None:
         for m, c in inner.items():
-            for l, d in L.bracket_coeffs(a, m).items():
-                s = acc.get(l, Fraction(0)) + c * d
+            for l, d in L._form(a, m).items():
+                s = acc.get(l, 0) + c * d
                 if s == 0:
                     acc.pop(l, None)
                 else:
                     acc[l] = s
 
-    add_nested(i, L.bracket_coeffs(j, k))
-    add_nested(j, L.bracket_coeffs(k, i))
-    add_nested(k, L.bracket_coeffs(i, j))
+    add_nested(i, L._form(j, k))
+    add_nested(j, L._form(k, i))
+    add_nested(k, L._form(i, j))
     return acc
 
 
@@ -169,7 +177,7 @@ def validate(L: LieAlgebraData) -> ValidationReport:
                     return ValidationReport(
                         False, "jacobi", (i, j, k),
                         f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
-                        f"coefficient of {names[l]} is {rat_str(c)}")
+                        f"coefficient of {names[l]} is {rat_str(Fraction(c, L.den ** 2))}")
     return ValidationReport(True)
 
 
@@ -301,7 +309,7 @@ def make_semidirect(g: LieAlgebraData, rho: Sequence[MatQ],
                     f"({g.basis_names[i]}, {g.basis_names[j]})")
     names = list(g.basis_names) + list(vnames or [f"v{a + 1}" for a in range(dim_v)])
     table: dict[tuple[int, int], dict[int, Fraction]] = {
-        (i, j): dict(coeffs) for i, j, coeffs in g.pairs()}
+        (i, j): coeffs for i, j, coeffs in g.pairs()}
     for i in range(g.dim):
         for a in range(dim_v):
             coeffs = {g.dim + b: rho[i][b, a] for b in range(dim_v) if rho[i][b, a] != 0}
@@ -369,7 +377,7 @@ def make_z2_contraction(g: LieAlgebraData, parity: Sequence[int]) -> LieAlgebraD
                 raise ValueError(
                     f"table is not graded: [{g.basis_names[i]}, {g.basis_names[j]}] "
                     f"hits {g.basis_names[k]} of wrong parity")
-    table = {(i, j): dict(coeffs) for i, j, coeffs in g.pairs()
+    table = {(i, j): coeffs for i, j, coeffs in g.pairs()
              if not (parity[i] == 1 and parity[j] == 1)}
     out = LieAlgebraData(g.dim, g.basis_names, table,
                          {"constructor": "z2_contraction", "parity": list(parity)})

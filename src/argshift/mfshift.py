@@ -20,7 +20,7 @@ from .exactlin import SubspaceQ, Scalar, _primitive, _rank_kernel_int, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
 from .poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
-                      _int_table, _pack, bracket, frozen_bracket)
+                      _pack, bracket, frozen_bracket)
 
 DEFICIT = "DEFICIT"
 EXACT = "EXACT"
@@ -120,7 +120,7 @@ def _shift_chain(family: ShiftFamily) -> Optional[tuple[Action, ...]]:
         chain[m.power] = pos
     width = _action_width(polys)
     packed = _pack(n, polys, width)
-    lie = _coadjoint(n, packed, _int_table(L), width)
+    lie = _coadjoint(n, packed, (L.num, L.den), width)
     frozen = _coadjoint(n, packed, _frozen_pairs(L, family.xi), width)
     zero: Action = ([{}] * n, 1)
     for chain in chains.values():
@@ -253,7 +253,7 @@ def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly],
     n = L.dim
     if actions is None:
         width = _action_width(polys)
-        actions = _coadjoint(n, _pack(n, polys, width), _int_table(L), width)
+        actions = _coadjoint(n, _pack(n, polys, width), (L.num, L.den), width)
     rows = {tuple(_primitive([acc.get(mono, 0) for acc in accs]))
             for accs, _ in actions for mono in set().union(*accs)}
     _, kernel = _rank_kernel_int(sorted(rows), n)

@@ -19,10 +19,10 @@ from .mpoly import MPoly, gradient_rank, gradient_table
 from .sampling import integer_coords, integer_point, rng_stream
 
 
-# C(i, j) for the pairs i < j, as (i, j, (k, c) items) with integer c:
+# C(i, j) for the pairs i < j, as (i, j) -> {k: c} with integer c:
 # c times x_k, or the constant c when k is None; over one positive
-# denominator
-Pairs = tuple[list[tuple[int, int, list[tuple[Optional[int], int]]]], int]
+# denominator.  (L.num, L.den) is the Lie-Poisson table as it stands.
+Pairs = tuple[dict[tuple[int, int], dict[Optional[int], int]], int]
 
 # {x_i, p} for every coordinate i, each as packed monomial -> integer
 # numerator, over one positive denominator: p's MPoly.den times that of
@@ -66,8 +66,8 @@ def _coadjoint(n: int, packed: Sequence[Packed], pairs: Pairs, width: int) -> li
     weights = [1 << (v * width) for v in range(n)]
     forms, tden = pairs
     by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, j, form in forms:
-        for k, c in form:
+    for (i, j), form in forms.items():
+        for k, c in form.items():
             w = 0 if k is None else weights[k]
             by_var[j].append((i, w - weights[j], c))
             by_var[i].append((j, w - weights[i], -c))
@@ -141,7 +141,7 @@ def _frozen_pairs(L: LieAlgebraData, xi: Sequence[Scalar]) -> Pairs:
     """The constants <xi, [b_i, b_j]> that are nonzero, as pair forms,
     read off the Kirillov form at xi."""
     K = kirillov(L, xi)
-    return [(i, j, [(None, K.rows[i][j])]) for i, j, _ in L.pairs() if K.rows[i][j]], K.den
+    return {(i, j): {None: K.rows[i][j]} for i, j in L.num if K.rows[i][j]}, K.den
 
 
 def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
@@ -152,7 +152,7 @@ def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
 def bracket(L: LieAlgebraData, f: MPoly, g: MPoly) -> MPoly:
     """Poisson bracket {f, g} on polynomials in the dual coordinates."""
     _check_dual(L, f, g)
-    return _bracket(L.dim, f, g, _int_table(L))
+    return _bracket(L.dim, f, g, (L.num, L.den))
 
 
 def frozen_bracket(L: LieAlgebraData, xi: Sequence[Scalar], f: MPoly, g: MPoly) -> MPoly:
@@ -171,7 +171,7 @@ def coordinate_bracket(L: LieAlgebraData, i: int, f: MPoly) -> MPoly:
 def coordinate_brackets(L: LieAlgebraData, f: MPoly) -> list[MPoly]:
     """{x_i, f} for every coordinate i, read off the coadjoint kernel."""
     width = _action_width((f,))
-    [(accs, den)] = _coadjoint(L.dim, _pack(L.dim, (f,), width), _int_table(L), width)
+    [(accs, den)] = _coadjoint(L.dim, _pack(L.dim, (f,), width), (L.num, L.den), width)
     return [_unpack(L.dim, acc, den, width) for acc in accs]
 
 
@@ -194,40 +194,26 @@ class KirillovForm:
         return _skew_rank(self.rows, len(self.rows))
 
 
-def _int_table(L: LieAlgebraData) -> Pairs:
-    """The integer structure table of L, the pair forms of the
-    Lie-Poisson bracket, built on first use and kept in L._int_table:
-    the table of an algebra never changes."""
-    if L._int_table is None:
-        pairs = list(L.pairs())
-        den = lcm(*(c.denominator for _, _, coeffs in pairs for c in coeffs.values()))
-        L._int_table = ([(i, j, [(k, c.numerator * (den // c.denominator))
-                                 for k, c in coeffs.items()])
-                         for i, j, coeffs in pairs], den)
-    return L._int_table
-
-
 def _kirillov_rows(L: LieAlgebraData, ipt: Sequence[int]) -> tuple[list[list[int]], int]:
     """Integer rows of den K at an integer point, and den, the
-    denominator of the integer structure table."""
-    pairs, den = _int_table(L)
+    denominator of the structure table."""
     n = L.dim
     rows = [[0] * n for _ in range(n)]
-    for i, j, form in pairs:
+    for (i, j), form in L.num.items():
         if len(form) == 1:
-            [(k, c)] = form
+            [(k, c)] = form.items()
             v = c * ipt[k]
         else:
-            v = sum(c * ipt[k] for k, c in form)
+            v = sum(c * ipt[k] for k, c in form.items())
         rows[i][j] = v
         rows[j][i] = -v
-    return rows, den
+    return rows, L.den
 
 
 def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
     """The skew form K[i][j] = <xi, [b_i, b_j]> at a point of the dual,
-    formed on the cached integer structure table of L with the
-    denominators of xi cleared."""
+    formed on the integer structure table of L with the denominators of
+    xi cleared."""
     pt = vec(xi)
     if len(pt) != L.dim:
         raise ValueError("point length mismatch")

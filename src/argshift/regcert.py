@@ -32,28 +32,16 @@ from .mfshift import EXACT, build_family, degree_profile
 from .mpoly import MPoly, gradient_rank, gradient_table, poly_gcd
 from .poisson import CasimirSet, kirillov
 from .sampling import integer_point, rng_stream
-
-
-class FalsificationError(Exception):
-    """Two independently certified routes disagreed.
-
-    Carries a reproduction bundle: everything needed to replay the
-    contradiction with exact arithmetic.
-    """
-
-    def __init__(self, claim: str, bundle: dict):
-        super().__init__(claim)
-        self.claim = claim
-        self.bundle = bundle
+from .skewpencil import FalsificationError, SkewPencil, verify_com1
 
 
 def generic_kirillov(L: LieAlgebraData) -> list[list[MPoly]]:
     """The skew matrix of structure linear forms over the coordinate ring."""
     n = L.dim
     rows = [[MPoly.zero(n) for _ in range(n)] for _ in range(n)]
-    for i, j, coeffs in L.pairs():
-        lin = MPoly(n, {tuple(1 if m == k else 0 for m in range(n)): c
-                        for k, c in coeffs.items()})
+    for (i, j), form in L.num.items():
+        lin = MPoly._make(n, {tuple(1 if m == k else 0 for m in range(n)): c
+                              for k, c in form.items()}, L.den)
         rows[i][j] = lin
         rows[j][i] = -lin
     return rows
@@ -213,7 +201,6 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
     off the rational eigenvalues of Phi.  The residual degree counts
     directions outside Q.
     """
-    from .skewpencil import SkewPencil, verify_com1
     m = _check_profile(L, profile)
     pxi, peta = vec(xi), vec(eta)
     if not _spans_plane(pxi, peta):
@@ -369,7 +356,7 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
     n = L.dim
     if m == 0:
         # generic rank 0 holds only when every structure constant is 0
-        if any(coeffs for _, _, coeffs in L.pairs()):
+        if L.num:
             raise _wrong_index("a nonzero structure constant exceeds the generic rank",
                                {"dim": n, "ind": profile.ind, "m": 0,
                                 "profile_status": profile.status}, profile)

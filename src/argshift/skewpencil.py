@@ -34,11 +34,23 @@ from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _matvec, _rank_int, _
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import kirillov
-from .regcert import FalsificationError
 
 Ratio = tuple[Fraction, Fraction]
 IntRatio = tuple[int, int]
 IntRows = list[list[int]]
+
+
+class FalsificationError(Exception):
+    """Two independently certified routes disagreed.
+
+    Carries a reproduction bundle: everything needed to replay the
+    contradiction with exact arithmetic.
+    """
+
+    def __init__(self, claim: str, bundle: dict):
+        super().__init__(claim)
+        self.claim = claim
+        self.bundle = bundle
 
 
 class SkewPencil:

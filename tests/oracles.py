@@ -18,7 +18,7 @@ tests can hold the package's route against it.
 - ``fraction_kirillov`` and ``estimate_index_by_bareiss``: Kirillov
   forms built from the Fraction bracket table at Fraction points and
   ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
-  integer forms from a cached integer table.
+  integer forms from the algebra's integer table.
 - ``bareiss_skew_kernel``: the rank and kernel of a skew pencil member
   by general Bareiss elimination, checked even.  ``exactlin._skew_kernel``
   reads the kernel off the Pfaffian elimination instead.
@@ -40,6 +40,10 @@ tests can hold the package's route against it.
   ``fraction_matvec``: matrix arithmetic on lists of Fraction rows, one
   Fraction per entry.  ``MatQ`` runs it on integer rows over one
   denominator instead.
+- ``fraction_jacobi_defect`` and ``fraction_validate``: the Jacobi
+  check on the Fraction bracket table, one Fraction per product.
+  ``liealg.validate`` runs it on the integer table, whose defects are
+  den^2 times these.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from typing import Iterable, Optional, Sequence
 import sympy
 
 from argshift.exactlin import (Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int, _rref,
-                               vec)
-from argshift.liealg import AlgebraProfile, LieAlgebraData
+                               rat_str, vec)
+from argshift.liealg import AlgebraProfile, LieAlgebraData, ValidationReport
 from argshift.mpoly import MPoly, determinant, poly_gcd
 from argshift.regcert import FalsificationError
 from argshift.sampling import integer_point, rng_stream
@@ -160,6 +164,41 @@ def fraction_kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> list[list[Frac
     pt = vec(xi)
     return [[sum((c * pt[k] for k, c in L.bracket_coeffs(i, j).items()), Fraction(0))
              for j in range(L.dim)] for i in range(L.dim)]
+
+
+def fraction_jacobi_defect(L: LieAlgebraData, i: int, j: int, k: int) -> dict[int, Fraction]:
+    """[b_i, [b_j, b_k]] + cyclic, nonzero coefficients only, in Fractions."""
+    acc: dict[int, Fraction] = {}
+
+    def add_nested(a: int, inner: dict[int, Fraction]) -> None:
+        for m, c in inner.items():
+            for l, d in L.bracket_coeffs(a, m).items():
+                s = acc.get(l, Fraction(0)) + c * d
+                if s == 0:
+                    acc.pop(l, None)
+                else:
+                    acc[l] = s
+
+    add_nested(i, L.bracket_coeffs(j, k))
+    add_nested(j, L.bracket_coeffs(k, i))
+    add_nested(k, L.bracket_coeffs(i, j))
+    return acc
+
+
+def fraction_validate(L: LieAlgebraData) -> ValidationReport:
+    """The Jacobi report of liealg.validate, from fraction_jacobi_defect."""
+    names = L.basis_names
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                defect = fraction_jacobi_defect(L, i, j, k)
+                if defect:
+                    l, c = next(iter(defect.items()))
+                    return ValidationReport(
+                        False, "jacobi", (i, j, k),
+                        f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
+                        f"coefficient of {names[l]} is {rat_str(c)}")
+    return ValidationReport(True)
 
 
 def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,

@@ -339,6 +339,7 @@ def test_reg_point_rank_above_the_index(capsys, sl2_file, tmp_path):
     assert code == 3
     assert report["status"] == "falsified"
     assert report["bundle"]["kirillov_rank"] == 2 and report["bundle"]["m"] == 0
+    assert report["algebra"]["dim"] == 3
 
 
 def test_reg_plane_certificate_embeds_gcd(capsys, sl2_file):
@@ -436,13 +437,14 @@ def test_reg_point_falsification_exit(capsys, tmp_path, sl2_file):
     jsonio.write_json(str(bogus), {"nvars": 3,
                                    "generators": [jsonio.poly_to_json(x * x)],
                                    "degrees": [2]})
-    code, report = run(capsys, "reg", "point", sl2_file, "--xi", "0,0,1",
-                       "--casimirs", str(bogus))
-    assert code == 3
-    assert report["status"] == "falsified"
-    assert "disagree" in report["claim"]
-    assert report["bundle"]["jacobian_rank"] == 0
-    assert report["algebra"]["dim"] == 3
+    # x_e^2 is not central: re-verifying the file refuses it before the
+    # dual routes are compared, at a point where they would disagree
+    # and at one where they would agree
+    for xi in ("0,0,1", "1,1,1"):
+        assert main(["reg", "point", sl2_file, "--xi", xi, "--casimirs", str(bogus)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a Casimir" in captured.err
 
 
 def test_pencil_analyze_algebra_mode(capsys, sl2_file):
@@ -580,6 +582,22 @@ def test_classical_pipeline_verifies_on_the_loaded_table(capsys, tmp_path):
     assert report["verdicts"]["validate"]["ok"]
     assert report["failed_stage"] == "casimirs"
     assert report["verdicts"]["casimirs"]["error"].startswith("not a Casimir")
+
+
+@pytest.mark.parametrize("n, dim", [(40, 1599), (2, 3)])
+def test_classical_pipeline_checks_meta_n_against_the_table(capsys, tmp_path, n, dim):
+    # an sl3 file whose meta names another n: the stage must fail on the
+    # dimensions before building sl(n)'s generators
+    data = jsonio.algebra_to_json(make_classical("sl", 3))
+    data["meta"]["n"] = n
+    alg = tmp_path / "sl3_meta.json"
+    jsonio.write_json(str(alg), data)
+    code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
+    assert code == 1
+    assert report["failed_stage"] == "casimirs"
+    assert report["verdicts"]["casimirs"] == {
+        "ok": False,
+        "error": f"meta names sl({n}) of dimension {dim}, but the table has dimension 8"}
 
 
 def test_pipeline_vinberg_fails_at_codim2(capsys, tmp_path):

@@ -6,10 +6,13 @@ so(3) in basis r12, r13, r23: [r12, r13] = -r23.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from argshift import liealg
+from argshift import jsonio, liealg
 from argshift.exactlin import MatQ, rank, solve_many
 from argshift.liealg import (
     AlgebraProfile,
@@ -26,6 +29,10 @@ from argshift.liealg import (
     validate,
     validate_table,
 )
+from argshift.mpoly import MPoly
+from argshift.poisson import bracket, coordinate_bracket, frozen_bracket, kirillov
+from argshift.regcert import generic_kirillov
+from oracles import fraction_kirillov, fraction_validate
 
 SL2_ENTRIES = [(0, 1, {0: -2}), (0, 2, {1: 1}), (1, 2, {2: -2})]
 
@@ -248,3 +255,113 @@ def test_sparse_commutators_match_dense_route(monkeypatch, build):
     monkeypatch.setattr(liealg, "algebra_from_matrices", both)
     L = build()
     assert built == [L]
+
+
+# --- the integer structure table --------------------------------------------
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def rational_tables(draw):
+    """(dim, table) with i < j keys: random constants, which mostly break
+    Jacobi, or a Lie algebra in a randomly rescaled basis b_i -> a_i b_i,
+    whose constants become c a_i a_j / a_k."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(2, 5))
+        keys = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        return dim, {key: draw(st.dictionaries(st.integers(0, dim - 1), RATIONALS,
+                                               max_size=3))
+                     for key in draw(st.lists(st.sampled_from(keys), unique=True))}
+    base = draw(st.sampled_from([make_classical("sl", 2), make_classical("so", 3),
+                                 make_classical("gl", 2), make_vinberg([1, 2, -3]),
+                                 make_centralizer_sl(4, [2, 2])]))
+    a = draw(st.lists(RATIONALS.filter(bool), min_size=base.dim, max_size=base.dim))
+    return base.dim, {(i, j): {k: c * a[i] * a[j] / a[k] for k, c in coeffs.items()}
+                      for i, j, coeffs in base.pairs()}
+
+
+def _algebra(dim, table):
+    return LieAlgebraData(dim, [f"b{i}" for i in range(dim)], table)
+
+
+def _clean(table):
+    return {key: {k: c for k, c in coeffs.items() if c}
+            for key, coeffs in table.items() if any(coeffs.values())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_tables())
+def test_integer_jacobi_check_matches_the_fraction_route(case):
+    L = _algebra(*case)
+    assert validate(L).as_dict() == fraction_validate(L).as_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_tables())
+def test_rational_views_return_the_input_constants(case):
+    dim, table = case
+    L = _algebra(dim, table)
+    want = _clean(table)
+    assert {(i, j): coeffs for i, j, coeffs in L.pairs()} == want
+    for i in range(dim):
+        assert L.bracket_coeffs(i, i) == {}
+        for j in range(i + 1, dim):
+            assert L.bracket_coeffs(i, j) == want.get((i, j), {})
+            assert L.bracket_coeffs(j, i) == {k: -c for k, c in want.get((i, j), {}).items()}
+    # one denominator in lowest terms: the lcm of the constants' own
+    dens = [c.denominator for coeffs in want.values() for c in coeffs.values()]
+    assert all(L.den % d == 0 for d in dens)
+    assert gcd(L.den, *(c for form in L.num.values() for c in form.values())) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_tables(), st.randoms(use_true_random=False))
+def test_equal_tables_share_one_representation(case, rnd):
+    dim, table = case
+    L = _algebra(dim, table)
+    # the same constants in another key order, with explicit zeros and
+    # an empty pair that is absent from the first table
+    items = list(table.items())
+    rnd.shuffle(items)
+    other = {}
+    for key, coeffs in items:
+        form = dict(reversed(list(coeffs.items())))
+        form.setdefault(rnd.randrange(dim), Fraction(0))
+        other[key] = form
+    missing = [(i, j) for i in range(dim) for j in range(i + 1, dim) if (i, j) not in table]
+    if missing:
+        other[rnd.choice(missing)] = {}
+    M = _algebra(dim, other)
+    assert (M.num, M.den) == (L.num, L.den)
+    assert M == L
+    # halving every constant gives another table
+    if L.num:
+        assert _algebra(dim, {key: {k: c / 2 for k, c in coeffs.items()}
+                              for key, coeffs in table.items()}) != L
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_tables())
+def test_json_round_trip_keeps_the_table(case):
+    L = _algebra(*case)
+    assert jsonio.algebra_from_json(jsonio.algebra_to_json(L)) == L
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_tables(), st.lists(RATIONALS, min_size=7, max_size=7))
+def test_bracket_routes_read_the_table_at_its_denominator(case, point):
+    dim, table = case
+    L = _algebra(dim, table)
+    xi = point[:dim]
+    K = fraction_kirillov(L, xi)
+    assert kirillov(L, xi).matrix.to_lists() == K
+    G = generic_kirillov(L)
+    x = [MPoly.variable(dim, i) for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            form = MPoly.linear_form([L.bracket_coeffs(i, j).get(k, 0) for k in range(dim)])
+            assert G[i][j] == form
+            assert bracket(L, x[i], x[j]) == form
+            assert coordinate_bracket(L, i, x[j]) == form
+            assert frozen_bracket(L, xi, x[i], x[j]) == MPoly.const(dim, K[i][j])

@@ -90,7 +90,7 @@ def _load_algebra(args: argparse.Namespace, path: str,
         L = jsonio.algebra_from_json(raw)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    args._algebra_json = jsonio.algebra_to_json(L)
+    args._algebra = L
     return L
 
 
@@ -450,7 +450,7 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
 
     def s_validate() -> tuple[bool, dict, Any]:
         L = jsonio.algebra_from_json(raw_alg)
-        args._algebra_json = jsonio.algebra_to_json(L)
+        args._algebra = L
         ctx["L"] = L
         rep = validate(L)
         return rep.ok, rep.as_dict(), (None if rep.ok else rep.detail)
@@ -477,7 +477,7 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
             if family not in ("gl", "sl"):
                 raise ValueError(
                     "--classical needs a gl or sl algebra built by this tool")
-            n = int(n)
+            n = jsonio._int(n, "meta n")
             if L.dim != (dim := n * n - (family == "sl")):
                 # checked first: the generators of a large n cost seconds
                 raise ValueError(f"meta names {family}({n}) of dimension {dim}, "
@@ -698,10 +698,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handler(args)
     except FalsificationError as exc:
+        algebra = getattr(args, "_algebra", None)
         report = {"schema": SCHEMA, "command": name, "status": "falsified",
                   "claim": exc.claim, "bundle": exc.bundle,
                   "seed": args.seed, "stage": getattr(args, "_stage", None),
-                  "algebra": getattr(args, "_algebra_json", None)}
+                  "algebra": algebra and jsonio.algebra_to_json(algebra)}
         _write_out(report, args.out)
         return EXIT_FALSIFIED
     except (UsageError, OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:

@@ -584,10 +584,14 @@ def test_classical_pipeline_verifies_on_the_loaded_table(capsys, tmp_path):
     assert report["verdicts"]["casimirs"]["error"].startswith("not a Casimir")
 
 
-@pytest.mark.parametrize("n, dim", [(40, 1599), (2, 3)])
-def test_classical_pipeline_checks_meta_n_against_the_table(capsys, tmp_path, n, dim):
-    # an sl3 file whose meta names another n: the stage must fail on the
-    # dimensions before building sl(n)'s generators
+@pytest.mark.parametrize("n, error", [
+    (40, "meta names sl(40) of dimension 1599, but the table has dimension 8"),
+    (2, "meta names sl(2) of dimension 3, but the table has dimension 8"),
+    (None, "meta n must be an integer, not None"),
+    (2.5, "meta n must be an integer, not 2.5")])
+def test_classical_pipeline_checks_meta_n_against_the_table(capsys, tmp_path, n, error):
+    # an sl3 file whose meta names another n: the stage must fail on n
+    # before building sl(n)'s generators
     data = jsonio.algebra_to_json(make_classical("sl", 3))
     data["meta"]["n"] = n
     alg = tmp_path / "sl3_meta.json"
@@ -595,9 +599,7 @@ def test_classical_pipeline_checks_meta_n_against_the_table(capsys, tmp_path, n,
     code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
     assert code == 1
     assert report["failed_stage"] == "casimirs"
-    assert report["verdicts"]["casimirs"] == {
-        "ok": False,
-        "error": f"meta names sl({n}) of dimension {dim}, but the table has dimension 8"}
+    assert report["verdicts"]["casimirs"] == {"ok": False, "error": error}
 
 
 def test_pipeline_vinberg_fails_at_codim2(capsys, tmp_path):

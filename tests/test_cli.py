@@ -707,6 +707,29 @@ def test_malformed_containers_are_reported_not_raised(capsys, tmp_path, sl2_file
         assert report["failed_stage"] == stage
 
 
+def test_algebra_validate_names_the_first_fault(capsys, tmp_path):
+    # coefficients are read before indices are checked; then entries in order
+    cases = [({"dim": 2, "brackets": [{"i": 0, "j": 5, "coeffs": {"0": "1"}},
+                                      {"i": 0, "j": 1, "coeffs": {"0": "1/0"}}]},
+              "table", "cannot interpret '1/0' as a rational"),
+             ({"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": {"0": "1/2"}},
+                                      {"i": 0, "j": 4, "coeffs": {"0": "1"}}]},
+              "diagonal", "[b1, b1] must vanish"),
+             ({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1/2"}},
+                                      {"i": 1, "j": 0, "coeffs": {"0": "1/2"}},
+                                      {"i": 0, "j": 1, "coeffs": {"9": "1"}}]},
+              "antisymmetry", "entries for (0,1) and its flip disagree"),
+             ({"dim": 2, "basis": ["a", "a"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "2/4"}}]},
+              "table", "basis names must be unique")]
+    for k, (data, kind, detail) in enumerate(cases):
+        path = tmp_path / f"alg{k}.json"
+        path.write_text(json.dumps(data))
+        code, report = run(capsys, "algebra", "validate", str(path))
+        assert code == 1
+        assert report["verdicts"]["validate"]["kind"] == kind
+        assert report["verdicts"]["validate"]["detail"] == detail
+
+
 def test_dim_zero_algebra_exits_instead_of_hanging(tmp_path):
     # a point of Q^0 is never nonzero: sampling one used to loop forever
     path = tmp_path / "dim0.json"

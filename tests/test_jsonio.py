@@ -189,3 +189,38 @@ def test_dumps_canonical():
     a = dumps({"b": 1, "a": [Fraction is None]})
     assert a.endswith("\n")
     assert dumps({"x": 1, "y": 2}) == dumps({"y": 2, "x": 1})
+
+
+@pytest.mark.parametrize("parse, data, message", [
+    # every coefficient is read before any index is checked against dim
+    (algebra_from_json, {"dim": 2, "brackets": [{"i": 0, "j": 5, "coeffs": {"0": "1"}},
+                                                {"i": 0, "j": 1, "coeffs": {"0": "1/0"}}]},
+     "cannot interpret '1/0' as a rational"),
+    (algebra_from_json, {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"7": "1"}},
+                                                {"i": 0, "j": 1, "coeffs": {"0": "x"}}]},
+     "Invalid literal for Fraction: 'x'"),
+    (algebra_from_json, {"dim": 2, "brackets": [{"i": 0, "j": 0, "coeffs": {"1": "1"}},
+                                                {"i": 0, "j": 1, "coeffs": {"0": None}}]},
+     "cannot interpret None as a rational"),
+    (algebra_from_json, {"dim": 2, "meta": 3,
+                         "brackets": [{"i": 0, "j": 3, "coeffs": {"0": "1"}}]},
+     "algebra meta must be an object"),
+    (algebra_from_json, {"dim": 2, "basis": ["a"],
+                         "brackets": [{"i": 0, "j": 3, "coeffs": {"0": "1"}}]},
+     "bracket index (0,3) out of range"),
+    # within a term the exponents come first; across terms, the earlier term
+    (poly_from_json, {"nvars": 1, "terms": [{"coeff": "1/0", "exps": [-1]}]},
+     "bad exponent tuple (-1,) for nvars=1"),
+    (poly_from_json, {"nvars": 1, "terms": [{"coeff": "x", "exps": [1.5]}]},
+     "exponent must be an integer, not 1.5"),
+    (poly_from_json, {"nvars": 2, "terms": [{"coeff": "1/0", "exps": [1, 0]},
+                                            {"coeff": "1", "exps": [1]}]},
+     "cannot interpret '1/0' as a rational"),
+    (poly_from_json, {"nvars": 2, "terms": [{"coeff": "1", "exps": [1]},
+                                            {"coeff": "1/0", "exps": [1, 0]}]},
+     "bad exponent tuple (1,) for nvars=2"),
+])
+def test_first_fault_is_reported_first(parse, data, message):
+    with pytest.raises(ValueError) as err:
+        parse(data)
+    assert str(err.value) == message

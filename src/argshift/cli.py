@@ -146,8 +146,8 @@ def cmd_algebra_validate(args: argparse.Namespace, report: dict, inputs: dict) -
     raw, entry = _read_input(args.algebra)
     inputs["algebra"] = entry
     try:
-        dim, basis, entries = jsonio.algebra_table_from_json(raw)
-        result = validate_table(dim, entries, basis)
+        dim, basis, entries, den = jsonio.algebra_table_from_json(raw)
+        result = validate_table(dim, entries, basis, den)
         verdict = result.as_dict()
         ok = result.ok
         if not ok:

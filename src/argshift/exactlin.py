@@ -19,6 +19,8 @@ _rank_kernel_int, _solve), which skip the Fraction round trip.
 
 from __future__ import annotations
 
+import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -32,15 +34,42 @@ VecQ = tuple[Fraction, ...]
 Scalar = Union[int, str, Fraction]
 
 
+# the most digits an int may have and still be printed
+_DIGITS = sys.get_int_max_str_digits() or 4300
+_BOUND = 10 ** _DIGITS
+_CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?").fullmatch
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z").search
+
+
 def rat(value: Scalar) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(*_rat_pair(value))
+
+
+def _rat_pair(value: Scalar) -> tuple[int, int]:
+    """value as (p, q) in lowest terms, q > 0: strings "p" and "p/q" by
+    int, others by Fraction, stripped and with the unicode minus sign as
+    "-".  A numerator or denominator past _DIGITS digits is refused, and
+    is not built when the string has more digits or an exponent past
+    4 _DIGITS (10^e, or at least 2^-e): 1e100000000 takes minutes."""
     if isinstance(value, str):
-        # tolerate the unicode minus sign in hand-written input
-        return Fraction(value.strip().replace("−", "-"))
+        n, _, d = value.partition("/")
+        if _CANONICAL(value) and max(len(n), len(d)) <= _DIGITS and (q := int(d or 1)):
+            g = gcd(p := int(n), q)
+            return p // g, q // g
+        text = value.strip().replace("−", "-")
+        exp = _EXPONENT(text)
+        if sum(map(str.isdigit, text)) <= _DIGITS and not (exp and abs(int(exp[1])) > 4 * _DIGITS):
+            x = Fraction(text)
+            if max(abs(x.numerator), x.denominator) < _BOUND:
+                return x.numerator, x.denominator
+        shown = value if len(value) <= 40 else value[:30] + "..."
+        raise ValueError(f"cannot interpret {shown!r} as a rational: it would need "
+                         f"more than {_DIGITS} digits")
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int):
+        return int(value), 1
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

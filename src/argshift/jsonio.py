@@ -3,7 +3,9 @@
 Rationals travel as strings "p" or "p/q" (a unicode minus sign is
 tolerated on input), vectors and matrices as nested arrays of such
 strings, polynomials as {"nvars", "terms"} with explicit exponent
-lists.  Emitters order terms and keys canonically so equal values
+lists.  Readers and writers go between these strings and the integer
+numerators over one denominator of the exact types, with no Fraction
+between.  Emitters order terms and keys canonically so equal values
 always serialize to identical bytes.
 """
 
@@ -11,9 +13,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
+from math import gcd, lcm
 from typing import Any, Sequence
 
-from .exactlin import MatQ, SubspaceQ, rat, rat_str
+from .exactlin import MatQ, SubspaceQ, _rat_pair, rat, rat_str
 from .liealg import BracketEntry, LieAlgebraData
 from .mfshift import ShiftFamily, ShiftMember
 from .mpoly import MPoly, grlex_key
@@ -46,57 +50,78 @@ def _count(data: Any, key: str, what: str) -> int:
     return value
 
 
-def _rat(value: Any) -> Fraction:
+def _ratio(value: Any) -> tuple[int, int]:
+    """value as (p, q) in lowest terms, q > 0."""
     try:
-        return rat(value)
+        return _rat_pair(value)
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """The rational p/q, q > 0, as "p" or "p/q" in lowest terms."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
     return [rat_str(rat(x)) for x in v]
 
 
-def vector_from_json(data: Sequence[Any]) -> tuple[Fraction, ...]:
+def _ratios(data: Sequence[Any]) -> list[tuple[int, int]]:
     if not isinstance(data, (list, tuple)):
         raise ValueError("vector must be an array of rational strings")
-    return tuple(_rat(x) for x in data)
+    return [_ratio(x) for x in data]
+
+
+def vector_from_json(data: Sequence[Any]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(p, q) for p, q in _ratios(data))
 
 
 def matrix_to_json(M: MatQ) -> list[list[str]]:
-    return [vector_to_json(row) for row in M.to_lists()]
+    return [[_ratio_str(x, M.den) for x in row] for row in M.num]
 
 
 def matrix_from_json(data: Sequence[Sequence[Any]]) -> MatQ:
     if not isinstance(data, (list, tuple)) or not data:
         raise ValueError("matrix must be a nonempty array of rows")
-    return MatQ([vector_from_json(row) for row in data])
+    rows = [_ratios(row) for row in data]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    den = lcm(*(q for row in rows for _, q in row))
+    return MatQ._make(tuple(tuple(p * (den // q) for p, q in row) for row in rows),
+                      len(rows[0]), den)
 
 
 def poly_to_json(p: MPoly) -> dict:
-    terms = sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+    terms = sorted(p.num.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
     return {"nvars": p.nvars,
-            "terms": [{"coeff": rat_str(c), "exps": list(e)} for e, c in terms]}
+            "terms": [{"coeff": _ratio_str(c, p.den), "exps": list(e)} for e, c in terms]}
 
 
 def poly_from_json(data: dict) -> MPoly:
     nvars = _count(data, "nvars", "polynomial")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    rows = []
     for item in _array(_field(data, "terms", "polynomial"), "polynomial terms"):
-        exps = tuple(_int(e, "exponent")
-                     for e in _array(_field(item, "exps", "term"), "exponents"))
-        if len(exps) != nvars or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-        terms[exps] = terms.get(exps, Fraction(0)) + _rat(_field(item, "coeff", "term"))
-    return MPoly(nvars, terms)
+        exps = _field(item, "exps", "term")
+        # the usual file: a list of nvars nonnegative JSON ints
+        if not (type(exps) is list and len(exps) == nvars
+                and all(type(e) is int and e >= 0 for e in exps)):
+            exps = [_int(e, "exponent") for e in _array(exps, "exponents")]
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {tuple(exps)} for nvars={nvars}")
+        rows.append((tuple(exps), _ratio(_field(item, "coeff", "term"))))
+    den = lcm(*(q for _, (_, q) in rows))
+    num: dict[tuple[int, ...], int] = {}
+    for e, (p, q) in rows:
+        num[e] = num.get(e, 0) + p * (den // q)
+    return MPoly._make(nvars, {e: c for e, c in num.items() if c}, den)
 
 
 def algebra_to_json(L: LieAlgebraData) -> dict:
-    brackets = []
-    for i, j, coeffs in L.table_entries():
-        brackets.append({"i": i, "j": j,
-                         "coeffs": {str(k): rat_str(c)
-                                    for k, c in sorted(coeffs.items())}})
+    brackets = [{"i": i, "j": j,
+                 "coeffs": {str(k): _ratio_str(c, L.den) for k, c in sorted(form.items())}}
+                for (i, j), form in sorted(L.num.items())]
     out: dict[str, Any] = {"dim": L.dim, "basis": list(L.basis_names),
                            "brackets": brackets}
     if L.meta:
@@ -104,8 +129,9 @@ def algebra_to_json(L: LieAlgebraData) -> dict:
     return out
 
 
-def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry]]:
-    """Dimension, basis names and raw bracket entries, not yet validated."""
+def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry], int]:
+    """Dimension, basis names, raw bracket entries of integer numerators
+    and their common denominator, not yet validated."""
     dim = _count(data, "dim", "algebra")
     basis = [str(b) for b in _array(data.get("basis", [f"e{i + 1}" for i in range(dim)]),
                                     "basis")]
@@ -113,19 +139,21 @@ def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntr
     for item in _array(data.get("brackets", []), "brackets"):
         if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
             raise ValueError("bracket must be an object with i, j and a coeffs object")
-        coeffs = {_int(k, "bracket coefficient index"): _rat(v)
+        coeffs = {_int(k, "bracket coefficient index"): _ratio(v)
                   for k, v in item["coeffs"].items()}
         entries.append((_int(_field(item, "i", "bracket"), "i"),
                         _int(_field(item, "j", "bracket"), "j"), coeffs))
-    return dim, basis, entries
+    den = lcm(*(q for _, _, coeffs in entries for _, q in coeffs.values()))
+    return dim, basis, [(i, j, {k: p * (den // q) for k, (p, q) in coeffs.items()})
+                        for i, j, coeffs in entries], den
 
 
 def algebra_from_json(data: Any) -> LieAlgebraData:
-    dim, basis, entries = algebra_table_from_json(data)
+    dim, basis, entries, den = algebra_table_from_json(data)
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("algebra meta must be an object")
-    return LieAlgebraData.from_table(dim, basis, entries, meta=meta)
+    return LieAlgebraData.from_table(dim, basis, entries, meta, den)
 
 
 def casimirs_to_json(cs: CasimirSet) -> dict:
@@ -159,8 +187,9 @@ def casimirs_from_json(data: Any) -> CasimirSet:
 
 
 def subspace_to_json(S: SubspaceQ) -> dict:
+    # each canonical row over its positive pivot entry is the RREF row
     return {"ambient": S.ambient_dim,
-            "basis": [vector_to_json(row) for row in S.basis]}
+            "basis": [[_ratio_str(x, row[c]) for x in row] for c, row in sorted(S.rows.items())]}
 
 
 def subspace_from_json(data: dict) -> SubspaceQ:
@@ -189,8 +218,35 @@ def family_from_json(data: dict, algebra: LieAlgebraData) -> ShiftFamily:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, trailing newline.
+
+    json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) plus a
+    newline, in one pass: json skips its C encoder when indent is set.
+    """
+    return _text(obj, "\n") + "\n"
+
+
+def _text(obj: Any, newline: str) -> str:
+    """obj as JSON, its inner lines indented two spaces past newline;
+    str and int values, most of a report, are written inline."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring(k if isinstance(k, str) else _key(k)) + ": "
+                 + (encode_basestring(v) if type(v) is str
+                    else str(v) if type(v) is int else _text(v, inner))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [encode_basestring(v) if type(v) is str
+                 else str(v) if type(v) is int else _text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return json.dumps(obj, ensure_ascii=False)   # a scalar, or a TypeError naming its type
+
+
+def _key(key: Any) -> str:
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def read_json(path: str) -> Any:

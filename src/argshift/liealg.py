@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank, rank_kernel, rat, rat_str, solve_many, vec
+from .exactlin import MatQ, Scalar, rank, rank_kernel, rat_str, solve_many, vec
 from .sampling import integer_point, rng_stream
 
-BracketEntry = tuple[int, int, dict[int, Scalar]]
+# (i, j, {k: c}): [b_i, b_j] = sum of c b_k, each c an int or a Fraction
+BracketEntry = tuple[int, int, dict[int, Fraction]]
 
 
 @dataclass
@@ -41,39 +42,44 @@ class LieAlgebraData:
     integer numerators {k: c} of [b_i, b_j] over one positive den in
     lowest terms; zero coefficients and empty pairs are dropped, so
     equal tables have equal (num, den).  The constructor clears the
-    rational table once; the table is never mutated after that.
+    table of rationals (int or Fraction), divided by den, once; the
+    table is never mutated after that.
     """
 
     __slots__ = ("dim", "basis_names", "num", "den", "meta")
 
     def __init__(self, dim: int, basis_names: Sequence[str],
                  table: dict[tuple[int, int], dict[int, Fraction]],
-                 meta: Optional[dict] = None):
+                 meta: Optional[dict] = None, den: int = 1):
         if len(basis_names) != dim:
             raise ValueError("basis name count does not match dimension")
         if len(set(basis_names)) != dim:
             raise ValueError("basis names must be unique")
         self.dim = dim
         self.basis_names = tuple(basis_names)
-        den = lcm(*(c.denominator for coeffs in table.values() for c in coeffs.values()))
-        self.num = {key: form for key, coeffs in table.items()
-                    if (form := {k: c.numerator * (den // c.denominator)
-                                 for k, c in coeffs.items() if c})}
-        self.den = den
+        d = lcm(*(c.denominator for coeffs in table.values() for c in coeffs.values()))
+        num = {key: form for key, coeffs in table.items()
+               if (form := {k: c.numerator * (d // c.denominator)
+                            for k, c in coeffs.items() if c})}
+        # over the lcm d the numerators are in lowest terms; den may not be
+        if den > 1 and (g := gcd(den, *(c for form in num.values() for c in form.values()))) > 1:
+            num = {key: {k: c // g for k, c in form.items()} for key, form in num.items()}
+            den //= g
+        self.num, self.den = num, d * den
         self.meta = dict(meta or {})
 
     @classmethod
     def from_table(cls, dim: int, basis_names: Sequence[str],
                    entries: Iterable[BracketEntry],
-                   meta: Optional[dict] = None) -> "LieAlgebraData":
-        """Normalize a raw bracket table; raises on inconsistent input.
+                   meta: Optional[dict] = None, den: int = 1) -> "LieAlgebraData":
+        """Normalize a raw bracket table over den; raises on bad input.
 
         Jacobi is NOT checked here; run validate() for the full report.
         """
         table, report = _normalize_table(dim, list(entries))
         if not report.ok:
             raise ValueError(f"invalid bracket table: {report.detail}")
-        return cls(dim, basis_names, table, meta)
+        return cls(dim, basis_names, table, meta, den)
 
     @classmethod
     def abelian(cls, dim: int, basis_names: Optional[Sequence[str]] = None) -> "LieAlgebraData":
@@ -105,9 +111,6 @@ class LieAlgebraData:
                     out[k] += factor * c
         return tuple(out)
 
-    def table_entries(self) -> list[BracketEntry]:
-        return sorted(self.pairs())
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LieAlgebraData)
                 and self.dim == other.dim
@@ -129,9 +132,8 @@ def _normalize_table(dim: int, entries: list[BracketEntry]
             k = int(k)
             if not 0 <= k < dim:
                 raise ValueError(f"bracket target index {k} out of range")
-            cf = rat(c)
-            if cf != 0:
-                clean[k] = cf
+            if c:
+                clean[k] = c
         if i == j:
             if clean:
                 return {}, ValidationReport(False, "diagonal", (i, i),
@@ -182,13 +184,14 @@ def validate(L: LieAlgebraData) -> ValidationReport:
 
 
 def validate_table(dim: int, entries: Iterable[BracketEntry],
-                   basis_names: Optional[Sequence[str]] = None) -> ValidationReport:
-    """Validate a raw table: diagonal, antisymmetry, then Jacobi."""
+                   basis_names: Optional[Sequence[str]] = None,
+                   den: int = 1) -> ValidationReport:
+    """Validate a raw table over den: diagonal, antisymmetry, Jacobi."""
     names = basis_names or [f"b{i}" for i in range(dim)]
     table, report = _normalize_table(dim, list(entries))
     if not report.ok:
         return report
-    return validate(LieAlgebraData(dim, names, table))
+    return validate(LieAlgebraData(dim, names, table, den=den))
 
 
 # --- matrix realizations ---------------------------------------------------

@@ -44,19 +44,26 @@ tests can hold the package's route against it.
   check on the Fraction bracket table, one Fraction per product.
   ``liealg.validate`` runs it on the integer table, whose defects are
   den^2 times these.
+- ``fraction_poly_from_json``, ``fraction_algebra_table_from_json`` and
+  ``fraction_algebra_from_json``: the JSON readers with one Fraction
+  string parse per coefficient, summed or normalized as Fractions.
+  ``jsonio`` reads each coefficient as an integer pair and hands
+  integer numerators over one denominator to ``MPoly`` and
+  ``LieAlgebraData`` instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import sympy
 
 from argshift.exactlin import (Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int, _rref,
                                rat_str, vec)
-from argshift.liealg import AlgebraProfile, LieAlgebraData, ValidationReport
+from argshift.jsonio import _array, _count, _field, _int
+from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
 from argshift.mpoly import MPoly, determinant, poly_gcd
 from argshift.regcert import FalsificationError
 from argshift.sampling import integer_point, rng_stream
@@ -361,3 +368,56 @@ def fraction_matvec(a: FractionRows, v: Sequence[Fraction]) -> list[Fraction]:
 def fraction_matrix_mul(a: FractionRows, b: FractionRows, cols: int) -> FractionRows:
     """a b, b with cols columns."""
     return [fraction_matvec(fraction_transpose(b, cols), row) for row in a]
+
+
+def _fraction(value: Any) -> Fraction:
+    """One coefficient of a JSON file, by one Fraction string parse."""
+    try:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, str):
+            return Fraction(value.strip().replace("−", "-"))
+        raise TypeError(f"cannot interpret {value!r} as a rational")
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+
+
+def fraction_poly_from_json(data: Any) -> MPoly:
+    """A polynomial file, its coefficients summed as Fractions."""
+    nvars = _count(data, "nvars", "polynomial")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for item in _array(_field(data, "terms", "polynomial"), "polynomial terms"):
+        exps = tuple(_int(e, "exponent")
+                     for e in _array(_field(item, "exps", "term"), "exponents"))
+        if len(exps) != nvars or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
+        terms[exps] = terms.get(exps, Fraction(0)) + _fraction(_field(item, "coeff", "term"))
+    return MPoly(nvars, terms)
+
+
+def fraction_algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry]]:
+    """Dimension, basis names and bracket entries of Fractions, not yet
+    validated."""
+    dim = _count(data, "dim", "algebra")
+    basis = [str(b) for b in _array(data.get("basis", [f"e{i + 1}" for i in range(dim)]),
+                                    "basis")]
+    entries = []
+    for item in _array(data.get("brackets", []), "brackets"):
+        if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):
+            raise ValueError("bracket must be an object with i, j and a coeffs object")
+        coeffs = {_int(k, "bracket coefficient index"): _fraction(v)
+                  for k, v in item["coeffs"].items()}
+        entries.append((_int(_field(item, "i", "bracket"), "i"),
+                        _int(_field(item, "j", "bracket"), "j"), coeffs))
+    return dim, basis, entries
+
+
+def fraction_algebra_from_json(data: Any) -> LieAlgebraData:
+    """An algebra file, its table normalized as Fractions."""
+    dim, basis, entries = fraction_algebra_table_from_json(data)
+    meta = data.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError("algebra meta must be an object")
+    return LieAlgebraData.from_table(dim, basis, entries, meta=meta)

@@ -752,6 +752,26 @@ def test_dim_zero_algebra_exits_instead_of_hanging(tmp_path):
 
 
 
+def test_huge_exponent_is_refused_instead_of_hanging(tmp_path):
+    # 11 bytes whose numerator has 10^8 digits: building it took minutes,
+    # and no report could have printed it
+    huge = "1e100000000"
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": huge}}]}))
+    sl2 = tmp_path / "sl2.json"
+    assert main(["algebra", "build", "sl", "2", "--out", str(sl2)]) == 0
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(argshift.__file__)))
+    for argv in (["poisson", "index", str(alg)],
+                 ["pipeline", "run", str(sl2), f"--xi={huge},0,0"],
+                 ["algebra", "build", "vinberg", "1", huge]):
+        proc = subprocess.run([sys.executable, "-m", "argshift.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert f"'{huge}' as a rational: it would need more than 4300 digits" in proc.stderr
+
+
 def test_plane_with_a_large_constant_term_does_not_hang(tmp_path):
     # the singular direction's polynomial has constant term about 10^18:
     # a rational root search by trial division never finished here

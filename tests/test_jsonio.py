@@ -1,8 +1,11 @@
 """Round-trip and format tests for the JSON encodings."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argshift.exactlin import MatQ, SubspaceQ
 from argshift.jsonio import (algebra_from_json, algebra_to_json,
@@ -12,10 +15,13 @@ from argshift.jsonio import (algebra_from_json, algebra_to_json,
                              poly_to_json, subspace_from_json,
                              subspace_to_json, vector_from_json,
                              vector_to_json)
-from argshift.liealg import make_classical, make_vinberg
+from argshift.jsonio import algebra_table_from_json
+from argshift.liealg import make_classical, make_vinberg, validate_table
 from argshift.mfshift import build_family
 from argshift.mpoly import MPoly
 from argshift.poisson import classical_casimirs
+from oracles import (fraction_algebra_from_json, fraction_algebra_table_from_json,
+                     fraction_poly_from_json)
 
 SL2 = make_classical("sl", 2)
 X = [MPoly.variable(3, i) for i in range(3)]
@@ -224,3 +230,126 @@ def test_first_fault_is_reported_first(parse, data, message):
     with pytest.raises(ValueError) as err:
         parse(data)
     assert str(err.value) == message
+
+
+# strings that take the reader's fast path, strings that Fraction reads
+# or refuses after it, and values that are no rational string at all
+ODD_COEFFS = ["2/4", "+3", " 5 ", "−1", "1.5", "1e2", "3/0", "3 / 4", "٣", "-0", "x"]
+coeff = (st.sampled_from(ODD_COEFFS)
+         | st.fractions(max_denominator=12).map(lambda q: f"{q.numerator}/{q.denominator}")
+         | st.integers(-30, 30).map(str)
+         | st.integers(-5, 5)
+         | st.sampled_from([None, 1.5, True]))
+exponent = st.integers(0, 3) | st.sampled_from([-1, "2", 1.5, False])
+
+
+def same_outcome(old, new, data):
+    """Both readers give equal values, or ValueErrors with one message."""
+    try:
+        want = old(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            new(data)
+        assert str(err.value) == str(exc)
+        return None
+    got = new(data)
+    assert got == want
+    return got
+
+
+@st.composite
+def poly_files(draw):
+    nvars = draw(st.integers(0, 3))
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        e = draw(exps if draw(st.integers(0, 9)) else st.lists(exponent, max_size=4))
+        c = draw(coeff if draw(st.integers(0, 4)) else st.sampled_from(ODD_COEFFS))
+        terms.append({"coeff": c, "exps": e})
+        if draw(st.booleans()) and isinstance(c, str) and c[:1].isdigit():
+            terms.append({"coeff": "-" + c, "exps": e})   # a duplicate that cancels
+    return {"nvars": nvars, "terms": terms}
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_files())
+def test_poly_reader_matches_the_fraction_reader(data):
+    p = same_outcome(fraction_poly_from_json, poly_from_json, data)
+    if p is not None:
+        assert poly_from_json(poly_to_json(p)) == p
+
+
+@st.composite
+def algebra_files(draw):
+    dim = draw(st.integers(0, 3))
+    index = st.integers(-1, dim)
+    brackets = []
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(index), draw(index)
+        coeffs = draw(st.dictionaries(index.map(str), coeff, max_size=3))
+        brackets.append({"i": i, "j": j, "coeffs": coeffs})
+        if draw(st.booleans()):   # the flipped entry, consistent or not
+            flip = {k: "-" + v if isinstance(v, str) and draw(st.booleans()) else v
+                    for k, v in coeffs.items()}
+            brackets.append({"i": j, "j": i, "coeffs": flip})
+    return {"dim": dim, "basis": [f"b{k}" for k in range(dim)], "brackets": brackets}
+
+
+def _validate_old(data):
+    dim, basis, entries = fraction_algebra_table_from_json(data)
+    return validate_table(dim, entries, basis).as_dict()
+
+
+def _validate_new(data):
+    dim, basis, entries, den = algebra_table_from_json(data)
+    return validate_table(dim, entries, basis, den).as_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_files())
+def test_algebra_reader_matches_the_fraction_reader(data):
+    L = same_outcome(fraction_algebra_from_json, algebra_from_json, data)
+    if L is not None:
+        assert algebra_from_json(algebra_to_json(L)) == L
+    same_outcome(_validate_old, _validate_new, data)
+
+
+def test_reader_refuses_rationals_too_long_to_print():
+    # 10^100000000 would take minutes to build and could never be written
+    for text in ("1e100000000", "-1e-100000000", "1" + "0" * 4300, "1e4300", "1/" + "9" * 4301):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            poly_from_json(_poly(1, coeff=text))
+    assert poly_from_json(_poly(1, coeff="9" * 4300 + "/7")).den == 7
+    assert poly_from_json(_poly(1, coeff="1e4299")).num == {(1,): 10 ** 4299}
+
+
+json_text = st.text(st.characters(blacklist_categories=["Cs"]) | st.sampled_from('"\\\n\t\x00\x7fé€𝄞'))
+json_scalar = (st.none() | st.booleans() | st.integers() | st.floats() | json_text)
+json_tree = st.recursive(
+    json_scalar,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(json_text, kids, max_size=4)
+                  | st.dictionaries(st.integers() | st.floats() | st.booleans(), kids, max_size=3)),
+    max_leaves=15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_tree)
+def test_dumps_matches_json_dumps(obj):
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError) as err:
+            dumps(obj)
+        assert str(err.value) == str(exc)
+        return
+    assert dumps(obj) == want
+
+
+def test_dumps_reports_what_json_cannot_encode():
+    for obj in ({"a": Fraction(1, 2)}, [{(1, 2): 3}], {None: 1, "a": 2}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+        with pytest.raises(TypeError) as got:
+            dumps(obj)
+        assert str(got.value) == str(want.value)

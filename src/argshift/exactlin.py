@@ -43,15 +43,23 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z").search
 
 def rat(value: Scalar) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to Fraction."""
-    return value if isinstance(value, Fraction) else Fraction(*_rat_pair(value))
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    return Fraction(*_rat_pair(value))
 
 
 def _rat_pair(value: Scalar) -> tuple[int, int]:
-    """value as (p, q) in lowest terms, q > 0: strings "p" and "p/q" by
-    int, others by Fraction, stripped and with the unicode minus sign as
-    "-".  A numerator or denominator past _DIGITS digits is refused, and
+    """value as (p, q) in lowest terms, q > 0.
+
+    "p" and "p/q" are read by int; other strings by Fraction, stripped
+    and with the unicode minus sign read as "-".  A value whose numerator
+    or denominator would have more than _DIGITS digits is refused, and
     is not built when the string has more digits or an exponent past
-    4 _DIGITS (10^e, or at least 2^-e): 1e100000000 takes minutes."""
+    4 _DIGITS (10^e, or a denominator of at least 2^-e): building
+    1e100000000 would take minutes.
+    """
     if isinstance(value, str):
         n, _, d = value.partition("/")
         if _CANONICAL(value) and max(len(n), len(d)) <= _DIGITS and (q := int(d or 1)):

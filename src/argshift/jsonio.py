@@ -228,7 +228,7 @@ def dumps(obj: Any) -> str:
 
 def _text(obj: Any, newline: str) -> str:
     """obj as JSON, its inner lines indented two spaces past newline;
-    str and int values, most of a report, are written inline."""
+    str and int members, most of a report, are written inline."""
     inner = newline + "  "
     if isinstance(obj, dict):
         items = [encode_basestring(k if isinstance(k, str) else _key(k)) + ": "

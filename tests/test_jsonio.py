@@ -346,6 +346,18 @@ def test_dumps_matches_json_dumps(obj):
     assert dumps(obj) == want
 
 
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    "é\x00\"\\", Name("ü"), {}, [], (), {"a": {}, "b": [], "c": ()}, [True, 1, 0, False, None],
+    {1: "x", True: "y", 2.5: "z", False: []}, [1.5, float("nan"), float("inf"), -0.0, 10 ** 30],
+    {"\u2028": "\x7f", "": [[[]]]}])
+def test_dumps_matches_json_dumps_on_edge_cases(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def test_dumps_reports_what_json_cannot_encode():
     for obj in ({"a": Fraction(1, 2)}, [{(1, 2): 3}], {None: 1, "a": 2}):
         with pytest.raises(TypeError) as want:

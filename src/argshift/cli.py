@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import jsonio
 from .exactlin import rat, rat_str
@@ -59,7 +59,7 @@ def _read_input(path: str) -> tuple[Any, dict]:
         raise UsageError(str(exc)) from exc
     try:
         parsed = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # a syntax or encoding error, or a number too long
         raise UsageError(f"{path}: {exc}") from exc
     return parsed, {"path": os.path.basename(path),
                     "sha256": hashlib.sha256(data).hexdigest()}
@@ -67,8 +67,7 @@ def _read_input(path: str) -> tuple[Any, dict]:
 
 def _parse_ratlist(text: str, what: str) -> tuple[Fraction, ...]:
     try:
-        parts = [p.strip() for p in text.split(",")]
-        return tuple(rat(p) for p in parts if p)
+        return tuple(rat(p) for p in text.split(","))
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
 
@@ -251,15 +250,14 @@ def _build_family_from_args(args: argparse.Namespace, inputs: dict):
     L = _load_algebra(args, args.algebra, inputs)
     cs = _load_casimirs(args, args.casimirs, inputs, L)
     xi = _vector(args, "xi", L.dim)
-    fam = build_family(L, cs, xi)
-    return L, cs, xi, fam
+    return L, build_family(L, cs, xi)
 
 
 def cmd_shift_build(args: argparse.Namespace) -> int:
     # emits the bare family format, member provenance (generator, power)
     # included, so the file can be audited and re-parsed directly
     inputs: dict = {}
-    L, _, _, fam = _build_family_from_args(args, inputs)
+    L, fam = _build_family_from_args(args, inputs)
     out = jsonio.family_to_json(fam)
     names = _var_names(L)
     for member, entry in zip(fam.members, out["members"]):
@@ -270,7 +268,7 @@ def cmd_shift_build(args: argparse.Namespace) -> int:
 
 @_reported
 def cmd_shift_certify(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
-    L, _, xi, fam = _build_family_from_args(args, inputs)
+    _, fam = _build_family_from_args(args, inputs)
     cert = certify_commutative(fam)
     report["verdicts"]["commutative"] = {"ok": cert.ok,
                                          "pairs_checked": cert.pairs_checked,
@@ -407,38 +405,38 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
 
 # --- pipeline ---------------------------------------------------------------
 
+# the pipeline's stages, in the order they run
+STAGES = ("validate", "estimate-index", "codim2", "casimirs", "degree-profile",
+          "build-family", "commutative", "regular-plane", "compl", "bols",
+          "conclusions")
+
+
 @_reported
 def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
-    raw_alg, alg_entry = _read_input(args.algebra)
-    inputs["algebra"] = alg_entry
+    raw_alg, inputs["algebra"] = _read_input(args.algebra)
     raw_cas = None
     if args.casimirs and args.classical:
         raise UsageError("choose either --casimirs FILE or --classical")
     if args.casimirs:
-        raw_cas, cas_entry = _read_input(args.casimirs)
-        inputs["casimirs"] = cas_entry
+        raw_cas, inputs["casimirs"] = _read_input(args.casimirs)
     elif args.classical:
         inputs["casimirs"] = {"derived": "classical"}
     else:
         inputs["casimirs"] = {"empty": True}
-    xi_arg = _parse_ratlist(args.xi, "--xi") if args.xi else None
+    xi = _parse_ratlist(args.xi, "--xi") if args.xi is not None else None
 
     verdicts, witnesses, timings = (report["verdicts"], report["witnesses"],
                                     report["timings"])
-    seed, bound = args.seed, args.bound
-    ctx: dict[str, Any] = {}
-    failed: list[str] = []
-    order: list[str] = []
-
-    def stage(name: str, fn: Callable[[], tuple[bool, dict, Any]]) -> None:
-        order.append(name)
+    stages = _stages(args, report, raw_alg, raw_cas, xi)
+    failed = None
+    for name in STAGES:
         if failed:
-            verdicts[name] = {"skipped": f"stage '{failed[0]}' failed"}
-            return
+            verdicts[name] = {"skipped": f"stage '{failed}' failed"}
+            continue
         args._stage = name
         t = time.perf_counter()
         try:
-            ok, verdict, witness = fn()
+            ok, verdict, witness = next(stages)
         except (ValueError, ArithmeticError) as exc:
             ok, verdict, witness = False, {"ok": False, "error": str(exc)}, None
         timings[name] = round(time.perf_counter() - t, 6)
@@ -446,160 +444,108 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
         if witness is not None:
             witnesses[name] = witness
         if not ok:
-            failed.append(name)
-
-    def s_validate() -> tuple[bool, dict, Any]:
-        L = jsonio.algebra_from_json(raw_alg)
-        args._algebra = L
-        ctx["L"] = L
-        rep = validate(L)
-        return rep.ok, rep.as_dict(), (None if rep.ok else rep.detail)
-
-    def s_index() -> tuple[bool, dict, Any]:
-        prof = estimate_index(ctx["L"], trials=args.trials, seed=seed,
-                              bound=bound)
-        ctx["profile"] = prof
-        return True, prof.as_dict(), None
-
-    def s_codim2() -> tuple[bool, dict, Any]:
-        cert = certify_codim2(ctx["L"], ctx["profile"], seed=seed,
-                              planes=args.planes, bound=bound)
-        ctx["codim2"] = cert
-        witness = None
-        if not cert.ok:
-            witness = {"divisor": cert.witness_pretty}
-        return cert.ok, cert.as_dict(), witness
-
-    def s_casimirs() -> tuple[bool, dict, Any]:
-        L = ctx["L"]
-        if args.classical:
-            family, n = L.meta.get("family"), L.meta.get("n")
-            if family not in ("gl", "sl"):
-                raise ValueError(
-                    "--classical needs a gl or sl algebra built by this tool")
-            n = jsonio._int(n, "meta n")
-            if L.dim != (dim := n * n - (family == "sl")):
-                # checked first: the generators of a large n cost seconds
-                raise ValueError(f"meta names {family}({n}) of dimension {dim}, "
-                                 f"but the table has dimension {L.dim}")
-            # verified on the loaded table, at the default sample bound
-            cs = CasimirSet.verified(L, classical_casimir_polys(family, n), seed=seed)
-            inputs["casimirs"] = {"derived": f"classical {family}({n})"}
-        elif raw_cas is not None:
-            parsed = jsonio.casimirs_from_json(raw_cas)
-            # re-verify: centrality and independence are preconditions
-            cs = CasimirSet.verified(L, parsed.generators, seed=seed,
-                                     bound=bound)
-        else:
-            cs = CasimirSet(L.dim, (), (), None)
-        ctx["casimirs"] = cs
-        return True, {"count": len(cs), "degrees": list(cs.degrees),
-                      "sum_degrees": cs.sum_degrees}, None
-
-    def s_degrees() -> tuple[bool, dict, Any]:
-        dp = degree_profile(ctx["casimirs"], ctx["profile"])
-        verdict = dp.as_dict()
-        ok = dp.classification == EXACT
-        return ok, verdict, (None if ok else verdict)
-
-    def s_family() -> tuple[bool, dict, Any]:
-        L, prof = ctx["L"], ctx["profile"]
-        if xi_arg is not None:
-            if len(xi_arg) != L.dim:
-                raise ValueError(f"--xi has {len(xi_arg)} entries, "
-                                 f"expected {L.dim}")
-            xi = xi_arg
-            if not is_regular(L, prof, xi):
-                return False, {"ok": False,
-                               "error": "supplied shift direction is singular",
-                               "xi": jsonio.vector_to_json(xi)}, None
-        else:
-            xi = None
-            for t in range(64):
-                rng = rng_stream(seed, "pipeline-xi", t)
-                pt = integer_point(rng, L.dim, bound)
-                if is_regular(L, prof, pt):
-                    xi = pt
-                    break
-            if xi is None:
-                return False, {"ok": False,
-                               "error": "no regular shift direction found"}, None
-        fam = build_family(L, ctx["casimirs"], xi)
-        ctx["xi"], ctx["family"] = xi, fam
-        report["family"] = jsonio.family_to_json(fam)
-        return True, {"xi": jsonio.vector_to_json(xi), "members": len(fam),
-                      "member_degrees": [m.poly.degree()
-                                         for m in fam.members]}, None
-
-    def s_commutative() -> tuple[bool, dict, Any]:
-        cert = certify_commutative(ctx["family"])
-        ctx["actions"] = cert.actions
-        witness = None
-        if not cert.ok:
-            witness = [{"i": i, "j": j, "route": route}
-                       for i, j, route in cert.failures]
-        return cert.ok, {"ok": cert.ok, "pairs_checked": cert.pairs_checked,
-                         "method": cert.method}, witness
-
-    def s_plane() -> tuple[bool, dict, Any]:
-        res = find_regular_plane(ctx["L"], ctx["profile"], seed=seed,
-                                 attempts=args.attempts, bound=bound)
-        ctx["plane"] = res
-        return res.found, res.as_dict(), None
-
-    def s_compl() -> tuple[bool, dict, Any]:
-        res = ctx["plane"]
-        verdict = verify_compl(ctx["L"], ctx["casimirs"], ctx["profile"],
-                               res.spec, certificate=res.certificate,
-                               nsamples=args.nsamples, seed=seed, bound=bound)
-        return verdict.ok, verdict.as_dict(), None
-
-    def s_bols() -> tuple[bool, dict, Any]:
-        verdict = verify_bols(ctx["L"], ctx["casimirs"], ctx["profile"],
-                              ctx["xi"], codim2=ctx["codim2"], seed=seed)
-        witness = None if verdict.ok else verdict.note
-        return verdict.ok, verdict.as_dict(), witness
-
-    def s_conclusions() -> tuple[bool, dict, Any]:
-        # separate what was machine-verified from what the general
-        # theory implies but this run did not check
-        L, fam = ctx["L"], ctx["family"]
-        concl = {
-            "commutative-family": "verified",
-            "independent-generators-on-certified-plane": "verified",
-            "maximal-transcendence-degree": "verified",
-            "inclusion-maximality": "not machine-checked (needs a "
-                                    "codimension-3 singular set, which this "
-                                    "tool does not certify)",
-            "codim3": {"certified": False,
-                       "plane_attempts": ctx["plane"].attempts_used},
-        }
-        witness = None
-        w = find_nonmaximality_witness(fam, ctx["actions"])
-        if w is not None:
-            concl["inclusion-maximality"] = (
-                "refuted: a linear form outside the family commutes with "
-                "every member")
-            witness = {"poly": jsonio.poly_to_json(w),
-                       "pretty": w.pretty(_var_names(L))}
-        return True, concl, witness
-
-    stage("validate", s_validate)
-    stage("estimate-index", s_index)
-    stage("codim2", s_codim2)
-    stage("casimirs", s_casimirs)
-    stage("degree-profile", s_degrees)
-    stage("build-family", s_family)
-    stage("commutative", s_commutative)
-    stage("regular-plane", s_plane)
-    stage("compl", s_compl)
-    stage("bols", s_bols)
-    stage("conclusions", s_conclusions)
-
-    report["stage_order"] = order
+            failed = name
+    report["stage_order"] = list(STAGES)
     if failed:
-        report["failed_stage"] = failed[0]
+        report["failed_stage"] = failed
     return not failed
+
+
+def _stages(args: argparse.Namespace, report: dict, raw_alg: Any, raw_cas: Any,
+            xi: Optional[tuple[Fraction, ...]]) -> Iterator[tuple[bool, dict, Any]]:
+    """The pipeline's stages in STAGES order, each ending in a yield of
+    (ok, verdict, witness); the driver resumes it only past a stage that
+    passed."""
+    seed, bound = args.seed, args.bound
+    L = jsonio.algebra_from_json(raw_alg)
+    args._algebra = L
+    rep = validate(L)
+    yield rep.ok, rep.as_dict(), (None if rep.ok else rep.detail)
+
+    prof = estimate_index(L, trials=args.trials, seed=seed, bound=bound)
+    yield True, prof.as_dict(), None
+
+    codim2 = certify_codim2(L, prof, seed=seed, planes=args.planes, bound=bound)
+    yield codim2.ok, codim2.as_dict(), (None if codim2.ok
+                                        else {"divisor": codim2.witness_pretty})
+
+    if args.classical:
+        family, n = L.meta.get("family"), L.meta.get("n")
+        if family not in ("gl", "sl"):
+            raise ValueError("--classical needs a gl or sl algebra built by this tool")
+        n = jsonio._int(n, "meta n")
+        if L.dim != (dim := n * n - (family == "sl")):
+            # checked first: the generators of a large n cost seconds
+            raise ValueError(f"meta names {family}({n}) of dimension {dim}, "
+                             f"but the table has dimension {L.dim}")
+        # verified on the loaded table, at the default sample bound
+        cs = CasimirSet.verified(L, classical_casimir_polys(family, n), seed=seed)
+        report["inputs"]["casimirs"] = {"derived": f"classical {family}({n})"}
+    elif raw_cas is not None:
+        # re-verify: centrality and independence are preconditions
+        cs = CasimirSet.verified(L, jsonio.casimirs_from_json(raw_cas).generators,
+                                 seed=seed, bound=bound)
+    else:
+        cs = CasimirSet(L.dim, (), (), None)
+    yield True, {"count": len(cs), "degrees": list(cs.degrees),
+                 "sum_degrees": cs.sum_degrees}, None
+
+    dp = degree_profile(cs, prof).as_dict()
+    ok = dp["classification"] == EXACT
+    yield ok, dp, (None if ok else dp)
+
+    if xi is not None:
+        if len(xi) != L.dim:
+            raise ValueError(f"--xi has {len(xi)} entries, expected {L.dim}")
+        if not is_regular(L, prof, xi):
+            yield False, {"ok": False, "error": "supplied shift direction is singular",
+                          "xi": jsonio.vector_to_json(xi)}, None
+            return
+    else:
+        for t in range(64):
+            xi = integer_point(rng_stream(seed, "pipeline-xi", t), L.dim, bound)
+            if is_regular(L, prof, xi):
+                break
+        else:
+            yield False, {"ok": False, "error": "no regular shift direction found"}, None
+            return
+    fam = build_family(L, cs, xi)
+    report["family"] = jsonio.family_to_json(fam)
+    yield True, {"xi": jsonio.vector_to_json(xi), "members": len(fam),
+                 "member_degrees": [m.poly.degree() for m in fam.members]}, None
+
+    cert = certify_commutative(fam)
+    yield cert.ok, {"ok": cert.ok, "pairs_checked": cert.pairs_checked,
+                    "method": cert.method}, (
+        None if cert.ok else [{"i": i, "j": j, "route": route}
+                              for i, j, route in cert.failures])
+
+    plane = find_regular_plane(L, prof, seed=seed, attempts=args.attempts, bound=bound)
+    yield plane.found, plane.as_dict(), None
+
+    compl = verify_compl(L, cs, prof, plane.spec, certificate=plane.certificate,
+                         nsamples=args.nsamples, seed=seed, bound=bound)
+    yield compl.ok, compl.as_dict(), None
+
+    bols = verify_bols(L, cs, prof, xi, codim2=codim2, seed=seed)
+    yield bols.ok, bols.as_dict(), (None if bols.ok else bols.note)
+
+    # separate what was machine-verified from what the general theory
+    # implies but this run did not check
+    concl = {
+        "commutative-family": "verified",
+        "independent-generators-on-certified-plane": "verified",
+        "maximal-transcendence-degree": "verified",
+        "inclusion-maximality": "not machine-checked (needs a codimension-3 "
+                                "singular set, which this tool does not certify)",
+        "codim3": {"certified": False, "plane_attempts": plane.attempts_used},
+    }
+    w = find_nonmaximality_witness(fam, cert.actions)
+    if w is not None:
+        concl["inclusion-maximality"] = ("refuted: a linear form outside the family "
+                                         "commutes with every member")
+    yield True, concl, (None if w is None else {"poly": jsonio.poly_to_json(w),
+                                                "pretty": w.pretty(_var_names(L))})
 
 
 # --- command table ----------------------------------------------------------

@@ -666,6 +666,61 @@ def test_pipeline_singular_xi_fails_cleanly(capsys, sl2_file, sl2_casimirs):
     assert "singular" in report["verdicts"]["build-family"]["error"]
 
 
+STAGES = ["validate", "estimate-index", "codim2", "casimirs", "degree-profile",
+          "build-family", "commutative", "regular-plane", "compl", "bols", "conclusions"]
+
+
+def test_pipeline_times_the_stages_that_ran_and_names_a_falsified_one(
+        capsys, tmp_path, sl2_file, sl2_casimirs):
+    vin = tmp_path / "vin.json"
+    assert main(["algebra", "build", "vinberg", "1", "--out", str(vin)]) == 0
+    for argv, failed in (([sl2_file, "--casimirs", sl2_casimirs], None),
+                         ([sl2_file, "--casimirs", sl2_casimirs, "--xi", "0,0,0"],
+                          "build-family"),
+                         ([str(vin)], "codim2")):
+        code, report = run(capsys, "pipeline", "run", *argv)
+        assert code == (1 if failed else 0)
+        assert report["stage_order"] == STAGES
+        assert report.get("failed_stage") == failed
+        ran = STAGES[:STAGES.index(failed) + 1] if failed else STAGES
+        assert set(report["timings"]) == {*ran, "total"}
+        assert all(report["verdicts"][name] == {"skipped": f"stage '{failed}' failed"}
+                   for name in STAGES[len(ran):])
+    # one sample at height 1 lands where z = 0 and reads the index as 3;
+    # codim2 then meets a Kirillov rank of 2 and raises
+    heis = tmp_path / "heis.json"
+    heis.write_text(json.dumps(HEISENBERG))
+    code, report = run(capsys, "pipeline", "run", str(heis), "--trials", "1", "--bound", "1")
+    assert code == 3
+    assert report["status"] == "falsified"
+    assert report["stage"] == "codim2"
+    assert report["algebra"] == jsonio.algebra_to_json(jsonio.algebra_from_json(HEISENBERG))
+
+
+@pytest.mark.parametrize("argv", [["reg", "point", "SL2", "--xi=1,,0,0"],
+                                  ["reg", "point", "SL2", "--xi=1,0,0,"],
+                                  ["reg", "point", "SL2", "--xi=,1,0,0"],
+                                  ["pipeline", "run", "SL2", "--classical", "--xi=1,,0,0"],
+                                  ["pipeline", "run", "SL2", "--classical", "--xi="]])
+def test_an_empty_xi_field_is_a_usage_error(capsys, sl2_file, argv):
+    argv = [sl2_file if a == "SL2" else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith(f"error: cannot parse --xi {argv[-1][5:]!r}")
+
+
+def test_a_number_literal_json_refuses_is_reported_with_its_file(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": 1'
+                    + "0" * 5000 + "}}]}")
+    for command in (["poisson", "index"], ["algebra", "validate"], ["pipeline", "run"]):
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith(f"error: {path}: Exceeds the limit (4300 digits)")
+
+
 def test_malformed_containers_are_reported_not_raised(capsys, tmp_path, sl2_file):
     # a list where an object belongs: exit 2 with an error line where the
     # input is a precondition, a failed verdict where checking it is the job

@@ -9,10 +9,12 @@ with Jordan blocks), a generic 9 x 9 pencil (Kronecker type), a 4 x 4
 Jordan block at 2 under an integer congruence, a 3 x 3 Kronecker block
 beside a 4 x 4 Jordan block at -1/2 under a rational congruence (so the
 pencil has denominators and its Ltilde echelon rows are not unit
-vectors), and two pipelines: the
+vectors), and four pipelines: the
 sl2/so2 contraction with Casimir x_p^2 + x_r^2, whose `conclusions`
-witness x_r comes from the linear commutant and the member span, and
-gl3 with its classical Casimirs.
+witness x_r comes from the linear commutant and the member span, gl3
+with its classical Casimirs, and two that fail and skip the stages
+after: vinberg(1) at `codim2`, and sl2 with its Casimir file at the
+singular direction 0 at `build-family`.
 
 `golden/poly_reports.json` pins the polynomial output the reports
 above leave out: the sl3 shift family at a direction with denominators,
@@ -126,14 +128,21 @@ def golden_reports(tmp_path) -> dict:
 
 def pipeline_reports(tmp_path) -> dict:
     """Every pinned pipeline's exit code and report without timings."""
-    con, gl3, cas = (str(tmp_path / f) for f in ("contraction.json", "gl3.json", "cas.json"))
+    con, gl3, cas, vin, sl2, sl2_cas = (str(tmp_path / f) for f in (
+        "contraction.json", "gl3.json", "cas.json", "vinberg.json", "sl2.json", "sl2_cas.json"))
     assert main(["algebra", "build", "contraction-sl2-so2", "--out", con]) == 0
     assert main(["algebra", "build", "gl", "3", "--out", gl3]) == 0
+    assert main(["algebra", "build", "vinberg", "1", "--out", vin]) == 0
+    assert main(["algebra", "build", "sl", "2", "--out", sl2]) == 0
     x_p, x_r = MPoly.variable(3, 1), MPoly.variable(3, 2)
     jsonio.write_json(cas, {"nvars": 3, "generators": [jsonio.poly_to_json(x_p * x_p + x_r * x_r)]})
+    jsonio.write_json(sl2_cas, jsonio.casimirs_to_json(classical_casimirs("sl", 2)))
     return {"pipeline run contraction-sl2-so2":
             _run(["pipeline", "run", con, "--casimirs", cas, "--xi", "0,1,0"]),
-            "pipeline run gl3": _run(["pipeline", "run", gl3, "--classical"])}
+            "pipeline run gl3": _run(["pipeline", "run", gl3, "--classical"]),
+            "pipeline run vinberg-1": _run(["pipeline", "run", vin]),
+            "pipeline run sl2-singular-xi":
+            _run(["pipeline", "run", sl2, "--casimirs", sl2_cas, "--xi", "0,0,0"])}
 
 
 SL3_F = {(2, 0, 0, 1, 0, 0, 0, 0): "1/2", (0, 1, 0, 0, 0, 1, 0, 0): "-3/4",
@@ -193,7 +202,14 @@ def test_report_matches_the_pinned_bytes(reports, case):
     assert jsonio.dumps(reports[case]) == jsonio.dumps(want)
 
 
-@pytest.mark.parametrize("case", ["pipeline run contraction-sl2-so2", "pipeline run gl3"])
+def test_pipeline_cases_fail_where_they_should(pipelines):
+    assert {k: v["report"].get("failed_stage") for k, v in pipelines.items()} == {
+        "pipeline run contraction-sl2-so2": None, "pipeline run gl3": None,
+        "pipeline run vinberg-1": "codim2", "pipeline run sl2-singular-xi": "build-family"}
+
+
+@pytest.mark.parametrize("case", ["pipeline run contraction-sl2-so2", "pipeline run gl3",
+                                  "pipeline run vinberg-1", "pipeline run sl2-singular-xi"])
 def test_pipeline_report_matches_the_pinned_bytes(pipelines, case):
     with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]

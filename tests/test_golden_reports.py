@@ -22,6 +22,10 @@ the bracket of two sl3 polynomials with fractional and negative
 coefficients, a failing Casimir check with its witness, and the
 codim-2 witness divisor of vinberg(1).
 
+`golden/family_reports.json` pins `shift build` on the two passing
+pipelines' Casimir sets at the direction each report names: the shift
+family those pipelines verify, with each member's pretty form.
+
 `golden/fraction_reports.json` pins algebras whose structure constants
 have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
 analysis and the codim-2 witness on such tables, and a table with
@@ -45,6 +49,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pencil_reports.json"
 PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_reports.json")
 POLY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "poly_reports.json")
 FRACTION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fraction_reports.json")
+FAMILY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "family_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -143,6 +148,49 @@ def pipeline_reports(tmp_path) -> dict:
             "pipeline run vinberg-1": _run(["pipeline", "run", vin]),
             "pipeline run sl2-singular-xi":
             _run(["pipeline", "run", sl2, "--casimirs", sl2_cas, "--xi", "0,0,0"])}
+
+
+def family_reports(tmp_path) -> dict:
+    """`shift build` on each passing pipeline's Casimirs at its reported xi."""
+    con, gl3, cas, gl3_cas = (str(tmp_path / f) for f in (
+        "contraction.json", "gl3.json", "cas.json", "gl3_cas.json"))
+    assert main(["algebra", "build", "contraction-sl2-so2", "--out", con]) == 0
+    assert main(["algebra", "build", "gl", "3", "--out", gl3]) == 0
+    x_p, x_r = MPoly.variable(3, 1), MPoly.variable(3, 2)
+    jsonio.write_json(cas, {"nvars": 3, "generators": [jsonio.poly_to_json(x_p * x_p + x_r * x_r)]})
+    jsonio.write_json(gl3_cas, jsonio.casimirs_to_json(classical_casimirs("gl", 3)))
+    with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    out = {}
+    for name, alg, path in (("contraction-sl2-so2", con, cas), ("gl3", gl3, gl3_cas)):
+        xi = ",".join(pinned[f"pipeline run {name}"]["report"]["verdicts"]["build-family"]["xi"])
+        with redirect_stdout(io.StringIO()) as buf:
+            code = main(["shift", "build", alg, path, f"--xi={xi}"])
+        out[name] = {"exit": code, "report": json.loads(buf.getvalue())}
+    return out
+
+
+@pytest.fixture(scope="module")
+def families(tmp_path_factory):
+    return family_reports(tmp_path_factory.mktemp("families"))
+
+
+@pytest.mark.parametrize("name", ["contraction-sl2-so2", "gl3"])
+def test_shift_build_matches_the_pinned_bytes(families, name):
+    with open(FAMILY_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[f"shift build {name}"]
+    assert jsonio.dumps(families[name]) == jsonio.dumps(want)
+
+
+@pytest.mark.parametrize("name", ["contraction-sl2-so2", "gl3"])
+def test_pinned_family_is_the_pipeline_family(name):
+    with open(FAMILY_GOLDEN, encoding="utf-8") as fh:
+        family = json.load(fh)[f"shift build {name}"]["report"]
+    with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
+        report = json.load(fh)[f"pipeline run {name}"]["report"]
+    for member in family["members"]:
+        del member["pretty"]
+    assert jsonio.dumps(family) == jsonio.dumps(report["family"])
 
 
 SL3_F = {(2, 0, 0, 1, 0, 0, 0, 0): "1/2", (0, 1, 0, 0, 0, 1, 0, 0): "-3/4",

@@ -30,6 +30,7 @@ from .liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                      validate, validate_table)
 from .mfshift import (EXACT, build_family, certify_commutative,
                       degree_profile, find_nonmaximality_witness)
+from .mpoly import MPoly
 from .poisson import (CasimirSet, bracket, classical_casimir_polys, estimate_index,
                       is_casimir, kirillov)
 from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim2,
@@ -38,7 +39,7 @@ from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim
 from .sampling import integer_point, rng_stream
 from .skewpencil import SkewPencil, verify_com1
 
-SCHEMA = 4
+SCHEMA = 5
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -184,15 +185,22 @@ def cmd_algebra_build(args: argparse.Namespace) -> int:
 
 # --- poisson ----------------------------------------------------------------
 
+def _load_poly(path: str, inputs: dict, key: str, L: LieAlgebraData) -> MPoly:
+    raw, inputs[key] = _read_input(path)
+    try:
+        p = jsonio.poly_from_json(raw)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    if p.nvars != L.dim:
+        raise UsageError("polynomial variable count does not match the algebra")
+    return p
+
+
 @_reported
 def cmd_poisson_bracket(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    fraw, fentry = _read_input(args.f)
-    graw, gentry = _read_input(args.g)
-    inputs["f"], inputs["g"] = fentry, gentry
-    f, g = jsonio.poly_from_json(fraw), jsonio.poly_from_json(graw)
-    if f.nvars != L.dim or g.nvars != L.dim:
-        raise UsageError("polynomial variable count does not match the algebra")
+    f = _load_poly(args.f, inputs, "f", L)
+    g = _load_poly(args.g, inputs, "g", L)
     h = bracket(L, f, g)
     report["verdicts"]["bracket"] = {"zero": h.is_zero(),
                                      "pretty": h.pretty(_var_names(L))}
@@ -203,12 +211,7 @@ def cmd_poisson_bracket(args: argparse.Namespace, report: dict, inputs: dict) ->
 @_reported
 def cmd_poisson_casimir_check(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    praw, pentry = _read_input(args.poly)
-    inputs["poly"] = pentry
-    p = jsonio.poly_from_json(praw)
-    if p.nvars != L.dim:
-        raise UsageError("polynomial variable count does not match the algebra")
-    chk = is_casimir(L, p)
+    chk = is_casimir(L, _load_poly(args.poly, inputs, "poly", L))
     report["verdicts"]["casimir"] = {"ok": chk.ok}
     if not chk.ok:
         report["witnesses"]["casimir"] = {
@@ -423,11 +426,12 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
         inputs["casimirs"] = {"derived": "classical"}
     else:
         inputs["casimirs"] = {"empty": True}
-    xi = _parse_ratlist(args.xi, "--xi") if args.xi is not None else None
+    if args.xi is not None:
+        _parse_ratlist(args.xi, "--xi")   # refuse a malformed --xi before any stage
 
     verdicts, witnesses, timings = (report["verdicts"], report["witnesses"],
                                     report["timings"])
-    stages = _stages(args, report, raw_alg, raw_cas, xi)
+    stages = _stages(args, report, raw_alg, raw_cas)
     failed = None
     for name in STAGES:
         if failed:
@@ -451,14 +455,15 @@ def cmd_pipeline_run(args: argparse.Namespace, report: dict, inputs: dict) -> bo
     return not failed
 
 
-def _stages(args: argparse.Namespace, report: dict, raw_alg: Any, raw_cas: Any,
-            xi: Optional[tuple[Fraction, ...]]) -> Iterator[tuple[bool, dict, Any]]:
+def _stages(args: argparse.Namespace, report: dict, raw_alg: Any,
+            raw_cas: Any) -> Iterator[tuple[bool, dict, Any]]:
     """The pipeline's stages in STAGES order, each ending in a yield of
     (ok, verdict, witness); the driver resumes it only past a stage that
     passed."""
     seed, bound = args.seed, args.bound
     L = jsonio.algebra_from_json(raw_alg)
     args._algebra = L
+    xi = _vector(args, "xi", L.dim) if args.xi is not None else None
     rep = validate(L)
     yield rep.ok, rep.as_dict(), (None if rep.ok else rep.detail)
 
@@ -487,6 +492,9 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any, raw_cas: Any,
                                  seed=seed, bound=bound)
     else:
         cs = CasimirSet(L.dim, (), (), None)
+    # the verified generators as a --casimirs file: shift build on it at
+    # the build-family xi gives the family, so the report leaves it out
+    report["casimirs"] = jsonio.casimirs_to_json(cs)
     yield True, {"count": len(cs), "degrees": list(cs.degrees),
                  "sum_degrees": cs.sum_degrees}, None
 
@@ -495,8 +503,6 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any, raw_cas: Any,
     yield ok, dp, (None if ok else dp)
 
     if xi is not None:
-        if len(xi) != L.dim:
-            raise ValueError(f"--xi has {len(xi)} entries, expected {L.dim}")
         if not is_regular(L, prof, xi):
             yield False, {"ok": False, "error": "supplied shift direction is singular",
                           "xi": jsonio.vector_to_json(xi)}, None
@@ -510,7 +516,6 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any, raw_cas: Any,
             yield False, {"ok": False, "error": "no regular shift direction found"}, None
             return
     fam = build_family(L, cs, xi)
-    report["family"] = jsonio.family_to_json(fam)
     yield True, {"xi": jsonio.vector_to_json(xi), "members": len(fam),
                  "member_degrees": [m.poly.degree() for m in fam.members]}, None
 

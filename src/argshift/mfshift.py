@@ -97,10 +97,6 @@ class CommutativityCertificate:
     # the packed {x_i, p} of every member, held by the shift chain
     actions: Optional[tuple[Action, ...]] = field(default=None, repr=False, compare=False)
 
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "pairs_checked": self.pairs_checked,
-                "failures": [list(f) for f in self.failures], "method": self.method}
-
 
 def _shift_chain(family: ShiftFamily) -> Optional[tuple[Action, ...]]:
     """The Lie-Poisson actions of the members when the chain holds, else None.

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, _skew_rank, _solve, faddeev_leverrier, rat_str, vec
+from .exactlin import MatQ, Scalar, _skew_rank, _solve, faddeev_leverrier, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
 from .mpoly import MPoly, gradient_rank, gradient_table
 from .sampling import integer_coords, integer_point, rng_stream
@@ -310,15 +310,6 @@ class CasimirSet:
     @property
     def sum_degrees(self) -> int:
         return sum(self.degrees)
-
-    def as_dict(self) -> dict:
-        return {
-            "count": len(self.generators),
-            "degrees": list(self.degrees),
-            "sum_degrees": self.sum_degrees,
-            "independence_witness": ([rat_str(x) for x in self.independence_witness]
-                                     if self.independence_witness else None),
-        }
 
 
 def classical_casimir_polys(family: str, n: int) -> list[MPoly]:

@@ -76,7 +76,7 @@ def test_algebra_build_emits_parseable_algebra(sl2_file):
 def test_algebra_validate_pass(capsys, sl2_file):
     code, report = run(capsys, "algebra", "validate", sl2_file)
     assert code == 0
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["status"] == "pass"
     assert report["verdicts"]["validate"]["ok"]
     assert "sha256" in report["inputs"]["algebra"]
@@ -545,7 +545,14 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     assert all(rank == 5 for _, _, rank in report["verdicts"]["compl"]["pairs"])
     assert report["verdicts"]["bols"]["ok"]
     assert report["verdicts"]["conclusions"]["maximal-transcendence-degree"] == "verified"
-    fam = jsonio.family_from_json(report["family"],
+    # the report carries the Casimir set, shift build gives the family
+    assert "family" not in report
+    cas, fam_out = tmp_path / "cas.json", tmp_path / "family.json"
+    jsonio.write_json(str(cas), report["casimirs"])
+    xi = ",".join(report["verdicts"]["build-family"]["xi"])
+    assert main(["shift", "build", str(alg), str(cas), f"--xi={xi}",
+                 "--out", str(fam_out)]) == 0
+    fam = jsonio.family_from_json(jsonio.read_json(str(fam_out)),
                                   jsonio.algebra_from_json(jsonio.read_json(str(alg))))
     assert len(fam.members) == 5
 
@@ -666,6 +673,13 @@ def test_pipeline_singular_xi_fails_cleanly(capsys, sl2_file, sl2_casimirs):
     assert "singular" in report["verdicts"]["build-family"]["error"]
 
 
+def test_pipeline_refuses_a_wrong_length_xi_before_any_stage(capsys, sl2_file):
+    code = main(["pipeline", "run", sl2_file, "--classical", "--xi", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: --xi has 2 entries, expected 3\n"
+
+
 STAGES = ["validate", "estimate-index", "codim2", "casimirs", "degree-profile",
           "build-family", "commutative", "regular-plane", "compl", "bols", "conclusions"]
 
@@ -708,6 +722,19 @@ def test_an_empty_xi_field_is_a_usage_error(capsys, sl2_file, argv):
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert captured.err.startswith(f"error: cannot parse --xi {argv[-1][5:]!r}")
+
+
+@pytest.mark.parametrize("command", [["poisson", "bracket", "SL2", "F", "BAD"],
+                                     ["poisson", "casimir-check", "SL2", "BAD"]])
+def test_a_malformed_polynomial_file_is_named(capsys, tmp_path, sl2_file, command):
+    x = MPoly.variable(3, 0)
+    f, bad = poly_file(tmp_path, "f.json", x), str(tmp_path / "bad.json")
+    jsonio.write_json(bad, {"terms": []})
+    argv = [{"SL2": sl2_file, "F": f, "BAD": bad}.get(a, a) for a in command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: {bad}: polynomial must be an object with 'nvars'\n"
 
 
 def test_a_number_literal_json_refuses_is_reported_with_its_file(capsys, tmp_path):

@@ -22,9 +22,12 @@ the bracket of two sl3 polynomials with fractional and negative
 coefficients, a failing Casimir check with its witness, and the
 codim-2 witness divisor of vinberg(1).
 
-`golden/family_reports.json` pins `shift build` on the two passing
-pipelines' Casimir sets at the direction each report names: the shift
-family those pipelines verify, with each member's pretty form.
+A pipeline report carries its verified Casimir set as a `--casimirs`
+file, not the shift family.  `golden/family_reports.json` pins `shift
+build` on the two passing pipelines' reported Casimir sets at the
+direction each report names: the family those pipelines verify, with
+each member's pretty form.  `pipeline run --casimirs` on the same file
+and direction gives the same verdicts.
 
 `golden/fraction_reports.json` pins algebras whose structure constants
 have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
@@ -150,47 +153,43 @@ def pipeline_reports(tmp_path) -> dict:
             _run(["pipeline", "run", sl2, "--casimirs", sl2_cas, "--xi", "0,0,0"])}
 
 
-def family_reports(tmp_path) -> dict:
-    """`shift build` on each passing pipeline's Casimirs at its reported xi."""
-    con, gl3, cas, gl3_cas = (str(tmp_path / f) for f in (
-        "contraction.json", "gl3.json", "cas.json", "gl3_cas.json"))
-    assert main(["algebra", "build", "contraction-sl2-so2", "--out", con]) == 0
-    assert main(["algebra", "build", "gl", "3", "--out", gl3]) == 0
-    x_p, x_r = MPoly.variable(3, 1), MPoly.variable(3, 2)
-    jsonio.write_json(cas, {"nvars": 3, "generators": [jsonio.poly_to_json(x_p * x_p + x_r * x_r)]})
-    jsonio.write_json(gl3_cas, jsonio.casimirs_to_json(classical_casimirs("gl", 3)))
-    with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
-        pinned = json.load(fh)
+def family_reports(tmp_path, pipelines) -> dict:
+    """`shift build` and `pipeline run --casimirs` on each passing
+    pipeline's reported Casimir set at its reported xi."""
     out = {}
-    for name, alg, path in (("contraction-sl2-so2", con, cas), ("gl3", gl3, gl3_cas)):
-        xi = ",".join(pinned[f"pipeline run {name}"]["report"]["verdicts"]["build-family"]["xi"])
+    for name, build in (("contraction-sl2-so2", ["contraction-sl2-so2"]), ("gl3", ["gl", "3"])):
+        report = pipelines[f"pipeline run {name}"]["report"]
+        alg, cas = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}-casimirs.json")
+        assert main(["algebra", "build", *build, "--out", alg]) == 0
+        jsonio.write_json(cas, report["casimirs"])
+        # --xi=, since xi may start with a minus sign
+        xi = "--xi=" + ",".join(report["verdicts"]["build-family"]["xi"])
         with redirect_stdout(io.StringIO()) as buf:
-            code = main(["shift", "build", alg, path, f"--xi={xi}"])
-        out[name] = {"exit": code, "report": json.loads(buf.getvalue())}
+            code = main(["shift", "build", alg, cas, xi])
+        out[f"shift build {name}"] = {"exit": code, "report": json.loads(buf.getvalue())}
+        out[f"pipeline run {name}"] = _run(["pipeline", "run", alg, "--casimirs", cas, xi])
     return out
 
 
 @pytest.fixture(scope="module")
-def families(tmp_path_factory):
-    return family_reports(tmp_path_factory.mktemp("families"))
+def families(tmp_path_factory, pipelines):
+    return family_reports(tmp_path_factory.mktemp("families"), pipelines)
 
 
 @pytest.mark.parametrize("name", ["contraction-sl2-so2", "gl3"])
-def test_shift_build_matches_the_pinned_bytes(families, name):
+def test_shift_build_on_the_reported_casimirs_matches_the_pinned_bytes(families, name):
     with open(FAMILY_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[f"shift build {name}"]
-    assert jsonio.dumps(families[name]) == jsonio.dumps(want)
+    assert jsonio.dumps(families[f"shift build {name}"]) == jsonio.dumps(want)
 
 
 @pytest.mark.parametrize("name", ["contraction-sl2-so2", "gl3"])
-def test_pinned_family_is_the_pipeline_family(name):
-    with open(FAMILY_GOLDEN, encoding="utf-8") as fh:
-        family = json.load(fh)[f"shift build {name}"]["report"]
-    with open(PIPELINE_GOLDEN, encoding="utf-8") as fh:
-        report = json.load(fh)[f"pipeline run {name}"]["report"]
-    for member in family["members"]:
-        del member["pretty"]
-    assert jsonio.dumps(family) == jsonio.dumps(report["family"])
+def test_pipeline_on_the_reported_casimirs_gives_the_same_verdicts(pipelines, families, name):
+    first = pipelines[f"pipeline run {name}"]
+    again = families[f"pipeline run {name}"]
+    assert again["exit"] == first["exit"] == 0
+    for key in ("verdicts", "witnesses", "casimirs"):
+        assert jsonio.dumps(again["report"][key]) == jsonio.dumps(first["report"][key])
 
 
 SL3_F = {(2, 0, 0, 1, 0, 0, 0, 0): "1/2", (0, 1, 0, 0, 0, 1, 0, 0): "-3/4",

@@ -9,8 +9,7 @@ from .liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                      make_vinberg, make_z2_contraction, validate)
 from .mfshift import (DEFICIT, EXACT, EXCESS, ShiftFamily, ShiftMember,
                       build_family, certify_commutative, degree_profile,
-                      find_nonmaximality_witness, linear_commutant,
-                      nonmembership_linear)
+                      find_nonmaximality_witness, nonmembership_linear)
 from .mpoly import MPoly, poly_gcd
 from .poisson import (CasimirSet, KirillovForm, bracket, classical_casimirs,
                       estimate_index, frozen_bracket, is_casimir, kirillov,
@@ -32,9 +31,8 @@ __all__ = [
     "char_poly", "classical_casimirs", "degree_profile", "estimate_index",
     "find_nonmaximality_witness", "find_regular_plane", "frozen_bracket",
     "is_casimir", "is_regular", "kirillov", "kostant_criterion",
-    "linear_commutant", "make_classical", "make_semidirect",
-    "make_sl2_so2_contraction", "make_takiff", "make_vinberg",
-    "make_z2_contraction", "nonmembership_linear", "poly_gcd", "rat",
-    "rat_str", "takiff_lift", "validate",
-    "verify_bols", "verify_com1", "verify_compl",
+    "make_classical", "make_semidirect", "make_sl2_so2_contraction",
+    "make_takiff", "make_vinberg", "make_z2_contraction",
+    "nonmembership_linear", "poly_gcd", "rat", "rat_str", "takiff_lift",
+    "validate", "verify_bols", "verify_com1", "verify_compl",
 ]

@@ -545,8 +545,14 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any,
                                 "singular set, which this tool does not certify)",
         "codim3": {"certified": False, "plane_attempts": plane.attempts_used},
     }
-    w = find_nonmaximality_witness(fam, cert.actions)
-    if w is not None:
+    w = None
+    if not fam.all_homogeneous():
+        # the generated subalgebra is not graded, so the span of the
+        # linear members need not be its degree-one part
+        concl["inclusion-maximality"] = ("not machine-checked (the family has "
+                                         "non-homogeneous members, so the linear "
+                                         "witness search does not apply)")
+    elif (w := find_nonmaximality_witness(fam, cert.actions)) is not None:
         concl["inclusion-maximality"] = ("refuted: a linear form outside the family "
                                          "commutes with every member")
     yield True, concl, (None if w is None else {"poly": jsonio.poly_to_json(w),

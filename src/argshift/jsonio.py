@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .exactlin import MatQ, SubspaceQ, _rat_pair, rat, rat_str
 from .liealg import BracketEntry, LieAlgebraData
-from .mfshift import ShiftFamily, ShiftMember
+from .mfshift import ShiftFamily
 from .mpoly import MPoly, grlex_key
 from .poisson import CasimirSet
 
@@ -205,16 +205,6 @@ def family_to_json(fam: ShiftFamily) -> dict:
             "members": [{"generator": m.generator_index, "power": m.power,
                          "poly": poly_to_json(m.poly)}
                         for m in fam.members]}
-
-
-def family_from_json(data: dict, algebra: LieAlgebraData) -> ShiftFamily:
-    xi = vector_from_json(_field(data, "xi", "family"))
-    gens = tuple(poly_from_json(d) for d in _array(data.get("generators", []), "generators"))
-    members = tuple(ShiftMember(_int(_field(m, "generator", "member"), "generator"),
-                                _int(_field(m, "power", "member"), "power"),
-                                poly_from_json(_field(m, "poly", "member")))
-                    for m in _array(data.get("members", []), "members"))
-    return ShiftFamily(algebra, xi, gens, members)
 
 
 def dumps(obj: Any) -> str:

@@ -7,7 +7,9 @@ certifies their commutativity under both the Lie-Poisson bracket and
 the bracket frozen at xi (by the argument-shift chain, or pair by pair
 when the chain fails), compares degree data against the maximal
 possible transcendence degree, and hunts for linear forms that commute
-with the family without belonging to it.
+with the family without belonging to it: one walk over the rows of the
+members' coadjoint actions, stopped as soon as those rows prove that
+every commuting linear form already lies in the family.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlin import SubspaceQ, Scalar, _primitive, _rank_kernel_int, vec
+from .exactlin import SubspaceQ, Scalar, annihilator, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
 from .poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
@@ -235,42 +237,38 @@ def nonmembership_linear(family: ShiftFamily, g: MPoly) -> bool:
     return any(linear_member_span(family).reduce(_linear_row(g)))
 
 
-def linear_commutant(L: LieAlgebraData, polys: Sequence[MPoly],
-                     actions: Optional[Sequence[Action]] = None) -> SubspaceQ:
-    """All linear forms whose bracket with every given polynomial vanishes.
-
-    Writing y = sum c_i x_i, {y, p} = sum c_i {x_i, p}, so each monomial
-    of the {x_i, p} contributes one linear condition on c, an integer
-    row over the denominator of p's action; the commutant is the common
-    kernel.  Rows are kept once each, made primitive: on the sl5 shift
-    family 4656 rows shrink to under 1000.  actions, when given, are the
-    packed Lie-Poisson actions of polys as certify_commutative holds them.
-    """
-    n = L.dim
-    if actions is None:
-        width = _action_width(polys)
-        actions = _coadjoint(n, _pack(n, polys, width), (L.num, L.den), width)
-    rows = {tuple(_primitive([acc.get(mono, 0) for acc in accs]))
-            for accs, _ in actions for mono in set().union(*accs)}
-    _, kernel = _rank_kernel_int(sorted(rows), n)
-    return SubspaceQ(n, kernel)
-
-
 def find_nonmaximality_witness(family: ShiftFamily,
                                actions: Optional[Sequence[Action]] = None
                                ) -> Optional[MPoly]:
     """A linear form commuting with the family but provably outside it.
 
     Returns None when every commuting linear form already lies in the
-    span of the degree-one members; otherwise the returned form extends
-    the family to a strictly larger commutative subalgebra, so the
-    family was not maximal.
+    span S of the degree-one members; otherwise the returned form
+    extends the family to a strictly larger commutative subalgebra, so
+    the family was not maximal.
+
+    Writing y = sum c_i x_i, {y, p} = sum c_i {x_i, p}, so each monomial
+    of each member's {x_i, p} gives an integer row, a linear condition
+    on c, and the commutant C is the annihilator of the row space R.
+    The rows feed one SubspaceQ member by member, and the walk stops
+    once annihilator(S) lies in R: then C lies in S, for any family,
+    commutative or not.  Otherwise R is the whole row space at the end,
+    and the witness is the first canonical basis vector of C, in pivot
+    order, outside S.  actions, when given, are the packed Lie-Poisson
+    actions of the members as certify_commutative holds them.
     """
     if not family.all_homogeneous():
         raise ValueError("nonmaximality search requires homogeneous members")
-    commutant = linear_commutant(family.algebra, family.polys, actions)
+    L, n = family.algebra, family.algebra.dim
+    if actions is None:
+        width = _action_width(family.polys)
+        actions = _coadjoint(n, _pack(n, family.polys, width), (L.num, L.den), width)
     span = linear_member_span(family)
-    for v, c in zip(commutant.basis, sorted(commutant.rows)):
-        if any(span.reduce(commutant.rows[c])):
-            return MPoly.linear_form(v)
-    return None
+    need = annihilator(span)
+    rows = SubspaceQ(n)
+    walk = ([acc.get(mono, 0) for acc in accs]
+            for accs, _ in actions for mono in set().union(*accs))
+    if not need.dim or any(rows.add(row) and rows.dim >= need.dim and need.is_subspace_of(rows)
+                           for row in walk):
+        return None
+    return next(MPoly.linear_form(v) for v in annihilator(rows).basis if not span.contains(v))

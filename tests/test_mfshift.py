@@ -16,8 +16,8 @@ from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                              make_sl2_so2_contraction, make_takiff)
 from argshift.mfshift import (DEFICIT, EXACT, EXCESS, ShiftFamily, ShiftMember,
                               build_family, certify_commutative, degree_profile,
-                              find_nonmaximality_witness, linear_commutant,
-                              linear_member_span, nonmembership_linear)
+                              find_nonmaximality_witness, linear_member_span,
+                              nonmembership_linear)
 from argshift.mpoly import MPoly
 from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
                               frozen_bracket, takiff_lift)
@@ -157,7 +157,7 @@ def test_witness_is_the_first_canonical_commutant_vector_outside_the_span(k, wan
     ab = LieAlgebraData(3, ["a", "b", "c"], {})
     x = [MPoly.variable(3, i) for i in range(3)]
     fam = build_family(ab, [x[k] * x[k]], [int(i == k) for i in range(3)])
-    assert linear_commutant(ab, fam.polys).dim == 3
+    assert fraction_linear_commutant(ab, fam.polys).dim == 3
     assert find_nonmaximality_witness(fam) == x[want]
 
 
@@ -190,16 +190,18 @@ def test_linear_member_span():
 
 def test_linear_commutant_oracle():
     # {y, x_e} = 0 forces y into span{x_e}: the h and f components
-    # produce 2 x_e and -x_h respectively
-    com = linear_commutant(SL2, [X_E])
-    assert com.dim == 1
-    assert com.contains((1, 0, 0))
+    # produce 2 x_e and -x_h respectively; x_e spans the family's own
+    # linear members, so nothing is left to witness
+    assert fraction_linear_commutant(SL2, [X_E]) == SubspaceQ.span([(1, 0, 0)], 3)
+    assert find_nonmaximality_witness(build_family(SL2, [X_E], (1, 2, 3))) is None
 
 
 def test_linear_commutant_abelian_is_everything():
     ab = LieAlgebraData(2, ["a", "b"], {})
-    com = linear_commutant(ab, [MPoly.variable(2, 0)])
-    assert com.dim == 2
+    x = [MPoly.variable(2, i) for i in range(2)]
+    assert fraction_linear_commutant(ab, [x[0]]) == SubspaceQ.full(2)
+    assert find_nonmaximality_witness(build_family(ab, [x[0]], (1, 0))) == x[1]
+    assert find_nonmaximality_witness(build_family(ab, x, (1, 0))) is None
 
 
 # --- the shift chain against the pairwise route -------------------------------
@@ -302,29 +304,64 @@ def test_chain_needs_one_member_per_power():
     assert cert.ok and cert.method == "pairwise" and cert.pairs_checked == 3
 
 
+def oracle_witness(family):
+    """The first canonical basis vector of the Fraction-route commutant,
+    in pivot order, outside the span of the degree-one members."""
+    span = linear_member_span(family)
+    com = fraction_linear_commutant(family.algebra, family.polys)
+    return next((MPoly.linear_form(v) for v in com.basis if not span.contains(v)), None)
+
+
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_linear_commutant_matches_fraction_route(name):
     fam = seeded_family(name, 0)
-    L = fam.algebra
-    want = fraction_linear_commutant(L, fam.polys)
-    assert linear_commutant(L, fam.polys) == want
-    assert linear_commutant(L, fam.polys, certify_commutative(fam).actions) == want
+    want = oracle_witness(fam)
+    assert find_nonmaximality_witness(fam) == want
+    assert find_nonmaximality_witness(fam, certify_commutative(fam).actions) == want
 
 
 def test_linear_commutant_matches_fraction_route_on_random_polys():
+    # homogeneous generators that are no Casimirs: the linear members
+    # need not commute with the family, and the stop rule must not
+    # assume they do
     sl3 = make_classical("sl", 3)
-    for t in range(6):
+    outside = 0
+    for t in range(8):
         rng = rng_stream(0, "commutant", t)
-        polys = []
+        gens = []
         for _ in range(rng.randint(1, 3)):
-            terms = {}
+            deg, terms = rng.randint(1, 3), {}
             for _ in range(rng.randint(1, 4)):
                 e = [0] * sl3.dim
-                for _ in range(rng.randint(1, 3)):
+                for _ in range(deg):
                     e[rng.randrange(sl3.dim)] += 1
-                terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            polys.append(MPoly(sl3.dim, terms))
-        assert linear_commutant(sl3, polys) == fraction_linear_commutant(sl3, polys)
+                terms[tuple(e)] = Fraction(rng.randint(1, 5) * rng.choice((-1, 1)),
+                                           rng.randint(1, 3))
+            gens.append(MPoly(sl3.dim, terms))
+        fam = build_family(sl3, gens, integer_point(rng, sl3.dim, 3))
+        com = fraction_linear_commutant(sl3, fam.polys)
+        outside += not linear_member_span(fam).is_subspace_of(com)
+        assert find_nonmaximality_witness(fam) == oracle_witness(fam)
+    assert outside
+
+
+GL2 = make_classical("gl", 2)
+Y = [MPoly.variable(4, i) for i in range(4)]
+
+
+@pytest.mark.parametrize("L, gens, xi, want", [
+    (SL2, [CAS], (0, 0, 0), X_E),               # S = 0, and CAS commutes with every x_i
+    (SL2, [X_E * X_F], (0, 0, 0), X_H),         # S = 0, commutant span{x_h}
+    (SL2, [X_E * X_H], (0, 0, 0), None),        # S = 0, commutant 0
+    (SL2, [X_E, X_H, X_F], (1, 2, 3), None),    # S = the whole space
+    # x_12 and x_21 do not commute, so their rows reach rank 3, past
+    # dim - dim S = 2, while the trace form commutes with both: a stop
+    # at that rank would miss the witness
+    (GL2, [Y[1], Y[2]], (1, 0, 0, 1), Y[0] + Y[3]),
+])
+def test_witness_edge_cases(L, gens, xi, want):
+    fam = build_family(L, gens, xi)
+    assert find_nonmaximality_witness(fam) == want == oracle_witness(fam)
 
 
 def test_contraction_witness_from_the_chain_actions():

@@ -29,6 +29,11 @@ direction each report names: the family those pipelines verify, with
 each member's pretty form.  `pipeline run --casimirs` on the same file
 and direction gives the same verdicts.
 
+`golden/regcert_reports.json` pins the plane-certificate route of the
+nonreductive algebras: `reg codim2` on the sl4 and sl5 nilpotent
+centralizers z_sl4 [2,1,1], z_sl5 [3,2], [2,2,1] and [3,1,1], and `reg
+plane` on takiff(sl2, 2) at a fixed regular plane.
+
 `golden/fraction_reports.json` pins algebras whose structure constants
 have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
 analysis and the codim-2 witness on such tables, and a table with
@@ -45,6 +50,7 @@ import pytest
 
 from argshift import jsonio
 from argshift.cli import main
+from argshift.liealg import make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly
 from argshift.poisson import classical_casimirs
 
@@ -53,6 +59,7 @@ PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_re
 POLY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "poly_reports.json")
 FRACTION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fraction_reports.json")
 FAMILY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "family_reports.json")
+REGCERT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regcert_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -280,6 +287,45 @@ def test_poly_report_matches_the_pinned_bytes(polys, case):
     with open(POLY_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(polys[case]) == jsonio.dumps(want)
+
+
+CENTRALIZERS = {"z_sl4_211": (4, [2, 1, 1]), "z_sl5_32": (5, [3, 2]),
+                "z_sl5_221": (5, [2, 2, 1]), "z_sl5_311": (5, [3, 1, 1])}
+TAKIFF_SL2_2_PLANE = ("1,-2,3,2,1,-1,3,-2,1", "2,1,-1,-3,2,1,1,4,-2")
+
+
+def regcert_reports(tmp_path) -> dict:
+    """Every pinned nonreductive plane-certificate case's exit code and
+    report without timings."""
+    out = {}
+    for name, (n, part) in CENTRALIZERS.items():
+        path = str(tmp_path / f"{name}.json")
+        jsonio.write_json(path, jsonio.algebra_to_json(make_centralizer_sl(n, part)))
+        out[f"reg codim2 {name}"] = _run(["reg", "codim2", path])
+    path = str(tmp_path / "takiff_sl2_2.json")
+    jsonio.write_json(path, jsonio.algebra_to_json(make_takiff(make_classical("sl", 2), 2)))
+    xi, eta = TAKIFF_SL2_2_PLANE
+    out["reg plane takiff_sl2_2"] = _run(["reg", "plane", path, "--xi", xi, "--eta", eta])
+    return out
+
+
+@pytest.fixture(scope="module")
+def regcert_cases(tmp_path_factory):
+    return regcert_reports(tmp_path_factory.mktemp("regcert"))
+
+
+def test_regcert_cases_pass(regcert_cases):
+    assert {v["exit"] for v in regcert_cases.values()} == {0}
+    assert [v["report"]["verdicts"]["profile"]["ind"]
+            for k, v in regcert_cases.items() if k.startswith("reg codim2")] == [3, 4, 4, 4]
+
+
+@pytest.mark.parametrize("case", [*(f"reg codim2 {name}" for name in CENTRALIZERS),
+                                  "reg plane takiff_sl2_2"])
+def test_regcert_report_matches_the_pinned_bytes(regcert_cases, case):
+    with open(REGCERT_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    assert jsonio.dumps(regcert_cases[case]) == jsonio.dumps(want)
 
 
 # on vinberg(1/2, 2/3), basis (s, v1, v2)

@@ -53,6 +53,8 @@ def _count(data: Any, key: str, what: str) -> int:
 def _ratio(value: Any) -> tuple[int, int]:
     """value as (p, q) in lowest terms, q > 0."""
     try:
+        if isinstance(value, bool):   # a JSON true or false, an int to Python
+            raise TypeError
         return _rat_pair(value)
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot interpret {value!r} as a rational") from exc

@@ -9,7 +9,8 @@ singular directions at the generic rank ("Kronecker" type) and L is
 maximal isotropic of dimension dim V - m/2; otherwise the recursion
 operator on the quotient carries the singular directions as its
 eigenvalues, which are cross-checked against the ranks of the
-corresponding members.
+corresponding members.  A Kronecker certificate also proves the rank
+of every member, so only the other pencils take a rank profile.
 
 A pencil is integer rows over one denominator, sampled at integer
 directions, so ranks and kernels of members come from fraction-free
@@ -118,11 +119,40 @@ class PencilRankProfile:
         return [r for r, rank in self.ranks if rank == self.m]
 
 
-def rank_profile(pencil: SkewPencil) -> PencilRankProfile:
-    """Generic rank and the per-direction ranks over the base ratios."""
-    ranks = tuple(((a, b), _skew_rank(pencil._member(a, b), pencil.dim))
-                  for a, b in base_ratios(pencil.dim))
+def rank_profile(pencil: SkewPencil,
+                 known: Optional[dict[IntRatio, int]] = None) -> PencilRankProfile:
+    """Generic rank and the per-direction ranks over the base ratios;
+    `known` holds ranks already taken, by direction."""
+    known = known or {}
+    ranks = tuple((ab, known[ab] if ab in known else _skew_rank(pencil._member(*ab), pencil.dim))
+                  for ab in base_ratios(pencil.dim))
     return PencilRankProfile(max(r for _, r in ranks), ranks)
+
+
+def _kernel_walk(pencil: SkewPencil, m: Optional[int] = None
+                 ) -> tuple[int, SubspaceQ, dict[IntRatio, int], IntRows]:
+    """compute_L's walk at rank m or, for m None, at the highest rank r
+    seen so far, a higher rank restarting the sum: r, the sum, the ranks
+    of the members walked and the kernel of the member that set r.  A
+    walk reaching the cap has passed every base ratio, so r is m there."""
+    n = pencil.dim
+    cap = 4 * n + 10
+    r = -1 if m is None else m
+    total, first, ranks, consecutive = SubspaceQ(n), [], {}, 0
+    for a, b in chain(base_ratios(n), ((1, k) for k in range(n + 1, cap))):
+        rank, ker = _skew_kernel(pencil._member(a, b), n)
+        ranks[a, b] = rank
+        if m is None and rank > r:
+            r, total, first, consecutive = rank, SubspaceQ(n), ker, 0
+        if rank != r:
+            continue
+        before = total.dim
+        for v in ker:
+            total.add(v)
+        consecutive = consecutive + 1 if total.dim == before else 0
+        if consecutive >= n or total.dim == n - r // 2:
+            return r, total, ranks, first
+    raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
 
 def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
@@ -139,24 +169,9 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
     of its Pfaffian elimination and its vectors are reduced into one
     growing echelon basis of the sum.
     """
-    n = pencil.dim
     if m is None:
         m = rank_profile(pencil).m
-    cap = 4 * n + 10
-    ratios = chain(base_ratios(n), ((1, k) for k in range(n + 1, cap)))
-    total = SubspaceQ(n)
-    consecutive = 0
-    for a, b in ratios:
-        r, ker = _skew_kernel(pencil._member(a, b), n)
-        if r != m:
-            continue
-        before = total.dim
-        for v in ker:
-            total.add(v)
-        consecutive = consecutive + 1 if total.dim == before else 0
-        if consecutive >= n or total.dim == n - m // 2:
-            return total
-    raise ArithmeticError("kernel sum did not stabilize within the direction cap")
+    return _kernel_walk(pencil, m)[1]
 
 
 def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
@@ -225,13 +240,14 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
 
 
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
-                 A_ratio: Ratio, B_ratio: Ratio, m: Optional[int] = None) -> MatQ:
+                 A_ratio: Ratio, B_ratio: Ratio, m: Optional[int] = None,
+                 kerA: Optional[IntRows] = None) -> MatQ:
     """Matrix of the recursion operator on Ltilde / L solving A w = B v.
 
     Requires the A-direction to be regular, so its kernel sits inside
     L and the class of w does not depend on the particular solution;
     that independence is still re-verified by solving with a solution
-    shifted by a kernel vector.
+    shifted by a kernel vector.  kerA, when given, is that kernel.
 
     The quotient basis is the primitive integer rows of Ltilde outside
     L, positive multiples of its unit-lead rows, so the matrix is a
@@ -240,20 +256,22 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     the kernel shift with leading entry 1, and w solved for that v.
     """
     n = pencil.dim
-    if m is None:
-        m = rank_profile(pencil).m
     # one factor clears both ratios, so A w = B v keeps its solutions
     a1, a2, b1, b2 = _int_rows([tuple(A_ratio) + tuple(B_ratio)])[0]
     Am, Bm = pencil._member(a1, a2), pencil._member(b1, b2)
-    r, kerA = _skew_kernel(Am, n)
-    if r != m:
-        raise ValueError("the A-direction of the recursion operator must be regular")
+    if kerA is None:
+        if m is None:
+            m = rank_profile(pencil).m
+        r, kerA = _skew_kernel(Am, n)
+        if r != m:
+            raise ValueError("the A-direction of the recursion operator must be regular")
     # a basis of L, grown by the complement of L in Ltilde
     grown = SubspaceQ(n, L.rows.values())
     if any(any(grown.reduce(v)) for v in kerA):
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
-            {"dim": n, "member_rank": r, "kernel_dim": len(kerA), "L_dim": L.dim})
+            {"dim": n, "member_rank": n - len(kerA), "kernel_dim": len(kerA),
+             "L_dim": L.dim})
     comp = [row for _, row in sorted(Ltilde.rows.items()) if grown.add(row) is not None]
     ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
 
@@ -339,6 +357,20 @@ class PencilAnalysis:
         }
 
 
+def _image_and_annihilator(pencil: SkewPencil, L: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
+    """W, certified by check_image_equality, and Ltilde, its annihilator,
+    once L is checked to lie in it."""
+    W = check_image_equality(pencil, L)
+    Ltilde = annihilator(W)
+    # W = A(L) = B(L), so L inside the annihilator of W is exactly
+    # isotropy of L for A and B
+    if any(sum(map(mul, v, w)) for v in L.rows.values() for w in W.rows.values()):
+        raise FalsificationError(
+            "kernel sum is not isotropic for the pencil",
+            {"dim": pencil.dim, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
+    return W, Ltilde
+
+
 def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     """Full exact analysis of a skew pencil.
 
@@ -348,19 +380,39 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     direction (0, 1), or (1, 0) when A starts with 0, and cross-checks
     each rational eigenvalue against the rank drop of the corresponding
     member.  Violated theory-implied invariants raise FalsificationError.
+
+    The analysis starts with compute_L's walk at the highest rank r
+    seen so far and certifies the sum L it stops at.  When every member
+    maps L onto W, L is the annihilator of W and dim L = n - r/2, this
+    Kronecker certificate proves the rank profile, so none is taken:
+    - the generic rank is r: each member maps L into W, so L is
+      isotropic for it, and isotropic subspaces of a form of rank s
+      have dimension at most n - s/2; the member that set r reaches it;
+    - every nonzero member has rank r: in a basis of L and a complement
+      its matrix is [[0, X], [-X^T, Y]], X of rank dim W = r/2 as the
+      member maps L onto W, so its rank is at least 2 rank X = r.
+    Otherwise the profile is taken, reusing the walked ranks.  When its
+    m is r the walk was compute_L(m)'s, so L, W and a check's error
+    stand; m exceeds r only when the walk stopped before the last base
+    ratio, and then compute_L(m) is rerun.
     """
     n = pencil.dim
-    prof = rank_profile(pencil)
+    r, L, walked, kerA = _kernel_walk(pencil)
+    try:
+        W, Ltilde = _image_and_annihilator(pencil, L)
+    except FalsificationError:
+        prof = rank_profile(pencil, walked)
+        if prof.m == r:
+            raise
+    else:
+        if L == Ltilde and L.dim == n - r // 2:
+            return PencilAnalysis(n, r, "kronecker", L, Ltilde, W, True,
+                                  tuple((ab, r) for ab in base_ratios(n)))
+        prof = rank_profile(pencil, walked)
     m = prof.m
-    L = compute_L(pencil, m)
-    W = check_image_equality(pencil, L)
-    Ltilde = annihilator(W)
-    # W = A(L) = B(L), so L inside the annihilator of W is exactly
-    # isotropy of L for A and B
-    if any(sum(map(mul, v, w)) for v in L.rows.values() for w in W.rows.values()):
-        raise FalsificationError(
-            "kernel sum is not isotropic for the pencil",
-            {"dim": n, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
+    if m != r:
+        L, kerA = compute_L(pencil, m), None
+        W, Ltilde = _image_and_annihilator(pencil, L)
     if L == Ltilde:
         if L.dim != n - m // 2:
             raise FalsificationError(
@@ -370,16 +422,16 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
                               True, prof.ranks)
     A_ratio = prof.regular_ratios()[0]
     B_ratio = (1, 0) if A_ratio[0] == 0 else (0, 1)
-    cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m))
+    cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m, kerA))
     eigs = rational_roots(cp)
     (a1, a2), (b1, b2) = A_ratio, B_ratio
     for lam in eigs:
         p, q = lam.numerator, lam.denominator  # q (B_ratio - lam A_ratio) below
-        r = _skew_rank(pencil._member(q * b1 - p * a1, q * b2 - p * a2), n)
-        if r >= m:
+        rank = _skew_rank(pencil._member(q * b1 - p * a1, q * b2 - p * a2), n)
+        if rank >= m:
             raise FalsificationError(
                 "recursion eigenvalue does not match a singular direction",
-                {"dim": n, "eigenvalue": rat_str(lam), "member_rank": r,
+                {"dim": n, "eigenvalue": rat_str(lam), "member_rank": rank,
                  "generic_rank": m,
                  "A_ratio": [rat_str(x) for x in A_ratio],
                  "B_ratio": [rat_str(x) for x in B_ratio]})

@@ -375,7 +375,7 @@ def _fraction(value: Any) -> Fraction:
     try:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, str):
             return Fraction(value.strip().replace("−", "-"))

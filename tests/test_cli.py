@@ -511,6 +511,22 @@ def test_pencil_analyze_names_the_missing_matrix(capsys, tmp_path, content, miss
         "", f"error: {path}: pencil file must be an object with {missing!r}\n")
 
 
+def test_a_json_boolean_is_not_a_rational(capsys, tmp_path):
+    # true would read as the rational 1 and false as 0
+    mats = tmp_path / "bool.json"
+    mats.write_text(json.dumps({"A": [["0", True], ["-1", "0"]], "B": [["0", "2"], ["-2", "0"]]}))
+    assert main(["pencil", "analyze", "--matrices", str(mats)]) == 2
+    assert capsys.readouterr() == ("", f"error: {mats}: cannot interpret True as a rational\n")
+
+
+def test_a_json_boolean_is_not_a_coefficient(capsys, tmp_path, sl2_file):
+    f = poly_file(tmp_path, "f.json", MPoly.variable(3, 0))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"nvars": 3, "terms": [{"coeff": True, "exps": [0, 0, 1]}]}))
+    assert main(["poisson", "bracket", sl2_file, f, str(g)]) == 2
+    assert capsys.readouterr() == ("", f"error: {g}: cannot interpret True as a rational\n")
+
+
 def test_negative_dim_is_named_on_every_route(capsys, tmp_path):
     path = tmp_path / "neg.json"
     jsonio.write_json(str(path), {"dim": -1})

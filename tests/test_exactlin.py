@@ -290,6 +290,7 @@ def dense_skew(draw):
     return n, rows
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(low_rank_skew(), dense_skew()))
 def test_skew_rank_matches_bareiss_and_sympy(case):
@@ -300,6 +301,7 @@ def test_skew_rank_matches_bareiss_and_sympy(case):
     assert r == sympy.Matrix(n, n, [x for row in rows for x in row]).rank()
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(low_rank_skew(), dense_skew()))
 def test_skew_kernel_matches_bareiss_and_sympy(case):

@@ -259,7 +259,9 @@ def shell_order(sets):
             yield J, I
 
 
-@pytest.mark.parametrize("name", PFAFFIAN_ALGEBRAS)
+# the v1+sl3 minor stream takes about 9 s
+@pytest.mark.parametrize("name", [pytest.param(k, marks=pytest.mark.slow) if k == "v1+sl3" else k
+                                  for k in PFAFFIAN_ALGEBRAS])
 def test_pfaffian_gcd_squared_is_the_minor_gcd(name):
     L = PFAFFIAN_ALGEBRAS[name]
     m = L.dim - estimate_index(L).ind

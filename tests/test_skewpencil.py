@@ -17,7 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import jsonio
+from argshift import jsonio, skewpencil
 from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
 from argshift.exactlin import rat_str
 from argshift.liealg import make_classical, make_takiff
@@ -25,11 +25,11 @@ from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import kirillov
 from argshift.regcert import FalsificationError
 from argshift.sampling import rng_stream
-from argshift.skewpencil import (PencilAnalysis, SkewPencil, base_ratios,
+from argshift.skewpencil import (PencilAnalysis, SkewPencil, _kernel_walk, base_ratios,
                                  char_poly, check_image_equality, compute_L,
                                  phi_operator, rank_profile, verify_com1)
 from oracles import ambient_image_equality, stream_minor_gcd
-from test_golden_reports import MATRICES
+from test_golden_reports import MATRICES, PLANES as GOLDEN_PLANES
 
 SL2 = make_classical("sl", 2)
 
@@ -558,3 +558,68 @@ def test_char_poly_matches_sympy(rows):
                             for row in rows for x in row])
     expected = [Fraction(int(c.p), int(c.q)) for c in reversed(S.charpoly().all_coeffs())]
     assert char_poly(MatQ(rows, cols=q)) == expected
+
+
+# --- one elimination per member ------------------------------------------------
+
+GOLDEN_ALGEBRAS = {"sl4-plane": make_classical("sl", 4),
+                   "takiff-sl3-1-plane": make_takiff(make_classical("sl", 3), 1),
+                   "sl3-subregular-plane": SL3}
+
+
+def golden_pencil(name: str) -> SkewPencil:
+    if name in MATRICES:
+        return SkewPencil.from_matrices(*MATRICES[name])
+    _, xi, eta = GOLDEN_PLANES[name]
+    return SkewPencil.from_kirillov(GOLDEN_ALGEBRAS[name], xi.split(","), eta.split(","))
+
+
+def eliminations(monkeypatch, pencil: SkewPencil) -> tuple[PencilAnalysis, list]:
+    """verify_com1's analysis and its member eliminations, in order, as
+    (function name, member rows)."""
+    calls = []
+    for name in ("_skew_rank", "_skew_kernel"):
+        def counted(rows, n, name=name, fn=getattr(skewpencil, name)):
+            calls.append((name, tuple(map(tuple, rows))))
+            return fn(rows, n)
+        monkeypatch.setattr(skewpencil, name, counted)
+    return verify_com1(pencil), calls
+
+
+@pytest.mark.parametrize("name", ["sl4-plane", "takiff-sl3-1-plane", "kronecker-9"])
+def test_a_kronecker_certificate_takes_no_rank_profile(monkeypatch, name):
+    analysis, calls = eliminations(monkeypatch, golden_pencil(name))
+    assert analysis.kind == "kronecker"
+    assert {fn for fn, _ in calls} == {"_skew_kernel"}
+    assert len(calls) < len(analysis.ranks)
+
+
+@pytest.mark.parametrize("name", ["sl3-subregular-plane", "jordan-4"])
+def test_a_jordan_analysis_eliminates_each_member_once(monkeypatch, name):
+    pencil = golden_pencil(name)
+    analysis, calls = eliminations(monkeypatch, pencil)
+    assert analysis.kind == "jordan-mixed"
+    # the eigenvalue cross-check ranks one member per eigenvalue, last
+    (a1, a2), (b1, b2) = analysis.A_ratio, analysis.B_ratio
+    checks = [("_skew_rank", tuple(map(tuple, pencil._member(
+        lam.denominator * b1 - lam.numerator * a1, lam.denominator * b2 - lam.numerator * a2))))
+        for lam, _ in analysis.eigenvalues]
+    assert checks and calls[len(calls) - len(checks):] == checks
+    members = [rows for _, rows in calls[:len(calls) - len(checks)]]
+    assert len(set(members)) == len(members)
+    # every base ratio is ranked, by the kernel walk or by the profile
+    assert len(members) >= len(analysis.ranks)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_walk_stopping_below_the_generic_rank_is_redone_at_it(n):
+    # A = 0: the first member's kernel, all of V, is a sum of the target
+    # dimension n - 0/2 at rank 0, which the image check refutes
+    B = random_skew(rng_stream(5, "pencil-zero-A", n), n)
+    A = MatQ.zeros(n, n)
+    pencil = SkewPencil(A, B)
+    assert _kernel_walk(pencil)[:2] == (0, SubspaceQ(n, [[int(i == j) for j in range(n)]
+                                                         for i in range(n)]))
+    analysis = verify_com1(pencil)
+    assert analysis.m == rank(B) > 0
+    assert analysis_fields(analysis) == fraction_analysis(A, B)

@@ -34,12 +34,20 @@ nonreductive algebras: `reg codim2` on the sl4 and sl5 nilpotent
 centralizers z_sl4 [2,1,1], z_sl5 [3,2], [2,2,1] and [3,1,1], and `reg
 plane` on takiff(sl2, 2) at a fixed regular plane.
 
+`golden/build_digests.json` pins, as sha256, the bytes of matrix-built
+algebras that no report above covers: `algebra build` of so3, so4, so5,
+gl2, gl4 and sl5, and the files of the sl3 and sl4 centralizers z_sl3
+[2,1], z_sl4 [2,2] and [3,1] from `liealg.make_centralizer_sl`.  Their
+structure constants come from `exactlin.solve_many`, and the
+centralizers' bases from `exactlin.rank_kernel`.
+
 `golden/fraction_reports.json` pins algebras whose structure constants
 have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
 analysis and the codim-2 witness on such tables, and a table with
 [a, c] = b/2 that fails Jacobi by a fractional coefficient.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -60,6 +68,7 @@ POLY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "poly_reports.js
 FRACTION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fraction_reports.json")
 FAMILY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "family_reports.json")
 REGCERT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regcert_reports.json")
+BUILD_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "build_digests.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -326,6 +335,35 @@ def test_regcert_report_matches_the_pinned_bytes(regcert_cases, case):
     with open(REGCERT_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(regcert_cases[case]) == jsonio.dumps(want)
+
+
+BUILDS = {"so3": ["so", "3"], "so4": ["so", "4"], "so5": ["so", "5"],
+          "gl2": ["gl", "2"], "gl4": ["gl", "4"], "sl5": ["sl", "5"]}
+BUILT_CENTRALIZERS = {"z_sl3_21": (3, [2, 1]), "z_sl4_22": (4, [2, 2]), "z_sl4_31": (4, [3, 1])}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def build_digests() -> dict:
+    """The sha256 of the bytes of every pinned matrix-built algebra, and
+    the exit code of each `algebra build`."""
+    out = {}
+    for name, build in BUILDS.items():
+        with redirect_stdout(io.StringIO()) as buf:
+            code = main(["algebra", "build", *build])
+        out[f"algebra build {name}"] = {"exit": code, "sha256": _digest(buf.getvalue())}
+    for name, (n, part) in BUILT_CENTRALIZERS.items():
+        text = jsonio.dumps(jsonio.algebra_to_json(make_centralizer_sl(n, part)))
+        out[f"make_centralizer_sl {name}"] = {"sha256": _digest(text)}
+    return out
+
+
+def test_matrix_built_algebras_match_the_pinned_digests():
+    with open(BUILD_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert jsonio.dumps(build_digests()) == jsonio.dumps(want)
 
 
 # on vinberg(1/2, 2/3), basis (s, v1, v2)

@@ -1,20 +1,27 @@
 """Exact linear algebra over the rationals.
 
 Matrices are dense and immutable integer rows over one denominator.
-Every rank, kernel, solve and span is one integer Gauss-Jordan
-elimination: fraction-free (Bareiss) forward elimination on integer
-rows, then back-elimination on rows kept primitive, with each entry
-turned into a Fraction once at the end.  The rank of integer rows of a
-skew matrix (_skew_rank) is the one exception: fraction-free Pfaffian
-elimination by 2 x 2 skew pivots on the strict upper triangle, which
-does about a quarter of Bareiss's entry updates; on request the same
-loop also gives a kernel basis (_skew_kernel).  A SubspaceQ keeps its
-canonical echelon basis as primitive integer rows, grown one integer
-vector at a time, so equality of subspaces is equality of rows; its
+Three integer eliminations do one job each, and each entry is turned
+into a Fraction once at the end:
+
+- a rank with no basis (_rank_int, rank) is fraction-free (Bareiss)
+  forward elimination, _echelon;
+- the rank and, on request, a kernel basis of the integer rows of a
+  skew matrix (_skew_rank, _skew_kernel) come from fraction-free
+  Pfaffian elimination by 2 x 2 skew pivots on the strict upper
+  triangle, which does about a quarter of Bareiss's entry updates;
+- every other basis is a SubspaceQ: its canonical reduced echelon
+  basis as primitive integer rows, grown one integer vector at a time,
+  so equality of subspaces is equality of rows.
+
+A kernel basis is read off the canonical rows of the matrix's row
+space, one vector per free column, and only those vectors are reduced
+to the kernel's canonical rows (annihilator, rank_kernel); a solve is
+read off the canonical rows of the augmented matrix (solve_many).  The
 reduced row echelon basis over Q is a view for output.  Callers that
 already hold integer rows hand them to SubspaceQ or enter at the
 private integer-row functions (_rank_int, _skew_rank, _skew_kernel,
-_rank_kernel_int, _solve), which skip the Fraction round trip.
+_solve), which skip the Fraction round trip.
 """
 
 from __future__ import annotations
@@ -258,29 +265,6 @@ def _echelon(work: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _rref(work: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced row echelon form of integer rows, consumed in place.
-
-    Returns the nonzero rows, each primitive and zero in every pivot
-    column but its own, and the pivot columns.  The back-elimination
-    clears each pivot column above its pivot, dividing every combined
-    row by its content.
-    """
-    pivots = _echelon(work, ncols)
-    rank = len(pivots)
-    work = [_primitive(row) for row in work[:rank]]
-    for r in range(rank - 1, 0, -1):
-        pc = pivots[r]
-        low = work[r]
-        p = low[pc]
-        for above in range(r):
-            row = work[above]
-            q = row[pc]
-            if q:
-                work[above] = _primitive([p * a - q * b for a, b in zip(row, low)])
-    return work, pivots
-
-
 def _unit_lead(row: Sequence[int]) -> VecQ:
     """The rational vector on the line of a nonzero integer row whose
     leading entry is 1."""
@@ -424,36 +408,6 @@ def _skew_eliminate(rows: Sequence[Sequence[int]], ncols: int, track: bool
         prev = p
 
 
-def _rank_kernel_int(rows: Sequence[Sequence[int]], ncols: int
-                     ) -> tuple[int, list[list[int]]]:
-    """Rank and kernel of integer rows, the kernel as primitive integer
-    vectors: each is the canonical kernel vector of rank_kernel times
-    a positive integer.
-
-    Eliminating with the columns reversed writes each pivot variable in
-    terms of the free variables before it, so the kernel vector of free
-    column f is nonzero at f and zero at the other free columns: the
-    canonical basis up to scale, read off without a second reduction.
-    """
-    n = ncols
-    work, pivots = _rref([row[::-1] for row in rows], n)
-    # reversed column c is column n - 1 - c of the input
-    solved = [(n - 1 - c, row, row[c]) for c, row in zip(pivots, work)]
-    pivot_set = {pc for pc, _, _ in solved}
-    basis: list[list[int]] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        hits = [(pc, row[n - 1 - f], p) for pc, row, p in solved if row[n - 1 - f]]
-        den = lcm(*(p for _, _, p in hits))
-        v = [0] * n
-        v[f] = den
-        for pc, x, p in hits:
-            v[pc] = -x * (den // p)
-        basis.append(_primitive(v))
-    return len(pivots), basis
-
-
 class SubspaceQ:
     """Linear subspace of Q^n, kept as its canonical integer echelon basis.
 
@@ -552,15 +506,16 @@ class SubspaceQ:
 
 
 def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
-    """Exact rank and canonical kernel basis of M.
+    """Exact rank and canonical kernel basis of M: the dimension of its
+    row space and the annihilator of that row space.
 
     The kernel lives in Q^cols.  Skew input additionally asserts the
     even-rank invariant.  An empty matrix has rank 0 and full kernel.
     """
-    r, ker = _rank_kernel_int(M.num, M.cols)
-    if r % 2 != 0 and M.is_skew():
+    row_space = SubspaceQ(M.cols, M.num)
+    if row_space.dim % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
-    return r, SubspaceQ(M.cols, ker)
+    return row_space.dim, annihilator(row_space)
 
 
 def rank(M: MatQ) -> int:
@@ -568,7 +523,7 @@ def rank(M: MatQ) -> int:
 
     Skew input asserts the even-rank invariant, as in rank_kernel.
     """
-    r = len(_echelon(list(M.num), M.cols))
+    r = _rank_int(M.num, M.cols)
     if r % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
     return r
@@ -593,11 +548,11 @@ def _solve(rows: Sequence[Sequence[int]], cols: int,
         d = lcm(*(b[i].denominator for b in rhs_list))
         aug_rows.append([d * x for x in row] + [b[i].numerator * (d // b[i].denominator)
                                                 for b in rhs_list])
-    work, pivots = _rref(aug_rows, width)
-    solved = [(pc, row) for pc, row in zip(pivots, work) if pc < cols]
-    # rows past the coefficient pivots are zero on the coefficient block;
-    # a right-hand side is inconsistent iff one of them is nonzero in it
-    rest = work[len(solved):]
+    reduced = SubspaceQ(width, aug_rows).rows
+    solved = [(pc, row) for pc, row in reduced.items() if pc < cols]
+    # rows with a pivot past the coefficient block are zero on it; a
+    # right-hand side is inconsistent iff one of them is nonzero in it
+    rest = [row for pc, row in reduced.items() if pc >= cols]
     out: list[Optional[VecQ]] = []
     for col in range(cols, width):
         if any(row[col] != 0 for row in rest):
@@ -637,9 +592,28 @@ def faddeev_leverrier(rows: Sequence[Sequence[Any]], one: Any) -> list:
 
 
 def annihilator(U: SubspaceQ) -> SubspaceQ:
-    """Vectors pairing to zero with U under the standard bilinear form."""
-    _, ker = _rank_kernel_int(list(U.rows.values()), U.ambient_dim)
-    return SubspaceQ(U.ambient_dim, ker)
+    """Vectors pairing to zero with U under the standard bilinear form.
+
+    U's rows are already reduced, so a kernel basis is read off them
+    with no elimination: the vector of the free column f is D at f and
+    -row_c[f] D / p_c at each pivot c, where p_c is row c's pivot entry
+    and D the lcm of the p_c with row_c[f] != 0.  It is zero at the
+    other free columns, so these vectors, made primitive, are
+    independent; the SubspaceQ they grow holds the canonical rows.
+    """
+    n = U.ambient_dim
+    ker: list[list[int]] = []
+    for f in range(n):
+        if f in U.rows:
+            continue
+        hits = [(c, row[f], row[c]) for c, row in U.rows.items() if row[f]]
+        den = lcm(*(p for _, _, p in hits))
+        v = [0] * n
+        v[f] = den
+        for c, x, p in hits:
+            v[c] = -x * (den // p)
+        ker.append(_primitive(v))
+    return SubspaceQ(n, ker)
 
 
 def image(M: MatQ, U: SubspaceQ) -> SubspaceQ:

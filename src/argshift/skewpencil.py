@@ -29,7 +29,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _matvec, _rank_int, _rref,
+from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _matvec, _rank_int,
                        _skew_kernel, _skew_rank, _solve, _unit_lead, annihilator,
                        faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
@@ -191,7 +191,7 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
 
     Everything after W runs in W's coordinates, the entries at the
     pivot columns of its echelon basis, on the l = dim L columns
-    A v_j and B v_j.  One elimination of [B_L | I] gives the rank of
+    A v_j and B v_j.  The canonical rows of [B_L | I] give the rank of
     B_L and an integer right inverse R, B_L R = D I; then N is spanned
     by the columns of D A_L - M B_L with M = A_L R, and K is grown from
     N one vector at a time, each new vector's image under M queued.
@@ -208,9 +208,9 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     # A(L) = B(L) exactly when B(L) lies in W = A(L) with rank w there
     inside = not any(any(image.reduce(bv)) for bv in bvs)
     if inside:
-        work, bpivots = _rref([[bc[i] for bc in bcols] + [int(k == i) for k in range(w)]
-                               for i in range(w)], l + w)
-        b_dim = sum(pc < l for pc in bpivots)
+        work = SubspaceQ(l + w, [[bc[i] for bc in bcols] + [int(k == i) for k in range(w)]
+                                 for i in range(w)]).rows
+        b_dim = sum(pc < l for pc in work)
     if not inside or b_dim != w:
         raise FalsificationError(
             "kernel-sum images under the two pencil generators differ",
@@ -218,8 +218,8 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
              "B_image_dim": b_dim if inside else _rank_int(bvs, n)})
     # row r of work is T_r [B_L | I] with pivot p_r at column c_r < l, zero
     # at the other pivots: x = sum_r e_(c_r) (D / p_r) T_r u solves B_L x = D u
-    D = lcm(*(row[pc] for row, pc in zip(work, bpivots)))
-    inverse = [(pc, D // row[pc], row[l:]) for row, pc in zip(work, bpivots)]
+    D = lcm(*(row[pc] for pc, row in work.items()))
+    inverse = [(pc, D // row[pc], row[l:]) for pc, row in work.items()]
 
     def apply_m(u: Sequence[int]) -> list[int]:
         """M u = A_L R u."""

@@ -19,6 +19,12 @@ tests can hold the package's route against it.
   forms built from the Fraction bracket table at Fraction points and
   ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
   integer forms from the algebra's integer table.
+- ``_rref`` and ``_rank_kernel_int``: the integer reduced row echelon
+  form of a batch of integer rows by one Bareiss elimination and
+  back-elimination, and the rank and canonical kernel read off it with
+  the columns reversed.  ``exactlin`` grows the same canonical rows one
+  vector at a time in ``SubspaceQ`` and reads a kernel off them
+  (``annihilator``), for every basis, kernel and solve.
 - ``bareiss_skew_kernel``: the rank and kernel of a skew pencil member
   by general Bareiss elimination, checked even.  ``exactlin._skew_kernel``
   reads the kernel off the Pfaffian elimination instead.
@@ -55,12 +61,12 @@ tests can hold the package's route against it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Any, Iterable, Optional, Sequence
 
 import sympy
 
-from argshift.exactlin import (Scalar, SubspaceQ, _int_rows, _rank_int, _rank_kernel_int, _rref,
+from argshift.exactlin import (Scalar, SubspaceQ, _echelon, _int_rows, _primitive, _rank_int,
                                rat_str, vec)
 from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
@@ -222,6 +228,59 @@ def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,
     return AlgebraProfile(dim=L.dim, ind=L.dim - max_rank, status="estimated",
                           max_rank_seen=max_rank, witness=witness,
                           seed=seed, trials=trials, bound=bound)
+
+
+def _rref(work: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of integer rows, consumed in place.
+
+    Returns the nonzero rows, each primitive and zero in every pivot
+    column but its own, and the pivot columns.  The back-elimination
+    clears each pivot column above its pivot, dividing every combined
+    row by its content.
+    """
+    pivots = _echelon(work, ncols)
+    rank = len(pivots)
+    work = [_primitive(row) for row in work[:rank]]
+    for r in range(rank - 1, 0, -1):
+        pc = pivots[r]
+        low = work[r]
+        p = low[pc]
+        for above in range(r):
+            row = work[above]
+            q = row[pc]
+            if q:
+                work[above] = _primitive([p * a - q * b for a, b in zip(row, low)])
+    return work, pivots
+
+
+def _rank_kernel_int(rows: Sequence[Sequence[int]], ncols: int
+                     ) -> tuple[int, list[list[int]]]:
+    """Rank and kernel of integer rows, the kernel as primitive integer
+    vectors: each is the canonical kernel vector of rank_kernel times
+    a positive integer.
+
+    Eliminating with the columns reversed writes each pivot variable in
+    terms of the free variables before it, so the kernel vector of free
+    column f is nonzero at f and zero at the other free columns: the
+    canonical basis up to scale, read off without a second reduction.
+    """
+    n = ncols
+    work, pivots = _rref([row[::-1] for row in rows], n)
+    # reversed column c is column n - 1 - c of the input
+    solved = [(n - 1 - c, row, row[c]) for c, row in zip(pivots, work)]
+    pivot_set = {pc for pc, _, _ in solved}
+    basis: list[list[int]] = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        hits = [(pc, row[n - 1 - f], p) for pc, row, p in solved if row[n - 1 - f]]
+        den = lcm(*(p for _, _, p in hits))
+        v = [0] * n
+        v[f] = den
+        for pc, x, p in hits:
+            v[pc] = -x * (den // p)
+        basis.append(_primitive(v))
+    return len(pivots), basis
 
 
 def bareiss_skew_kernel(rows: Sequence[Sequence[int]], ncols: int

@@ -16,7 +16,6 @@ from argshift.exactlin import (
     MatQ,
     SubspaceQ,
     _rank_int,
-    _rank_kernel_int,
     _skew_kernel,
     _skew_rank,
     annihilator,
@@ -28,7 +27,7 @@ from argshift.exactlin import (
     solve_many,
     vec,
 )
-from oracles import bareiss_skew_kernel, bareiss_skew_rank, rref_span
+from oracles import _rank_kernel_int, bareiss_skew_kernel, bareiss_skew_rank, rref_span
 from oracles import (fraction_matrix_add, fraction_matrix_mul, fraction_matrix_scale,
                      fraction_matvec, fraction_transpose)
 
@@ -507,8 +506,8 @@ def test_kernel_of_degenerate_shapes(M):
     st.lists(st.integers(-12, 12), min_size=cols, max_size=cols), max_size=6)
     .map(lambda rows: (rows, cols))))
 def test_integer_entry_matches_rank_kernel(rows_cols):
-    # the integer-row entry gives rank_kernel's rank and, line for line,
-    # its canonical kernel, each vector primitive with a positive lead
+    # the batch route gives rank_kernel's rank and, line for line, its
+    # canonical kernel, each vector primitive with a positive lead
     rows, cols = rows_cols
     M = MatQ(rows, cols=cols)
     r, ker = _rank_kernel_int(rows, cols)
@@ -538,6 +537,7 @@ def check_solve_many(M, rhs):
         assert solve_many(M, [b])[0] == x
 
 
+@pytest.mark.slow
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_solve_many_agrees_with_sympy(data):

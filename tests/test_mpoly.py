@@ -289,6 +289,7 @@ def test_monic_and_exact_division_match_sympy(f, g):
         assert sympy.expand(to_sympy(got, SYMS) - quo) == 0
 
 
+@pytest.mark.slow
 @settings(max_examples=60, deadline=None)
 @given(rat_polys.filter(lambda p: not p.is_zero()), st.lists(wide_fracs, min_size=3, max_size=3))
 def test_param_expand_matches_the_fraction_route_and_sympy(f, xi):
@@ -342,6 +343,7 @@ def homogeneous_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(bivariate_polys(3), bivariate_polys(3), bivariate_polys(2), small_polys, small_polys,
        homogeneous_pairs())
+@pytest.mark.slow
 def test_poly_gcd_matches_sympy(a, b, common, f3, g3, forms):
     for f, g in ((common * a, common * b), (f3, g3), forms):
         if f.is_zero() or g.is_zero():
@@ -386,6 +388,7 @@ def poly_matrices(draw):
             for _ in range(q)]
 
 
+@pytest.mark.slow
 @settings(max_examples=60, deadline=None)
 @given(poly_matrices())
 def test_determinant_matches_sympy(rows):

@@ -283,6 +283,7 @@ def skew_matrices(draw):
     return K
 
 
+@pytest.mark.slow
 @settings(max_examples=40, deadline=None)
 @given(skew_matrices())
 def test_pfaffian_squared_is_the_determinant(K):

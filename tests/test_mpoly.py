@@ -340,10 +340,10 @@ def homogeneous_pairs(draw):
     return common * form(3), common * form(3)
 
 
+@pytest.mark.slow
 @settings(max_examples=60, deadline=None)
 @given(bivariate_polys(3), bivariate_polys(3), bivariate_polys(2), small_polys, small_polys,
        homogeneous_pairs())
-@pytest.mark.slow
 def test_poly_gcd_matches_sympy(a, b, common, f3, g3, forms):
     for f, g in ((common * a, common * b), (f3, g3), forms):
         if f.is_zero() or g.is_zero():

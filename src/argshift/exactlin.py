@@ -6,10 +6,10 @@ into a Fraction once at the end:
 
 - a rank with no basis (_rank_int, rank) is fraction-free (Bareiss)
   forward elimination, _echelon;
-- the rank and, on request, a kernel basis of the integer rows of a
-  skew matrix (_skew_rank, _skew_kernel) come from fraction-free
-  Pfaffian elimination by 2 x 2 skew pivots on the strict upper
-  triangle, which does about a quarter of Bareiss's entry updates;
+- the rank and, on request, a kernel basis of a skew matrix given as
+  its flat strict upper triangle (_skew_rank, _skew_kernel; rows enter
+  checked, by _skew_triangle) come from fraction-free Pfaffian
+  elimination by 2 x 2 pivots, about a quarter of Bareiss's updates;
 - every other basis is a SubspaceQ: its canonical reduced echelon
   basis as primitive integer rows, grown one integer vector at a time,
   so equality of subspaces is equality of rows.
@@ -20,8 +20,8 @@ to the kernel's canonical rows (annihilator, rank_kernel); a solve is
 read off the canonical rows of the augmented matrix (solve_many).  The
 reduced row echelon basis over Q is a view for output.  Callers that
 already hold integer rows hand them to SubspaceQ or enter at the
-private integer-row functions (_rank_int, _skew_rank, _skew_kernel,
-_solve), which skip the Fraction round trip.
+private integer functions (_rank_int, _solve, and _skew_rank and
+_skew_kernel on triangles), which skip the Fraction round trip.
 """
 
 from __future__ import annotations
@@ -297,23 +297,37 @@ def _divide_exactly(values: Sequence[int], d: int) -> Sequence[int]:
     return quotients
 
 
-def _skew_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of the integer rows of a skew matrix; rows that are not skew
-    raise ArithmeticError.  See _skew_eliminate."""
-    return _skew_eliminate(rows, ncols, False)[0]
+def _skew_triangle(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The flat strict upper triangle of skew integer rows; others raise ArithmeticError."""
+    n = len(rows)
+    if any(len(row) != n for row in rows) or any(
+            any(map(add, row, col)) for row, col in zip(rows, zip(*rows))):
+        raise ArithmeticError("rows of a skew rank are not skew")
+    return [x for k, row in enumerate(rows) for x in row[k + 1:]]
 
 
-def _skew_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, list[list[int]]]:
-    """Rank and a kernel basis, as primitive integer vectors, of the
-    integer rows of a skew matrix.  See _skew_eliminate."""
-    return _skew_eliminate(rows, ncols, True)
+def _skew_rows(a: Sequence[int], n: int) -> list[list[int]]:
+    """The rows of the n x n skew matrix whose strict upper triangle is a."""
+    rows = [[0] * n for _ in range(n)]
+    for x, i, j in zip(a, *_triangle(n)[1:]):
+        rows[i][j], rows[j][i] = x, -x
+    return rows
 
 
-def _skew_eliminate(rows: Sequence[Sequence[int]], ncols: int, track: bool
-                    ) -> tuple[int, list[list[int]]]:
-    """Fraction-free Pfaffian elimination of the integer rows of a skew
-    matrix: the rank and, when track is set, a kernel basis.  Rows that
-    are not skew raise ArithmeticError.
+def _skew_rank(a: Sequence[int], n: int) -> int:
+    """Rank of the n x n skew matrix of triangle a.  See _skew_eliminate."""
+    return _skew_eliminate(a, n, False)[0]
+
+
+def _skew_kernel(a: Sequence[int], n: int) -> tuple[int, list[list[int]]]:
+    """Rank and a primitive integer kernel basis.  See _skew_eliminate."""
+    return _skew_eliminate(a, n, True)
+
+
+def _skew_eliminate(a: Sequence[int], n: int, track: bool) -> tuple[int, list[list[int]]]:
+    """Fraction-free Pfaffian elimination of an n x n integer skew
+    matrix given as its flat strict upper triangle: the rank and, when
+    track is set, a kernel basis; a wrong length raises ArithmeticError.
 
     A nonzero entry p = a_ij, i < j, of the active block is a 2 x 2
     skew pivot: every remaining pair (k, l) becomes
@@ -326,9 +340,8 @@ def _skew_eliminate(rows: Sequence[Sequence[int]], ncols: int, track: bool
     Pfaffian form of Sylvester's identity (Knuth, "Overlapping
     Pfaffians", 1996).  The rank is twice the number of pivots.
 
-    The block is skew, so only its strict upper triangle is kept, as
-    one flat list in row-major order, and every step is one pass over
-    it.  Rows above the pivot row are zero and leave with the pivot.
+    Every step is one pass over the block's triangle.  Rows above the
+    pivot row are zero and leave with the pivot.
 
     Row k of the block is the combination T_k of the input rows, with
     T_k <- (p T_k - a_ik T_j + a_jk T_i) / prev at each step, exact by
@@ -339,11 +352,8 @@ def _skew_eliminate(rows: Sequence[Sequence[int]], ncols: int, track: bool
     matrix M, which is skew, so T_k is a kernel vector, independent of
     the others by its entry at k.
     """
-    n = len(rows)
-    if ncols != n or any(len(row) != n for row in rows) or any(
-            any(map(add, row, col)) for row, col in zip(rows, zip(*rows))):
-        raise ArithmeticError("rows of a skew rank are not skew")
-    a = [x for k, row in enumerate(rows) for x in row[k + 1:]]
+    if len(a) != n * (n - 1) // 2:
+        raise ArithmeticError(f"{len(a)} entries are no skew triangle of order {n}")
     m = n
     rank = 0
     prev = 1

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, _skew_rank, _solve, faddeev_leverrier, vec
+from .exactlin import MatQ, Scalar, _skew_rank, _skew_rows, _solve, _triangle, faddeev_leverrier, vec
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
 from .mpoly import MPoly, gradient_rank, gradient_table
 from .sampling import integer_coords, integer_point, rng_stream
@@ -141,7 +141,8 @@ def _frozen_pairs(L: LieAlgebraData, xi: Sequence[Scalar]) -> Pairs:
     """The constants <xi, [b_i, b_j]> that are nonzero, as pair forms,
     read off the Kirillov form at xi."""
     K = kirillov(L, xi)
-    return {(i, j): {None: K.rows[i][j]} for i, j in L.num if K.rows[i][j]}, K.den
+    off = _triangle(L.dim)[0]
+    return {(i, j): {None: v} for i, j in L.num if (v := K.tri[off[i] + j - i - 1])}, K.den
 
 
 def _check_dual(L: LieAlgebraData, f: MPoly, g: MPoly) -> None:
@@ -177,37 +178,39 @@ def coordinate_brackets(L: LieAlgebraData, f: MPoly) -> list[MPoly]:
 
 @dataclass
 class KirillovForm:
-    """The skew form at a point: integer rows over one positive
-    denominator, which is 1 at integer points of an algebra with
-    integer structure constants.  The rank is a fraction-free Pfaffian
-    elimination of the rows (exactlin._skew_rank)."""
+    """The skew form at a point: the flat strict upper triangle of its
+    integer numerators over one positive denominator (1 at integer
+    points of an integer table), of which rows, matrix and rank are views."""
     at: tuple[Fraction, ...]
-    rows: list[list[int]]
+    tri: list[int]
     den: int
 
     @property
+    def rows(self) -> list[list[int]]:
+        return _skew_rows(self.tri, len(self.at))
+
+    @property
     def matrix(self) -> MatQ:
-        return MatQ._make(tuple(map(tuple, self.rows)), len(self.rows), self.den)
+        return MatQ._make(tuple(map(tuple, self.rows)), len(self.at), self.den)
 
     @property
     def rank(self) -> int:
-        return _skew_rank(self.rows, len(self.rows))
+        return _skew_rank(self.tri, len(self.at))
 
 
-def _kirillov_rows(L: LieAlgebraData, ipt: Sequence[int]) -> tuple[list[list[int]], int]:
-    """Integer rows of den K at an integer point, and den, the
-    denominator of the structure table."""
-    n = L.dim
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), form in L.num.items():
-        if len(form) == 1:
-            [(k, c)] = form.items()
-            v = c * ipt[k]
-        else:
-            v = sum(c * ipt[k] for k, c in form.items())
-        rows[i][j] = v
-        rows[j][i] = -v
-    return rows, L.den
+def _kirillov_walk(L: LieAlgebraData) -> list[tuple[int, int, int]]:
+    """L's table as (t, k, c) per term c x_k of [b_i, b_j]: entry (i, j)
+    of den K's triangle, at t = off[i] + j - i - 1, sums its c x_k."""
+    off = _triangle(L.dim)[0]
+    return [(off[i] + j - i - 1, k, c) for (i, j), form in L.num.items() for k, c in form.items()]
+
+
+def _kirillov_triangle(L: LieAlgebraData, ipt: Sequence[int], walk: Optional[list] = None) -> list[int]:
+    """The triangle of den K at an integer point, along L's table walk."""
+    a = [0] * (L.dim * (L.dim - 1) // 2)
+    for t, k, c in _kirillov_walk(L) if walk is None else walk:
+        a[t] += c * ipt[k]
+    return a
 
 
 def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
@@ -218,8 +221,8 @@ def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
     if len(pt) != L.dim:
         raise ValueError("point length mismatch")
     pden = lcm(*(x.denominator for x in pt))
-    rows, den = _kirillov_rows(L, [x.numerator * (pden // x.denominator) for x in pt])
-    return KirillovForm(pt, rows, pden * den)
+    tri = _kirillov_triangle(L, [x.numerator * (pden // x.denominator) for x in pt])
+    return KirillovForm(pt, tri, pden * L.den)
 
 
 def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
@@ -229,16 +232,17 @@ def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
     Sampling can only overestimate the index (never reach too high a
     rank), so the estimate is an upper bound that is exact once any
     regular point is hit.  Points stay integer coordinates and forms
-    stay integer rows; only the witness becomes Fractions.
+    integer triangles, on one walk of the table; only the witness is Fractions.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n = L.dim
+    walk = _kirillov_walk(L)
     max_rank = 0
     witness: Optional[tuple[int, ...]] = None
     for t in range(trials):
         pt = integer_coords(rng_stream(seed, "index-sample", t), n, bound)
-        r = _skew_rank(_kirillov_rows(L, pt)[0], n)
+        r = _skew_rank(_kirillov_triangle(L, pt, walk), n)
         if r > max_rank:
             max_rank, witness = r, pt
     return AlgebraProfile(

@@ -453,16 +453,11 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
              "point": [rat_str(x) for x in xi0], "gradient_rank": star,
              "spec": spec.as_dict()})
     rng = rng_stream(seed, "compl-pairs")
-
-    def draw() -> Fraction:
-        return Fraction(rng.randint(-bound, bound))
-
     rows: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], int]] = []
     skipped = 0
     while len(rows) < nsamples:
-        r1 = (draw(), draw())
-        r2 = (draw(), draw())
-        if r1 == (Fraction(0), Fraction(0)) or r2 == (Fraction(0), Fraction(0)):
+        r1, r2 = integer_point(rng, 2, bound, False), integer_point(rng, 2, bound, False)
+        if not any(r1) or not any(r2):
             continue
         if r1[0] * r2[1] - r1[1] * r2[0] == 0:
             # the independence premise does not cover proportional pairs

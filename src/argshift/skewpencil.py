@@ -12,12 +12,12 @@ eigenvalues, which are cross-checked against the ranks of the
 corresponding members.  A Kronecker certificate also proves the rank
 of every member, so only the other pencils take a rank profile.
 
-A pencil is integer rows over one denominator, sampled at integer
+A pencil is integer forms over one denominator, sampled at integer
 directions, so ranks and kernels of members come from fraction-free
-Pfaffian elimination of integer rows.  The kernel sum, the complement
-of L in Ltilde and the Wong sequence each grow one echelon basis a
-vector at a time; the Wong sequence runs in the coordinates of W, not
-of V.
+Pfaffian elimination of their integer triangles.  The kernel sum, the
+complement of L in Ltilde and the Wong sequence each grow one echelon
+basis a vector at a time; the Wong sequence runs in the coordinates of
+W, not of V.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _matvec, _rank_int,
-                       _skew_kernel, _skew_rank, _solve, _unit_lead, annihilator,
-                       faddeev_leverrier, rat, rat_str)
+                       _skew_kernel, _skew_rank, _skew_rows, _skew_triangle, _solve,
+                       _unit_lead, annihilator, faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import kirillov
@@ -57,22 +57,27 @@ class FalsificationError(Exception):
 class SkewPencil:
     """A pair of skew forms on the same space, spanning the pencil.
 
-    A and B are kept as integer rows A' = d A and B' = d B over one
-    positive denominator d = lcm(A.den, B.den).  Every question asked
-    below (ranks, kernels, images, spans) has the same answer for c A
-    and c B, c > 0, so the analysis runs on A' and B' alone.
+    A and B are kept as A' = d A and B' = d B, d = lcm(A.den, B.den), as
+    triangles, which members are eliminated in, and as integer rows.
+    Every question asked below (ranks, kernels, images, spans) has the
+    same answer for c A and c B, c > 0, so the analysis runs on A' and B'.
     """
 
-    __slots__ = ("_a", "_b", "_den")
+    __slots__ = ("_ta", "_tb", "_a", "_b", "_den")
 
     def __init__(self, A: MatQ, B: MatQ):
         if A.rows != A.cols or B.rows != B.cols or A.rows != B.rows:
             raise ValueError("pencil needs two square matrices of equal size")
-        if not (A.is_skew() and B.is_skew()):
-            raise ValueError("pencil matrices must be skew-symmetric")
-        den = lcm(A.den, B.den)
-        self._a, self._b = ([[x * (den // M.den) for x in row] for row in M.num] for M in (A, B))
-        self._den = den
+        try:
+            self._set(A.rows, (_skew_triangle(A.num), A.den), (_skew_triangle(B.num), B.den))
+        except ArithmeticError:
+            raise ValueError("pencil matrices must be skew-symmetric") from None
+
+    def _set(self, n: int, *forms: tuple[list[int], int]) -> "SkewPencil":
+        self._den = den = lcm(*(d for _, d in forms))
+        self._ta, self._tb = ([x * (den // d) for x in a] for a, d in forms)
+        self._a, self._b = _skew_rows(self._ta, n), _skew_rows(self._tb, n)
+        return self
 
     @classmethod
     def from_matrices(cls, a_rows: Sequence[Sequence[Scalar]],
@@ -82,7 +87,8 @@ class SkewPencil:
     @classmethod
     def from_kirillov(cls, L: LieAlgebraData, xi: Sequence[Scalar],
                       eta: Sequence[Scalar]) -> "SkewPencil":
-        return cls(kirillov(L, xi).matrix, kirillov(L, eta).matrix)
+        forms = [(K.tri, K.den) for K in (kirillov(L, xi), kirillov(L, eta))]
+        return cls.__new__(cls)._set(L.dim, *forms)
 
     @property
     def dim(self) -> int:
@@ -91,13 +97,13 @@ class SkewPencil:
     def member(self, a: Scalar, b: Scalar) -> MatQ:
         """The exact member a A + b B."""
         a, b = rat(a), rat(b)
-        rows = self._member(a.numerator * b.denominator, b.numerator * a.denominator)
-        return MatQ._make(tuple(map(tuple, rows)), self.dim,
+        tri = self._member(a.numerator * b.denominator, b.numerator * a.denominator)
+        return MatQ._make(tuple(map(tuple, _skew_rows(tri, self.dim))), self.dim,
                           self._den * a.denominator * b.denominator)
 
-    def _member(self, a: int, b: int) -> IntRows:
-        """Integer rows of a A' + b B' = d (a A + b B)."""
-        return [[a * x + b * y for x, y in zip(ra, rb)] for ra, rb in zip(self._a, self._b)]
+    def _member(self, a: int, b: int) -> list[int]:
+        """The triangle of a A' + b B' = d (a A + b B)."""
+        return [a * x + b * y for x, y in zip(self._ta, self._tb)]
 
 
 def base_ratios(dim: int) -> list[IntRatio]:
@@ -258,11 +264,11 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     n = pencil.dim
     # one factor clears both ratios, so A w = B v keeps its solutions
     a1, a2, b1, b2 = _int_rows([tuple(A_ratio) + tuple(B_ratio)])[0]
-    Am, Bm = pencil._member(a1, a2), pencil._member(b1, b2)
+    Am, Bm = _skew_rows(pencil._member(a1, a2), n), _skew_rows(pencil._member(b1, b2), n)
     if kerA is None:
         if m is None:
             m = rank_profile(pencil).m
-        r, kerA = _skew_kernel(Am, n)
+        r, kerA = _skew_kernel(pencil._member(a1, a2), n)
         if r != m:
             raise ValueError("the A-direction of the recursion operator must be regular")
     # a basis of L, grown by the complement of L in Ltilde

@@ -15,6 +15,9 @@ tests can hold the package's route against it.
 - ``bareiss_skew_rank``: the rank of a skew matrix by general
   fraction-free (Bareiss) elimination, checked even.
   ``exactlin._skew_rank`` eliminates by 2 x 2 Pfaffian pivots instead.
+- ``randint_coords``: integer coordinates drawn one ``Random.randint``
+  call each.  ``sampling.integer_coords`` makes the same draw by
+  rejection on ``getrandbits`` without the call chain.
 - ``fraction_kirillov`` and ``estimate_index_by_bareiss``: Kirillov
   forms built from the Fraction bracket table at Fraction points and
   ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
@@ -60,6 +63,7 @@ tests can hold the package's route against it.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb, lcm
 from typing import Any, Iterable, Optional, Sequence
@@ -212,6 +216,20 @@ def fraction_validate(L: LieAlgebraData) -> ValidationReport:
                         f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
                         f"coefficient of {names[l]} is {rat_str(c)}")
     return ValidationReport(True)
+
+
+def randint_coords(rng: random.Random, dim: int, bound: int,
+                   nonzero: bool = True) -> tuple[int, ...]:
+    """Integer coordinates in [-bound, bound], one randint each, redrawn
+    until some coordinate is nonzero unless nonzero is False."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    if nonzero and dim < 1:
+        raise ValueError("no nonzero point in dimension 0")
+    while True:
+        pt = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if not nonzero or any(pt):
+            return pt
 
 
 def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,

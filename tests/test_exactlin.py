@@ -18,6 +18,8 @@ from argshift.exactlin import (
     _rank_int,
     _skew_kernel,
     _skew_rank,
+    _skew_rows,
+    _skew_triangle,
     annihilator,
     image,
     rank,
@@ -295,7 +297,9 @@ def dense_skew(draw):
 def test_skew_rank_matches_bareiss_and_sympy(case):
     import sympy
     n, rows = case
-    r = _skew_rank(rows, n)
+    tri = _skew_triangle(rows)
+    assert _skew_rows(tri, n) == rows
+    r = _skew_rank(tri, n)
     assert r == bareiss_skew_rank(rows, n)
     assert r == sympy.Matrix(n, n, [x for row in rows for x in row]).rank()
 
@@ -306,9 +310,10 @@ def test_skew_rank_matches_bareiss_and_sympy(case):
 def test_skew_kernel_matches_bareiss_and_sympy(case):
     import sympy
     n, rows = case
-    r, ker = _skew_kernel(rows, n)
+    tri = _skew_triangle(rows)
+    r, ker = _skew_kernel(tri, n)
     want_r, want_ker = bareiss_skew_kernel(rows, n)
-    assert r == want_r == _skew_rank(rows, n)
+    assert r == want_r == _skew_rank(tri, n)
     assert len(ker) == n - r
     for v in ker:
         assert gcd(*v) == 1
@@ -321,12 +326,12 @@ def test_skew_kernel_matches_bareiss_and_sympy(case):
 @settings(max_examples=80, deadline=None)
 @given(low_rank_skew().filter(lambda case: case[0] > 0), st.data())
 def test_skew_rank_rejects_rows_that_are_not_skew(case, data):
+    # rows are checked once, where they enter as rows
     n, rows = case
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     rows[i][j] += data.draw(st.one_of(st.integers(1, BIG), st.integers(-BIG, -1)))
-    for route in (_skew_rank, _skew_kernel):
-        with pytest.raises(ArithmeticError, match="not skew"):
-            route(rows, n)
+    with pytest.raises(ArithmeticError, match="not skew"):
+        _skew_triangle(rows)
 
 
 @pytest.mark.parametrize("rows, ncols", [
@@ -336,22 +341,47 @@ def test_skew_rank_rejects_rows_that_are_not_skew(case, data):
     ([[0, 1, 2], [-1, 0, 3]], 2),
 ])
 def test_skew_rank_rejects_rows_that_are_not_square(rows, ncols):
-    for route in (_skew_rank, _skew_kernel):
+    # rows that are not square stop at the boundary; square rows of an
+    # order other than ncols give a triangle of the wrong length
+    if any(len(row) != len(rows) for row in rows):
         with pytest.raises(ArithmeticError, match="not skew"):
-            route(rows, ncols)
+            _skew_triangle(rows)
+    else:
+        for route in (_skew_rank, _skew_kernel):
+            with pytest.raises(ArithmeticError, match="no skew triangle of order 3"):
+                route(_skew_triangle(rows), ncols)
+
+
+@pytest.mark.parametrize("tri, n", [([1], 3), ([1, 2], 2), ([], 2), ([0], 1), ([0], 0),
+                                    ([1, 2, 3, 4, 5], 4), ([0] * 7, 4)])
+def test_skew_rank_rejects_a_triangle_of_the_wrong_length(tri, n):
+    for route in (_skew_rank, _skew_kernel):
+        with pytest.raises(ArithmeticError, match=f"no skew triangle of order {n}"):
+            route(tri, n)
+
+
+def test_skew_triangle_and_rows_are_inverse_views():
+    rows = [[0, 1, -2, 3], [-1, 0, 4, -5], [2, -4, 0, 6], [-3, 5, -6, 0]]
+    assert _skew_triangle(rows) == [1, -2, 3, 4, -5, 6]
+    assert _skew_rows([1, -2, 3, 4, -5, 6], 4) == rows
+    assert _skew_triangle([]) == [] and _skew_rows([], 0) == []
+    assert _skew_triangle([[0]]) == [] and _skew_rows([], 1) == [[0]]
 
 
 def test_skew_rank_of_empty_and_zero_matrices():
     assert _skew_rank([], 0) == 0
     assert _skew_kernel([], 0) == (0, [])
-    assert _skew_rank([[0] * 5 for _ in range(5)], 5) == 0
-    assert _skew_kernel([[0] * 3 for _ in range(3)], 3) == (
-        0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _skew_rank([], 1) == 0
+    assert _skew_kernel([], 1) == (0, [[1]])
+    assert _skew_rank([0] * 10, 5) == 0
+    assert _skew_kernel([0] * 3, 3) == (0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     # the pivot sits in the last two rows, below four zero rows
     rows = [[0] * 6 for _ in range(6)]
     rows[4][5], rows[5][4] = 7, -7
-    assert _skew_rank(rows, 6) == 2
-    assert _skew_kernel(rows, 6) == (2, [[int(i == k) for i in range(6)] for k in range(4)])
+    tri = _skew_triangle(rows)
+    assert tri == [0] * 14 + [7]
+    assert _skew_rank(tri, 6) == 2
+    assert _skew_kernel(tri, 6) == (2, [[int(i == k) for i in range(6)] for k in range(4)])
 
 
 # --- the subspace grown one vector at a time ------------------------------------

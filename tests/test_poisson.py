@@ -29,7 +29,7 @@ from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, clas
                               takiff_lift)
 from argshift.sampling import integer_coords, integer_point, rng_stream
 from oracles import (bareiss_skew_rank, estimate_index_by_bareiss, evaluate, fraction_kirillov,
-                     grad_at, takiff_lift_by_substitution, var_coeffs)
+                     grad_at, randint_coords, takiff_lift_by_substitution, var_coeffs)
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -210,6 +210,35 @@ def test_integer_point_is_integer_coords_as_fractions(dim, bound, nonzero):
         assert point == tuple(Fraction(x) for x in coords)
         assert all(abs(x) <= bound for x in coords)
         assert not nonzero or any(coords)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 9, 100, 2 ** 40])
+@pytest.mark.parametrize("nonzero", [True, False])
+def test_integer_coords_draw_as_randint_does(bound, nonzero):
+    # the same points and the same stream state after them, so every
+    # later draw from a shared stream is unchanged too
+    for dim in range(1, 17):
+        for seed in range(6):
+            got, want = (rng_stream(seed, "sampler", dim) for _ in range(2))
+            pt = randint_coords(want, dim, bound, nonzero)
+            assert integer_coords(got, dim, bound, nonzero) == pt
+            assert got.getstate() == want.getstate()
+            again = rng_stream(seed, "sampler", dim)
+            assert integer_point(again, dim, bound, nonzero) == tuple(map(Fraction, pt))
+            assert again.getstate() == want.getstate()
+
+
+def test_integer_coords_redraw_an_all_zero_point_as_randint_does():
+    # dim 1, bound 1: a third of the first draws are 0 and are redrawn
+    redrawn = 0
+    for seed in range(30):
+        first = rng_stream(seed, "zero-redraw").randint(-1, 1)
+        got, want = (rng_stream(seed, "zero-redraw") for _ in range(2))
+        pt = randint_coords(want, 1, 1)
+        assert integer_coords(got, 1, 1) == pt != (0,)
+        assert got.getstate() == want.getstate()
+        redrawn += first == 0
+    assert redrawn > 0
 
 
 def test_integer_coords_checks_its_arguments():

@@ -17,13 +17,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import jsonio, skewpencil
+from argshift import exactlin, jsonio, poisson, regcert, skewpencil
 from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
 from argshift.exactlin import rat_str
-from argshift.liealg import make_classical, make_takiff
+from argshift.liealg import make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly, rational_roots
-from argshift.poisson import kirillov
-from argshift.regcert import FalsificationError
+from argshift.poisson import classical_casimirs, estimate_index, kirillov
+from argshift.regcert import FalsificationError, find_regular_plane, verify_compl
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, _kernel_walk, base_ratios,
                                  char_poly, check_image_equality, compute_L,
@@ -576,12 +576,13 @@ def golden_pencil(name: str) -> SkewPencil:
 
 def eliminations(monkeypatch, pencil: SkewPencil) -> tuple[PencilAnalysis, list]:
     """verify_com1's analysis and its member eliminations, in order, as
-    (function name, member rows)."""
+    (function name, member triangle)."""
     calls = []
     for name in ("_skew_rank", "_skew_kernel"):
-        def counted(rows, n, name=name, fn=getattr(skewpencil, name)):
-            calls.append((name, tuple(map(tuple, rows))))
-            return fn(rows, n)
+        def counted(tri, n, name=name, fn=getattr(skewpencil, name)):
+            assert len(tri) == n * (n - 1) // 2
+            calls.append((name, tuple(tri)))
+            return fn(tri, n)
         monkeypatch.setattr(skewpencil, name, counted)
     return verify_com1(pencil), calls
 
@@ -601,14 +602,63 @@ def test_a_jordan_analysis_eliminates_each_member_once(monkeypatch, name):
     assert analysis.kind == "jordan-mixed"
     # the eigenvalue cross-check ranks one member per eigenvalue, last
     (a1, a2), (b1, b2) = analysis.A_ratio, analysis.B_ratio
-    checks = [("_skew_rank", tuple(map(tuple, pencil._member(
-        lam.denominator * b1 - lam.numerator * a1, lam.denominator * b2 - lam.numerator * a2))))
+    checks = [("_skew_rank", tuple(pencil._member(
+        lam.denominator * b1 - lam.numerator * a1, lam.denominator * b2 - lam.numerator * a2)))
         for lam, _ in analysis.eigenvalues]
     assert checks and calls[len(calls) - len(checks):] == checks
     members = [rows for _, rows in calls[:len(calls) - len(checks)]]
     assert len(set(members)) == len(members)
     # every base ratio is ranked, by the kernel walk or by the profile
     assert len(members) >= len(analysis.ranks)
+
+
+@pytest.mark.parametrize("name", ["sl3", "takiff-sl3-1", "z-sl5-311"])
+@pytest.mark.parametrize("trials", [1, 5, 24])
+def test_estimate_index_eliminates_once_per_trial(monkeypatch, name, trials):
+    L = {"sl3": SL3, "takiff-sl3-1": GOLDEN_ALGEBRAS["takiff-sl3-1-plane"],
+         "z-sl5-311": make_centralizer_sl(5, [3, 1, 1])}[name]
+    calls = []
+
+    def counted(tri, n, fn=poisson._skew_rank):
+        calls.append(tuple(tri))
+        return fn(tri, n)
+    want = estimate_index(L, trials=trials, seed=3)
+    monkeypatch.setattr(poisson, "_skew_rank", counted)
+    assert estimate_index(L, trials=trials, seed=3) == want
+    assert len(calls) == trials
+    assert all(len(tri) == L.dim * (L.dim - 1) // 2 for tri in calls)
+
+
+def test_forms_skew_by_construction_are_never_rechecked(monkeypatch):
+    # rows are checked skew where they enter as rows (SkewPencil(A, B));
+    # sampled Kirillov forms and the members built from them never are
+    cas = classical_casimirs("sl", 3)
+    prof = estimate_index(SL3)
+    plane = find_regular_plane(SL3, prof)
+    want = verify_compl(SL3, cas, prof, plane.spec, nsamples=3).as_dict()
+    pencil_want = analysis_fields(verify_com1(golden_pencil("sl3-subregular-plane")))
+
+    def refused(rows):
+        raise AssertionError("a form skew by construction was re-checked")
+    for module in (exactlin, poisson, skewpencil, regcert):
+        if hasattr(module, "_skew_triangle"):
+            monkeypatch.setattr(module, "_skew_triangle", refused)
+    assert estimate_index(SL3) == prof
+    for name in ("sl4-plane", "sl3-subregular-plane"):
+        verify_com1(golden_pencil(name))
+    assert analysis_fields(verify_com1(golden_pencil("sl3-subregular-plane"))) == pencil_want
+    assert verify_compl(SL3, cas, prof, plane.spec, nsamples=3).as_dict() == want
+    with pytest.raises(AssertionError, match="re-checked"):
+        SkewPencil(MatQ(BLOCK_A), MatQ(BLOCK_B))
+
+
+def test_a_pencil_refuses_a_matrix_that_is_not_skew():
+    for A, B in (([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+                 ([[0, 1], [-1, 0]], [[1, 0], [0, -1]]),
+                 ([[0, 2, 0], [-2, 0, 1], [0, -1, 0]], [[0, 1, 0], [-1, 1, 0], [0, 0, 0]])):
+        for pair in ((A, B), (B, A)):
+            with pytest.raises(ValueError, match="^pencil matrices must be skew-symmetric$"):
+                SkewPencil(*map(MatQ, pair))
 
 
 @pytest.mark.parametrize("n", [4, 5])

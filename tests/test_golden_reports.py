@@ -45,6 +45,12 @@ centralizers' bases from `exactlin.rank_kernel`.
 have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
 analysis and the codim-2 witness on such tables, and a table with
 [a, c] = b/2 that fails Jacobi by a fractional coefficient.
+
+`golden/sample_reports.json` pins the commands that sample points on
+a plane or at a point given by the user: `reg compl` on sl3 at a plane
+whose xi has denominator 2 and whose eta has denominator 3, `reg
+compl` on takiff(sl2, 1) at an integer plane, `reg point --casimirs`
+and `reg bols` on sl3 at that xi.
 """
 
 import hashlib
@@ -60,7 +66,7 @@ from argshift import jsonio
 from argshift.cli import main
 from argshift.liealg import make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly
-from argshift.poisson import classical_casimirs
+from argshift.poisson import CasimirSet, classical_casimirs, takiff_lift
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pencil_reports.json")
 PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_reports.json")
@@ -69,6 +75,7 @@ FRACTION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fraction_re
 FAMILY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "family_reports.json")
 REGCERT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regcert_reports.json")
 BUILD_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "build_digests.json")
+SAMPLE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sample_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -423,3 +430,52 @@ def test_fractional_table_report_matches_the_pinned_bytes(fraction_cases, case):
     with open(FRACTION_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(fraction_cases[case]) == jsonio.dumps(want)
+
+
+# a regular sl3 plane with denominators 2 (xi) and 3 (eta), and a
+# regular takiff(sl2, 1) plane at integer points
+SL3_FRACTIONAL_PLANE = ("1/2,-1,3/2,2,0,-5/2,1,3", "2/3,1,-1/3,0,4/3,-2,1,5/3")
+TAKIFF_SL2_1_PLANE = ("1,-2,3,2,1,-1", "2,1,-1,-3,2,1")
+
+
+def sample_reports(tmp_path) -> dict:
+    """Every pinned sampling case's exit code and report without timings."""
+    sl3, sl3_cas, tk, tk_cas = (str(tmp_path / f) for f in (
+        "sl3.json", "sl3-casimirs.json", "takiff.json", "takiff-casimirs.json"))
+    assert main(["algebra", "build", "sl", "3", "--out", sl3]) == 0
+    jsonio.write_json(sl3_cas, jsonio.casimirs_to_json(classical_casimirs("sl", 3)))
+    sl2 = make_classical("sl", 2)
+    takiff = make_takiff(sl2, 1)
+    jsonio.write_json(tk, jsonio.algebra_to_json(takiff))
+    [f] = classical_casimirs("sl", 2).generators
+    jsonio.write_json(tk_cas, jsonio.casimirs_to_json(
+        CasimirSet.verified(takiff, takiff_lift(sl2, f, 1))))
+    xi, eta = SL3_FRACTIONAL_PLANE
+    txi, teta = TAKIFF_SL2_1_PLANE
+    return {"reg compl sl3-fractional": _run(
+                ["reg", "compl", sl3, sl3_cas, "--xi", xi, "--eta", eta]),
+            "reg compl takiff_sl2_1": _run(
+                ["reg", "compl", tk, tk_cas, "--xi", txi, "--eta", teta]),
+            "reg point sl3-fractional": _run(
+                ["reg", "point", sl3, "--xi", xi, "--casimirs", sl3_cas]),
+            "reg bols sl3-fractional": _run(["reg", "bols", sl3, sl3_cas, "--xi", xi])}
+
+
+@pytest.fixture(scope="module")
+def sample_cases(tmp_path_factory):
+    return sample_reports(tmp_path_factory.mktemp("samples"))
+
+
+def test_sample_cases_pass_with_fractional_samples(sample_cases):
+    assert {v["exit"] for v in sample_cases.values()} == {0}
+    spec = sample_cases["reg compl sl3-fractional"]["report"]["verdicts"]["compl"]["spec"]
+    assert {x.partition("/")[2] for x in spec["xi"]} == {"", "2"}
+    assert {x.partition("/")[2] for x in spec["eta"]} == {"", "3"}
+
+
+@pytest.mark.parametrize("case", ["reg compl sl3-fractional", "reg compl takiff_sl2_1",
+                                  "reg point sl3-fractional", "reg bols sl3-fractional"])
+def test_sample_report_matches_the_pinned_bytes(sample_cases, case):
+    with open(SAMPLE_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    assert jsonio.dumps(sample_cases[case]) == jsonio.dumps(want)

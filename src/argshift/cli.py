@@ -36,7 +36,7 @@ from .poisson import (CasimirSet, bracket, classical_casimir_polys, estimate_ind
 from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim2,
                       certify_regular_plane, find_regular_plane, is_regular,
                       kostant_criterion, verify_bols, verify_compl)
-from .sampling import integer_point, rng_stream
+from .sampling import integer_coords, rng_stream
 from .skewpencil import SkewPencil, verify_com1
 
 SCHEMA = 5
@@ -509,7 +509,7 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any,
             return
     else:
         for t in range(64):
-            xi = integer_point(rng_stream(seed, "pipeline-xi", t), L.dim, bound)
+            xi = integer_coords(rng_stream(seed, "pipeline-xi", t), L.dim, bound)
             if is_regular(L, prof, xi):
                 break
         else:

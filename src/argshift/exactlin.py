@@ -99,6 +99,13 @@ def vec(values: Iterable[Scalar]) -> VecQ:
     return tuple(rat(v) for v in values)
 
 
+def _cleared(*vectors: Iterable[Scalar]) -> tuple[int, list[list[int]]]:
+    """The vectors' integer numerators over their least common positive denominator."""
+    qs = [[x if isinstance(x, (int, Fraction)) else rat(x) for x in v] for v in vectors]
+    D = lcm(*(x.denominator for v in qs for x in v))
+    return D, [[x.numerator * (D // x.denominator) for x in v] for v in qs]
+
+
 class MatQ:
     """Immutable dense rational matrix: the integer row tuples num over
     one den > 0, in lowest terms, so equal matrices have equal (cols,

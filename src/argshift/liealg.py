@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, rank, rank_kernel, rat_str, solve_many, vec
-from .sampling import integer_point, rng_stream
+from .exactlin import MatQ, Scalar, _rank_int, rank, rank_kernel, rat_str, solve_many, vec
+from .sampling import integer_coords, rng_stream
 
 # (i, j, {k: c}): [b_i, b_j] = sum of c b_k, each c an int or a Fraction
 BracketEntry = tuple[int, int, dict[int, Fraction]]
@@ -489,10 +489,11 @@ def semidirect_index_report(g: LieAlgebraData, rho: Sequence[MatQ],
     witness = None
     for t in range(trials):
         rng = rng_stream(seed, "semidirect-orbit", t)
-        zeta = integer_point(rng, dim_v, bound)
-        rows = [[sum(zeta[b] * rho[i][b, a] for b in range(dim_v)) for a in range(dim_v)]
-                for i in range(dim_g)]
-        r = rank(MatQ(rows))
+        zeta = integer_coords(rng, dim_v, bound)
+        # row i is zeta times rho[i], cleared of rho[i]'s denominator
+        rows = [[sum(zeta[b] * act.num[b][a] for b in range(dim_v)) for a in range(dim_v)]
+                for act in rho]
+        r = _rank_int(rows, dim_v)
         if r > max_orbit:
             max_orbit, witness = r, zeta
         if max_orbit == dim_g:

@@ -16,7 +16,7 @@ from math import ceil, comb, gcd as int_gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import Scalar, _rank_int, rat, rat_str, vec
+from .exactlin import Scalar, _cleared, _rank_int, rat, rat_str, vec
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -566,25 +566,27 @@ def gradient_rank(table: GradTable, point: Sequence[Scalar],
     vanish identically add the zero gradient.  So the rank of a shift
     family's differentials needs no expansion and no solve.
 
-    Rows are integer.  Write point = P / D and xi = X / D with P and X
-    integer and D > 0, and f = g / q with g integer and q > 0.  A term
-    c x^e of g contributes c D^(deg f - deg e) grad x^e at P + a X, so the
-    row is q D^(deg f - 1) grad f(point + a*xi): a positive multiple of
-    the gradient, even when f is not homogeneous.
+    Rows are integer (_gradient_rank).  Write point = P / D and xi = X / D
+    with P and X integer and D > 0, and f = g / q with g integer and q > 0.
+    A term c x^e of g contributes c D^(deg f - deg e) grad x^e at P + a X,
+    so the row is q D^(deg f - 1) grad f(point + a*xi): a positive multiple
+    of the gradient, even when f is not homogeneous.
     """
-    pt = vec(point)
-    xi = vec(direction) if direction is not None else ()
-    D = lcm(*(x.denominator for x in pt + xi))
-    P = [x.numerator * (D // x.denominator) for x in pt]
-    X = [x.numerator * (D // x.denominator) for x in xi]
-    n = len(P)
-    if direction is not None and len(X) != n:
+    D, (P, X) = _cleared(point, () if direction is None else direction)
+    if direction is not None and len(X) != len(P):
         raise ValueError("shift direction length mismatch")
+    return _gradient_rank(table, P, None if direction is None else X, D)
+
+
+def _gradient_rank(table: GradTable, P: Sequence[int], X: Optional[Sequence[int]],
+                   D: int) -> int:
+    """gradient_rank at P / D along X / D, or with no direction when X is None."""
+    n = len(P)
     rows: list[list[int]] = []
     for nvars, deg, terms in table:
         if nvars != n:
             raise ValueError("point length mismatch")
-        for a in range(deg if direction is not None else 1):
+        for a in range(deg if X is not None else 1):
             at = [p + a * x for p, x in zip(P, X)] if a else P
             row = [0] * n
             for c, supp, tdeg in terms:

@@ -13,10 +13,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, _skew_rank, _skew_rows, _solve, _triangle, faddeev_leverrier, vec
+from .exactlin import (MatQ, Scalar, _cleared, _skew_rank, _skew_rows, _solve, _triangle,
+                       faddeev_leverrier, vec)
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
-from .mpoly import MPoly, gradient_rank, gradient_table
-from .sampling import integer_coords, integer_point, rng_stream
+from .mpoly import MPoly, _gradient_rank, gradient_table
+from .sampling import integer_coords, rng_stream
 
 
 # C(i, j) for the pairs i < j, as (i, j) -> {k: c} with integer c:
@@ -207,6 +208,8 @@ def _kirillov_walk(L: LieAlgebraData) -> list[tuple[int, int, int]]:
 
 def _kirillov_triangle(L: LieAlgebraData, ipt: Sequence[int], walk: Optional[list] = None) -> list[int]:
     """The triangle of den K at an integer point, along L's table walk."""
+    if len(ipt) != L.dim:
+        raise ValueError("point length mismatch")
     a = [0] * (L.dim * (L.dim - 1) // 2)
     for t, k, c in _kirillov_walk(L) if walk is None else walk:
         a[t] += c * ipt[k]
@@ -218,11 +221,8 @@ def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
     formed on the integer structure table of L with the denominators of
     xi cleared."""
     pt = vec(xi)
-    if len(pt) != L.dim:
-        raise ValueError("point length mismatch")
-    pden = lcm(*(x.denominator for x in pt))
-    tri = _kirillov_triangle(L, [x.numerator * (pden // x.denominator) for x in pt])
-    return KirillovForm(pt, tri, pden * L.den)
+    pden, [ipt] = _cleared(pt)
+    return KirillovForm(pt, _kirillov_triangle(L, ipt), pden * L.den)
 
 
 def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
@@ -276,7 +276,7 @@ class CasimirSet:
     __slots__ = ("nvars", "generators", "degrees", "independence_witness")
 
     def __init__(self, nvars: int, generators: Sequence[MPoly],
-                 degrees: Sequence[int], independence_witness: Optional[tuple[Fraction, ...]]):
+                 degrees: Sequence[int], independence_witness: Optional[tuple[Scalar, ...]]):
         self.nvars = nvars
         self.generators = tuple(generators)
         self.degrees = tuple(degrees)
@@ -303,8 +303,8 @@ class CasimirSet:
         table = gradient_table(gens)
         for t in range(60):
             rng = rng_stream(seed, "casimir-independence", t)
-            pt = integer_point(rng, L.dim, bound)
-            if gradient_rank(table, pt) == l:
+            pt = integer_coords(rng, L.dim, bound)
+            if _gradient_rank(table, pt, None, 1) == l:
                 return cls(L.dim, gens, tuple(p.degree() for p in gens), pt)
         raise ValueError("could not witness algebraic independence of the generators")
 

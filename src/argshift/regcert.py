@@ -26,12 +26,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactlin import Scalar, rat_str, vec
+from .exactlin import Scalar, _cleared, _skew_rank, rat_str, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mfshift import EXACT, build_family, degree_profile
-from .mpoly import MPoly, gradient_rank, gradient_table, poly_gcd
-from .poisson import CasimirSet, kirillov
-from .sampling import integer_point, rng_stream
+from .mpoly import MPoly, _gradient_rank, gradient_rank, gradient_table, poly_gcd
+from .poisson import CasimirSet, _kirillov_triangle, _kirillov_walk, kirillov
+from .sampling import integer_coords, rng_stream
 from .skewpencil import FalsificationError, SkewPencil, verify_com1
 
 
@@ -118,8 +118,8 @@ def kostant_criterion(L: LieAlgebraData, casimirs: CasimirSet,
 
 @dataclass(frozen=True)
 class PlaneSpec:
-    xi: tuple[Fraction, ...]
-    eta: tuple[Fraction, ...]
+    xi: tuple[Scalar, ...]
+    eta: tuple[Scalar, ...]
 
     def point(self, a: Scalar, b: Scalar) -> tuple[Fraction, ...]:
         af, bf = Fraction(a), Fraction(b)
@@ -179,6 +179,11 @@ def _recursion_gcd(cp: Sequence[Fraction], A_ratio: tuple[Fraction, Fraction],
                MPoly.zero(2)).monic()
 
 
+def _rendered(nums: Sequence[int], den: int) -> list[str]:
+    """The point nums / den as rational strings."""
+    return [rat_str(Fraction(x, den)) for x in nums]
+
+
 def _spans_plane(xi: Sequence[Scalar], eta: Sequence[Scalar]) -> bool:
     """Are xi and eta linearly independent, some 2 x 2 minor
     xi_i eta_j - xi_j eta_i nonzero?  The minors through one nonzero
@@ -202,21 +207,21 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
     directions outside Q.
     """
     m = _check_profile(L, profile)
-    pxi, peta = vec(xi), vec(eta)
-    if not _spans_plane(pxi, peta):
+    D, (ixi, ieta) = _cleared(xi, eta)
+    if not _spans_plane(ixi, ieta):
         raise ValueError("plane spanning points are linearly dependent")
     if m == 0:
         # the form is linear in the point: it vanishes on the plane
         # exactly when it vanishes at xi and at eta
-        krank = max(kirillov(L, pt).rank for pt in (pxi, peta))
+        krank = max(_skew_rank(_kirillov_triangle(L, p), L.dim) for p in (ixi, ieta))
         if krank:
             raise _wrong_index(
                 "a Kirillov rank on the plane exceeds the generic rank",
                 {"dim": L.dim, "ind": profile.ind, "m": 0, "kirillov_rank": krank,
-                 "profile_status": profile.status, "xi": [rat_str(x) for x in pxi],
-                 "eta": [rat_str(x) for x in peta]}, profile)
+                 "profile_status": profile.status, "xi": _rendered(ixi, D),
+                 "eta": _rendered(ieta, D)}, profile)
         return PlaneCertificate(True, 0, 0)
-    analysis = verify_com1(SkewPencil.from_kirillov(L, pxi, peta))
+    analysis = verify_com1(SkewPencil.from_kirillov(L, ixi, ieta))
     if analysis.m < m:
         return PlaneCertificate(False, m, 0, all_zero=True,
                                 witness_pretty="all pencil minors vanish")
@@ -225,8 +230,7 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
             "a plane pencil exceeds the generic rank",
             {"dim": L.dim, "ind": profile.ind, "m": m,
              "pencil_rank": analysis.m, "profile_status": profile.status,
-             "xi": [rat_str(x) for x in pxi],
-             "eta": [rat_str(x) for x in peta]}, profile)
+             "xi": _rendered(ixi, D), "eta": _rendered(ieta, D)}, profile)
     if analysis.kind == "kronecker":
         return PlaneCertificate(True, m, 0, gcd=MPoly.one(2))
     g = _recursion_gcd(analysis.char_poly, analysis.A_ratio, analysis.B_ratio)
@@ -270,8 +274,8 @@ def find_regular_plane(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0
     last: Optional[PlaneCertificate] = None
     for t in range(attempts):
         rng = rng_stream(seed, "plane-search", t)
-        xi = integer_point(rng, L.dim, bound)
-        eta = integer_point(rng, L.dim, bound)
+        xi = integer_coords(rng, L.dim, bound)
+        eta = integer_coords(rng, L.dim, bound)
         if not _spans_plane(xi, eta):
             continue
         cert = certify_regular_plane(L, profile, xi, eta)
@@ -365,8 +369,8 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
     if n >= 3:
         for t in range(planes):
             rng = rng_stream(seed, "codim2-plane", t)
-            xi = integer_point(rng, n, bound)
-            eta = integer_point(rng, n, bound)
+            xi = integer_coords(rng, n, bound)
+            eta = integer_coords(rng, n, bound)
             if not _spans_plane(xi, eta):
                 continue
             planes_tried += 1
@@ -393,7 +397,7 @@ class ComplVerdict:
     pairs_checked: int
     required_rank: int
     star_rank: int
-    rows: tuple[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], int], ...]
+    rows: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
     skipped_proportional: int
     spec: PlaneSpec
 
@@ -419,8 +423,9 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
     point must have differentials of rank (dim + ind) / 2 at the
     second; each pair and its rank are recorded.  Any rank drop
     contradicts certified facts and raises FalsificationError;
-    proportional draws are skipped and counted.  Pair ratios are
-    integers in [-bound, bound].
+    proportional draws are skipped and counted.  Pair ratios r are
+    integers in [-bound, bound]; the plane is cleared once to integer rows
+    X and E over one D, and a pair point is the row r1 X + r2 E over D.
 
     The family is never expanded: at xi and eta, its differentials span
     what the gradients grad f(eta + a xi), a = 0, ..., deg f - 1, of
@@ -443,38 +448,38 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
         raise ValueError("bound must be positive")
     b = profile.b_q
     m = L.dim - profile.ind
-    xi0 = spec.point(1, 0)
+    D, (X, E) = _cleared(spec.xi, spec.eta)
     table = gradient_table(casimirs.generators)
-    star = gradient_rank(table, xi0)
+    star = _gradient_rank(table, X, None, D)
     if star != profile.ind:
         raise FalsificationError(
             "central differentials drop rank at a certified-regular point",
             {"dim": L.dim, "ind": profile.ind,
-             "point": [rat_str(x) for x in xi0], "gradient_rank": star,
+             "point": _rendered(X, D), "gradient_rank": star,
              "spec": spec.as_dict()})
+    walk = _kirillov_walk(L)
     rng = rng_stream(seed, "compl-pairs")
-    rows: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction], int]] = []
+    rows: list[tuple[tuple[int, int], tuple[int, int], int]] = []
     skipped = 0
     while len(rows) < nsamples:
-        r1, r2 = integer_point(rng, 2, bound, False), integer_point(rng, 2, bound, False)
+        r1, r2 = integer_coords(rng, 2, bound, False), integer_coords(rng, 2, bound, False)
         if not any(r1) or not any(r2):
             continue
         if r1[0] * r2[1] - r1[1] * r2[0] == 0:
             # the independence premise does not cover proportional pairs
             skipped += 1
             continue
-        xi_pt = spec.point(*r1)
-        eta_pt = spec.point(*r2)
-        krank = kirillov(L, xi_pt).rank
+        xi_pt, eta_pt = ([a * x + c * e for x, e in zip(X, E)] for a, c in (r1, r2))
+        krank = _skew_rank(_kirillov_triangle(L, xi_pt, walk), L.dim)
         if krank != m:
             raise FalsificationError(
                 "certified-regular plane point is singular",
                 {"dim": L.dim, "ind": profile.ind,
                  "ratio": [rat_str(x) for x in r1],
-                 "point": [rat_str(x) for x in xi_pt],
+                 "point": _rendered(xi_pt, D),
                  "kirillov_rank": krank, "generic_rank": m,
                  "spec": spec.as_dict()})
-        rank = gradient_rank(table, eta_pt, xi_pt)
+        rank = _gradient_rank(table, eta_pt, xi_pt, D)
         rows.append((r1, r2, rank))
         if rank != b:
             raise FalsificationError(
@@ -482,10 +487,9 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
                 {"dim": L.dim, "ind": profile.ind,
                  "xi_ratio": [rat_str(x) for x in r1],
                  "eta_ratio": [rat_str(x) for x in r2],
-                 "xi": [rat_str(x) for x in xi_pt],
-                 "eta": [rat_str(x) for x in eta_pt],
+                 "xi": _rendered(xi_pt, D), "eta": _rendered(eta_pt, D),
                  "jacobian_rank": rank, "required_rank": b,
-                 "members": len(build_family(L, casimirs, xi_pt)),
+                 "members": len(build_family(L, casimirs, [Fraction(x, D) for x in xi_pt])),
                  "spec": spec.as_dict()})
     return ComplVerdict(True, len(rows), b, star, tuple(rows), skipped, spec)
 

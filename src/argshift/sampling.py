@@ -9,7 +9,6 @@ from strings via SHA-512, which is stable across runs and platforms.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
 from itertools import islice
 
@@ -35,8 +34,3 @@ def integer_coords(rng: random.Random, dim: int, bound: int,
         if not nonzero or any(pt):
             return pt
 
-
-def integer_point(rng: random.Random, dim: int, bound: int,
-                  nonzero: bool = True) -> tuple[Fraction, ...]:
-    """integer_coords as Fractions: the same point from the same stream."""
-    return tuple(map(Fraction, integer_coords(rng, dim, bound, nonzero)))

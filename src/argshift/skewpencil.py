@@ -29,12 +29,12 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, _int_rows, _matvec, _rank_int,
+from .exactlin import (MatQ, Scalar, SubspaceQ, _cleared, _int_rows, _matvec, _rank_int,
                        _skew_kernel, _skew_rank, _skew_rows, _skew_triangle, _solve,
                        _unit_lead, annihilator, faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
-from .poisson import kirillov
+from .poisson import _kirillov_triangle
 
 Ratio = tuple[Fraction, Fraction]
 IntRatio = tuple[int, int]
@@ -87,8 +87,10 @@ class SkewPencil:
     @classmethod
     def from_kirillov(cls, L: LieAlgebraData, xi: Sequence[Scalar],
                       eta: Sequence[Scalar]) -> "SkewPencil":
-        forms = [(K.tri, K.den) for K in (kirillov(L, xi), kirillov(L, eta))]
-        return cls.__new__(cls)._set(L.dim, *forms)
+        """The Kirillov forms at xi and eta, formed at their integer
+        numerators over one denominator D."""
+        D, pts = _cleared(xi, eta)
+        return cls.__new__(cls)._set(L.dim, *((_kirillov_triangle(L, p), D * L.den) for p in pts))
 
     @property
     def dim(self) -> int:

@@ -18,6 +18,10 @@ tests can hold the package's route against it.
 - ``randint_coords``: integer coordinates drawn one ``Random.randint``
   call each.  ``sampling.integer_coords`` makes the same draw by
   rejection on ``getrandbits`` without the call chain.
+- ``integer_point``: ``sampling.integer_coords`` as Fractions, the
+  same point from the same stream.  The package samples int tuples and
+  makes Fractions only where a report or a falsification bundle
+  renders them.
 - ``fraction_kirillov`` and ``estimate_index_by_bareiss``: Kirillov
   forms built from the Fraction bracket table at Fraction points and
   ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
@@ -76,7 +80,7 @@ from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
 from argshift.mpoly import MPoly, determinant, poly_gcd
 from argshift.regcert import FalsificationError
-from argshift.sampling import integer_point, rng_stream
+from argshift.sampling import integer_coords, rng_stream
 from argshift.skewpencil import SkewPencil, _matvec
 
 
@@ -230,6 +234,12 @@ def randint_coords(rng: random.Random, dim: int, bound: int,
         pt = tuple(rng.randint(-bound, bound) for _ in range(dim))
         if not nonzero or any(pt):
             return pt
+
+
+def integer_point(rng: random.Random, dim: int, bound: int,
+                  nonzero: bool = True) -> tuple[Fraction, ...]:
+    """integer_coords as Fractions: the same point from the same stream."""
+    return tuple(map(Fraction, integer_coords(rng, dim, bound, nonzero)))
 
 
 def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,

@@ -29,11 +29,12 @@ from argshift.poisson import (CasimirSet, bracket, classical_casimirs,
 from argshift.regcert import (FalsificationError, find_regular_plane,
                               is_regular, jacobian_rank, kostant_criterion,
                               certify_codim2, verify_bols, verify_compl)
-from argshift.sampling import integer_point, rng_stream
+from argshift.sampling import rng_stream
 from argshift.skewpencil import (SkewPencil, compute_L, rank_profile,
                                  verify_com1)
 
 from conftest import ACCEPTANCE_LINES
+from oracles import integer_point
 
 SL2 = make_classical("sl", 2)
 SL3 = make_classical("sl", 3)

@@ -5,12 +5,16 @@ multiple of the true gradient, and with a shift direction xi takes the
 rows grad f(eta + a xi), a = 0, ..., deg f - 1, in place of the shift
 family's member gradients.  The oracle is the route it replaced: every
 partial evaluated in Fractions, and for shifts the family expanded by
-`build_family`, its rank taken by `exactlin.rank`.
+`build_family`, its rank taken by `exactlin.rank`.  The integer entry
+`mpoly._gradient_rank`, which takes numerators over one denominator, is
+also held against sympy's rank of the shifted gradients.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +22,11 @@ from argshift.exactlin import MatQ, rank
 from argshift.liealg import (LieAlgebraData, make_classical, make_sl2_so2_contraction,
                              make_takiff)
 from argshift.mfshift import build_family
-from argshift.mpoly import MPoly, gradient_rank, gradient_table
+from argshift.mpoly import MPoly, _gradient_rank, gradient_rank, gradient_table
 from argshift.poisson import CasimirSet, classical_casimirs, takiff_lift
 from argshift.regcert import jacobian_rank
-from argshift.sampling import integer_point, rng_stream
-from oracles import grad_at
+from argshift.sampling import rng_stream
+from oracles import grad_at, integer_point, to_sympy
 
 
 def fraction_jacobian_rank(polys, pt):
@@ -59,6 +63,60 @@ def test_integer_jacobian_matches_fraction_route(ps, pt):
     # scaled wrongly on some terms of a non-homogeneous ps[0] breaks
     ps = ps + [MPoly.linear_form(grad_at(ps[0], pt))]
     assert jacobian_rank(ps, pt) == fraction_jacobian_rank(ps, pt)
+
+
+SYMPY_NVARS = 5
+
+
+def sympy_shifted_rank(ps, eta, xi=None):
+    """sympy's rank of the rows grad f(eta + a xi), a = 0, ..., deg f - 1,
+    or of grad f(eta) with no direction."""
+    syms = sympy.symbols(f"x0:{SYMPY_NVARS}")
+    rows = []
+    for p in ps:
+        f = to_sympy(p, syms)
+        grads = [sympy.diff(f, x) for x in syms]
+        for a in range(p.degree() if xi is not None else 1):
+            at = eta if xi is None else [e + a * x for e, x in zip(eta, xi)]
+            sub = {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(syms, at)}
+            rows.append([g.subs(sub) for g in grads])
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+# monomials of degree at most 3, as multisets of variables; polynomials
+# whose terms have at least two degrees, at most 4 shifted rows in all
+monomials = st.lists(st.integers(0, SYMPY_NVARS - 1), max_size=3).map(
+    lambda vs: tuple(vs.count(i) for i in range(SYMPY_NVARS)))
+non_homogeneous = (st.dictionaries(monomials, coeff.filter(bool), min_size=2, max_size=4)
+                   .filter(lambda t: len({sum(e) for e in t}) > 1)
+                   .map(lambda t: MPoly(SYMPY_NVARS, t)))
+numerators = st.lists(st.integers(-6, 6), min_size=SYMPY_NVARS, max_size=SYMPY_NVARS)
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None)
+@given(st.lists(non_homogeneous, min_size=1, max_size=2).filter(
+           lambda ps: sum(p.degree() for p in ps) <= 4),
+       numerators, numerators, st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True))
+def test_integer_gradient_rank_matches_fraction_route_and_sympy(ps, pnum, xnum, dens):
+    # eta and xi have different denominators, so the shared D scales the
+    # terms of each non-homogeneous f by D^(deg f - deg e) unevenly.  The
+    # linear form with gradient grad ps[0](eta + xi) adds a dependency
+    # that holds only at the exact point, among at most 5 rows in 5
+    # variables, so a row scaled wrongly on some terms shows in the rank
+    eta = [Fraction(x, dens[0]) for x in pnum]
+    xi = [Fraction(x, dens[1]) for x in xnum]
+    ps = ps + [MPoly.linear_form(grad_at(ps[0], [e + x for e, x in zip(eta, xi)]))]
+    table = gradient_table(ps)
+    D = lcm(*dens)
+    P, X = ([int(x * D) for x in v] for v in (eta, xi))
+    for direction, nums in ((None, None), (xi, X)):
+        want = sympy_shifted_rank(ps, eta, direction)
+        assert gradient_rank(table, eta, direction) == want
+        assert _gradient_rank(table, P, nums, D) == want
+        # any common denominator gives the same rank
+        assert _gradient_rank(table, [3 * x for x in P],
+                              None if nums is None else [3 * x for x in nums], 3 * D) == want
 
 
 def test_non_homogeneous_rows_are_scaled_per_term():

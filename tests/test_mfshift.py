@@ -21,8 +21,8 @@ from argshift.mfshift import (DEFICIT, EXACT, EXCESS, ShiftFamily, ShiftMember,
 from argshift.mpoly import MPoly
 from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
                               frozen_bracket, takiff_lift)
-from argshift.sampling import integer_point, rng_stream
-from oracles import partial
+from argshift.sampling import rng_stream
+from oracles import integer_point, partial
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)

@@ -21,8 +21,8 @@ from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_centralizer_sl
 from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import estimate_index, kirillov
 from argshift.regcert import FalsificationError, certify_regular_plane
-from argshift.sampling import integer_point, rng_stream
-from oracles import stream_minor_gcd
+from argshift.sampling import rng_stream
+from oracles import integer_point, stream_minor_gcd
 
 HEISENBERG = LieAlgebraData(3, ["e", "f", "z"], {(0, 1): {2: Fraction(1)}})
 

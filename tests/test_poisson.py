@@ -27,9 +27,10 @@ from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, clas
                               coordinate_bracket, estimate_index,
                               frozen_bracket, is_casimir, kirillov,
                               takiff_lift)
-from argshift.sampling import integer_coords, integer_point, rng_stream
+from argshift.sampling import integer_coords, rng_stream
 from oracles import (bareiss_skew_rank, estimate_index_by_bareiss, evaluate, fraction_kirillov,
-                     grad_at, randint_coords, takiff_lift_by_substitution, var_coeffs)
+                     grad_at, integer_point, randint_coords, takiff_lift_by_substitution,
+                     var_coeffs)
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)

@@ -16,19 +16,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import jsonio
+from argshift import exactlin, jsonio, mfshift, mpoly, poisson, regcert, skewpencil
 from argshift.liealg import AlgebraProfile, LieAlgebraData, make_centralizer_sl, \
     make_classical, make_sl2_so2_contraction, make_takiff, make_vinberg
 from argshift.mfshift import build_family
 from argshift.mpoly import MPoly
-from argshift.poisson import CasimirSet, classical_casimirs, estimate_index
-from argshift.regcert import (Codim2Certificate, FalsificationError, PlaneSpec,
-                              certify_codim2, certify_regular_plane,
+from argshift.poisson import CasimirSet, classical_casimirs, estimate_index, takiff_lift
+from argshift.regcert import (Codim2Certificate, FalsificationError, PlaneCertificate,
+                              PlaneSpec, certify_codim2, certify_regular_plane,
                               find_regular_plane, generic_kirillov, is_regular,
                               jacobian_rank, kostant_criterion, verify_bols,
                               verify_compl, _pfaffian, _pfaffian_gcd)
-from argshift.sampling import integer_point, rng_stream
-from oracles import stream_minor_gcd, to_sympy
+from argshift.sampling import rng_stream
+from oracles import integer_point, stream_minor_gcd, to_sympy
 
 SL2 = make_classical("sl", 2)
 SL2_PROFILE = estimate_index(SL2)
@@ -351,6 +351,73 @@ def test_verify_compl_premises():
                          tuple(map(Fraction, (1, 0, 0))))
     with pytest.raises(ValueError, match="not certified regular"):
         verify_compl(q, qcs, estimate_index(q), bad_spec)
+
+
+SL3 = make_classical("sl", 3)
+SL3_CASIMIRS = classical_casimirs("sl", 3)
+# a regular sl3 point with denominator 2, and the singular point diag(1, 1, -2) / 2
+SL3_HALF_XI = tuple(Fraction(x) for x in "1/2 -1 3/2 2 0 -5/2 1 3".split())
+SL3_HALF_SUBREGULAR = tuple(Fraction(x) for x in "0 0 0 0 3/2 0 0 0".split())
+
+
+def _refuse_fraction_points(monkeypatch):
+    """Make PlaneSpec.point, and kirillov and vec at every binding site,
+    raise: a sampled route that runs on integer points never calls them."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a sampled route made a Fraction point")
+    monkeypatch.setattr(PlaneSpec, "point", refused)
+    for module in (exactlin, mpoly, poisson, mfshift, skewpencil, regcert):
+        for name in ("kirillov", "vec"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+
+
+@pytest.mark.parametrize("name", ["sl3", "takiff_sl2_1"])
+def test_passing_sampled_routes_never_make_fraction_points(monkeypatch, name):
+    if name == "sl3":
+        L, cas = SL3, SL3_CASIMIRS
+    else:
+        L = make_takiff(SL2, 1)
+        cas = CasimirSet.verified(L, [p for g in SL2_CASIMIRS.generators
+                                      for p in takiff_lift(SL2, g, 1)])
+    prof = estimate_index(L)
+    fractional = PlaneSpec(SL3_HALF_XI, tuple(Fraction(x, 3) for x in range(1, 9)))
+
+    def runs():
+        plane = find_regular_plane(L, prof, seed=4)
+        out = [plane.as_dict(), certify_codim2(L, prof, seed=4).as_dict(),
+               verify_compl(L, cas, prof, plane.spec, plane.certificate, nsamples=4).as_dict()]
+        if name == "sl3":
+            out.append(verify_compl(L, cas, prof, fractional, nsamples=4, seed=2).as_dict())
+        return out
+    want = runs()
+    assert want[0]["found"] and want[1]["method"] == "plane"
+    _refuse_fraction_points(monkeypatch)
+    assert runs() == want
+    with pytest.raises(AssertionError, match="Fraction point"):
+        is_regular(L, prof, (1,) * L.dim)
+    with pytest.raises(AssertionError, match="Fraction point"):
+        fractional.point(1, 0)
+
+
+def test_verify_compl_falsifies_a_lying_certificate_at_a_singular_pair_point():
+    # (8, 1) is the first pair ratio drawn at seed 0 and bound 9 (the
+    # pinned sl3 `reg compl` report starts with it): the point
+    # 8 xi + eta is the singular diag(1, 1, -2) / 2 on this plane
+    eta = tuple(s - 8 * x for x, s in zip(SL3_HALF_XI, SL3_HALF_SUBREGULAR))
+    spec = PlaneSpec(SL3_HALF_XI, eta)
+    prof = estimate_index(SL3)
+    assert not certify_regular_plane(SL3, prof, spec.xi, spec.eta).ok
+    lying = PlaneCertificate(True, 6, 0)
+    with pytest.raises(FalsificationError, match="certified-regular plane point is singular") as exc:
+        verify_compl(SL3, SL3_CASIMIRS, prof, spec, lying)
+    bundle = exc.value.bundle
+    assert bundle["ratio"] == ["8", "1"]
+    assert bundle["point"] == ["0", "0", "0", "0", "3/2", "0", "0", "0"]
+    assert bundle["kirillov_rank"] == 4 and bundle["generic_rank"] == 6
+    assert bundle["spec"] == {"xi": ["1/2", "-1", "3/2", "2", "0", "-5/2", "1", "3"],
+                              "eta": ["-4", "8", "-12", "-16", "3/2", "20", "-8", "-24"]}
+    assert json.loads(jsonio.dumps(bundle)) == bundle
 
 
 def test_verify_compl_falsifies_bogus_generators():

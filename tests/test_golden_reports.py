@@ -51,6 +51,11 @@ a plane or at a point given by the user: `reg compl` on sl3 at a plane
 whose xi has denominator 2 and whose eta has denominator 3, `reg
 compl` on takiff(sl2, 1) at an integer plane, `reg point --casimirs`
 and `reg bols` on sl3 at that xi.
+
+`golden/seed_reports.json` pins the sampled plane searches away from
+the default seed: `reg codim2` and `pipeline run` at seeds 1 and 2 on
+sl3 and gl3 with `--classical` and on takiff(sl2, 1) with its lifted
+Casimirs.
 """
 
 import hashlib
@@ -76,6 +81,7 @@ FAMILY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "family_report
 REGCERT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regcert_reports.json")
 BUILD_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "build_digests.json")
 SAMPLE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sample_reports.json")
+SEED_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "seed_reports.json")
 
 # algebra build arguments, xi, eta
 PLANES = {
@@ -479,3 +485,54 @@ def test_sample_report_matches_the_pinned_bytes(sample_cases, case):
     with open(SAMPLE_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]
     assert jsonio.dumps(sample_cases[case]) == jsonio.dumps(want)
+
+
+# the algebras whose codim-2 and regular-plane searches are pinned at
+# seeds other than the default
+SEEDS = (1, 2)
+
+
+def seed_reports(tmp_path) -> dict:
+    """`reg codim2` and `pipeline run` on sl3 and gl3 with their classical
+    Casimirs and on takiff(sl2, 1) with its lifted Casimirs, at each of
+    SEEDS: each pinned case's exit code and report without timings."""
+    sl3, gl3, tk, tk_cas = (str(tmp_path / f) for f in (
+        "sl3.json", "gl3.json", "takiff.json", "takiff-casimirs.json"))
+    assert main(["algebra", "build", "sl", "3", "--out", sl3]) == 0
+    assert main(["algebra", "build", "gl", "3", "--out", gl3]) == 0
+    sl2 = make_classical("sl", 2)
+    takiff = make_takiff(sl2, 1)
+    jsonio.write_json(tk, jsonio.algebra_to_json(takiff))
+    [f] = classical_casimirs("sl", 2).generators
+    jsonio.write_json(tk_cas, jsonio.casimirs_to_json(
+        CasimirSet.verified(takiff, takiff_lift(sl2, f, 1))))
+    out = {}
+    for name, path, casimirs in (("sl3", sl3, ["--classical"]), ("gl3", gl3, ["--classical"]),
+                                 ("takiff_sl2_1", tk, ["--casimirs", tk_cas])):
+        for seed in map(str, SEEDS):
+            out[f"reg codim2 {name} seed {seed}"] = _run(
+                ["reg", "codim2", path, "--seed", seed])
+            out[f"pipeline run {name} seed {seed}"] = _run(
+                ["pipeline", "run", path, *casimirs, "--seed", seed])
+    return out
+
+
+@pytest.fixture(scope="module")
+def seed_cases(tmp_path_factory):
+    return seed_reports(tmp_path_factory.mktemp("seeds"))
+
+
+SEED_CASES = [f"{command} {name} seed {seed}" for name in ("sl3", "gl3", "takiff_sl2_1")
+              for seed in SEEDS for command in ("reg codim2", "pipeline run")]
+
+
+def test_seed_cases_pass(seed_cases):
+    assert sorted(seed_cases) == sorted(SEED_CASES)
+    assert {v["exit"] for v in seed_cases.values()} == {0}
+
+
+@pytest.mark.parametrize("case", SEED_CASES)
+def test_seed_report_matches_the_pinned_bytes(seed_cases, case):
+    with open(SEED_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    assert jsonio.dumps(seed_cases[case]) == jsonio.dumps(want)

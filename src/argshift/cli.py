@@ -525,7 +525,9 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any,
         None if cert.ok else [{"i": i, "j": j, "route": route}
                               for i, j, route in cert.failures])
 
-    plane = find_regular_plane(L, prof, seed=seed, attempts=args.attempts, bound=bound)
+    plane = codim2.plane    # codim-2's search, the same one as this stage's
+    if plane is None or plane.attempts_used > args.attempts:
+        plane = find_regular_plane(L, prof, seed=seed, attempts=args.attempts, bound=bound)
     yield plane.found, plane.as_dict(), None
 
     compl = verify_compl(L, cs, prof, plane.spec, certificate=plane.certificate,

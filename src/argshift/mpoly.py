@@ -78,8 +78,9 @@ class MPoly:
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MPoly":
         n = len(coeffs)
-        return cls(n, {tuple(1 if j == i else 0 for j in range(n)): c
-                       for i, c in enumerate(coeffs)})
+        den, [num] = _cleared(coeffs)
+        return cls._make(n, {tuple(1 if j == i else 0 for j in range(n)): c
+                             for i, c in enumerate(num) if c}, den)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:

@@ -213,7 +213,8 @@ def certify_regular_plane(L: LieAlgebraData, profile: AlgebraProfile,
     if m == 0:
         # the form is linear in the point: it vanishes on the plane
         # exactly when it vanishes at xi and at eta
-        krank = max(_skew_rank(_kirillov_triangle(L, p), L.dim) for p in (ixi, ieta))
+        walk = _kirillov_walk(L)
+        krank = max(_skew_rank(_kirillov_triangle(L, p, walk), L.dim) for p in (ixi, ieta))
         if krank:
             raise _wrong_index(
                 "a Kirillov rank on the plane exceeds the generic rank",
@@ -297,6 +298,7 @@ class Codim2Certificate:
     seed: int
     witness: Optional[MPoly] = field(default=None, repr=False)
     witness_pretty: Optional[str] = None
+    plane: Optional[FindPlaneResult] = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "m": self.m, "method": self.method,
@@ -351,41 +353,34 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
 
     Equivalent statement: the gcd of all m x m minors of the symbolic
     skew matrix is constant, that is, the gcd g of its principal m x m
-    Pfaffians is (see module docstring).  Sample planes give a sound
-    shortcut, and the seed picks only them; when every plane fails, g
+    Pfaffians is (see module docstring).  A regular plane is a sound
+    shortcut: find_regular_plane draws up to `planes`, all counted in
+    planes_tried, and the certificate keeps the plane it found.  Else g
     is computed over the Pfaffians themselves, and a nonconstant g^2,
     the gcd of the minors, is returned as the witness divisor.
     """
     m = _check_profile(L, profile)
-    n = L.dim
     if m == 0:
         # generic rank 0 holds only when every structure constant is 0
         if L.num:
             raise _wrong_index("a nonzero structure constant exceeds the generic rank",
-                               {"dim": n, "ind": profile.ind, "m": 0,
+                               {"dim": L.dim, "ind": profile.ind, "m": 0,
                                 "profile_status": profile.status}, profile)
         return Codim2Certificate(True, 0, "trivial", 0, 0, seed)
-    planes_tried = 0
-    if n >= 3:
-        for t in range(planes):
-            rng = rng_stream(seed, "codim2-plane", t)
-            xi = integer_coords(rng, n, bound)
-            eta = integer_coords(rng, n, bound)
-            if not _spans_plane(xi, eta):
-                continue
-            planes_tried += 1
-            if certify_regular_plane(L, profile, xi, eta).ok:
-                return Codim2Certificate(True, m, "plane", planes_tried, 0, seed)
+    plane = find_regular_plane(L, profile, seed=seed, attempts=planes if L.dim >= 3 else 0,
+                               bound=bound)
+    if plane.found:
+        return Codim2Certificate(True, m, "plane", plane.attempts_used, 0, seed, plane=plane)
     g, checked = _pfaffian_gcd(generic_kirillov(L), m)
     if g is None:
         raise _wrong_index("no nonzero minor at the declared generic rank",
-                           {"dim": n, "ind": profile.ind, "m": m,
+                           {"dim": L.dim, "ind": profile.ind, "m": m,
                             "profile_status": profile.status}, profile)
     if g.is_constant():
-        return Codim2Certificate(True, m, "symbolic", planes_tried, checked, seed)
+        return Codim2Certificate(True, m, "symbolic", plane.attempts_used, checked, seed)
     names = [f"x_{nm}" for nm in L.basis_names]
     witness = g * g
-    return Codim2Certificate(False, m, "symbolic", planes_tried, checked, seed,
+    return Codim2Certificate(False, m, "symbolic", plane.attempts_used, checked, seed,
                              witness=witness, witness_pretty=witness.pretty(names))
 
 

@@ -34,7 +34,7 @@ from .exactlin import (MatQ, Scalar, SubspaceQ, _cleared, _int_rows, _matvec, _r
                        _unit_lead, annihilator, faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
-from .poisson import _kirillov_triangle
+from .poisson import _kirillov_triangle, _kirillov_walk
 
 Ratio = tuple[Fraction, Fraction]
 IntRatio = tuple[int, int]
@@ -88,9 +88,11 @@ class SkewPencil:
     def from_kirillov(cls, L: LieAlgebraData, xi: Sequence[Scalar],
                       eta: Sequence[Scalar]) -> "SkewPencil":
         """The Kirillov forms at xi and eta, formed at their integer
-        numerators over one denominator D."""
+        numerators over one denominator D along one walk of L's table."""
         D, pts = _cleared(xi, eta)
-        return cls.__new__(cls)._set(L.dim, *((_kirillov_triangle(L, p), D * L.den) for p in pts))
+        walk = _kirillov_walk(L)
+        return cls.__new__(cls)._set(L.dim, *((_kirillov_triangle(L, p, walk), D * L.den)
+                                              for p in pts))
 
     @property
     def dim(self) -> int:

@@ -10,10 +10,12 @@ from fractions import Fraction
 import pytest
 
 import argshift
-from argshift import jsonio
+from argshift import jsonio, regcert
 from argshift.cli import COMMANDS, main
-from argshift.liealg import LieAlgebraData, make_classical
+from argshift.liealg import LieAlgebraData, make_classical, make_takiff
 from argshift.mpoly import MPoly
+from argshift.poisson import CasimirSet, classical_casimirs, estimate_index, takiff_lift
+from argshift.regcert import PlaneCertificate, find_regular_plane
 
 SL2 = make_classical("sl", 2)
 
@@ -904,3 +906,90 @@ def test_plane_with_a_large_constant_term_does_not_hang(tmp_path):
     assert report["witnesses"]["plane"]["singular_directions"] == [["1", f"-1/{q}"]]
     assert report["verdicts"]["plane"]["gcd"] == \
         "a^2 + 2000000014*a*b + 1000000014000000049*b^2"
+
+
+# --- one regular-plane search per pipeline -------------------------------------
+
+@pytest.fixture
+def plane_pipelines(tmp_path):
+    """name -> (algebra file, pipeline arguments): sl3 with its classical
+    Casimirs and takiff(sl2, 1) with its lifted Casimirs."""
+    sl3, tk, tk_cas = (str(tmp_path / f) for f in ("sl3.json", "takiff.json", "tk-cas.json"))
+    assert main(["algebra", "build", "sl", "3", "--out", sl3]) == 0
+    takiff = make_takiff(SL2, 1)
+    jsonio.write_json(tk, jsonio.algebra_to_json(takiff))
+    [f] = classical_casimirs("sl", 2).generators
+    jsonio.write_json(tk_cas, jsonio.casimirs_to_json(
+        CasimirSet.verified(takiff, takiff_lift(SL2, f, 1))))
+    return {"sl3": (sl3, ["--classical"]), "takiff_sl2_1": (tk, ["--casimirs", tk_cas])}
+
+
+def _loaded(path: str) -> LieAlgebraData:
+    return jsonio.algebra_from_json(jsonio.read_json(path))
+
+
+def _as_json(obj: dict) -> dict:
+    return json.loads(jsonio.dumps(obj))
+
+
+@pytest.mark.parametrize("name", ["sl3", "takiff_sl2_1"])
+def test_a_passing_pipeline_certifies_one_plane(monkeypatch, capsys, plane_pipelines, name):
+    path, extra = plane_pipelines[name]
+    L = _loaded(path)
+    want = find_regular_plane(L, estimate_index(L, seed=3), seed=3, attempts=20)
+    calls = []
+    certify = regcert.certify_regular_plane
+
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
+    monkeypatch.setattr(regcert, "certify_regular_plane", counted)
+    code, report = run(capsys, "pipeline", "run", path, *extra, "--seed", "3")
+    assert code == 0 and len(calls) == 1
+    verdicts = report["verdicts"]
+    assert verdicts["regular-plane"] == _as_json(want.as_dict())
+    assert verdicts["codim2"]["method"] == "plane"
+    assert verdicts["codim2"]["planes_tried"] == want.attempts_used
+
+
+@pytest.mark.parametrize("planes, attempts", [("1", "20"), ("3", "1")])
+def test_a_failing_first_plane_is_drawn_once_for_both_stages(
+        monkeypatch, capsys, plane_pipelines, planes, attempts):
+    path, extra = plane_pipelines["sl3"]
+    L = _loaded(path)
+    prof = estimate_index(L)
+    first = find_regular_plane(L, prof, attempts=1)
+    assert first.found
+    forced = PlaneCertificate(False, 6, 0, all_zero=True, witness_pretty="forced")
+    certify = regcert.certify_regular_plane
+
+    def failing_first(L, profile, xi, eta):
+        if (tuple(xi), tuple(eta)) == (first.spec.xi, first.spec.eta):
+            return forced
+        return certify(L, profile, xi, eta)
+    monkeypatch.setattr(regcert, "certify_regular_plane", failing_first)
+    code, report = run(capsys, "pipeline", "run", path, *extra,
+                       "--planes", planes, "--attempts", attempts)
+    codim2, plane = report["verdicts"]["codim2"], report["verdicts"]["regular-plane"]
+    if planes == "1":
+        # codim-2 falls back to the Pfaffians; the stage searches on
+        assert code == 0
+        assert (codim2["ok"], codim2["method"], codim2["planes_tried"]) == (True, "symbolic", 1)
+        assert plane["found"] and plane["attempts_used"] == 2
+        assert plane == _as_json(find_regular_plane(L, prof, attempts=20).as_dict())
+    else:
+        # codim-2's plane came at draw 2, past the stage's one attempt
+        assert code == 1 and report["failed_stage"] == "regular-plane"
+        assert (codim2["method"], codim2["planes_tried"]) == ("plane", 2)
+        assert plane == {"found": False, "attempts_used": 1, "spec": None,
+                         "certificate": _as_json(forced.as_dict())}
+
+
+def test_codim2_planes_tried_counts_dependent_draws(capsys, sl2_file):
+    # at seed 2 and bound 1 the first drawn sl2 plane is spanned by
+    # dependent points, and the second certifies
+    code, report = run(capsys, "reg", "codim2", sl2_file, "--seed", "2", "--bound", "1")
+    assert code == 0
+    assert report["verdicts"]["codim2"] == {
+        "m": 2, "method": "plane", "ok": True, "pfaffians_checked": 0,
+        "planes_tried": 2, "seed": 2, "witness": None}

@@ -125,6 +125,16 @@ def test_param_expand_top_coefficient_is_differential():
     assert parts[1] == MPoly.linear_form(grad)
 
 
+def test_linear_form_takes_fraction_string_and_zero_coefficients():
+    coeffs = [Fraction(3, 4), "-5/6", 0, 2, "0", Fraction(0)]
+    form = MPoly.linear_form(coeffs)
+    want = MPoly(6, {tuple(int(j == i) for j in range(6)): c for i, c in enumerate(coeffs)})
+    assert (form.num, form.den) == (want.num, want.den) == (
+        {(1, 0, 0, 0, 0, 0): 9, (0, 1, 0, 0, 0, 0): -10, (0, 0, 0, 1, 0, 0): 24}, 12)
+    zero = MPoly.linear_form([0, "0", Fraction(0, 5)])
+    assert zero.is_zero() and zero.den == 1 and zero == MPoly.zero(3)
+
+
 def test_exact_division():
     x = MPoly.variable(2, 0)
     y = MPoly.variable(2, 1)

@@ -182,6 +182,26 @@ def test_abelian_everything_trivially_regular():
     assert v.regular and v.independent
 
 
+@pytest.mark.parametrize("name", ["sl3", "abelian"])
+def test_a_plane_certificate_walks_the_table_once(monkeypatch, name):
+    # sl3 takes the pencil route, the abelian algebra the m = 0 branch
+    L = SL3 if name == "sl3" else LieAlgebraData(3, ["a", "b", "c"], {})
+    prof = estimate_index(L)
+    xi, eta = (1, -2, 3, 0, 1, 2, -1, 1)[:L.dim], (2, 1, -1, 3, 0, 1, 1, -2)[:L.dim]
+    want = certify_regular_plane(L, prof, xi, eta)
+    walks = []
+
+    def counted(L):
+        walks.append(L)
+        return walk(L)
+    walk = poisson._kirillov_walk
+    for module in (poisson, skewpencil, regcert):
+        if hasattr(module, "_kirillov_walk"):
+            monkeypatch.setattr(module, "_kirillov_walk", counted)
+    assert certify_regular_plane(L, prof, xi, eta) == want
+    assert want.ok and len(walks) == 1
+
+
 def test_certify_codim2_pass_cases():
     assert certify_codim2(SL2, SL2_PROFILE).ok
     q = make_sl2_so2_contraction()

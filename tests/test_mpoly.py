@@ -125,16 +125,6 @@ def test_param_expand_top_coefficient_is_differential():
     assert parts[1] == MPoly.linear_form(grad)
 
 
-def test_linear_form_takes_fraction_string_and_zero_coefficients():
-    coeffs = [Fraction(3, 4), "-5/6", 0, 2, "0", Fraction(0)]
-    form = MPoly.linear_form(coeffs)
-    want = MPoly(6, {tuple(int(j == i) for j in range(6)): c for i, c in enumerate(coeffs)})
-    assert (form.num, form.den) == (want.num, want.den) == (
-        {(1, 0, 0, 0, 0, 0): 9, (0, 1, 0, 0, 0, 0): -10, (0, 0, 0, 1, 0, 0): 24}, 12)
-    zero = MPoly.linear_form([0, "0", Fraction(0, 5)])
-    assert zero.is_zero() and zero.den == 1 and zero == MPoly.zero(3)
-
-
 def test_exact_division():
     x = MPoly.variable(2, 0)
     y = MPoly.variable(2, 1)
@@ -327,6 +317,12 @@ def test_equal_polynomials_have_one_representation(f, g, c):
     want = _canonical(f)
     for p in routes:
         assert p == f and _canonical(p) == want
+    # f's linear part from Fraction, string and zero coefficients
+    units = [tuple(int(j == i) for j in range(3)) for i in range(3)]
+    coeffs = [f.terms.get(u, 0) for u in units]
+    lin = MPoly(3, dict(zip(units, coeffs)))
+    for form in (MPoly.linear_form(coeffs), MPoly.linear_form([str(c) for c in coeffs])):
+        assert form == lin and _canonical(form) == _canonical(lin)
 
 
 # --- sympy differential tests for gcd and determinant ------------------------

@@ -189,12 +189,11 @@ def test_a_plane_certificate_walks_the_table_once(monkeypatch, name):
     prof = estimate_index(L)
     xi, eta = (1, -2, 3, 0, 1, 2, -1, 1)[:L.dim], (2, 1, -1, 3, 0, 1, 1, -2)[:L.dim]
     want = certify_regular_plane(L, prof, xi, eta)
-    walks = []
+    walks, walk = [], poisson._kirillov_walk
 
     def counted(L):
         walks.append(L)
         return walk(L)
-    walk = poisson._kirillov_walk
     for module in (poisson, skewpencil, regcert):
         if hasattr(module, "_kirillov_walk"):
             monkeypatch.setattr(module, "_kirillov_walk", counted)

@@ -9,8 +9,10 @@ singular directions at the generic rank ("Kronecker" type) and L is
 maximal isotropic of dimension dim V - m/2; otherwise the recursion
 operator on the quotient carries the singular directions as its
 eigenvalues, which are cross-checked against the ranks of the
-corresponding members.  A Kronecker certificate also proves the rank
-of every member, so only the other pencils take a rank profile.
+corresponding members.  L lies in the radical of every member on
+Ltilde, so the operator solves the Gram pair of the forms on Ltilde / L.
+A Kronecker certificate also proves the rank of every member, so only
+the other pencils take a rank profile.
 
 A pencil is integer forms over one denominator, sampled at integer
 directions, so ranks and kernels of members come from fraction-free
@@ -31,14 +33,13 @@ from typing import Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, SubspaceQ, _cleared, _int_rows, _matvec, _rank_int,
                        _skew_kernel, _skew_rank, _skew_rows, _skew_triangle, _solve,
-                       _unit_lead, annihilator, faddeev_leverrier, rat, rat_str)
+                       annihilator, faddeev_leverrier, rat, rat_str)
 from .liealg import LieAlgebraData
 from .mpoly import rational_roots
 from .poisson import _kirillov_triangle, _kirillov_walk
 
 Ratio = tuple[Fraction, Fraction]
 IntRatio = tuple[int, int]
-IntRows = list[list[int]]
 
 
 class FalsificationError(Exception):
@@ -140,20 +141,20 @@ def rank_profile(pencil: SkewPencil,
 
 
 def _kernel_walk(pencil: SkewPencil, m: Optional[int] = None
-                 ) -> tuple[int, SubspaceQ, dict[IntRatio, int], IntRows]:
+                 ) -> tuple[int, SubspaceQ, dict[IntRatio, int]]:
     """compute_L's walk at rank m or, for m None, at the highest rank r
-    seen so far, a higher rank restarting the sum: r, the sum, the ranks
-    of the members walked and the kernel of the member that set r.  A
-    walk reaching the cap has passed every base ratio, so r is m there."""
+    seen so far, a higher rank restarting the sum: r, the sum and the
+    ranks of the members walked.  A walk reaching the cap has passed
+    every base ratio, so r is m there."""
     n = pencil.dim
     cap = 4 * n + 10
     r = -1 if m is None else m
-    total, first, ranks, consecutive = SubspaceQ(n), [], {}, 0
+    total, ranks, consecutive = SubspaceQ(n), {}, 0
     for a, b in chain(base_ratios(n), ((1, k) for k in range(n + 1, cap))):
         rank, ker = _skew_kernel(pencil._member(a, b), n)
         ranks[a, b] = rank
         if m is None and rank > r:
-            r, total, first, consecutive = rank, SubspaceQ(n), ker, 0
+            r, total, consecutive = rank, SubspaceQ(n), 0
         if rank != r:
             continue
         before = total.dim
@@ -161,7 +162,7 @@ def _kernel_walk(pencil: SkewPencil, m: Optional[int] = None
             total.add(v)
         consecutive = consecutive + 1 if total.dim == before else 0
         if consecutive >= n or total.dim == n - r // 2:
-            return r, total, ranks, first
+            return r, total, ranks
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
 
@@ -250,73 +251,38 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
 
 
 def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
-                 A_ratio: Ratio, B_ratio: Ratio, m: Optional[int] = None,
-                 kerA: Optional[IntRows] = None) -> MatQ:
-    """Matrix of the recursion operator on Ltilde / L solving A w = B v.
+                 A_ratio: Ratio, B_ratio: Ratio, m: Optional[int] = None) -> MatQ:
+    """Matrix of the recursion operator on Ltilde / L, v -> w with A w = B v.
 
-    Requires the A-direction to be regular, so its kernel sits inside
-    L and the class of w does not depend on the particular solution;
-    that independence is still re-verified by solving with a solution
-    shifted by a kernel vector.  kerA, when given, is that kernel.
+    L lies in the radical of both forms on Ltilde, so u.A w = u.B v for u
+    in Ltilde gives the Gram identity A_bar M = B_bar on Ltilde / L.
 
-    The quotient basis is the primitive integer rows of Ltilde outside
-    L, positive multiples of its unit-lead rows, so the matrix is a
-    positive diagonal similarity of the unit-lead one, with the same
-    characteristic polynomial and eigenvalues.  Error bundles show v and
-    the kernel shift with leading entry 1, and w solved for that v.
+    The quotient basis c_1 .. c_q is the primitive integer rows of Ltilde
+    outside L, positive multiples of its unit-lead rows, so the matrix is
+    a positive diagonal similarity of the unit-lead one, with the same
+    characteristic polynomial and eigenvalues.  A_bar = [c_i.A c_j] is
+    nondegenerate exactly when the kernel of A lies in L; then w exists,
+    lies in Ltilde and has one class mod L, and M = A_bar^-1 B_bar.  The
+    A-direction must be regular: with m None it is ranked against the
+    rank profile, with m given it is taken as regular.
     """
     n = pencil.dim
     # one factor clears both ratios, so A w = B v keeps its solutions
     a1, a2, b1, b2 = _int_rows([tuple(A_ratio) + tuple(B_ratio)])[0]
-    Am, Bm = _skew_rows(pencil._member(a1, a2), n), _skew_rows(pencil._member(b1, b2), n)
-    if kerA is None:
-        if m is None:
-            m = rank_profile(pencil).m
-        r, kerA = _skew_kernel(pencil._member(a1, a2), n)
-        if r != m:
-            raise ValueError("the A-direction of the recursion operator must be regular")
-    # a basis of L, grown by the complement of L in Ltilde
+    if m is None and _skew_rank(pencil._member(a1, a2), n) != rank_profile(pencil).m:
+        raise ValueError("the A-direction of the recursion operator must be regular")
+    # the complement of L in Ltilde, grown on a basis of L
     grown = SubspaceQ(n, L.rows.values())
-    if any(any(grown.reduce(v)) for v in kerA):
+    comp = [row for _, row in sorted(Ltilde.rows.items()) if grown.add(row) is not None]
+    q = len(comp)
+    Am, Bm = _skew_rows(pencil._member(a1, a2), n), _skew_rows(pencil._member(b1, b2), n)
+    acs, bcs = [_matvec(Am, c) for c in comp], [_matvec(Bm, c) for c in comp]
+    gram = [[sum(map(mul, u, ac)) for ac in acs] for u in comp]
+    if _rank_int(gram, q) != q:
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
-            {"dim": n, "member_rank": n - len(kerA), "kernel_dim": len(kerA),
-             "L_dim": L.dim})
-    comp = [row for _, row in sorted(Ltilde.rows.items()) if grown.add(row) is not None]
-    ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
-
-    def shown(v: Sequence[int], w: Sequence[Fraction]) -> list[str]:
-        # w over the lead of v: w solved for the unit-lead v
-        return [rat_str(x) for x in _unit_lead([*v, *w])[len(v):]]
-
-    for v, w in zip(comp, ws):
-        if w is None:
-            raise FalsificationError(
-                "A w = B v has no solution for v in the annihilator space",
-                {"dim": n, "v": shown(v, v)})
-        if not Ltilde.contains(w):
-            raise FalsificationError(
-                "recursion image escapes the annihilator space",
-                {"dim": n, "v": shown(v, v), "w": shown(v, w)})
-    # coordinates in the basis comp + L.rows; independence from the
-    # particular solution is checked rather than assumed, by expanding
-    # every image shifted by a kernel vector as well
-    shifts = [[x + k for x, k in zip(w, kerA[0])] for w in ws] if kerA else []
-    frame = comp + list(L.rows.values())
-    coords = _solve([[u[i] for u in frame] for i in range(n)], len(frame), ws + shifts)
-    q = len(comp)
-    columns: list[tuple[Fraction, ...]] = []
-    for j, (v, w) in enumerate(zip(comp, ws)):
-        if coords[j] is None:
-            raise FalsificationError(
-                "recursion image not expressible in the quotient basis",
-                {"dim": n, "w": shown(v, w)})
-        col = coords[j][:q]
-        if shifts and (coords[q + j] is None or coords[q + j][:q] != col):
-            raise FalsificationError(
-                "recursion operator depends on the particular solution",
-                {"dim": n, "kernel_shift": shown(kerA[0], kerA[0])})
-        columns.append(col)
+            {"dim": n, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
+    columns = _solve(gram, q, [[sum(map(mul, u, bc)) for u in comp] for bc in bcs])
     return MatQ([[col[i] for col in columns] for i in range(q)], cols=q)
 
 
@@ -407,7 +373,7 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     ratio, and then compute_L(m) is rerun.
     """
     n = pencil.dim
-    r, L, walked, kerA = _kernel_walk(pencil)
+    r, L, walked = _kernel_walk(pencil)
     try:
         W, Ltilde = _image_and_annihilator(pencil, L)
     except FalsificationError:
@@ -421,7 +387,7 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
         prof = rank_profile(pencil, walked)
     m = prof.m
     if m != r:
-        L, kerA = compute_L(pencil, m), None
+        L = compute_L(pencil, m)
         W, Ltilde = _image_and_annihilator(pencil, L)
     if L == Ltilde:
         if L.dim != n - m // 2:
@@ -432,7 +398,7 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
                               True, prof.ranks)
     A_ratio = prof.regular_ratios()[0]
     B_ratio = (1, 0) if A_ratio[0] == 0 else (0, 1)
-    cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m, kerA))
+    cp = char_poly(phi_operator(pencil, L, Ltilde, A_ratio, B_ratio, m))
     eigs = rational_roots(cp)
     (a1, a2), (b1, b2) = A_ratio, B_ratio
     for lam in eigs:

@@ -43,6 +43,10 @@ tests can hold the package's route against it.
   run on whole vectors of the ambient space, each step one kernel and
   one span.  ``skewpencil.check_image_equality`` runs it as a closure
   in the coordinates of the image.
+- ``two_solve_phi``: the recursion operator on Ltilde / L by solving
+  A w = B v over the whole space and then for the coordinates of each
+  w in the quotient basis followed by L.  ``skewpencil.phi_operator``
+  solves the Gram pair of the quotient basis instead.
 - ``fraction_add``, ``fraction_mul`` and ``fraction_param_expand``:
   sums, products and shift expansions on ``{exponents: Fraction}``
   term dicts, one Fraction per term.  ``MPoly`` runs them on integer
@@ -74,8 +78,8 @@ from typing import Any, Iterable, Optional, Sequence
 
 import sympy
 
-from argshift.exactlin import (Scalar, SubspaceQ, _echelon, _int_rows, _primitive, _rank_int,
-                               rat_str, vec)
+from argshift.exactlin import (MatQ, Scalar, SubspaceQ, _echelon, _int_rows, _primitive,
+                               _rank_int, _skew_rows, _solve, rat_str, vec)
 from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
 from argshift.mpoly import MPoly, determinant, poly_gcd
@@ -361,6 +365,28 @@ def ambient_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
             "some pencil member maps the kernel sum onto a smaller image",
             {"dim": n, "L_dim": L.dim, "W_dim": W.dim, "reached_dim": len(K)})
     return W
+
+
+def two_solve_phi(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
+                  A_ratio: tuple[Scalar, Scalar], B_ratio: tuple[Scalar, Scalar]) -> MatQ:
+    """The matrix of v -> w, A w = B v, on Ltilde / L in the basis of
+    Ltilde's primitive rows outside L: one n x (n + q) solve for the
+    images w, one n x (n + q) solve for their coordinates in that basis
+    followed by L's rows, of which the first q make each column."""
+    n = pencil.dim
+    a1, a2, b1, b2 = _int_rows([tuple(A_ratio) + tuple(B_ratio)])[0]
+    Am, Bm = _skew_rows(pencil._member(a1, a2), n), _skew_rows(pencil._member(b1, b2), n)
+    grown = SubspaceQ(n, L.rows.values())
+    comp = [row for _, row in sorted(Ltilde.rows.items()) if grown.add(row) is not None]
+    ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
+    if None in ws:
+        raise ArithmeticError("A w = B v has no solution")
+    frame = comp + list(L.rows.values())
+    coords = _solve([[u[i] for u in frame] for i in range(n)], len(frame), ws)
+    if None in coords:
+        raise ArithmeticError("an image w lies outside Ltilde")
+    q = len(comp)
+    return MatQ([[col[i] for col in coords] for i in range(q)], cols=q)
 
 
 Terms = dict[tuple[int, ...], Fraction]

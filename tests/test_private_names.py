@@ -1,4 +1,5 @@
-"""Every private module-level function and class of the package is used.
+"""Every private module-level function and class of the package is used,
+and so is every name a module imports or assigns at module level.
 
 A helper named with a leading underscore is not public API, so once the
 last code that called it is gone it is dead code.  The guard parses each
@@ -6,9 +7,15 @@ module of ``src/argshift`` and counts, for each private module-level
 ``def`` or ``class``, the names and attributes that read it anywhere in
 the package outside its own definition.  Imports alone do not count: a
 name imported and never read is as dead as one never imported.
+
+The same walk finds leftovers of a deleted route: a name a module
+imports and never reads, and a module-level alias or constant that
+nothing in the package reads outside its own assignment.  The package's
+``__init__`` imports only to re-export, so its imports are left out.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,8 +59,39 @@ def unreferenced_private_defs(src: Path = SRC) -> list[str]:
     return dead
 
 
+def unread_module_names(src: Path = SRC) -> list[str]:
+    """`module.name` of every name a module of src imports and never
+    reads, and of every name it assigns at module level that nothing in
+    src reads outside that assignment; __init__ is left out."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    reads = {module: Counter(_reads(tree)) for module, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                dead += [f"{module}.{name}" for name in
+                         ((a.asname or a.name.split(".")[0]) for a in node.names)
+                         if not reads[module][name]]
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                outside = sum(r[name] for r in reads.values()) - _reads(node).count(name)
+                if not name.endswith("__") and not outside:
+                    dead.append(f"{module}.{name}")
+    return dead
+
+
 def test_every_private_def_in_the_package_is_referenced():
     assert unreferenced_private_defs() == []
+
+
+def test_every_import_and_module_level_name_in_the_package_is_read():
+    assert unread_module_names() == []
 
 
 @pytest.mark.parametrize("body, dead", [
@@ -76,3 +114,29 @@ def test_an_import_alone_is_not_a_reference(tmp_path):
     (tmp_path / "other.py").write_text("from . import mod\n\nx = mod._helper\n",
                                        encoding="utf-8")
     assert unreferenced_private_defs(tmp_path) == []
+
+
+@pytest.mark.parametrize("body, dead", [
+    ("from .exactlin import _solve, rat\n\nprint(rat(1))\n", ["mod._solve"]),
+    ("from .exactlin import rat as r\n\nprint(r(1))\n", []),
+    ("import os.path\n\ndef f():\n    return os.path.sep\n", []),
+    ("import os.path\n", ["mod.os"]),
+    ("from __future__ import annotations\n", []),
+    ("def f():\n    from .exactlin import rat\n", ["mod.rat"]),
+    ("Rows = list[list[int]]\n", ["mod.Rows"]),
+    ("Rows = list[list[int]]\n\ndef f(r: Rows):\n    pass\n", []),
+    ("Rows: type = list\n", ["mod.Rows"]),
+    ("__version__ = '1'\n", []),
+])
+def test_guard_finds_unread_imports_and_aliases(tmp_path, body, dead):
+    (tmp_path / "mod.py").write_text(body, encoding="utf-8")
+    (tmp_path / "__init__.py").write_text("from .mod import Rows, rat, f\n",
+                                          encoding="utf-8")
+    assert unread_module_names(tmp_path) == dead
+
+
+def test_a_name_another_module_reads_is_read(tmp_path):
+    (tmp_path / "mod.py").write_text("Rows = list[list[int]]\n", encoding="utf-8")
+    (tmp_path / "other.py").write_text("from .mod import Rows\n\ndef f(r: Rows):\n    pass\n",
+                                       encoding="utf-8")
+    assert unread_module_names(tmp_path) == []

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from argshift import exactlin, jsonio, poisson, regcert, skewpencil
 from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
-from argshift.exactlin import rat_str
 from argshift.liealg import make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import classical_casimirs, estimate_index, kirillov
@@ -28,7 +27,7 @@ from argshift.sampling import rng_stream
 from argshift.skewpencil import (PencilAnalysis, SkewPencil, _kernel_walk, base_ratios,
                                  char_poly, check_image_equality, compute_L,
                                  phi_operator, rank_profile, verify_com1)
-from oracles import ambient_image_equality, stream_minor_gcd
+from oracles import ambient_image_equality, stream_minor_gcd, two_solve_phi
 from test_golden_reports import MATRICES, PLANES as GOLDEN_PLANES
 
 SL2 = make_classical("sl", 2)
@@ -523,20 +522,39 @@ def test_phi_on_primitive_rows_matches_the_unit_lead_fraction_route():
     assert analysis_fields(analysis) == fraction_analysis(A, B)
 
 
-def test_phi_bundle_shows_the_unit_lead_v(monkeypatch):
-    A, B = mixed_pencil()
-    pencil = SkewPencil(A, B)
+@pytest.mark.parametrize("pencil", [sl2_pencil(), SkewPencil(*mixed_pencil())],
+                         ids=["sl2", "mixed-7"])
+def test_a_degenerate_gram_matrix_is_a_kernel_escaping_the_sum(pencil):
+    # with L = 0 and Ltilde = V the Gram matrix of A is A itself, singular
+    # below the generic rank n however regular A is
     n = pencil.dim
-    L = compute_L(pencil)
-    Lt = annihilator(check_image_equality(pencil, L))
-    # the first vector of Ltilde's reduced echelon basis outside L
-    v = next(u for u in Lt.basis if not SubspaceQ.span(L.basis, n).contains(u))
-    assert any(x.denominator > 1 for x in v)
-    monkeypatch.setattr("argshift.skewpencil._solve", lambda rows, cols, rhs: [None] * len(rhs))
+    prof = rank_profile(pencil)
+    assert prof.m < n
+    A_ratio = prof.regular_ratios()[0]
+    B_ratio = (1, 0) if A_ratio[0] == 0 else (0, 1)
     with pytest.raises(FalsificationError) as err:
-        phi_operator(pencil, L, Lt, (1, 0), (0, 1))
-    assert err.value.claim == "A w = B v has no solution for v in the annihilator space"
-    assert err.value.bundle == {"dim": n, "v": [rat_str(x) for x in v]}
+        phi_operator(pencil, SubspaceQ(n), SubspaceQ.full(n), A_ratio, B_ratio)
+    assert err.value.claim == "kernel of a regular member escapes the kernel sum"
+    assert err.value.bundle == {"dim": n, "L_dim": 0, "Ltilde_dim": n}
+
+
+def phi_against_two_solves(pencil: SkewPencil) -> PencilAnalysis:
+    analysis = verify_com1(pencil)
+    if analysis.kind == "jordan-mixed":
+        args = (pencil, analysis.L, analysis.Ltilde, analysis.A_ratio, analysis.B_ratio)
+        assert phi_operator(*args, analysis.m) == phi_operator(*args) == two_solve_phi(*args)
+    return analysis
+
+
+def test_phi_matches_the_two_solve_route_on_the_oracle_pencils():
+    kinds = [phi_against_two_solves(SkewPencil(A, B)).kind for A, B in oracle_pencils()]
+    assert kinds.count("jordan-mixed") >= 10
+
+
+@pytest.mark.parametrize("name", ["sl3-subregular-plane", "jordan-4",
+                                  "jordan-mixed-7-fractional"])
+def test_phi_matches_the_two_solve_route_on_the_golden_jordan_pencils(name):
+    assert phi_against_two_solves(golden_pencil(name)).kind == "jordan-mixed"
 
 
 # --- char_poly against sympy ------------------------------------------------
@@ -610,6 +628,20 @@ def test_a_jordan_analysis_eliminates_each_member_once(monkeypatch, name):
     assert len(set(members)) == len(members)
     # every base ratio is ranked, by the kernel walk or by the profile
     assert len(members) >= len(analysis.ranks)
+
+
+@pytest.mark.parametrize("name", ["sl3-subregular-plane", "jordan-4"])
+def test_a_jordan_analysis_solves_one_gram_system(monkeypatch, name):
+    calls = []
+
+    def counted(rows, cols, rhs, fn=skewpencil._solve):
+        calls.append((len(rows), cols, len(rhs)))
+        return fn(rows, cols, rhs)
+    monkeypatch.setattr(skewpencil, "_solve", counted)
+    analysis = verify_com1(golden_pencil(name))
+    q = analysis.Ltilde_dim - analysis.L_dim
+    assert analysis.kind == "jordan-mixed" and q > 0
+    assert calls == [(q, q, q)]
 
 
 @pytest.mark.parametrize("name", ["sl3", "takiff-sl3-1", "z-sl5-311"])

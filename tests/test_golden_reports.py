@@ -4,7 +4,9 @@ The reports below, without their `timings`, were written by an earlier
 version of the program and are kept in `golden/pencil_reports.json` and
 `golden/pipeline_reports.json`.  Any change to the pencil analysis or
 to the subspaces behind it must leave them byte-identical: regular
-planes on sl4 and takiff(sl3, 1), the subregular plane of sl3 (a pencil
+planes on sl4 and takiff(sl3, 1), regular planes on sl5 and takiff(sl3,
+2) (dim 24, where the canonical rows of the kernel sum pass 100 bits),
+the subregular plane of sl3 (a pencil
 with Jordan blocks), a generic 9 x 9 pencil (Kronecker type), a 4 x 4
 Jordan block at 2 under an integer congruence, a 3 x 3 Kronecker block
 beside a 4 x 4 Jordan block at -1/2 under a rational congruence (so the
@@ -32,7 +34,8 @@ and direction gives the same verdicts.
 `golden/regcert_reports.json` pins the plane-certificate route of the
 nonreductive algebras: `reg codim2` on the sl4 and sl5 nilpotent
 centralizers z_sl4 [2,1,1], z_sl5 [3,2], [2,2,1] and [3,1,1], and `reg
-plane` on takiff(sl2, 2) at a fixed regular plane.
+plane` on takiff(sl2, 2) at a fixed regular plane; and `reg codim2` on
+sl5, whose plane certificate runs on a pencil of dim 24.
 
 `golden/build_digests.json` pins, as sha256, the bytes of matrix-built
 algebras that no report above covers: `algebra build` of so3, so4, so5,
@@ -83,6 +86,11 @@ BUILD_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "build_digests.
 SAMPLE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sample_reports.json")
 SEED_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "seed_reports.json")
 
+# a point pair in dim 24: xi, then eta, drawn as randint(-9, 9) per
+# coordinate from random.Random(7)
+SEEDED_XI = "1,-5,3,-8,-7,8,-6,2,9,-8,7,-3,-8,-7,4,4,-7,-2,-7,8,4,-8,9,-6"
+SEEDED_ETA = "-2,9,-8,9,9,3,-8,-2,-8,8,-5,0,4,-5,8,-6,9,0,8,-4,-6,9,9,-3"
+
 # algebra build arguments, xi, eta
 PLANES = {
     "sl4-plane": (["sl", "4"], "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15",
@@ -91,6 +99,8 @@ PLANES = {
                            "2,-1,3,0,1,4,-2,1,1,0,-3,2,5,1,-1,2",
                            "1,3,-2,4,0,-1,2,2,-3,1,4,0,1,-2,3,1"),
     "sl3-subregular-plane": (["sl", "3"], "0,0,0,0,3,0,0,0", "1,0,0,0,0,0,0,1"),
+    "sl5-plane": (["sl", "5"], SEEDED_XI, SEEDED_ETA),
+    "takiff-sl3-2-plane": (["takiff", "sl", "3", "2"], SEEDED_XI, SEEDED_ETA),
 }
 
 
@@ -152,8 +162,9 @@ def golden_reports(tmp_path) -> dict:
         path = str(tmp_path / f"{name}.json")
         assert main(["algebra", "build", *build, "--out", path]) == 0
         for command in (["pencil", "analyze"], ["reg", "plane"]):
+            # --xi=, since a point may start with a minus sign
             out[f"{' '.join(command)} {name}"] = _run(
-                [*command, path, "--xi", xi, "--eta", eta])
+                [*command, path, f"--xi={xi}", f"--eta={eta}"])
     for name, (A, B) in MATRICES.items():
         path = str(tmp_path / f"{name}.json")
         jsonio.write_json(path, {"A": [[str(x) for x in r] for r in A],
@@ -328,6 +339,9 @@ def regcert_reports(tmp_path) -> dict:
     jsonio.write_json(path, jsonio.algebra_to_json(make_takiff(make_classical("sl", 2), 2)))
     xi, eta = TAKIFF_SL2_2_PLANE
     out["reg plane takiff_sl2_2"] = _run(["reg", "plane", path, "--xi", xi, "--eta", eta])
+    path = str(tmp_path / "sl5.json")
+    assert main(["algebra", "build", "sl", "5", "--out", path]) == 0
+    out["reg codim2 sl5"] = _run(["reg", "codim2", path])
     return out
 
 
@@ -339,11 +353,11 @@ def regcert_cases(tmp_path_factory):
 def test_regcert_cases_pass(regcert_cases):
     assert {v["exit"] for v in regcert_cases.values()} == {0}
     assert [v["report"]["verdicts"]["profile"]["ind"]
-            for k, v in regcert_cases.items() if k.startswith("reg codim2")] == [3, 4, 4, 4]
+            for k, v in regcert_cases.items() if k.startswith("reg codim2")] == [3, 4, 4, 4, 4]
 
 
 @pytest.mark.parametrize("case", [*(f"reg codim2 {name}" for name in CENTRALIZERS),
-                                  "reg plane takiff_sl2_2"])
+                                  "reg plane takiff_sl2_2", "reg codim2 sl5"])
 def test_regcert_report_matches_the_pinned_bytes(regcert_cases, case):
     with open(REGCERT_GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)[case]

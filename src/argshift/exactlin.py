@@ -12,7 +12,9 @@ into a Fraction once at the end:
   elimination by 2 x 2 pivots, about a quarter of Bareiss's updates;
 - every other basis is a SubspaceQ: its canonical reduced echelon
   basis as primitive integer rows, grown one integer vector at a time,
-  so equality of subspaces is equality of rows.
+  so equality of subspaces is equality of rows.  A vector is reduced
+  by one combination over the lcm of the pivots it hits, not scaled
+  by each of them in turn.
 
 A kernel basis is read off the canonical rows of the matrix's row
 space, one vector per free column, and only those vectors are reduced
@@ -471,15 +473,23 @@ class SubspaceQ:
         return tuple(_unit_lead(self.rows[c]) for c in sorted(self.rows))
 
     def reduce(self, v: Sequence[int]) -> list[int]:
-        """A positive multiple of the integer vector v minus a vector of
-        the subspace, zero in every pivot column: zero exactly when v
-        lies in the subspace."""
-        for pc, row in self.rows.items():
-            x = v[pc]
-            if x:
-                p = row[pc]
-                v = [p * a - x * b for a, b in zip(v, row)]
-        return list(v)
+        """D v - sum (D / p_c) v[c] row_c over the rows hit, those whose
+        pivot column c has v[c] != 0, D the lcm of their pivots p_c: zero
+        in every pivot column, and zero exactly when v lies in the
+        subspace.  Scaling v by each p_c in turn would multiply it by
+        their product, far longer than D when the p_c share a large
+        factor.  The scaling rides on the first hit's pass."""
+        hits = [(x, row, row[pc]) for pc, row in self.rows.items() if (x := v[pc])]
+        if not hits:
+            return list(v)
+        D = lcm(*(p for _, _, p in hits))
+        (x, row, p), *rest = hits
+        f = D // p * x
+        v = [D * a - f * b for a, b in zip(v, row)]
+        for x, row, p in rest:
+            f = D // p * x
+            v = [a - f * b for a, b in zip(v, row)]
+        return v
 
     def add(self, v: Sequence[int]) -> Optional[list[int]]:
         """Grow the subspace by the integer vector v: the new row when v
@@ -589,7 +599,9 @@ def faddeev_leverrier(rows: Sequence[Sequence[Any]], one: Any) -> list:
 
     Faddeev-LeVerrier: N_k = M (N_(k-1) + c_(q-k+1) I) from N_0 = 0, and
     c_(q-k) = -tr(N_k) / k.  The ring needs +, - and *, and a product
-    with a Fraction for the division by k; `one` is its unit.  Zero
+    with a Fraction for the division by k; `one` is its unit.  With the
+    int 1 for `one` the ring is Z: every c_(q-k) of an integer M is an
+    integer, so each division by k is exact, and it is checked.  Zero
     entries of M are skipped, so a sparse M costs its nonzero entries.
     """
     q = len(rows)
@@ -604,7 +616,14 @@ def faddeev_leverrier(rows: Sequence[Sequence[Any]], one: Any) -> list:
         # the last step needs only the trace
         prod = [[sum((x * shifted[l][j] for l, x in nz), zero) if k < q or i == j else zero
                  for j in range(q)] for i, nz in enumerate(nonzero)]
-        coeffs.append(sum((prod[i][i] for i in range(q)), zero) * Fraction(-1, k))
+        trace = sum((prod[i][i] for i in range(q)), zero)
+        if type(one) is int:
+            c, rem = divmod(trace, -k)
+            if rem:
+                raise ArithmeticError("integer Faddeev-LeVerrier lost exact divisibility")
+        else:
+            c = trace * Fraction(-1, k)
+        coeffs.append(c)
     return coeffs[::-1]
 
 

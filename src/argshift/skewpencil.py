@@ -12,14 +12,18 @@ eigenvalues, which are cross-checked against the ranks of the
 corresponding members.  L lies in the radical of every member on
 Ltilde, so the operator solves the Gram pair of the forms on Ltilde / L.
 A Kronecker certificate also proves the rank of every member, so only
-the other pencils take a rank profile.
+the other pencils take a rank profile.  Ltilde, of dimension
+dim V - dim W, holds L once L is checked isotropic, so it is L when
+dim L + dim W = dim V: only a Jordan pencil computes the annihilator.
 
 A pencil is integer forms over one denominator, sampled at integer
 directions, so ranks and kernels of members come from fraction-free
 Pfaffian elimination of their integer triangles.  The kernel sum, the
 complement of L in Ltilde and the Wong sequence each grow one echelon
 basis a vector at a time; the Wong sequence runs in the coordinates of
-W, not of V.
+W, not of V.  The image and isotropy checks run on the kernel vectors
+that grew L, far shorter than L's canonical rows, and the operator's
+characteristic polynomial on its integer rows.
 """
 
 from __future__ import annotations
@@ -141,28 +145,28 @@ def rank_profile(pencil: SkewPencil,
 
 
 def _kernel_walk(pencil: SkewPencil, m: Optional[int] = None
-                 ) -> tuple[int, SubspaceQ, dict[IntRatio, int]]:
+                 ) -> tuple[int, SubspaceQ, list[list[int]], dict[IntRatio, int]]:
     """compute_L's walk at rank m or, for m None, at the highest rank r
-    seen so far, a higher rank restarting the sum: r, the sum and the
-    ranks of the members walked.  A walk reaching the cap has passed
-    every base ratio, so r is m there."""
+    seen so far, a higher rank restarting the sum: r, the sum, the
+    kernel vectors that grew it (a basis of it) and the ranks of the
+    members walked.  A walk reaching the cap has passed every base
+    ratio, so r is m there."""
     n = pencil.dim
     cap = 4 * n + 10
     r = -1 if m is None else m
-    total, ranks, consecutive = SubspaceQ(n), {}, 0
+    total, grew, ranks, consecutive = SubspaceQ(n), [], {}, 0
     for a, b in chain(base_ratios(n), ((1, k) for k in range(n + 1, cap))):
         rank, ker = _skew_kernel(pencil._member(a, b), n)
         ranks[a, b] = rank
         if m is None and rank > r:
-            r, total, consecutive = rank, SubspaceQ(n), 0
+            r, total, grew, consecutive = rank, SubspaceQ(n), [], 0
         if rank != r:
             continue
         before = total.dim
-        for v in ker:
-            total.add(v)
+        grew += [v for v in ker if total.add(v) is not None]
         consecutive = consecutive + 1 if total.dim == before else 0
         if consecutive >= n or total.dim == n - r // 2:
-            return r, total, ranks
+            return r, total, grew, ranks
     raise ArithmeticError("kernel sum did not stabilize within the direction cap")
 
 
@@ -185,8 +189,12 @@ def compute_L(pencil: SkewPencil, m: Optional[int] = None) -> SubspaceQ:
     return _kernel_walk(pencil, m)[1]
 
 
-def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
-    """The common image of L under every nonzero member, certified.
+def check_image_equality(pencil: SkewPencil, L: SubspaceQ,
+                         basis: Optional[Sequence[Sequence[int]]] = None) -> SubspaceQ:
+    """The common image of L under every nonzero member, certified,
+    taken on basis, integer vectors spanning L, dim L of them: by
+    default L's canonical rows.  The kernel vectors that grew L in the
+    walk are such a basis, with far shorter entries than those rows.
 
     A(L) = B(L) pins the candidate W and already forces every member
     to map L into W.  No member may map L onto less, which a Wong
@@ -209,8 +217,10 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     """
     n = pencil.dim
     l = L.dim
-    avs = [_matvec(pencil._a, v) for v in L.rows.values()]
-    bvs = [_matvec(pencil._b, v) for v in L.rows.values()]
+    if basis is None:
+        basis = list(L.rows.values())
+    avs = [_matvec(pencil._a, v) for v in basis]
+    bvs = [_matvec(pencil._b, v) for v in basis]
     image = SubspaceQ(n, avs)
     pivots = sorted(image.rows)
     w = len(pivots)
@@ -287,8 +297,14 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
 
 
 def char_poly(M: MatQ) -> list[Fraction]:
-    """Coefficients of det(tI - M), ascending in t (Faddeev-LeVerrier)."""
-    return faddeev_leverrier(M.to_lists(), Fraction(1))
+    """Coefficients of det(tI - M), ascending in t.
+
+    Faddeev-LeVerrier runs over Z on the integer rows N = den M.  As
+    det(tI - N / den) = den^-q det(den t - N), the coefficient of t^k
+    is N's over den^(q - k).
+    """
+    q = M.rows
+    return [Fraction(c, M.den ** (q - k)) for k, c in enumerate(faddeev_leverrier(M.num, 1))]
 
 
 @dataclass
@@ -333,18 +349,23 @@ class PencilAnalysis:
         }
 
 
-def _image_and_annihilator(pencil: SkewPencil, L: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
-    """W, certified by check_image_equality, and Ltilde, its annihilator,
-    once L is checked to lie in it."""
-    W = check_image_equality(pencil, L)
-    Ltilde = annihilator(W)
+def _image_and_annihilator(pencil: SkewPencil, L: SubspaceQ, basis: Sequence[Sequence[int]]
+                           ) -> tuple[SubspaceQ, SubspaceQ]:
+    """W, certified by check_image_equality on the basis of L, and
+    Ltilde, its annihilator, once L is checked to lie in it.
+
+    The annihilator has dimension n - dim W and then holds L, so when
+    dim L + dim W = n it is L, by that count, and is not computed.
+    """
+    n = pencil.dim
+    W = check_image_equality(pencil, L, basis)
     # W = A(L) = B(L), so L inside the annihilator of W is exactly
     # isotropy of L for A and B
-    if any(sum(map(mul, v, w)) for v in L.rows.values() for w in W.rows.values()):
+    if any(sum(map(mul, v, w)) for v in basis for w in W.rows.values()):
         raise FalsificationError(
             "kernel sum is not isotropic for the pencil",
-            {"dim": pencil.dim, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
-    return W, Ltilde
+            {"dim": n, "L_dim": L.dim, "Ltilde_dim": n - W.dim})
+    return W, L if L.dim + W.dim == n else annihilator(W)
 
 
 def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
@@ -367,15 +388,19 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     - every nonzero member has rank r: in a basis of L and a complement
       its matrix is [[0, X], [-X^T, Y]], X of rank dim W = r/2 as the
       member maps L onto W, so its rank is at least 2 rank X = r.
+    The images are taken on the kernel vectors that grew L in the walk.
+    Ltilde, the annihilator of W, has dimension n - dim W and holds L
+    once isotropy is checked, so dim L + dim W = n makes Ltilde = L by
+    that count, with no annihilator computed.
     Otherwise the profile is taken, reusing the walked ranks.  When its
     m is r the walk was compute_L(m)'s, so L, W and a check's error
     stand; m exceeds r only when the walk stopped before the last base
     ratio, and then compute_L(m) is rerun.
     """
     n = pencil.dim
-    r, L, walked = _kernel_walk(pencil)
+    r, L, basis, walked = _kernel_walk(pencil)
     try:
-        W, Ltilde = _image_and_annihilator(pencil, L)
+        W, Ltilde = _image_and_annihilator(pencil, L, basis)
     except FalsificationError:
         prof = rank_profile(pencil, walked)
         if prof.m == r:
@@ -388,7 +413,7 @@ def verify_com1(pencil: SkewPencil) -> PencilAnalysis:
     m = prof.m
     if m != r:
         L = compute_L(pencil, m)
-        W, Ltilde = _image_and_annihilator(pencil, L)
+        W, Ltilde = _image_and_annihilator(pencil, L, list(L.rows.values()))
     if L == Ltilde:
         if L.dim != n - m // 2:
             raise FalsificationError(

@@ -38,6 +38,10 @@ tests can hold the package's route against it.
 - ``rref_span``: the canonical subspace spanned by integer rows, read
   off one batch elimination (``_rref``).  ``SubspaceQ`` grows its
   canonical rows one vector at a time instead.
+- ``cascade_reduce``: a vector reduced by a subspace's canonical rows
+  one after the other, scaled by each hit pivot in turn, so by their
+  product.  ``SubspaceQ.reduce`` forms one combination over the lcm of
+  those pivots instead.
 - ``ambient_image_equality``: the common image of a subspace L under
   every member of a pencil, by the Wong sequence K <- A(L & B^-1 K)
   run on whole vectors of the ambient space, each step one kernel and
@@ -47,6 +51,10 @@ tests can hold the package's route against it.
   A w = B v over the whole space and then for the coordinates of each
   w in the quotient basis followed by L.  ``skewpencil.phi_operator``
   solves the Gram pair of the quotient basis instead.
+- ``fraction_char_poly``: the characteristic polynomial by
+  Faddeev-LeVerrier on the Fraction entries of a matrix.
+  ``skewpencil.char_poly`` runs the recurrence on its integer rows and
+  divides by powers of the denominator at the end instead.
 - ``fraction_add``, ``fraction_mul`` and ``fraction_param_expand``:
   sums, products and shift expansions on ``{exponents: Fraction}``
   term dicts, one Fraction per term.  ``MPoly`` runs them on integer
@@ -79,7 +87,8 @@ from typing import Any, Iterable, Optional, Sequence
 import sympy
 
 from argshift.exactlin import (MatQ, Scalar, SubspaceQ, _echelon, _int_rows, _primitive,
-                               _rank_int, _skew_rows, _solve, rat_str, vec)
+                               _rank_int, _skew_rows, _solve, faddeev_leverrier, rat_str,
+                               vec)
 from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
 from argshift.mpoly import MPoly, determinant, poly_gcd
@@ -335,6 +344,18 @@ def rref_span(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceQ:
     return S
 
 
+def cascade_reduce(S: SubspaceQ, v: Sequence[int]) -> list[int]:
+    """v reduced by S's rows in insertion order, each hit row's pivot p
+    scaling v before x row is taken off, x = v[pc]: the product of the
+    hit pivots times v minus a vector of S, zero in every pivot column."""
+    for pc, row in S.rows.items():
+        x = v[pc]
+        if x:
+            p = row[pc]
+            v = [p * a - x * b for a, b in zip(v, row)]
+    return list(v)
+
+
 def ambient_image_equality(pencil: SkewPencil, L: SubspaceQ) -> SubspaceQ:
     """The common image W of L under every nonzero member, with the same
     checks, raises and bundles as skewpencil.check_image_equality:
@@ -387,6 +408,12 @@ def two_solve_phi(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
         raise ArithmeticError("an image w lies outside Ltilde")
     q = len(comp)
     return MatQ([[col[i] for col in coords] for i in range(q)], cols=q)
+
+
+def fraction_char_poly(M: MatQ) -> list[Fraction]:
+    """Coefficients of det(tI - M), ascending in t, by Faddeev-LeVerrier
+    on M's Fraction entries."""
+    return faddeev_leverrier(M.to_lists(), Fraction(1))
 
 
 Terms = dict[tuple[int, ...], Fraction]

@@ -5,8 +5,9 @@ is eliminated on paper (row2 = -2*col swap of row1 pattern), and the
 kernel vectors are checked by direct substitution.
 """
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from argshift.exactlin import (
     solve_many,
     vec,
 )
-from oracles import _rank_kernel_int, bareiss_skew_kernel, bareiss_skew_rank, rref_span
+from oracles import (_rank_kernel_int, bareiss_skew_kernel, bareiss_skew_rank, cascade_reduce,
+                     rref_span)
 from oracles import (fraction_matrix_add, fraction_matrix_mul, fraction_matrix_scale,
                      fraction_matvec, fraction_transpose)
 
@@ -418,6 +420,67 @@ def test_basis_grown_in_any_order_is_the_canonical_span(case, data):
         assert S.rows == want.rows and S.basis == want.basis
         for pc, row in S.rows.items():
             assert row[pc] > 0 and [c for c in S.rows if row[c]] == [pc]
+
+
+# --- one combination over the lcm of the pivots, against the cascade ------------
+
+DIGITS = 10 ** 30
+
+
+@st.composite
+def long_rows(draw):
+    # k rows of n entries with up to 30 digits and a vector to reduce;
+    # independent generic rows give canonical rows whose pivots all
+    # carry the determinant of their pivot minor, and the last rows may
+    # repeat combinations of the first
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-DIGITS, DIGITS))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                    max_size=len(rows)), max_size=2))
+    rows += [[sum(c * r[i] for c, r in zip(cs, rows)) for i in range(n)] for cs in combos]
+    return n, rows, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+def bits(v):
+    return max((abs(x).bit_length() for x in v), default=0)
+
+
+def check_reduce_against_cascade(S, v):
+    got, want = S.reduce(v), cascade_reduce(S, v)
+    pivots = [row[pc] for pc, row in S.rows.items() if v[pc]]
+    # the lcm of the hit pivots where the cascade takes their product
+    assert [prod(pivots) * x for x in got] == [lcm(*pivots) * x for x in want]
+    k = next((i for i, x in enumerate(want) if x), None)
+    assert (k is None) == (not any(got))
+    if k is not None:
+        assert got[k] * want[k] > 0 and all(got[k] * y == want[k] * x
+                                            for x, y in zip(got, want))
+    assert bits(got) <= bits(want)
+    return got, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_rows())
+def test_reduce_is_the_cascade_over_one_lcm(case):
+    n, rows, v = case
+    S = SubspaceQ(n, rows)
+    assert S.rows == rref_span(rows, n).rows
+    check_reduce_against_cascade(S, v)
+    for row in rows:
+        assert not any(check_reduce_against_cascade(S, row)[0])
+
+
+def test_pivots_sharing_a_determinant_cost_the_cascade_their_product():
+    rng = random.Random(5)
+    n, k = 8, 5
+    rows = [[rng.randint(-DIGITS, DIGITS) for _ in range(n)] for _ in range(k)]
+    S = SubspaceQ(n, rows)
+    # the pivots are the determinant of the pivot minor over small factors
+    g = gcd(*(row[pc] for pc, row in S.rows.items()))
+    assert S.dim == k and g.bit_length() > 400
+    got, want = check_reduce_against_cascade(S, [rng.randint(-9, 9) for _ in range(n)])
+    assert bits(want) - bits(got) >= (k - 1) * (g.bit_length() - 1)
 
 
 # --- subspaces with large rational entries against sympy ----------------------

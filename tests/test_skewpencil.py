@@ -18,16 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argshift import exactlin, jsonio, poisson, regcert, skewpencil
-from argshift.exactlin import MatQ, SubspaceQ, annihilator, rank, rank_kernel, solve_many
+from argshift.exactlin import (MatQ, SubspaceQ, annihilator, faddeev_leverrier, rank,
+                               rank_kernel, solve_many)
 from argshift.liealg import make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly, rational_roots
 from argshift.poisson import classical_casimirs, estimate_index, kirillov
 from argshift.regcert import FalsificationError, find_regular_plane, verify_compl
 from argshift.sampling import rng_stream
-from argshift.skewpencil import (PencilAnalysis, SkewPencil, _kernel_walk, base_ratios,
-                                 char_poly, check_image_equality, compute_L,
-                                 phi_operator, rank_profile, verify_com1)
-from oracles import ambient_image_equality, stream_minor_gcd, two_solve_phi
+from argshift.skewpencil import (PencilAnalysis, SkewPencil, _image_and_annihilator,
+                                 _kernel_walk, base_ratios, char_poly, check_image_equality,
+                                 compute_L, phi_operator, rank_profile, verify_com1)
+from oracles import (ambient_image_equality, fraction_char_poly, stream_minor_gcd,
+                     two_solve_phi)
 from test_golden_reports import MATRICES, PLANES as GOLDEN_PLANES
 
 SL2 = make_classical("sl", 2)
@@ -333,22 +335,35 @@ def test_image_route_raises_the_oracle_bundle_when_images_differ():
                        {"dim": 4, "L_dim": 1, "A_image_dim": 1, "B_image_dim": b_dim})
 
 
+def grown_basis(vectors, n: int) -> tuple[SubspaceQ, list]:
+    """The span of integer vectors and those that grew it, one after the
+    other: a basis of it."""
+    S = SubspaceQ(n)
+    return S, [v for v in vectors if S.add(v) is not None]
+
+
 def test_image_route_matches_the_ambient_oracle_on_every_pencil():
     # the kernel sum of every pencil above, and random subspaces in its
-    # place, which mostly raise
+    # place, which mostly raise; on L's canonical rows and on the basis
+    # that grew L: the walk's kernel vectors, or the random vectors
     pairs = oracle_pencils() + [(MatQ(BLOCK_A), MatQ(BLOCK_A)),
                                 (MatQ.zeros(3, 3), MatQ.zeros(3, 3))]
     claims = set()
     for k, (A, B) in enumerate(pairs):
         pencil = SkewPencil(A, B)
         n = pencil.dim
+        _, L, basis, _ = _kernel_walk(pencil, rank_profile(pencil).m)
+        assert L == compute_L(pencil) and len(basis) == L.dim
+        W = check_image_equality(pencil, L, basis)
+        assert _image_and_annihilator(pencil, L, basis) == (W, annihilator(W))
         rng = rng_stream(41, "image-ambient", k)
-        subspaces = [compute_L(pencil)] + [
-            SubspaceQ.span([[rng.randint(-2, 2) for _ in range(n)]
-                            for _ in range(rng.randint(1, n))], n) for _ in range(4)]
-        for L in subspaces:
+        spans = [(L, basis)] + [
+            grown_basis([[rng.randint(-2, 2) for _ in range(n)]
+                         for _ in range(rng.randint(1, n))], n) for _ in range(4)]
+        for L, basis in spans:
             got = raised(check_image_equality, pencil, L)
             assert got == raised(ambient_image_equality, pencil, L)
+            assert got == raised(lambda p, L: check_image_equality(p, L, basis), pencil, L)
             if not isinstance(got, SubspaceQ):
                 claims.add(got[0])
     assert claims == {"kernel-sum images under the two pencil generators differ",
@@ -568,21 +583,61 @@ def square_matrices(draw, entries):
     return [[draw(entries) for _ in range(q)] for _ in range(q)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(square_matrices(st.integers(-30, 30)), square_matrices(fractions)))
-def test_char_poly_matches_sympy(rows):
+def sympy_char_poly(rows) -> list[Fraction]:
     q = len(rows)
     S = sympy.Matrix(q, q, [sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
                             for row in rows for x in row])
-    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(S.charpoly().all_coeffs())]
-    assert char_poly(MatQ(rows, cols=q)) == expected
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(S.charpoly().all_coeffs())]
+
+
+# rationals with denominators up to 10^6, and small integers
+wide_fractions = st.one_of(st.integers(-3, 3), st.builds(
+    Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def wide_matrices(draw):
+    q = draw(st.integers(0, 8))
+    return [[draw(wide_fractions) for _ in range(q)] for _ in range(q)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(square_matrices(st.integers(-30, 30)), square_matrices(fractions),
+                 wide_matrices()))
+def test_char_poly_matches_sympy(rows):
+    M = MatQ(rows, cols=len(rows))
+    # the recurrence runs on ints; Fractions appear only in the rescale
+    assert all(type(c) is int for c in faddeev_leverrier(M.num, 1))
+    assert char_poly(M) == fraction_char_poly(M) == sympy_char_poly(rows)
+
+
+def test_char_poly_runs_the_recurrence_on_the_integer_rows(monkeypatch):
+    calls = []
+
+    def counted(rows, one, fn=skewpencil.faddeev_leverrier):
+        calls.append((rows, one))
+        return fn(rows, one)
+    monkeypatch.setattr(skewpencil, "faddeev_leverrier", counted)
+    M = MatQ([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 6)]])
+    assert char_poly(M) == fraction_char_poly(M)
+    assert calls == [(M.num, 1)] and type(calls[0][1]) is int
+
+
+def test_integer_faddeev_leverrier_checks_each_division():
+    # non-integer entries leave a trace of 1/2 for the division by 1, and
+    # one that 2 does not divide for the division by 2
+    with pytest.raises(ArithmeticError, match="lost exact divisibility"):
+        faddeev_leverrier([[Fraction(1, 2)]], 1)
+    with pytest.raises(ArithmeticError, match="lost exact divisibility"):
+        faddeev_leverrier([[1, Fraction(1, 2)], [1, 0]], 1)
 
 
 # --- one elimination per member ------------------------------------------------
 
 GOLDEN_ALGEBRAS = {"sl4-plane": make_classical("sl", 4),
                    "takiff-sl3-1-plane": make_takiff(make_classical("sl", 3), 1),
-                   "sl3-subregular-plane": SL3}
+                   "sl3-subregular-plane": SL3, "sl5-plane": make_classical("sl", 5),
+                   "takiff-sl3-2-plane": make_takiff(make_classical("sl", 3), 2)}
 
 
 def golden_pencil(name: str) -> SkewPencil:
@@ -642,6 +697,58 @@ def test_a_jordan_analysis_solves_one_gram_system(monkeypatch, name):
     q = analysis.Ltilde_dim - analysis.L_dim
     assert analysis.kind == "jordan-mixed" and q > 0
     assert calls == [(q, q, q)]
+
+
+def annihilators(monkeypatch, pencil: SkewPencil) -> tuple[PencilAnalysis, list[int]]:
+    """verify_com1's analysis and the dimension of each subspace whose
+    annihilator it takes."""
+    calls = []
+
+    def counted(U, fn=skewpencil.annihilator):
+        calls.append(U.dim)
+        return fn(U)
+    monkeypatch.setattr(skewpencil, "annihilator", counted)
+    return verify_com1(pencil), calls
+
+
+@pytest.mark.parametrize("name", ["sl4-plane", "takiff-sl3-1-plane", "kronecker-9",
+                                  "sl5-plane", "takiff-sl3-2-plane"])
+def test_a_kronecker_certificate_takes_no_annihilator(monkeypatch, name):
+    analysis, calls = annihilators(monkeypatch, golden_pencil(name))
+    assert analysis.kind == "kronecker" and calls == []
+    # dim L + dim W = n: L is the annihilator of W by the dimension count
+    assert analysis.L_dim + analysis.image_dim == analysis.dim
+    assert analysis.Ltilde == analysis.L == annihilator(analysis.image)
+
+
+@pytest.mark.parametrize("name", ["jordan-4", "jordan-mixed-7-fractional",
+                                  "sl3-subregular-plane"])
+def test_a_jordan_analysis_takes_the_annihilator_of_the_image(monkeypatch, name):
+    analysis, calls = annihilators(monkeypatch, golden_pencil(name))
+    assert analysis.kind == "jordan-mixed" and analysis.image_dim in calls
+    assert analysis.Ltilde == annihilator(analysis.image) != analysis.L
+
+
+def longest(vectors) -> int:
+    return max((abs(x).bit_length() for v in vectors for x in v), default=0)
+
+
+@pytest.mark.parametrize("name", ["sl4-plane", "kronecker-9", "sl5-plane",
+                                  "takiff-sl3-2-plane", "jordan-mixed-7-fractional"])
+def test_the_image_check_runs_on_the_walks_kernel_vectors(monkeypatch, name):
+    pencil = golden_pencil(name)
+    _, L, basis, _ = _kernel_walk(pencil)
+    calls = []
+
+    def counted(pencil, L, basis=None, fn=skewpencil.check_image_equality):
+        calls.append((L, basis))
+        return fn(pencil, L, basis)
+    monkeypatch.setattr(skewpencil, "check_image_equality", counted)
+    analysis = verify_com1(pencil)
+    assert calls == [(analysis.L, basis)] and analysis.L == L
+    if analysis.kind == "kronecker":
+        # the canonical rows of L run to 56-133 bits on these pencils
+        assert 2 * longest(basis) < longest(L.rows.values())
 
 
 @pytest.mark.parametrize("name", ["sl3", "takiff-sl3-1", "z-sl5-311"])

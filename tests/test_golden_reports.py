@@ -29,7 +29,11 @@ file, not the shift family.  `golden/family_reports.json` pins `shift
 build` on the two passing pipelines' reported Casimir sets at the
 direction each report names: the family those pipelines verify, with
 each member's pretty form.  `pipeline run --casimirs` on the same file
-and direction gives the same verdicts.
+and direction gives the same verdicts.  The same file pins `shift
+certify` on three generator sets: the classical Casimirs of sl3 at a
+fixed direction, which pass; and x_e, x_h on sl2 and the classical
+Casimirs of gl3 with x_0 added to the first, which are no Casimirs and
+whose failing pairs the report lists.
 
 `golden/regcert_reports.json` pins the plane-certificate route of the
 nonreductive algebras: `reg codim2` on the sl4 and sl5 nilpotent
@@ -211,9 +215,52 @@ def family_reports(tmp_path, pipelines) -> dict:
     return out
 
 
+# name, algebra build arguments, generators, xi
+CERTIFY = (
+    ("sl3", ["sl", "3"], lambda: classical_casimirs("sl", 3).generators, "2,-1,3,1,-2,1,0,1"),
+    ("sl2-not-casimirs", ["sl", "2"], lambda: [MPoly.variable(3, 0), MPoly.variable(3, 1)],
+     "1,2,3"),
+    ("gl3-perturbed", ["gl", "3"],
+     lambda: [g + MPoly.variable(9, 0) if k == 0 else g
+              for k, g in enumerate(classical_casimirs("gl", 3).generators)],
+     "1,-2,0,3,1,-1,2,0,1"),
+)
+
+
+def certify_reports(tmp_path) -> dict:
+    """`shift certify` on each of CERTIFY: exit code and report without timings."""
+    out = {}
+    for name, build, gens, xi in CERTIFY:
+        alg, cas = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}-generators.json")
+        assert main(["algebra", "build", *build, "--out", alg]) == 0
+        polys = gens()
+        jsonio.write_json(cas, {"nvars": polys[0].nvars,
+                                "generators": [jsonio.poly_to_json(p) for p in polys]})
+        out[f"shift certify {name}"] = _run(["shift", "certify", alg, cas, f"--xi={xi}"])
+    return out
+
+
 @pytest.fixture(scope="module")
 def families(tmp_path_factory, pipelines):
     return family_reports(tmp_path_factory.mktemp("families"), pipelines)
+
+
+@pytest.fixture(scope="module")
+def certified(tmp_path_factory):
+    return certify_reports(tmp_path_factory.mktemp("certify"))
+
+
+def test_certify_cases_fail_where_they_should(certified):
+    assert {k: v["exit"] for k, v in certified.items()} == {
+        "shift certify sl3": 0, "shift certify sl2-not-casimirs": 1,
+        "shift certify gl3-perturbed": 1}
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in CERTIFY])
+def test_shift_certify_matches_the_pinned_bytes(certified, name):
+    with open(FAMILY_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)[f"shift certify {name}"]
+    assert jsonio.dumps(certified[f"shift certify {name}"]) == jsonio.dumps(want)
 
 
 @pytest.mark.parametrize("name", ["contraction-sl2-so2", "gl3"])

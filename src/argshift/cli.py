@@ -39,7 +39,7 @@ from .regcert import (FalsificationError, PlaneSpec, _wrong_index, certify_codim
 from .sampling import integer_coords, rng_stream
 from .skewpencil import SkewPencil, verify_com1
 
-SCHEMA = 5
+SCHEMA = 6
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -554,7 +554,7 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any,
         concl["inclusion-maximality"] = ("not machine-checked (the family has "
                                          "non-homogeneous members, so the linear "
                                          "witness search does not apply)")
-    elif (w := find_nonmaximality_witness(fam, cert.actions)) is not None:
+    elif (w := find_nonmaximality_witness(fam)) is not None:
         concl["inclusion-maximality"] = ("refuted: a linear form outside the family "
                                          "commutes with every member")
     yield True, concl, (None if w is None else {"poly": jsonio.poly_to_json(w),
@@ -637,6 +637,19 @@ def _usage() -> str:
         for group, commands in groups.items())
 
 
+def _glued(argv: Sequence[str]) -> list[str]:
+    """argv with `--xi -2,9` and `--eta -2,9` written `--xi=-2,9`:
+    argparse takes a token that starts with "-" for an option, so a
+    point whose first coordinate is negative is joined to its option."""
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] in ("--xi", "--eta") and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     entry = COMMANDS.get(tuple(argv[:2]))
@@ -650,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for flags, kwargs in COMMON + specs:
         parser.add_argument(*flags, **kwargs)
     try:
-        args = parser.parse_args(argv[2:])
+        args = parser.parse_args(_glued(argv[2:]))
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     args.command_name = name

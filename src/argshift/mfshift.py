@@ -4,25 +4,26 @@ Shifting a central generator f along a direction xi produces the
 coefficient polynomials of f(x + a*xi); collecting these over a set of
 generators gives the shift family at xi.  This module builds families,
 certifies their commutativity under both the Lie-Poisson bracket and
-the bracket frozen at xi (by the argument-shift chain, or pair by pair
-when the chain fails), compares degree data against the maximal
+the bracket frozen at xi (from the exact Casimir check of the
+generators, by the Mishchenko-Fomenko argument, or pair by pair when a
+generator is no Casimir), compares degree data against the maximal
 possible transcendence degree, and hunts for linear forms that commute
 with the family without belonging to it: one walk over the rows of the
-members' coadjoint actions, stopped as soon as those rows prove that
-every commuting linear form already lies in the family.
+members' coadjoint actions, computed member by member and stopped as
+soon as those rows prove that every commuting linear form already lies
+in the family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .exactlin import SubspaceQ, Scalar, annihilator, vec
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mpoly import MPoly
-from .poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
-                      _pack, bracket, frozen_bracket)
+from .poisson import (CasimirSet, _action_width, _coadjoint, _pack, bracket, frozen_bracket,
+                      is_casimir)
 
 DEFICIT = "DEFICIT"
 EXACT = "EXACT"
@@ -37,16 +38,38 @@ class ShiftMember:
 
 
 class ShiftFamily:
-    """Shift polynomials of a generator set along a fixed direction."""
+    """Shift polynomials of a generator set along a fixed direction.
+
+    The members are built here, never passed in: for each generator f,
+    in order, the coefficients f_j of a^j in f(x + a*xi) for j below
+    deg f, those that vanish identically dropped.  The coefficient of
+    a^deg(f) is the constant f(xi) and is dropped as well.  So every
+    member is the shift coefficient it names, which certify_commutative
+    relies on.
+    """
 
     __slots__ = ("algebra", "xi", "generators", "members")
 
-    def __init__(self, algebra: LieAlgebraData, xi: tuple[Fraction, ...],
-                 generators: tuple[MPoly, ...], members: tuple[ShiftMember, ...]):
+    def __init__(self, algebra: LieAlgebraData, xi: Sequence[Scalar],
+                 generators: tuple[MPoly, ...]):
+        if not generators:
+            raise ValueError("no generators to shift")
+        xi = vec(xi)
+        if len(xi) != algebra.dim:
+            raise ValueError("shift direction length mismatch")
+        members = []
+        for gi, f in enumerate(generators):
+            if f.is_zero():
+                raise ValueError("zero generator in shift family")
+            if f.nvars != algebra.dim:
+                raise ValueError("generator lives on the wrong space")
+            shifts = f.param_expand(xi)
+            members += (ShiftMember(gi, j, p) for j, p in enumerate(shifts[:-1])
+                        if not p.is_zero())
         self.algebra = algebra
         self.xi = xi
         self.generators = generators
-        self.members = members
+        self.members = tuple(members)
 
     @property
     def polys(self) -> tuple[MPoly, ...]:
@@ -64,30 +87,14 @@ class ShiftFamily:
 
 def build_family(L: LieAlgebraData, generators: Union[CasimirSet, Sequence[MPoly]],
                  xi: Sequence[Scalar]) -> ShiftFamily:
-    """Expand each generator along xi and keep the nonconstant coefficients.
+    """The shift family of generators (a CasimirSet or polynomials) at xi.
 
-    The coefficient of a^deg(f) is the constant f(xi) and is dropped;
-    coefficients that vanish identically (for special xi) are dropped
-    as well, so the member list can be shorter than the degree sum.
+    Coefficients that vanish identically (for special xi) are dropped,
+    so the member list can be shorter than the degree sum.
     """
     gens = tuple(generators.generators if isinstance(generators, CasimirSet)
                  else generators)
-    if not gens:
-        raise ValueError("no generators to shift")
-    pt = vec(xi)
-    if len(pt) != L.dim:
-        raise ValueError("shift direction length mismatch")
-    members = []
-    for gi, f in enumerate(gens):
-        if f.is_zero():
-            raise ValueError("zero generator in shift family")
-        if f.nvars != L.dim:
-            raise ValueError("generator lives on the wrong space")
-        shifts = f.param_expand(pt)
-        for j in range(len(shifts) - 1):
-            if not shifts[j].is_zero():
-                members.append(ShiftMember(gi, j, shifts[j]))
-    return ShiftFamily(L, pt, gens, tuple(members))
+    return ShiftFamily(L, xi, gens)
 
 
 @dataclass
@@ -95,74 +102,40 @@ class CommutativityCertificate:
     ok: bool
     pairs_checked: int
     failures: tuple[tuple[int, int, str], ...]
-    method: str = "pairwise"            # "shift-chain" | "pairwise"
-    # the packed {x_i, p} of every member, held by the shift chain
-    actions: Optional[tuple[Action, ...]] = field(default=None, repr=False, compare=False)
-
-
-def _shift_chain(family: ShiftFamily) -> Optional[tuple[Action, ...]]:
-    """The Lie-Poisson actions of the members when the chain holds, else None.
-
-    With f_k the member (generator, k), 0 when dropped, the chain is
-    {x_i, f_0} = 0 and {x_i, f_(k+1)} + {x_i, f_k}_xi = 0 for every i
-    and every k up to the last member, past which f_k counts as 0: the
-    top coefficient f_d = f(xi) is a constant, and brackets kill it.
-    """
-    L, n = family.algebra, family.algebra.dim
-    polys = family.polys
-    chains: dict[int, dict[int, int]] = {}
-    for pos, m in enumerate(family.members):
-        chain = chains.setdefault(m.generator_index, {})
-        if m.power < 0 or m.power in chain:
-            return None
-        chain[m.power] = pos
-    width = _action_width(polys)
-    packed = _pack(n, polys, width)
-    lie = _coadjoint(n, packed, (L.num, L.den), width)
-    frozen = _coadjoint(n, packed, _frozen_pairs(L, family.xi), width)
-    zero: Action = ([{}] * n, 1)
-    for chain in chains.values():
-        if 0 in chain and any(lie[chain[0]][0]):
-            return None
-        for k in range(max(chain) + 1):
-            upper = lie[chain[k + 1]] if k + 1 in chain else zero
-            lower = frozen[chain[k]] if k in chain else zero
-            if not _cancels(upper, lower):
-                return None
-    return tuple(lie)
-
-
-def _cancels(a: Action, b: Action) -> bool:
-    """Do two packed actions sum to zero?"""
-    (pa, da), (pb, db) = a, b
-    return all(ai.keys() == bi.keys() and all(c * db == -bi[key] * da for key, c in ai.items())
-               for ai, bi in zip(pa, pb))
+    method: str = "pairwise"            # "casimir-pencil" | "pairwise"
 
 
 def certify_commutative(family: ShiftFamily) -> CommutativityCertificate:
     """Exact commutativity under both pencil endpoints.
 
-    The argument-shift chain certifies the whole family at once
-    (Mishchenko-Fomenko).  {f, g} = sum over i of d_i f {x_i, g}, and
-    {x_i, g} is the coadjoint action, so the chain of _shift_chain,
-    {x_i, g_(l+1)} = -{x_i, g_l}_xi, moves one power across a bracket:
-    {f_k, g_l} = -{f_k, g_(l-1)}_xi = {g_(l-1), f_k}_xi
-    = -{g_(l-1), f_(k+1)} = {f_(k+1), g_(l-1)}.  Repeating gives
-    {f_k, g_l} = {f_(k+l), g_0} = 0, as g_0 is a Casimir, and then
-    {f_k, g_l}_xi = -{f_k, g_(l+1)} = 0.  This covers every pair of
-    members, so pairs_checked counts them all.
+    The Casimir pencil certifies the whole family at once
+    (Mishchenko-Fomenko) on two premises: every generator passes the
+    exact is_casimir check, run here, and every member is the shift
+    coefficient it names, which ShiftFamily guarantees by building
+    them.  With f_k the member (generator f, power k), 0 when dropped,
+    and c_ij^k the structure constants, f a Casimir gives the identity
+    sum over j, k of c_ij^k (x_k + a xi_k) d_j f(x + a xi) = 0 for every
+    a and i, and its coefficient of a^(k+1) is the chain
+    {x_i, f_(k+1)} = -{x_i, f_k}_xi, its a^0 coefficient {x_i, f_0} = 0;
+    the top coefficient f(xi) is a constant, which brackets kill.
+    {f, g} = sum over i of d_i f {x_i, g}, so the chain moves one power
+    across a bracket: {f_k, g_l} = -{f_k, g_(l-1)}_xi
+    = {g_(l-1), f_k}_xi = -{g_(l-1), f_(k+1)} = {f_(k+1), g_(l-1)}.
+    Repeating gives {f_k, g_l} = {f_(k+l), g_0} = 0, as g_0 is a
+    Casimir, and then {f_k, g_l}_xi = -{f_k, g_(l+1)} = 0.  This covers
+    every pair of members, so pairs_checked counts them all.
 
-    A failed chain proves nothing.  Every unordered pair of members is
-    then checked against the Lie-Poisson bracket and against the
-    bracket frozen at the shift direction; a failure records the pair
-    and which bracket detected it.
+    A generator that is no Casimir fails the chain at its first link,
+    and nothing is proved.  Every unordered pair of members is then
+    checked against the Lie-Poisson bracket and against the bracket
+    frozen at the shift direction; a failure records the pair and which
+    bracket detected it.
     """
     L = family.algebra
     polys = family.polys
     total = len(polys) * (len(polys) - 1) // 2
-    actions = _shift_chain(family)
-    if actions is not None:
-        return CommutativityCertificate(True, total, (), "shift-chain", actions)
+    if all(is_casimir(L, f).ok for f in family.generators):
+        return CommutativityCertificate(True, total, (), "casimir-pencil")
     failures: list[tuple[int, int, str]] = []
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -237,9 +210,7 @@ def nonmembership_linear(family: ShiftFamily, g: MPoly) -> bool:
     return any(linear_member_span(family).reduce(_linear_row(g)))
 
 
-def find_nonmaximality_witness(family: ShiftFamily,
-                               actions: Optional[Sequence[Action]] = None
-                               ) -> Optional[MPoly]:
+def find_nonmaximality_witness(family: ShiftFamily) -> Optional[MPoly]:
     """A linear form commuting with the family but provably outside it.
 
     Returns None when every commuting linear form already lies in the
@@ -254,15 +225,16 @@ def find_nonmaximality_witness(family: ShiftFamily,
     once annihilator(S) lies in R: then C lies in S, for any family,
     commutative or not.  Otherwise R is the whole row space at the end,
     and the witness is the first canonical basis vector of C, in pivot
-    order, outside S.  actions, when given, are the packed Lie-Poisson
-    actions of the members as certify_commutative holds them.
+    order, outside S.  The actions are computed one member at a time as
+    the walk reads them, so the members after the stop are never
+    bracketed.
     """
     if not family.all_homogeneous():
         raise ValueError("nonmaximality search requires homogeneous members")
     L, n = family.algebra, family.algebra.dim
-    if actions is None:
-        width = _action_width(family.polys)
-        actions = _coadjoint(n, _pack(n, family.polys, width), (L.num, L.den), width)
+    # a member's degree is at most its generator's
+    width = _action_width(family.generators)
+    actions = _coadjoint(n, _pack(n, family.polys, width), (L.num, L.den), width)
     span = linear_member_span(family)
     need = annihilator(span)
     rows = SubspaceQ(n)

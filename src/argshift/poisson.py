@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, _cleared, _skew_rank, _skew_rows, _solve, _triangle,
                        faddeev_leverrier, vec)
@@ -35,11 +35,11 @@ Action = tuple[list[dict[int, int]], int]
 Packed = tuple[list[tuple[int, int, list[tuple[int, int]]]], int]
 
 
-def _pack(n: int, polys: Iterable[MPoly], width: int) -> list[Packed]:
-    """The terms of each of polys with a field of `width` bits per
-    variable: a monomial x^e packs into sum over v of e_v 2^(v width)."""
+def _pack(n: int, polys: Iterable[MPoly], width: int) -> Iterator[Packed]:
+    """The terms of each of polys, one polynomial at a time, with a
+    field of `width` bits per variable: a monomial x^e packs into sum
+    over v of e_v 2^(v width)."""
     weights = [1 << (v * width) for v in range(n)]
-    out = []
     for p in polys:
         if p.nvars != n:
             raise ValueError("polynomial must live on the dual of the algebra")
@@ -47,14 +47,13 @@ def _pack(n: int, polys: Iterable[MPoly], width: int) -> list[Packed]:
         for e, c in p.num.items():
             supp = [(v, k) for v, k in enumerate(e) if k]
             terms.append((sum(k * weights[v] for v, k in supp), c, supp))
-        out.append((terms, p.den))
-    return out
+        yield terms, p.den
 
 
-def _coadjoint(n: int, packed: Sequence[Packed], pairs: Pairs, width: int) -> list[Action]:
+def _coadjoint(n: int, packed: Iterable[Packed], pairs: Pairs, width: int) -> Iterator[Action]:
     """The coadjoint action {x_i, p} = sum over j of C(i, j) d_j p, for
-    every coordinate i and every p, packed by _pack at this width: the
-    one bracket kernel.
+    every coordinate i and every p, packed by _pack at this width, one
+    p at a time: the one bracket kernel.
 
     Packing makes multiplying monomials and dividing out x_j one
     integer add; the caller picks a width no field of a monomial it
@@ -72,7 +71,6 @@ def _coadjoint(n: int, packed: Sequence[Packed], pairs: Pairs, width: int) -> li
             w = 0 if k is None else weights[k]
             by_var[j].append((i, w - weights[j], c))
             by_var[i].append((j, w - weights[i], -c))
-    out: list[Action] = []
     for terms, pden in packed:
         accs: list[dict[int, int]] = [{} for _ in range(n)]
         for mp, cp, supp in terms:
@@ -82,8 +80,7 @@ def _coadjoint(n: int, packed: Sequence[Packed], pairs: Pairs, width: int) -> li
                     acc = accs[i]
                     key = mp + off
                     acc[key] = acc.get(key, 0) + a * c
-        out.append(([{key: c for key, c in acc.items() if c} for acc in accs], pden * tden))
-    return out
+        yield [{key: c for key, c in acc.items() if c} for acc in accs], pden * tden
 
 
 def _action_width(polys: Iterable[MPoly]) -> int:
@@ -113,7 +110,7 @@ def _bracket(n: int, f: MPoly, g: MPoly, pairs: Pairs) -> MPoly:
     if f.is_zero() or g.is_zero():
         return MPoly.zero(n)
     width = (f.degree() + g.degree()).bit_length() + 1
-    (fterms, f_cden), (gterms, g_cden) = packed = _pack(n, (f, g), width)
+    (fterms, f_cden), (gterms, g_cden) = packed = list(_pack(n, (f, g), width))
     (F, fden), (G, gden) = _coadjoint(n, packed, pairs, width)
     if not any(F) or not any(G):
         return MPoly.zero(n)

@@ -65,6 +65,12 @@ tests can hold the package's route against it.
   ``fraction_matvec``: matrix arithmetic on lists of Fraction rows, one
   Fraction per entry.  ``MatQ`` runs it on integer rows over one
   denominator instead.
+- ``shift_chain_holds``: the argument-shift chain checked on the
+  expanded members of a shift family, each member's coadjoint action
+  under the Lie-Poisson bracket and under the bracket frozen at xi.
+  ``mfshift.certify_commutative`` checks the generators by
+  ``is_casimir`` and derives the chain from the Casimir identity
+  instead.
 - ``fraction_jacobi_defect`` and ``fraction_validate``: the Jacobi
   check on the Fraction bracket table, one Fraction per product.
   ``liealg.validate`` runs it on the integer table, whose defects are
@@ -91,7 +97,9 @@ from argshift.exactlin import (MatQ, Scalar, SubspaceQ, _echelon, _int_rows, _pr
                                vec)
 from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
+from argshift.mfshift import ShiftFamily
 from argshift.mpoly import MPoly, determinant, poly_gcd
+from argshift.poisson import Action, _action_width, _coadjoint, _frozen_pairs, _pack
 from argshift.regcert import FalsificationError
 from argshift.sampling import integer_coords, rng_stream
 from argshift.skewpencil import SkewPencil, _matvec
@@ -198,6 +206,42 @@ def fraction_kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> list[list[Frac
     pt = vec(xi)
     return [[sum((c * pt[k] for k, c in L.bracket_coeffs(i, j).items()), Fraction(0))
              for j in range(L.dim)] for i in range(L.dim)]
+
+
+def shift_chain_holds(family: ShiftFamily) -> bool:
+    """Does the argument-shift chain hold on the family's members?
+
+    With f_k the member (generator, k), 0 when dropped, the chain is
+    {x_i, f_0} = 0 and {x_i, f_(k+1)} + {x_i, f_k}_xi = 0 for every i
+    and every k up to the last member, past which f_k counts as 0: the
+    top coefficient f_d = f(xi) is a constant, and brackets kill it.
+    """
+    L, n = family.algebra, family.algebra.dim
+    polys = family.polys
+    chains: dict[int, dict[int, int]] = {}
+    for pos, m in enumerate(family.members):
+        chains.setdefault(m.generator_index, {})[m.power] = pos
+    width = _action_width(polys)
+    packed = list(_pack(n, polys, width))
+    lie = list(_coadjoint(n, packed, (L.num, L.den), width))
+    frozen = list(_coadjoint(n, packed, _frozen_pairs(L, family.xi), width))
+    zero: Action = ([{}] * n, 1)
+
+    def cancels(a: Action, b: Action) -> bool:
+        (pa, da), (pb, db) = a, b
+        return all(ai.keys() == bi.keys() and all(c * db == -bi[key] * da
+                                                  for key, c in ai.items())
+                   for ai, bi in zip(pa, pb))
+
+    for chain in chains.values():
+        if 0 in chain and any(lie[chain[0]][0]):
+            return False
+        for k in range(max(chain) + 1):
+            upper = lie[chain[k + 1]] if k + 1 in chain else zero
+            lower = frozen[chain[k]] if k in chain else zero
+            if not cancels(upper, lower):
+                return False
+    return True
 
 
 def fraction_jacobi_defect(L: LieAlgebraData, i: int, j: int, k: int) -> dict[int, Fraction]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import argshift
-from argshift import jsonio, regcert
+from argshift import jsonio, mfshift, regcert
 from argshift.cli import COMMANDS, main
 from argshift.liealg import LieAlgebraData, make_classical, make_takiff
 from argshift.mpoly import MPoly
@@ -82,7 +82,7 @@ def test_algebra_build_emits_parseable_algebra(sl2_file):
 def test_algebra_validate_pass(capsys, sl2_file):
     code, report = run(capsys, "algebra", "validate", sl2_file)
     assert code == 0
-    assert report["schema"] == 5
+    assert report["schema"] == 6
     assert report["status"] == "pass"
     assert report["verdicts"]["validate"]["ok"]
     assert "sha256" in report["inputs"]["algebra"]
@@ -243,7 +243,7 @@ def test_shift_certify(capsys, sl2_file, sl2_casimirs):
                        "--xi", "1,0,0")
     assert code == 0
     assert report["verdicts"]["commutative"] == {
-        "ok": True, "pairs_checked": 1, "members": 2, "method": "shift-chain"}
+        "ok": True, "pairs_checked": 1, "members": 2, "method": "casimir-pencil"}
 
 
 def test_reg_point(capsys, sl2_file):
@@ -576,16 +576,29 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     assert len(jsonio.read_json(str(fam_out))["members"]) == 5
 
 
-def test_pipeline_sl4_commutes_by_the_shift_chain(capsys, tmp_path):
+def test_pipeline_sl4_commutes_by_the_shift_chain(monkeypatch, capsys, tmp_path):
     alg = tmp_path / "sl4.json"
     assert main(["algebra", "build", "sl", "4", "--out", str(alg)]) == 0
     capsys.readouterr()
+    # the witness search computes member actions as its walk reads them,
+    # and the walk stops once the rows rule every witness out
+    read = []
+
+    def counting(*args):
+        read.append(0)
+        for action in coadjoint(*args):
+            read[-1] += 1
+            yield action
+
+    coadjoint = mfshift._coadjoint
+    monkeypatch.setattr(mfshift, "_coadjoint", counting)
     code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
     assert code == 0
     assert report["verdicts"]["build-family"]["members"] == 9
     assert report["verdicts"]["commutative"] == {"ok": True, "pairs_checked": 36,
-                                                 "method": "shift-chain"}
+                                                 "method": "casimir-pencil"}
     assert "conclusions" not in report["witnesses"]
+    assert len(read) == 1 and read[0] <= 2
 
 
 def test_classical_pipeline_verifies_on_the_loaded_table(capsys, tmp_path):
@@ -757,6 +770,29 @@ def test_an_empty_xi_field_is_a_usage_error(capsys, sl2_file, argv):
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert captured.err.startswith(f"error: cannot parse --xi {argv[-1][5:]!r}")
+
+
+@pytest.mark.parametrize("argv", [["reg", "point", "SL2", "--xi", "-1,2,1"],
+                                  ["reg", "plane", "SL2", "--xi", "-1,2,1", "--eta", "-3,0,1"],
+                                  ["pencil", "analyze", "SL2", "--eta", "-3,0,1",
+                                   "--xi", "-1/2,2,1"],
+                                  ["pipeline", "run", "SL2", "--classical", "--xi", "-1,2,1"]])
+def test_a_negative_point_after_its_option_reads_as_the_glued_form(capsys, sl2_file, argv):
+    # argparse takes "-1,2,1" for an option; after --xi or --eta it is the value
+    argv = [sl2_file if a == "SL2" else a for a in argv]
+    glued = []
+    for a in argv:
+        if glued and glued[-1] in ("--xi", "--eta"):
+            glued[-1] += "=" + a
+        else:
+            glued.append(a)
+    reports = []
+    for form in (argv, glued):
+        code, report = run(capsys, *form)
+        assert code == 0
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", [["poisson", "bracket", "SL2", "F", "BAD"],

@@ -33,7 +33,10 @@ and direction gives the same verdicts.  The same file pins `shift
 certify` on three generator sets: the classical Casimirs of sl3 at a
 fixed direction, which pass; and x_e, x_h on sl2 and the classical
 Casimirs of gl3 with x_0 added to the first, which are no Casimirs and
-whose failing pairs the report lists.
+whose failing pairs the report lists.  Every passing pinned pipeline's
+family, rebuilt from its report's `casimirs` and `build-family` xi,
+passes the argument-shift chain of `oracles.shift_chain_holds`: the
+fact its `casimir-pencil` verdict derives from the Casimir check.
 
 `golden/regcert_reports.json` pins the plane-certificate route of the
 nonreductive algebras: `reg codim2` on the sl4 and sl5 nilpotent
@@ -76,9 +79,13 @@ import pytest
 
 from argshift import jsonio
 from argshift.cli import main
-from argshift.liealg import make_centralizer_sl, make_classical, make_takiff
+from argshift.exactlin import rat
+from argshift.liealg import (make_centralizer_sl, make_classical, make_sl2_so2_contraction,
+                             make_takiff)
+from argshift.mfshift import build_family
 from argshift.mpoly import MPoly
 from argshift.poisson import CasimirSet, classical_casimirs, takiff_lift
+from oracles import shift_chain_holds
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pencil_reports.json")
 PIPELINE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "pipeline_reports.json")
@@ -277,6 +284,34 @@ def test_pipeline_on_the_reported_casimirs_gives_the_same_verdicts(pipelines, fa
     assert again["exit"] == first["exit"] == 0
     for key in ("verdicts", "witnesses", "casimirs"):
         assert jsonio.dumps(again["report"][key]) == jsonio.dumps(first["report"][key])
+
+
+# the algebra behind each input file name of a passing pinned pipeline
+PIPELINE_ALGEBRAS = {
+    "contraction.json": make_sl2_so2_contraction, "gl3.json": lambda: make_classical("gl", 3),
+    "sl3.json": lambda: make_classical("sl", 3),
+    "takiff.json": lambda: make_takiff(make_classical("sl", 2), 1),
+}
+
+
+def test_the_shift_chain_holds_on_every_passing_pinned_pipeline_family():
+    # the family each report certifies, rebuilt from its Casimirs and xi,
+    # passes the chain the Casimir pencil derives from the Casimir check
+    passing = []
+    for path in (PIPELINE_GOLDEN, SEED_GOLDEN):
+        with open(path, encoding="utf-8") as fh:
+            passing += [(k, v["report"]) for k, v in json.load(fh).items()
+                        if k.startswith("pipeline run") and v["exit"] == 0]
+    assert len(passing) == 8
+    for case, report in passing:
+        source = report["inputs"]["algebra"]
+        L = PIPELINE_ALGEBRAS[source["path"]]()
+        assert _digest(jsonio.dumps(jsonio.algebra_to_json(L))) == source["sha256"], case
+        fam = build_family(L, jsonio.casimirs_from_json(report["casimirs"]),
+                           [rat(x) for x in report["verdicts"]["build-family"]["xi"]])
+        assert len(fam) == report["verdicts"]["build-family"]["members"], case
+        assert report["verdicts"]["commutative"]["method"] == "casimir-pencil", case
+        assert shift_chain_holds(fam), case
 
 
 SL3_F = {(2, 0, 0, 1, 0, 0, 0, 0): "1/2", (0, 1, 0, 0, 0, 1, 0, 0): "-3/4",

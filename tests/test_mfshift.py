@@ -10,19 +10,21 @@ giving members C and 2 x_h.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from argshift import mfshift
 from argshift.exactlin import MatQ, SubspaceQ, rank_kernel
 from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                              make_sl2_so2_contraction, make_takiff)
-from argshift.mfshift import (DEFICIT, EXACT, EXCESS, ShiftFamily, ShiftMember,
-                              build_family, certify_commutative, degree_profile,
+from argshift.mfshift import (DEFICIT, EXACT, EXCESS, build_family, certify_commutative, degree_profile,
                               find_nonmaximality_witness, linear_member_span,
                               nonmembership_linear)
 from argshift.mpoly import MPoly
-from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
-                              frozen_bracket, takiff_lift)
+from argshift.poisson import (CasimirSet, _coadjoint, bracket, classical_casimirs,
+                              estimate_index, frozen_bracket, is_casimir, takiff_lift)
 from argshift.sampling import rng_stream
-from oracles import integer_point, partial
+from oracles import integer_point, partial, shift_chain_holds
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -204,7 +206,7 @@ def test_linear_commutant_abelian_is_everything():
     assert find_nonmaximality_witness(build_family(ab, x, (1, 0))) is None
 
 
-# --- the shift chain against the pairwise route -------------------------------
+# --- the Casimir pencil against the chain and the pairwise route ------------
 
 def pairwise_oracle(family):
     """Failures of the pair-by-pair check, in the order the pairwise
@@ -269,15 +271,38 @@ def seeded_family(name, t):
     return build_family(L, gens, xi)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FAMILIES)), st.data())
+def test_the_chain_holds_exactly_when_the_generators_are_casimirs(name, data):
+    # a generator plus a coordinate x_v is, on these algebras, no Casimir;
+    # the chain on the expanded members, the Casimir check on the
+    # generators and the route certify_commutative takes must agree
+    L, gens = FAMILIES[name]()
+    gens = list(gens)
+    v = data.draw(st.none() | st.integers(0, L.dim - 1))
+    if v is not None:
+        gens[-1] = gens[-1] + MPoly.variable(L.dim, v)
+    xi = data.draw(st.lists(st.integers(-5, 5), min_size=L.dim, max_size=L.dim))
+    fam = build_family(L, gens, xi)
+    casimirs = all(is_casimir(L, f).ok for f in gens)
+    cert = certify_commutative(fam)
+    assert shift_chain_holds(fam) == casimirs == (cert.method == "casimir-pencil")
+    assert cert.pairs_checked == len(fam) * (len(fam) - 1) // 2
+    if casimirs:
+        assert cert.ok and cert.failures == ()
+        if name != "sl4":
+            assert pairwise_oracle(fam) == ()
+
+
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_chain_verdict_equals_pairwise(name):
     for t in range(2 if name == "sl4" else 3):
         fam = seeded_family(name, t)
+        assert shift_chain_holds(fam)
         cert = certify_commutative(fam)
-        assert cert.ok and cert.method == "shift-chain"
+        assert cert.ok and cert.method == "casimir-pencil"
         assert cert.pairs_checked == len(fam) * (len(fam) - 1) // 2
         assert pairwise_oracle(fam) == ()
-        assert len(cert.actions) == len(fam)
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "gl3", "takiff_sl2_1", "contraction"])
@@ -289,19 +314,11 @@ def test_perturbed_generator_fails_the_chain(name):
     gens[0] = gens[0] + MPoly.variable(L.dim, 0)
     xi = integer_point(rng_stream(0, "perturbed", name), L.dim, 5)
     fam = build_family(L, gens, xi)
+    assert not shift_chain_holds(fam)
     cert = certify_commutative(fam)
-    assert cert.method == "pairwise" and cert.actions is None
+    assert cert.method == "pairwise"
     assert not cert.ok and cert.failures == pairwise_oracle(fam)
     assert cert.pairs_checked == len(fam) * (len(fam) - 1) // 2
-
-
-def test_chain_needs_one_member_per_power():
-    # a family read from a file may repeat a (generator, power) key; the
-    # chain then cannot look its members up, and the pairwise route runs
-    members = (ShiftMember(0, 0, CAS), ShiftMember(0, 0, 2 * CAS), ShiftMember(0, 1, 4 * X_F))
-    fam = ShiftFamily(SL2, (Fraction(1), Fraction(0), Fraction(0)), (CAS,), members)
-    cert = certify_commutative(fam)
-    assert cert.ok and cert.method == "pairwise" and cert.pairs_checked == 3
 
 
 def oracle_witness(family):
@@ -317,7 +334,6 @@ def test_linear_commutant_matches_fraction_route(name):
     fam = seeded_family(name, 0)
     want = oracle_witness(fam)
     assert find_nonmaximality_witness(fam) == want
-    assert find_nonmaximality_witness(fam, certify_commutative(fam).actions) == want
 
 
 def test_linear_commutant_matches_fraction_route_on_random_polys():
@@ -364,8 +380,25 @@ def test_witness_edge_cases(L, gens, xi, want):
     assert find_nonmaximality_witness(fam) == want == oracle_witness(fam)
 
 
-def test_contraction_witness_from_the_chain_actions():
+def counting_coadjoint(monkeypatch):
+    """Spy on the coadjoint kernel the witness search calls: the list
+    holds one count per call, of the actions it yielded."""
+    counts = []
+
+    def spy(*args):
+        counts.append(0)
+        for action in _coadjoint(*args):
+            counts[-1] += 1
+            yield action
+
+    monkeypatch.setattr(mfshift, "_coadjoint", spy)
+    return counts
+
+
+def test_the_contraction_witness_reads_every_member_action(monkeypatch):
+    # a witness exists, so the walk never stops early: both members of
+    # the sl2/so2 family are read, and x_r comes out
     q, fam, x_p, x_r = contraction_family()
-    cert = certify_commutative(fam)
-    assert cert.method == "shift-chain"
-    assert find_nonmaximality_witness(fam, cert.actions) == x_r
+    counts = counting_coadjoint(monkeypatch)
+    assert find_nonmaximality_witness(fam) == x_r
+    assert counts == [len(fam)] == [2]

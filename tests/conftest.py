@@ -2,10 +2,32 @@
 
 The acceptance suite appends one summary line per criterion to
 ACCEPTANCE_LINES; the hook below prints them after the normal pytest
-summary so the verdict survives output capturing.
+summary so the verdict survives output capturing.  The fixture
+`coadjoint_reads` counts the member actions the witness search reads.
 """
 
+import pytest
+
+from argshift import mfshift
+
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture
+def coadjoint_reads(monkeypatch) -> list[int]:
+    """Spy on the coadjoint kernel mfshift calls: the list gets one
+    count per call, of the actions that call yielded."""
+    counts = []
+    coadjoint = mfshift._coadjoint
+
+    def spy(*args):
+        counts.append(0)
+        for action in coadjoint(*args):
+            counts[-1] += 1
+            yield action
+
+    monkeypatch.setattr(mfshift, "_coadjoint", spy)
+    return counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

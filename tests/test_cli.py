@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import argshift
-from argshift import jsonio, mfshift, regcert
+from argshift import jsonio, regcert
 from argshift.cli import COMMANDS, main
 from argshift.liealg import LieAlgebraData, make_classical, make_takiff
 from argshift.mpoly import MPoly
@@ -576,29 +576,19 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     assert len(jsonio.read_json(str(fam_out))["members"]) == 5
 
 
-def test_pipeline_sl4_commutes_by_the_shift_chain(monkeypatch, capsys, tmp_path):
+def test_pipeline_sl4_commutes_by_the_shift_chain(coadjoint_reads, capsys, tmp_path):
     alg = tmp_path / "sl4.json"
     assert main(["algebra", "build", "sl", "4", "--out", str(alg)]) == 0
     capsys.readouterr()
-    # the witness search computes member actions as its walk reads them,
-    # and the walk stops once the rows rule every witness out
-    read = []
-
-    def counting(*args):
-        read.append(0)
-        for action in coadjoint(*args):
-            read[-1] += 1
-            yield action
-
-    coadjoint = mfshift._coadjoint
-    monkeypatch.setattr(mfshift, "_coadjoint", counting)
     code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
     assert code == 0
     assert report["verdicts"]["build-family"]["members"] == 9
     assert report["verdicts"]["commutative"] == {"ok": True, "pairs_checked": 36,
                                                  "method": "casimir-pencil"}
     assert "conclusions" not in report["witnesses"]
-    assert len(read) == 1 and read[0] <= 2
+    # the witness search computes member actions as its walk reads them,
+    # and the walk stops once the rows rule every witness out
+    assert len(coadjoint_reads) == 1 and coadjoint_reads[0] <= 2
 
 
 def test_classical_pipeline_verifies_on_the_loaded_table(capsys, tmp_path):

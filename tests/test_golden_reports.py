@@ -173,7 +173,6 @@ def golden_reports(tmp_path) -> dict:
         path = str(tmp_path / f"{name}.json")
         assert main(["algebra", "build", *build, "--out", path]) == 0
         for command in (["pencil", "analyze"], ["reg", "plane"]):
-            # --xi=, since a point may start with a minus sign
             out[f"{' '.join(command)} {name}"] = _run(
                 [*command, path, f"--xi={xi}", f"--eta={eta}"])
     for name, (A, B) in MATRICES.items():
@@ -213,7 +212,6 @@ def family_reports(tmp_path, pipelines) -> dict:
         alg, cas = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}-casimirs.json")
         assert main(["algebra", "build", *build, "--out", alg]) == 0
         jsonio.write_json(cas, report["casimirs"])
-        # --xi=, since xi may start with a minus sign
         xi = "--xi=" + ",".join(report["verdicts"]["build-family"]["xi"])
         with redirect_stdout(io.StringIO()) as buf:
             code = main(["shift", "build", alg, cas, xi])

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import mfshift
 from argshift.exactlin import MatQ, SubspaceQ, rank_kernel
 from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                              make_sl2_so2_contraction, make_takiff)
@@ -21,8 +20,8 @@ from argshift.mfshift import (DEFICIT, EXACT, EXCESS, build_family, certify_comm
                               find_nonmaximality_witness, linear_member_span,
                               nonmembership_linear)
 from argshift.mpoly import MPoly
-from argshift.poisson import (CasimirSet, _coadjoint, bracket, classical_casimirs,
-                              estimate_index, frozen_bracket, is_casimir, takiff_lift)
+from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
+                              frozen_bracket, is_casimir, takiff_lift)
 from argshift.sampling import rng_stream
 from oracles import integer_point, partial, shift_chain_holds
 
@@ -380,25 +379,9 @@ def test_witness_edge_cases(L, gens, xi, want):
     assert find_nonmaximality_witness(fam) == want == oracle_witness(fam)
 
 
-def counting_coadjoint(monkeypatch):
-    """Spy on the coadjoint kernel the witness search calls: the list
-    holds one count per call, of the actions it yielded."""
-    counts = []
-
-    def spy(*args):
-        counts.append(0)
-        for action in _coadjoint(*args):
-            counts[-1] += 1
-            yield action
-
-    monkeypatch.setattr(mfshift, "_coadjoint", spy)
-    return counts
-
-
-def test_the_contraction_witness_reads_every_member_action(monkeypatch):
+def test_the_contraction_witness_reads_every_member_action(coadjoint_reads):
     # a witness exists, so the walk never stops early: both members of
     # the sl2/so2 family are read, and x_r comes out
     q, fam, x_p, x_r = contraction_family()
-    counts = counting_coadjoint(monkeypatch)
     assert find_nonmaximality_witness(fam) == x_r
-    assert counts == [len(fam)] == [2]
+    assert coadjoint_reads == [len(fam)] == [2]

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from argshift.exactlin import MatQ, SubspaceQ, rank_kernel
 from argshift.liealg import (AlgebraProfile, LieAlgebraData, make_classical,
                              make_sl2_so2_contraction, make_takiff)
-from argshift.mfshift import (DEFICIT, EXACT, EXCESS, build_family, certify_commutative, degree_profile,
-                              find_nonmaximality_witness, linear_member_span,
-                              nonmembership_linear)
+from argshift.mfshift import (DEFICIT, EXACT, EXCESS, build_family, certify_commutative,
+                              degree_profile, find_nonmaximality_witness,
+                              linear_member_span, nonmembership_linear)
 from argshift.mpoly import MPoly
 from argshift.poisson import (CasimirSet, bracket, classical_casimirs, estimate_index,
                               frozen_bracket, is_casimir, takiff_lift)
@@ -273,9 +273,10 @@ def seeded_family(name, t):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(FAMILIES)), st.data())
 def test_the_chain_holds_exactly_when_the_generators_are_casimirs(name, data):
-    # a generator plus a coordinate x_v is, on these algebras, no Casimir;
-    # the chain on the expanded members, the Casimir check on the
-    # generators and the route certify_commutative takes must agree
+    # x_v added to a generator (v drawn or None) makes it no Casimir on
+    # these algebras, so both sides are drawn; the chain on the expanded
+    # members, the Casimir check on the generators and the route
+    # certify_commutative takes must agree
     L, gens = FAMILIES[name]()
     gens = list(gens)
     v = data.draw(st.none() | st.integers(0, L.dim - 1))

@@ -46,10 +46,14 @@ sl5, whose plane certificate runs on a pencil of dim 24.
 
 `golden/build_digests.json` pins, as sha256, the bytes of matrix-built
 algebras that no report above covers: `algebra build` of so3, so4, so5,
-gl2, gl4 and sl5, and the files of the sl3 and sl4 centralizers z_sl3
-[2,1], z_sl4 [2,2] and [3,1] from `liealg.make_centralizer_sl`.  Their
+gl2, gl4 and sl5, and the files of the centralizers z_sl3 [2,1], z_sl4
+[2,2] and [3,1] and z_sl6 [3,2,1] from `liealg.make_centralizer_sl`.  Their
 structure constants come from `exactlin.solve_many`, and the
-centralizers' bases from `exactlin.rank_kernel`.
+centralizers' bases from `exactlin.rank_kernel`.  It also pins builders
+whose tables carry denominators: takiff(vinberg(1/2, 2/3, 3), 1), sl2
+acting on k^2 through the standard matrices and through their
+conjugate with a 1/2 entry, and the Z/2 contraction of the sl2/so2
+splitting table with every constant divided by 3.
 
 `golden/fraction_reports.json` pins algebras whose structure constants
 have denominators: the file of vinberg(1/2, 2/3), a bracket, a pencil
@@ -79,9 +83,10 @@ import pytest
 
 from argshift import jsonio
 from argshift.cli import main
-from argshift.exactlin import rat
-from argshift.liealg import (make_centralizer_sl, make_classical, make_sl2_so2_contraction,
-                             make_takiff)
+from argshift.exactlin import MatQ, rat
+from argshift.liealg import (LieAlgebraData, make_centralizer_sl, make_classical,
+                             make_semidirect, make_sl2_so2_contraction, make_takiff,
+                             make_vinberg, make_z2_contraction)
 from argshift.mfshift import build_family
 from argshift.mpoly import MPoly
 from argshift.poisson import CasimirSet, classical_casimirs, takiff_lift
@@ -446,7 +451,27 @@ def test_regcert_report_matches_the_pinned_bytes(regcert_cases, case):
 
 BUILDS = {"so3": ["so", "3"], "so4": ["so", "4"], "so5": ["so", "5"],
           "gl2": ["gl", "2"], "gl4": ["gl", "4"], "sl5": ["sl", "5"]}
-BUILT_CENTRALIZERS = {"z_sl3_21": (3, [2, 1]), "z_sl4_22": (4, [2, 2]), "z_sl4_31": (4, [3, 1])}
+BUILT_CENTRALIZERS = {"z_sl3_21": (3, [2, 1]), "z_sl4_22": (4, [2, 2]), "z_sl4_31": (4, [3, 1]),
+                      "z_sl6_321": (6, [3, 2, 1])}
+# the sl2 table in the basis (t, p, r) of make_sl2_so2_contraction, every constant divided by 3
+SPLIT_SL2_THIRDS = [(0, 1, {2: Fraction(-2, 3)}), (0, 2, {1: Fraction(2, 3)}),
+                    (1, 2, {0: Fraction(2, 3)})]
+# sl2 on k^2 in the basis (e, h, f): the standard matrices, and their
+# conjugate by diag(1, 2), whose e and f carry 1/2 and 2
+SL2_ON_K2 = {"standard": [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]],
+             "halved": [[[0, "1/2"], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [2, 0]]]}
+# algebras with denominators that no report above carries
+BUILT_WITH_DENOMINATORS = {
+    "make_takiff vinberg(1/2,2/3,3) 1":
+        lambda: make_takiff(make_vinberg(["1/2", "2/3", 3]), 1),
+    "make_semidirect sl2 standard":
+        lambda: make_semidirect(make_classical("sl", 2), [MatQ(m) for m in SL2_ON_K2["standard"]]),
+    "make_semidirect sl2 halved":
+        lambda: make_semidirect(make_classical("sl", 2), [MatQ(m) for m in SL2_ON_K2["halved"]]),
+    "make_z2_contraction sl2/so2 thirds":
+        lambda: make_z2_contraction(
+            LieAlgebraData.from_table(3, ["t", "p", "r"], SPLIT_SL2_THIRDS), [0, 1, 1]),
+}
 
 
 def _digest(text: str) -> str:
@@ -464,6 +489,8 @@ def build_digests() -> dict:
     for name, (n, part) in BUILT_CENTRALIZERS.items():
         text = jsonio.dumps(jsonio.algebra_to_json(make_centralizer_sl(n, part)))
         out[f"make_centralizer_sl {name}"] = {"sha256": _digest(text)}
+    for name, build in BUILT_WITH_DENOMINATORS.items():
+        out[name] = {"sha256": _digest(jsonio.dumps(jsonio.algebra_to_json(build())))}
     return out
 
 

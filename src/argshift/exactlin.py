@@ -4,8 +4,8 @@ Matrices are dense and immutable integer rows over one denominator.
 Three integer eliminations do one job each, and each entry is turned
 into a Fraction once at the end:
 
-- a rank with no basis (_rank_int, rank) is fraction-free (Bareiss)
-  forward elimination, _echelon;
+- a rank with no basis (_rank_int) is fraction-free (Bareiss) forward
+  elimination, _echelon;
 - the rank and, on request, a kernel basis of a skew matrix given as
   its flat strict upper triangle (_skew_rank, _skew_kernel; rows enter
   checked, by _skew_triangle) come from fraction-free Pfaffian
@@ -543,17 +543,6 @@ def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
     if row_space.dim % 2 != 0 and M.is_skew():
         raise ArithmeticError("skew matrix produced odd rank")
     return row_space.dim, annihilator(row_space)
-
-
-def rank(M: MatQ) -> int:
-    """Exact rank of M: fraction-free elimination, no kernel.
-
-    Skew input asserts the even-rank invariant, as in rank_kernel.
-    """
-    r = _rank_int(M.num, M.cols)
-    if r % 2 != 0 and M.is_skew():
-        raise ArithmeticError("skew matrix produced odd rank")
-    return r
 
 
 def solve_many(M: MatQ, rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:

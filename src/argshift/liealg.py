@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, _rank_int, rank, rank_kernel, rat_str, solve_many, vec
+from .exactlin import MatQ, Scalar, SubspaceQ, _rank_int, _solve, annihilator, rat_str, vec
 from .sampling import integer_coords, rng_stream
 
 # (i, j, {k: c}): [b_i, b_j] = sum of c b_k, each c an int or a Fraction
@@ -197,49 +197,48 @@ def validate_table(dim: int, entries: Iterable[BracketEntry],
 # --- matrix realizations ---------------------------------------------------
 
 def _unit_matrix(n: int, i: int, j: int) -> MatQ:
-    return MatQ([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
-
-
-def _commutator(A: Sequence[tuple[int, int, Fraction]], B: Sequence[tuple[int, int, Fraction]],
-                size: int) -> list[Fraction]:
-    """AB - BA, flattened row by row, from the nonzero entries
-    (row, column, value) of A and B."""
-    out = [Fraction(0)] * (size * size)
-    for a, b, x in A:
-        for c, e, y in B:
-            if b == c:
-                out[a * size + e] += x * y
-            if e == a:
-                out[c * size + b] -= x * y
-    return out
+    return MatQ._make(tuple(tuple(int((a, b) == (i, j)) for b in range(n)) for a in range(n)), n)
 
 
 def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
                           meta: Optional[dict] = None) -> LieAlgebraData:
-    """Structure constants of a commutator-closed independent matrix family."""
+    """Structure constants of a commutator-closed independent matrix family.
+
+    With den the lcm of the matrices' denominators, A_k = den M_k are
+    integer, and [A_i, A_j] = den^2 [M_i, M_j] = den sum c_k A_k: one
+    solve on the integer columns A_k gives den c for every pair.
+    """
     d = len(mats)
     if d == 0:
         raise ValueError("empty matrix basis")
     size = mats[0].rows
     if any(M.rows != size or M.cols != size for M in mats):
         raise ValueError("matrix sizes disagree")
-    span = MatQ([[x for row in M.to_lists() for x in row] for M in mats]).transpose()
-    r = rank(span)
-    if r != d:
+    den = lcm(*(M.den for M in mats))
+    flat = [[x * (den // M.den) for row in M.num for x in row] for M in mats]
+    span = list(zip(*flat))
+    if _rank_int(span, d) != d:
         raise ValueError("matrix basis is linearly dependent")
-    entries = [[(a, b, x) for a, row in enumerate(M.to_lists()) for b, x in enumerate(row) if x]
-               for M in mats]
+    # the nonzero entries (row, column, value) of each A_k
+    entries = [[(*divmod(t, size), x) for t, x in enumerate(A) if x] for A in flat]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rhs = [_commutator(entries[i], entries[j], size) for i, j in pairs]
-    sols = solve_many(span, rhs)
+    rhs = []
+    for i, j in pairs:
+        # A_i A_j - A_j A_i, flattened row by row
+        out = [0] * (size * size)
+        for a, b, x in entries[i]:
+            for c, e, y in entries[j]:
+                if b == c:
+                    out[a * size + e] += x * y
+                if e == a:
+                    out[c * size + b] -= x * y
+        rhs.append(out)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), x in zip(pairs, sols):
+    for (i, j), x in zip(pairs, _solve(span, d, rhs)):
         if x is None:
             raise ValueError(f"matrix family not closed under commutator at ({names[i]}, {names[j]})")
-        coeffs = {k: c for k, c in enumerate(x) if c != 0}
-        if coeffs:
-            table[(i, j)] = coeffs
-    return LieAlgebraData(d, names, table, meta)
+        table[(i, j)] = dict(enumerate(x))
+    return LieAlgebraData(d, names, table, meta, den)
 
 
 def make_classical(family: str, n: int) -> LieAlgebraData:
@@ -311,15 +310,16 @@ def make_semidirect(g: LieAlgebraData, rho: Sequence[MatQ],
                     f"not a representation: commutator check fails at "
                     f"({g.basis_names[i]}, {g.basis_names[j]})")
     names = list(g.basis_names) + list(vnames or [f"v{a + 1}" for a in range(dim_v)])
-    table: dict[tuple[int, int], dict[int, Fraction]] = {
-        (i, j): coeffs for i, j, coeffs in g.pairs()}
-    for i in range(g.dim):
-        for a in range(dim_v):
-            coeffs = {g.dim + b: rho[i][b, a] for b in range(dim_v) if rho[i][b, a] != 0}
-            if coeffs:
-                table[(i, g.dim + a)] = coeffs
+    # g's numerators and every rho[i]'s over one den
+    den = lcm(g.den, *(M.den for M in rho))
+    f = den // g.den
+    table = {key: {k: f * c for k, c in form.items()} for key, form in g.num.items()}
+    for i, M in enumerate(rho):
+        f = den // M.den
+        for a, col in enumerate(zip(*M.num)):
+            table[(i, g.dim + a)] = {g.dim + b: f * x for b, x in enumerate(col)}
     meta = {"constructor": "semidirect", "g_dim": g.dim, "v_dim": dim_v}
-    return LieAlgebraData(g.dim + dim_v, names, table, meta)
+    return LieAlgebraData(g.dim + dim_v, names, table, meta, den)
 
 
 def make_vinberg(eigenvalues: Sequence[Scalar]) -> LieAlgebraData:
@@ -349,18 +349,18 @@ def make_takiff(q: LieAlgebraData, n: int) -> LieAlgebraData:
     total = (n + 1) * d
     names = [q.basis_names[i] if l == 0 else f"{q.basis_names[i]}.t{l}"
              for l in range(n + 1) for i in range(d)]
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(total):
         l, i = divmod(a, d)
         for b in range(a + 1, total):
             k, j = divmod(b, d)
             if l + k > n or i == j:
                 continue
-            coeffs = q.bracket_coeffs(i, j)
-            if coeffs:
-                table[(a, b)] = {(l + k) * d + m: c for m, c in coeffs.items()}
+            form = q._form(i, j)
+            if form:
+                table[(a, b)] = {(l + k) * d + m: c for m, c in form.items()}
     meta = {"constructor": "takiff", "level": n, "base_dim": d}
-    return LieAlgebraData(total, names, table, meta)
+    return LieAlgebraData(total, names, table, meta, q.den)
 
 
 def make_z2_contraction(g: LieAlgebraData, parity: Sequence[int]) -> LieAlgebraData:
@@ -374,16 +374,16 @@ def make_z2_contraction(g: LieAlgebraData, parity: Sequence[int]) -> LieAlgebraD
         raise ValueError("parity vector length mismatch")
     if any(p not in (0, 1) for p in parity):
         raise ValueError("parity entries must be 0 or 1")
-    for i, j, coeffs in sorted(g.pairs()):
-        for k in coeffs:
+    for (i, j), form in sorted(g.num.items()):
+        for k in form:
             if parity[k] != (parity[i] + parity[j]) % 2:
                 raise ValueError(
                     f"table is not graded: [{g.basis_names[i]}, {g.basis_names[j]}] "
                     f"hits {g.basis_names[k]} of wrong parity")
-    table = {(i, j): coeffs for i, j, coeffs in g.pairs()
+    table = {(i, j): form for (i, j), form in g.num.items()
              if not (parity[i] == 1 and parity[j] == 1)}
     out = LieAlgebraData(g.dim, g.basis_names, table,
-                         {"constructor": "z2_contraction", "parity": list(parity)})
+                         {"constructor": "z2_contraction", "parity": list(parity)}, g.den)
     report = validate(out)
     if not report.ok:
         raise ArithmeticError(f"contraction lost the Jacobi identity: {report.detail}")
@@ -408,26 +408,23 @@ def make_centralizer_sl(n: int, partition: Sequence[int]) -> LieAlgebraData:
     parts = list(partition)
     if sum(parts) != n or any(p <= 0 for p in parts):
         raise ValueError("partition must consist of positive parts summing to n")
-    e = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for p in parts:
-        for r in range(offset, offset + p - 1):
-            e[r][r + 1] = Fraction(1)
-        offset += p
-    E = MatQ(e)
-    # rows: entries of e*x - x*e (all a,b), then the trace row
-    rows: list[list[Fraction]] = []
+    # rows: entries of e*x - x*e (all a,b), then the trace row, where e
+    # maps each basis vector to the one before it in its Jordan block
+    heads = {sum(parts[:m]) for m in range(len(parts) + 1)}
+    rows: list[list[int]] = []
     for a in range(n):
         for b in range(n):
-            row = [Fraction(0)] * (n * n)
-            for c in range(n):
-                row[c * n + b] += E[a, c]
-                row[a * n + c] -= E[c, b]
+            row = [0] * (n * n)
+            if a + 1 not in heads:
+                row[(a + 1) * n + b] = 1
+            if b not in heads:
+                row[a * n + b - 1] = -1
             rows.append(row)
-    rows.append([Fraction(1) if a == b else Fraction(0)
-                 for a in range(n) for b in range(n)])
-    _, kernel = rank_kernel(MatQ(rows))
-    mats = [MatQ([list(v[i * n:(i + 1) * n]) for i in range(n)]) for v in kernel.basis]
+    rows.append([int(a == b) for a in range(n) for b in range(n)])
+    # each canonical kernel row over its pivot entry: the unit-lead basis
+    kernel = annihilator(SubspaceQ(n * n, rows)).rows
+    mats = [MatQ._make(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)), n, v[c])
+            for c, v in sorted(kernel.items())]
     names = [f"z{i + 1}" for i in range(len(mats))]
     meta = {"constructor": "centralizer_sl", "n": n, "partition": parts}
     return algebra_from_matrices(names, mats, meta)

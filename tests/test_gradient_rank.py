@@ -5,7 +5,7 @@ multiple of the true gradient, and with a shift direction xi takes the
 rows grad f(eta + a xi), a = 0, ..., deg f - 1, in place of the shift
 family's member gradients.  The oracle is the route it replaced: every
 partial evaluated in Fractions, and for shifts the family expanded by
-`build_family`, its rank taken by `exactlin.rank`.  The integer entry
+`build_family`, its rank taken by `exactlin.rank_kernel`.  The integer entry
 `mpoly._gradient_rank`, which takes numerators over one denominator, is
 also held against sympy's rank of the shifted gradients.
 """
@@ -18,7 +18,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift.exactlin import MatQ, rank
+from argshift.exactlin import MatQ, rank_kernel
 from argshift.liealg import (LieAlgebraData, make_classical, make_sl2_so2_contraction,
                              make_takiff)
 from argshift.mfshift import build_family
@@ -32,7 +32,7 @@ from oracles import grad_at, integer_point, to_sympy
 def fraction_jacobian_rank(polys, pt):
     if not polys:
         return 0
-    return rank(MatQ([grad_at(p, pt) for p in polys]))
+    return rank_kernel(MatQ([grad_at(p, pt) for p in polys]))[0]
 
 
 def family_rank(L, gens, xi, eta):

@@ -5,6 +5,7 @@ sl(2) in basis (e, h, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h.
 so(3) in basis r12, r13, r23: [r12, r13] = -r23.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argshift import jsonio, liealg
-from argshift.exactlin import MatQ, rank, solve_many
+from argshift.exactlin import MatQ, rank_kernel, solve_many
 from argshift.liealg import (
     AlgebraProfile,
     LieAlgebraData,
@@ -219,7 +220,7 @@ def dense_algebra_from_matrices(names, mats, meta=None):
     d = len(mats)
     flat = [tuple(M[i, j] for i in range(M.rows) for j in range(M.cols)) for M in mats]
     span = MatQ(flat).transpose()
-    assert rank(span) == d
+    assert rank_kernel(span)[0] == d
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comm = [mats[i] * mats[j] - mats[j] * mats[i] for i, j in pairs]
     sols = solve_many(span, [[C[a, b] for a in range(C.rows) for b in range(C.cols)]
@@ -255,6 +256,62 @@ def test_sparse_commutators_match_dense_route(monkeypatch, build):
     monkeypatch.setattr(liealg, "algebra_from_matrices", both)
     L = build()
     assert built == [L]
+
+
+# --- the builders stay on integers -----------------------------------------
+
+# the Fraction and MatQ round trip the builders skip
+FRACTION_ROUTE = (MatQ.__init__, MatQ.to_lists, solve_many, rank_kernel, LieAlgebraData.pairs)
+
+
+def called_code(build):
+    """build() and the code object of every Python function it called."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        out = build()
+    finally:
+        sys.setprofile(None)
+    return out, seen
+
+
+def thirds_split_sl2():
+    """sl2 in the basis (t, p, r) of the sl2/so2 splitting, every constant divided by 3."""
+    return LieAlgebraData.from_table(3, ["t", "p", "r"], [
+        (0, 1, {2: Fraction(-2, 3)}), (0, 2, {1: Fraction(2, 3)}), (1, 2, {0: Fraction(2, 3)})])
+
+
+@pytest.mark.parametrize("inputs, build, also", [
+    (tuple, lambda: make_classical("sl", 4), ()),
+    (tuple, lambda: make_classical("so", 4), ()),
+    (tuple, lambda: make_centralizer_sl(5, [2, 2, 1]), ()),
+    (lambda: (make_vinberg(["1/2", "2/3", 3]),), lambda q: make_takiff(q, 2),
+     (LieAlgebraData.bracket_coeffs,)),
+    (lambda: (make_classical("sl", 3),), lambda q: make_takiff(q, 1),
+     (LieAlgebraData.bracket_coeffs,)),
+    (lambda: (thirds_split_sl2(),), lambda g: make_z2_contraction(g, [0, 1, 1]), ()),
+    (lambda: (make_classical("sl", 2),
+              [MatQ([[0, "1/2"], [0, 0]]), MatQ([[1, 0], [0, -1]]), MatQ([[0, 0], [2, 0]])]),
+     lambda g, rho: make_semidirect(g, rho), ()),
+], ids=["sl4", "so4", "z_sl5_221", "takiff_vinberg", "takiff_sl3", "z2_thirds", "semidirect"])
+def test_builders_skip_the_fraction_round_trip(inputs, build, also):
+    # the inputs are built before the spy starts
+    args = inputs()
+    L, seen = called_code(lambda: build(*args))
+    assert validate(L).ok
+    called = [f.__qualname__ for f in (*FRACTION_ROUTE, *also) if f.__code__ in seen]
+    assert not called
+
+
+def test_the_fraction_route_is_gone_from_the_package():
+    from argshift import exactlin
+    assert not hasattr(liealg, "_commutator")
+    assert not hasattr(exactlin, "rank")
 
 
 # --- the integer structure table --------------------------------------------

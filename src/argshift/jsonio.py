@@ -135,8 +135,8 @@ def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntr
     """Dimension, basis names, raw bracket entries of integer numerators
     and their common denominator, not yet validated."""
     dim = _count(data, "dim", "algebra")
-    basis = [str(b) for b in _array(data.get("basis", [f"e{i + 1}" for i in range(dim)]),
-                                    "basis")]
+    basis = ([str(b) for b in _array(data["basis"], "basis")] if "basis" in data
+             else [f"e{i + 1}" for i in range(dim)])
     entries = []
     for item in _array(data.get("brackets", []), "brackets"):
         if not isinstance(item, dict) or not isinstance(item.get("coeffs"), dict):

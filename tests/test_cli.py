@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -892,6 +893,30 @@ def test_dim_zero_algebra_exits_instead_of_hanging(tmp_path):
     report = json.loads(pipeline.stdout)
     assert report["failed_stage"] == "estimate-index"
     assert "dimension 0" in report["verdicts"]["estimate-index"]["error"]
+
+
+def test_a_huge_dim_with_a_short_basis_is_refused_at_once(tmp_path):
+    # a 50-byte file: building 10^9 default names for it would take
+    # minutes and tens of GB, so the child runs under a 1 GiB address
+    # space and fails fast if it tries
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 10 ** 9, "basis": ["a"], "brackets": []}))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(argshift.__file__)))
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "argshift.cli", *argv, str(path)],
+                              capture_output=True, text=True, env=env, timeout=20,
+                              preexec_fn=lambda: resource.setrlimit(
+                                  resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+
+    message = "basis name count does not match dimension"
+    index = cli_run("poisson", "index")
+    assert index.returncode == 2
+    assert index.stderr == f"error: {path}: {message}\n"
+    validate = cli_run("algebra", "validate")
+    assert validate.returncode == 1
+    assert json.loads(validate.stdout)["witnesses"]["validate"] == message
 
 
 

@@ -75,11 +75,11 @@ class ShiftFamily:
     def polys(self) -> tuple[MPoly, ...]:
         return tuple(m.poly for m in self.members)
 
-    def linear_members(self) -> list[ShiftMember]:
-        return [m for m in self.members if m.poly.degree() == 1]
-
     def all_homogeneous(self) -> bool:
-        return all(m.poly.is_homogeneous() for m in self.members)
+        """Whether every member is homogeneous.  A nonconstant generator
+        f is its own member f_0, and the shift coefficients of a
+        homogeneous f are homogeneous, so the generators decide."""
+        return all(f.is_homogeneous() for f in self.generators)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -190,9 +190,13 @@ def _linear_row(p: MPoly) -> list[int]:
 
 
 def linear_member_span(family: ShiftFamily) -> SubspaceQ:
-    """Coefficient span of the degree-one members."""
+    """Coefficient span of the degree-one members of a family with
+    homogeneous members: those of power deg f - 1, as the member of
+    power k of a homogeneous f has degree deg f - k."""
+    degrees = [f.degree() for f in family.generators]
     return SubspaceQ(family.algebra.dim,
-                     [_linear_row(m.poly) for m in family.linear_members()])
+                     [_linear_row(m.poly) for m in family.members
+                      if m.power == degrees[m.generator_index] - 1])
 
 
 def nonmembership_linear(family: ShiftFamily, g: MPoly) -> bool:

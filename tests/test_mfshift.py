@@ -270,6 +270,22 @@ def seeded_family(name, t):
     return build_family(L, gens, xi)
 
 
+def assert_member_scans_agree(fam):
+    """all_homogeneous and linear_member_span, which read the generators
+    and the powers, against a scan of every member's terms."""
+    homogeneous = all(m.poly.is_homogeneous() for m in fam.members)
+    assert fam.all_homogeneous() == homogeneous
+    if homogeneous:
+        rows = []
+        for m in fam.members:
+            if m.poly.degree() == 1:
+                row = [0] * fam.algebra.dim
+                for exps, c in m.poly.num.items():
+                    row[exps.index(1)] = c
+                rows.append(row)
+        assert linear_member_span(fam) == SubspaceQ(fam.algebra.dim, rows)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(FAMILIES)), st.data())
 def test_the_chain_holds_exactly_when_the_generators_are_casimirs(name, data):
@@ -284,6 +300,7 @@ def test_the_chain_holds_exactly_when_the_generators_are_casimirs(name, data):
         gens[-1] = gens[-1] + MPoly.variable(L.dim, v)
     xi = data.draw(st.lists(st.integers(-5, 5), min_size=L.dim, max_size=L.dim))
     fam = build_family(L, gens, xi)
+    assert_member_scans_agree(fam)
     casimirs = all(is_casimir(L, f).ok for f in gens)
     cert = certify_commutative(fam)
     assert shift_chain_holds(fam) == casimirs == (cert.method == "casimir-pencil")
@@ -332,6 +349,7 @@ def oracle_witness(family):
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_linear_commutant_matches_fraction_route(name):
     fam = seeded_family(name, 0)
+    assert_member_scans_agree(fam)
     want = oracle_witness(fam)
     assert find_nonmaximality_witness(fam) == want
 
@@ -354,7 +372,13 @@ def test_linear_commutant_matches_fraction_route_on_random_polys():
                 terms[tuple(e)] = Fraction(rng.randint(1, 5) * rng.choice((-1, 1)),
                                            rng.randint(1, 3))
             gens.append(MPoly(sl3.dim, terms))
-        fam = build_family(sl3, gens, integer_point(rng, sl3.dim, 3))
+        xi = integer_point(rng, sl3.dim, 3)
+        fam = build_family(sl3, gens, xi)
+        assert_member_scans_agree(fam)
+        # a constant makes the last generator, and so the family, non-homogeneous
+        mixed = build_family(sl3, [*gens[:-1], gens[-1] + MPoly.one(sl3.dim)], xi)
+        assert_member_scans_agree(mixed)
+        assert not mixed.all_homogeneous()
         com = fraction_linear_commutant(sl3, fam.polys)
         outside += not linear_member_span(fam).is_subspace_of(com)
         assert find_nonmaximality_witness(fam) == oracle_witness(fam)

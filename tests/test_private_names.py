@@ -28,13 +28,11 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _reads(tree: ast.AST, skip: ast.AST | None = None) -> list[str]:
-    """The names and attribute names read in tree, outside the subtree skip."""
+def _reads(tree: ast.AST) -> list[str]:
+    """The names and attribute names read in tree."""
     out, todo = [], [tree]
     while todo:
         node = todo.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name):
             out.append(node.id)
         elif isinstance(node, ast.Attribute):
@@ -43,18 +41,23 @@ def _reads(tree: ast.AST, skip: ast.AST | None = None) -> list[str]:
     return out
 
 
+def _parsed(src: Path) -> tuple[dict[str, ast.Module], dict[str, Counter]]:
+    """The tree of every module of src, and the names each one reads."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    return trees, {module: Counter(_reads(tree)) for module, tree in trees.items()}
+
+
 def unreferenced_private_defs(src: Path = SRC) -> list[str]:
     """`module.name` of every private module-level def or class that
     nothing in src reads outside its own definition."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(src.glob("*.py"))}
+    trees, reads = _parsed(src)
+    total = sum(reads.values(), Counter())
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, DEFS) or not _private(node.name):
-                continue
-            if not any(node.name in _reads(other, node if other is tree else None)
-                       for other in trees.values()):
+            if isinstance(node, DEFS) and _private(node.name) and \
+                    not total[node.name] - _reads(node).count(node.name):
                 dead.append(f"{module}.{node.name}")
     return dead
 
@@ -63,9 +66,7 @@ def unread_module_names(src: Path = SRC) -> list[str]:
     """`module.name` of every name a module of src imports and never
     reads, and of every name it assigns at module level that nothing in
     src reads outside that assignment; __init__ is left out."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(src.glob("*.py"))}
-    reads = {module: Counter(_reads(tree)) for module, tree in trees.items()}
+    trees, reads = _parsed(src)
     dead = []
     for module, tree in trees.items():
         if module == "__init__":

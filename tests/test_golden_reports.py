@@ -48,8 +48,10 @@ sl5, whose plane certificate runs on a pencil of dim 24.
 algebras that no report above covers: `algebra build` of so3, so4, so5,
 gl2, gl4 and sl5, and the files of the centralizers z_sl3 [2,1], z_sl4
 [2,2] and [3,1] and z_sl6 [3,2,1] from `liealg.make_centralizer_sl`.  Their
-structure constants come from `exactlin.solve_many`, and the
-centralizers' bases from `exactlin.rank_kernel`.  It also pins builders
+structure constants come from one integer solve on the flattened
+matrices cleared of their common denominator, and the centralizers'
+bases from the canonical kernel rows of `exactlin.annihilator`, each
+over its pivot entry.  It also pins builders
 whose tables carry denominators: takiff(vinberg(1/2, 2/3, 3), 1), sl2
 acting on k^2 through the standard matrices and through their
 conjugate with a 1/2 entry, and the Z/2 contraction of the sl2/so2

@@ -237,7 +237,7 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
     for (i, j), x in zip(pairs, _solve(span, d, rhs)):
         if x is None:
             raise ValueError(f"matrix family not closed under commutator at ({names[i]}, {names[j]})")
-        table[(i, j)] = dict(enumerate(x))
+        table[(i, j)] = {k: c for k, c in enumerate(x) if c}
     return LieAlgebraData(d, names, table, meta, den)
 
 

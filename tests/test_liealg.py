@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from argshift import jsonio, liealg
+from argshift import exactlin, jsonio, liealg
 from argshift.exactlin import MatQ, rank_kernel, solve_many
 from argshift.liealg import (
     AlgebraProfile,
@@ -309,7 +309,6 @@ def test_builders_skip_the_fraction_round_trip(inputs, build, also):
 
 
 def test_the_fraction_route_is_gone_from_the_package():
-    from argshift import exactlin
     assert not hasattr(liealg, "_commutator")
     assert not hasattr(exactlin, "rank")
 

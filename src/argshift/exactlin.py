@@ -18,12 +18,13 @@ into a Fraction once at the end:
 
 A kernel basis is read off the canonical rows of the matrix's row
 space, one vector per free column, and only those vectors are reduced
-to the kernel's canonical rows (annihilator, rank_kernel); a solve is
-read off the canonical rows of the augmented matrix (solve_many).  The
-reduced row echelon basis over Q is a view for output.  Callers that
-already hold integer rows hand them to SubspaceQ or enter at the
-private integer functions (_rank_int, _solve, and _skew_rank and
-_skew_kernel on triangles), which skip the Fraction round trip.
+to the kernel's canonical rows (annihilator, rank_kernel); a solve
+reads the rank and integer solutions over one denominator off the
+canonical rows of the augmented matrix (_solve; solve_many alone makes
+Fractions).  The reduced row echelon basis over Q is a view for output.
+Callers that already hold integer rows hand them to SubspaceQ or enter
+at the private integer functions (_rank_int, _solve, and _skew_rank
+and _skew_kernel on triangles), which skip the Fraction round trip.
 """
 
 from __future__ import annotations
@@ -119,12 +120,11 @@ class MatQ:
 
     def __init__(self, entries: Sequence[Sequence[Scalar]], cols: Optional[int] = None):
         a = [[x if isinstance(x, int) else rat(x) for x in row] for row in entries]
-        if a:
-            ncols = len(a[0])
-            if any(len(row) != ncols for row in a):
-                raise ValueError("ragged matrix")
-        else:
-            ncols = 0 if cols is None else cols
+        ncols = len(a[0]) if a else cols or 0
+        if any(len(row) != ncols for row in a):
+            raise ValueError("ragged matrix")
+        if cols not in (None, ncols):
+            raise ValueError(f"rows of {ncols} entries for {cols} columns")
         # the lcm of the entries' denominators leaves no common factor
         den = lcm(*(x.denominator for row in a for x in row))
         self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a)
@@ -547,39 +547,41 @@ def rank_kernel(M: MatQ) -> tuple[int, SubspaceQ]:
 
 def solve_many(M: MatQ, rhs_list: Sequence[Sequence[Scalar]]) -> list[Optional[VecQ]]:
     """Solutions of M x = b for several right-hand sides in one elimination."""
-    # M x = b is num x = den b
-    return _solve(M.num, M.cols, [[M.den * x for x in vec(b)] for b in rhs_list])
+    # with B = N / d, M x = b is num y = den N, x = y / d
+    d, nums = _cleared(*rhs_list)
+    _, D, xs = _solve(M.num, M.cols, [[M.den * y for y in b] for b in nums])
+    return [None if x is None else tuple(Fraction(y, D * d) for y in x) for x in xs]
 
 
-def _solve(rows: Sequence[Sequence[int]], cols: int,
-           rhs_list: Sequence[Sequence[Union[int, Fraction]]]) -> list[Optional[VecQ]]:
-    """solve_many on integer rows, for int or Fraction right-hand sides."""
+def _solve(rows: Sequence[Sequence[int]], cols: int, rhs_list: Sequence[Sequence[int]]
+           ) -> tuple[int, int, list[Optional[list[int]]]]:
+    """rows x = b for integer rows and right-hand sides, in one elimination:
+    (rank, D, xs), rank the number of pivots of the canonical rows of
+    [rows | b ...] in the coefficient block and D their lcm (1 with none);
+    each x in xs is an integer list, x / D the canonical solution, zero
+    at the free columns, or None when b is inconsistent."""
     for b in rhs_list:
         if len(b) != len(rows):
             raise ValueError("shape mismatch")
     width = cols + len(rhs_list)
-    aug_rows = []
-    for i, row in enumerate(rows):
-        # clear the right-hand sides' denominators row by row
-        d = lcm(*(b[i].denominator for b in rhs_list))
-        aug_rows.append([d * x for x in row] + [b[i].numerator * (d // b[i].denominator)
-                                                for b in rhs_list])
-    reduced = SubspaceQ(width, aug_rows).rows
+    reduced = SubspaceQ(width, [[*row, *(b[i] for b in rhs_list)]
+                                for i, row in enumerate(rows)]).rows
     solved = [(pc, row) for pc, row in reduced.items() if pc < cols]
+    D = lcm(*(row[pc] for pc, row in solved))
+    scaled = [(pc, D // row[pc], row) for pc, row in solved]  # x[pc] = D row[col] / row[pc]
     # rows with a pivot past the coefficient block are zero on it; a
     # right-hand side is inconsistent iff one of them is nonzero in it
     rest = [row for pc, row in reduced.items() if pc >= cols]
-    out: list[Optional[VecQ]] = []
+    xs: list[Optional[list[int]]] = []
     for col in range(cols, width):
-        if any(row[col] != 0 for row in rest):
-            out.append(None)
+        if any(row[col] for row in rest):
+            xs.append(None)
             continue
-        x = [_ZERO] * cols
-        for pc, row in solved:
-            if row[col]:
-                x[pc] = Fraction(row[col], row[pc])
-        out.append(tuple(x))
-    return out
+        x = [0] * cols
+        for pc, f, row in scaled:
+            x[pc] = f * row[col]
+        xs.append(x)
+    return len(solved), D, xs
 
 
 def faddeev_leverrier(rows: Sequence[Sequence[Any]], one: Any) -> list:

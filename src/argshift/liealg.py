@@ -206,7 +206,7 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
 
     With den the lcm of the matrices' denominators, A_k = den M_k are
     integer, and [A_i, A_j] = den^2 [M_i, M_j] = den sum c_k A_k: one
-    solve on the integer columns A_k gives den c for every pair.
+    solve on the integer columns A_k gives their rank and den c = x / D.
     """
     d = len(mats)
     if d == 0:
@@ -216,9 +216,6 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
         raise ValueError("matrix sizes disagree")
     den = lcm(*(M.den for M in mats))
     flat = [[x * (den // M.den) for row in M.num for x in row] for M in mats]
-    span = list(zip(*flat))
-    if _rank_int(span, d) != d:
-        raise ValueError("matrix basis is linearly dependent")
     # the nonzero entries (row, column, value) of each A_k
     entries = [[(*divmod(t, size), x) for t, x in enumerate(A) if x] for A in flat]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -233,12 +230,15 @@ def algebra_from_matrices(names: Sequence[str], mats: Sequence[MatQ],
                 if e == a:
                     out[c * size + b] -= x * y
         rhs.append(out)
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), x in zip(pairs, _solve(span, d, rhs)):
+    rank, D, xs = _solve(list(zip(*flat)), d, rhs)
+    if rank != d:
+        raise ValueError("matrix basis is linearly dependent")
+    table = {}
+    for (i, j), x in zip(pairs, xs):
         if x is None:
             raise ValueError(f"matrix family not closed under commutator at ({names[i]}, {names[j]})")
         table[(i, j)] = {k: c for k, c in enumerate(x) if c}
-    return LieAlgebraData(d, names, table, meta, den)
+    return LieAlgebraData(d, names, table, meta, den * D)
 
 
 def make_classical(family: str, n: int) -> LieAlgebraData:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, _cleared, _skew_rank, _skew_rows, _solve, _triangle,
@@ -322,10 +321,9 @@ def classical_casimir_polys(family: str, n: int) -> list[MPoly]:
     matrix of the trace form.  The coefficient of t^(n-k) in det(tI - X)
     is a degree-k central generator; degree 1 exists only for gl.  The
     coefficients come from the Faddeev-LeVerrier recurrence over MPoly,
-    run on den X, whose entries are sparse integer linear forms (den
-    clears the denominators of G^-1).  That scales the coefficient of
-    t^(n-k) by den^k, which the normalization to monic in graded lex
-    order drops.
+    run on D X, whose entries are sparse integer linear forms (the solve
+    gives G^-1 = N / D).  That scales the coefficient of t^(n-k) by D^k,
+    which the normalization to monic in graded lex order drops.
     """
     if family not in ("gl", "sl"):
         raise ValueError("classical Casimirs implemented for gl and sl")
@@ -337,16 +335,15 @@ def classical_casimir_polys(family: str, n: int) -> list[MPoly]:
             for m in basis]
     d = len(mats)
     gram = [[sum(x * b.num[j][i] for i, j, x in a) for b in basis] for a in mats]
-    # column b of G^-1 is row b, as G is symmetric
-    ginv = _solve(gram, d, [[int(a == b) for a in range(d)] for b in range(d)])
-    den = lcm(*(y.denominator for row in ginv for y in row))
-    # entry (i, j) of den X as the integer coefficients of x_0 .. x_(d-1)
+    # G^-1 = N / D, and column b of N is row b, as G is symmetric
+    _, _, ninv = _solve(gram, d, [[int(a == b) for a in range(d)] for b in range(d)])
+    # entry (i, j) of D X as the integer coefficients of x_0 .. x_(d-1)
     forms = [[[0] * d for _ in range(n)] for _ in range(n)]
-    for row, mat in zip(ginv, mats):
+    for row, mat in zip(ninv, mats):
         for i, j, x in mat:
             for a, y in enumerate(row):
                 if y:
-                    forms[i][j][a] += int(y * den * x)
+                    forms[i][j][a] += y * x
     X = [[MPoly.linear_form(form) for form in row] for row in forms]
     coeffs = faddeev_leverrier(X, MPoly.one(d))
     return [coeffs[n - k].monic() for k in range(1, n + 1)

@@ -210,7 +210,7 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ,
 
     Everything after W runs in W's coordinates, the entries at the
     pivot columns of its echelon basis, on the l = dim L columns
-    A v_j and B v_j.  The canonical rows of [B_L | I] give the rank of
+    A v_j and B v_j.  One solve for W's unit vectors gives the rank of
     B_L and an integer right inverse R, B_L R = D I; then N is spanned
     by the columns of D A_L - M B_L with M = A_L R, and K is grown from
     N one vector at a time, each new vector's image under M queued.
@@ -229,22 +229,19 @@ def check_image_equality(pencil: SkewPencil, L: SubspaceQ,
     # A(L) = B(L) exactly when B(L) lies in W = A(L) with rank w there
     inside = not any(any(image.reduce(bv)) for bv in bvs)
     if inside:
-        work = SubspaceQ(l + w, [[bc[i] for bc in bcols] + [int(k == i) for k in range(w)]
-                                 for i in range(w)]).rows
-        b_dim = sum(pc < l for pc in work)
-    if not inside or b_dim != w:
+        rank, D, xs = _solve([[bc[i] for bc in bcols] for i in range(w)], l,
+                             [[int(k == i) for i in range(w)] for k in range(w)])
+    if not inside or rank != w:
         raise FalsificationError(
             "kernel-sum images under the two pencil generators differ",
             {"dim": n, "L_dim": L.dim, "A_image_dim": w,
-             "B_image_dim": b_dim if inside else _rank_int(bvs, n)})
-    # row r of work is T_r [B_L | I] with pivot p_r at column c_r < l, zero
-    # at the other pivots: x = sum_r e_(c_r) (D / p_r) T_r u solves B_L x = D u
-    D = lcm(*(row[pc] for pc, row in work.items()))
-    inverse = [(pc, D // row[pc], row[l:]) for pc, row in work.items()]
+             "B_image_dim": rank if inside else _rank_int(bvs, n)})
+    # the nonzero rows of R, at the pivot columns of B_L
+    inverse = [(c, r) for c, r in enumerate(zip(*xs)) if any(r)]
 
     def apply_m(u: Sequence[int]) -> list[int]:
         """M u = A_L R u."""
-        x = [(pc, f * sum(t * y for t, y in zip(tr, u))) for pc, f, tr in inverse]
+        x = [(pc, sum(map(mul, r, u))) for pc, r in inverse]
         return [sum(c * acols[pc][i] for pc, c in x) for i in range(w)]
 
     queue = [[D * a - y for a, y in zip(ac, apply_m(bc))] for ac, bc in zip(acols, bcols)]
@@ -288,12 +285,12 @@ def phi_operator(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     Am, Bm = _skew_rows(pencil._member(a1, a2), n), _skew_rows(pencil._member(b1, b2), n)
     acs, bcs = [_matvec(Am, c) for c in comp], [_matvec(Bm, c) for c in comp]
     gram = [[sum(map(mul, u, ac)) for ac in acs] for u in comp]
-    if _rank_int(gram, q) != q:
+    rank, D, columns = _solve(gram, q, [[sum(map(mul, u, bc)) for u in comp] for bc in bcs])
+    if rank != q:
         raise FalsificationError(
             "kernel of a regular member escapes the kernel sum",
             {"dim": n, "L_dim": L.dim, "Ltilde_dim": Ltilde.dim})
-    columns = _solve(gram, q, [[sum(map(mul, u, bc)) for u in comp] for bc in bcs])
-    return MatQ([[col[i] for col in columns] for i in range(q)], cols=q)
+    return MatQ._make(tuple(zip(*columns)), q, D)
 
 
 def char_poly(M: MatQ) -> list[Fraction]:

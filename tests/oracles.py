@@ -443,15 +443,16 @@ def two_solve_phi(pencil: SkewPencil, L: SubspaceQ, Ltilde: SubspaceQ,
     Am, Bm = _skew_rows(pencil._member(a1, a2), n), _skew_rows(pencil._member(b1, b2), n)
     grown = SubspaceQ(n, L.rows.values())
     comp = [row for _, row in sorted(Ltilde.rows.items()) if grown.add(row) is not None]
-    ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
+    _, D1, ws = _solve(Am, n, [_matvec(Bm, v) for v in comp])
     if None in ws:
         raise ArithmeticError("A w = B v has no solution")
     frame = comp + list(L.rows.values())
-    coords = _solve([[u[i] for u in frame] for i in range(n)], len(frame), ws)
+    # each w is its numerators over D1, so its coordinates are over D1 D2
+    _, D2, coords = _solve([[u[i] for u in frame] for i in range(n)], len(frame), ws)
     if None in coords:
         raise ArithmeticError("an image w lies outside Ltilde")
     q = len(comp)
-    return MatQ([[col[i] for col in coords] for i in range(q)], cols=q)
+    return MatQ([[Fraction(col[i], D1 * D2) for col in coords] for i in range(q)], cols=q)
 
 
 def fraction_char_poly(M: MatQ) -> list[Fraction]:

@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 from argshift.exactlin import (
     MatQ,
     SubspaceQ,
+    _cleared,
+    _matvec,
     _rank_int,
     _skew_kernel,
     _skew_rank,
     _skew_rows,
     _skew_triangle,
+    _solve,
     annihilator,
     image,
     rank_kernel,
@@ -115,6 +118,15 @@ def test_solve_and_invert():
     assert M * Minv == identity(2)
     with pytest.raises(ArithmeticError):
         invert(MatQ([[1, 1], [1, 1]]))
+
+
+def test_matq_refuses_ragged_rows_and_a_column_count_they_do_not_have():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        MatQ([[1, 2], [3]])
+    with pytest.raises(ValueError, match="rows of 2 entries for 3 columns"):
+        MatQ([[1, 2]], cols=3)
+    assert MatQ([[1, 2]], cols=2) == MatQ([[1, 2]])
+    assert MatQ([], cols=3).cols == 3
 
 
 def test_solve_many_matches_solve():
@@ -619,13 +631,20 @@ def check_solve_many(M, rhs):
     S = to_sympy(M)
     got = solve_many(M, rhs)
     assert len(got) == len(rhs)
-    for b, x in zip(rhs, got):
+    # the integer solve of the same systems: num y = den N for b = N / d
+    d, nums = _cleared(*rhs)
+    ints = [[M.den * c for c in num] for num in nums]
+    rank, D, ys = _solve(M.num, M.cols, ints)
+    assert rank == (S.rank() if M.rows else 0) and D > 0
+    for b, x, c_b, y in zip(rhs, got, ints, ys):
         bs = sympy.Matrix(M.rows, 1, [sympy.Rational(c.numerator, c.denominator)
                                       for c in vec(b)])
         consistent = S.row_join(bs).rank() == S.rank() if M.rows else True
-        assert (x is not None) == consistent
+        assert (x is not None) == (y is not None) == consistent
         if x is not None:
             assert M.matvec(x) == vec(b)
+            assert _matvec(M.num, y) == [D * c for c in c_b]
+            assert x == tuple(Fraction(c, D * d) for c in y)
         assert solve_many(M, [b])[0] == x
 
 

@@ -286,10 +286,11 @@ def thirds_split_sl2():
         (0, 1, {2: Fraction(-2, 3)}), (0, 2, {1: Fraction(2, 3)}), (1, 2, {0: Fraction(2, 3)})])
 
 
+# a matrix realization eliminates its span once, inside its solve
 @pytest.mark.parametrize("inputs, build, also", [
-    (tuple, lambda: make_classical("sl", 4), ()),
-    (tuple, lambda: make_classical("so", 4), ()),
-    (tuple, lambda: make_centralizer_sl(5, [2, 2, 1]), ()),
+    (tuple, lambda: make_classical("sl", 4), (exactlin._rank_int,)),
+    (tuple, lambda: make_classical("so", 4), (exactlin._rank_int,)),
+    (tuple, lambda: make_centralizer_sl(5, [2, 2, 1]), (exactlin._rank_int,)),
     (lambda: (make_vinberg(["1/2", "2/3", 3]),), lambda q: make_takiff(q, 2),
      (LieAlgebraData.bracket_coeffs,)),
     (lambda: (make_classical("sl", 3),), lambda q: make_takiff(q, 1),

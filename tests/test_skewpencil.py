@@ -695,8 +695,24 @@ def test_a_jordan_analysis_solves_one_gram_system(monkeypatch, name):
     monkeypatch.setattr(skewpencil, "_solve", counted)
     analysis = verify_com1(golden_pencil(name))
     q = analysis.Ltilde_dim - analysis.L_dim
-    assert analysis.kind == "jordan-mixed" and q > 0
-    assert calls == [(q, q, q)]
+    w, l = analysis.image_dim, analysis.L_dim
+    assert analysis.kind == "jordan-mixed" and q > 0 and (w, l) != (q, q)
+    assert calls.count((q, q, q)) == 1
+    # every other solve is the Wong sequence's right inverse of B on L
+    assert set(calls) - {(q, q, q)} <= {(w, l, w)}
+
+
+def test_phi_operator_builds_its_matrix_from_the_one_solve(monkeypatch):
+    pencil = golden_pencil("jordan-4")
+    analysis = verify_com1(pencil)
+    args = (pencil, analysis.L, analysis.Ltilde, analysis.A_ratio, analysis.B_ratio)
+    want = two_solve_phi(*args)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("phi_operator took a second route")
+    monkeypatch.setattr(skewpencil, "_rank_int", refuse)
+    monkeypatch.setattr(MatQ, "__init__", refuse)
+    assert phi_operator(*args, analysis.m) == want
 
 
 def annihilators(monkeypatch, pencil: SkewPencil) -> tuple[PencilAnalysis, list[int]]:

@@ -369,7 +369,7 @@ def cmd_reg_bols(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True)
     prof = _profile(L, args)
     xi = _vector(args, "xi", L.dim)
-    verdict = verify_bols(L, cs, prof, xi, seed=args.seed)
+    verdict = verify_bols(L, cs, prof, xi, seed=args.seed, bound=args.bound)
     report["verdicts"]["profile"] = prof.as_dict()
     report["verdicts"]["bols"] = verdict.as_dict()
     if not verdict.ok:
@@ -381,6 +381,8 @@ def cmd_reg_bols(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
 
 @_reported
 def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
+    if args.matrices and (args.algebra or args.xi or args.eta):
+        raise UsageError("choose either --matrices FILE or an algebra file with --xi and --eta")
     if args.matrices:
         raw, entry = _read_input(args.matrices)
         inputs["matrices"] = entry
@@ -483,8 +485,7 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any,
             # checked first: the generators of a large n cost seconds
             raise ValueError(f"meta names {family}({n}) of dimension {dim}, "
                              f"but the table has dimension {L.dim}")
-        # verified on the loaded table, at the default sample bound
-        cs = CasimirSet.verified(L, classical_casimir_polys(family, n), seed=seed)
+        cs = CasimirSet.verified(L, classical_casimir_polys(family, n), seed=seed, bound=bound)
         report["inputs"]["casimirs"] = {"derived": f"classical {family}({n})"}
     elif raw_cas is not None:
         # re-verify: centrality and independence are preconditions

@@ -25,6 +25,11 @@ Fractions).  The reduced row echelon basis over Q is a view for output.
 Callers that already hold integer rows hand them to SubspaceQ or enter
 at the private integer functions (_rank_int, _solve, and _skew_rank
 and _skew_kernel on triangles), which skip the Fraction round trip.
+
+_cleared is the one route from rationals (ints, Fractions, "p/q"
+strings) into integer numerators over their least common denominator,
+for every module, and _ratio_str the one way back out, as "p" or "p/q";
+rat_str is _ratio_str on a Fraction.
 """
 
 from __future__ import annotations
@@ -93,9 +98,13 @@ def _rat_pair(value: Scalar) -> tuple[int, int]:
 
 def rat_str(q: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" with positive denominator."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_str(q.numerator, q.denominator)
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """The rational p/q, q > 0, as "p" or "p/q" in lowest terms."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def vec(values: Iterable[Scalar]) -> VecQ:
@@ -103,7 +112,9 @@ def vec(values: Iterable[Scalar]) -> VecQ:
 
 
 def _cleared(*vectors: Iterable[Scalar]) -> tuple[int, list[list[int]]]:
-    """The vectors' integer numerators over their least common positive denominator."""
+    """The vectors' integer numerators over their least common positive
+    denominator D (1 with no entries): the lcm of denominators in lowest
+    terms leaves gcd(D, numerators) = 1."""
     qs = [[x if isinstance(x, (int, Fraction)) else rat(x) for x in v] for v in vectors]
     D = lcm(*(x.denominator for v in qs for x in v))
     return D, [[x.numerator * (D // x.denominator) for x in v] for v in qs]
@@ -119,17 +130,15 @@ class MatQ:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]], cols: Optional[int] = None):
-        a = [[x if isinstance(x, int) else rat(x) for x in row] for row in entries]
-        ncols = len(a[0]) if a else cols or 0
-        if any(len(row) != ncols for row in a):
+        den, num = _cleared(*entries)
+        ncols = len(num[0]) if num else cols or 0
+        if any(len(row) != ncols for row in num):
             raise ValueError("ragged matrix")
         if cols not in (None, ncols):
             raise ValueError(f"rows of {ncols} entries for {cols} columns")
-        # the lcm of the entries' denominators leaves no common factor
-        den = lcm(*(x.denominator for row in a for x in row))
-        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a)
+        self.num = tuple(map(tuple, num))
         self.den = den
-        self.rows = len(a)
+        self.rows = len(num)
         self.cols = ncols
 
     @classmethod
@@ -193,9 +202,7 @@ class MatQ:
     def matvec(self, v: Sequence[Scalar]) -> VecQ:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        w = vec(v)
-        d = lcm(*(x.denominator for x in w))
-        w = [x.numerator * (d // x.denominator) for x in w]
+        d, [w] = _cleared(v)
         return tuple(Fraction(x, self.den * d) for x in _matvec(self.num, w))
 
     def is_skew(self) -> bool:
@@ -228,15 +235,11 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _int_rows(rows: Sequence[Sequence[Union[int, Fraction]]]) -> list[list[int]]:
-    # clear denominators per row and strip the integer content: each
-    # row becomes a positive multiple of itself, which preserves row
-    # space, rank and kernel; int entries need no clearing
-    out: list[list[int]] = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append(_primitive([x.numerator * (mult // x.denominator) for x in row]))
-    return out
+def _int_rows(rows: Iterable[Iterable[Scalar]]) -> list[list[int]]:
+    # clear denominators and strip each row's integer content: each row
+    # becomes a positive multiple of itself, which preserves row space,
+    # rank and kernel
+    return [_primitive(row) for row in _cleared(*rows)[1]]
 
 
 def _echelon(work: list[list[int]], ncols: int) -> list[int]:
@@ -449,11 +452,10 @@ class SubspaceQ:
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> "SubspaceQ":
-        rows = [vec(v) for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return cls(ambient_dim, _int_rows(rows))
+        rows = _int_rows(vectors)
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient_dim, rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceQ":
@@ -512,7 +514,7 @@ class SubspaceQ:
     def contains(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return not any(self.reduce(_int_rows([vec(v)])[0]))
+        return not any(self.reduce(_cleared(v)[1][0]))
 
     def is_subspace_of(self, other: "SubspaceQ") -> bool:
         return not any(any(other.reduce(v)) for v in self.rows.values())

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
-from math import gcd, lcm
+from math import lcm
 from typing import Any, Sequence
 
-from .exactlin import MatQ, SubspaceQ, _rat_pair, rat, rat_str
+from .exactlin import MatQ, SubspaceQ, _rat_pair, _ratio_str, rat, rat_str
 from .liealg import BracketEntry, LieAlgebraData
 from .mfshift import ShiftFamily
 from .mpoly import MPoly, grlex_key
@@ -58,12 +58,6 @@ def _ratio(value: Any) -> tuple[int, int]:
         return _rat_pair(value)
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot interpret {value!r} as a rational") from exc
-
-
-def _ratio_str(p: int, q: int) -> str:
-    """The rational p/q, q > 0, as "p" or "p/q" in lowest terms."""
-    g = gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import MatQ, Scalar, SubspaceQ, _rank_int, _solve, annihilator, rat_str, vec
+from .exactlin import (MatQ, Scalar, SubspaceQ, _cleared, _rank_int, _ratio_str, _solve,
+                       annihilator, rat_str, vec)
 from .sampling import integer_coords, rng_stream
 
 # (i, j, {k: c}): [b_i, b_j] = sum of c b_k, each c an int or a Fraction
@@ -57,10 +58,9 @@ class LieAlgebraData:
             raise ValueError("basis names must be unique")
         self.dim = dim
         self.basis_names = tuple(basis_names)
-        d = lcm(*(c.denominator for coeffs in table.values() for c in coeffs.values()))
-        num = {key: form for key, coeffs in table.items()
-               if (form := {k: c.numerator * (d // c.denominator)
-                            for k, c in coeffs.items() if c})}
+        d, rows = _cleared(*(coeffs.values() for coeffs in table.values()))
+        num = {key: form for (key, coeffs), row in zip(table.items(), rows)
+               if (form := {k: c for k, c in zip(coeffs, row) if c})}
         # over the lcm d the numerators are in lowest terms; den may not be
         if den > 1 and (g := gcd(den, *(c for form in num.values() for c in form.values()))) > 1:
             num = {key: {k: c // g for k, c in form.items()} for key, form in num.items()}
@@ -179,7 +179,7 @@ def validate(L: LieAlgebraData) -> ValidationReport:
                     return ValidationReport(
                         False, "jacobi", (i, j, k),
                         f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
-                        f"coefficient of {names[l]} is {rat_str(Fraction(c, L.den ** 2))}")
+                        f"coefficient of {names[l]} is {_ratio_str(c, L.den ** 2)}")
     return ValidationReport(True)
 
 

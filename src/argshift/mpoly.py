@@ -16,7 +16,7 @@ from math import ceil, comb, gcd as int_gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactlin import Scalar, _cleared, _rank_int, rat, rat_str, vec
+from .exactlin import Scalar, _cleared, _rank_int, _ratio_str, rat
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -31,14 +31,14 @@ class MPoly:
     __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[tuple[int, ...], Scalar]] = None):
-        clean = {tuple(e): cf for e, c in (terms or {}).items() if (cf := rat(c))}
-        for exps in clean:
+        given = {tuple(e): c for e, c in (terms or {}).items()}
+        den, [nums] = _cleared(given.values())
+        num = {e: c for e, c in zip(given, nums) if c}
+        for exps in num:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
-        # over the lcm of the denominators the numerators are in lowest terms
-        den = lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.num = num
         self.den = den
 
     # --- constructors -------------------------------------------------
@@ -195,11 +195,9 @@ class MPoly:
         """
         if self.is_zero():
             raise ValueError("param_expand of the zero polynomial")
-        pt = vec(xi)
-        if len(pt) != self.nvars:
+        D, [X] = _cleared(xi)
+        if len(X) != self.nvars:
             raise ValueError("shift direction length mismatch")
-        D = lcm(*(x.denominator for x in pt))
-        X = [x.numerator * (D // x.denominator) for x in pt]
         d = self.degree()
         acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(d + 1)]
         for exps, c in self.num.items():
@@ -222,18 +220,17 @@ class MPoly:
             names = [f"x{i}" for i in range(self.nvars)]
         if len(names) != self.nvars:
             raise ValueError("name list length mismatch")
-        terms = self.terms
         pieces = []
-        for e in sorted(terms, key=grlex_key, reverse=True):
-            c = terms[e]
+        for e in sorted(self.num, key=grlex_key, reverse=True):
+            c = self.num[e]
             factors = [names[i] if k == 1 else f"{names[i]}^{k}"
                        for i, k in enumerate(e) if k]
             if not factors:
-                body = rat_str(abs(c))
-            elif abs(c) == 1:
+                body = _ratio_str(abs(c), self.den)
+            elif abs(c) == self.den:
                 body = "*".join(factors)
             else:
-                body = "*".join([rat_str(abs(c))] + factors)
+                body = "*".join([_ratio_str(abs(c), self.den)] + factors)
             pieces.append(("- " if c < 0 else "+ ") + body)
         first = pieces[0]
         out = ("-" + first[2:]) if first.startswith("- ") else first[2:]
@@ -442,10 +439,7 @@ def _root_cells(h: dict[int, Fraction], lc: int) -> list[int]:
     while max(seq[-1]) > 0:
         seq.append({k: -c for k, c in _dense_divmod(seq[-2], seq[-1])[1].items()})
     # scale each member by a positive integer: signs, hence V, are kept
-    dense: list[list[int]] = []
-    for p in seq:
-        den = lcm(*(c.denominator for c in p.values()))
-        dense.append([int(p.get(k, 0) * den) for k in range(max(p) + 1)])
+    dense = [_cleared([p.get(k, 0) for k in range(max(p) + 1)])[1][0] for p in seq]
 
     def variations(s: int) -> int:
         # sign of p(s/lc) is that of lc^deg(p) p(s/lc), an integer
@@ -521,8 +515,7 @@ def rational_roots(coeffs: Sequence[Scalar]) -> dict[Fraction, int]:
         roots[Fraction(0)] = shift
     if len(cs) == 1:
         return roots
-    den = lcm(*(c.denominator for c in cs))
-    ints = [int(c * den) for c in cs]
+    _, [ints] = _cleared(cs)
     content = int_gcd(*ints) * (1 if ints[-1] > 0 else -1)
     f = {k: Fraction(a // content) for k, a in enumerate(ints) if a}
     lc = ints[-1] // content

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (MatQ, Scalar, _cleared, _skew_rank, _skew_rows, _solve, _triangle,
-                       faddeev_leverrier, vec)
+                       faddeev_leverrier)
 from .liealg import AlgebraProfile, LieAlgebraData, classical_matrix_basis, make_classical, make_takiff
 from .mpoly import MPoly, _gradient_rank, gradient_table
 from .sampling import integer_coords, rng_stream
@@ -216,9 +216,9 @@ def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
     """The skew form K[i][j] = <xi, [b_i, b_j]> at a point of the dual,
     formed on the integer structure table of L with the denominators of
     xi cleared."""
-    pt = vec(xi)
-    pden, [ipt] = _cleared(pt)
-    return KirillovForm(pt, _kirillov_triangle(L, ipt), pden * L.den)
+    pden, [ipt] = _cleared(xi)
+    return KirillovForm(tuple(Fraction(x, pden) for x in ipt), _kirillov_triangle(L, ipt),
+                        pden * L.den)
 
 
 def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,

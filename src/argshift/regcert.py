@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactlin import Scalar, _cleared, _skew_rank, rat_str, vec
+from .exactlin import Scalar, _cleared, _ratio_str, _skew_rank, rat_str
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mfshift import EXACT, build_family, degree_profile
 from .mpoly import MPoly, _gradient_rank, gradient_rank, gradient_table, poly_gcd
@@ -98,20 +98,21 @@ def kostant_criterion(L: LieAlgebraData, casimirs: CasimirSet,
     if casimirs.sum_degrees != profile.b_q:
         raise ValueError(
             f"criterion needs degree sum {profile.b_q}, got {casimirs.sum_degrees}")
-    pt = vec(xi)
-    krank = kirillov(L, pt).rank
-    jrank = jacobian_rank(casimirs.generators, pt)
+    # one integer point P / D for both ranks
+    D, [P] = _cleared(xi)
+    krank = _skew_rank(_kirillov_triangle(L, P), L.dim)
+    jrank = _gradient_rank(gradient_table(casimirs.generators), P, None, D)
     regular = krank == m
     independent = jrank == len(casimirs)
     if regular != independent:
         raise FalsificationError(
             "regularity and differential independence disagree",
             {"dim": L.dim, "ind": profile.ind,
-             "point": [rat_str(x) for x in pt],
+             "point": _rendered(P, D),
              "kirillov_rank": krank, "generic_rank": m,
              "jacobian_rank": jrank, "generator_count": len(casimirs),
              "degrees": list(casimirs.degrees)})
-    return KostantVerdict(pt, krank, regular, jrank, independent)
+    return KostantVerdict(tuple(Fraction(x, D) for x in P), krank, regular, jrank, independent)
 
 
 # --- plane certificates -----------------------------------------------------
@@ -181,7 +182,7 @@ def _recursion_gcd(cp: Sequence[Fraction], A_ratio: tuple[Fraction, Fraction],
 
 def _rendered(nums: Sequence[int], den: int) -> list[str]:
     """The point nums / den as rational strings."""
-    return [rat_str(Fraction(x, den)) for x in nums]
+    return [_ratio_str(x, den) for x in nums]
 
 
 def _spans_plane(xi: Sequence[Scalar], eta: Sequence[Scalar]) -> bool:
@@ -508,7 +509,7 @@ class BolsVerdict:
 
 def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile,
                 xi: Sequence[Scalar], codim2: Optional[Codim2Certificate] = None,
-                seed: int = 0) -> BolsVerdict:
+                seed: int = 0, bound: int = 9) -> BolsVerdict:
     """Maximality-of-dimension criterion at a shift direction.
 
     Three premises: generator degrees sum to the bound, the singular
@@ -516,7 +517,8 @@ def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile
     the shift family at xi attains the maximal transcendence degree;
     the verdict says which premise broke otherwise.  An already
     computed codimension certificate can be passed in to avoid
-    recomputation.
+    recomputation; otherwise one is drawn at seed with sample height
+    bound.
     """
     dp = degree_profile(casimirs, profile)
     if dp.classification != EXACT:
@@ -524,7 +526,7 @@ def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile
                            f"degree sum {dp.sum_degrees} vs bound {dp.b_q}: "
                            f"{dp.classification}")
     if codim2 is None:
-        codim2 = certify_codim2(L, profile, seed=seed)
+        codim2 = certify_codim2(L, profile, seed=seed, bound=bound)
     if not codim2.ok:
         return BolsVerdict(False, dp.classification, False, False,
                            "singular set contains a divisor", codim2)

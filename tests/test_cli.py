@@ -552,6 +552,18 @@ def test_pencil_analyze_requires_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [["SL2"], ["--xi", "1,0,0"], ["--eta", "0,0,1"],
+                                   ["SL2", "--xi", "1,0,0", "--eta", "0,0,1"]])
+def test_pencil_analyze_refuses_matrices_with_an_algebra_or_a_plane(capsys, tmp_path,
+                                                                    sl2_file, extra):
+    path = tmp_path / "pencil.json"
+    jsonio.write_json(str(path), {"A": [["0", "1"], ["-1", "0"]], "B": [["0", "2"], ["-2", "0"]]})
+    argv = [sl2_file if x == "SL2" else x for x in extra]
+    assert main(["pencil", "analyze", *argv, "--matrices", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: choose either --matrices FILE or an algebra file with --xi and --eta\n")
+
+
 def test_pipeline_sl3_classical(capsys, tmp_path):
     alg = tmp_path / "sl3.json"
     assert main(["algebra", "build", "sl", "3", "--out", str(alg)]) == 0
@@ -1044,3 +1056,35 @@ def test_codim2_planes_tried_counts_dependent_draws(capsys, sl2_file):
     assert report["verdicts"]["codim2"] == {
         "m": 2, "method": "plane", "ok": True, "pfaffians_checked": 0,
         "planes_tried": 2, "seed": 2, "witness": None}
+
+
+@pytest.fixture
+def sl3_classical(tmp_path):
+    alg, cas = tmp_path / "sl3.json", tmp_path / "sl3_cas.json"
+    assert main(["algebra", "build", "sl", "3", "--out", str(alg)]) == 0
+    L = jsonio.algebra_from_json(jsonio.read_json(str(alg)))
+    gens = CasimirSet.verified(L, classical_casimirs("sl", 3).generators)
+    jsonio.write_json(str(cas), jsonio.casimirs_to_json(gens))
+    return str(alg), str(cas)
+
+
+def test_reg_bols_draws_its_codim2_certificate_at_the_bound(capsys, sl3_classical):
+    # at seed 2 and bound 1 the first sl3 plane fails and the second
+    # certifies; at the default bound the first one does
+    alg, cas = sl3_classical
+    sampled = ["--seed", "2", "--bound", "1"]
+    code, codim2 = run(capsys, "reg", "codim2", alg, *sampled)
+    assert code == 0 and codim2["verdicts"]["codim2"]["planes_tried"] == 2
+    code, bols = run(capsys, "reg", "bols", alg, cas, "--xi", "1,0,0,0,1,0,0,0", *sampled)
+    assert code == 0
+    assert bols["verdicts"]["bols"]["codim2"] == codim2["verdicts"]["codim2"]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_classical_pipeline_draws_its_independence_witness_within_the_bound(
+        capsys, sl3_classical, bound):
+    alg, _ = sl3_classical
+    code, report = run(capsys, "pipeline", "run", alg, "--classical", "--bound", str(bound))
+    assert code == 0
+    witness = [Fraction(x) for x in report["casimirs"]["independence_witness"]]
+    assert max(map(abs, witness)) <= bound

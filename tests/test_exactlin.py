@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from argshift.exactlin import (
@@ -18,6 +18,7 @@ from argshift.exactlin import (
     SubspaceQ,
     _cleared,
     _matvec,
+    _ratio_str,
     _rank_int,
     _skew_kernel,
     _skew_rank,
@@ -73,6 +74,45 @@ def test_rat_parsing_and_rendering():
     assert rat("−2") == Fraction(-2)
     assert rat_str(Fraction(-3, 7)) == "-3/7"
     assert rat_str(Fraction(8, 4)) == "2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+def test_ratio_str_renders_p_over_q_in_lowest_terms(p, q):
+    assert _ratio_str(p, q) == str(Fraction(p, q)) == rat_str(Fraction(p, q))
+
+
+# a rational as an int, a Fraction or a "p/q" string, all of which _cleared takes
+scalars = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(-50, 50, max_denominator=60),
+    st.tuples(st.integers(-50, 50), st.integers(1, 60)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(scalars, max_size=5), max_size=4))
+@example([])
+@example([[], []])
+def test_cleared_gives_numerators_in_lowest_terms_over_one_denominator(vectors):
+    # the vectors go in as lists and as generators; both clear alike
+    D, nums = _cleared(*vectors)
+    assert (D, nums) == _cleared(*(iter(v) for v in vectors))
+    assert D > 0
+    if not any(vectors):
+        assert D == 1
+    assert [len(num) for num in nums] == [len(v) for v in vectors]
+    for v, num in zip(vectors, nums):
+        assert all(type(x) is int for x in num)
+        assert [Fraction(x, D) for x in num] == [rat(x) for x in v]
+    assert gcd(D, *(x for num in nums for x in num)) == 1
+
+
+def test_string_entries_build_the_integer_form():
+    M = MatQ([["1/2", "-2/3"], ["0", "5"]])
+    assert M == MatQ._make(((3, -4), (0, 30)), 2, 6)
+    assert (M.num, M.den) == (((3, -4), (0, 30)), 6)
+    assert M.matvec(["1/3", 1]) == (Fraction(-1, 2), Fraction(5))
 
 
 def test_rank_kernel_skew_example():

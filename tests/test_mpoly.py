@@ -60,6 +60,16 @@ def test_basic_arithmetic_and_display():
     assert MPoly.zero(3).pretty() == "0"
 
 
+def test_string_coefficients_build_the_integer_form_and_render_from_it():
+    p = MPoly(2, {(1, 0): "-1/2", (0, 1): "3/2", (0, 0): "1", (1, 1): "0"})
+    assert p == MPoly._make(2, {(1, 0): -1, (0, 1): 3, (0, 0): 2}, 2)
+    assert (p.num, p.den) == ({(1, 0): -1, (0, 1): 3, (0, 0): 2}, 2)
+    assert p.pretty() == "-1/2*x0 + 3/2*x1 + 1"
+    q = MPoly(2, {(2, 0): "1/2", (0, 1): "-1"})
+    assert (q.num, q.den) == ({(2, 0): 1, (0, 1): -2}, 2)
+    assert q.pretty(["a", "b"]) == "1/2*a^2 - b"
+
+
 def test_degree_and_homogeneity():
     assert C.degree() == 2 and C.is_homogeneous()
     assert MPoly.zero(3).degree() == -1

@@ -12,6 +12,10 @@ The same walk finds leftovers of a deleted route: a name a module
 imports and never reads, and a module-level alias or constant that
 nothing in the package reads outside its own assignment.  The package's
 ``__init__`` imports only to re-export, so its imports are left out.
+
+It also keeps one route from rationals into integer numerators: an
+``lcm`` whose arguments read ``.denominator`` clears rationals, and only
+``exactlin._cleared`` may do that.
 """
 
 import ast
@@ -87,6 +91,28 @@ def unread_module_names(src: Path = SRC) -> list[str]:
     return dead
 
 
+def denominator_clearings(src: Path = SRC) -> list[str]:
+    """`module.function` of every lcm(...) call in src whose arguments
+    read `.denominator`, the function named with its enclosing classes
+    and functions (the module alone at module level), in source order."""
+    trees, _ = _parsed(src)
+    found: list[str] = []
+
+    def walk(node: ast.AST, where: list[str]) -> None:
+        if isinstance(node, DEFS):
+            where = [*where, node.name]
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm" and \
+                any("denominator" in _reads(arg) for arg in [*node.args, *node.keywords]):
+            found.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for module, tree in trees.items():
+        walk(tree, [module])
+    return found
+
+
 def test_every_private_def_in_the_package_is_referenced():
     assert unreferenced_private_defs() == []
 
@@ -141,3 +167,25 @@ def test_a_name_another_module_reads_is_read(tmp_path):
     (tmp_path / "other.py").write_text("from .mod import Rows\n\ndef f(r: Rows):\n    pass\n",
                                        encoding="utf-8")
     assert unread_module_names(tmp_path) == []
+
+
+def test_only_cleared_turns_denominators_into_an_lcm():
+    assert denominator_clearings() == ["exactlin._cleared"]
+
+
+@pytest.mark.parametrize("body, found", [
+    ("from math import lcm\n\ndef f(xs):\n    return lcm(*(x.denominator for x in xs))\n",
+     ["mod.f"]),
+    ("import math\n\nclass A:\n    def g(self, q):\n        return math.lcm(2, q.denominator)\n",
+     ["mod.A.g"]),
+    ("from math import lcm\n\nD = lcm(*[x.denominator for x in (1, 2)])\n", ["mod"]),
+    ("from math import lcm\n\ndef f(pairs):\n    return lcm(*(q for _, q in pairs))\n", []),
+    ("from math import gcd\n\ndef f(x):\n    return gcd(x.numerator, x.denominator)\n", []),
+    ("from math import lcm\n\ndef f(x):\n    d = x.denominator\n    return lcm(d, 2)\n", []),
+])
+def test_guard_finds_lcms_over_denominators(tmp_path, body, found):
+    (tmp_path / "mod.py").write_text(body, encoding="utf-8")
+    (tmp_path / "exactlin.py").write_text(
+        "from math import lcm\n\ndef _cleared(*vs):\n"
+        "    return lcm(*(x.denominator for v in vs for x in v))\n", encoding="utf-8")
+    assert denominator_clearings(tmp_path) == ["exactlin._cleared", *found]

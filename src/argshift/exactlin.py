@@ -69,7 +69,8 @@ def _rat_pair(value: Scalar) -> tuple[int, int]:
     """value as (p, q) in lowest terms, q > 0.
 
     "p" and "p/q" are read by int; other strings by Fraction, stripped
-    and with the unicode minus sign read as "-".  A value whose numerator
+    and with the unicode minus sign read as "-".  A zero denominator is
+    a ValueError, as any other malformed string is.  A value whose numerator
     or denominator would have more than _DIGITS digits is refused, and
     is not built when the string has more digits or an exponent past
     4 _DIGITS (10^e, or a denominator of at least 2^-e): building
@@ -83,7 +84,10 @@ def _rat_pair(value: Scalar) -> tuple[int, int]:
         text = value.strip().replace("−", "-")
         exp = _EXPONENT(text)
         if sum(map(str.isdigit, text)) <= _DIGITS and not (exp and abs(int(exp[1])) > 4 * _DIGITS):
-            x = Fraction(text)
+            try:
+                x = Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"cannot interpret {value!r} as a rational") from None
             if max(abs(x.numerator), x.denominator) < _BOUND:
                 return x.numerator, x.denominator
         shown = value if len(value) <= 40 else value[:30] + "..."
@@ -136,10 +140,7 @@ class MatQ:
             raise ValueError("ragged matrix")
         if cols not in (None, ncols):
             raise ValueError(f"rows of {ncols} entries for {cols} columns")
-        self.num = tuple(map(tuple, num))
-        self.den = den
-        self.rows = len(num)
-        self.cols = ncols
+        self.num, self.den, self.rows, self.cols = tuple(map(tuple, num)), den, len(num), ncols
 
     @classmethod
     def _make(cls, num: tuple[tuple[int, ...], ...], cols: int, den: int = 1) -> "MatQ":
@@ -566,8 +567,9 @@ def _solve(rows: Sequence[Sequence[int]], cols: int, rhs_list: Sequence[Sequence
         if len(b) != len(rows):
             raise ValueError("shape mismatch")
     width = cols + len(rhs_list)
-    reduced = SubspaceQ(width, [[*row, *(b[i] for b in rhs_list)]
-                                for i, row in enumerate(rows)]).rows
+    # zip(*rhs_list) is empty with no right-hand side, whose rows still count
+    bs = zip(*rhs_list) if rhs_list else repeat(())
+    reduced = SubspaceQ(width, [[*row, *b] for row, b in zip(rows, bs)]).rows
     solved = [(pc, row) for pc, row in reduced.items() if pc < cols]
     D = lcm(*(row[pc] for pc, row in solved))
     scaled = [(pc, D // row[pc], row) for pc, row in solved]  # x[pc] = D row[col] / row[pc]

@@ -52,12 +52,10 @@ def _count(data: Any, key: str, what: str) -> int:
 
 def _ratio(value: Any) -> tuple[int, int]:
     """value as (p, q) in lowest terms, q > 0."""
-    try:
-        if isinstance(value, bool):   # a JSON true or false, an int to Python
-            raise TypeError
+    # a JSON true or false is an int to Python
+    if isinstance(value, (str, int, Fraction)) and not isinstance(value, bool):
         return _rat_pair(value)
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+    raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:

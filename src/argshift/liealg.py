@@ -56,8 +56,7 @@ class LieAlgebraData:
             raise ValueError("basis name count does not match dimension")
         if len(set(basis_names)) != dim:
             raise ValueError("basis names must be unique")
-        self.dim = dim
-        self.basis_names = tuple(basis_names)
+        self.dim, self.basis_names = dim, tuple(basis_names)
         d, rows = _cleared(*(coeffs.values() for coeffs in table.values()))
         num = {key: form for (key, coeffs), row in zip(table.items(), rows)
                if (form := {k: c for k, c in zip(coeffs, row) if c})}
@@ -456,17 +455,11 @@ class AlgebraProfile:
         return cls(dim=dim, ind=ind, status="declared")
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "ind": self.ind,
-            "status": self.status,
-            "b_q": (self.dim + self.ind) // 2 if (self.dim + self.ind) % 2 == 0 else None,
-            "max_rank_seen": self.max_rank_seen,
-            "witness": [rat_str(x) for x in self.witness] if self.witness else None,
-            "seed": self.seed,
-            "trials": self.trials,
-            "bound": self.bound,
-        }
+        return {"dim": self.dim, "ind": self.ind, "status": self.status,
+                "b_q": (self.dim + self.ind) // 2 if (self.dim + self.ind) % 2 == 0 else None,
+                "max_rank_seen": self.max_rank_seen,
+                "witness": [rat_str(x) for x in self.witness] if self.witness else None,
+                "seed": self.seed, "trials": self.trials, "bound": self.bound}
 
 
 def semidirect_index_report(g: LieAlgebraData, rho: Sequence[MatQ],
@@ -496,17 +489,9 @@ def semidirect_index_report(g: LieAlgebraData, rho: Sequence[MatQ],
         if max_orbit == dim_g:
             break
     applies = max_orbit == dim_g
-    return {
-        "dim_g": dim_g,
-        "dim_v": dim_v,
-        "max_orbit_dim_seen": max_orbit,
-        "orbit_witness": [rat_str(x) for x in witness] if witness else None,
-        "formula_applies": applies,
-        "predicted_ind": dim_v - dim_g if applies else None,
-        "note": ("generic orbit reaches dim g; index = dim V - dim g"
-                 if applies else
-                 "no sampled orbit reached dim g; formula not established"),
-        "seed": seed,
-        "trials": trials,
-        "bound": bound,
-    }
+    return {"dim_g": dim_g, "dim_v": dim_v, "max_orbit_dim_seen": max_orbit,
+            "orbit_witness": [rat_str(x) for x in witness] if witness else None,
+            "formula_applies": applies, "predicted_ind": dim_v - dim_g if applies else None,
+            "note": ("generic orbit reaches dim g; index = dim V - dim g" if applies
+                     else "no sampled orbit reached dim g; formula not established"),
+            "seed": seed, "trials": trials, "bound": bound}

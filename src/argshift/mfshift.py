@@ -66,10 +66,8 @@ class ShiftFamily:
             shifts = f.param_expand(xi)
             members += (ShiftMember(gi, j, p) for j, p in enumerate(shifts[:-1])
                         if not p.is_zero())
-        self.algebra = algebra
-        self.xi = xi
-        self.generators = generators
-        self.members = tuple(members)
+        self.algebra, self.xi, self.generators, self.members = (algebra, xi, generators,
+                                                                 tuple(members))
 
     @property
     def polys(self) -> tuple[MPoly, ...]:
@@ -168,15 +166,9 @@ def degree_profile(casimirs: CasimirSet, profile: AlgebraProfile) -> DegreeProfi
     if len(casimirs) != profile.ind:
         raise ValueError(
             f"need ind = {profile.ind} generators, got {len(casimirs)}")
-    target = profile.b_q
-    total = casimirs.sum_degrees
-    if total < target:
-        cls = DEFICIT
-    elif total == target:
-        cls = EXACT
-    else:
-        cls = EXCESS
-    return DegreeProfile(target, total, cls)
+    target, total = profile.b_q, casimirs.sum_degrees
+    return DegreeProfile(target, total, DEFICIT if total < target else
+                         EXACT if total == target else EXCESS)
 
 
 def _linear_row(p: MPoly) -> list[int]:

@@ -37,9 +37,7 @@ class MPoly:
         for exps in num:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
-        self.nvars = nvars
-        self.num = num
-        self.den = den
+        self.nvars, self.num, self.den = nvars, num, den
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -51,9 +49,7 @@ class MPoly:
             num = {e: c // g for e, c in num.items()}
             den //= g
         p = object.__new__(cls)
-        p.nvars = nvars
-        p.num = num
-        p.den = den
+        p.nvars, p.num, p.den = nvars, num, den
         return p
 
     @classmethod
@@ -99,8 +95,7 @@ class MPoly:
         return max((sum(e) for e in self.num), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.num}
-        return len(degrees) <= 1
+        return len({sum(e) for e in self.num}) <= 1
 
     def variables(self) -> set[int]:
         return {i for e in self.num for i in range(self.nvars) if e[i]}

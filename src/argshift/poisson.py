@@ -222,17 +222,31 @@ def kirillov(L: LieAlgebraData, xi: Sequence[Scalar]) -> KirillovForm:
 
 
 def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
-                   bound: int = 9) -> AlgebraProfile:
+                   bound: int = 9, casimirs: Optional[CasimirSet] = None) -> AlgebraProfile:
     """Index estimate dim - max sampled Kirillov rank, with witness point.
 
     Sampling can only overestimate the index (never reach too high a
     rank), so the estimate is an upper bound that is exact once any
     regular point is hit.  Points stay integer coordinates and forms
     integer triangles, on one walk of the table; only the witness is Fractions.
+
+    trials is a budget: sampling stops at the first trial whose rank
+    reaches a ceiling no rank passes, so the profile is the one every
+    trial gives (the witness is the first point of maximal rank).  A
+    skew form has even rank: the ceiling is dim - l rounded down to
+    even, l = len(casimirs) or 0.  casimirs must come from
+    CasimirSet.verified on this L; casimirs_from_json does not verify,
+    and a wrong set could end sampling early.  Each verified f has
+    K(x) grad f(x) = 0 at every x, and the l gradients are independent
+    at the set's witness, so on a dense open set.  It meets the open set
+    of generic rank, so ker K(x) there has dimension l or more.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n = L.dim
+    if casimirs is not None and casimirs.nvars != n:
+        raise ValueError("Casimirs live on the wrong space")
+    ceiling = (n - (len(casimirs) if casimirs else 0)) & ~1
     walk = _kirillov_walk(L)
     max_rank = 0
     witness: Optional[tuple[int, ...]] = None
@@ -241,6 +255,8 @@ def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
         r = _skew_rank(_kirillov_triangle(L, pt, walk), n)
         if r > max_rank:
             max_rank, witness = r, pt
+        if max_rank == ceiling:
+            break
     return AlgebraProfile(
         dim=n, ind=n - max_rank, status="estimated", max_rank_seen=max_rank,
         witness=None if witness is None else tuple(map(Fraction, witness)),
@@ -273,9 +289,7 @@ class CasimirSet:
 
     def __init__(self, nvars: int, generators: Sequence[MPoly],
                  degrees: Sequence[int], independence_witness: Optional[tuple[Scalar, ...]]):
-        self.nvars = nvars
-        self.generators = tuple(generators)
-        self.degrees = tuple(degrees)
+        self.nvars, self.generators, self.degrees = nvars, tuple(generators), tuple(degrees)
         self.independence_witness = independence_witness
 
     @classmethod

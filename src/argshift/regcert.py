@@ -58,8 +58,7 @@ def _check_profile(L: LieAlgebraData, profile: AlgebraProfile) -> int:
 
 def is_regular(L: LieAlgebraData, profile: AlgebraProfile, xi: Sequence[Scalar]) -> bool:
     """Does the skew form at xi reach the generic rank dim - ind?"""
-    m = _check_profile(L, profile)
-    return kirillov(L, xi).rank == m
+    return _check_profile(L, profile) == kirillov(L, xi).rank
 
 
 def jacobian_rank(polys: Sequence[MPoly], pt: Sequence[Scalar]) -> int:
@@ -530,8 +529,7 @@ def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile
     if not codim2.ok:
         return BolsVerdict(False, dp.classification, False, False,
                            "singular set contains a divisor", codim2)
-    regular = is_regular(L, profile, xi)
-    if not regular:
+    if not is_regular(L, profile, xi):
         return BolsVerdict(False, dp.classification, True, False,
                            "shift direction is not a regular point", codim2)
     return BolsVerdict(True, dp.classification, True, True,

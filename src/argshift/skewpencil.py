@@ -55,8 +55,7 @@ class FalsificationError(Exception):
 
     def __init__(self, claim: str, bundle: dict):
         super().__init__(claim)
-        self.claim = claim
-        self.bundle = bundle
+        self.claim, self.bundle = claim, bundle
 
 
 class SkewPencil:

@@ -26,6 +26,11 @@ tests can hold the package's route against it.
   forms built from the Fraction bracket table at Fraction points and
   ranked by ``bareiss_skew_rank``.  ``poisson.estimate_index`` ranks
   integer forms from the algebra's integer table.
+- ``estimate_index_all_trials``: the sampled index estimate over every
+  trial of the budget, on integer points and integer forms.
+  ``poisson.estimate_index`` stops at the first trial whose rank
+  reaches the ceiling the parity of a skew form and a verified Casimir
+  set certify instead.
 - ``_rref`` and ``_rank_kernel_int``: the integer reduced row echelon
   form of a batch of integer rows by one Bareiss elimination and
   back-elimination, and the rank and canonical kernel read off it with
@@ -93,13 +98,14 @@ from typing import Any, Iterable, Optional, Sequence
 import sympy
 
 from argshift.exactlin import (MatQ, Scalar, SubspaceQ, _echelon, _int_rows, _primitive,
-                               _rank_int, _skew_rows, _solve, faddeev_leverrier, rat_str,
-                               vec)
+                               _rank_int, _skew_rank, _skew_rows, _solve, faddeev_leverrier,
+                               rat_str, vec)
 from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
 from argshift.mfshift import ShiftFamily
 from argshift.mpoly import MPoly, determinant, poly_gcd
-from argshift.poisson import Action, _action_width, _coadjoint, _frozen_pairs, _pack
+from argshift.poisson import (Action, _action_width, _coadjoint, _frozen_pairs,
+                              _kirillov_triangle, _kirillov_walk, _pack)
 from argshift.regcert import FalsificationError
 from argshift.sampling import integer_coords, rng_stream
 from argshift.skewpencil import SkewPencil, _matvec
@@ -313,6 +319,24 @@ def estimate_index_by_bareiss(L: LieAlgebraData, trials: int, seed: int,
     return AlgebraProfile(dim=L.dim, ind=L.dim - max_rank, status="estimated",
                           max_rank_seen=max_rank, witness=witness,
                           seed=seed, trials=trials, bound=bound)
+
+
+def estimate_index_all_trials(L: LieAlgebraData, trials: int = 24, seed: int = 0,
+                              bound: int = 9) -> AlgebraProfile:
+    """The sampled index estimate over every trial, each integer point's
+    Kirillov triangle ranked by Pfaffian elimination."""
+    walk = _kirillov_walk(L)
+    max_rank = 0
+    witness: Optional[tuple[int, ...]] = None
+    for t in range(trials):
+        pt = integer_coords(rng_stream(seed, "index-sample", t), L.dim, bound)
+        r = _skew_rank(_kirillov_triangle(L, pt, walk), L.dim)
+        if r > max_rank:
+            max_rank, witness = r, pt
+    return AlgebraProfile(
+        dim=L.dim, ind=L.dim - max_rank, status="estimated", max_rank_seen=max_rank,
+        witness=None if witness is None else tuple(map(Fraction, witness)),
+        seed=seed, trials=trials, bound=bound)
 
 
 def _rref(work: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -6,17 +6,19 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import argshift
-from argshift import jsonio, regcert
+from argshift import cli, jsonio, regcert
 from argshift.cli import COMMANDS, main
-from argshift.liealg import LieAlgebraData, make_classical, make_takiff
+from argshift.liealg import LieAlgebraData, make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly
 from argshift.poisson import CasimirSet, classical_casimirs, estimate_index, takiff_lift
 from argshift.regcert import PlaneCertificate, find_regular_plane
+from oracles import estimate_index_all_trials
 
 SL2 = make_classical("sl", 2)
 
@@ -1086,3 +1088,108 @@ def test_classical_pipeline_draws_its_independence_witness_within_the_bound(
     assert code == 0
     witness = [Fraction(x) for x in report["casimirs"]["independence_witness"]]
     assert max(map(abs, witness)) <= bound
+
+
+SL3_REGULAR = "1,0,0,0,1,0,0,0"
+
+
+def test_reg_commands_sample_the_index_up_to_the_ceiling_of_their_casimirs(
+        capsys, index_samples, sl3_classical):
+    # sl3 has dim 8 and two independent Casimirs: the first sample of
+    # rank 6 ends the estimate; without them the ceiling is 8, never reached
+    alg, cas = sl3_classical
+    for argv in (["point", alg, "--xi", SL3_REGULAR, "--casimirs", cas],
+                 ["bols", alg, cas, "--xi", SL3_REGULAR],
+                 ["compl", alg, cas, "--xi", SL3_REGULAR, "--eta", "0,1,0,0,0,0,1,0"]):
+        index_samples.clear()
+        code, report = run(capsys, "reg", *argv)
+        assert code == 0 and index_samples == [0]
+        assert report["verdicts"]["profile"] == estimate_index_all_trials(_loaded(alg)).as_dict()
+    index_samples.clear()
+    code, report = run(capsys, "reg", "point", alg, "--xi", SL3_REGULAR)
+    assert code == 0 and index_samples == list(range(24))
+    assert "kostant" not in report["verdicts"]
+
+
+def test_classical_pipeline_samples_the_index_once(capsys, index_samples, sl3_classical):
+    alg, _ = sl3_classical
+    code, report = run(capsys, "pipeline", "run", alg, "--classical")
+    assert code == 0 and index_samples == [0]
+    assert report["verdicts"]["estimate-index"] == estimate_index_all_trials(
+        _loaded(alg)).as_dict()
+
+
+def test_codim2_on_a_centralizer_samples_every_trial(capsys, index_samples, tmp_path):
+    alg = tmp_path / "z_sl5.json"
+    jsonio.write_json(str(alg), jsonio.algebra_to_json(make_centralizer_sl(5, [2, 2, 1])))
+    code, report = run(capsys, "reg", "codim2", str(alg))
+    assert code == 0 and index_samples == list(range(24))
+    assert report["verdicts"]["profile"]["ind"] == 4
+
+
+@pytest.mark.parametrize("casimirs", ["noncentral", "meta"])
+def test_pipeline_casimirs_that_fail_certify_no_ceiling_and_fail_at_their_stage(
+        capsys, index_samples, sl3_classical, tmp_path, casimirs):
+    # a Casimir file with a non-Casimir, or --classical on a table whose
+    # meta names another n: the Casimirs are built before estimate-index,
+    # and their error is raised at the casimirs stage, as it was before
+    alg, _ = sl3_classical
+    if casimirs == "noncentral":
+        gens = [*classical_casimirs("sl", 3).generators, MPoly.variable(8, 0)]
+        bad = tmp_path / "bad.json"
+        jsonio.write_json(str(bad), {"nvars": 8, "generators": [
+            jsonio.poly_to_json(p) for p in gens]})
+        argv, entry = [alg, "--casimirs", str(bad)], {"path": "bad.json"}
+        error = "not a Casimir: bracket with x_"
+    else:
+        data = jsonio.algebra_to_json(make_classical("sl", 3))
+        data["meta"]["n"] = 2
+        alg = str(tmp_path / "sl3_meta.json")
+        jsonio.write_json(alg, data)
+        argv, entry = [alg, "--classical"], {"derived": "classical"}
+        error = "meta names sl(2) of dimension 3, but the table has dimension 8"
+    code, report = run(capsys, "pipeline", "run", *argv)
+    assert code == 1 and index_samples == list(range(24))
+    assert report["failed_stage"] == "casimirs"
+    verdicts = report["verdicts"]
+    assert verdicts["estimate-index"] == estimate_index_all_trials(_loaded(alg)).as_dict()
+    assert verdicts["codim2"]["ok"]
+    assert verdicts["casimirs"]["ok"] is False
+    assert verdicts["casimirs"]["error"].startswith(error)
+    assert all(verdicts[name] == {"skipped": "stage 'casimirs' failed"}
+               for name in STAGES[STAGES.index("casimirs") + 1:])
+    assert entry.items() <= report["inputs"]["casimirs"].items()
+    assert "casimirs" not in report
+
+
+def test_pipeline_times_the_casimirs_at_their_own_stage(capsys, monkeypatch, sl2_file):
+    # the Casimirs are built during the estimate-index step, and their
+    # time is reported under casimirs, not estimate-index
+    polys = cli.classical_casimir_polys
+
+    def slow(*args):
+        time.sleep(0.2)
+        return polys(*args)
+
+    monkeypatch.setattr(cli, "classical_casimir_polys", slow)
+    code, report = run(capsys, "pipeline", "run", sl2_file, "--classical")
+    assert code == 0
+    assert report["timings"]["casimirs"] >= 0.2 > report["timings"]["estimate-index"]
+
+
+def test_a_zero_denominator_in_a_point_is_a_parse_error(capsys, sl2_file):
+    assert main(["reg", "point", sl2_file, "--xi", "1/0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == ("error: cannot parse --xi '1/0,0,0': "
+                            "cannot interpret '1/0' as a rational\n")
+
+
+def test_classical_pipeline_names_the_algebra_by_meta_n_read_as_an_int(capsys, tmp_path):
+    data = jsonio.algebra_to_json(make_classical("sl", 2))
+    data["meta"]["n"] = " 2"
+    alg = tmp_path / "sl2_meta.json"
+    jsonio.write_json(str(alg), data)
+    code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
+    assert code == 0
+    assert report["inputs"]["casimirs"] == {"derived": "classical sl(2)"}

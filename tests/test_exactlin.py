@@ -833,3 +833,27 @@ def test_solve_many_and_rank_kernel_with_a_denominator(r, c, d, data):
     assert all(x is not None for x in sols[:len(reached)])
     for b, x in zip(reached + free, sols):
         assert x is None or fraction_matvec(fm, x) == [Fraction(y) for y in b]
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", " 1/0 ", "+1/00", "−2/0", "0/0"])
+def test_a_zero_denominator_is_a_value_error_as_any_malformed_string_is(text):
+    message = f"cannot interpret {text!r} as a rational"
+    for build in (rat, lambda x: SubspaceQ.span([[1, x]], 2), lambda x: MatQ([[x]]),
+                  lambda x: _cleared([1, x])):
+        with pytest.raises(ValueError) as err:
+            build(text)
+        assert str(err.value) == message
+
+
+def test_solve_with_no_right_hand_side_still_ranks_the_rows():
+    assert _solve([[1, 2], [2, 4], [0, 3]], 2, []) == (2, 1, [])
+    assert _solve([[0, 0, 0]], 3, []) == (0, 1, [])
+    assert _solve([[2, 4], [1, 3]], 2, []) == (2, 1, [])
+
+
+def test_solve_with_no_rows():
+    # every right-hand side is empty, so consistent, and x is 0
+    assert _solve([], 3, [[], []]) == (0, 1, [[0, 0, 0], [0, 0, 0]])
+    assert _solve([], 2, []) == (0, 1, [])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _solve([], 2, [[1]])

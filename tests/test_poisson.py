@@ -12,9 +12,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import argshift
@@ -28,9 +30,9 @@ from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, clas
                               frozen_bracket, is_casimir, kirillov,
                               takiff_lift)
 from argshift.sampling import integer_coords, rng_stream
-from oracles import (bareiss_skew_rank, estimate_index_by_bareiss, evaluate, fraction_kirillov,
-                     grad_at, integer_point, randint_coords, takiff_lift_by_substitution,
-                     var_coeffs)
+from oracles import (bareiss_skew_rank, estimate_index_all_trials, estimate_index_by_bareiss,
+                     evaluate, fraction_kirillov, grad_at, integer_point, randint_coords,
+                     takiff_lift_by_substitution, var_coeffs)
 
 SL2 = make_classical("sl", 2)
 X_E = MPoly.variable(3, 0)
@@ -188,6 +190,72 @@ def test_estimate_index_matches_the_fraction_bareiss_route(name):
                     got.bound) == (want.ind, want.max_rank_seen, want.witness,
                                    want.seed, want.trials, want.bound)
             assert got.as_dict() == want.as_dict()
+
+
+def _known_casimirs(name: str) -> tuple:
+    """An algebra and Casimirs known to be central and independent."""
+    if name in ("sl2", "sl3", "gl3"):
+        family, n = name[:2], int(name[2])
+        return make_classical(family, n), classical_casimir_polys(family, n)
+    if name.startswith("takiff"):
+        level = int(name[-2])
+        return make_takiff(SL2, level), takiff_lift(SL2, CAS, level)
+    x = [MPoly.variable(3, i) for i in range(3)]
+    if name == "vinberg(1,-1)":    # s scales v1 and v2 by 1 and -1
+        return make_vinberg((1, -1)), [x[1] * x[2]]
+    if name == "vinberg(1,2)":     # only the rational invariant v1^2 / v2
+        return make_vinberg((1, 2)), []
+    if name == "sl2/so2":
+        return make_sl2_so2_contraction(), [x[1] * x[1] + x[2] * x[2]]
+    # the centralizer of e in sl(n) has e, here its basis vector z2, as centre
+    n, parts = {"z_sl3[2,1]": (3, [2, 1]), "z_sl4[2,1,1]": (4, [2, 1, 1])}[name]
+    L = make_centralizer_sl(n, parts)
+    return L, [MPoly.variable(L.dim, 1)]
+
+
+CEILING_CASES = ["sl2", "sl3", "gl3", "takiff(sl2,1)", "takiff(sl2,2)", "vinberg(1,-1)",
+                 "vinberg(1,2)", "sl2/so2", "z_sl3[2,1]", "z_sl4[2,1,1]"]
+
+
+@lru_cache(maxsize=None)
+def _verified_subsets(name: str) -> tuple:
+    """The algebra and every subset of its known Casimirs, verified."""
+    L, polys = _known_casimirs(name)
+    return L, [CasimirSet.verified(L, list(compress(polys, mask)))
+               for mask in product((0, 1), repeat=len(polys))]
+
+
+@pytest.mark.parametrize("name", CEILING_CASES)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), trials=st.integers(1, 30),
+       bound=st.sampled_from([1, 2, 3, 9, 99]))
+@example(seed=0, trials=1, bound=9)
+@example(seed=0, trials=24, bound=9)
+def test_sampling_to_the_ceiling_gives_the_profile_of_every_trial(name, seed, trials, bound):
+    # a verified set of l Casimirs caps every rank at dim - l, so the
+    # first sample that reaches it is the witness all trials would pick
+    L, subsets = _verified_subsets(name)
+    want = estimate_index_all_trials(L, trials, seed, bound).as_dict()
+    for cs in (None, *subsets):
+        got = estimate_index(L, trials=trials, seed=seed, bound=bound, casimirs=cs)
+        assert got.as_dict() == want
+
+
+def test_the_ceiling_ends_sampling_at_the_first_sample_that_reaches_it(index_samples):
+    L, subsets = _verified_subsets("gl3")
+    # gl3 has dim 9 and index 3, and seed 0 reaches rank 6 at its first
+    # sample: the ceiling is 6 with two or three Casimirs, 8 with fewer
+    every = list(range(24))
+    for cs, want in ((subsets[-1], [0]), (subsets[3], [0]), (subsets[1], every),
+                     (subsets[0], every), (None, every)):
+        index_samples.clear()
+        assert estimate_index(L, casimirs=cs).max_rank_seen == 6
+        assert index_samples == want
+    # the parity bound alone: sl2 has dim 3, so no rank passes 2
+    index_samples.clear()
+    assert estimate_index(SL2).max_rank_seen == 2 and index_samples == [0]
+    with pytest.raises(ValueError, match="wrong space"):
+        estimate_index(L, casimirs=_verified_subsets("sl3")[1][-1])
 
 
 @pytest.mark.parametrize("name", ["sl3", "takiff(sl2,1)", "vinberg(1,2)"])

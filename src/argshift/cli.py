@@ -66,6 +66,14 @@ def _read_input(path: str) -> tuple[Any, dict]:
                     "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def _from_file(path: str, parse: Callable[..., Any], *args: Any) -> Any:
+    """parse(*args), a ValueError from it a usage error naming path."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _parse_ratlist(text: str, what: str) -> tuple[Fraction, ...]:
     try:
         return tuple(rat(p) for p in text.split(","))
@@ -84,14 +92,9 @@ def _vector(args: argparse.Namespace, name: str, dim: int) -> tuple[Fraction, ..
 
 def _load_algebra(args: argparse.Namespace, path: str,
                   inputs: dict) -> LieAlgebraData:
-    raw, entry = _read_input(path)
-    inputs["algebra"] = entry
-    try:
-        L = jsonio.algebra_from_json(raw)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    args._algebra = L
-    return L
+    raw, inputs["algebra"] = _read_input(path)
+    args._algebra = _from_file(path, jsonio.algebra_from_json, raw)
+    return args._algebra
 
 
 def _profile(L: LieAlgebraData, args: argparse.Namespace,
@@ -189,10 +192,7 @@ def cmd_algebra_build(args: argparse.Namespace) -> int:
 
 def _load_poly(path: str, inputs: dict, key: str, L: LieAlgebraData) -> MPoly:
     raw, inputs[key] = _read_input(path)
-    try:
-        p = jsonio.poly_from_json(raw)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    p = _from_file(path, jsonio.poly_from_json, raw)
     if p.nvars != L.dim:
         raise UsageError("polynomial variable count does not match the algebra")
     return p
@@ -234,27 +234,26 @@ def cmd_poisson_index(args: argparse.Namespace, report: dict, inputs: dict) -> b
 
 # --- shift ------------------------------------------------------------------
 
-def _load_casimirs(args: argparse.Namespace, path: str, inputs: dict,
-                   L: LieAlgebraData, verify: bool = False) -> CasimirSet:
-    """The Casimir file, re-verified on L when the verdict rests on it."""
-    raw, entry = _read_input(path)
-    inputs["casimirs"] = entry
-    try:
-        cs = jsonio.casimirs_from_json(raw)
-        if cs.nvars != L.dim:
-            raise UsageError("Casimir variable count does not match the algebra")
-        if verify:
-            cs = CasimirSet.verified(L, cs.generators, seed=args.seed, bound=args.bound)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    return cs
+def _load_generators(args: argparse.Namespace, inputs: dict,
+                     L: LieAlgebraData) -> tuple[MPoly, ...]:
+    """The generators of the --casimirs file, on the dual of L."""
+    raw, inputs["casimirs"] = _read_input(args.casimirs)
+    nvars, gens = _from_file(args.casimirs, jsonio.casimirs_from_json, raw)
+    if nvars != L.dim:
+        raise UsageError("Casimir variable count does not match the algebra")
+    return gens
+
+
+def _load_casimirs(args: argparse.Namespace, inputs: dict, L: LieAlgebraData) -> CasimirSet:
+    """The --casimirs file verified on L, for a verdict that rests on it."""
+    return _from_file(args.casimirs, CasimirSet.verified, L, _load_generators(args, inputs, L),
+                      args.seed, args.bound)
 
 
 def _build_family_from_args(args: argparse.Namespace, inputs: dict):
     L = _load_algebra(args, args.algebra, inputs)
-    cs = _load_casimirs(args, args.casimirs, inputs, L)
-    xi = _vector(args, "xi", L.dim)
-    return L, build_family(L, cs, xi)
+    gens = _load_generators(args, inputs, L)
+    return L, build_family(L, gens, _vector(args, "xi", L.dim))
 
 
 def cmd_shift_build(args: argparse.Namespace) -> int:
@@ -288,7 +287,7 @@ def cmd_shift_certify(args: argparse.Namespace, report: dict, inputs: dict) -> b
 @_reported
 def cmd_reg_point(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True) if args.casimirs else None
+    cs = _load_casimirs(args, inputs, L) if args.casimirs else None
     prof = _profile(L, args, cs)
     xi = _vector(args, "xi", L.dim)
     m = L.dim - prof.ind
@@ -346,7 +345,7 @@ def cmd_reg_codim2(args: argparse.Namespace, report: dict, inputs: dict) -> bool
 @_reported
 def cmd_reg_compl(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True)
+    cs = _load_casimirs(args, inputs, L)
     prof = _profile(L, args, cs)
     xi = _vector(args, "xi", L.dim)
     eta = _vector(args, "eta", L.dim)
@@ -366,7 +365,7 @@ def cmd_reg_compl(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
 @_reported
 def cmd_reg_bols(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
     L = _load_algebra(args, args.algebra, inputs)
-    cs = _load_casimirs(args, args.casimirs, inputs, L, verify=True)
+    cs = _load_casimirs(args, inputs, L)
     prof = _profile(L, args, cs)
     xi = _vector(args, "xi", L.dim)
     verdict = verify_bols(L, cs, prof, xi, seed=args.seed, bound=args.bound)
@@ -472,7 +471,7 @@ def _casimirs(args: argparse.Namespace, L: LieAlgebraData, raw_cas: Any) -> Casi
                              f"but the table has dimension {L.dim}")
         gens = classical_casimir_polys(family, n)
     else:
-        gens = () if raw_cas is None else jsonio.casimirs_from_json(raw_cas).generators
+        gens = () if raw_cas is None else jsonio.casimirs_from_json(raw_cas)[1]
     return CasimirSet.verified(L, gens, seed=args.seed, bound=args.bound)
 
 
@@ -543,9 +542,9 @@ def _stages(args: argparse.Namespace, report: dict, raw_alg: Any, raw_cas: Any,
         None if cert.ok else [{"i": i, "j": j, "route": route}
                               for i, j, route in cert.failures])
 
-    plane = codim2.plane    # codim-2's search, the same one as this stage's
-    if plane is None or plane.attempts_used > args.attempts:
-        plane = find_regular_plane(L, prof, seed=seed, attempts=args.attempts, bound=bound)
+    # codim-2's search, the same one as this stage's, read as far as it went
+    plane = find_regular_plane(L, prof, seed=seed, attempts=args.attempts, bound=bound,
+                               tried=codim2.plane.tried if codim2.plane else ())
     yield plane.found, plane.as_dict(), None
 
     compl = verify_compl(L, cs, prof, plane.spec, certificate=plane.certificate,

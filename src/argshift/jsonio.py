@@ -151,7 +151,7 @@ def algebra_from_json(data: Any) -> LieAlgebraData:
 
 
 def casimirs_to_json(cs: CasimirSet) -> dict:
-    out: dict[str, Any] = {"nvars": cs.nvars,
+    out: dict[str, Any] = {"nvars": cs.algebra.dim,
                            "generators": [poly_to_json(p) for p in cs.generators],
                            "degrees": list(cs.degrees)}
     if cs.independence_witness is not None:
@@ -159,8 +159,10 @@ def casimirs_to_json(cs: CasimirSet) -> dict:
     return out
 
 
-def casimirs_from_json(data: Any) -> CasimirSet:
-    """Parse without re-verifying; CasimirSet.verified re-checks on demand."""
+def casimirs_from_json(data: Any) -> tuple[int, tuple[MPoly, ...]]:
+    """The file's nvars and generators.  Its degrees and independence
+    witness are checked for form and dropped: only CasimirSet.verified
+    makes a set, and it derives both."""
     nvars = _count(data, "nvars", "Casimir file")
     gens = tuple(poly_from_json(d)
                  for d in _array(data.get("generators", []), "Casimir generators"))
@@ -168,29 +170,19 @@ def casimirs_from_json(data: Any) -> CasimirSet:
         if p.nvars != nvars:
             raise ValueError(f"generator {k} has nvars {p.nvars}, but the Casimir file "
                              f"has nvars {nvars}")
-    degrees = tuple(p.degree() for p in gens)
     if "degrees" in data:
         given = [_int(d, "degree") for d in _array(data["degrees"], "degrees")]
-        if given != list(degrees):
-            raise ValueError(f"degrees {given} do not match the generators' "
-                             f"degrees {list(degrees)}")
-    witness = None
+        if given != (degrees := [p.degree() for p in gens]):
+            raise ValueError(f"degrees {given} do not match the generators' degrees {degrees}")
     if data.get("independence_witness") is not None:
-        witness = vector_from_json(data["independence_witness"])
-    return CasimirSet(nvars, gens, degrees, witness)
+        vector_from_json(data["independence_witness"])
+    return nvars, gens
 
 
 def subspace_to_json(S: SubspaceQ) -> dict:
     # each canonical row over its positive pivot entry is the RREF row
     return {"ambient": S.ambient_dim,
             "basis": [[_ratio_str(x, row[c]) for x in row] for c, row in sorted(S.rows.items())]}
-
-
-def subspace_from_json(data: dict) -> SubspaceQ:
-    ambient = _count(data, "ambient", "subspace")
-    return SubspaceQ.span([vector_from_json(row)
-                           for row in _array(data.get("basis", []), "subspace basis")],
-                          ambient)
 
 
 def family_to_json(fam: ShiftFamily) -> dict:
@@ -231,11 +223,6 @@ def _key(key: Any) -> str:
     if key is None or isinstance(key, (int, float)):
         return json.dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write_json(path: str, obj: Any) -> None:

@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactlin import (MatQ, Scalar, SubspaceQ, _cleared, _rank_int, _ratio_str, _solve,
-                       annihilator, rat_str, vec)
-from .sampling import integer_coords, rng_stream
+from .exactlin import (MatQ, Scalar, SubspaceQ, _cleared, _ratio_str, _solve, annihilator,
+                       rat_str, vec)
 
 # (i, j, {k: c}): [b_i, b_j] = sum of c b_k, each c an int or a Fraction
 BracketEntry = tuple[int, int, dict[int, Fraction]]
@@ -98,17 +97,6 @@ class LieAlgebraData:
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
         return {k: Fraction(c, self.den) for k, c in self._form(i, j).items()}
-
-    def bracket_vectors(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        """[x, y] for elements given in basis coordinates."""
-        xv, yv = vec(x), vec(y)
-        out = [Fraction(0)] * self.dim
-        for i, j, coeffs in self.pairs():
-            factor = xv[i] * yv[j] - xv[j] * yv[i]
-            if factor:
-                for k, c in coeffs.items():
-                    out[k] += factor * c
-        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LieAlgebraData)
@@ -460,38 +448,3 @@ class AlgebraProfile:
                 "max_rank_seen": self.max_rank_seen,
                 "witness": [rat_str(x) for x in self.witness] if self.witness else None,
                 "seed": self.seed, "trials": self.trials, "bound": self.bound}
-
-
-def semidirect_index_report(g: LieAlgebraData, rho: Sequence[MatQ],
-                            trials: int = 20, seed: int = 0, bound: int = 9) -> dict:
-    """Index prediction dim V - dim g for g acting on abelian V.
-
-    The formula applies only when some covector of V has an orbit of
-    full dimension dim g; this is tested by sampling the rank of the
-    infinitesimal orbit map.  When the sampled maximum falls short the
-    report says the formula is not established instead of asserting it.
-    """
-    dim_g = len(rho)
-    if dim_g != g.dim:
-        raise ValueError("need one action matrix per basis vector of g")
-    dim_v = rho[0].rows
-    max_orbit = 0
-    witness = None
-    for t in range(trials):
-        rng = rng_stream(seed, "semidirect-orbit", t)
-        zeta = integer_coords(rng, dim_v, bound)
-        # row i is zeta times rho[i], cleared of rho[i]'s denominator
-        rows = [[sum(zeta[b] * act.num[b][a] for b in range(dim_v)) for a in range(dim_v)]
-                for act in rho]
-        r = _rank_int(rows, dim_v)
-        if r > max_orbit:
-            max_orbit, witness = r, zeta
-        if max_orbit == dim_g:
-            break
-    applies = max_orbit == dim_g
-    return {"dim_g": dim_g, "dim_v": dim_v, "max_orbit_dim_seen": max_orbit,
-            "orbit_witness": [rat_str(x) for x in witness] if witness else None,
-            "formula_applies": applies, "predicted_ind": dim_v - dim_g if applies else None,
-            "note": ("generic orbit reaches dim g; index = dim V - dim g" if applies
-                     else "no sampled orbit reached dim g; formula not established"),
-            "seed": seed, "trials": trials, "bound": bound}

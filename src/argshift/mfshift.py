@@ -45,13 +45,19 @@ class ShiftFamily:
     deg f, those that vanish identically dropped.  The coefficient of
     a^deg(f) is the constant f(xi) and is dropped as well.  So every
     member is the shift coefficient it names, which certify_commutative
-    relies on.
+    relies on.  generators is a CasimirSet verified on the algebra,
+    kept as casimirs, or polynomials, and then casimirs is None.
     """
 
-    __slots__ = ("algebra", "xi", "generators", "members")
+    __slots__ = ("algebra", "xi", "generators", "members", "casimirs")
 
     def __init__(self, algebra: LieAlgebraData, xi: Sequence[Scalar],
-                 generators: tuple[MPoly, ...]):
+                 generators: Union[CasimirSet, Sequence[MPoly]]):
+        casimirs = None
+        if isinstance(generators, CasimirSet):
+            generators.check_on(algebra)
+            casimirs, generators = generators, generators.generators
+        generators = tuple(generators)
         if not generators:
             raise ValueError("no generators to shift")
         xi = vec(xi)
@@ -66,8 +72,8 @@ class ShiftFamily:
             shifts = f.param_expand(xi)
             members += (ShiftMember(gi, j, p) for j, p in enumerate(shifts[:-1])
                         if not p.is_zero())
-        self.algebra, self.xi, self.generators, self.members = (algebra, xi, generators,
-                                                                 tuple(members))
+        self.algebra, self.xi, self.generators, self.members, self.casimirs = (
+            algebra, xi, generators, tuple(members), casimirs)
 
     @property
     def polys(self) -> tuple[MPoly, ...]:
@@ -85,14 +91,13 @@ class ShiftFamily:
 
 def build_family(L: LieAlgebraData, generators: Union[CasimirSet, Sequence[MPoly]],
                  xi: Sequence[Scalar]) -> ShiftFamily:
-    """The shift family of generators (a CasimirSet or polynomials) at xi.
+    """The shift family of generators (a CasimirSet verified on L, or
+    polynomials) at xi.
 
     Coefficients that vanish identically (for special xi) are dropped,
     so the member list can be shorter than the degree sum.
     """
-    gens = tuple(generators.generators if isinstance(generators, CasimirSet)
-                 else generators)
-    return ShiftFamily(L, xi, gens)
+    return ShiftFamily(L, xi, generators)
 
 
 @dataclass
@@ -108,10 +113,12 @@ def certify_commutative(family: ShiftFamily) -> CommutativityCertificate:
 
     The Casimir pencil certifies the whole family at once
     (Mishchenko-Fomenko) on two premises: every generator passes the
-    exact is_casimir check, run here, and every member is the shift
-    coefficient it names, which ShiftFamily guarantees by building
-    them.  With f_k the member (generator f, power k), 0 when dropped,
-    and c_ij^k the structure constants, f a Casimir gives the identity
+    exact is_casimir check, and every member is the shift coefficient
+    it names, which ShiftFamily guarantees by building them.  A family
+    built from a CasimirSet rests on the check CasimirSet.verified ran
+    on this table; polynomial generators are checked here.  With f_k
+    the member (generator f, power k), 0 when dropped, and c_ij^k the
+    structure constants, f a Casimir gives the identity
     sum over j, k of c_ij^k (x_k + a xi_k) d_j f(x + a xi) = 0 for every
     a and i, and its coefficient of a^(k+1) is the chain
     {x_i, f_(k+1)} = -{x_i, f_k}_xi, its a^0 coefficient {x_i, f_0} = 0;
@@ -132,7 +139,7 @@ def certify_commutative(family: ShiftFamily) -> CommutativityCertificate:
     L = family.algebra
     polys = family.polys
     total = len(polys) * (len(polys) - 1) // 2
-    if all(is_casimir(L, f).ok for f in family.generators):
+    if family.casimirs is not None or all(is_casimir(L, f).ok for f in family.generators):
         return CommutativityCertificate(True, total, (), "casimir-pencil")
     failures: list[tuple[int, int, str]] = []
     for i in range(len(polys)):

@@ -234,18 +234,17 @@ def estimate_index(L: LieAlgebraData, trials: int = 24, seed: int = 0,
     reaches a ceiling no rank passes, so the profile is the one every
     trial gives (the witness is the first point of maximal rank).  A
     skew form has even rank: the ceiling is dim - l rounded down to
-    even, l = len(casimirs) or 0.  casimirs must come from
-    CasimirSet.verified on this L; casimirs_from_json does not verify,
-    and a wrong set could end sampling early.  Each verified f has
-    K(x) grad f(x) = 0 at every x, and the l gradients are independent
-    at the set's witness, so on a dense open set.  It meets the open set
-    of generic rank, so ker K(x) there has dimension l or more.
+    even, l = len(casimirs) or 0, and a set verified on another table
+    is refused.  Each verified f has K(x) grad f(x) = 0 at every x, and
+    the l gradients are independent at the set's witness, so on a dense
+    open set.  It meets the open set of generic rank, so ker K(x) there
+    has dimension l or more.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n = L.dim
-    if casimirs is not None and casimirs.nvars != n:
-        raise ValueError("Casimirs live on the wrong space")
+    if casimirs is not None:
+        casimirs.check_on(L)
     ceiling = (n - (len(casimirs) if casimirs else 0)) & ~1
     walk = _kirillov_walk(L)
     max_rank = 0
@@ -279,18 +278,22 @@ def is_casimir(L: LieAlgebraData, f: MPoly) -> CasimirCheck:
 
 
 class CasimirSet:
-    """A verified tuple of central generators.
+    """Central generators, verified on the structure table they keep.
 
-    Construction checks each generator exactly and witnesses algebraic
-    independence by a rational point where the Jacobian has full rank.
+    verified is the only constructor: it checks each generator exactly,
+    witnesses algebraic independence by a rational point where the
+    Jacobian has full rank, and records the algebra.  The set cannot be
+    changed after that, and every consumer calls check_on, which
+    refuses a set verified on another table.
     """
 
-    __slots__ = ("nvars", "generators", "degrees", "independence_witness")
+    __slots__ = ("algebra", "generators", "degrees", "independence_witness")
 
-    def __init__(self, nvars: int, generators: Sequence[MPoly],
-                 degrees: Sequence[int], independence_witness: Optional[tuple[Scalar, ...]]):
-        self.nvars, self.generators, self.degrees = nvars, tuple(generators), tuple(degrees)
-        self.independence_witness = independence_witness
+    def __init__(self, *args: object, **kwargs: object):
+        raise TypeError("a CasimirSet is built only by CasimirSet.verified")
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError("a verified CasimirSet cannot be changed")
 
     @classmethod
     def verified(cls, L: LieAlgebraData, polys: Sequence[MPoly], seed: int = 0,
@@ -307,16 +310,27 @@ class CasimirSet:
                 raise ValueError(
                     f"not a Casimir: bracket with x_{name} gives "
                     f"{chk.witness.pretty([f'x_{m}' for m in L.basis_names])}")
-        if not gens:
-            return cls(L.dim, (), (), None)
-        l = len(gens)
-        table = gradient_table(gens)
-        for t in range(60):
-            rng = rng_stream(seed, "casimir-independence", t)
-            pt = integer_coords(rng, L.dim, bound)
-            if _gradient_rank(table, pt, None, 1) == l:
-                return cls(L.dim, gens, tuple(p.degree() for p in gens), pt)
-        raise ValueError("could not witness algebraic independence of the generators")
+        witness = None
+        if gens:
+            table = gradient_table(gens)
+            for t in range(60):
+                pt = integer_coords(rng_stream(seed, "casimir-independence", t), L.dim, bound)
+                if _gradient_rank(table, pt, None, 1) == len(gens):
+                    witness = pt
+                    break
+            else:
+                raise ValueError("could not witness algebraic independence of the generators")
+        cs = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (L, gens, tuple(p.degree() for p in gens),
+                                               witness)):
+            object.__setattr__(cs, name, value)
+        return cs
+
+    def check_on(self, L: LieAlgebraData) -> None:
+        """Refuse L unless the set was verified on L's structure table."""
+        A = self.algebra
+        if (A.dim, A.den, A.num) != (L.dim, L.den, L.num):
+            raise ValueError("the Casimirs were verified on another table")
 
     def __len__(self) -> int:
         return len(self.generators)

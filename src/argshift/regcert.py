@@ -90,6 +90,7 @@ def kostant_criterion(L: LieAlgebraData, casimirs: CasimirSet,
     differentials are independent there.  Both sides are computed
     separately; disagreement is a falsification, not a failure.
     """
+    casimirs.check_on(L)
     m = _check_profile(L, profile)
     if len(casimirs) != profile.ind:
         raise ValueError(
@@ -261,6 +262,8 @@ class FindPlaneResult:
     attempts_used: int
     spec: Optional[PlaneSpec] = None
     certificate: Optional[PlaneCertificate] = None
+    # the certificate of each draw, None where its points span no plane
+    tried: tuple[Optional[PlaneCertificate], ...] = field(default=(), repr=False)
 
     def as_dict(self) -> dict:
         return {"found": self.found, "attempts_used": self.attempts_used,
@@ -269,21 +272,27 @@ class FindPlaneResult:
 
 
 def find_regular_plane(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
-                       attempts: int = 20, bound: int = 9) -> FindPlaneResult:
-    """Search seeded sample planes for one that certifies regular."""
+                       attempts: int = 20, bound: int = 9,
+                       tried: Sequence[Optional[PlaneCertificate]] = ()) -> FindPlaneResult:
+    """Search seeded sample planes for one that certifies regular.
+
+    tried is the `tried` of an earlier search on L and profile at the
+    same seed and bound: its draws are read, not certified again."""
     _check_profile(L, profile)
     last: Optional[PlaneCertificate] = None
+    certs: list[Optional[PlaneCertificate]] = []
     for t in range(attempts):
         rng = rng_stream(seed, "plane-search", t)
         xi = integer_coords(rng, L.dim, bound)
         eta = integer_coords(rng, L.dim, bound)
-        if not _spans_plane(xi, eta):
-            continue
-        cert = certify_regular_plane(L, profile, xi, eta)
-        last = cert
-        if cert.ok:
-            return FindPlaneResult(True, t + 1, PlaneSpec(xi, eta), cert)
-    return FindPlaneResult(False, attempts, None, last)
+        cert = (tried[t] if t < len(tried) else
+                certify_regular_plane(L, profile, xi, eta) if _spans_plane(xi, eta) else None)
+        certs.append(cert)
+        if cert is not None:
+            last = cert
+            if cert.ok:
+                return FindPlaneResult(True, t + 1, PlaneSpec(xi, eta), cert, tuple(certs))
+    return FindPlaneResult(False, attempts, None, last, tuple(certs))
 
 
 # --- whole-dual certificate -------------------------------------------------
@@ -355,7 +364,8 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
     skew matrix is constant, that is, the gcd g of its principal m x m
     Pfaffians is (see module docstring).  A regular plane is a sound
     shortcut: find_regular_plane draws up to `planes`, all counted in
-    planes_tried, and the certificate keeps the plane it found.  Else g
+    planes_tried, and the certificate keeps that search, found or not,
+    so a later search can go on from it.  Else g
     is computed over the Pfaffians themselves, and a nonconstant g^2,
     the gcd of the minors, is returned as the witness divisor.
     """
@@ -377,11 +387,12 @@ def certify_codim2(L: LieAlgebraData, profile: AlgebraProfile, seed: int = 0,
                            {"dim": L.dim, "ind": profile.ind, "m": m,
                             "profile_status": profile.status}, profile)
     if g.is_constant():
-        return Codim2Certificate(True, m, "symbolic", plane.attempts_used, checked, seed)
+        return Codim2Certificate(True, m, "symbolic", plane.attempts_used, checked, seed,
+                                 plane=plane)
     names = [f"x_{nm}" for nm in L.basis_names]
     witness = g * g
     return Codim2Certificate(False, m, "symbolic", plane.attempts_used, checked, seed,
-                             witness=witness, witness_pretty=witness.pretty(names))
+                             witness=witness, witness_pretty=witness.pretty(names), plane=plane)
 
 
 # --- completeness checks ----------------------------------------------------
@@ -428,6 +439,7 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
     so one integer rank per pair decides it.  Only a failure builds the
     family, to report its size.
     """
+    casimirs.check_on(L)
     if len(casimirs) != profile.ind:
         raise ValueError(
             f"need ind = {profile.ind} generators, got {len(casimirs)}")
@@ -519,6 +531,7 @@ def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile
     recomputation; otherwise one is drawn at seed with sample height
     bound.
     """
+    casimirs.check_on(L)
     dp = degree_profile(casimirs, profile)
     if dp.classification != EXACT:
         return BolsVerdict(False, dp.classification, False, False,

@@ -86,6 +86,12 @@ tests can hold the package's route against it.
   ``jsonio`` reads each coefficient as an integer pair and hands
   integer numerators over one denominator to ``MPoly`` and
   ``LieAlgebraData`` instead.
+- ``semidirect_index_report``: the predicted index dim V - dim g of g
+  acting on an abelian V, where a sampled orbit reaches dim g.  No
+  command reads it; the acceptance suite does.
+- ``unverified_casimirs``: a ``CasimirSet`` that skips
+  ``CasimirSet.verified``, the only route the package has, so tests can
+  hand the dual-route checks a generator that is no Casimir.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ from argshift.jsonio import _array, _count, _field, _int
 from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
 from argshift.mfshift import ShiftFamily
 from argshift.mpoly import MPoly, determinant, poly_gcd
-from argshift.poisson import (Action, _action_width, _coadjoint, _frozen_pairs,
+from argshift.poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
                               _kirillov_triangle, _kirillov_walk, _pack)
 from argshift.regcert import FalsificationError
 from argshift.sampling import integer_coords, rng_stream
@@ -630,3 +636,47 @@ def fraction_algebra_from_json(data: Any) -> LieAlgebraData:
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("algebra meta must be an object")
     return LieAlgebraData.from_table(dim, basis, entries, meta=meta)
+
+
+def semidirect_index_report(g: LieAlgebraData, rho: Sequence[MatQ],
+                            trials: int = 20, seed: int = 0, bound: int = 9) -> dict:
+    """Index prediction dim V - dim g for g acting on abelian V.
+
+    The formula applies only when some covector of V has an orbit of
+    full dimension dim g; this is tested by sampling the rank of the
+    infinitesimal orbit map.  When the sampled maximum falls short the
+    report says the formula is not established instead of asserting it.
+    """
+    dim_g = len(rho)
+    if dim_g != g.dim:
+        raise ValueError("need one action matrix per basis vector of g")
+    dim_v = rho[0].rows
+    max_orbit = 0
+    witness = None
+    for t in range(trials):
+        rng = rng_stream(seed, "semidirect-orbit", t)
+        zeta = integer_coords(rng, dim_v, bound)
+        # row i is zeta times rho[i], cleared of rho[i]'s denominator
+        rows = [[sum(zeta[b] * act.num[b][a] for b in range(dim_v)) for a in range(dim_v)]
+                for act in rho]
+        r = _rank_int(rows, dim_v)
+        if r > max_orbit:
+            max_orbit, witness = r, zeta
+        if max_orbit == dim_g:
+            break
+    applies = max_orbit == dim_g
+    return {"dim_g": dim_g, "dim_v": dim_v, "max_orbit_dim_seen": max_orbit,
+            "orbit_witness": [rat_str(x) for x in witness] if witness else None,
+            "formula_applies": applies, "predicted_ind": dim_v - dim_g if applies else None,
+            "note": ("generic orbit reaches dim g; index = dim V - dim g" if applies
+                     else "no sampled orbit reached dim g; formula not established"),
+            "seed": seed, "trials": trials, "bound": bound}
+
+
+def unverified_casimirs(L: LieAlgebraData, gens: Sequence[MPoly]) -> CasimirSet:
+    """gens as a CasimirSet on L with no check at all."""
+    cs = object.__new__(CasimirSet)
+    for name, value in zip(CasimirSet.__slots__,
+                           (L, tuple(gens), tuple(p.degree() for p in gens), None)):
+        object.__setattr__(cs, name, value)
+    return cs

@@ -17,8 +17,7 @@ from fractions import Fraction
 from argshift.exactlin import MatQ, rank_kernel, rat_str
 from argshift.liealg import (classical_matrix_basis, make_classical,
                              make_semidirect, make_sl2_so2_contraction,
-                             make_takiff, make_vinberg,
-                             semidirect_index_report)
+                             make_takiff, make_vinberg)
 from argshift.mfshift import (build_family, certify_commutative,
                               degree_profile, find_nonmaximality_witness,
                               nonmembership_linear)
@@ -34,7 +33,7 @@ from argshift.skewpencil import (SkewPencil, compute_L, rank_profile,
                                  verify_com1)
 
 from conftest import ACCEPTANCE_LINES
-from oracles import integer_point
+from oracles import integer_point, semidirect_index_report
 
 SL2 = make_classical("sl", 2)
 SL3 = make_classical("sl", 3)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import argshift
-from argshift import cli, jsonio, regcert
+from argshift import cli, jsonio, mfshift, poisson, regcert
 from argshift.cli import COMMANDS, main
 from argshift.liealg import LieAlgebraData, make_centralizer_sl, make_classical, make_takiff
 from argshift.mpoly import MPoly
@@ -21,6 +21,11 @@ from argshift.regcert import PlaneCertificate, find_regular_plane
 from oracles import estimate_index_all_trials
 
 SL2 = make_classical("sl", 2)
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 HEISENBERG = {"dim": 3, "basis": ["e", "f", "z"],
               "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}]}
@@ -78,7 +83,7 @@ def test_every_exported_name_resolves():
 
 
 def test_algebra_build_emits_parseable_algebra(sl2_file):
-    data = jsonio.read_json(sl2_file)
+    data = _read_json(sl2_file)
     assert jsonio.algebra_from_json(data) == SL2
 
 
@@ -247,6 +252,20 @@ def test_shift_certify(capsys, sl2_file, sl2_casimirs):
     assert code == 0
     assert report["verdicts"]["commutative"] == {
         "ok": True, "pairs_checked": 1, "members": 2, "method": "casimir-pencil"}
+
+
+def test_shift_certify_checks_a_non_casimir_file_pair_by_pair(capsys, tmp_path, sl2_file):
+    # a file's generators are never a CasimirSet: they are checked here,
+    # and x_e, x_h fail the check, so every pair is bracketed
+    cas = tmp_path / "not-casimirs.json"
+    jsonio.write_json(str(cas), {"nvars": 3, "generators": [
+        jsonio.poly_to_json(MPoly.variable(3, 0)), jsonio.poly_to_json(MPoly.variable(3, 1))]})
+    code, report = run(capsys, "shift", "certify", sl2_file, str(cas), "--xi", "1,2,3")
+    assert code == 1
+    assert report["verdicts"]["commutative"] == {
+        "ok": False, "pairs_checked": 1, "members": 2, "method": "pairwise"}
+    assert report["witnesses"]["commutative"] == [{"i": 0, "j": 1, "route": "lie-poisson"},
+                                                  {"i": 0, "j": 1, "route": "frozen"}]
 
 
 def test_reg_point(capsys, sl2_file):
@@ -573,7 +592,7 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     assert main(["pipeline", "run", str(alg), "--classical",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    report = jsonio.read_json(str(out))
+    report = _read_json(str(out))
     assert report["status"] == "pass"
     assert report["verdicts"]["build-family"]["members"] == 5
     assert report["verdicts"]["commutative"]["pairs_checked"] == 10
@@ -588,7 +607,7 @@ def test_pipeline_sl3_classical(capsys, tmp_path):
     xi = ",".join(report["verdicts"]["build-family"]["xi"])
     assert main(["shift", "build", str(alg), str(cas), f"--xi={xi}",
                  "--out", str(fam_out)]) == 0
-    assert len(jsonio.read_json(str(fam_out))["members"]) == 5
+    assert len(_read_json(str(fam_out))["members"]) == 5
 
 
 def test_pipeline_sl4_commutes_by_the_shift_chain(coadjoint_reads, capsys, tmp_path):
@@ -709,7 +728,7 @@ def test_pipeline_deterministic_reports(capsys, tmp_path, sl2_file,
         out = tmp_path / name
         assert main(["pipeline", "run", sl2_file, "--casimirs", sl2_casimirs,
                      "--out", str(out), "--seed", "7"]) == 0
-        outs.append(jsonio.read_json(str(out)))
+        outs.append(_read_json(str(out)))
     capsys.readouterr()
     a, b = outs
     a.pop("timings"), b.pop("timings")
@@ -990,7 +1009,7 @@ def plane_pipelines(tmp_path):
 
 
 def _loaded(path: str) -> LieAlgebraData:
-    return jsonio.algebra_from_json(jsonio.read_json(path))
+    return jsonio.algebra_from_json(_read_json(path))
 
 
 def _as_json(obj: dict) -> dict:
@@ -1017,6 +1036,24 @@ def test_a_passing_pipeline_certifies_one_plane(monkeypatch, capsys, plane_pipel
     assert verdicts["codim2"]["planes_tried"] == want.attempts_used
 
 
+@pytest.mark.parametrize("name", ["sl3", "takiff_sl2_1"])
+def test_a_pipeline_checks_each_casimir_once(monkeypatch, capsys, plane_pipelines, name):
+    # CasimirSet.verified checks each generator; the commutative stage
+    # reads the pencil off the verified set and checks none again
+    path, extra = plane_pipelines[name]
+    checked = []
+    for module in (poisson, mfshift):
+        def spy(L, f, real=module.is_casimir):
+            checked.append(f)
+            return real(L, f)
+        monkeypatch.setattr(module, "is_casimir", spy)
+    code, report = run(capsys, "pipeline", "run", path, *extra)
+    assert code == 0
+    assert report["verdicts"]["commutative"]["method"] == "casimir-pencil"
+    gens = [jsonio.poly_from_json(g) for g in report["casimirs"]["generators"]]
+    assert len(gens) == 2 and checked == gens
+
+
 @pytest.mark.parametrize("planes, attempts", [("1", "20"), ("3", "1")])
 def test_a_failing_first_plane_is_drawn_once_for_both_stages(
         monkeypatch, capsys, plane_pipelines, planes, attempts):
@@ -1027,15 +1064,20 @@ def test_a_failing_first_plane_is_drawn_once_for_both_stages(
     assert first.found
     forced = PlaneCertificate(False, 6, 0, all_zero=True, witness_pretty="forced")
     certify = regcert.certify_regular_plane
+    calls = []
 
     def failing_first(L, profile, xi, eta):
-        if (tuple(xi), tuple(eta)) == (first.spec.xi, first.spec.eta):
+        calls.append((tuple(xi), tuple(eta)))
+        if calls[-1] == (first.spec.xi, first.spec.eta):
             return forced
         return certify(L, profile, xi, eta)
     monkeypatch.setattr(regcert, "certify_regular_plane", failing_first)
     code, report = run(capsys, "pipeline", "run", path, *extra,
                        "--planes", planes, "--attempts", attempts)
     codim2, plane = report["verdicts"]["codim2"], report["verdicts"]["regular-plane"]
+    # the stage reads codim-2's draws and certifies only past them: each
+    # of the two planes drawn is certified once
+    assert len(calls) == len(set(calls)) == 2
     if planes == "1":
         # codim-2 falls back to the Pfaffians; the stage searches on
         assert code == 0

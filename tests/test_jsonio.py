@@ -11,8 +11,7 @@ from argshift.exactlin import MatQ, SubspaceQ
 from argshift.jsonio import (algebra_from_json, algebra_to_json,
                              casimirs_from_json, casimirs_to_json, dumps,
                              matrix_from_json, matrix_to_json, poly_from_json,
-                             poly_to_json, subspace_from_json,
-                             subspace_to_json, vector_from_json,
+                             poly_to_json, subspace_to_json, vector_from_json,
                              vector_to_json)
 from argshift.jsonio import algebra_table_from_json
 from argshift.liealg import make_classical, make_vinberg, validate_table
@@ -91,16 +90,19 @@ def test_vinberg_meta_passthrough():
 
 
 def test_casimirs_round_trip():
+    # a file gives generators; only CasimirSet.verified makes a set
     cs = classical_casimirs("sl", 2)
-    back = casimirs_from_json(casimirs_to_json(cs))
-    assert back.generators == cs.generators
-    assert back.degrees == cs.degrees
-    assert back.independence_witness == cs.independence_witness
+    data = casimirs_to_json(cs)
+    assert casimirs_from_json(data) == (3, cs.generators)
+    assert data["degrees"] == [2]
+    assert vector_from_json(data["independence_witness"]) == cs.independence_witness
 
 
 def test_subspace_round_trip():
     S = SubspaceQ.span([(1, 2, 3), (0, 1, 1)], 3)
-    assert subspace_from_json(subspace_to_json(S)) == S
+    data = subspace_to_json(S)
+    assert SubspaceQ.span([vector_from_json(row) for row in data["basis"]],
+                          data["ambient"]) == S
 
 
 @pytest.mark.parametrize("parse, data", [
@@ -114,14 +116,14 @@ def test_subspace_round_trip():
     (algebra_from_json, {"dim": 2, "meta": [1]}),
     (casimirs_from_json, {"generators": []}),
     (casimirs_from_json, {"nvars": 3, "generators": [], "degrees": [True]}),
-    (subspace_from_json, {"basis": []}),
-    (subspace_from_json, {"ambient": 2, "basis": "12"}),
+    (casimirs_from_json, {"nvars": 1, "generators": [], "independence_witness": "12"}),
+    (casimirs_from_json, {"nvars": 1, "generators": [], "independence_witness": ["1/0"]}),
     (matrix_from_json, [["1"], ["1", "2"]]),
     (vector_from_json, "12"),
     (casimirs_from_json, {"nvars": 1, "generators": [
         {"nvars": 1, "terms": [{"exps": [2], "coeff": "1"}]}], "degrees": [1]}),
     (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": [2]}),
-    (subspace_from_json, {"ambient": -2, "basis": []}),
+    (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": "2"}),
     (algebra_from_json, {"dim": -1}),
 ])
 def test_malformed_input_raises_value_error(parse, data):
@@ -161,6 +163,28 @@ def test_casimirs_from_json_checks_nvars(data, message):
     with pytest.raises(ValueError) as err:
         casimirs_from_json(data)
     assert str(err.value) == message
+
+
+SQUARE = {"nvars": 1, "terms": [{"coeff": "1", "exps": [2]}]}
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"degrees": "2"}, "degrees must be an array"),
+    ({"degrees": [True]}, "degree must be an integer, not True"),
+    ({"degrees": [2.5]}, "degree must be an integer, not 2.5"),
+    ({"degrees": [1]}, "degrees [1] do not match the generators' degrees [2]"),
+    ({"independence_witness": "12"}, "vector must be an array of rational strings"),
+    ({"independence_witness": [None]}, "cannot interpret None as a rational"),
+    ({"independence_witness": ["1/0"]}, "cannot interpret '1/0' as a rational"),
+])
+def test_casimirs_from_json_checks_the_fields_it_drops(extra, message):
+    # the degrees and the witness are not returned, but a malformed one
+    # is still refused with the message it always had
+    with pytest.raises(ValueError) as err:
+        casimirs_from_json({"nvars": 1, "generators": [SQUARE], **extra})
+    assert str(err.value) == message
+    assert casimirs_from_json({"nvars": 1, "generators": [SQUARE], "degrees": [2],
+                               "independence_witness": ["3"]}) == (1, (poly_from_json(SQUARE),))
 
 
 def test_algebra_from_json_names_a_negative_dim():

@@ -26,14 +26,13 @@ from argshift.liealg import (
     make_takiff,
     make_vinberg,
     make_z2_contraction,
-    semidirect_index_report,
     validate,
     validate_table,
 )
 from argshift.mpoly import MPoly
 from argshift.poisson import bracket, coordinate_bracket, frozen_bracket, kirillov
 from argshift.regcert import generic_kirillov
-from oracles import fraction_kirillov, fraction_validate
+from oracles import fraction_kirillov, fraction_validate, semidirect_index_report
 
 SL2_ENTRIES = [(0, 1, {0: -2}), (0, 2, {1: 1}), (1, 2, {2: -2})]
 
@@ -94,12 +93,6 @@ def test_validate_reports_antisymmetry_and_diagonal():
     assert not report.ok and report.kind == "antisymmetry"
     report = validate_table(2, [(0, 0, {1: 1})])
     assert not report.ok and report.kind == "diagonal"
-
-
-def test_bracket_vectors():
-    L = make_classical("sl", 2)
-    # [e+f, h] = -2e + 2f
-    assert L.bracket_vectors([1, 0, 1], [0, 1, 0]) == (-2, 0, 2)
 
 
 def test_algebra_from_matrices_errors():

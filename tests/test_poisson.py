@@ -24,6 +24,7 @@ from argshift.exactlin import MatQ, faddeev_leverrier, solve_many
 from argshift.liealg import (classical_matrix_basis, make_centralizer_sl, make_classical,
                              make_sl2_so2_contraction, make_takiff, make_vinberg)
 from argshift.jsonio import poly_to_json
+from argshift.mfshift import build_family, certify_commutative
 from argshift.mpoly import MPoly, determinant
 from argshift.poisson import (CasimirSet, bracket, classical_casimir_polys, classical_casimirs,
                               coordinate_bracket, estimate_index,
@@ -241,6 +242,20 @@ def test_sampling_to_the_ceiling_gives_the_profile_of_every_trial(name, seed, tr
         assert got.as_dict() == want
 
 
+@pytest.mark.parametrize("name", [name for name in CEILING_CASES if name != "vinberg(1,2)"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_verified_family_commutes_as_the_casimir_check_says(name, data):
+    # a family of a verified set reads the pencil off the set; the same
+    # generators as polynomials are checked by is_casimir in the call
+    L, subsets = _verified_subsets(name)
+    cs = data.draw(st.sampled_from(subsets[1:]))
+    xi = data.draw(st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim))
+    raw = build_family(L, cs.generators, xi)
+    assert raw.casimirs is None
+    assert certify_commutative(build_family(L, cs, xi)) == certify_commutative(raw)
+
+
 def test_the_ceiling_ends_sampling_at_the_first_sample_that_reaches_it(index_samples):
     L, subsets = _verified_subsets("gl3")
     # gl3 has dim 9 and index 3, and seed 0 reaches rank 6 at its first
@@ -254,7 +269,7 @@ def test_the_ceiling_ends_sampling_at_the_first_sample_that_reaches_it(index_sam
     # the parity bound alone: sl2 has dim 3, so no rank passes 2
     index_samples.clear()
     assert estimate_index(SL2).max_rank_seen == 2 and index_samples == [0]
-    with pytest.raises(ValueError, match="wrong space"):
+    with pytest.raises(ValueError, match="verified on another table"):
         estimate_index(L, casimirs=_verified_subsets("sl3")[1][-1])
 
 
@@ -330,6 +345,32 @@ def test_casimir_set_verified():
         CasimirSet.verified(SL2, [MPoly.zero(3)])
     empty = CasimirSet.verified(SL2, [])
     assert len(empty) == 0 and empty.independence_witness is None
+
+
+def test_a_casimir_set_exists_only_verified_and_keeps_its_table():
+    with pytest.raises(TypeError, match="only by CasimirSet.verified"):
+        CasimirSet(3, (X_E * X_E,), (2,), None)
+    cs = CasimirSet.verified(SL2, [CAS])
+    assert cs.algebra is SL2
+    with pytest.raises(AttributeError):
+        cs.generators = (X_E * X_E,)
+    # tables are compared, not objects: an equal table passes
+    cs.check_on(make_classical("sl", 2))
+    with pytest.raises(ValueError, match="verified on another table"):
+        cs.check_on(make_sl2_so2_contraction())
+
+
+def test_casimirs_of_another_table_cannot_lower_the_index():
+    # vinberg(1) has dim 2 and index 0.  Its coordinates are Casimirs of
+    # abelian(2), and as a ceiling they would stop sampling at rank 0,
+    # an index of 2; on vinberg(1) they are refused, by table or as files
+    vin = make_vinberg([1])
+    coords = [MPoly.variable(2, 0), MPoly.variable(2, 1)]
+    assert estimate_index(vin, seed=16).ind == 0
+    with pytest.raises(ValueError, match="verified on another table"):
+        estimate_index(vin, seed=16, casimirs=CasimirSet.verified(abelian(2), coords))
+    with pytest.raises(ValueError, match="not a Casimir"):
+        CasimirSet.verified(vin, coords)
 
 
 def test_classical_casimirs_sl2():

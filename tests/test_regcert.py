@@ -28,7 +28,7 @@ from argshift.regcert import (Codim2Certificate, FalsificationError, PlaneCertif
                               jacobian_rank, kostant_criterion, verify_bols,
                               verify_compl, _pfaffian, _pfaffian_gcd)
 from argshift.sampling import rng_stream
-from oracles import integer_point, stream_minor_gcd, to_sympy
+from oracles import integer_point, stream_minor_gcd, to_sympy, unverified_casimirs
 
 SL2 = make_classical("sl", 2)
 SL2_PROFILE = estimate_index(SL2)
@@ -91,13 +91,32 @@ def test_kostant_premise_errors():
 def test_kostant_falsification_on_bogus_generators():
     # x_e^2 is not central; smuggle it past verification to show the
     # dual routes really are compared
-    bogus = CasimirSet(3, (X_E * X_E,), (2,), None)
+    bogus = unverified_casimirs(SL2, [X_E * X_E])
     with pytest.raises(FalsificationError) as exc:
         kostant_criterion(SL2, bogus, SL2_PROFILE, (0, 1, 0))
     bundle = exc.value.bundle
     assert json.loads(jsonio.dumps(bundle)) == bundle
     assert bundle["kirillov_rank"] == 2
     assert bundle["jacobian_rank"] == 0
+
+
+CONTRACTION = make_sl2_so2_contraction()
+# central on the sl2/so2 contraction, not on sl2, though its count and
+# degree meet every premise that sl2's Casimir meets
+CONTRACTION_CASIMIRS = CasimirSet.verified(CONTRACTION, [X_H * X_H + X_F * X_F])
+
+
+@pytest.mark.parametrize("consume", [
+    lambda cs: estimate_index(SL2, casimirs=cs),
+    lambda cs: kostant_criterion(SL2, cs, SL2_PROFILE, (0, 1, 0)),
+    lambda cs: verify_compl(SL2, cs, SL2_PROFILE, PlaneSpec((1, 0, 0), (0, 0, 1))),
+    lambda cs: verify_bols(SL2, cs, SL2_PROFILE, (1, 0, 0)),
+    lambda cs: build_family(SL2, cs, (1, 0, 0)),
+], ids=["estimate_index", "kostant_criterion", "verify_compl", "verify_bols", "build_family"])
+def test_every_consumer_refuses_casimirs_verified_on_another_table(consume):
+    with pytest.raises(ValueError, match="verified on another table"):
+        consume(CONTRACTION_CASIMIRS)
+    consume(SL2_CASIMIRS)
 
 
 def test_sl3_singular_point_oracle():
@@ -443,7 +462,7 @@ def test_verify_compl_falsifies_bogus_generators():
     # x_e^2 is not central; every family built from it stays rank <= 1
     spec = PlaneSpec(tuple(map(Fraction, (1, 0, 0))),
                      tuple(map(Fraction, (0, 0, 1))))
-    bogus = CasimirSet(3, (X_E * X_E,), (2,), None)
+    bogus = unverified_casimirs(SL2, [X_E * X_E])
     with pytest.raises(FalsificationError) as exc:
         verify_compl(SL2, bogus, SL2_PROFILE, spec)
     assert json.loads(jsonio.dumps(exc.value.bundle)) == exc.value.bundle

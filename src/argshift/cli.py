@@ -25,9 +25,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import jsonio
 from .exactlin import rat, rat_str
-from .liealg import (AlgebraProfile, LieAlgebraData, make_classical,
-                     make_sl2_so2_contraction, make_takiff, make_vinberg,
-                     validate, validate_table)
+from .liealg import (AlgebraProfile, LieAlgebraData, TableError, ValidationReport,
+                     make_classical, make_sl2_so2_contraction, make_takiff,
+                     make_vinberg, validate)
 from .mfshift import (EXACT, build_family, certify_commutative,
                       degree_profile, find_nonmaximality_witness)
 from .mpoly import MPoly
@@ -148,21 +148,18 @@ def _reported(handler: Callable[[argparse.Namespace, dict, dict], bool]
 
 @_reported
 def cmd_algebra_validate(args: argparse.Namespace, report: dict, inputs: dict) -> bool:
-    raw, entry = _read_input(args.algebra)
-    inputs["algebra"] = entry
+    # the file is read as every other command reads it
+    raw, inputs["algebra"] = _read_input(args.algebra)
     try:
-        dim, basis, entries, den = jsonio.algebra_table_from_json(raw)
-        result = validate_table(dim, entries, basis, den)
-        verdict = result.as_dict()
-        ok = result.ok
-        if not ok:
-            report["witnesses"]["validate"] = result.detail
-    except (ValueError, KeyError, TypeError) as exc:
-        ok = False
-        verdict = {"ok": False, "kind": "table", "where": None, "detail": str(exc)}
-        report["witnesses"]["validate"] = str(exc)
-    report["verdicts"]["validate"] = verdict
-    return ok
+        result = validate(jsonio.algebra_from_json(raw))
+    except TableError as exc:
+        result = exc.report
+    except ValueError as exc:
+        result = ValidationReport(False, "table", None, str(exc))
+    report["verdicts"]["validate"] = result.as_dict()
+    if not result.ok:
+        report["witnesses"]["validate"] = result.detail
+    return result.ok
 
 
 def cmd_algebra_build(args: argparse.Namespace) -> int:
@@ -192,10 +189,7 @@ def cmd_algebra_build(args: argparse.Namespace) -> int:
 
 def _load_poly(path: str, inputs: dict, key: str, L: LieAlgebraData) -> MPoly:
     raw, inputs[key] = _read_input(path)
-    p = _from_file(path, jsonio.poly_from_json, raw)
-    if p.nvars != L.dim:
-        raise UsageError("polynomial variable count does not match the algebra")
-    return p
+    return _from_file(path, jsonio.poly_from_json, raw, L.dim)
 
 
 @_reported
@@ -238,10 +232,7 @@ def _load_generators(args: argparse.Namespace, inputs: dict,
                      L: LieAlgebraData) -> tuple[MPoly, ...]:
     """The generators of the --casimirs file, on the dual of L."""
     raw, inputs["casimirs"] = _read_input(args.casimirs)
-    nvars, gens = _from_file(args.casimirs, jsonio.casimirs_from_json, raw)
-    if nvars != L.dim:
-        raise UsageError("Casimir variable count does not match the algebra")
-    return gens
+    return _from_file(args.casimirs, jsonio.casimirs_from_json, raw, L.dim)
 
 
 def _load_casimirs(args: argparse.Namespace, inputs: dict, L: LieAlgebraData) -> CasimirSet:
@@ -383,14 +374,9 @@ def cmd_pencil_analyze(args: argparse.Namespace, report: dict, inputs: dict) -> 
     if args.matrices and (args.algebra or args.xi or args.eta):
         raise UsageError("choose either --matrices FILE or an algebra file with --xi and --eta")
     if args.matrices:
-        raw, entry = _read_input(args.matrices)
-        inputs["matrices"] = entry
-        try:
-            A, B = (jsonio.matrix_from_json(jsonio._field(raw, key, "pencil file"))
-                    for key in ("A", "B"))
-            pencil = SkewPencil(A, B)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"{args.matrices}: {exc}") from exc
+        raw, inputs["matrices"] = _read_input(args.matrices)
+        pencil = _from_file(args.matrices, lambda: SkewPencil(*(
+            jsonio.matrix_from_json(jsonio._field(raw, key, "pencil file")) for key in "AB")))
     else:
         if not args.algebra or not args.xi or not args.eta:
             raise UsageError("pencil analyze needs --matrices FILE or an "
@@ -471,7 +457,7 @@ def _casimirs(args: argparse.Namespace, L: LieAlgebraData, raw_cas: Any) -> Casi
                              f"but the table has dimension {L.dim}")
         gens = classical_casimir_polys(family, n)
     else:
-        gens = () if raw_cas is None else jsonio.casimirs_from_json(raw_cas)[1]
+        gens = () if raw_cas is None else jsonio.casimirs_from_json(raw_cas, L.dim)
     return CasimirSet.verified(L, gens, seed=args.seed, bound=args.bound)
 
 

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Any, Sequence
 
 from .exactlin import MatQ, SubspaceQ, _rat_pair, _ratio_str, rat, rat_str
-from .liealg import BracketEntry, LieAlgebraData
+from .liealg import LieAlgebraData
 from .mfshift import ShiftFamily
 from .mpoly import MPoly, grlex_key
 from .poisson import CasimirSet
@@ -93,8 +93,15 @@ def poly_to_json(p: MPoly) -> dict:
             "terms": [{"coeff": _ratio_str(c, p.den), "exps": list(e)} for e, c in terms]}
 
 
-def poly_from_json(data: dict) -> MPoly:
-    nvars = _count(data, "nvars", "polynomial")
+def _nvars(data: Any, nvars: int, what: str) -> None:
+    """Refuse a file that is not on the dual of a dim-nvars algebra."""
+    if (n := _count(data, "nvars", what)) != nvars:
+        raise ValueError(f"{what} has nvars {n}, but the algebra has dimension {nvars}")
+
+
+def poly_from_json(data: dict, nvars: int, what: str = "polynomial") -> MPoly:
+    """A polynomial file on the dual of a dim-nvars algebra."""
+    _nvars(data, nvars, what)
     rows = []
     for item in _array(_field(data, "terms", "polynomial"), "polynomial terms"):
         exps = _field(item, "exps", "term")
@@ -123,9 +130,9 @@ def algebra_to_json(L: LieAlgebraData) -> dict:
     return out
 
 
-def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry], int]:
-    """Dimension, basis names, raw bracket entries of integer numerators
-    and their common denominator, not yet validated."""
+def algebra_from_json(data: Any) -> LieAlgebraData:
+    """The only route from an algebra file to a table; a diagonal or
+    antisymmetry fault raises a TableError that carries its report."""
     dim = _count(data, "dim", "algebra")
     basis = ([str(b) for b in _array(data["basis"], "basis")] if "basis" in data
              else [f"e{i + 1}" for i in range(dim)])
@@ -137,17 +144,13 @@ def algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntr
                   for k, v in item["coeffs"].items()}
         entries.append((_int(_field(item, "i", "bracket"), "i"),
                         _int(_field(item, "j", "bracket"), "j"), coeffs))
-    den = lcm(*(q for _, _, coeffs in entries for _, q in coeffs.values()))
-    return dim, basis, [(i, j, {k: p * (den // q) for k, (p, q) in coeffs.items()})
-                        for i, j, coeffs in entries], den
-
-
-def algebra_from_json(data: Any) -> LieAlgebraData:
-    dim, basis, entries, den = algebra_table_from_json(data)
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("algebra meta must be an object")
-    return LieAlgebraData.from_table(dim, basis, entries, meta, den)
+    den = lcm(*(q for _, _, coeffs in entries for _, q in coeffs.values()))
+    return LieAlgebraData.from_table(
+        dim, basis, [(i, j, {k: p * (den // q) for k, (p, q) in coeffs.items()})
+                     for i, j, coeffs in entries], meta, den)
 
 
 def casimirs_to_json(cs: CasimirSet) -> dict:
@@ -159,24 +162,20 @@ def casimirs_to_json(cs: CasimirSet) -> dict:
     return out
 
 
-def casimirs_from_json(data: Any) -> tuple[int, tuple[MPoly, ...]]:
-    """The file's nvars and generators.  Its degrees and independence
-    witness are checked for form and dropped: only CasimirSet.verified
-    makes a set, and it derives both."""
-    nvars = _count(data, "nvars", "Casimir file")
-    gens = tuple(poly_from_json(d)
-                 for d in _array(data.get("generators", []), "Casimir generators"))
-    for k, p in enumerate(gens):
-        if p.nvars != nvars:
-            raise ValueError(f"generator {k} has nvars {p.nvars}, but the Casimir file "
-                             f"has nvars {nvars}")
+def casimirs_from_json(data: Any, nvars: int) -> tuple[MPoly, ...]:
+    """The generators of a Casimir file on the dual of a dim-nvars
+    algebra.  Its degrees and independence witness are checked for form
+    and dropped: only CasimirSet.verified makes a set, and it derives both."""
+    _nvars(data, nvars, "Casimir file")
+    gens = tuple(poly_from_json(d, nvars, f"generator {k}") for k, d in
+                 enumerate(_array(data.get("generators", []), "Casimir generators")))
     if "degrees" in data:
         given = [_int(d, "degree") for d in _array(data["degrees"], "degrees")]
         if given != (degrees := [p.degree() for p in gens]):
             raise ValueError(f"degrees {given} do not match the generators' degrees {degrees}")
     if data.get("independence_witness") is not None:
         vector_from_json(data["independence_witness"])
-    return nvars, gens
+    return gens
 
 
 def subspace_to_json(S: SubspaceQ) -> dict:

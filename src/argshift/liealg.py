@@ -3,9 +3,9 @@
 Structure constants are stored once, sparsely, as integer numerators
 over one denominator, keyed by (i, j) with i < j; the other half is
 derived by antisymmetry, so antisymmetry holds by construction once a
-raw table has been normalized.  Validation checks raw tables (diagonal,
-antisymmetry consistency) and the Jacobi identity exactly, on the
-integers.
+raw table has been normalized.  Normalizing refuses a raw table whose
+diagonal or antisymmetry fails with a TableError carrying the report;
+validate checks the Jacobi identity exactly, on the integers.
 """
 
 from __future__ import annotations
@@ -70,14 +70,12 @@ class LieAlgebraData:
     def from_table(cls, dim: int, basis_names: Sequence[str],
                    entries: Iterable[BracketEntry],
                    meta: Optional[dict] = None, den: int = 1) -> "LieAlgebraData":
-        """Normalize a raw bracket table over den; raises on bad input.
+        """Normalize a raw bracket table over den; a diagonal or
+        antisymmetry fault raises TableError, other bad input ValueError.
 
         Jacobi is NOT checked here; run validate() for the full report.
         """
-        table, report = _normalize_table(dim, list(entries))
-        if not report.ok:
-            raise ValueError(f"invalid bracket table: {report.detail}")
-        return cls(dim, basis_names, table, meta, den)
+        return cls(dim, basis_names, _normalize_table(dim, entries), meta, den)
 
     @classmethod
     def abelian(cls, dim: int, basis_names: Optional[Sequence[str]] = None) -> "LieAlgebraData":
@@ -108,8 +106,17 @@ class LieAlgebraData:
         return f"LieAlgebraData(dim={self.dim}, basis={list(self.basis_names)})"
 
 
-def _normalize_table(dim: int, entries: list[BracketEntry]
-                     ) -> tuple[dict[tuple[int, int], dict[int, Fraction]], ValidationReport]:
+class TableError(ValueError):
+    """A raw bracket table whose diagonal or antisymmetry fails; report
+    names the entry."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(f"invalid bracket table: {report.detail}")
+        self.report = report
+
+
+def _normalize_table(dim: int, entries: Iterable[BracketEntry]
+                     ) -> dict[tuple[int, int], dict[int, Fraction]]:
     seen: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, coeffs in entries:
         if not (0 <= i < dim and 0 <= j < dim):
@@ -123,15 +130,16 @@ def _normalize_table(dim: int, entries: list[BracketEntry]
                 clean[k] = c
         if i == j:
             if clean:
-                return {}, ValidationReport(False, "diagonal", (i, i),
-                                            f"[b{i}, b{i}] must vanish")
+                raise TableError(ValidationReport(False, "diagonal", (i, i),
+                                                  f"[b{i}, b{i}] must vanish"))
             continue
         key, val = ((i, j), clean) if i < j else ((j, i), {k: -c for k, c in clean.items()})
         if key in seen and seen[key] != val:
-            return {}, ValidationReport(False, "antisymmetry", key,
-                                        f"entries for ({key[0]},{key[1]}) and its flip disagree")
+            raise TableError(ValidationReport(False, "antisymmetry", key,
+                                              f"entries for ({key[0]},{key[1]}) and its "
+                                              "flip disagree"))
         seen[key] = val
-    return seen, ValidationReport(True)
+    return seen
 
 
 def _jacobi_defect(L: LieAlgebraData, i: int, j: int, k: int) -> dict[int, int]:
@@ -168,17 +176,6 @@ def validate(L: LieAlgebraData) -> ValidationReport:
                         f"Jacobi fails on ({names[i]}, {names[j]}, {names[k]}): "
                         f"coefficient of {names[l]} is {_ratio_str(c, L.den ** 2)}")
     return ValidationReport(True)
-
-
-def validate_table(dim: int, entries: Iterable[BracketEntry],
-                   basis_names: Optional[Sequence[str]] = None,
-                   den: int = 1) -> ValidationReport:
-    """Validate a raw table over den: diagonal, antisymmetry, Jacobi."""
-    names = basis_names or [f"b{i}" for i in range(dim)]
-    table, report = _normalize_table(dim, list(entries))
-    if not report.ok:
-        return report
-    return validate(LieAlgebraData(dim, names, table, den=den))
 
 
 # --- matrix realizations ---------------------------------------------------

@@ -161,6 +161,11 @@ class DegreeProfile:
         return {"b_q": self.b_q, "sum_degrees": self.sum_degrees,
                 "classification": self.classification}
 
+    @property
+    def note(self) -> str:
+        """Why a premise of ind generators whose degrees sum to b(q) fails."""
+        return f"degree sum {self.sum_degrees} vs bound {self.b_q}: {self.classification}"
+
 
 def degree_profile(casimirs: CasimirSet, profile: AlgebraProfile) -> DegreeProfile:
     """Compare the generator degree sum against (dim + ind) / 2.

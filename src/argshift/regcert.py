@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .exactlin import Scalar, _cleared, _ratio_str, _skew_rank, rat_str
 from .liealg import AlgebraProfile, LieAlgebraData
 from .mfshift import EXACT, build_family, degree_profile
-from .mpoly import MPoly, _gradient_rank, gradient_rank, gradient_table, poly_gcd
+from .mpoly import MPoly, _gradient_rank, gradient_table, poly_gcd
 from .poisson import CasimirSet, _kirillov_triangle, _kirillov_walk, kirillov
 from .sampling import integer_coords, rng_stream
 from .skewpencil import FalsificationError, SkewPencil, verify_com1
@@ -61,11 +61,6 @@ def is_regular(L: LieAlgebraData, profile: AlgebraProfile, xi: Sequence[Scalar])
     return _check_profile(L, profile) == kirillov(L, xi).rank
 
 
-def jacobian_rank(polys: Sequence[MPoly], pt: Sequence[Scalar]) -> int:
-    """Rank of the gradient matrix of the polynomials at the point."""
-    return gradient_rank(gradient_table(polys), pt)
-
-
 @dataclass
 class KostantVerdict:
     point: tuple[Fraction, ...]
@@ -92,12 +87,8 @@ def kostant_criterion(L: LieAlgebraData, casimirs: CasimirSet,
     """
     casimirs.check_on(L)
     m = _check_profile(L, profile)
-    if len(casimirs) != profile.ind:
-        raise ValueError(
-            f"criterion needs ind = {profile.ind} generators, got {len(casimirs)}")
-    if casimirs.sum_degrees != profile.b_q:
-        raise ValueError(
-            f"criterion needs degree sum {profile.b_q}, got {casimirs.sum_degrees}")
+    if (dp := degree_profile(casimirs, profile)).classification != EXACT:
+        raise ValueError(dp.note)
     # one integer point P / D for both ranks
     D, [P] = _cleared(xi)
     krank = _skew_rank(_kirillov_triangle(L, P), L.dim)
@@ -440,11 +431,8 @@ def verify_compl(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfil
     family, to report its size.
     """
     casimirs.check_on(L)
-    if len(casimirs) != profile.ind:
-        raise ValueError(
-            f"need ind = {profile.ind} generators, got {len(casimirs)}")
-    if casimirs.sum_degrees != profile.b_q:
-        raise ValueError("degree sum does not meet the bound; check inapplicable")
+    if (dp := degree_profile(casimirs, profile)).classification != EXACT:
+        raise ValueError(dp.note)
     if certificate is None:
         certificate = certify_regular_plane(L, profile, spec.xi, spec.eta)
     if not certificate.ok:
@@ -534,9 +522,7 @@ def verify_bols(L: LieAlgebraData, casimirs: CasimirSet, profile: AlgebraProfile
     casimirs.check_on(L)
     dp = degree_profile(casimirs, profile)
     if dp.classification != EXACT:
-        return BolsVerdict(False, dp.classification, False, False,
-                           f"degree sum {dp.sum_degrees} vs bound {dp.b_q}: "
-                           f"{dp.classification}")
+        return BolsVerdict(False, dp.classification, False, False, dp.note)
     if codim2 is None:
         codim2 = certify_codim2(L, profile, seed=seed, bound=bound)
     if not codim2.ok:

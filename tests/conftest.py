@@ -2,7 +2,10 @@
 
 The acceptance suite appends one summary line per criterion to
 ACCEPTANCE_LINES; the hook below prints them after the normal pytest
-summary so the verdict survives output capturing.  The fixture
+summary so the verdict survives output capturing.  The hook also lists
+each test without the `slow` marker whose call took SLOW_CALL_S or
+more; the list never fails a run, as timings on a shared host vary.
+The fixture
 `coadjoint_reads` counts the member actions the witness search reads,
 and `index_samples` the sample points the index estimate draws.
 """
@@ -12,6 +15,7 @@ import pytest
 from argshift import mfshift, poisson
 
 ACCEPTANCE_LINES: list[str] = []
+SLOW_CALL_S = 2.0
 
 
 @pytest.fixture
@@ -47,8 +51,22 @@ def index_samples(monkeypatch) -> list[int]:
     return drawn
 
 
+def slow_untagged(reports) -> list[tuple[float, str]]:
+    """(seconds, test id) of each call of SLOW_CALL_S or more by a test
+    without the `slow` marker, the slowest first."""
+    return sorted(((r.duration, r.nodeid) for r in reports
+                   if getattr(r, "when", None) == "call" and r.duration >= SLOW_CALL_S
+                   and "slow" not in r.keywords), reverse=True)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+    slow = slow_untagged(r for reports in terminalreporter.stats.values() for r in reports)
+    if slow:
+        terminalreporter.write_sep("-", f"untagged tests of {SLOW_CALL_S:g} s or more; "
+                                        "tag them slow")
+        for duration, nodeid in slow:
+            terminalreporter.write_line(f"{duration:.2f} s  {nodeid}")

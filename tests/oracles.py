@@ -80,9 +80,9 @@ tests can hold the package's route against it.
   check on the Fraction bracket table, one Fraction per product.
   ``liealg.validate`` runs it on the integer table, whose defects are
   den^2 times these.
-- ``fraction_poly_from_json``, ``fraction_algebra_table_from_json`` and
-  ``fraction_algebra_from_json``: the JSON readers with one Fraction
-  string parse per coefficient, summed or normalized as Fractions.
+- ``fraction_poly_from_json`` and ``fraction_algebra_from_json``: the
+  JSON readers with one Fraction string parse per coefficient, summed
+  or normalized as Fractions.
   ``jsonio`` reads each coefficient as an integer pair and hands
   integer numerators over one denominator to ``MPoly`` and
   ``LieAlgebraData`` instead.
@@ -107,7 +107,7 @@ from argshift.exactlin import (MatQ, Scalar, SubspaceQ, _echelon, _int_rows, _pr
                                _rank_int, _skew_rank, _skew_rows, _solve, faddeev_leverrier,
                                rat_str, vec)
 from argshift.jsonio import _array, _count, _field, _int
-from argshift.liealg import AlgebraProfile, BracketEntry, LieAlgebraData, ValidationReport
+from argshift.liealg import AlgebraProfile, LieAlgebraData, ValidationReport
 from argshift.mfshift import ShiftFamily
 from argshift.mpoly import MPoly, determinant, poly_gcd
 from argshift.poisson import (Action, CasimirSet, _action_width, _coadjoint, _frozen_pairs,
@@ -612,9 +612,8 @@ def fraction_poly_from_json(data: Any) -> MPoly:
     return MPoly(nvars, terms)
 
 
-def fraction_algebra_table_from_json(data: Any) -> tuple[int, list[str], list[BracketEntry]]:
-    """Dimension, basis names and bracket entries of Fractions, not yet
-    validated."""
+def fraction_algebra_from_json(data: Any) -> LieAlgebraData:
+    """An algebra file, its table normalized as Fractions."""
     dim = _count(data, "dim", "algebra")
     basis = [str(b) for b in _array(data.get("basis", [f"e{i + 1}" for i in range(dim)]),
                                     "basis")]
@@ -626,12 +625,6 @@ def fraction_algebra_table_from_json(data: Any) -> tuple[int, list[str], list[Br
                   for k, v in item["coeffs"].items()}
         entries.append((_int(_field(item, "i", "bracket"), "i"),
                         _int(_field(item, "j", "bracket"), "j"), coeffs))
-    return dim, basis, entries
-
-
-def fraction_algebra_from_json(data: Any) -> LieAlgebraData:
-    """An algebra file, its table normalized as Fractions."""
-    dim, basis, entries = fraction_algebra_table_from_json(data)
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("algebra meta must be an object")

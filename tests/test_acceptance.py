@@ -21,12 +21,12 @@ from argshift.liealg import (classical_matrix_basis, make_classical,
 from argshift.mfshift import (build_family, certify_commutative,
                               degree_profile, find_nonmaximality_witness,
                               nonmembership_linear)
-from argshift.mpoly import MPoly, try_divide
+from argshift.mpoly import MPoly, gradient_rank, gradient_table, try_divide
 from argshift.poisson import (CasimirSet, bracket, classical_casimirs,
                               estimate_index, frozen_bracket, is_casimir,
                               kirillov, takiff_lift)
 from argshift.regcert import (FalsificationError, find_regular_plane,
-                              is_regular, jacobian_rank, kostant_criterion,
+                              is_regular, kostant_criterion,
                               certify_codim2, verify_bols, verify_compl)
 from argshift.sampling import rng_stream
 from argshift.skewpencil import (SkewPencil, compute_L, rank_profile,
@@ -71,7 +71,7 @@ def _best_rank(polys, dim, target, label, bound):
     best = 0
     for _ in range(20):
         eta = integer_point(rng, dim, bound, nonzero=True)
-        best = max(best, jacobian_rank(polys, eta))
+        best = max(best, gradient_rank(gradient_table(polys), eta))
         if best == target:
             break
     return best
@@ -224,7 +224,7 @@ def criterion_4(bound: int) -> dict:
         "kirillov_matrix": tuple(tuple(rat_str(x) for x in row)
                                  for row in kirillov(SL2, xi).matrix.to_lists()),
         "kirillov_rank": kirillov(SL2, xi).rank,
-        "jacobian_rank_at_eta": jacobian_rank(fam.polys, (0, 1, 0)),
+        "jacobian_rank_at_eta": gradient_rank(gradient_table(fam.polys), (0, 1, 0)),
     }
 
 

@@ -19,6 +19,7 @@ from argshift.mpoly import MPoly
 from argshift.poisson import CasimirSet, classical_casimirs, estimate_index, takiff_lift
 from argshift.regcert import PlaneCertificate, find_regular_plane
 from oracles import estimate_index_all_trials
+from test_jsonio import FIRST_FAULTS, MALFORMED
 
 SL2 = make_classical("sl", 2)
 
@@ -75,7 +76,7 @@ def test_casimir_file_with_a_generator_on_more_variables_is_a_usage_error(
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert captured.err == (f"error: {path}: generator 0 has nvars 4, "
-                            "but the Casimir file has nvars 3\n")
+                            "but the algebra has dimension 3\n")
 
 
 def test_every_exported_name_resolves():
@@ -104,6 +105,38 @@ def test_algebra_validate_tampered_table(capsys, tmp_path):
     v = report["verdicts"]["validate"]
     assert v["kind"] == "jacobi"
     assert "Jacobi fails" in report["witnesses"]["validate"]
+
+
+SL2_JSON = jsonio.algebra_to_json(SL2)
+# files that no command reads as a table, among them a basis shorter
+# than dim and a meta that is not an object
+TABLE_FAULTS = [{"dim": 3, "basis": [], "brackets": []}, {**SL2_JSON, "meta": 5}] + [
+    data for parse, data, *_ in MALFORMED + FIRST_FAULTS if parse is jsonio.algebra_from_json]
+DIAGONAL = {"dim": 2, "brackets": [{"i": 1, "j": 1, "coeffs": {"0": "1"}}]}
+FLIPPED = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1"}},
+                                  {"i": 1, "j": 0, "coeffs": {"0": "1"}}]}
+
+
+@pytest.mark.parametrize("data, kind", [(data, "table") for data in TABLE_FAULTS] + [
+    (DIAGONAL, "diagonal"), (FLIPPED, "antisymmetry"), (TAMPERED, "jacobi"), (SL2_JSON, None)])
+def test_algebra_validate_reads_a_file_as_every_other_command(capsys, tmp_path, data, kind):
+    # a file poisson index refuses is a table fault for algebra validate,
+    # named by its kind, and fails the pipeline at its validate stage
+    path = tmp_path / "alg.json"
+    jsonio.write_json(str(path), data)
+    index = main(["poisson", "index", str(path)])
+    refusal = capsys.readouterr().err
+    code, report = run(capsys, "algebra", "validate", str(path))
+    _, pipeline = run(capsys, "pipeline", "run", str(path))
+    verdict = report["verdicts"]["validate"]
+    assert (code, verdict["kind"], verdict["ok"]) == (int(kind is not None), kind, kind is None)
+    assert (index == 2) == (kind in ("table", "diagonal", "antisymmetry"))
+    assert (pipeline.get("failed_stage") == "validate") == (kind is not None)
+    if index == 2:
+        error = refusal.removeprefix(f"error: {path}: ").removesuffix("\n")
+        assert pipeline["verdicts"]["validate"] == {"ok": False, "error": error}
+        assert error == (verdict["detail"] if kind == "table"
+                         else f"invalid bracket table: {verdict['detail']}")
 
 
 def test_algebra_build_unknown_kind(capsys):
@@ -214,7 +247,7 @@ def test_poisson_bracket_sl2(capsys, tmp_path, sl2_file):
     code, report = run(capsys, "poisson", "bracket", sl2_file, f, g)
     assert code == 0
     assert report["verdicts"]["bracket"]["pretty"] == "x_h"
-    assert jsonio.poly_from_json(report["result"]) == MPoly.variable(3, 1)
+    assert jsonio.poly_from_json(report["result"], 3) == MPoly.variable(3, 1)
 
 
 def test_poisson_casimir_check(capsys, tmp_path, sl2_file):
@@ -665,6 +698,31 @@ def test_classical_pipeline_checks_meta_n_against_the_table(capsys, tmp_path, n,
     assert report["verdicts"]["casimirs"] == {"ok": False, "error": error}
 
 
+def test_classical_pipeline_refuses_an_algebra_that_is_not_gl_or_sl(capsys, tmp_path):
+    alg = tmp_path / "so3.json"
+    assert main(["algebra", "build", "so", "3", "--out", str(alg)]) == 0
+    code, report = run(capsys, "pipeline", "run", str(alg), "--classical")
+    assert code == 1 and report["failed_stage"] == "casimirs"
+    assert report["verdicts"]["casimirs"] == {
+        "ok": False, "error": "--classical needs a gl or sl algebra built by this tool"}
+
+
+def test_pipeline_fails_when_no_draw_is_a_regular_shift_direction(
+        monkeypatch, capsys, sl2_file):
+    drawn = []
+
+    def singular(L, prof, xi):
+        drawn.append(xi)
+        return False
+
+    monkeypatch.setattr(cli, "is_regular", singular)
+    code, report = run(capsys, "pipeline", "run", sl2_file, "--classical")
+    assert code == 1 and report["failed_stage"] == "build-family"
+    assert report["verdicts"]["build-family"] == {
+        "ok": False, "error": "no regular shift direction found"}
+    assert len(drawn) == 64
+
+
 def test_pipeline_vinberg_fails_at_codim2(capsys, tmp_path):
     alg = tmp_path / "vin.json"
     assert main(["algebra", "build", "vinberg", "1", "--out", str(alg)]) == 0
@@ -1050,7 +1108,7 @@ def test_a_pipeline_checks_each_casimir_once(monkeypatch, capsys, plane_pipeline
     code, report = run(capsys, "pipeline", "run", path, *extra)
     assert code == 0
     assert report["verdicts"]["commutative"]["method"] == "casimir-pencil"
-    gens = [jsonio.poly_from_json(g) for g in report["casimirs"]["generators"]]
+    gens = list(jsonio.casimirs_from_json(report["casimirs"], report["casimirs"]["nvars"]))
     assert len(gens) == 2 and checked == gens
 
 
@@ -1108,6 +1166,22 @@ def sl3_classical(tmp_path):
     assert main(["algebra", "build", "sl", "3", "--out", str(alg)]) == 0
     jsonio.write_json(str(cas), jsonio.casimirs_to_json(classical_casimirs("sl", 3)))
     return str(alg), str(cas)
+
+
+def test_a_casimir_file_off_the_dual_is_refused_by_every_command(capsys, tmp_path,
+                                                                 sl3_classical):
+    # the reader checks the count, so the pipeline cannot pass an empty
+    # file on 99 variables through its casimirs stage
+    alg, _ = sl3_classical
+    cas = tmp_path / "cas99.json"
+    jsonio.write_json(str(cas), {"nvars": 99, "generators": []})
+    error = "Casimir file has nvars 99, but the algebra has dimension 8"
+    code, report = run(capsys, "pipeline", "run", alg, "--casimirs", str(cas))
+    assert code == 1 and report["failed_stage"] == "casimirs"
+    assert report["verdicts"]["casimirs"] == {"ok": False, "error": error}
+    for argv in (["reg", "point", alg, "--casimirs", str(cas)], ["shift", "build", alg, str(cas)]):
+        assert main([*argv, "--xi=1,0,0,0,1,0,0,0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cas}: {error}\n")
 
 
 def test_reg_bols_draws_its_codim2_certificate_at_the_bound(capsys, sl3_classical):

@@ -312,7 +312,7 @@ def test_the_shift_chain_holds_on_every_passing_pinned_pipeline_family():
         source = report["inputs"]["algebra"]
         L = PIPELINE_ALGEBRAS[source["path"]]()
         assert _digest(jsonio.dumps(jsonio.algebra_to_json(L))) == source["sha256"], case
-        fam = build_family(L, jsonio.casimirs_from_json(report["casimirs"])[1],
+        fam = build_family(L, jsonio.casimirs_from_json(report["casimirs"], L.dim),
                            [rat(x) for x in report["verdicts"]["build-family"]["xi"]])
         assert len(fam) == report["verdicts"]["build-family"]["members"], case
         assert report["verdicts"]["commutative"]["method"] == "casimir-pencil", case

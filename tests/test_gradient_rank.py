@@ -24,7 +24,6 @@ from argshift.liealg import (LieAlgebraData, make_classical, make_sl2_so2_contra
 from argshift.mfshift import build_family
 from argshift.mpoly import MPoly, _gradient_rank, gradient_rank, gradient_table
 from argshift.poisson import CasimirSet, classical_casimirs, takiff_lift
-from argshift.regcert import jacobian_rank
 from argshift.sampling import rng_stream
 from oracles import grad_at, integer_point, to_sympy
 
@@ -62,7 +61,7 @@ def test_integer_jacobian_matches_fraction_route(ps, pt):
     # gradient too: a dependency that holds only at pt, which a row
     # scaled wrongly on some terms of a non-homogeneous ps[0] breaks
     ps = ps + [MPoly.linear_form(grad_at(ps[0], pt))]
-    assert jacobian_rank(ps, pt) == fraction_jacobian_rank(ps, pt)
+    assert gradient_rank(gradient_table(ps), pt) == fraction_jacobian_rank(ps, pt)
 
 
 SYMPY_NVARS = 5
@@ -125,8 +124,8 @@ def test_non_homogeneous_rows_are_scaled_per_term():
     x0, x1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
     gens = [x0 * x0 + x1, x0 + x1]
     eta = (Fraction(1, 2), Fraction(0))
-    assert jacobian_rank(gens, eta) == fraction_jacobian_rank(gens, eta) == 1
-    assert jacobian_rank(gens, (Fraction(1, 3), Fraction(0))) == 2
+    assert gradient_rank(gradient_table(gens), eta) == fraction_jacobian_rank(gens, eta) == 1
+    assert gradient_rank(gradient_table(gens), (Fraction(1, 3), Fraction(0))) == 2
     L = LieAlgebraData.abelian(2)
     xi = (Fraction(0), Fraction(1))
     assert shifted_rank(gens, xi, eta) == family_rank(L, gens, xi, eta) == 1
@@ -134,10 +133,10 @@ def test_non_homogeneous_rows_are_scaled_per_term():
 
 def test_empty_and_mismatched_inputs():
     x = MPoly.variable(3, 0)
-    assert jacobian_rank([], (0, 1, 0)) == 0
-    assert jacobian_rank([MPoly.zero(3), MPoly.one(3)], (1, 2, 3)) == 0
+    assert gradient_rank(gradient_table([]), (0, 1, 0)) == 0
+    assert gradient_rank(gradient_table([MPoly.zero(3), MPoly.one(3)]), (1, 2, 3)) == 0
     with pytest.raises(ValueError, match="point length"):
-        jacobian_rank([x], (1, 2))
+        gradient_rank(gradient_table([x]), (1, 2))
     with pytest.raises(ValueError, match="direction length"):
         gradient_rank(gradient_table([x]), (1, 2, 3), (1, 2))
 
@@ -183,7 +182,7 @@ def test_shifted_rank_matches_family_rank(name):
             eta = tuple(x / rng.randint(1, 4) for x in eta)
         want = family_rank(L, gens, xi, eta)
         assert shifted_rank(gens, xi, eta) == want
-        assert jacobian_rank(build_family(L, gens, xi).polys, eta) == want
+        assert gradient_rank(gradient_table(build_family(L, gens, xi).polys), eta) == want
         seen.add(want)
     # eta on the line of xi: the family's differentials drop rank there
     for scale in (Fraction(2), Fraction(-1, 3)):

@@ -13,12 +13,10 @@ from argshift.jsonio import (algebra_from_json, algebra_to_json,
                              matrix_from_json, matrix_to_json, poly_from_json,
                              poly_to_json, subspace_to_json, vector_from_json,
                              vector_to_json)
-from argshift.jsonio import algebra_table_from_json
-from argshift.liealg import make_classical, make_vinberg, validate_table
+from argshift.liealg import TableError, make_classical, make_vinberg, validate
 from argshift.mpoly import MPoly
 from argshift.poisson import classical_casimirs
-from oracles import (fraction_algebra_from_json, fraction_algebra_table_from_json,
-                     fraction_poly_from_json)
+from oracles import fraction_algebra_from_json, fraction_poly_from_json, fraction_validate
 
 SL2 = make_classical("sl", 2)
 X = [MPoly.variable(3, i) for i in range(3)]
@@ -47,17 +45,17 @@ def test_poly_round_trip_and_shape():
     d = poly_to_json(CAS)
     assert d["nvars"] == 3
     assert {"coeff": "4", "exps": [1, 0, 1]} in d["terms"]
-    assert poly_from_json(d) == CAS
+    assert poly_from_json(d, 3) == CAS
     # duplicate exponent rows accumulate
     twice = {"nvars": 1, "terms": [{"coeff": "1", "exps": [2]},
                                    {"coeff": "1/2", "exps": [2]}]}
-    assert poly_from_json(twice) == MPoly(1, {(2,): Fraction(3, 2)})
+    assert poly_from_json(twice, 1) == MPoly(1, {(2,): Fraction(3, 2)})
     with pytest.raises(ValueError):
-        poly_from_json({"nvars": 2, "terms": [{"coeff": "1", "exps": [1]}]})
+        poly_from_json({"nvars": 2, "terms": [{"coeff": "1", "exps": [1]}]}, 2)
     # a missing terms key is a malformed file, not the zero polynomial
     with pytest.raises(ValueError):
-        poly_from_json({"nvars": 3, "generators": []})
-    assert poly_from_json({"nvars": 3, "terms": []}).is_zero()
+        poly_from_json({"nvars": 3, "generators": []}, 3)
+    assert poly_from_json({"nvars": 3, "terms": []}, 3).is_zero()
 
 
 def test_algebra_round_trip():
@@ -93,7 +91,7 @@ def test_casimirs_round_trip():
     # a file gives generators; only CasimirSet.verified makes a set
     cs = classical_casimirs("sl", 2)
     data = casimirs_to_json(cs)
-    assert casimirs_from_json(data) == (3, cs.generators)
+    assert casimirs_from_json(data, 3) == cs.generators
     assert data["degrees"] == [2]
     assert vector_from_json(data["independence_witness"]) == cs.independence_witness
 
@@ -105,7 +103,15 @@ def test_subspace_round_trip():
                           data["ambient"]) == S
 
 
-@pytest.mark.parametrize("parse, data", [
+def _read(parse, data):
+    """parse(data), a polynomial or Casimir file read on the dual of the
+    algebra its nvars names."""
+    if parse in (poly_from_json, casimirs_from_json):
+        return parse(data, data.get("nvars"))
+    return parse(data)
+
+
+MALFORMED = [
     (poly_from_json, {"nvars": 1, "terms": [[1]]}),
     (poly_from_json, {"nvars": 1, "terms": [{"exps": [1]}]}),
     (poly_from_json, {"nvars": 1, "terms": [{"exps": [1.5], "coeff": "1"}]}),
@@ -125,10 +131,13 @@ def test_subspace_round_trip():
     (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": [2]}),
     (casimirs_from_json, {"nvars": 1, "generators": [], "degrees": "2"}),
     (algebra_from_json, {"dim": -1}),
-])
+]
+
+
+@pytest.mark.parametrize("parse, data", MALFORMED)
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):
-        parse(data)
+        _read(parse, data)
 
 
 def _poly(nvars, coeff="1", exps=(1,)):
@@ -148,20 +157,33 @@ def _poly(nvars, coeff="1", exps=(1,)):
 ])
 def test_poly_from_json_error_messages(data, message):
     with pytest.raises(ValueError) as err:
-        poly_from_json(data)
+        poly_from_json(data, data["nvars"])
     assert str(err.value) == message
 
 
 @pytest.mark.parametrize("data, message", [
     ({"nvars": -2}, "nvars must be a nonnegative integer, not -2"),
     ({"nvars": 3, "generators": [_poly(4, exps=[1, 0, 0, 1])]},
-     "generator 0 has nvars 4, but the Casimir file has nvars 3"),
+     "generator 0 has nvars 4, but the algebra has dimension 3"),
     ({"nvars": 2, "generators": [_poly(2, exps=[2, 0]), _poly(1, exps=[2])]},
-     "generator 1 has nvars 1, but the Casimir file has nvars 2"),
+     "generator 1 has nvars 1, but the algebra has dimension 2"),
 ])
 def test_casimirs_from_json_checks_nvars(data, message):
     with pytest.raises(ValueError) as err:
-        casimirs_from_json(data)
+        casimirs_from_json(data, data["nvars"])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("parse, data, message", [
+    (poly_from_json, _poly(2, exps=[1, 0]),
+     "polynomial has nvars 2, but the algebra has dimension 3"),
+    (casimirs_from_json, {"nvars": 99, "generators": []},
+     "Casimir file has nvars 99, but the algebra has dimension 3"),
+])
+def test_a_file_off_the_algebras_dual_is_refused(parse, data, message):
+    # each reader checks the count itself, so no caller can skip it
+    with pytest.raises(ValueError) as err:
+        parse(data, 3)
     assert str(err.value) == message
 
 
@@ -181,10 +203,10 @@ def test_casimirs_from_json_checks_the_fields_it_drops(extra, message):
     # the degrees and the witness are not returned, but a malformed one
     # is still refused with the message it always had
     with pytest.raises(ValueError) as err:
-        casimirs_from_json({"nvars": 1, "generators": [SQUARE], **extra})
+        casimirs_from_json({"nvars": 1, "generators": [SQUARE], **extra}, 1)
     assert str(err.value) == message
     assert casimirs_from_json({"nvars": 1, "generators": [SQUARE], "degrees": [2],
-                               "independence_witness": ["3"]}) == (1, (poly_from_json(SQUARE),))
+                               "independence_witness": ["3"]}, 1) == (poly_from_json(SQUARE, 1),)
 
 
 def test_algebra_from_json_names_a_negative_dim():
@@ -198,7 +220,7 @@ def test_poly_from_json_drops_zero_sums():
                                   {"coeff": "-1/2", "exps": [1, 0]},
                                   {"coeff": "0", "exps": [0, 1]},
                                   {"coeff": "3", "exps": ["2", 0]}]}
-    p = poly_from_json(data)
+    p = poly_from_json(data, 2)
     assert p.terms == {(2, 0): Fraction(3)}
     assert all(isinstance(c, Fraction) for c in p.terms.values())
     assert p == MPoly(2, {(2, 0): 3})
@@ -210,7 +232,7 @@ def test_dumps_canonical():
     assert dumps({"x": 1, "y": 2}) == dumps({"y": 2, "x": 1})
 
 
-@pytest.mark.parametrize("parse, data, message", [
+FIRST_FAULTS = [
     # every coefficient is read before any index is checked against dim
     (algebra_from_json, {"dim": 2, "brackets": [{"i": 0, "j": 5, "coeffs": {"0": "1"}},
                                                 {"i": 0, "j": 1, "coeffs": {"0": "1/0"}}]},
@@ -238,10 +260,13 @@ def test_dumps_canonical():
     (poly_from_json, {"nvars": 2, "terms": [{"coeff": "1", "exps": [1]},
                                             {"coeff": "1/0", "exps": [1, 0]}]},
      "bad exponent tuple (1,) for nvars=2"),
-])
+]
+
+
+@pytest.mark.parametrize("parse, data, message", FIRST_FAULTS)
 def test_first_fault_is_reported_first(parse, data, message):
     with pytest.raises(ValueError) as err:
-        parse(data)
+        _read(parse, data)
     assert str(err.value) == message
 
 
@@ -287,9 +312,9 @@ def poly_files(draw):
 @settings(max_examples=80, deadline=None)
 @given(poly_files())
 def test_poly_reader_matches_the_fraction_reader(data):
-    p = same_outcome(fraction_poly_from_json, poly_from_json, data)
+    p = same_outcome(fraction_poly_from_json, lambda d: poly_from_json(d, d["nvars"]), data)
     if p is not None:
-        assert poly_from_json(poly_to_json(p)) == p
+        assert poly_from_json(poly_to_json(p), p.nvars) == p
 
 
 @st.composite
@@ -308,14 +333,14 @@ def algebra_files(draw):
     return {"dim": dim, "basis": [f"b{k}" for k in range(dim)], "brackets": brackets}
 
 
-def _validate_old(data):
-    dim, basis, entries = fraction_algebra_table_from_json(data)
-    return validate_table(dim, entries, basis).as_dict()
-
-
-def _validate_new(data):
-    dim, basis, entries, den = algebra_table_from_json(data)
-    return validate_table(dim, entries, basis, den).as_dict()
+def _validation(read, check, data):
+    """The report algebra validate gives for data: the one a diagonal or
+    antisymmetry fault carries, else the Jacobi check's."""
+    try:
+        L = read(data)
+    except TableError as exc:
+        return exc.report.as_dict()
+    return check(L).as_dict()
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,16 +349,17 @@ def test_algebra_reader_matches_the_fraction_reader(data):
     L = same_outcome(fraction_algebra_from_json, algebra_from_json, data)
     if L is not None:
         assert algebra_from_json(algebra_to_json(L)) == L
-    same_outcome(_validate_old, _validate_new, data)
+    same_outcome(lambda d: _validation(fraction_algebra_from_json, fraction_validate, d),
+                 lambda d: _validation(algebra_from_json, validate, d), data)
 
 
 def test_reader_refuses_rationals_too_long_to_print():
     # 10^100000000 would take minutes to build and could never be written
     for text in ("1e100000000", "-1e-100000000", "1" + "0" * 4300, "1e4300", "1/" + "9" * 4301):
         with pytest.raises(ValueError, match="more than 4300 digits"):
-            poly_from_json(_poly(1, coeff=text))
-    assert poly_from_json(_poly(1, coeff="9" * 4300 + "/7")).den == 7
-    assert poly_from_json(_poly(1, coeff="1e4299")).num == {(1,): 10 ** 4299}
+            poly_from_json(_poly(1, coeff=text), 1)
+    assert poly_from_json(_poly(1, coeff="9" * 4300 + "/7"), 1).den == 7
+    assert poly_from_json(_poly(1, coeff="1e4299"), 1).num == {(1,): 10 ** 4299}
 
 
 json_text = st.text(st.characters(blacklist_categories=["Cs"]) | st.sampled_from('"\\\n\t\x00\x7fé€𝄞'))

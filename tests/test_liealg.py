@@ -18,6 +18,7 @@ from argshift.exactlin import MatQ, rank_kernel, solve_many
 from argshift.liealg import (
     AlgebraProfile,
     LieAlgebraData,
+    TableError,
     algebra_from_matrices,
     make_centralizer_sl,
     make_classical,
@@ -27,7 +28,6 @@ from argshift.liealg import (
     make_vinberg,
     make_z2_contraction,
     validate,
-    validate_table,
 )
 from argshift.mpoly import MPoly
 from argshift.poisson import bracket, coordinate_bracket, frozen_bracket, kirillov
@@ -82,17 +82,21 @@ def test_so3_bracket_oracle():
 def test_validate_reports_jacobi_violation():
     # tamper [e,f] = e instead of h; Jacobi defect on (e,h,f) is -2e
     bad = [(0, 1, {0: -2}), (0, 2, {0: 1}), (1, 2, {2: -2})]
-    report = validate_table(3, bad, ["e", "h", "f"])
+    report = validate(LieAlgebraData.from_table(3, ["e", "h", "f"], bad))
     assert not report.ok and report.kind == "jacobi"
     assert report.where == (0, 1, 2)
     assert "e" in report.detail
 
 
 def test_validate_reports_antisymmetry_and_diagonal():
-    report = validate_table(2, [(0, 1, {0: 1}), (1, 0, {0: 1})])
-    assert not report.ok and report.kind == "antisymmetry"
-    report = validate_table(2, [(0, 0, {1: 1})])
-    assert not report.ok and report.kind == "diagonal"
+    # the table is refused as it is normalized, with the report it breaks
+    for entries, kind, where in [([(0, 1, {0: 1}), (1, 0, {0: 1})], "antisymmetry", (0, 1)),
+                                 ([(0, 0, {1: 1})], "diagonal", (0, 0))]:
+        with pytest.raises(TableError) as err:
+            LieAlgebraData.from_table(2, ["a", "b"], entries)
+        report = err.value.report
+        assert not report.ok and (report.kind, report.where) == (kind, where)
+        assert str(err.value) == f"invalid bracket table: {report.detail}"
 
 
 def test_algebra_from_matrices_errors():

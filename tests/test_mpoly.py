@@ -321,7 +321,7 @@ def test_equal_polynomials_have_one_representation(f, g, c):
     routes = [f, (f + g) - g, (f * c) * (1 / c), MPoly(3, f.terms), -(-f),
               MPoly(3, {e: Fraction(v.numerator * 6, v.denominator * 6)
                         for e, v in f.terms.items()}),
-              poly_from_json(poly_to_json(f))]
+              poly_from_json(poly_to_json(f), 3)]
     if not g.is_zero():
         routes.append(try_divide(f * g, g))
     want = _canonical(f)

@@ -20,12 +20,12 @@ from argshift import exactlin, jsonio, mfshift, mpoly, poisson, regcert, skewpen
 from argshift.liealg import AlgebraProfile, LieAlgebraData, make_centralizer_sl, \
     make_classical, make_sl2_so2_contraction, make_takiff, make_vinberg
 from argshift.mfshift import build_family
-from argshift.mpoly import MPoly
+from argshift.mpoly import MPoly, gradient_rank, gradient_table
 from argshift.poisson import CasimirSet, classical_casimirs, estimate_index, takiff_lift
 from argshift.regcert import (Codim2Certificate, FalsificationError, PlaneCertificate,
                               PlaneSpec, certify_codim2, certify_regular_plane,
                               find_regular_plane, generic_kirillov, is_regular,
-                              jacobian_rank, kostant_criterion, verify_bols,
+                              kostant_criterion, verify_bols,
                               verify_compl, _pfaffian, _pfaffian_gcd)
 from argshift.sampling import rng_stream
 from oracles import integer_point, stream_minor_gcd, to_sympy, unverified_casimirs
@@ -66,9 +66,9 @@ def test_profile_mismatch_rejected():
 
 
 def test_jacobian_rank():
-    assert jacobian_rank([CAS], (0, 1, 0)) == 1
-    assert jacobian_rank([CAS], (0, 0, 0)) == 0
-    assert jacobian_rank([], (0, 1, 0)) == 0
+    assert gradient_rank(gradient_table([CAS]), (0, 1, 0)) == 1
+    assert gradient_rank(gradient_table([CAS]), (0, 0, 0)) == 0
+    assert gradient_rank(gradient_table([]), (0, 1, 0)) == 0
 
 
 def test_kostant_agreement_sl2():
@@ -81,7 +81,7 @@ def test_kostant_agreement_sl2():
 
 def test_kostant_premise_errors():
     empty = CasimirSet.verified(SL2, [])
-    with pytest.raises(ValueError, match="needs ind"):
+    with pytest.raises(ValueError, match="need ind"):
         kostant_criterion(SL2, empty, SL2_PROFILE, (0, 1, 0))
     squared = CasimirSet.verified(SL2, [CAS * CAS])
     with pytest.raises(ValueError, match="degree sum"):
@@ -243,6 +243,20 @@ def test_certify_codim2_heisenberg_witness():
     cert = certify_codim2(heis, estimate_index(heis))
     assert not cert.ok
     assert cert.witness_pretty == "x_z^2"
+
+
+@pytest.mark.parametrize("status, error", [("declared", ValueError),
+                                           ("estimated", FalsificationError)])
+def test_certify_codim2_refuses_a_rank_no_minor_reaches(status, error):
+    # gl2 has generic rank 2; an index of 0 asks for a rank-4 minor, so
+    # no plane certifies and every 4 x 4 Pfaffian vanishes
+    gl2 = make_classical("gl", 2)
+    with pytest.raises(error, match="no nonzero minor at the declared generic rank") as exc:
+        certify_codim2(gl2, AlgebraProfile(4, 0, status))
+    if status == "estimated":
+        assert exc.value.bundle == {"dim": 4, "ind": 0, "m": 4, "profile_status": "estimated"}
+    else:
+        assert str(exc.value).endswith("; the declared index looks wrong")
 
 
 def test_certify_codim2_deterministic():
@@ -456,6 +470,16 @@ def test_verify_compl_falsifies_a_lying_certificate_at_a_singular_pair_point():
     assert bundle["spec"] == {"xi": ["1/2", "-1", "3/2", "2", "0", "-5/2", "1", "3"],
                               "eta": ["-4", "8", "-12", "-16", "3/2", "20", "-8", "-24"]}
     assert json.loads(jsonio.dumps(bundle)) == bundle
+
+
+def test_verify_compl_falsifies_a_lying_certificate_where_the_casimir_gradient_vanishes():
+    # the certificate claims a plane through 0, where grad (h^2 + 4ef) = 0
+    spec = PlaneSpec((0, 0, 0), (0, 0, 1))
+    with pytest.raises(FalsificationError, match="central differentials drop rank at a "
+                                                 "certified-regular point") as exc:
+        verify_compl(SL2, SL2_CASIMIRS, SL2_PROFILE, spec, PlaneCertificate(True, 2, 0))
+    assert exc.value.bundle == {"dim": 3, "ind": 1, "point": ["0", "0", "0"],
+                                "gradient_rank": 0, "spec": spec.as_dict()}
 
 
 def test_verify_compl_falsifies_bogus_generators():

@@ -828,3 +828,60 @@ def test_a_walk_stopping_below_the_generic_rank_is_redone_at_it(n):
     analysis = verify_com1(pencil)
     assert analysis.m == rank_kernel(B)[0] > 0
     assert analysis_fields(analysis) == fraction_analysis(A, B)
+
+
+# --- the refusals no honest pencil reaches ------------------------------------
+
+def test_a_walk_at_a_rank_no_member_reaches_stops_at_the_cap():
+    # every sl2 member has rank at most 2, so a walk at rank 4 never
+    # sums a kernel and must not answer
+    with pytest.raises(ArithmeticError, match="did not stabilize within the direction cap"):
+        compute_L(sl2_pencil(), 4)
+
+
+def whole_space_image(monkeypatch):
+    """Make the certified image the whole space, which no kernel sum
+    L != 0 is isotropic against."""
+    monkeypatch.setattr(skewpencil, "check_image_equality",
+                        lambda pencil, L, basis=None: SubspaceQ(pencil.dim, [
+                            [int(i == j) for j in range(pencil.dim)] for i in range(pencil.dim)]))
+
+
+def test_a_kernel_sum_outside_the_annihilator_of_its_image_is_a_falsification(monkeypatch):
+    pencil = sl2_pencil()
+    _, L, basis, _ = _kernel_walk(pencil)
+    whole_space_image(monkeypatch)
+    with pytest.raises(FalsificationError, match="kernel sum is not isotropic") as exc:
+        _image_and_annihilator(pencil, L, basis)
+    assert exc.value.bundle == {"dim": 3, "L_dim": 2, "Ltilde_dim": 0}
+
+
+def test_an_isotropy_falsification_at_the_generic_rank_is_raised_by_verify_com1(monkeypatch):
+    # the walk's rank is the generic one, so no rerun at a higher rank
+    # can stand in for the walk's refuted sum
+    whole_space_image(monkeypatch)
+    with pytest.raises(FalsificationError, match="kernel sum is not isotropic"):
+        verify_com1(sl2_pencil())
+
+
+def test_a_kronecker_sum_of_the_wrong_dimension_is_a_falsification(monkeypatch):
+    # the two-block pencil has L = 0 inside Ltilde = V; an annihilator
+    # that came out equal to L makes it look Kronecker at dimension 0
+    real = skewpencil._image_and_annihilator
+    monkeypatch.setattr(skewpencil, "_image_and_annihilator",
+                        lambda pencil, L, basis: (real(pencil, L, basis)[0], L))
+    with pytest.raises(FalsificationError, match="Kronecker-type kernel sum has the wrong "
+                                                 "dimension") as exc:
+        verify_com1(SkewPencil.from_matrices(BLOCK_A, BLOCK_B))
+    assert exc.value.bundle == {"dim": 4, "m": 4, "L_dim": 0, "expected": 2}
+
+
+def test_an_eigenvalue_at_a_regular_member_is_a_falsification(monkeypatch):
+    # the two-block pencil's eigenvalues are 0 and 1; 7 names the
+    # regular member B - 7 (A + B)
+    monkeypatch.setattr(skewpencil, "rational_roots", lambda cp: {Fraction(7): 2})
+    with pytest.raises(FalsificationError, match="recursion eigenvalue does not match a "
+                                                 "singular direction") as exc:
+        verify_com1(SkewPencil.from_matrices(BLOCK_A, BLOCK_B))
+    assert exc.value.bundle == {"dim": 4, "eigenvalue": "7", "member_rank": 4,
+                                "generic_rank": 4, "A_ratio": ["1", "1"], "B_ratio": ["0", "1"]}
